@@ -3,7 +3,7 @@
 A phase-shifted multi-tenant stream is replayed through the
 :class:`repro.serving.IcgmmCacheService`: tenant 0's hot set is
 stable, tenant 1's hot set *moves* at the phase boundary (a failover
-/ cache-rebuild event).  Three deployments race on the post-drift
+/ cache-rebuild event).  Four deployments race on the post-drift
 steady state:
 
 * **frozen** -- the paper's deployment: the offline engine never
@@ -11,11 +11,14 @@ steady state:
   the service bypasses/evicts exactly the pages that just became hot;
 * **online** -- the serving subsystem's drift-aware refresh: the
   score-drift detector fires, recent chunks are folded into the
-  mixture by stepwise EM, and the refreshed engine is swapped in;
+  mixture by warm-started EM, and the refreshed engine is swapped in;
+* **online-async** -- the same refresh built on a background worker
+  (``ServingConfig.refresh_async``) while chunks keep flowing on the
+  old engine; the stream end drains a still-running build;
 * **oracle** -- an engine batch-trained on post-drift traffic (upper
   bound).
 
-The bench asserts two acceptance properties and bakes them into the
+The bench asserts four acceptance properties and bakes them into the
 emitted ``BENCH_serving_drift.json``:
 
 1. ``recovered_gap_fraction >= 0.5`` -- the online engine recovers at
@@ -24,7 +27,15 @@ emitted ``BENCH_serving_drift.json``:
    chunked, resumable serving loop's counters are *bit-identical* to
    a single-shot :meth:`repro.core.system.IcgmmSystem.run_strategy`
    on the same stream (chunking and sharding are exact, not
-   approximate).
+   approximate);
+3. ``lost_accesses == 0`` on every deployment -- each chunk report is
+   accounted, in order;
+4. ``refresh_stall.fraction <= 0.10`` -- the async deployment lands
+   at least one build, and its on-path refresh cost
+   (``refresh.onpath``: validation, CAS swap, consumer rebase) is at
+   most a tenth of the online deployment's inline build seconds
+   (``refresh``).  Swap timing in the async row depends on wall
+   clock, so its miss rate is recorded, not gated.
 
 Usage::
 
@@ -47,6 +58,7 @@ import numpy as np
 from repro.cache.setassoc import CacheGeometry
 from repro.core.config import GmmEngineConfig, IcgmmConfig, ServingConfig
 from repro.core.engine import GmmPolicyEngine
+from repro.core.pipeline import StageProfiler
 from repro.core.system import IcgmmSystem, PreparedWorkload
 from repro.serving import IcgmmCacheService
 from repro.traces.preprocess import transform_timestamps
@@ -62,7 +74,17 @@ RESULT_SCHEMA = {
     "post_drift_latency_us": float,
     "swaps": int,
     "final_generation": int,
+    "lost_accesses": int,
+    "refresh_inline_s": float,
+    "refresh_onpath_s": float,
 }
+
+#: Deployment names, in ``results`` order.
+DEPLOYMENTS = ("frozen", "online", "online-async", "oracle")
+
+#: Ceiling of the async row's on-path refresh seconds as a fraction
+#: of the online row's inline build seconds.
+MAX_ONPATH_FRACTION = 0.10
 
 
 def build_stream(n_phase: int, hot_pages: int, shift: int, seed: int):
@@ -138,16 +160,37 @@ def train_oracle(pages, boundary, n_train, gmm_config, seed):
 
 
 def run_service(engine, config, serving, pages, writes, measure_from):
-    """Replay the stream; returns the finished service + wall time."""
+    """Replay the stream under a stage profiler.
+
+    Returns ``(service, reports, seconds)``; a background build still
+    running at the end of the stream is drained into the run.
+    """
     service = IcgmmCacheService(
         engine,
         config=config,
         serving=serving,
         measure_from=measure_from,
     )
-    t0 = time.perf_counter()
-    service.ingest(pages, writes)
-    return service, time.perf_counter() - t0
+    service.pipeline.profiler = StageProfiler()
+    try:
+        t0 = time.perf_counter()
+        reports = service.ingest(pages, writes)
+        service.drain_refresh()
+        elapsed = time.perf_counter() - t0
+    finally:
+        service.close()
+    return service, reports, elapsed
+
+
+def lost_accesses(reports, n_accesses: int) -> int:
+    """Accesses missing from the chunk reports (plus one per report
+    out of order)."""
+    in_order = [r.chunk_index for r in reports] == list(
+        range(len(reports))
+    )
+    return abs(n_accesses - sum(r.accesses for r in reports)) + (
+        0 if in_order else 1
+    )
 
 
 def parity_check(engine, config, serving, pages, writes):
@@ -179,7 +222,7 @@ def parity_check(engine, config, serving, pages, writes):
         engine=engine,
     )
     expected = system.run_strategy(prepared, serving.strategy).stats
-    service, _ = run_service(
+    service, _, _ = run_service(
         engine,
         config,
         frozen,
@@ -234,20 +277,22 @@ def run(smoke: bool, seed: int = 7) -> dict:
     measure_from = boundary + int(0.4 * n_phase)
 
     deployments = [
-        ("frozen", frozen_engine, False),
-        ("online", frozen_engine, True),
-        ("oracle", oracle_engine, False),
+        ("frozen", frozen_engine, False, False),
+        ("online", frozen_engine, True, False),
+        ("online-async", frozen_engine, True, True),
+        ("oracle", oracle_engine, False, False),
     ]
     results = []
     miss = {}
-    for name, engine, refresh in deployments:
+    for name, engine, refresh, background in deployments:
         deployment_serving = dataclasses.replace(
-            serving, refresh_enabled=refresh
+            serving, refresh_enabled=refresh, refresh_async=background
         )
-        service, elapsed = run_service(
+        service, reports, elapsed = run_service(
             engine, config, deployment_serving, pages, writes,
             measure_from,
         )
+        sections = service.pipeline.profiler.seconds
         stats = service.totals
         latency = service.shard_metrics.latency_model.average_access_time_us(
             stats
@@ -259,11 +304,16 @@ def run(smoke: bool, seed: int = 7) -> dict:
             "post_drift_latency_us": round(latency, 3),
             "swaps": len(service.swaps),
             "final_generation": service.generation,
+            "lost_accesses": lost_accesses(reports, pages.shape[0]),
+            "refresh_inline_s": round(sections.get("refresh", 0.0), 4),
+            "refresh_onpath_s": round(
+                sections.get("refresh.onpath", 0.0), 6
+            ),
             "elapsed_s": round(elapsed, 3),
         }
         results.append(row)
         print(
-            f"{name:8s} post-drift miss {100 * stats.miss_rate:6.2f}%"
+            f"{name:12s} post-drift miss {100 * stats.miss_rate:6.2f}%"
             f"  latency {latency:8.2f} us"
             f"  swaps {len(service.swaps)}"
         )
@@ -271,6 +321,11 @@ def run(smoke: bool, seed: int = 7) -> dict:
     gap = miss["frozen"] - miss["oracle"]
     recovered = (miss["frozen"] - miss["online"]) / gap if gap > 0 else 1.0
     print(f"recovered {100 * recovered:.1f}% of the frozen-oracle gap")
+    stall = refresh_stall(results)
+    print(
+        f"refresh stall: on-path {stall['onpath_s']:.6f}s vs inline"
+        f" {stall['inline_s']:.4f}s (fraction {stall['fraction']})"
+    )
 
     parity = parity_check(frozen_engine, config, serving, pages, writes)
     print(
@@ -300,22 +355,43 @@ def run(smoke: bool, seed: int = 7) -> dict:
         },
         "results": results,
         "recovered_gap_fraction": round(recovered, 4),
+        "refresh_stall": stall,
         "parity": parity,
+    }
+
+
+def refresh_stall(results: list[dict]) -> dict:
+    """The async row's on-path refresh seconds against the online
+    row's inline build seconds (``fraction`` is None without inline
+    builds)."""
+    rows = {row["deployment"]: row for row in results}
+    inline = rows["online"]["refresh_inline_s"]
+    onpath = rows["online-async"]["refresh_onpath_s"]
+    return {
+        "inline_s": inline,
+        "onpath_s": onpath,
+        "fraction": round(onpath / inline, 4) if inline > 0 else None,
+        "threshold": MAX_ONPATH_FRACTION,
     }
 
 
 def validate(payload: dict) -> list[str]:
     """Schema + acceptance check of an emitted payload."""
     problems = []
-    for key in ("results", "recovered_gap_fraction", "parity"):
+    for key in (
+        "results",
+        "recovered_gap_fraction",
+        "refresh_stall",
+        "parity",
+    ):
         if key not in payload:
             problems.append(f"missing top-level {key!r}")
     if problems:
         return problems
-    if not isinstance(payload["results"], list) or len(
-        payload["results"]
-    ) != 3:
-        return ["'results' must list the three deployments"]
+    if not isinstance(payload["results"], list) or [
+        row.get("deployment") for row in payload["results"]
+    ] != list(DEPLOYMENTS):
+        return [f"'results' must list the deployments {DEPLOYMENTS}"]
     for i, row in enumerate(payload["results"]):
         for fieldname, kind in RESULT_SCHEMA.items():
             if fieldname not in row:
@@ -342,6 +418,29 @@ def validate(payload: dict) -> list[str]:
         problems.append(
             "acceptance: sharded serving loop diverged from the"
             " single-shot IcgmmSystem run"
+        )
+    for row in payload["results"]:
+        if row.get("lost_accesses") != 0:
+            problems.append(
+                f"acceptance: {row.get('deployment')} lost"
+                f" {row.get('lost_accesses')} access(es)"
+            )
+    fraction = payload["refresh_stall"].get("fraction")
+    async_swaps = payload["results"][
+        DEPLOYMENTS.index("online-async")
+    ].get("swaps")
+    if not isinstance(async_swaps, int) or async_swaps < 1:
+        # Without a landed build the on-path figure measured nothing.
+        problems.append("acceptance: online-async landed no refresh")
+    if not isinstance(fraction, (int, float)):
+        problems.append(
+            "acceptance: no inline refresh seconds to compare the"
+            " async on-path stall against"
+        )
+    elif fraction > MAX_ONPATH_FRACTION:
+        problems.append(
+            f"acceptance: async on-path refresh stall is {fraction:.2%}"
+            f" of the inline build (> {MAX_ONPATH_FRACTION:.0%})"
         )
     return problems
 

@@ -6,14 +6,18 @@ against :meth:`EMTrainer.fit_reference` (sequential restarts through
 the reference k-means and triangular-solve E-step), asserting per row
 that the fast path's batched / sequential / executor restart modes
 produce *identical* models at equal seeds; and (2)
-:meth:`ModelRefresher.build` in its warm-started-EM mode against the
-stepwise-EM fold, on a drifted Zipf stream, recording post-drift
-holdout likelihoods so the speedup is visibly not bought with
-adaptation quality.  Emits ``BENCH_train_throughput.json``.
+:meth:`ModelRefresher.build` (warm-started EM seeded from the
+deployed mixture) against a from-scratch :meth:`EMTrainer.fit` on the
+same 8,192-row subsample of the buffered traffic, on a drifted Zipf
+stream, recording post-drift holdout likelihoods of the frozen,
+retrained and refreshed mixtures so the speedup is visibly not bought
+with adaptation quality.  Emits ``BENCH_train_throughput.json``.
 
 Acceptance (enforced by ``--validate`` on rows marked
-``paper_geometry``, i.e. the simulator-default K = 64 with
-``n_init`` = 4): fit speedup >= 4x and refresh speedup >= 3x.
+``paper_geometry``, i.e. the simulator-default K = 64): fit speedup
+>= 4x (``n_init`` = 4), refresh >= 2x faster than the retrain, and
+the refresh recovers >= 90% of the holdout log-likelihood the frozen
+engine loses against the retrain.
 
     PYTHONPATH=src python benchmarks/bench_train_throughput.py           # full
     PYTHONPATH=src python benchmarks/bench_train_throughput.py --smoke   # quick
@@ -56,17 +60,24 @@ REFRESH_SCHEMA = {
     "kind": str,
     "k": int,
     "buffered_samples": int,
-    "stepwise_s": float,
+    "fit_samples": int,
+    "retrain_s": float,
     "warm_s": float,
     "speedup": float,
-    "stepwise_holdout_ll": float,
+    "frozen_holdout_ll": float,
+    "retrain_holdout_ll": float,
     "warm_holdout_ll": float,
+    "recovered_fraction": float,
     "paper_geometry": bool,
 }
 
 #: Acceptance gates on paper-geometry rows.
 MIN_FIT_SPEEDUP = 4.0
-MIN_REFRESH_SPEEDUP = 3.0
+MIN_REFRESH_SPEEDUP = 2.0
+MIN_RECOVERED_FRACTION = 0.9
+
+#: Interleaved timing repeats per refresh row (median reported).
+REFRESH_REPEATS = 3
 
 
 def make_points(n: int, seed: int = 0) -> np.ndarray:
@@ -156,49 +167,80 @@ def _drift_features(base_page: int, n: int, rng) -> np.ndarray:
 def bench_refresh(
     k: int, n_train: int, n_buffered: int, paper: bool
 ):
-    """One refresh row: warm-started EM vs the stepwise fold."""
+    """One refresh row: warm-started EM vs a from-scratch retrain."""
     rng = np.random.default_rng(0)
+    gmm = GmmEngineConfig(n_components=k, max_iter=30)
     engine = GmmPolicyEngine.train(
-        _drift_features(0, n_train, rng),
-        GmmEngineConfig(n_components=k, max_iter=30),
-        np.random.default_rng(1),
+        _drift_features(0, n_train, rng), gmm, np.random.default_rng(1)
     )
     drifted = _drift_features(6000, n_buffered, rng)
     holdout = engine.scaler.transform(
         _drift_features(6000, 8000, rng)
     )
     chunk = max(1, n_buffered // 6)
+    refresher = ModelRefresher(buffer_chunks=6)
+    for start in range(0, n_buffered, chunk):
+        refresher.ingest(drifted[start : start + chunk])
 
-    timings = {}
-    quality = {}
-    for mode in ("stepwise", "warm"):
-        refresher = ModelRefresher(buffer_chunks=6, mode=mode)
-        for start in range(0, n_buffered, chunk):
-            refresher.ingest(drifted[start : start + chunk])
+    # The retrain runs the offline engine's EM settings, from scratch
+    # (seeding included), on the even-stride subsample the warm fold
+    # fits.
+    scaled = engine.scaler.transform(refresher.snapshot_features())
+    fit_points = scaled[
+        np.linspace(
+            0,
+            scaled.shape[0] - 1,
+            min(refresher.max_fit_samples, scaled.shape[0]),
+        ).astype(np.int64)
+    ]
+    trainer = EMTrainer(
+        n_components=k,
+        max_iter=gmm.max_iter,
+        tol=gmm.tol,
+        reg_covar=gmm.reg_covar,
+    )
+    # Both fits are deterministic, so every repeat returns the same
+    # models; only the timings vary.
+    warm_times, retrain_times = [], []
+    for _ in range(REFRESH_REPEATS):
         started = time.perf_counter()
         refreshed = refresher.build(engine)
-        timings[mode] = time.perf_counter() - started
-        quality[mode] = float(
-            np.mean(refreshed.model.log_score_samples(holdout))
-        )
+        warm_times.append(time.perf_counter() - started)
+        started = time.perf_counter()
+        retrained = trainer.fit(
+            fit_points, np.random.default_rng(1)
+        ).model
+        retrain_times.append(time.perf_counter() - started)
+    warm_s = float(np.median(warm_times))
+    retrain_s = float(np.median(retrain_times))
 
+    frozen_ll, retrain_ll, warm_ll = (
+        float(np.mean(model.log_score_samples(holdout)))
+        for model in (engine.model, retrained, refreshed.model)
+    )
+    lost = retrain_ll - frozen_ll
+    recovered = (warm_ll - frozen_ll) / lost if lost > 0 else 1.0
     row = {
         "kind": "refresh",
         "k": int(k),
         "buffered_samples": int(n_buffered),
-        "stepwise_s": round(timings["stepwise"], 4),
-        "warm_s": round(timings["warm"], 4),
-        "speedup": round(timings["stepwise"] / timings["warm"], 2),
-        "stepwise_holdout_ll": round(quality["stepwise"], 4),
-        "warm_holdout_ll": round(quality["warm"], 4),
+        "fit_samples": int(fit_points.shape[0]),
+        "retrain_s": round(retrain_s, 4),
+        "warm_s": round(warm_s, 4),
+        "speedup": round(retrain_s / warm_s, 2),
+        "frozen_holdout_ll": round(frozen_ll, 4),
+        "retrain_holdout_ll": round(retrain_ll, 4),
+        "warm_holdout_ll": round(warm_ll, 4),
+        "recovered_fraction": round(recovered, 4),
         "paper_geometry": bool(paper),
     }
     print(
         f"refresh K={k:<3d} buffered={n_buffered:>6d}"
-        f"  stepwise {timings['stepwise']:6.3f}s"
-        f"  warm {timings['warm']:6.3f}s"
+        f"  retrain {retrain_s:6.3f}s"
+        f"  warm {warm_s:6.3f}s"
         f"  speedup {row['speedup']:5.1f}x"
-        f"  ll {quality['warm']:.3f} vs {quality['stepwise']:.3f}"
+        f"  ll frozen {frozen_ll:.3f} retrain {retrain_ll:.3f}"
+        f" warm {warm_ll:.3f} ({100 * recovered:.1f}% recovered)"
     )
     return row
 
@@ -247,14 +289,15 @@ def validate(payload: dict) -> list[str]:
                 problems.append(
                     f"results[{i}]: refresh speedup"
                     f" {row.get('speedup')} <"
-                    f" {MIN_REFRESH_SPEEDUP}x at paper geometry"
+                    f" {MIN_REFRESH_SPEEDUP}x vs retrain at paper"
+                    " geometry"
                 )
-            if row.get("warm_holdout_ll", -np.inf) < row.get(
-                "stepwise_holdout_ll", 0.0
-            ) - 0.5:
+            if row.get("recovered_fraction", 0.0) < MIN_RECOVERED_FRACTION:
                 problems.append(
-                    f"results[{i}]: warm refresh lost >0.5 nats of"
-                    " post-drift likelihood vs stepwise"
+                    f"results[{i}]: refresh recovered"
+                    f" {row.get('recovered_fraction')} <"
+                    f" {MIN_RECOVERED_FRACTION} of the holdout"
+                    " likelihood the frozen engine loses"
                 )
     if not payload.get("smoke") and (
         paper_fit == 0 or paper_refresh == 0
@@ -326,9 +369,11 @@ def main(argv=None) -> int:
     payload = {
         "bench": "train_throughput",
         "smoke": bool(args.smoke),
+        "refresh_repeats": REFRESH_REPEATS,
         "gates": {
             "min_fit_speedup_paper": MIN_FIT_SPEEDUP,
             "min_refresh_speedup_paper": MIN_REFRESH_SPEEDUP,
+            "min_recovered_fraction_paper": MIN_RECOVERED_FRACTION,
         },
         "results": results,
     }

@@ -16,7 +16,7 @@ This walkthrough drives the repository's serving subsystem
 2. the stream is replayed in chunks through the sharded
    :class:`repro.serving.IcgmmCacheService`,
 3. at the drift point the score-distribution detector fires, recent
-   chunks are folded into the mixture by stepwise EM, and the
+   chunks are folded into the mixture by warm-started EM, and the
    refreshed engine is swapped in atomically (the software analogue
    of a weight-buffer reload),
 4. post-drift miss rates are compared against the frozen deployment

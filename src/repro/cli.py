@@ -19,7 +19,9 @@ run under the deterministic fault-injection demo plan (see
 accept ``--telemetry-out PATH`` to capture the run's unified
 telemetry (``docs/observability.md``) -- the export format follows
 the suffix.  ``serve``/``fabric``/``chaos`` also accept ``--json`` to
-emit the canonical telemetry snapshot on stdout instead of tables.
+emit the canonical telemetry snapshot on stdout instead of tables,
+and ``serve --refresh-async`` builds model refreshes off the request
+path (``docs/serving.md``).
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from repro.chaos import (
 )
 from repro.core.config import (
     PARALLEL_BACKENDS,
-    PIPELINE_MODES,
     PLACEMENTS,
     STRATEGIES,
     ChaosConfig,
@@ -72,7 +73,7 @@ from repro.hardware import (
     estimate_icgmm_system,
     estimate_lstm_engine,
 )
-from repro.serving import IcgmmCacheService, ServingFrontend
+from repro.serving import IcgmmCacheService
 from repro.traces.io import (
     load_trace,
     save_trace_csv,
@@ -212,21 +213,13 @@ def _add_serve(subparsers) -> None:
         help="chunks between progress lines",
     )
     parser.add_argument(
-        "--pipeline",
-        choices=PIPELINE_MODES,
-        default="off",
+        "--refresh-async",
+        action="store_true",
         help=(
-            "run the stream through the pipelined front-end:"
-            " 'deterministic' interleaves producer and consumer on a"
-            " fixed logical clock (byte-identical to the plain loop),"
-            " 'throughput' overlaps ingest with replay and moves"
-            " model refresh off the critical path; 'off' keeps the"
-            " synchronous loop (see docs/serving.md)"
+            "build model refreshes on a background worker while"
+            " chunks keep flowing on the old engine (swap timing"
+            " then depends on wall clock; see docs/serving.md)"
         ),
-    )
-    parser.add_argument(
-        "--queue-chunks", type=int, default=8,
-        help="ingest queue capacity in chunks (pipelined modes)",
     )
     _add_parallel_arguments(parser, "shard replays")
     _add_chaos_seed_argument(parser)
@@ -655,9 +648,7 @@ def _cmd_serve(args) -> int:
             strategy=args.strategy,
             refresh_enabled=not args.no_refresh,
             parallel=_parallel_from_args(args, chaos),
-            pipeline=args.pipeline,
-            ingest_queue_chunks=args.queue_chunks,
-            refresh_async=args.pipeline == "throughput",
+            refresh_async=args.refresh_async,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -813,31 +804,27 @@ def _cmd_serve(args) -> int:
                     is_write[start : start + step],
                 )
 
-    front_report = None
     try:
-        if args.pipeline != "off":
-            frontend = ServingFrontend(service)
-            front_report = frontend.run(_windows())
-        else:
-            for window_pages, window_writes in _windows():
-                reports = service.ingest(window_pages, window_writes)
-                window_hits = sum(r.stats.hits for r in reports)
-                window_total = sum(
-                    r.stats.accesses for r in reports
-                )
-                window_miss = (
-                    100.0 * (1.0 - window_hits / window_total)
-                    if window_total
-                    else 0.0
-                )
-                swapped = any(r.swapped for r in reports)
-                emit(
-                    f"  cursor {service.access_cursor:>9,d}"
-                    f"  window miss {window_miss:6.2f}%"
-                    f"  generation {service.generation}"
-                    f"{'  [engine swapped]' if swapped else ''}"
-                )
-
+        for window_pages, window_writes in _windows():
+            reports = service.ingest(window_pages, window_writes)
+            window_hits = sum(r.stats.hits for r in reports)
+            window_total = sum(r.stats.accesses for r in reports)
+            window_miss = (
+                100.0 * (1.0 - window_hits / window_total)
+                if window_total
+                else 0.0
+            )
+            swapped = any(r.swapped for r in reports)
+            emit(
+                f"  cursor {service.access_cursor:>9,d}"
+                f"  window miss {window_miss:6.2f}%"
+                f"  generation {service.generation}"
+                f"{'  [engine swapped]' if swapped else ''}"
+            )
+        # A background build still in flight at the end of the
+        # stream lands now rather than being discarded by close().
+        if service.drain_refresh():
+            emit("  [engine swapped at end of stream]")
         summary = service.summary()
     finally:
         # Deterministic teardown even on a failed ingest: the shard
@@ -879,24 +866,13 @@ def _cmd_serve(args) -> int:
         f" {len(summary['swaps'])} engine swap(s),"
         f" generation {summary['generation']}"
     )
-    if front_report is not None:
+    if "refresh_async" in summary:
+        background = summary["refresh_async"]
         emit(
-            f"pipeline {front_report.mode}:"
-            f" {front_report.consumed_chunks} chunk(s) /"
-            f" {front_report.consumed_requests:,} request(s),"
-            f" queue depth max {front_report.queue['max_depth']}"
-            f"/{front_report.queue['capacity']},"
-            f" {front_report.backpressure_stalls} backpressure"
-            " stall(s),"
-            f" {front_report.refresh_overlap_chunks} chunk(s) under"
-            " off-path refresh"
+            f"refresh async: {background['attempts']} build(s),"
+            f" {background['overlap_chunks']} chunk(s) served under"
+            f" an off-path build, {background['discarded']} discarded"
         )
-        if front_report.latency_p50_us is not None:
-            emit(
-                "pipeline request latency:"
-                f" p50 {front_report.latency_p50_us:,.1f}us,"
-                f" p99 {front_report.latency_p99_us:,.1f}us"
-            )
     if "chaos" in summary:
         chaos = summary["chaos"]
         emit(

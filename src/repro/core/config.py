@@ -47,14 +47,6 @@ PARALLEL_BACKENDS = ("thread", "process")
 EM_SEEDINGS = ("fast", "reference")
 EM_RESTART_MODES = ("batched", "sequential")
 
-#: Valid values of :attr:`ServingConfig.refresh_mode`
-#: (see :class:`repro.serving.refresh.ModelRefresher`).
-REFRESH_MODES = ("warm", "stepwise")
-
-#: Valid values of :attr:`ServingConfig.pipeline`
-#: (see :class:`repro.serving.frontend.ServingFrontend`).
-PIPELINE_MODES = ("off", "deterministic", "throughput")
-
 
 @dataclass(frozen=True)
 class ParallelConfig:
@@ -680,10 +672,10 @@ class ServingConfig:
     The service runs the paper's pipeline continuously: chunks of the
     live request stream are scored under the currently-loaded engine,
     simulated against sharded cache planes, watched for score-
-    distribution drift, and periodically folded into an
-    :class:`repro.gmm.OnlineGmm` whose refreshed parameters are
-    atomically swapped in (the software analogue of the FPGA
-    weight-buffer reload of Sec. 3.3).
+    distribution drift, and periodically refreshed by warm-started EM
+    over recent traffic, the refreshed engine being atomically swapped
+    in (the software analogue of the FPGA weight-buffer reload of
+    Sec. 3.3).
 
     Attributes
     ----------
@@ -729,20 +721,12 @@ class ServingConfig:
         Master switch; with ``False`` the engine stays frozen (the
         paper's deployment) and the loop is exactly reproducible
         against a single-shot run.
-    refresh_mode:
-        Fold-in algorithm of the
-        :class:`~repro.serving.refresh.ModelRefresher`: ``"warm"``
-        (default; warm-started batch EM through the training fast
-        path -- skips seeding, converges in a few fused passes) or
-        ``"stepwise"`` (the original mini-batch stepwise-EM fold).
     refresh_max_iter:
-        EM iteration budget of the ``"warm"`` fold-in.
+        EM iteration budget of the
+        :class:`~repro.serving.refresh.ModelRefresher`'s warm-started
+        fold-in.
     refresh_buffer_chunks:
         Recent chunks of features kept for the refresh fold-in.
-    refresh_batch_size:
-        Mini-batch size of the stepwise-EM updates.
-    refresh_step_exponent:
-        :class:`~repro.gmm.OnlineGmm` learning-rate exponent.
     refresh_cooldown_chunks:
         Minimum chunks between consecutive engine swaps.
     metrics_window_chunks:
@@ -771,20 +755,6 @@ class ServingConfig:
         for: no observations, no refresh attempts.  On expiry the
         detector is rebased (fresh baseline under the still-serving
         engine) and the failure count resets.
-    pipeline:
-        Serving front-end mode
-        (:class:`repro.serving.frontend.ServingFrontend`).  ``"off"``
-        (default) is the plain synchronous chunk loop -- the service
-        behaves exactly as before the front-end existed.
-        ``"deterministic"`` runs the producer/consumer pipeline on a
-        fixed logical-clock interleave (byte-identical to the sync
-        loop, chunk for chunk); ``"throughput"`` overlaps ingest with
-        compute through a real producer thread and moves refresh
-        builds off the critical path (:attr:`refresh_async`).
-    ingest_queue_chunks:
-        Capacity (in chunks) of the front-end's bounded ingest queue.
-        A full queue blocks the producer -- explicit backpressure --
-        and every blocked put is accounted.
     refresh_async:
         Run :class:`~repro.serving.refresh.ModelRefresher` builds in
         a background executor worker instead of inline: the service
@@ -793,8 +763,9 @@ class ServingConfig:
         same compare-and-swap :meth:`~repro.serving.refresh.EngineSlot.swap`
         (discarded on :class:`~repro.serving.refresh.StaleSwapError`).
         Which chunk harvests the finished build depends on wall-clock
-        build time, so this knob is rejected in ``"deterministic"``
-        pipeline mode and implied by ``"throughput"`` deployments.
+        build time, so swap timing (and everything downstream of it)
+        is not reproducible run to run; with refresh disabled the
+        results equal a synchronous run's.
     """
 
     chunk_requests: int = 8192
@@ -808,11 +779,8 @@ class ServingConfig:
     quantile_drift_tolerance: float = 0.25
     drift_patience: int = 2
     refresh_enabled: bool = True
-    refresh_mode: str = "warm"
     refresh_max_iter: int = 8
     refresh_buffer_chunks: int = 6
-    refresh_batch_size: int = 2048
-    refresh_step_exponent: float = 0.6
     refresh_cooldown_chunks: int = 4
     metrics_window_chunks: int = 8
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
@@ -820,8 +788,6 @@ class ServingConfig:
     refresh_backoff_chunks: int = 2
     refresh_breaker_threshold: int = 3
     quarantine_chunks: int = 16
-    pipeline: str = "off"
-    ingest_queue_chunks: int = 8
     refresh_async: bool = False
 
     def __post_init__(self) -> None:
@@ -855,21 +821,10 @@ class ServingConfig:
             raise ValueError("quantile_drift_tolerance must be > 0")
         if self.drift_patience < 1:
             raise ValueError("drift_patience must be >= 1")
-        if self.refresh_mode not in REFRESH_MODES:
-            raise ValueError(
-                f"refresh_mode must be one of {REFRESH_MODES}, got"
-                f" {self.refresh_mode!r}"
-            )
         if self.refresh_max_iter < 1:
             raise ValueError("refresh_max_iter must be >= 1")
         if self.refresh_buffer_chunks < 1:
             raise ValueError("refresh_buffer_chunks must be >= 1")
-        if self.refresh_batch_size < 1:
-            raise ValueError("refresh_batch_size must be >= 1")
-        if not 0.5 < self.refresh_step_exponent <= 1.0:
-            raise ValueError(
-                "refresh_step_exponent must be in (0.5, 1]"
-            )
         if self.refresh_cooldown_chunks < 0:
             raise ValueError("refresh_cooldown_chunks must be >= 0")
         if self.metrics_window_chunks < 1:
@@ -882,16 +837,3 @@ class ServingConfig:
             raise ValueError("refresh_breaker_threshold must be >= 1")
         if self.quarantine_chunks < 1:
             raise ValueError("quarantine_chunks must be >= 1")
-        if self.pipeline not in PIPELINE_MODES:
-            raise ValueError(
-                f"pipeline must be one of {PIPELINE_MODES}, got"
-                f" {self.pipeline!r}"
-            )
-        if self.ingest_queue_chunks < 1:
-            raise ValueError("ingest_queue_chunks must be >= 1")
-        if self.refresh_async and self.pipeline == "deterministic":
-            raise ValueError(
-                "refresh_async breaks the deterministic pipeline's"
-                " byte-parity contract (harvest timing is wall-clock);"
-                " use pipeline='throughput'"
-            )

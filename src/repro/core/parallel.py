@@ -525,9 +525,10 @@ class ParallelExecutor:
         """Run ``fn(*args)`` on the pool and return its :class:`Future`.
 
         The escape hatch for work that must *overlap* the caller's own
-        loop rather than fan out and join -- the serving front-end's
-        off-critical-path ``ModelRefresher.build`` is the canonical
-        user.  Unlike :meth:`map`/:meth:`replay` there is no ordered
+        loop rather than fan out and join -- the serving loop's
+        off-critical-path refresh build
+        (``ServingConfig.refresh_async``) is the canonical user.
+        Unlike :meth:`map`/:meth:`replay` there is no ordered
         gather, no retry plumbing, and no fault-hook consultation: the
         caller owns the future's lifecycle (harvest, exception
         handling, discard).  A pool is created even at ``workers=1``

@@ -1124,6 +1124,44 @@ class CxlFabric:
     # ------------------------------------------------------------------
     # Offline one-shot entry point
     # ------------------------------------------------------------------
+    def _bind_prepared(
+        self, prepared: PreparedWorkload, strategy: str
+    ) -> np.ndarray | None:
+        """Bind ``strategy`` for a prepared workload; returns the
+        per-access strategy scores (``None`` for LRU).
+
+        The shared preamble of :meth:`run_prepared` and
+        :meth:`run_streamed`: the page-score map (combined strategy
+        or score placement), the placement's score cuts, and
+        :meth:`bind`.  Callers run it inside their Score section.
+        """
+        page_score_map = (
+            prepared.page_score_map()
+            if strategy == "gmm-caching-eviction"
+            or self.topology.placement == "score"
+            else None
+        )
+        score_cuts = None
+        if self.topology.placement == "score":
+            score_cuts = self._cuts_from_marginals(
+                np.fromiter(
+                    page_score_map.values(),
+                    dtype=np.float64,
+                    count=len(page_score_map),
+                )
+            )
+        self.bind(
+            strategy,
+            prepared.engine.admission_threshold,
+            page_score_map=(
+                page_score_map
+                if strategy == "gmm-caching-eviction"
+                else None
+            ),
+            score_cuts=score_cuts,
+        )
+        return self.pipeline.strategy_scores(prepared, strategy)
+
     def run_prepared(
         self,
         prepared: PreparedWorkload,
@@ -1179,32 +1217,7 @@ class CxlFabric:
         if warmup_fraction is None:
             warmup_fraction = self.config.warmup_fraction
         with self.pipeline.stage_scope("score"):
-            page_score_map = (
-                prepared.page_score_map()
-                if strategy == "gmm-caching-eviction"
-                or self.topology.placement == "score"
-                else None
-            )
-            score_cuts = None
-            if self.topology.placement == "score":
-                score_cuts = self._cuts_from_marginals(
-                    np.fromiter(
-                        page_score_map.values(),
-                        dtype=np.float64,
-                        count=len(page_score_map),
-                    )
-                )
-            self.bind(
-                strategy,
-                prepared.engine.admission_threshold,
-                page_score_map=(
-                    page_score_map
-                    if strategy == "gmm-caching-eviction"
-                    else None
-                ),
-                score_cuts=score_cuts,
-            )
-            scores = self.pipeline.strategy_scores(prepared, strategy)
+            scores = self._bind_prepared(prepared, strategy)
             device_ids, local_pages = self.place(
                 prepared.page_indices, prepared.page_frequency_scores
             )
@@ -1260,32 +1273,7 @@ class CxlFabric:
         models steady-state serving, not the offline Fig. 6 protocol.
         """
         with self.pipeline.stage_scope("score"):
-            page_score_map = (
-                prepared.page_score_map()
-                if strategy == "gmm-caching-eviction"
-                or self.topology.placement == "score"
-                else None
-            )
-            score_cuts = None
-            if self.topology.placement == "score":
-                score_cuts = self._cuts_from_marginals(
-                    np.fromiter(
-                        page_score_map.values(),
-                        dtype=np.float64,
-                        count=len(page_score_map),
-                    )
-                )
-            self.bind(
-                strategy,
-                prepared.engine.admission_threshold,
-                page_score_map=(
-                    page_score_map
-                    if strategy == "gmm-caching-eviction"
-                    else None
-                ),
-                score_cuts=score_cuts,
-            )
-            scores = self.pipeline.strategy_scores(prepared, strategy)
+            scores = self._bind_prepared(prepared, strategy)
         pages = prepared.page_indices
         marginals = prepared.page_frequency_scores
         with self.pipeline.stage_scope("simulate"):

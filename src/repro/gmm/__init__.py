@@ -24,7 +24,6 @@ This subpackage implements that model with numpy only:
 from repro.gmm.em import EMTrainer, fit_gmm
 from repro.gmm.kmeans import kmeans, kmeans_plus_plus_init
 from repro.gmm.model import GaussianMixture
-from repro.gmm.online import OnlineGmm
 from repro.gmm.quantized import FixedPointFormat, QuantizedGmm
 from repro.gmm.serialization import (
     gmm_from_dict,
@@ -37,7 +36,6 @@ __all__ = [
     "EMTrainer",
     "FixedPointFormat",
     "GaussianMixture",
-    "OnlineGmm",
     "QuantizedGmm",
     "fit_gmm",
     "gmm_from_dict",

@@ -157,9 +157,7 @@ class GaussianMixture:
 
         The shared intermediate of scoring and responsibilities: its
         row-wise logsumexp is ``log G(x)`` and its row-normalised
-        form the posterior.  Exposed so incremental trainers
-        (:class:`repro.gmm.online.OnlineGmm`) can derive both from
-        one density pass.
+        form the posterior, so both derive from one density pass.
         """
         return self.log_component_densities(points) + self._log_weights
 

@@ -46,33 +46,6 @@ def _format_value(value: float) -> str:
     return f"{value:,.3f}"
 
 
-def _histogram_quantile(sample: dict, q: float) -> float | None:
-    """Inverted-CDF quantile from a snapshot histogram sample.
-
-    Mirrors ``RollingMetrics.latency_quantile`` (smallest bucket edge
-    whose cumulative count reaches ``ceil(q * N)``); the overflow
-    bucket has no max-observed value in the snapshot, so a quantile
-    landing there reports as ``None`` and the caller omits the row.
-    """
-    total = int(sample.get("count", 0))
-    edges = sample.get("buckets", ())
-    counts = sample.get("counts", ())
-    if total <= 0 or not edges or not counts:
-        return None
-    rank = -((-q * total) // 1.0)
-    if rank - q * total >= 1.0 - 1e-9:
-        rank -= 1.0
-    rank = max(rank, 1.0)
-    cumulative = 0
-    for index, count in enumerate(counts):
-        cumulative += int(count)
-        if cumulative >= rank:
-            if index < len(edges):
-                return float(edges[index])
-            return None
-    return None
-
-
 def render_top(snapshot: dict) -> str:
     """The full dashboard text (trailing newline included)."""
     families = _families(snapshot)
@@ -94,38 +67,6 @@ def render_top(snapshot: dict) -> str:
         width = max(len(name) for name, _ in headline)
         for name, value in headline:
             lines.append(f"  {name:<{width}}  {_format_value(value)}")
-
-    frontend = families.get("frontend_chunks_total")
-    if frontend is not None and frontend["samples"]:
-        lines.append("")
-        lines.append("== frontend ==")
-
-        def _value(name: str) -> float:
-            family = families.get(name)
-            if family is None or not family["samples"]:
-                return 0.0
-            return _family_total(family)
-
-        lines.append(
-            f"  chunks={int(_value('frontend_chunks_total'))}"
-            f"  requests={int(_value('frontend_requests_total'))}"
-            f"  queue={int(_value('frontend_queue_depth_chunks'))}"
-            f"/{int(_value('frontend_queue_max_depth_chunks'))} max"
-            f"  stalls="
-            f"{int(_value('frontend_backpressure_stalls_total'))}"
-            f"  refresh_overlap="
-            f"{int(_value('frontend_refresh_overlap_chunks_total'))}"
-        )
-        latency = families.get("frontend_request_latency_us")
-        if latency is not None and latency["samples"]:
-            sample = latency["samples"][0]
-            p50 = _histogram_quantile(sample, 0.50)
-            p99 = _histogram_quantile(sample, 0.99)
-            if p50 is not None and p99 is not None:
-                lines.append(
-                    f"  latency p50={p50:,.1f}us p99={p99:,.1f}us"
-                    f"  ({int(sample.get('count', 0)):,} requests)"
-                )
 
     rolling = families.get("rolling_miss_ratio")
     if rolling is not None and rolling["samples"]:

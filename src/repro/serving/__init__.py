@@ -3,19 +3,13 @@
 The paper evaluates a frozen, single-tenant pipeline offline; this
 package runs the same loop continuously against live multi-tenant
 traffic -- chunked scoring, sharded resumable simulation, score-drift
-detection, and stepwise-EM model refresh with atomic engine swaps
+detection, and warm-started EM model refresh with atomic engine swaps
 (the software analogue of the FPGA weight-buffer reload).  See
 ``docs/serving.md`` for the architecture and ``docs/robustness.md``
 for how the loop degrades and recovers under injected faults.
 """
 
 from repro.serving.drift import DriftDetector, DriftReport, ks_statistic
-from repro.serving.frontend import (
-    ChunkProducer,
-    FrontendReport,
-    IngestQueue,
-    ServingFrontend,
-)
 from repro.serving.health import FleetHealthMonitor
 from repro.serving.metrics import FailureEvent, RollingMetrics
 from repro.serving.refresh import (
@@ -32,19 +26,15 @@ from repro.serving.service import (
 from repro.serving.sharding import ShardedCachePlanes
 
 __all__ = [
-    "ChunkProducer",
     "ChunkReport",
     "DriftDetector",
     "DriftReport",
     "EngineSlot",
     "FailureEvent",
     "FleetHealthMonitor",
-    "FrontendReport",
     "IcgmmCacheService",
-    "IngestQueue",
     "ModelRefresher",
     "RollingMetrics",
-    "ServingFrontend",
     "ShardedCachePlanes",
     "StaleSwapError",
     "SwapEvent",

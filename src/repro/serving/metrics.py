@@ -17,13 +17,11 @@ time-to-detect / time-to-recover fall straight out of the record.
 
 from __future__ import annotations
 
-import bisect
 from collections import deque
 from dataclasses import dataclass, field
 
 from repro.cache.stats import CacheStats
 from repro.hardware.latency import LatencyModel
-from repro.obs.registry import LATENCY_EDGES_US
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,6 @@ class RollingMetrics:
         latency_model: LatencyModel | None = None,
         window_chunks: int = 8,
         ewma_alpha: float = 0.25,
-        latency_edges_us: tuple[float, ...] | None = None,
     ) -> None:
         if window_chunks < 1:
             raise ValueError("window_chunks must be >= 1")
@@ -83,19 +80,6 @@ class RollingMetrics:
         self._events: list[FailureEvent] = []
         self._ewma_latency_ns: dict[str, float] = {}
         self._ewma_miss: dict[str, float] = {}
-        # Per-access pricing lives comfortably inside the telemetry
-        # layer's shared edges; callers observing *chunk* wall times
-        # (the front-end) pass a wider fixed set.
-        self.latency_edges_us: tuple[float, ...] = tuple(
-            latency_edges_us
-            if latency_edges_us is not None
-            else LATENCY_EDGES_US
-        )
-        #: key -> per-bucket counts (len(edges) + 1; overflow last).
-        self._latency_counts: dict[str, list[int]] = {}
-        self._latency_sum_us: dict[str, float] = {}
-        self._latency_total: dict[str, int] = {}
-        self._latency_max_us: dict[str, float] = {}
 
     def record(
         self, key: str, stats: CacheStats, degraded: bool = False
@@ -182,18 +166,6 @@ class RollingMetrics:
         """All keys seen so far, in first-seen order."""
         return list(self._windows)
 
-    def last(self, key: str) -> CacheStats | None:
-        """The most recent chunk delta recorded for ``key`` (or None).
-
-        The serving front-end uses this to feed a per-chunk view to
-        an attached :class:`~repro.serving.health.FleetHealthMonitor`
-        without re-deriving shard routing.
-        """
-        window = self._windows.get(key)
-        if not window:
-            return None
-        return window[-1]
-
     def window(self, key: str) -> CacheStats:
         """Merged counters over the rolling window of ``key``."""
         merged = CacheStats()
@@ -218,99 +190,6 @@ class RollingMetrics:
         if window.accesses == 0:
             return 0.0
         return self.latency_model.average_access_time_us(window)
-
-    # ------------------------------------------------------------------
-    # Request-latency histograms + quantiles (pipelined front-end)
-    # ------------------------------------------------------------------
-    def observe_latency(
-        self, key: str, value_us: float, count: int = 1
-    ) -> None:
-        """Record ``count`` observations of ``value_us`` for ``key``.
-
-        Observations land in the same fixed exponential edges the
-        telemetry layer uses (:data:`~repro.obs.registry.LATENCY_EDGES_US`),
-        so a bridge collector can republish a key's histogram
-        bucket-for-bucket.  ``count > 1`` batches identical
-        observations (e.g. one chunk's wall latency attributed to
-        every request in it) without a Python-level loop.
-        """
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        counts = self._latency_counts.get(key)
-        if counts is None:
-            counts = [0] * (len(self.latency_edges_us) + 1)
-            self._latency_counts[key] = counts
-            self._latency_sum_us[key] = 0.0
-            self._latency_total[key] = 0
-            self._latency_max_us[key] = float(value_us)
-        # First bucket whose upper edge admits the value; past the
-        # last edge falls into the trailing overflow bucket.
-        counts[
-            bisect.bisect_left(self.latency_edges_us, float(value_us))
-        ] += int(count)
-        self._latency_sum_us[key] += float(value_us) * int(count)
-        self._latency_total[key] += int(count)
-        self._latency_max_us[key] = max(
-            self._latency_max_us[key], float(value_us)
-        )
-
-    def latency_histogram(
-        self, key: str
-    ) -> tuple[tuple[float, ...], list[int], float, int] | None:
-        """``(edges, counts, sum_us, total)`` for ``key`` (or None).
-
-        ``counts`` has one trailing overflow bucket past the last
-        edge, matching :class:`repro.obs.registry.Histogram` layout.
-        """
-        counts = self._latency_counts.get(key)
-        if counts is None:
-            return None
-        return (
-            self.latency_edges_us,
-            list(counts),
-            self._latency_sum_us[key],
-            self._latency_total[key],
-        )
-
-    def latency_quantile(self, key: str, q: float) -> float | None:
-        """The ``q``-quantile of ``key``'s observed latencies.
-
-        Inverted-CDF estimate over the histogram: the upper edge of
-        the first bucket whose cumulative count reaches ``q * N`` --
-        exactly ``np.percentile(values, 100 * q,
-        method="inverted_cdf")`` whenever the observed values sit on
-        bucket edges, and an upper bound (bucket resolution) in
-        general.  Observations past the last edge resolve to the
-        maximum observed value.  ``None`` before any observation.
-        """
-        if not 0.0 < q <= 1.0:
-            raise ValueError("q must be in (0, 1]")
-        counts = self._latency_counts.get(key)
-        if counts is None:
-            return None
-        total = self._latency_total[key]
-        # Integer rank >= q*N, guarded against float droop just under
-        # an integer (0.5 * 4 -> rank 2, never 3).
-        rank = -((-q * total) // 1.0)
-        if rank - q * total >= 1.0 - 1e-9:
-            rank -= 1.0
-        rank = max(rank, 1.0)
-        cumulative = 0
-        for index, bucket_count in enumerate(counts):
-            cumulative += bucket_count
-            if cumulative >= rank:
-                if index < len(self.latency_edges_us):
-                    return float(self.latency_edges_us[index])
-                return self._latency_max_us[key]
-        return self._latency_max_us[key]
-
-    def latency_p50(self, key: str) -> float | None:
-        """Median observed latency of ``key`` (None if unobserved)."""
-        return self.latency_quantile(key, 0.50)
-
-    def latency_p99(self, key: str) -> float | None:
-        """99th-percentile latency of ``key`` (None if unobserved)."""
-        return self.latency_quantile(key, 0.99)
 
     # ------------------------------------------------------------------
     # Degraded-mode lens + failure/recovery events (chaos harness)

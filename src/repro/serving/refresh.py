@@ -8,8 +8,7 @@ reproduces that split in software:
 
 * :class:`ModelRefresher` is the *background stage*: it keeps a
   bounded buffer of recent chunk features and, on demand, folds them
-  into an :class:`~repro.gmm.online.OnlineGmm` seeded from the
-  currently-serving mixture (stepwise EM, bounded memory), then
+  into the currently-serving mixture by warm-started EM, then
   re-derives the admission threshold at the configured quantile of
   the refreshed scores.
 * :class:`EngineSlot` is the *weight buffer*: the serving loop reads
@@ -30,10 +29,8 @@ from collections import deque
 
 import numpy as np
 
-from repro.core.config import REFRESH_MODES
 from repro.core.engine import GmmPolicyEngine
 from repro.gmm.em import EMTrainer, fast_log_score_samples
-from repro.gmm.online import OnlineGmm
 
 #: Sample budget of the warm fold-in's EM fit.  Refresh adapts an
 #: already-trained mixture; a deterministic even-stride subsample of
@@ -143,54 +140,34 @@ def validate_engine(engine: GmmPolicyEngine) -> None:
 class ModelRefresher:
     """Buffers recent features and builds refreshed engines.
 
-    Two fold-in modes:
-
-    * ``"warm"`` (default) -- warm-started batch EM: the buffered
-      traffic goes through :meth:`EMTrainer.fit` with the deployed
-      mixture as the ``warm_start``, skipping seeding and restarts
-      entirely and iterating the fused fast-path E+M pass a few
-      times to (near) convergence on exactly the drifted
-      distribution.  This is the refresh fast path: one blocked pass
-      per EM iteration instead of one model rebuild per mini-batch.
-    * ``"stepwise"`` -- the original stepwise-EM fold
-      (Cappe & Moulines via :class:`OnlineGmm`): sequential
-      mini-batches blended into exponentially-forgotten sufficient
-      statistics.  Retains more of the pre-drift mixture; kept as
-      the reference the training bench measures the warm path
-      against.
+    The fold-in is warm-started batch EM: the buffered traffic goes
+    through :meth:`EMTrainer.fit` with the deployed mixture as the
+    ``warm_start``, skipping seeding and restarts entirely and
+    iterating the fused fast-path E+M pass a few times to (near)
+    convergence on exactly the drifted distribution.
 
     Parameters
     ----------
     buffer_chunks:
         Recent chunks of features retained (bounded memory).
-    batch_size:
-        Stepwise-EM mini-batch size for the fold-in.
-    step_exponent:
-        :class:`OnlineGmm` learning-rate exponent; lower adapts
-        faster.
     threshold_quantile:
         Quantile of the refreshed scores at which the new admission
         threshold is cut.
-    mode:
-        Fold-in algorithm (see above).
     warm_max_iter / warm_tol:
-        EM budget of the ``"warm"`` fold-in; a handful of iterations
-        suffices because the deployed mixture is already a good
-        starting point for the shifted traffic.
+        EM budget of the fold-in; a handful of iterations suffices
+        because the deployed mixture is already a good starting
+        point for the shifted traffic.
     max_fit_samples:
-        Sample cap of the warm fold-in's EM fit (the admission
-        threshold is still re-cut on the *full* buffered traffic).
+        Sample cap of the fold-in's EM fit (the admission threshold
+        is still re-cut on the *full* buffered traffic).
     reg_covar:
-        Covariance ridge shared by both fold-in modes.
+        Covariance ridge of the fold-in.
     """
 
     def __init__(
         self,
         buffer_chunks: int = 6,
-        batch_size: int = 2048,
-        step_exponent: float = 0.6,
         threshold_quantile: float = 0.02,
-        mode: str = "warm",
         warm_max_iter: int = 8,
         warm_tol: float = 1e-3,
         max_fit_samples: int = DEFAULT_MAX_FIT_SAMPLES,
@@ -198,21 +175,12 @@ class ModelRefresher:
     ) -> None:
         if buffer_chunks < 1:
             raise ValueError("buffer_chunks must be >= 1")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if mode not in REFRESH_MODES:
-            raise ValueError(
-                f"mode must be one of {REFRESH_MODES}, got {mode!r}"
-            )
         if warm_max_iter < 1:
             raise ValueError("warm_max_iter must be >= 1")
         if max_fit_samples < 1:
             raise ValueError("max_fit_samples must be >= 1")
         self.max_fit_samples = int(max_fit_samples)
-        self.batch_size = int(batch_size)
-        self.step_exponent = float(step_exponent)
         self.threshold_quantile = float(threshold_quantile)
-        self.mode = mode
         self.warm_max_iter = int(warm_max_iter)
         self.warm_tol = float(warm_tol)
         self.reg_covar = float(reg_covar)
@@ -250,9 +218,8 @@ class ModelRefresher:
         """Fold the buffered traffic into ``current``'s mixture.
 
         Returns a fresh engine sharing the deployed scaler, with the
-        refreshed mixture (warm-started EM or stepwise fold, per
-        :attr:`mode`) and a threshold re-cut at the configured
-        quantile of the buffered traffic's new scores.
+        warm-started EM mixture and a threshold re-cut at the
+        configured quantile of the buffered traffic's new scores.
         """
         return self.build_from(self.snapshot_features(), current)
 
@@ -273,45 +240,26 @@ class ModelRefresher:
         if features is None or features.shape[0] == 0:
             raise ValueError("no buffered features to refresh from")
         scaled = current.scaler.transform(features)
-        if self.mode == "warm":
-            fit_points = scaled
-            if scaled.shape[0] > self.max_fit_samples:
-                # Deterministic even-stride subsample across the
-                # whole buffer (every retained chunk contributes).
-                index = np.linspace(
-                    0,
-                    scaled.shape[0] - 1,
-                    self.max_fit_samples,
-                ).astype(np.int64)
-                fit_points = scaled[index]
-            trainer = EMTrainer(
-                n_components=current.model.n_components,
-                max_iter=self.warm_max_iter,
-                tol=self.warm_tol,
-                reg_covar=self.reg_covar,
-            )
-            model = trainer.fit(
-                fit_points, warm_start=current.model
-            ).model
-            # The quantile cut only needs score *ranks*; the fast
-            # quadratic scorer agrees with the exact one far below
-            # the threshold's resolution and keeps the recut off the
-            # refresh critical path.
-            refreshed_scores = np.exp(
-                fast_log_score_samples(model, scaled)
-            )
-        else:
-            online = OnlineGmm.from_model(
-                current.model,
-                step_exponent=self.step_exponent,
-                reg_covar=self.reg_covar,
-            )
-            for start in range(0, scaled.shape[0], self.batch_size):
-                batch = scaled[start : start + self.batch_size]
-                if batch.shape[0] > 0:
-                    online.update(batch)
-            model = online.model
-            refreshed_scores = model.score_samples(scaled)
+        fit_points = scaled
+        if scaled.shape[0] > self.max_fit_samples:
+            # Deterministic even-stride subsample across the whole
+            # buffer (every retained chunk contributes).
+            index = np.linspace(
+                0, scaled.shape[0] - 1, self.max_fit_samples
+            ).astype(np.int64)
+            fit_points = scaled[index]
+        trainer = EMTrainer(
+            n_components=current.model.n_components,
+            max_iter=self.warm_max_iter,
+            tol=self.warm_tol,
+            reg_covar=self.reg_covar,
+        )
+        model = trainer.fit(fit_points, warm_start=current.model).model
+        # The quantile cut only needs score *ranks*; the fast
+        # quadratic scorer agrees with the exact one far below the
+        # threshold's resolution and keeps the recut off the refresh
+        # critical path.
+        refreshed_scores = np.exp(fast_log_score_samples(model, scaled))
         threshold = float(
             np.quantile(refreshed_scores, self.threshold_quantile)
         )

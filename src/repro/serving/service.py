@@ -20,10 +20,13 @@ on an access stream consumed in chunks:
    sequential replay,
 4. account per-shard and per-tenant rolling miss rate and Table 1
    latency from the recorded per-access outcomes, and
-5. when drift is confirmed, fold the recent traffic into an
-   :class:`~repro.gmm.OnlineGmm` and atomically swap the refreshed
+5. when drift is confirmed, fold the recent traffic into the
+   mixture by warm-started EM and atomically swap the refreshed
    engine in (:mod:`repro.serving.refresh` -- the software analogue
-   of the FPGA weight-buffer reload).
+   of the FPGA weight-buffer reload).  The build runs inline, or on
+   a background worker while chunks keep flowing on the old engine
+   (:attr:`~repro.core.config.ServingConfig.refresh_async`); either
+   way it lands through one validate-and-CAS-commit path.
 
 Exactness contract: with ``hash`` sharding and refresh disabled, the
 service's totals are *bit-identical* to a single-shot
@@ -68,24 +71,18 @@ from repro.serving.refresh import (
 from repro.serving.sharding import ShardedCachePlanes
 
 
-def _timed_refresh_build(
-    refresher: ModelRefresher,
-    features: np.ndarray | None,
-    current: GmmPolicyEngine,
-) -> tuple[GmmPolicyEngine | None, Exception | None, float]:
-    """Worker body of an off-critical-path refresh build.
+def _timed_build(build, *args) -> tuple:
+    """Run one refresh build; returns ``(engine, error, seconds)``.
 
-    Runs on the refresh executor's thread; the feature snapshot was
-    taken by the consumer at submit time, so the build never touches
-    the live ingest buffer.  Always returns ``(engine, error,
-    seconds)`` -- the harvest side needs the off-path wall time even
-    when the fold fails.
+    Never raises: a failed fold comes back as ``error`` so both
+    deployments land it the same way -- inline under the ``refresh``
+    profiler section, or off-path on the refresh executor's thread,
+    whose harvest needs the build's wall time even when it failed.
     """
     started = time.perf_counter()
     try:
-        engine = refresher.build_from(features, current)
-        error = None
-    except Exception as exc:  # noqa: BLE001 - harvested parent-side
+        engine, error = build(*args), None
+    except Exception as exc:  # noqa: BLE001 - landed as a failed build
         engine, error = None, exc
     return engine, error, time.perf_counter() - started
 
@@ -236,10 +233,7 @@ class IcgmmCacheService:
         )
         self.refresher = ModelRefresher(
             buffer_chunks=self.serving.refresh_buffer_chunks,
-            batch_size=self.serving.refresh_batch_size,
-            step_exponent=self.serving.refresh_step_exponent,
             threshold_quantile=self.threshold_quantile,
-            mode=self.serving.refresh_mode,
             warm_max_iter=self.serving.refresh_max_iter,
             reg_covar=self.config.gmm.reg_covar,
         )
@@ -271,7 +265,7 @@ class IcgmmCacheService:
         # answering on the old engine meanwhile.  All state is None /
         # zero when disabled, so the synchronous path is untouched.
         self._refresh_executor: ParallelExecutor | None = None
-        self._pending_refresh: dict | None = None
+        self._pending_refresh: tuple | None = None
         self._refresh_overlap_chunks = 0
         self._refresh_discarded = 0
         if self.serving.refresh_async:
@@ -684,41 +678,20 @@ class IcgmmCacheService:
             ):
                 self._submit_refresh(engine, generation)
         elif refresh_due:
-            build_index = self._refresh_attempts
-            self._refresh_attempts += 1
-            fault = (
-                self.injector.refresh_fault(build_index)
-                if self.injector is not None
-                else None
-            )
-            try:
-                if fault == "fail":
-                    raise InjectedFaultError(
-                        f"injected refresh failure at build"
-                        f" {build_index}"
-                    )
+            build = self._next_build()
+            if build is not None:
                 # The build blocks the request path here; its own
                 # profiler section keeps `serve --profile` honest
                 # about that on-path cost (and gives the async
                 # deployment's overlap numbers their baseline).
                 with self.pipeline.profile_stage("refresh"):
-                    refreshed = self.refresher.build(engine)
-                if fault == "corrupt":
-                    # The build "succeeds" but hands back garbage;
-                    # validation below must catch it.
-                    refreshed = GmmPolicyEngine(
-                        model=refreshed.model,
-                        scaler=refreshed.scaler,
-                        admission_threshold=float("nan"),
+                    refreshed, error, _ = _timed_build(
+                        self.refresher.build, engine
                     )
-                validate_engine(refreshed)
-            except Exception as exc:  # noqa: BLE001 - degrade, don't die
-                self._record_refresh_failure(build_index, exc)
-            else:
-                self._commit_refresh(
-                    refreshed, build_index, generation, self._cursor + n
+                swapped = self._land_refresh(
+                    build, generation, refreshed, error,
+                    self._cursor + n,
                 )
-                swapped = True
 
         self._cursor += n
         if self.telemetry is not None:
@@ -785,17 +758,79 @@ class IcgmmCacheService:
                 until=self._quarantine_until,
             )
 
-    def _commit_refresh(
-        self,
-        refreshed: GmmPolicyEngine,
-        build_index: int,
-        expected_generation: int,
-        access_cursor: int,
-    ) -> None:
-        """CAS-swap a validated build in and rebase every consumer."""
-        self.slot.swap(
-            refreshed, expected_generation=expected_generation
+    def _next_build(self) -> tuple[int, str | None] | None:
+        """Number the next build and resolve its injected fault.
+
+        Returns ``(build_index, fault)``, or ``None`` when an injected
+        ``"fail"`` already failed the build (recorded here, before any
+        fold runs).  ``"corrupt"`` rides along to
+        :meth:`_land_refresh`, where validation must catch it.
+        """
+        build_index = self._refresh_attempts
+        self._refresh_attempts += 1
+        fault = (
+            self.injector.refresh_fault(build_index)
+            if self.injector is not None
+            else None
         )
+        if fault == "fail":
+            self._record_refresh_failure(
+                build_index,
+                InjectedFaultError(
+                    f"injected refresh failure at build {build_index}"
+                ),
+            )
+            return None
+        return build_index, fault
+
+    def _land_refresh(
+        self,
+        build: tuple[int, str | None],
+        expected_generation: int,
+        refreshed: GmmPolicyEngine | None,
+        error: Exception | None,
+        access_cursor: int,
+    ) -> bool:
+        """Validate a finished build and CAS-swap it in.
+
+        The one landing path of inline and off-path builds: ``build``
+        is :meth:`_next_build`'s ``(build_index, fault)``, and
+        ``refreshed``/``error`` are what the fold returned.  A failed
+        or invalid build backs off (:meth:`_record_refresh_failure`),
+        a stale one -- a newer engine landed between submit and
+        harvest -- is discarded without backoff, and a good one
+        rebases every consumer.  True if the engine swapped in.
+        """
+        build_index, fault = build
+        if error is None:
+            if fault == "corrupt":
+                # The build "succeeds" but hands back garbage;
+                # validation must catch it.
+                refreshed = GmmPolicyEngine(
+                    model=refreshed.model,
+                    scaler=refreshed.scaler,
+                    admission_threshold=float("nan"),
+                )
+            try:
+                validate_engine(refreshed)
+            except ValueError as exc:
+                error = exc
+        if error is not None:
+            self._record_refresh_failure(build_index, error)
+            return False
+        try:
+            self.slot.swap(
+                refreshed, expected_generation=expected_generation
+            )
+        except StaleSwapError:
+            self._refresh_discarded += 1
+            self.shard_metrics.record_event(
+                "engine",
+                "refresh-stale",
+                self._chunk_index,
+                build=build_index,
+            )
+            return False
         self._load_generation()
         self.detector.rebase(
             refreshed.admission_threshold,
@@ -827,48 +862,28 @@ class IcgmmCacheService:
                 build=build_index,
                 outcome="swapped",
             )
+        return True
 
     def _submit_refresh(
         self, engine: GmmPolicyEngine, generation: int
     ) -> None:
         """Hand one build to the refresh executor (non-blocking).
 
-        The feature snapshot is taken *here*, on the consumer thread,
+        The feature snapshot is taken *here*, on the serving thread,
         so the worker folds exactly the traffic the drift decision
         saw -- not whatever the buffer holds when the thread gets
-        scheduled.  Injected ``"fail"`` faults resolve synchronously
-        (the inline path raises before building, so the bookkeeping
-        stays comparable); ``"corrupt"`` rides along to the harvest,
-        where validation must catch it.
+        scheduled.
         """
-        build_index = self._refresh_attempts
-        self._refresh_attempts += 1
-        fault = (
-            self.injector.refresh_fault(build_index)
-            if self.injector is not None
-            else None
-        )
-        if fault == "fail":
-            self._record_refresh_failure(
-                build_index,
-                InjectedFaultError(
-                    f"injected refresh failure at build {build_index}"
-                ),
-            )
+        build = self._next_build()
+        if build is None:
             return
         future = self._refresh_executor.submit(
-            _timed_refresh_build,
-            self.refresher,
+            _timed_build,
+            self.refresher.build_from,
             self.refresher.snapshot_features(),
             engine,
         )
-        self._pending_refresh = {
-            "future": future,
-            "build": build_index,
-            "generation": generation,
-            "fault": fault,
-            "chunk": self._chunk_index,
-        }
+        self._pending_refresh = (future, build, generation)
 
     def _harvest_refresh(
         self, access_cursor: int, block: bool = False
@@ -877,55 +892,28 @@ class IcgmmCacheService:
 
         Non-blocking by default: a build still running just bumps the
         overlap counter (one per chunk served under it) and the chunk
-        goes on.  The harvest-side cost -- result pickup, validation,
-        CAS swap -- is the only refresh work left on the request path,
+        goes on.  The landing cost -- validation, CAS swap, consumer
+        rebase -- is the only refresh work left on the request path,
         recorded as the ``refresh.onpath`` profiler section against
-        the worker's ``refresh.offpath`` build seconds.
+        the worker's ``refresh.offpath`` build seconds.  A blocking
+        harvest (:meth:`drain_refresh`) waits for the build first;
+        that wait is the build's own time, not landing cost.
         """
-        pending = self._pending_refresh
-        if pending is None:
+        if self._pending_refresh is None:
             return False
-        future = pending["future"]
+        future, build, generation = self._pending_refresh
         if not block and not future.done():
             self._refresh_overlap_chunks += 1
             return False
         self._pending_refresh = None
-        profiler = self.pipeline.profiler
-        started = time.perf_counter()
-        swapped = False
         refreshed, error, build_seconds = future.result()
+        started = time.perf_counter()
+        swapped = self._land_refresh(
+            build, generation, refreshed, error, access_cursor
+        )
+        profiler = self.pipeline.profiler
         if profiler is not None:
             profiler.add("refresh.offpath", build_seconds)
-        try:
-            if error is not None:
-                raise error
-            if pending["fault"] == "corrupt":
-                refreshed = GmmPolicyEngine(
-                    model=refreshed.model,
-                    scaler=refreshed.scaler,
-                    admission_threshold=float("nan"),
-                )
-            validate_engine(refreshed)
-            self._commit_refresh(
-                refreshed,
-                pending["build"],
-                pending["generation"],
-                access_cursor,
-            )
-            swapped = True
-        except StaleSwapError:
-            # A newer engine landed between submit and harvest; the
-            # build is simply obsolete, not a failure -- no backoff.
-            self._refresh_discarded += 1
-            self.shard_metrics.record_event(
-                "engine",
-                "refresh-stale",
-                self._chunk_index,
-                build=pending["build"],
-            )
-        except Exception as exc:  # noqa: BLE001 - degrade, don't die
-            self._record_refresh_failure(pending["build"], exc)
-        if profiler is not None:
             profiler.add(
                 "refresh.onpath", time.perf_counter() - started
             )
@@ -934,24 +922,12 @@ class IcgmmCacheService:
     def drain_refresh(self) -> bool:
         """Block until an in-flight background build lands (if any).
 
-        Called by the front-end when the stream ends, so a refresh
-        that started near the tail still commits (and its off-path
-        seconds are accounted) instead of being silently discarded by
+        Call it when the stream ends, so a refresh that started near
+        the tail still commits (and its off-path seconds are
+        accounted) instead of being silently discarded by
         :meth:`close`.  True if an engine swapped in.
         """
-        if self._pending_refresh is None:
-            return False
         return self._harvest_refresh(self._cursor, block=True)
-
-    @property
-    def refresh_overlap_chunks(self) -> int:
-        """Chunks served while a background refresh was building."""
-        return self._refresh_overlap_chunks
-
-    @property
-    def refresh_discarded(self) -> int:
-        """Background builds dropped (stale swap or service close)."""
-        return self._refresh_discarded
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -1,12 +1,12 @@
-"""System-level drift adaptation: OnlineGmm refresh through the
-serving loop.
+"""System-level drift adaptation: warm-started EM refresh through
+the serving loop.
 
 A two-phase Zipf stream (the hot slab region jumps at the midpoint,
 modelling a failover / cache rebuild) is replayed through the full
 service.  A frozen engine scores the new hot pages as cold and
 bypasses/evicts them -- post-drift its miss rate collapses toward
 100%.  The drift-aware service must detect the shift on the score
-distribution, fold recent chunks into the mixture with stepwise EM,
+distribution, fold recent chunks into the mixture by warm EM,
 swap the refreshed engine in, and end up with a materially better
 post-drift miss rate.
 """

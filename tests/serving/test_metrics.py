@@ -1,6 +1,5 @@
 """Tests for the rolling serving metrics."""
 
-import numpy as np
 import pytest
 
 from repro.cache.stats import CacheStats
@@ -285,84 +284,3 @@ class TestEwmaSignals:
         assert metrics.ewma_latency_ns("d") == pytest.approx(1_000.0)
         assert metrics.ewma_miss_rate("d") == pytest.approx(0.0)
 
-
-class TestLatencyQuantiles:
-    """Histogram p50/p99 vs exact numpy inverted-CDF percentiles."""
-
-    def test_matches_numpy_inverted_cdf_on_edge_values(self):
-        # Values drawn *from the bucket edges* make the histogram
-        # estimate exact, so we can demand equality with numpy's
-        # inverted_cdf method rather than a resolution bound.
-        metrics = RollingMetrics()
-        edges = metrics.latency_edges_us[:20]
-        rng = np.random.default_rng(1234)
-        values = [float(edges[i]) for i in rng.integers(0, len(edges), 200)]
-        for value in values:
-            metrics.observe_latency("req", value)
-        for q in (0.01, 0.25, 0.5, 0.9, 0.99, 1.0):
-            expected = float(
-                np.percentile(values, q * 100.0, method="inverted_cdf")
-            )
-            assert metrics.latency_quantile("req", q) == expected, q
-
-    def test_count_weighted_observation_equivalence(self):
-        # One observe with count=n must equal n separate observes.
-        batched = RollingMetrics()
-        looped = RollingMetrics()
-        batched.observe_latency("k", 4.0, count=5)
-        batched.observe_latency("k", 64.0, count=3)
-        for _ in range(5):
-            looped.observe_latency("k", 4.0)
-        for _ in range(3):
-            looped.observe_latency("k", 64.0)
-        assert batched.latency_histogram("k") == looped.latency_histogram("k")
-        for q in (0.5, 0.9, 0.99):
-            assert batched.latency_quantile("k", q) == looped.latency_quantile(
-                "k", q
-            )
-
-    def test_overflow_bucket_resolves_to_max_observed(self):
-        metrics = RollingMetrics()
-        top = metrics.latency_edges_us[-1]
-        metrics.observe_latency("k", top * 4.0)
-        metrics.observe_latency("k", top * 2.0)
-        # Both observations sit past the last edge; any quantile must
-        # report the maximum actually observed, not an edge.
-        assert metrics.latency_quantile("k", 0.5) == top * 4.0
-        assert metrics.latency_quantile("k", 0.99) == top * 4.0
-
-    def test_empty_key_and_helpers(self):
-        metrics = RollingMetrics()
-        assert metrics.latency_quantile("nope", 0.5) is None
-        assert metrics.latency_histogram("nope") is None
-        assert metrics.latency_p50("nope") is None
-        assert metrics.latency_p99("nope") is None
-        metrics.observe_latency("k", 10.0)
-        assert metrics.latency_p50("k") == metrics.latency_quantile("k", 0.50)
-        assert metrics.latency_p99("k") == metrics.latency_quantile("k", 0.99)
-
-    def test_quantile_argument_validation(self):
-        metrics = RollingMetrics()
-        metrics.observe_latency("k", 1.0)
-        with pytest.raises(ValueError):
-            metrics.latency_quantile("k", 0.0)
-        with pytest.raises(ValueError):
-            metrics.latency_quantile("k", 1.5)
-        with pytest.raises(ValueError):
-            metrics.observe_latency("k", 1.0, count=0)
-
-    def test_custom_edges(self):
-        edges = (1.0, 2.0, 4.0, 8.0)
-        metrics = RollingMetrics(latency_edges_us=edges)
-        assert metrics.latency_edges_us == edges
-        for value in (1.0, 2.0, 2.0, 8.0):
-            metrics.observe_latency("k", value)
-        histogram = metrics.latency_histogram("k")
-        assert histogram is not None
-        got_edges, counts, sum_us, total = histogram
-        assert got_edges == edges
-        assert counts == [1, 2, 0, 1, 0]
-        assert sum_us == pytest.approx(13.0)
-        assert total == 4
-        assert metrics.latency_quantile("k", 0.5) == 2.0
-        assert metrics.latency_quantile("k", 1.0) == 8.0

@@ -1,4 +1,4 @@
-"""Tests for the engine slot and the stepwise-EM model refresher."""
+"""Tests for the engine slot and the warm-EM model refresher."""
 
 import threading
 
@@ -140,9 +140,7 @@ class TestModelRefresher:
         pre = _features(0, 12_000, rng)
         post = _features(5_000, 12_000, rng)
         engine = _engine(pre)
-        refresher = ModelRefresher(
-            buffer_chunks=6, batch_size=1024, step_exponent=0.6
-        )
+        refresher = ModelRefresher(buffer_chunks=6)
         for start in range(0, 12_000, 2_000):
             refresher.ingest(post[start : start + 2_000])
         refreshed = refresher.build(engine)
@@ -174,8 +172,6 @@ class TestModelRefresher:
     def test_validation(self):
         with pytest.raises(ValueError):
             ModelRefresher(buffer_chunks=0)
-        with pytest.raises(ValueError):
-            ModelRefresher(batch_size=0)
         refresher = ModelRefresher()
         with pytest.raises(ValueError, match=r"\(N, 2\)"):
             refresher.ingest(np.zeros((5, 3)))

@@ -12,11 +12,13 @@ import pytest
 
 from repro.cache.stats import CacheStats
 from repro.core.config import (
+    ChaosConfig,
     GmmEngineConfig,
     IcgmmConfig,
     ServingConfig,
 )
 from repro.core.system import IcgmmSystem
+from repro.obs import Telemetry
 from repro.serving import IcgmmCacheService
 
 
@@ -274,6 +276,163 @@ class TestResumableReplay:
         )
         assert service.access_cursor == reference.access_cursor
         assert service.totals == reference.totals
+
+
+#: Page offset of the drifted stream's second phase, which replays
+#: the prepared trace with every page moved this far up.
+DRIFT_SHIFT = 50_000
+
+
+@pytest.fixture(scope="module")
+def drifted_stream(prepared_system):
+    """The prepared trace followed by a relocated copy of itself."""
+    _, _, prepared = prepared_system
+    pages = np.concatenate(
+        [prepared.page_indices, prepared.page_indices + DRIFT_SHIFT]
+    )
+    writes = np.concatenate([prepared.is_write, prepared.is_write])
+    return pages, writes
+
+
+def _async_service(
+    prepared_system, chaos=None, telemetry=None, **serving_kwargs
+):
+    config, _, prepared = prepared_system
+    serving_kwargs.setdefault("refresh_async", True)
+    return IcgmmCacheService(
+        prepared.engine,
+        config=config,
+        serving=ServingConfig(
+            chunk_requests=2_000, n_shards=4, **serving_kwargs
+        ),
+        chaos=chaos,
+        telemetry=telemetry,
+    )
+
+
+def _ingest_until_pending(service, pages, writes) -> bool:
+    """Feed chunks until a background build is in flight.
+
+    A build is submitted on the chunk that confirms drift and
+    harvested no earlier than the next one, so stopping right after
+    the submitting chunk leaves it pending whatever the wall clock.
+    """
+    step = service.serving.chunk_requests
+    for start in range(0, pages.shape[0], step):
+        service.ingest(
+            pages[start : start + step], writes[start : start + step]
+        )
+        if service.summary()["refresh_async"]["pending"]:
+            return True
+    return False
+
+
+class TestAsyncRefresh:
+    """``refresh_async``: builds run off the request path and land
+    through the same validate-and-CAS path as inline builds."""
+
+    def test_drift_swaps_without_losing_accesses(
+        self, prepared_system, drifted_stream
+    ):
+        pages, writes = drifted_stream
+        with _async_service(prepared_system) as service:
+            reports = service.ingest(pages, writes)
+            service.drain_refresh()
+            summary = service.summary()
+        assert [r.chunk_index for r in reports] == list(
+            range(len(reports))
+        )
+        assert sum(r.accesses for r in reports) == pages.shape[0]
+        assert service.totals.accesses == pages.shape[0]
+        assert len(service.swaps) >= 1
+        assert service.generation == len(service.swaps)
+        assert summary["refresh_async"]["pending"] is False
+        assert summary["refresh_async"]["attempts"] >= len(
+            service.swaps
+        )
+
+    @pytest.mark.parametrize(
+        ("fault", "reason"),
+        [("fail", "injected"), ("corrupt", "non-finite")],
+    )
+    def test_faulted_builds_back_off_and_never_swap(
+        self, prepared_system, drifted_stream, fault, reason
+    ):
+        _, _, prepared = prepared_system
+        pages, writes = drifted_stream
+        chaos = ChaosConfig(
+            enabled=True, seed=0, **{f"refresh_{fault}_rate": 1.0}
+        )
+        with _async_service(prepared_system, chaos=chaos) as service:
+            service.ingest(pages, writes)
+            service.drain_refresh()
+        assert service.swaps == []
+        assert service.generation == 0
+        assert service.slot.engine is prepared.engine
+        events = service.shard_metrics.events("engine")
+        failed = [e for e in events if e.kind == "refresh-failed"]
+        assert all(reason in event.info["reason"] for event in failed)
+        # Consecutive failures back off exponentially until the
+        # breaker opens (three failures by default).
+        base = service.serving.refresh_backoff_chunks
+        assert [e.info["backoff_chunks"] for e in failed[:3]] == [
+            base,
+            2 * base,
+            4 * base,
+        ]
+        assert "breaker-open" in [e.kind for e in events]
+        # A corrupt build ran its fold; a failed one never started.
+        if fault == "fail":
+            assert service.refresher.refreshes_built == 0
+        else:
+            assert service.refresher.refreshes_built >= 1
+
+    def test_close_discards_pending_build(
+        self, prepared_system, drifted_stream
+    ):
+        service = _async_service(prepared_system)
+        assert _ingest_until_pending(service, *drifted_stream)
+        service.close()
+        refresh = service.summary()["refresh_async"]
+        assert refresh["pending"] is False
+        assert refresh["discarded"] == 1
+        assert service.swaps == []
+        assert service.generation == 0
+
+    def test_drain_lands_pending_build(
+        self, prepared_system, drifted_stream
+    ):
+        with _async_service(prepared_system) as service:
+            assert _ingest_until_pending(service, *drifted_stream)
+            cursor = service.access_cursor
+            assert service.drain_refresh() is True
+            refresh = service.summary()["refresh_async"]
+        assert service.generation == 1
+        assert service.swaps[-1].access_cursor == cursor
+        assert refresh["pending"] is False
+        assert refresh["discarded"] == 0
+
+    def test_matches_sync_when_refresh_disabled(
+        self, prepared_system, drifted_stream
+    ):
+        pages, writes = drifted_stream
+        runs = []
+        for refresh_async in (False, True):
+            telemetry = Telemetry()
+            with _async_service(
+                prepared_system,
+                telemetry=telemetry,
+                refresh_enabled=False,
+                refresh_async=refresh_async,
+            ) as service:
+                reports = service.ingest(pages, writes)
+                service.drain_refresh()
+                summary = service.summary()
+            summary.pop("refresh_async", None)
+            runs.append(
+                (reports, summary, telemetry.snapshot()["digest"])
+            )
+        assert runs[0] == runs[1]
 
 
 class TestValidation:

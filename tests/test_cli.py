@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,37 @@ class TestServe:
         out = capsys.readouterr().out
         assert "engine swapped" in out
         assert "generation" in out
+
+    def test_serve_refresh_async_swaps(self, capsys):
+        code = main(
+            [
+                "serve",
+                "--workloads",
+                "memtier",
+                "--length",
+                "60000",
+                "--chunk",
+                "4096",
+                "--components",
+                "6",
+                "--drift",
+                "--refresh-async",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        total = re.search(
+            r"total: ([\d,]+) measured accesses, .*?, (\d+) engine", out
+        )
+        assert total is not None
+        # Every access past the 30% training prefix is accounted.
+        assert total.group(1) == "42,000"
+        assert int(total.group(2)) >= 1
+        assert "refresh async:" in out
+
+    def test_serve_rejects_pipeline_flag(self):
+        with pytest.raises(SystemExit):
+            main(["serve", "--length", "5000", "--pipeline", "throughput"])
 
     def test_serve_rejects_unknown_strategy(self):
         with pytest.raises(SystemExit):

@@ -8,8 +8,8 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test verify bench-throughput bench-smoke bench-serving \
-	bench-serving-smoke bench-fabric bench-fabric-smoke \
+.PHONY: test perfbench-test verify bench-throughput bench-smoke \
+	bench-serving bench-serving-smoke bench-fabric bench-fabric-smoke \
 	bench-parallel bench-parallel-smoke bench-train \
 	bench-train-smoke bench-chaos bench-chaos-smoke \
 	bench-obs bench-obs-smoke bench-ingest bench-ingest-smoke
@@ -17,11 +17,16 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Tier-1 tests plus every bench smoke validator (schema + acceptance
-# checks on fresh smoke artifacts) -- the one-command CI gate.
-verify: test bench-smoke bench-serving-smoke bench-fabric-smoke \
-	bench-parallel-smoke bench-train-smoke bench-chaos-smoke \
-	bench-obs-smoke bench-ingest-smoke
+# The repository benchmark's own tests (perfbench/, outside tier-1).
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/tests -q
+
+# Tier-1 tests, the benchmark's tests, plus every bench smoke
+# validator (schema + acceptance checks on fresh smoke artifacts) --
+# the one-command CI gate.
+verify: test perfbench-test bench-smoke bench-serving-smoke \
+	bench-fabric-smoke bench-parallel-smoke bench-train-smoke \
+	bench-chaos-smoke bench-obs-smoke bench-ingest-smoke
 
 # Full simulator-throughput matrix; writes BENCH_sim_throughput.json.
 bench-throughput:

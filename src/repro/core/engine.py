@@ -173,10 +173,11 @@ class GmmPolicyEngine:
 
         The marginal is evaluated on an ``n_time_samples``-point grid
         spanning the training timestamp range, once per distinct
-        page: the ``(unique_pages x n_time_samples)`` grid is scored
-        in batched calls covering as many whole grid points per call
-        as fit a bounded feature buffer (one call in the common case)
-        instead of the former one-pass-per-grid-point Python loop.
+        page.  The page-major ``(unique_pages x n_time_samples)``
+        grid is scored in calls of as many whole pages as fit a
+        bounded feature buffer (one call in the common case), so a
+        page's marginal is the same bits however many pages share the
+        call -- the serving memo scores pages a few at a time.
         """
         page_indices = np.asarray(page_indices)
         unique_pages, inverse = np.unique(
@@ -190,22 +191,18 @@ class GmmPolicyEngine:
         t_lo = self.scaler.mean[1] - 2.0 * self.scaler.std[1]
         t_hi = self.scaler.mean[1] + 2.0 * self.scaler.std[1]
         t_grid = np.linspace(t_lo, t_hi, n_time_samples)
-        per_page = np.zeros(n_pages, dtype=np.float64)
-        page_block = min(n_pages, _GRID_BUFFER_ROWS)
-        for p_lo in range(0, n_pages, page_block):
-            block_pages = pages_f[p_lo : p_lo + page_block]
-            n_block = block_pages.shape[0]
-            t_per_call = max(1, _GRID_BUFFER_ROWS // n_block)
-            for t_lo_i in range(0, n_time_samples, t_per_call):
-                t_block = t_grid[t_lo_i : t_lo_i + t_per_call]
-                features = np.empty((n_block * t_block.shape[0], 2))
-                features[:, 0] = np.tile(block_pages, t_block.shape[0])
-                features[:, 1] = np.repeat(t_block, n_block)
-                per_page[p_lo : p_lo + page_block] += (
-                    self.score(features)
-                    .reshape(t_block.shape[0], n_block)
-                    .sum(axis=0)
-                )
+        per_page = np.empty(n_pages, dtype=np.float64)
+        page_block = max(1, _GRID_BUFFER_ROWS // n_time_samples)
+        for lo in range(0, n_pages, page_block):
+            block_pages = pages_f[lo : lo + page_block]
+            features = np.empty((block_pages.shape[0], n_time_samples, 2))
+            features[:, :, 0] = block_pages[:, None]
+            features[:, :, 1] = t_grid
+            per_page[lo : lo + page_block] = (
+                self.score(features.reshape(-1, 2))
+                .reshape(-1, n_time_samples)
+                .sum(axis=1)
+            )
         per_page /= n_time_samples
         return per_page[inverse]
 

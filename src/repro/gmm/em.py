@@ -18,10 +18,11 @@ Two execution paths share the trainer:
   derive independent child rngs up front, seed through the vectorized
   :func:`repro.gmm.kmeans.kmeans_fast`, and run EM with a fused
   blocked E+M pass whose log-density is a single quadratic-form GEMM
-  (``weighted = F @ coef.T + const`` over the precomputed quadratic
-  features ``F``), with a per-component cancellation guard that falls
-  back to the exact triangular solve when the expansion would lose
-  precision.  All ``n_init`` restarts can run **stacked** in one pass
+  (``weighted = F @ coef.T + const``, coefficients from
+  :func:`repro.gmm.linalg.quadratic_coefficients`, shared with scoring),
+  with a per-component cancellation guard that falls back to the exact
+  triangular solve when the expansion would lose precision.  All
+  ``n_init`` restarts can run **stacked** in one pass
   (components concatenated along the mixture axis) or sequentially or
   under a :class:`~repro.core.parallel.ParallelExecutor` -- the three
   modes produce *identical* models at equal seeds, a property the
@@ -52,42 +53,25 @@ SEEDINGS = ("fast", "reference")
 #: across the softmax passes, large enough to amortise call overhead.
 _EM_BLOCK_ROWS = 2048
 
-#: Absolute tolerance on the Mahalanobis term below which the
-#: quadratic-form expansion is accepted; components whose worst-case
-#: cancellation error (``eps * |largest term|``) exceeds it are
-#: rescored through the exact triangular solve.  The bound is very
-#: conservative (global point span times the component's largest
-#: precision entry), so the tolerance is set well above the noise of
-#: healthy standardised fits -- including collapsed components on
-#: discrete heavy-tailed features -- while still catching the
-#: catastrophic raw-scale case (errors of order one and far beyond).
-#: A 1e-4 Mahalanobis error perturbs log-densities by at most 5e-5,
-#: orders of magnitude below the convergence tolerances in use.
-_MAHA_GUARD_TOL = 1e-4
-
 
 def _stacked_softmax(
-    stacked: np.ndarray, with_responsibilities: bool = True
-) -> tuple[np.ndarray | None, np.ndarray]:
+    stacked: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """Masked softmax over the last axis of a ``(rows, R, K)`` slab.
 
     Returns ``(responsibilities, log_norm)`` with shapes
-    ``(rows, R, K)`` / ``(rows, R)``; pass
-    ``with_responsibilities=False`` to get ``(None, log_norm)``.
-    Rows that are ``-inf`` under every component yield ``-inf``
-    normalisers (and NaN responsibilities, matching the reference
-    E-step).  The one shared implementation keeps the E-step, its
-    suspect-covariance recompute, and both fast scorers numerically
-    in lockstep.
+    ``(rows, R, K)`` / ``(rows, R)``.  Rows that are ``-inf`` under
+    every component yield ``-inf`` normalisers (and NaN
+    responsibilities, matching the reference E-step).  The one shared
+    implementation keeps the E-step and its suspect-covariance
+    recompute numerically in lockstep.
     """
     peak = stacked.max(axis=2)
     safe_peak = np.where(np.isfinite(peak), peak, 0.0)
     shifted = np.exp(stacked - safe_peak[:, :, None])
     totals = shifted.sum(axis=2)
-    responsibilities = None
     with np.errstate(divide="ignore", invalid="ignore"):
-        if with_responsibilities:
-            responsibilities = shifted / totals[:, :, None]
+        responsibilities = shifted / totals[:, :, None]
         log_norm = np.log(totals) + safe_peak
     log_norm = np.where(np.isfinite(peak), log_norm, -np.inf)
     return responsibilities, log_norm
@@ -123,38 +107,20 @@ class _QuadScorer:
     """Quadratic-form log-density machinery for one fit.
 
     The per-component log-density is an affine function of the
-    quadratic feature expansion of each point::
-
-        log N(x | mu_k, Sigma_k) + log pi_k  =  F(x) @ coef_k + const_k
-
-    with ``F(x) = [x_i x_j (i <= j), x_i]`` and ``coef_k`` built from
-    the precision matrix ``P_k = Sigma_k^{-1}``.  ``F`` depends only
-    on the points, so a fit builds it once and every E-step becomes a
-    single ``(N, T) @ (T, K)`` GEMM -- replacing the per-component
-    triangular-solve pass, which allocated ``(N, K, D)`` temporaries.
-
-    The expansion cancels catastrophically when ``|P| * |x - mu|^2``
-    terms dwarf the resulting Mahalanobis value (raw-scale data far
-    from the origin with near-singular components); ``coefficients``
-    therefore also returns a per-component suspect mask, and the
-    E-step rescores suspect components through the exact solve.
+    quadratic feature expansion of each point (see
+    :func:`repro.gmm.linalg.quadratic_coefficients`).  ``F`` depends
+    only on the points, so a fit builds it once and every E-step
+    becomes a single ``(N, T) @ (T, K)`` GEMM -- replacing the
+    per-component triangular-solve pass, which allocated
+    ``(N, K, D)`` temporaries.  The cancellation guard decides per
+    fit, from ``span`` (the largest ``|x|`` over all the fit's
+    points), and the E-step rescores suspect components through the
+    exact solve.
     """
 
     def __init__(self, points: np.ndarray) -> None:
-        n, d = points.shape
-        self.d = d
-        self.pairs = [
-            (i, j) for i in range(d) for j in range(i, d)
-        ]
-        t = len(self.pairs)
-        features = np.empty((n, t + d), dtype=np.float64)
-        for column, (i, j) in enumerate(self.pairs):
-            np.multiply(
-                points[:, i], points[:, j], out=features[:, column]
-            )
-        features[:, t:] = points
-        self.features = features
-        self.span = float(np.abs(points).max()) if n else 0.0
+        self.features = linalg.quadratic_features(points)
+        self.span = float(np.abs(points).max()) if points.shape[0] else 0.0
         self._stat_matrix: np.ndarray | None = None
 
     def stat_matrix(
@@ -182,38 +148,6 @@ class _QuadScorer:
             stats[:, -1] = 1.0
             self._stat_matrix = stats
         return self._stat_matrix
-
-    def coefficients(
-        self,
-        log_weights: np.ndarray,
-        means: np.ndarray,
-        log_det: np.ndarray,
-        covariances: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-component ``(coef, const, suspect)`` of the expansion."""
-        m, d = means.shape
-        precision = np.linalg.inv(covariances)
-        pm = np.einsum("kij,kj->ki", precision, means)
-        t = len(self.pairs)
-        coef = np.empty((m, t + d), dtype=np.float64)
-        for column, (i, j) in enumerate(self.pairs):
-            scale = -0.5 if i == j else -1.0
-            coef[:, column] = scale * precision[:, i, j]
-        coef[:, t:] = pm
-        mu_pm = np.einsum("ki,ki->k", means, pm)
-        const = (
-            -0.5 * (d * np.log(2.0 * np.pi) + log_det + mu_pm)
-            + log_weights
-        )
-        p_max = np.abs(precision).reshape(m, -1).max(axis=1)
-        mu_span = (
-            np.abs(means).max(axis=1) if d else np.zeros(m)
-        )
-        term_scale = p_max * (self.span + mu_span) ** 2
-        suspect = (
-            np.finfo(np.float64).eps * term_scale > _MAHA_GUARD_TOL
-        )
-        return coef, const, suspect
 
 
 class EMTrainer:
@@ -534,20 +468,12 @@ class EMTrainer:
             weighted[:, cols] = features @ coef[cols].T
         weighted += const
         if suspect_cols.size:
-            d = points.shape[1]
-            maha = linalg.mahalanobis_squared_batch(
+            weighted[:, suspect_cols] = linalg.exact_log_weighted(
                 points[lo:hi],
                 means[suspect_cols],
                 factors[suspect_cols],
-            )
-            weighted[:, suspect_cols] = (
-                -0.5
-                * (
-                    d * np.log(2.0 * np.pi)
-                    + log_det[suspect_cols]
-                    + maha
-                )
-                + log_weights[suspect_cols]
+                log_det[suspect_cols],
+                log_weights[suspect_cols],
             )
         return weighted
 
@@ -582,10 +508,12 @@ class EMTrainer:
         log_det = linalg.log_det_from_cholesky(factors)
         with np.errstate(divide="ignore"):
             log_weights = np.log(weights)
-        coef, const, suspect = quad.coefficients(
+        coef, const, p_max, mu_span = linalg.quadratic_coefficients(
             log_weights, means, log_det, covariances
         )
-        suspect_cols = np.nonzero(suspect)[0]
+        suspect_cols = np.nonzero(
+            linalg.needs_exact_rescore(quad.span, p_max, mu_span)
+        )[0]
         stat_matrix = quad.stat_matrix(points, moments[1])
         stat_sums = np.zeros(
             (m, stat_matrix.shape[1]), dtype=np.float64
@@ -646,41 +574,6 @@ class EMTrainer:
             exact_cov,
         )
         return ll_sums / n, new_params
-
-    def _log_score_means(
-        self,
-        points: np.ndarray,
-        quad: _QuadScorer,
-        weights: np.ndarray,
-        means: np.ndarray,
-        covariances: np.ndarray,
-        n_restarts: int,
-    ) -> np.ndarray:
-        """Final per-restart mean log-likelihood (fast density)."""
-        n = points.shape[0]
-        k = self.n_components
-        factors = linalg.cholesky_batch(covariances)
-        log_det = linalg.log_det_from_cholesky(factors)
-        with np.errstate(divide="ignore"):
-            log_weights = np.log(weights)
-        coef, const, suspect = quad.coefficients(
-            log_weights, means, log_det, covariances
-        )
-        suspect_cols = np.nonzero(suspect)[0]
-        ll_sums = np.zeros(n_restarts, dtype=np.float64)
-        for lo in range(0, n, _EM_BLOCK_ROWS):
-            hi = min(lo + _EM_BLOCK_ROWS, n)
-            weighted = self._block_weighted(
-                quad, points, lo, hi, coef, const, suspect_cols,
-                means, factors, log_det, log_weights,
-            )
-            _, norm = _stacked_softmax(
-                weighted.reshape(hi - lo, n_restarts, k),
-                with_responsibilities=False,
-            )
-            for r in range(n_restarts):
-                ll_sums[r] += np.ascontiguousarray(norm[:, r]).sum()
-        return ll_sums / n
 
     def _fit_restarts(
         self,
@@ -780,31 +673,25 @@ class EMTrainer:
             previous[alive] = lls
             active[alive[done]] = False
 
-        repaired = np.empty_like(covariances)
+        results = []
         for r in range(n_restarts):
-            repaired[r] = linalg.ensure_positive_definite(
-                covariances[r], self.reg_covar
-            )
-        final_lls = self._log_score_means(
-            points,
-            quad,
-            weights.reshape(-1),
-            means.reshape(-1, d),
-            repaired.reshape(-1, d, d),
-            n_restarts,
-        )
-        return [
-            FitResult(
-                model=GaussianMixture(
-                    weights[r], means[r], repaired[r]
+            model = GaussianMixture(
+                weights[r],
+                means[r],
+                linalg.ensure_positive_definite(
+                    covariances[r], self.reg_covar
                 ),
-                converged=bool(converged[r]),
-                n_iter=int(n_iter[r]),
-                log_likelihood=float(final_lls[r]),
-                history=tuple(histories[r]),
             )
-            for r in range(n_restarts)
-        ]
+            results.append(
+                FitResult(
+                    model=model,
+                    converged=bool(converged[r]),
+                    n_iter=int(n_iter[r]),
+                    log_likelihood=model.mean_log_likelihood(points),
+                    history=tuple(histories[r]),
+                )
+            )
+        return results
 
     # ------------------------------------------------------------------
     # Fit
@@ -958,62 +845,6 @@ def _fit_one_restart(
 ) -> FitResult:
     """Module-level single-restart task (picklable for executors)."""
     return trainer._fit_restarts(points, [seed])[0]
-
-
-def fast_log_score_samples(
-    model: GaussianMixture, points: np.ndarray
-) -> np.ndarray:
-    """``log G(x)`` per point through the quadratic-form fast path.
-
-    One GEMM over the quadratic feature expansion instead of the
-    per-component triangular solve of
-    :meth:`GaussianMixture.log_score_samples`, with the same
-    cancellation guard (and exact rescore) as the fast E-step.
-    Agrees with the exact scorer to well below any admission
-    threshold's resolution; used where scores feed a quantile cut,
-    not a bit-exactness contract (e.g. the serving refresh).
-    """
-    points = np.asarray(points, dtype=np.float64)
-    quad = _QuadScorer(points)
-    covariances = model.covariances
-    factors = linalg.cholesky_batch(covariances)
-    log_det = linalg.log_det_from_cholesky(factors)
-    weights = model.weights
-    means = model.means
-    with np.errstate(divide="ignore"):
-        log_weights = np.log(weights)
-    coef, const, suspect = quad.coefficients(
-        log_weights, means, log_det, covariances
-    )
-    suspect_cols = np.nonzero(suspect)[0]
-    n = points.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    d = points.shape[1]
-    for lo in range(0, n, _EM_BLOCK_ROWS):
-        hi = min(lo + _EM_BLOCK_ROWS, n)
-        weighted = quad.features[lo:hi] @ coef.T
-        weighted += const
-        if suspect_cols.size:
-            maha = linalg.mahalanobis_squared_batch(
-                points[lo:hi],
-                means[suspect_cols],
-                factors[suspect_cols],
-            )
-            weighted[:, suspect_cols] = (
-                -0.5
-                * (
-                    d * np.log(2.0 * np.pi)
-                    + log_det[suspect_cols]
-                    + maha
-                )
-                + log_weights[suspect_cols]
-            )
-        _, norm = _stacked_softmax(
-            weighted.reshape(hi - lo, 1, weighted.shape[1]),
-            with_responsibilities=False,
-        )
-        out[lo:hi] = norm[:, 0]
-    return out
 
 
 def fit_gmm(

@@ -17,6 +17,15 @@ _MIN_JITTER = 1e-12
 #: ~4M float64 elements keeps each temporary around 32 MB.
 _SOLVE_TEMP_ELEMENTS = 1 << 22
 
+#: Largest worst-case cancellation error (``eps * |largest term|``)
+#: of the quadratic-form Mahalanobis term accepted before a (point,
+#: component) pair is rescored through the exact solve.  The bound is
+#: very conservative, so the tolerance sits well above the noise of
+#: healthy standardised fits while still catching the catastrophic
+#: raw-scale case (errors of order one and beyond); a 1e-4 error moves
+#: a log-density by at most 5e-5, far below any tolerance in use.
+MAHA_GUARD_TOL = 1e-4
+
 
 class NotPositiveDefiniteError(ValueError):
     """Raised when a covariance matrix cannot be Cholesky-factorised."""
@@ -128,6 +137,13 @@ def mahalanobis_squared_batch(
     numpy.ndarray
         Shape ``(N, K)``; entry ``(n, k)`` is
         ``(x_n - mu_k)^T Sigma_k^{-1} (x_n - mu_k)``.
+
+    Notes
+    -----
+    Scoring and EM evaluate densities through the quadratic form
+    (:func:`quadratic_coefficients`); this exact solve is the
+    fallback for the pairs :func:`needs_exact_rescore` flags and the
+    oracle the kernel is tested against.
     """
     points = np.asarray(points, dtype=np.float64)
     n, d = points.shape
@@ -159,6 +175,85 @@ def mahalanobis_squared_batch(
     return out
 
 
+def exact_log_weighted(
+    points: np.ndarray,
+    means: np.ndarray,
+    factors: np.ndarray,
+    log_det: np.ndarray,
+    log_weights: np.ndarray | float,
+) -> np.ndarray:
+    """``log pi_k + log N(x_n | mu_k, Sigma_k)`` by the exact solve.
+
+    Shape ``(N, K)``; the rescore path of the quadratic-form kernels.
+    """
+    maha = mahalanobis_squared_batch(points, means, factors)
+    d = points.shape[1]
+    return -0.5 * (d * np.log(2.0 * np.pi) + log_det + maha) + log_weights
+
+
+def quadratic_features(points: np.ndarray) -> np.ndarray:
+    """Quadratic expansion ``F(x) = [x_i x_j (i <= j), x_i]`` per row.
+
+    Shape ``(N, D(D+1)/2 + D)``; pairs with
+    :func:`quadratic_coefficients` so that the weighted log-density of
+    every component is one GEMM, ``F(x) @ coef.T + const``.
+    """
+    n, d = points.shape
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    features = np.empty((n, len(pairs) + d), dtype=np.float64)
+    for column, (i, j) in enumerate(pairs):
+        np.multiply(points[:, i], points[:, j], out=features[:, column])
+    features[:, len(pairs) :] = points
+    return features
+
+
+def quadratic_coefficients(
+    log_weights: np.ndarray,
+    means: np.ndarray,
+    log_det: np.ndarray,
+    covariances: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Turn a mixture into its quadratic form plus guard data.
+
+    Returns ``(coef, const, p_max, mu_span)`` with
+    ``log pi_k + log N(x | mu_k, Sigma_k) = F(x) @ coef_k + const_k``
+    for :func:`quadratic_features` ``F``, built from the precision
+    ``P_k = Sigma_k^{-1}``.  ``p_max`` (largest ``|P_k|`` entry) and
+    ``mu_span`` (largest ``|mu_k|`` entry) feed
+    :func:`needs_exact_rescore`.
+    """
+    m, d = means.shape
+    precision = np.linalg.inv(covariances)
+    pm = np.einsum("kij,kj->ki", precision, means)
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    coef = np.empty((m, len(pairs) + d), dtype=np.float64)
+    for column, (i, j) in enumerate(pairs):
+        scale = -0.5 if i == j else -1.0
+        coef[:, column] = scale * precision[:, i, j]
+    coef[:, len(pairs) :] = pm
+    mu_pm = np.einsum("ki,ki->k", means, pm)
+    const = (
+        -0.5 * (d * np.log(2.0 * np.pi) + log_det + mu_pm) + log_weights
+    )
+    p_max = np.abs(precision).reshape(m, -1).max(axis=1)
+    mu_span = np.abs(means).max(axis=1) if d else np.zeros(m)
+    return coef, const, p_max, mu_span
+
+
+def needs_exact_rescore(
+    span: float | np.ndarray, p_max: np.ndarray, mu_span: np.ndarray
+) -> np.ndarray:
+    """Components whose expansion may cancel at point span ``span``.
+
+    ``span`` is the largest ``|x|`` entry (a scalar, or a ``(rows,
+    1)`` column for per-row decisions); flags
+    ``eps * p_max * (span + mu_span)^2 > MAHA_GUARD_TOL``, which is
+    monotone in ``span``.
+    """
+    term_scale = p_max * (span + mu_span) ** 2
+    return np.finfo(np.float64).eps * term_scale > MAHA_GUARD_TOL
+
+
 def log_gaussian_density(
     points: np.ndarray, means: np.ndarray, covariances: np.ndarray
 ) -> np.ndarray:
@@ -168,11 +263,9 @@ def log_gaussian_density(
     pair.  Returns shape ``(N, K)``.
     """
     points = np.asarray(points, dtype=np.float64)
-    d = points.shape[1]
     factors = cholesky_batch(covariances)
-    maha = mahalanobis_squared_batch(points, means, factors)
-    log_det = log_det_from_cholesky(factors)  # (K,)
-    return -0.5 * (d * np.log(2.0 * np.pi) + log_det[None, :] + maha)
+    log_det = log_det_from_cholesky(factors)
+    return exact_log_weighted(points, means, factors, log_det, 0.0)
 
 
 def logsumexp(values: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -21,6 +21,17 @@ from repro.gmm import linalg
 #: Tolerance for checking that mixture weights sum to one.
 _WEIGHT_TOL = 1e-8
 
+#: Rows per block of the scoring kernel: one block's ``(rows, K)``
+#: weighted-density slab (1 MB at K=64) stays cache-resident across
+#: the GEMM, the peak shift, ``exp`` and the row sums.
+_SCORE_BLOCK_ROWS = 2048
+
+#: Floor on peak-shifted log-densities before ``exp`` in the scoring
+#: kernel, just above the subnormal range (which makes ``exp`` several
+#: times slower).  Every row's sum holds ``exp(0) = 1`` from its peak,
+#: so a floored lane (at most ``e^-700``) is far below its last bit.
+_EXP_FLOOR = -700.0
+
 
 class GaussianMixture:
     """Inference-side Gaussian mixture with fixed parameters.
@@ -39,9 +50,12 @@ class GaussianMixture:
     Notes
     -----
     The constructor validates and *copies* its inputs, then precomputes
-    the Cholesky factors and log-determinants so that scoring is a pure
-    pipelined computation -- mirroring the FPGA engine, which loads the
-    weight buffer once and then streams points through (Sec. 4.1).
+    the Cholesky factors and the quadratic form
+    (:func:`~repro.gmm.linalg.quadratic_coefficients`) so that scoring
+    is a pure pipelined computation -- mirroring the FPGA engine, which
+    loads the weight buffer once and then streams points through
+    (Sec. 4.1).  Every density goes through one blocked kernel whose
+    result for a point depends only on the point and the mixture.
     """
 
     def __init__(
@@ -78,6 +92,11 @@ class GaussianMixture:
         self._log_det = linalg.log_det_from_cholesky(self._cholesky)
         with np.errstate(divide="ignore"):
             self._log_weights = np.log(weights)
+        self._coef, self._const, self._p_max, self._mu_span = (
+            linalg.quadratic_coefficients(
+                self._log_weights, means, self._log_det, covariances
+            )
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -138,33 +157,82 @@ class GaussianMixture:
             )
         return points
 
-    def log_component_densities(self, points: np.ndarray) -> np.ndarray:
-        """``log N(x_n | mu_k, Sigma_k)`` for every point and component.
+    def _weighted_block(self, points: np.ndarray) -> np.ndarray:
+        """``log pi_k + log N(x_n | mu_k, Sigma_k)`` for one row block.
 
-        Returns shape ``(N, K)``.
+        The quadratic-form GEMM, row-major so that each output row
+        depends only on its input row (a one-row block is padded to
+        two: numpy hands a single row to gemv, whose rounding differs
+        from gemm's).  The (row, component) pairs that
+        :func:`~repro.gmm.linalg.needs_exact_rescore` flags from the
+        row's own span are rescored through the exact solve.
         """
-        points = self._validate_points(points)
-        maha = linalg.mahalanobis_squared_batch(
-            points, self._means, self._cholesky
-        )
-        d = self.n_features
-        return -0.5 * (
-            d * np.log(2.0 * np.pi) + self._log_det[None, :] + maha
-        )
+        rows = points.shape[0]
+        padded = points if rows > 1 else np.repeat(points, 2, axis=0)
+        weighted = linalg.quadratic_features(padded) @ self._coef.T
+        weighted = weighted[:rows]
+        weighted += self._const
+        magnitude = np.abs(points)
+        # fmax skips NaN, so a NaN row cannot mask another row's span.
+        cols = np.nonzero(
+            linalg.needs_exact_rescore(
+                np.fmax.reduce(magnitude, axis=None),
+                self._p_max,
+                self._mu_span,
+            )
+        )[0]
+        if cols.size:
+            flagged = linalg.needs_exact_rescore(
+                magnitude.max(axis=1)[:, None],
+                self._p_max[cols],
+                self._mu_span[cols],
+            )
+            hit = np.nonzero(flagged.any(axis=1))[0]
+            exact = linalg.exact_log_weighted(
+                points[hit],
+                self._means[cols],
+                self._cholesky[cols],
+                self._log_det[cols],
+                self._log_weights[cols],
+            )
+            grid = np.ix_(hit, cols)
+            weighted[grid] = np.where(
+                flagged[hit], exact, weighted[grid]
+            )
+        return weighted
 
     def log_weighted_densities(self, points: np.ndarray) -> np.ndarray:
-        """``log pi_k + log N(x_n | mu_k, Sigma_k)``, shape ``(N, K)``.
-
-        The shared intermediate of scoring and responsibilities: its
-        row-wise logsumexp is ``log G(x)`` and its row-normalised
-        form the posterior, so both derive from one density pass.
-        """
-        return self.log_component_densities(points) + self._log_weights
+        """``log pi_k + log N(x_n | mu_k, Sigma_k)``, shape ``(N, K)``."""
+        points = self._validate_points(points)
+        out = np.empty((points.shape[0], self.n_components))
+        for lo in range(0, points.shape[0], _SCORE_BLOCK_ROWS):
+            hi = lo + _SCORE_BLOCK_ROWS
+            out[lo:hi] = self._weighted_block(points[lo:hi])
+        return out
 
     def log_score_samples(self, points: np.ndarray) -> np.ndarray:
-        """Log of the mixture density ``log G(x)`` per point (Eq. 3)."""
-        weighted = self.log_weighted_densities(points)
-        return linalg.logsumexp(weighted, axis=1)
+        """Log of the mixture density ``log G(x)`` per point (Eq. 3).
+
+        A blocked logsumexp over :meth:`_weighted_block` whose
+        peak-shifted exponents are floored at :data:`_EXP_FLOOR`;
+        rows with no finite peak (``-inf`` or NaN under every
+        component) score ``-inf``.
+        """
+        points = self._validate_points(points)
+        out = np.empty(points.shape[0])
+        for lo in range(0, points.shape[0], _SCORE_BLOCK_ROWS):
+            hi = lo + _SCORE_BLOCK_ROWS
+            weighted = self._weighted_block(points[lo:hi])
+            peak = weighted.max(axis=1)
+            finite = np.isfinite(peak)
+            shift = np.where(finite, peak, 0.0)
+            weighted -= shift[:, None]
+            np.maximum(weighted, _EXP_FLOOR, out=weighted)
+            np.exp(weighted, out=weighted)
+            out[lo:hi] = np.where(
+                finite, np.log(weighted.sum(axis=1)) + shift, -np.inf
+            )
+        return out
 
     def score_samples(self, points: np.ndarray) -> np.ndarray:
         """Mixture density ``G(x)`` per point -- the paper's cache score.

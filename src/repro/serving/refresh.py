@@ -30,7 +30,7 @@ from collections import deque
 import numpy as np
 
 from repro.core.engine import GmmPolicyEngine
-from repro.gmm.em import EMTrainer, fast_log_score_samples
+from repro.gmm.em import EMTrainer
 
 #: Sample budget of the warm fold-in's EM fit.  Refresh adapts an
 #: already-trained mixture; a deterministic even-stride subsample of
@@ -255,13 +255,12 @@ class ModelRefresher:
             reg_covar=self.reg_covar,
         )
         model = trainer.fit(fit_points, warm_start=current.model).model
-        # The quantile cut only needs score *ranks*; the fast
-        # quadratic scorer agrees with the exact one far below the
-        # threshold's resolution and keeps the recut off the refresh
-        # critical path.
-        refreshed_scores = np.exp(fast_log_score_samples(model, scaled))
+        # Cut on exactly the scores the refreshed engine will serve:
+        # ``model.score_samples(scaled)`` is its ``score(features)``.
         threshold = float(
-            np.quantile(refreshed_scores, self.threshold_quantile)
+            np.quantile(
+                model.score_samples(scaled), self.threshold_quantile
+            )
         )
         self.refreshes_built += 1
         return GmmPolicyEngine(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import engine as engine_module
 from repro.core.config import GmmEngineConfig
 from repro.core.engine import FeatureScaler, GmmPolicyEngine
 
@@ -69,6 +70,15 @@ class TestTraining:
         scores = engine.score(features)
         below = np.mean(scores < engine.admission_threshold)
         assert below == pytest.approx(0.25, abs=0.05)
+
+    def test_threshold_is_quantile_of_served_scores(self, rng):
+        # The cut is taken on exactly the scores the engine serves.
+        features = _clustered_features(rng)
+        config = GmmEngineConfig(n_components=8, threshold_quantile=0.1)
+        engine = GmmPolicyEngine.train(features, config, rng)
+        assert engine.admission_threshold == float(
+            np.quantile(engine.score(features), 0.1)
+        )
 
     def test_subsampling_respected(self, rng):
         features = _clustered_features(rng)
@@ -149,3 +159,25 @@ class TestPageScores:
         )
         pages = rng.integers(0, 2000, size=200)
         assert engine.page_scores(pages).shape == (200,)
+
+    def test_grid_split_matches_per_page_batches(self, rng, monkeypatch):
+        # A buffer of 7 pages' grids plus change: page_scores(all)
+        # spans many calls, and must equal the serving memo's way of
+        # scoring the same pages a few (or one) at a time, bit for bit.
+        features = _clustered_features(rng)
+        engine = GmmPolicyEngine.train(
+            features, GmmEngineConfig(n_components=8), rng
+        )
+        monkeypatch.setattr(engine_module, "_GRID_BUFFER_ROWS", 7 * 32 + 5)
+        pages = rng.permutation(2000)[:1000]
+        together = engine.page_scores(pages)
+        per_batch = np.concatenate(
+            [
+                engine.page_scores(pages[lo : lo + 100])
+                for lo in range(0, pages.size, 100)
+            ]
+        )
+        np.testing.assert_array_equal(together, per_batch)
+        picks = range(0, pages.size, 37)
+        singles = [engine.page_scores(pages[i : i + 1])[0] for i in picks]
+        np.testing.assert_array_equal(together[::37], singles)

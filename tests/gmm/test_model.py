@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gmm import linalg
+from repro.gmm import model as model_module
 from repro.gmm.model import GaussianMixture
 
 
@@ -108,10 +110,146 @@ class TestScoring:
     def test_mixture_is_weighted_sum_of_components(self):
         model = _simple_mixture()
         points = np.array([[2.0, 2.0], [0.0, 5.0]])
-        component = np.exp(model.log_component_densities(points))
+        component = np.exp(
+            linalg.log_gaussian_density(
+                points, model.means, model.covariances
+            )
+        )
         expected = component @ model.weights
         np.testing.assert_allclose(
             model.score_samples(points), expected, rtol=1e-12
+        )
+
+
+def _solve_log_score(model, points):
+    """``log G(x)`` through the exact triangular solve (the oracle)."""
+    weighted = linalg.log_gaussian_density(
+        points, model.means, model.covariances
+    )
+    with np.errstate(divide="ignore"):
+        weighted = weighted + np.log(model.weights)
+    return linalg.logsumexp(weighted, axis=1)
+
+
+def _random_mixture(rng, k, zero_weight=False):
+    """Well-conditioned mixture near the origin (standardised space).
+
+    Covariance eigenvalues lie in [0.05, 2], so the quadratic form's
+    cancellation error on standardised points stays near 1e-13.
+    """
+    weights = rng.dirichlet(np.ones(k))
+    if zero_weight and k > 1:
+        weights[0] = 0.0
+        weights /= weights.sum()
+    means = rng.uniform(-2.5, 2.5, size=(k, 2))
+    angles = rng.uniform(0.0, np.pi, size=k)
+    rotation = np.stack(
+        [
+            np.stack([np.cos(angles), -np.sin(angles)], axis=1),
+            np.stack([np.sin(angles), np.cos(angles)], axis=1),
+        ],
+        axis=1,
+    )
+    scales = rng.uniform(0.05, 2.0, size=(k, 2))
+    covariances = (rotation * scales[:, None, :]) @ np.swapaxes(
+        rotation, 1, 2
+    )
+    return GaussianMixture(weights, means, covariances)
+
+
+class TestScoringKernel:
+    """Properties of the one quadratic-form scoring kernel."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([1, 8, 64]),
+        edge=st.sampled_from([-1, 0, 1]),
+    )
+    def test_slice_invariance(self, seed, k, edge):
+        rng = np.random.default_rng(seed)
+        model = _random_mixture(rng, k)
+        block = model_module._SCORE_BLOCK_ROWS
+        n = 2 * block + 5
+        points = rng.standard_normal((n, 2)) * rng.uniform(0.5, 3.0)
+        full = model.log_score_samples(points)
+        cuts = [
+            (0, block + edge),
+            (block + edge, n),
+            (0, 2 * block + edge),
+            (1, block + 1 + edge),
+        ]
+        cuts += [(i, i + 1) for i in rng.integers(0, n, size=4)]
+        lo, hi = np.sort(rng.integers(0, n, size=2))
+        cuts.append((int(lo), int(hi)))
+        for lo, hi in cuts:
+            np.testing.assert_array_equal(
+                model.log_score_samples(points[lo:hi]), full[lo:hi]
+            )
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([1, 8, 64]),
+        zero_weight=st.booleans(),
+    )
+    def test_agrees_with_solve_oracle(self, seed, k, zero_weight):
+        rng = np.random.default_rng(seed)
+        model = _random_mixture(rng, k, zero_weight)
+        points = rng.standard_normal((500, 2)) * 2.0
+        np.testing.assert_allclose(
+            model.log_score_samples(points),
+            _solve_log_score(model, points),
+            rtol=1e-9,
+            atol=1e-9,
+        )
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 8, 64]))
+    def test_raw_scale_rows_mixed_with_standardised(self, seed, k):
+        # k standardised components plus two raw-scale ones (~1e7)
+        # next to the raw rows: there the expansion cancels by ~1 in
+        # the Mahalanobis term, so only the per-row guard keeps the
+        # scores on the oracle.
+        rng = np.random.default_rng(seed)
+        base = _random_mixture(rng, k)
+        raw_means = rng.normal(1e7, 10.0, size=(2, 2))
+        model = GaussianMixture(
+            np.concatenate([0.8 * base.weights, [0.1, 0.1]]),
+            np.concatenate([base.means, raw_means]),
+            np.concatenate(
+                [base.covariances, np.tile(0.5 * np.eye(2), (2, 1, 1))]
+            ),
+        )
+        points = rng.standard_normal((300, 2))
+        raw = rng.integers(0, 300, size=20)
+        points[raw] = raw_means[rng.integers(0, 2, size=20)]
+        points[raw] += rng.standard_normal((20, 2))
+        got = model.log_score_samples(points)
+        for row in range(points.shape[0]):
+            np.testing.assert_array_equal(
+                model.log_score_samples(points[row]), got[row : row + 1]
+            )
+        np.testing.assert_allclose(
+            got, _solve_log_score(model, points), rtol=0.0, atol=1e-6
+        )
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 8, 64]))
+    def test_far_tail_rows_finite(self, seed, k):
+        rng = np.random.default_rng(seed)
+        model = _random_mixture(rng, k)
+        # Every mean lies within 2.5*sqrt(2) of the origin and every
+        # sigma is at most sqrt(2): radius 100 is >= 40 sigma away.
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=200)
+        radius = rng.uniform(100.0, 1e4, size=200)
+        points = radius[:, None] * np.stack(
+            [np.cos(angles), np.sin(angles)], axis=1
+        )
+        got = model.log_score_samples(points)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(
+            got, _solve_log_score(model, points), rtol=1e-9
         )
 
 

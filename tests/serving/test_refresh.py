@@ -169,6 +169,21 @@ class TestModelRefresher:
         below = np.mean(scores < refreshed.admission_threshold)
         assert below == pytest.approx(0.1, abs=0.02)
 
+    def test_threshold_is_quantile_of_refreshed_scores(self):
+        # The recut uses the kernel the refreshed engine serves with,
+        # over the whole buffer (not just the EM fit subsample).
+        rng = np.random.default_rng(5)
+        engine = _engine(_features(0, 8_000, rng))
+        refresher = ModelRefresher(threshold_quantile=0.05)
+        for _ in range(2):
+            refresher.ingest(_features(300, 5_000, rng))
+        buffer = refresher.snapshot_features()
+        assert buffer.shape[0] > refresher.max_fit_samples
+        refreshed = refresher.build(engine)
+        assert refreshed.admission_threshold == float(
+            np.quantile(refreshed.score(buffer), 0.05)
+        )
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ModelRefresher(buffer_chunks=0)

@@ -364,8 +364,16 @@ class TestAsyncRefresh:
             enabled=True, seed=0, **{f"refresh_{fault}_rate": 1.0}
         )
         with _async_service(prepared_system, chaos=chaos) as service:
-            service.ingest(pages, writes)
-            service.drain_refresh()
+            # Land every build before the next chunk: how many chunks
+            # a build spans on its worker thread is wall-clock timing,
+            # and the breaker needs three failures within the stream.
+            step = service.serving.chunk_requests
+            for start in range(0, pages.shape[0], step):
+                service.ingest(
+                    pages[start : start + step],
+                    writes[start : start + step],
+                )
+                service.drain_refresh()
         assert service.swaps == []
         assert service.generation == 0
         assert service.slot.engine is prepared.engine

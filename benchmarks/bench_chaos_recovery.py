@@ -275,9 +275,7 @@ def run(smoke: bool, seed: int = 7, chaos_seed: int = 0) -> dict:
     engine = train_engine(pages, n_train, gmm, seed)
 
     def parallel_for(workers):
-        return ParallelConfig(
-            workers=workers, backend="thread", max_retries=2
-        )
+        return ParallelConfig(workers=workers, max_retries=2)
 
     def serving_for(workers):
         return ServingConfig(

@@ -1,10 +1,10 @@
 """Parallel-scaling benchmark: multicore fabric replay vs one core.
 
 Replays the standard skewed trace over a multi-device CXL fabric at
-1/2/4/8 workers (``ParallelConfig`` thread backend by default) across
-1-8 devices, asserting that every parallel run is *bit-identical* to
-the sequential one -- per-device counters and priced service times --
-and emits a machine-readable ``BENCH_parallel_scaling.json``.
+1/2/4/8 worker threads across 1-8 devices, asserting that every
+parallel run is *bit-identical* to the sequential one -- per-device
+counters and priced service times -- and emits a machine-readable
+``BENCH_parallel_scaling.json``.
 
 Speedups here are real wall-clock ratios against the ``workers=1``
 replay of the same matrix cell, so they are honest about the host:
@@ -56,7 +56,6 @@ GATE_SCHEMA = {
 #: JSON schema (field -> type) of every entry in ``results``.
 RESULT_SCHEMA = {
     "strategy": str,
-    "backend": str,
     "workers": int,
     "n_devices": int,
     "trace_length": int,
@@ -109,9 +108,9 @@ def replay_once(
         parallel=parallel,
     )
     fabric.bind(strategy, threshold)
-    # Pool spin-up (thread creation, worker spawn) is a one-time
-    # cost a long-lived fabric amortises away; a tiny untimed warm-up
-    # chunk keeps it out of the measured replay.
+    # Pool spin-up (thread creation) is a one-time cost a long-lived
+    # fabric amortises away; a tiny untimed warm-up chunk keeps it out
+    # of the measured replay.
     fabric.ingest(pages[:64], is_write[:64], scores=scores[:64])
     t0 = time.perf_counter()
     fabric.ingest(pages[64:], is_write[64:], scores=scores[64:])
@@ -122,7 +121,7 @@ def replay_once(
 
 
 def run(trace_lengths, strategies, device_counts, workers_list,
-        geometry, backend):
+        geometry):
     """Benchmark the matrix; returns the result-dict list."""
     results = []
     for n in trace_lengths:
@@ -137,9 +136,7 @@ def run(trace_lengths, strategies, device_counts, workers_list,
                         geometry,
                         n_devices,
                         strategy,
-                        ParallelConfig(
-                            workers=workers, backend=backend
-                        ),
+                        ParallelConfig(workers=workers),
                         pages,
                         is_write,
                         scores,
@@ -162,7 +159,6 @@ def run(trace_lengths, strategies, device_counts, workers_list,
                     )
                     row = {
                         "strategy": strategy,
-                        "backend": backend,
                         "workers": int(workers),
                         "n_devices": int(n_devices),
                         "trace_length": int(n),
@@ -297,12 +293,6 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="executor backend to scale",
-    )
-    parser.add_argument(
         "--workers", type=int, nargs="+", default=None,
         help="worker counts to benchmark",
     )
@@ -361,7 +351,6 @@ def main(argv=None) -> int:
         device_counts,
         workers_list,
         geometry,
-        args.backend,
     )
     gate_active = mode == "full" and cpu_count >= MIN_CPUS_FOR_GATE
     payload = {

@@ -65,9 +65,9 @@ def run_grid(
     function; this runner fans them out through a
     :class:`~repro.core.parallel.ParallelExecutor` and returns
     results in *point order* regardless of completion order (the
-    first failing point's exception propagates).  ``fn`` and the
-    points must be picklable for the process backend; with
-    ``parallel=None`` (or ``workers=1``) the grid runs inline.
+    first failing point's exception propagates).  With
+    ``parallel=None`` (or ``workers=1``) the grid runs inline;
+    otherwise the points run on worker threads.
     """
     executor = ParallelExecutor.from_config(parallel)
     try:

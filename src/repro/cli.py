@@ -46,7 +46,6 @@ from repro.chaos import (
     tail_miss_rate,
 )
 from repro.core.config import (
-    PARALLEL_BACKENDS,
     PLACEMENTS,
     STRATEGIES,
     ChaosConfig,
@@ -349,23 +348,14 @@ def _print_profile(pipeline) -> None:
 
 
 def _add_parallel_arguments(parser, what: str) -> None:
-    """The shared ``--workers`` / ``--parallel-backend`` flags."""
+    """The shared ``--workers`` flag."""
     parser.add_argument(
         "--workers",
         type=int,
         default=1,
         help=(
-            f"concurrent workers driving the {what}"
+            f"concurrent worker threads driving the {what}"
             " (0 = CPU count; 1 = sequential)"
-        ),
-    )
-    parser.add_argument(
-        "--parallel-backend",
-        choices=PARALLEL_BACKENDS,
-        default="thread",
-        help=(
-            "thread pool (numpy releases the GIL) or spawn process"
-            " pool with shared-memory cache planes"
         ),
     )
 
@@ -377,7 +367,6 @@ def _parallel_from_args(
     # first one aborts the replay instead of being absorbed.
     return ParallelConfig(
         workers=args.workers,
-        backend=args.parallel_backend,
         max_retries=2 if chaos is not None else 0,
     )
 
@@ -959,9 +948,8 @@ def _cmd_fabric(args) -> int:
         else:
             result = fabric.run_prepared(prepared, args.strategy)
     finally:
-        # Deterministic teardown: the executor pool and any
-        # shared-memory planes must not outlive the command, even
-        # when preparation or replay raises.
+        # Deterministic teardown: the executor pool must not outlive
+        # the command, even when preparation or replay raises.
         fabric.close()
     emit()
     emit(
@@ -1062,14 +1050,9 @@ def _cmd_chaos(args) -> int:
         [head.addresses >> PAGE_SHIFT, tail.addresses >> PAGE_SHIFT]
     )
     is_write = np.concatenate([head.is_write, tail.is_write])
-    parallel = _parallel_from_args(args)
     # Crash retries must cover the scenario's injected attempts, or
     # the run aborts instead of recovering.
-    retrying = ParallelConfig(
-        workers=parallel.workers,
-        backend=parallel.backend,
-        max_retries=2,
-    )
+    retrying = ParallelConfig(workers=args.workers, max_retries=2)
     topology = FabricTopology(n_devices=args.devices)
     serving = ServingConfig(
         chunk_requests=args.chunk,

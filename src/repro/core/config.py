@@ -35,9 +35,6 @@ SHARDING_MODES = ("hash", "tenant")
 #: Valid values of :attr:`FabricTopology.placement`.
 PLACEMENTS = ("interleave", "range", "score")
 
-#: Valid values of :attr:`ParallelConfig.backend`.
-PARALLEL_BACKENDS = ("thread", "process")
-
 #: Valid values of :attr:`GmmEngineConfig.seeding` /
 #: :attr:`GmmEngineConfig.restart_mode`.  Literal copies of
 #: :data:`repro.gmm.em.SEEDINGS` / :data:`repro.gmm.em.RESTART_MODES`
@@ -57,56 +54,33 @@ class ParallelConfig:
     replay, and the sweep runner are all embarrassingly parallel:
     every device/shard/grid-point owns independent state, so their
     :meth:`~repro.core.pipeline.StagedPipeline.simulate` calls can run
-    concurrently and merge deterministically (results are always
-    combined in device/shard/point order, never completion order --
-    parallel runs are *bit-identical* to ``workers=1``).
+    concurrently on a thread pool and merge deterministically (results
+    are always combined in device/shard/point order, never completion
+    order -- parallel runs are *bit-identical* to ``workers=1``).
 
     Attributes
     ----------
     workers:
-        Concurrent workers.  ``1`` (default) executes inline with
-        zero overhead; ``0`` resolves to the host's CPU count.
-    backend:
-        ``"thread"`` (default) uses a thread pool -- the fast-path
-        kernels spend their time inside numpy, which releases the
-        GIL, so threads scale without any serialization cost.
-        ``"process"`` uses a spawn-safe process pool with the cache's
-        ``(n_sets, ways)`` planes allocated in shared memory
-        (:class:`repro.core.parallel.SharedCache`), for workloads
-        where Python-side time (scalar tails, tiny chunks) would
-        serialize on the GIL.
+        Concurrent worker threads.  ``1`` (default) executes inline
+        with zero overhead; ``0`` resolves to the host's CPU count.
     max_retries:
         Per-task retry budget before the first (in task order) error
-        propagates.  Injected chaos faults
+        propagates; retries run immediately.  Injected chaos faults
         (:class:`repro.chaos.FaultInjector` wired through
         :attr:`repro.core.parallel.ParallelExecutor.fault_hook`) and
         real exceptions in pure ``map`` tasks both draw from this
         budget; stateful replay tasks only retry *pre-execution*
         faults (a half-executed replay cannot be safely repeated).
-    retry_backoff_s:
-        Base of the exponential wait between retry attempts
-        (``backoff * 2**attempt`` seconds).  ``0`` (default) retries
-        immediately -- the deterministic-test configuration; wall
-        clock never influences results either way.
     """
 
     workers: int = 1
-    backend: str = "thread"
     max_retries: int = 0
-    retry_backoff_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ValueError("workers must be >= 0 (0 = CPU count)")
-        if self.backend not in PARALLEL_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {PARALLEL_BACKENDS}, got"
-                f" {self.backend!r}"
-            )
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -585,7 +559,9 @@ class FabricTopology:
     ``n_devices`` expansion devices, replays every device's
     sub-stream through the shared staged pipeline
     (:mod:`repro.core.pipeline`), and prices each device through its
-    own CXL link model.
+    own CXL link model.  How many workers replay the devices is not
+    part of the layout: it comes from ``CxlFabric(parallel=...)`` or
+    :attr:`IcgmmConfig.parallel`.
 
     Attributes
     ----------
@@ -615,10 +591,6 @@ class FabricTopology:
         model near/far fabric topologies (switch hops, longer
         retimed paths), which is what the ``score`` placement
         exploits.
-    parallel:
-        Per-fabric override of the multicore replay knobs; ``None``
-        (default) inherits :attr:`IcgmmConfig.parallel` from the
-        system profile the fabric runs under.
     failover:
         Whether a failed device's traffic is re-placed onto healthy
         devices (score-aware when page marginals are available) and
@@ -635,7 +607,6 @@ class FabricTopology:
     range_stride_pages: int = 1 << 14
     link_overhead_ns: tuple[int, ...] | None = None
     link_bandwidth_gb_s: tuple[float, ...] | None = None
-    parallel: ParallelConfig | None = None
     failover: bool = True
     degraded_link_factor: float = 2.0
 

@@ -15,50 +15,24 @@ randomness enters scheduling, and each task touches only its own
 state -- so a parallel run is *bit-identical* to ``workers=1``, which
 the parity suites in ``tests/cxl`` and ``tests/serving`` assert.
 
-Two backends:
-
-``thread`` (default)
-    A plain thread pool.  The fast-path simulator spends its time in
-    numpy whole-array operations, which release the GIL, so threads
-    scale across cores with zero serialization cost and zero data
-    movement (workers mutate the caller's arrays in place).
-
-``process``
-    An opt-in spawn-based process pool for workloads whose Python-side
-    time (scalar tails, tiny chunks, reference-simulator runs) would
-    serialize on the GIL.  Cache planes are allocated in POSIX shared
-    memory (:class:`SharedCache`) so workers mutate the *same*
-    ``(n_sets, ways)`` storage the parent reads -- no plane copies per
-    round.  Policies travel by pickle and are handed back to the
-    caller post-run, keeping resumable replay exact across rounds.
-
-Use ``spawn`` (not ``fork``) so the pool is safe under threaded
-parents and identical across platforms; the price is a one-time
-interpreter+import cost per worker, amortised over a pool's lifetime.
+``workers=1`` runs every task inline; more workers use a plain
+thread pool.  The fast-path simulator spends its time in numpy
+whole-array operations, which release the GIL, and worker threads
+mutate the caller's own cache planes and policy objects in place, so
+the caller reads each round's state straight from its own objects.
 """
 
 from __future__ import annotations
 
 import os
 import time
-import weakref
-from concurrent.futures import (
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import get_context, shared_memory
 
 import numpy as np
 
 from repro.cache.policies.base import ReplacementPolicy
-from repro.cache.setassoc import (
-    INVALID,
-    CacheGeometry,
-    SetAssociativeCache,
-    simulate,
-)
+from repro.cache.setassoc import SetAssociativeCache, simulate
 from repro.cache.simulate_fast import simulate_fast
 from repro.cache.stats import CacheStats
 from repro.core.config import ParallelConfig
@@ -85,164 +59,6 @@ def resolve_workers(workers: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory cache planes (process backend)
-# ----------------------------------------------------------------------
-
-#: The four per-way planes of :class:`SetAssociativeCache`, in the
-#: order they are packed into a shared segment.  The single-byte
-#: ``dirty`` plane goes last so the 8-byte planes stay aligned.
-_PLANES = (
-    ("tags", np.int64),
-    ("meta", np.float64),
-    ("stamp", np.float64),
-    ("dirty", np.bool_),
-)
-
-
-def _plane_layout(
-    geometry: CacheGeometry,
-) -> tuple[dict[str, int], int]:
-    """Byte offset per plane and the total segment size."""
-    cells = geometry.n_sets * geometry.associativity
-    offsets: dict[str, int] = {}
-    total = 0
-    for name, dtype in _PLANES:
-        offsets[name] = total
-        total += cells * np.dtype(dtype).itemsize
-    return offsets, total
-
-
-def _cache_over_buffer(
-    geometry: CacheGeometry, buf
-) -> SetAssociativeCache:
-    """A :class:`SetAssociativeCache` whose planes view ``buf``.
-
-    Bypasses ``__init__`` (which would allocate fresh planes) and
-    points the four plane attributes at the buffer instead; every
-    simulator and kernel operation works unchanged because they only
-    ever index the arrays.
-    """
-    cache = SetAssociativeCache.__new__(SetAssociativeCache)
-    cache.geometry = geometry
-    shape = (geometry.n_sets, geometry.associativity)
-    offsets, _ = _plane_layout(geometry)
-    for name, dtype in _PLANES:
-        setattr(
-            cache,
-            name,
-            np.ndarray(shape, dtype=dtype, buffer=buf, offset=offsets[name]),
-        )
-    return cache
-
-
-def _release_segment(shm: shared_memory.SharedMemory) -> None:
-    """Close and unlink a segment, tolerating exported views.
-
-    ``close`` raises :class:`BufferError` while numpy views of the
-    buffer are still alive somewhere; the mapping then lives until
-    those views are garbage-collected, but ``unlink`` still removes
-    the name so nothing leaks into ``/dev/shm``.
-    """
-    try:
-        shm.close()
-    except BufferError:
-        pass
-    try:
-        shm.unlink()
-    except FileNotFoundError:
-        pass
-
-
-class SharedCache:
-    """Cache planes in one POSIX shared-memory segment.
-
-    The owning process constructs it (planes initialised empty,
-    exactly like a fresh :class:`SetAssociativeCache`) and passes
-    :attr:`name` to workers, which attach zero-copy views over the
-    same physical pages -- a worker's fills and metadata updates are
-    immediately visible to the parent without any copy-back.
-
-    The segment is unlinked by :meth:`close` (call it when the cache
-    is retired, e.g. on a fabric reset) with a GC finalizer as the
-    safety net.
-    """
-
-    def __init__(self, geometry: CacheGeometry) -> None:
-        self.geometry = geometry
-        _, size = _plane_layout(geometry)
-        self._shm = shared_memory.SharedMemory(create=True, size=size)
-        self.name = self._shm.name
-        self.cache = _cache_over_buffer(geometry, self._shm.buf)
-        self.cache.tags.fill(INVALID)
-        self.cache.dirty.fill(False)
-        self.cache.meta.fill(0.0)
-        self.cache.stamp.fill(0.0)
-        self._finalizer = weakref.finalize(
-            self, _release_segment, self._shm
-        )
-
-    def close(self) -> None:
-        """Drop the planes and unlink the segment."""
-        self.cache = None  # release this side's buffer views
-        self._finalizer()
-
-    def __repr__(self) -> str:
-        return (
-            f"SharedCache(name={self.name!r},"
-            f" sets={self.geometry.n_sets},"
-            f" ways={self.geometry.associativity})"
-        )
-
-
-#: Worker-side attachment cache: segment name -> (shm, cache).  One
-#: attach per segment per worker process, reused across every round
-#: dispatched to that worker.
-_ATTACHED: dict[str, tuple[shared_memory.SharedMemory, SetAssociativeCache]] = {}
-
-
-def _evict_stale_attachments() -> None:
-    """Drop cached attachments whose segment the parent has retired.
-
-    A fabric/service ``reset()`` unlinks its old segments and
-    allocates fresh names; without eviction a long-lived worker would
-    keep the unlinked segments' pages mapped forever.  Probing by
-    name (an attach that fails with ``FileNotFoundError`` once the
-    parent unlinked) is portable across POSIX shm backends; the probe
-    runs only when a *new* segment shows up, i.e. once per
-    generation, not per task.
-    """
-    for name in list(_ATTACHED):
-        try:
-            probe = shared_memory.SharedMemory(name=name)
-        except FileNotFoundError:
-            shm, _ = _ATTACHED.pop(name)
-            try:
-                shm.close()
-            except BufferError:  # views die with the popped cache
-                pass
-        else:
-            probe.close()
-
-
-def _attached_cache(
-    name: str, geometry: CacheGeometry
-) -> SetAssociativeCache:
-    """Attach (once per process) to a parent-owned shared segment."""
-    entry = _ATTACHED.get(name)
-    if entry is not None:
-        return entry[1]
-    _evict_stale_attachments()
-    # Pool workers share the parent's resource-tracker process, so
-    # this attach-side registration is idempotent (set semantics) and
-    # the parent's eventual unlink clears it -- no premature cleanup,
-    # no double-unlink.
-    shm = shared_memory.SharedMemory(name=name)
-    cache = _cache_over_buffer(geometry, shm.buf)
-    _ATTACHED[name] = (shm, cache)
-    return cache
-
-
-# ----------------------------------------------------------------------
 # Replay tasks
 # ----------------------------------------------------------------------
 
@@ -253,9 +69,9 @@ class ReplayTask:
 
     This is the unit the fabric (per device) and the serving loop
     (per shard) dispatch: the exact argument set of
-    :meth:`repro.core.pipeline.StagedPipeline.simulate`, plus the
-    optional :attr:`shared` handle the process backend needs to reach
-    the cache's planes from another process.
+    :meth:`repro.core.pipeline.StagedPipeline.simulate`.  The replay
+    mutates :attr:`cache` and :attr:`policy` in place, so the next
+    round resumes from the caller's own objects.
     """
 
     cache: SetAssociativeCache
@@ -266,7 +82,6 @@ class ReplayTask:
     warmup_fraction: float = 0.0
     index_offset: int = 0
     record_outcome: bool = False
-    shared: SharedCache | None = None
 
 
 @dataclass(frozen=True)
@@ -280,12 +95,6 @@ class ReplayResult:
     outcome:
         Per-access ``OUTCOME_*`` codes when the task asked for them,
         else ``None``.
-    policy:
-        The post-run policy object.  Under the thread backend this is
-        the task's own instance; under the process backend it is the
-        pickle round-trip that carries any scalar-side policy state
-        (CLOCK hands, RNG cursors) back to the caller, which must
-        adopt it for the next round to stay bit-exact.
     elapsed_s:
         Wall-clock seconds the task's simulate call took inside its
         worker.  Merged (in task order) into a caller-supplied
@@ -296,12 +105,11 @@ class ReplayResult:
 
     stats: CacheStats
     outcome: np.ndarray | None
-    policy: ReplacementPolicy
     elapsed_s: float = 0.0
 
 
 def _run_replay(task: ReplayTask, simulator: str) -> ReplayResult:
-    """Execute one task in-process (inline and thread backends)."""
+    """Execute one task on the calling thread."""
     run = simulate_fast if simulator == "fast" else simulate
     outcome = (
         np.empty(task.pages.shape[0], dtype=np.uint8)
@@ -322,44 +130,8 @@ def _run_replay(task: ReplayTask, simulator: str) -> ReplayResult:
     return ReplayResult(
         stats=stats,
         outcome=outcome,
-        policy=task.policy,
         elapsed_s=time.perf_counter() - started,
     )
-
-
-def _run_replay_in_worker(
-    name: str,
-    geometry: CacheGeometry,
-    policy: ReplacementPolicy,
-    pages: np.ndarray,
-    is_write: np.ndarray,
-    scores: np.ndarray | None,
-    warmup_fraction: float,
-    index_offset: int,
-    record_outcome: bool,
-    simulator: str,
-) -> tuple[CacheStats, np.ndarray | None, ReplacementPolicy, float]:
-    """Process-backend task body: attach shared planes and replay."""
-    cache = _attached_cache(name, geometry)
-    result = _run_replay(
-        ReplayTask(
-            cache=cache,
-            policy=policy,
-            pages=pages,
-            is_write=is_write,
-            scores=scores,
-            warmup_fraction=warmup_fraction,
-            index_offset=index_offset,
-            record_outcome=record_outcome,
-        ),
-        simulator,
-    )
-    return result.stats, result.outcome, result.policy, result.elapsed_s
-
-
-def _call_star(fn, args: tuple):
-    """Top-level ``fn(*args)`` trampoline (picklable for spawn)."""
-    return fn(*args)
 
 
 # ----------------------------------------------------------------------
@@ -368,43 +140,31 @@ def _call_star(fn, args: tuple):
 
 
 class ParallelExecutor:
-    """Deterministic fan-out over threads or spawn processes.
+    """Deterministic fan-out over a thread pool.
 
     Parameters
     ----------
     workers:
         Concurrent workers; ``0`` resolves to the CPU count, ``1``
         executes inline (no pool, no overhead).
-    backend:
-        ``"thread"`` or ``"process"`` (see module docstring).
+    max_retries:
+        Per-task retry budget (see :class:`ParallelConfig`).
 
-    Pools are created lazily on first real fan-out and reused until
+    The pool is created lazily on first real fan-out and reused until
     :meth:`shutdown` (the executor is also a context manager), so a
     streaming caller pays pool start-up once, not per chunk.
     """
 
-    def __init__(
-        self,
-        workers: int = 1,
-        backend: str = "thread",
-        max_retries: int = 0,
-        retry_backoff_s: float = 0.0,
-    ) -> None:
-        if backend not in ("thread", "process"):
-            raise ValueError(
-                f"backend must be 'thread' or 'process', got {backend!r}"
-            )
+    def __init__(self, workers: int = 1, *, max_retries: int = 0) -> None:
         self.workers = resolve_workers(workers)
-        self.backend = backend
         self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
         #: Optional chaos hook ``(dispatch_round, task_index) -> int``
         #: returning the number of consecutive attempts that crash for
         #: that task.  Consulted parent-side *before* any submission,
         #: so an injected crash never mutates task state and a retried
         #: attempt is bit-identical to an uninterrupted one.
         self.fault_hook = None
-        self._pool: ThreadPoolExecutor | ProcessPoolExecutor | None = None
+        self._pool: ThreadPoolExecutor | None = None
         self._dispatch_round = 0
         self._retries_performed = 0
         self._tasks_dispatched = 0
@@ -416,12 +176,7 @@ class ParallelExecutor:
         """Executor matching a :class:`ParallelConfig` (None = inline)."""
         if config is None:
             return cls()
-        return cls(
-            workers=config.workers,
-            backend=config.backend,
-            max_retries=config.max_retries,
-            retry_backoff_s=config.retry_backoff_s,
-        )
+        return cls(config.workers, max_retries=config.max_retries)
 
     @property
     def retries_performed(self) -> int:
@@ -439,38 +194,12 @@ class ParallelExecutor:
         return self._tasks_dispatched
 
     # -- lifecycle ------------------------------------------------------
-    @property
-    def uses_shared_caches(self) -> bool:
-        """Whether callers must allocate caches as :class:`SharedCache`."""
-        return self.backend == "process" and self.workers > 1
-
-    def make_cache(
-        self, geometry: CacheGeometry
-    ) -> tuple[SetAssociativeCache, SharedCache | None]:
-        """A fresh cache reachable by this executor's workers.
-
-        Returns ``(cache, shared_handle)``; the handle is ``None``
-        for inline/thread execution (a plain in-process cache) and
-        must be kept -- and eventually :meth:`SharedCache.close`\\ d --
-        by the caller otherwise.
-        """
-        if not self.uses_shared_caches:
-            return SetAssociativeCache(geometry), None
-        handle = SharedCache(geometry)
-        return handle.cache, handle
-
-    def _ensure_pool(self):
+    def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
-            if self.backend == "thread":
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="repro-parallel",
-                )
-            else:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=get_context("spawn"),
-                )
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.workers,
+                thread_name_prefix="repro-parallel",
+            )
         return self._pool
 
     def shutdown(self) -> None:
@@ -486,10 +215,6 @@ class ParallelExecutor:
         self.shutdown()
 
     # -- retry plumbing -------------------------------------------------
-    def _backoff(self, attempt: int) -> None:
-        if self.retry_backoff_s > 0.0:
-            time.sleep(self.retry_backoff_s * (2 ** (attempt - 1)))
-
     def _consume_injected_crashes(
         self, dispatch_round: int, n_tasks: int
     ) -> None:
@@ -516,9 +241,7 @@ class ParallelExecutor:
                     f" {dispatch_round} crashed {crashes} time(s);"
                     f" retry budget is {self.max_retries}"
                 )
-            for attempt in range(1, crashes + 1):
-                self._retries_performed += 1
-                self._backoff(attempt)
+            self._retries_performed += crashes
 
     # -- single-task background submission ------------------------------
     def submit(self, fn, *args) -> Future:
@@ -533,7 +256,6 @@ class ParallelExecutor:
         caller owns the future's lifecycle (harvest, exception
         handling, discard).  A pool is created even at ``workers=1``
         -- a submitted task is concurrent by request, never inline.
-        The process backend requires ``fn`` and ``args`` picklable.
         """
         self._tasks_dispatched += 1
         return self._ensure_pool().submit(fn, *args)
@@ -546,12 +268,10 @@ class ParallelExecutor:
         order, and the first failing item's exception (again in item
         order) is re-raised -- both halves of the determinism
         contract.  With ``star=True`` each item is an argument tuple.
-        The process backend requires ``fn`` (and items) to be
-        picklable, i.e. a module-level function.
 
-        Real exceptions are retried up to :attr:`max_retries` times
-        (``map`` tasks are pure functions, so a wholesale re-run is
-        safe) with exponential backoff; on final failure the pool is
+        Real exceptions are retried immediately, up to
+        :attr:`max_retries` times (``map`` tasks are pure functions,
+        so a wholesale re-run is safe); on final failure the pool is
         shut down before the error propagates, and the next fan-out
         re-pools lazily.
         """
@@ -570,21 +290,17 @@ class ParallelExecutor:
                     raise
                 attempt += 1
                 self._retries_performed += 1
-                self._backoff(attempt)
 
     def _map_once(self, fn, items: list, star: bool) -> list:
         if self.workers <= 1 or len(items) <= 1:
             return [fn(*item) if star else fn(item) for item in items]
         pool = self._ensure_pool()
-        if star and self.backend == "process":
-            futures = [
-                pool.submit(_call_star, fn, item) for item in items
+        return _gather(
+            [
+                pool.submit(fn, *item) if star else pool.submit(fn, item)
+                for item in items
             ]
-        elif star:
-            futures = [pool.submit(fn, *item) for item in items]
-        else:
-            futures = [pool.submit(fn, item) for item in items]
-        return _gather(futures)
+        )
 
     # -- simulate fan-out ----------------------------------------------
     def replay(
@@ -597,10 +313,8 @@ class ParallelExecutor:
 
         The caller is responsible for task independence (no two tasks
         sharing a cache/policy) -- true by construction for fabric
-        devices, serving shards and sweep points.  Under the process
-        backend every task must carry a :attr:`ReplayTask.shared`
-        handle, and the caller must adopt each returned
-        :attr:`ReplayResult.policy`.
+        devices, serving shards and sweep points.  Each task's cache
+        and policy are advanced in place, ready for the next round.
 
         ``profiler`` (a :class:`~repro.core.pipeline.StageProfiler`)
         receives each task's in-worker simulate time under the
@@ -621,7 +335,16 @@ class ParallelExecutor:
         self._tasks_dispatched += len(tasks)
         self._consume_injected_crashes(dispatch_round, len(tasks))
         try:
-            results = self._replay_once(tasks, simulator)
+            if self.workers <= 1 or len(tasks) <= 1:
+                results = [_run_replay(task, simulator) for task in tasks]
+            else:
+                pool = self._ensure_pool()
+                results = _gather(
+                    [
+                        pool.submit(_run_replay, task, simulator)
+                        for task in tasks
+                    ]
+                )
         except Exception:
             self.shutdown()
             raise
@@ -630,57 +353,8 @@ class ParallelExecutor:
                 profiler.add("simulate.task", result.elapsed_s)
         return results
 
-    def _replay_once(
-        self, tasks: list[ReplayTask], simulator: str
-    ) -> list[ReplayResult]:
-        if self.workers <= 1 or len(tasks) <= 1:
-            return [_run_replay(task, simulator) for task in tasks]
-        pool = self._ensure_pool()
-        if self.backend == "thread":
-            futures = [
-                pool.submit(_run_replay, task, simulator)
-                for task in tasks
-            ]
-            return _gather(futures)
-        for task in tasks:
-            if task.shared is None:
-                raise ValueError(
-                    "process-backend replay needs SharedCache-backed"
-                    " tasks (allocate caches via"
-                    " ParallelExecutor.make_cache)"
-                )
-        futures = [
-            pool.submit(
-                _run_replay_in_worker,
-                task.shared.name,
-                task.shared.geometry,
-                task.policy,
-                task.pages,
-                task.is_write,
-                task.scores,
-                task.warmup_fraction,
-                task.index_offset,
-                task.record_outcome,
-                simulator,
-            )
-            for task in tasks
-        ]
-        raw = _gather(futures)
-        return [
-            ReplayResult(
-                stats=stats,
-                outcome=outcome,
-                policy=policy,
-                elapsed_s=elapsed_s,
-            )
-            for stats, outcome, policy, elapsed_s in raw
-        ]
-
     def __repr__(self) -> str:
-        return (
-            f"ParallelExecutor(workers={self.workers},"
-            f" backend={self.backend!r})"
-        )
+        return f"ParallelExecutor(workers={self.workers})"
 
 
 def _gather(futures: list[Future]) -> list:
@@ -703,7 +377,6 @@ __all__ = [
     "ParallelExecutor",
     "ReplayResult",
     "ReplayTask",
-    "SharedCache",
     "WorkerCrashError",
     "resolve_workers",
 ]

@@ -38,6 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
+from repro.cache.setassoc import INVALID, SetAssociativeCache
 from repro.cache.stats import (
     OUTCOME_BYPASS,
     CacheStats,
@@ -57,7 +58,7 @@ from repro.core.pipeline import (
     StagedPipeline,
     StageProfiler,
 )
-from repro.core.policy import CombinedIcgmmPolicy, build_policy
+from repro.core.policy import build_policy
 from repro.cxl.device import DEVICE_DRAM_HIT_NS
 from repro.cxl.link import CxlLinkSpec
 from repro.hardware.latency import DevicePathLatencyModel
@@ -228,14 +229,13 @@ class CxlFabric:
     hit_latency_ns:
         Device-DRAM hit service time.
     parallel:
-        Multicore replay knobs; overrides
-        :attr:`FabricTopology.parallel`, which in turn overrides
+        Multicore replay knobs; ``None`` inherits
         :attr:`IcgmmConfig.parallel`.  Each round of per-device
         simulate calls is dispatched through one persistent
         :class:`~repro.core.parallel.ParallelExecutor` and merged in
         device order, so any worker count is bit-identical to
         sequential replay.  Call :meth:`close` when done with a
-        process-backend fabric (worker pool, shared segments).
+        multi-worker fabric (it holds a thread pool).
     """
 
     def __init__(
@@ -254,14 +254,10 @@ class CxlFabric:
         )
         self.pipeline = StagedPipeline(config)
         self.config = self.pipeline.config
-        if parallel is None:
-            parallel = (
-                self.topology.parallel
-                if self.topology.parallel is not None
-                else self.config.parallel
-            )
-        self.parallel = parallel
-        self._executor = ParallelExecutor.from_config(parallel)
+        self.parallel = (
+            parallel if parallel is not None else self.config.parallel
+        )
+        self._executor = ParallelExecutor.from_config(self.parallel)
         # Chaos wiring: None when disabled so every hot-path gate is
         # an ``is not None`` check and a fault-free run executes the
         # exact pre-chaos code path (tests/chaos parity).
@@ -285,7 +281,6 @@ class CxlFabric:
             health, n_devices=self.topology.n_devices
         )
         self.metrics = RollingMetrics()
-        self._shared: list = []
         ssd = ssd if ssd is not None else SSD_CATALOG["tlc"]
         n = self.topology.n_devices
         overheads = self.topology.link_overhead_ns
@@ -420,17 +415,9 @@ class CxlFabric:
     def reset(self) -> None:
         """Drop all device caches, cursors and accumulated counters."""
         n = self.topology.n_devices
-        for handle in self._shared:
-            if handle is not None:
-                handle.close()
-        self.caches = []
-        self._shared = []
-        for _ in range(n):
-            cache, handle = self._executor.make_cache(
-                self.config.geometry
-            )
-            self.caches.append(cache)
-            self._shared.append(handle)
+        self.caches = [
+            SetAssociativeCache(self.config.geometry) for _ in range(n)
+        ]
         self._cursors = [0] * n
         self._device_stats = [CacheStats() for _ in range(n)]
         self._device_outcomes: list = [None] * n
@@ -446,12 +433,8 @@ class CxlFabric:
         self._chunk_foreign = [CacheStats() for _ in range(n)]
 
     def close(self) -> None:
-        """Release the worker pool and any shared-memory planes."""
+        """Release the worker pool."""
         self._executor.shutdown()
-        for handle in self._shared:
-            if handle is not None:
-                handle.close()
-        self._shared = [None] * len(self._shared)
 
     def __enter__(self) -> "CxlFabric":
         return self
@@ -601,30 +584,6 @@ class CxlFabric:
     # ------------------------------------------------------------------
     # Stage: Replay (resumable, parallel)
     # ------------------------------------------------------------------
-    def _dispatch(
-        self,
-        devices: list[int],
-        tasks: list[ReplayTask],
-    ) -> list:
-        """One concurrent round of per-device simulate calls.
-
-        Results come back in task order (deterministic merge); the
-        post-run policy objects are adopted so a process-backend
-        round-trip stays resumable, and the combined strategy's
-        per-device score maps are re-aliased to the adopted policies.
-        """
-        results = self._executor.replay(
-            tasks,
-            simulator=self.config.simulator,
-            profiler=self.pipeline.profiler,
-        )
-        for device, result in zip(devices, results, strict=True):
-            policy = result.policy
-            self._policies[device] = policy
-            if isinstance(policy, CombinedIcgmmPolicy):
-                self._device_page_maps[device] = policy._page_scores
-        return results
-
     def ingest(
         self,
         pages: np.ndarray,
@@ -741,13 +700,17 @@ class CxlFabric:
                     ),
                     index_offset=self._cursors[device],
                     record_outcome=need_outcome,
-                    shared=self._shared[device],
                 )
             )
+        # One concurrent round of per-device simulate calls, merged
+        # in device order.
+        results = self._executor.replay(
+            tasks,
+            simulator=self.config.simulator,
+            profiler=self.pipeline.profiler,
+        )
         served: dict[int, CacheStats] = {}
-        for device, task, result in zip(
-            devices, tasks, self._dispatch(devices, tasks), strict=True
-        ):
+        for device, task, result in zip(devices, tasks, results, strict=True):
             self._cursors[device] += int(task.pages.shape[0])
             self._device_stats[device] = self._device_stats[
                 device
@@ -922,14 +885,10 @@ class CxlFabric:
     def _wipe_cache(self, device: int) -> None:
         """Cold-restart one device's cache planes (watchdog reset).
 
-        In-place fills, so process-backend shared-memory planes see
-        the wipe too.  Dirty blocks are simply lost -- a crashed
-        controller never got to write them back -- which only
-        forfeits the write-back the pricing model would have charged
-        on their eviction.
+        Dirty blocks are simply lost -- a crashed controller never got
+        to write them back -- which only forfeits the write-back the
+        pricing model would have charged on their eviction.
         """
-        from repro.cache.setassoc import INVALID
-
         cache = self.caches[device]
         cache.tags.fill(INVALID)
         cache.dirty.fill(False)
@@ -1241,16 +1200,17 @@ class CxlFabric:
                     ),
                     warmup_fraction=warmup_fraction,
                     record_outcome=keep_outcomes,
-                    shared=self._shared[device],
                 )
             )
         # The whole fan-out is timed as one Simulate section (the
         # profiler accounts stages, not workers).
         with self.pipeline.stage_scope("simulate"):
-            results = self._dispatch(devices, tasks)
-        for device, task, result in zip(
-            devices, tasks, results, strict=True
-        ):
+            results = self._executor.replay(
+                tasks,
+                simulator=self.config.simulator,
+                profiler=self.pipeline.profiler,
+            )
+        for device, task, result in zip(devices, tasks, results, strict=True):
             self._cursors[device] += int(task.pages.shape[0])
             self._device_stats[device] = result.stats
             if keep_outcomes:

@@ -828,9 +828,8 @@ class EMTrainer:
             and self.n_init > 1
         ):
             results = executor.map(
-                _fit_one_restart,
-                [(self, points, int(seed)) for seed in seeds],
-                star=True,
+                lambda seed: self._fit_restarts(points, [int(seed)])[0],
+                seeds,
             )
         else:
             results = [
@@ -838,13 +837,6 @@ class EMTrainer:
                 for seed in seeds
             ]
         return self._best(results)
-
-
-def _fit_one_restart(
-    trainer: EMTrainer, points: np.ndarray, seed: int
-) -> FitResult:
-    """Module-level single-restart task (picklable for executors)."""
-    return trainer._fit_restarts(points, [seed])[0]
 
 
 def fit_gmm(

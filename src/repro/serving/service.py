@@ -54,11 +54,7 @@ from repro.core.config import ChaosConfig, IcgmmConfig, ServingConfig
 from repro.core.engine import GmmPolicyEngine
 from repro.core.parallel import ParallelExecutor, ReplayTask
 from repro.core.pipeline import StagedPipeline, StageProfiler
-from repro.core.policy import (
-    CombinedIcgmmPolicy,
-    build_policy,
-    strategy_score_view,
-)
+from repro.core.policy import build_policy, strategy_score_view
 from repro.hardware.latency import LatencyModel
 from repro.serving.drift import DriftDetector, DriftReport
 from repro.serving.metrics import RollingMetrics
@@ -213,7 +209,6 @@ class IcgmmCacheService:
             self.serving.n_shards,
             mode=self.serving.sharding,
             partition_pages=self.serving.partition_pages,
-            executor=self._executor,
         )
         # None inherits the quantile the deployed engine's threshold
         # was trained at, so the drift detector's expected
@@ -269,9 +264,7 @@ class IcgmmCacheService:
         self._refresh_overlap_chunks = 0
         self._refresh_discarded = 0
         if self.serving.refresh_async:
-            self._refresh_executor = ParallelExecutor(
-                workers=1, backend="thread"
-            )
+            self._refresh_executor = ParallelExecutor(workers=1)
         # Telemetry wiring mirrors chaos: None when disabled, so every
         # hot-path gate is an ``is not None`` check and the untraced
         # run executes the exact pre-telemetry code path.
@@ -573,7 +566,6 @@ class IcgmmCacheService:
                     ),
                     index_offset=self._shard_cursors[shard],
                     record_outcome=True,
-                    shared=self.planes.shared[shard],
                 )
             )
         results = self._executor.replay(
@@ -592,13 +584,6 @@ class IcgmmCacheService:
                     shard=shard,
                     accesses=int(positions.size),
                 )
-            # Adopt the post-run policy (a pickle round-trip under
-            # the process backend) and re-alias the combined
-            # strategy's shard-local score map to it.
-            policy = result.policy
-            self._policies[shard] = policy
-            if isinstance(policy, CombinedIcgmmPolicy):
-                self._shard_page_maps[shard] = policy._page_scores
 
         # --- accounting -------------------------------------------------
         measured = abs_idx >= self.measure_from
@@ -933,13 +918,12 @@ class IcgmmCacheService:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the worker pools and any shared-memory planes.
+        """Release the worker pools.
 
         Only needed for parallel/async deployments (inline execution
-        holds no pool and no shared segments); safe to call
-        repeatedly.  A background build still in flight is discarded,
-        never committed -- callers wanting it should
-        :meth:`drain_refresh` first.
+        holds no pool); safe to call repeatedly.  A background build
+        still in flight is discarded, never committed -- callers
+        wanting it should :meth:`drain_refresh` first.
         """
         if self._refresh_executor is not None:
             if self._pending_refresh is not None:
@@ -947,7 +931,6 @@ class IcgmmCacheService:
                 self._refresh_discarded += 1
             self._refresh_executor.shutdown()
         self._executor.shutdown()
-        self.planes.close()
 
     def __enter__(self) -> "IcgmmCacheService":
         return self

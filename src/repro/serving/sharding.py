@@ -27,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cache.setassoc import CacheGeometry, SetAssociativeCache
-from repro.core.parallel import ParallelExecutor
 
 
 class ShardedCachePlanes:
@@ -44,14 +43,9 @@ class ShardedCachePlanes:
         ``"hash"`` or ``"tenant"`` (see module docstring).
     partition_pages:
         Tenant partition stride (``tenant`` mode routing).
-    executor:
-        When the serving loop replays shards through a
-        process-backend :class:`~repro.core.parallel.ParallelExecutor`,
-        the planes must live in shared memory so workers mutate the
-        same storage; passing the executor here routes allocation
-        through :meth:`~repro.core.parallel.ParallelExecutor.make_cache`
-        (a no-op for inline/thread execution).  Call :meth:`close`
-        to release any shared segments.
+
+    The planes are plain in-process caches; the serving loop's worker
+    threads replay them in place.
     """
 
     def __init__(
@@ -60,7 +54,6 @@ class ShardedCachePlanes:
         n_shards: int,
         mode: str = "hash",
         partition_pages: int = 1 << 20,
-        executor: ParallelExecutor | None = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
@@ -83,26 +76,9 @@ class ShardedCachePlanes:
             associativity=geometry.associativity,
         )
         self.shard_geometry = shard_geometry
-        if executor is None:
-            self.caches = [
-                SetAssociativeCache(shard_geometry)
-                for _ in range(n_shards)
-            ]
-            self.shared: list = [None] * n_shards
-        else:
-            self.caches = []
-            self.shared = []
-            for _ in range(n_shards):
-                cache, handle = executor.make_cache(shard_geometry)
-                self.caches.append(cache)
-                self.shared.append(handle)
-
-    def close(self) -> None:
-        """Release any shared-memory segments backing the planes."""
-        for handle in self.shared:
-            if handle is not None:
-                handle.close()
-        self.shared = [None] * self.n_shards
+        self.caches = [
+            SetAssociativeCache(shard_geometry) for _ in range(n_shards)
+        ]
 
     def route(
         self, pages: np.ndarray

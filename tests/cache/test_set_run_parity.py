@@ -369,7 +369,7 @@ def test_short_span_serving_workers_match(strategy, monkeypatch):
             n_shards=4,
             strategy=strategy,
             refresh_enabled=False,
-            parallel=ParallelConfig(workers=workers, backend="thread"),
+            parallel=ParallelConfig(workers=workers),
         )
         with IcgmmCacheService(
             engine,

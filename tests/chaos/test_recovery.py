@@ -651,9 +651,7 @@ class TestWorkerCountInvariance:
 
         def run(n_workers):
             serving = _serving_config(
-                parallel=ParallelConfig(
-                    workers=n_workers, backend="thread", max_retries=2
-                )
+                parallel=ParallelConfig(workers=n_workers, max_retries=2)
             )
             service = _service(config, engine, serving, chaos=chaos)
             try:

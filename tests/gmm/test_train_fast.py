@@ -65,8 +65,7 @@ class TestRestartModeIdentity:
         ).fit(blobs, np.random.default_rng(7))
         assert _results_identical(batched, sequential)
 
-    @pytest.mark.parametrize("backend", ["thread"])
-    def test_executor_restarts_identical(self, blobs, backend):
+    def test_executor_restarts_identical(self, blobs):
         batched = EMTrainer(6, max_iter=25, tol=1e-3, n_init=4).fit(
             blobs, np.random.default_rng(3)
         )
@@ -74,7 +73,7 @@ class TestRestartModeIdentity:
             6, max_iter=25, tol=1e-3, n_init=4,
             restart_mode="sequential",
         )
-        with ParallelExecutor(workers=3, backend=backend) as executor:
+        with ParallelExecutor(workers=3) as executor:
             fanned = sequential.fit(
                 blobs, np.random.default_rng(3), executor=executor
             )

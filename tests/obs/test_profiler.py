@@ -49,9 +49,7 @@ class TestParallelAggregation:
         fabric = CxlFabric(
             FabricTopology(n_devices=4),
             config=config,
-            parallel=ParallelConfig(
-                workers=workers, backend="thread"
-            ),
+            parallel=ParallelConfig(workers=workers),
             telemetry=telemetry,
         )
         try:

@@ -28,7 +28,7 @@ def _fabric_snapshot(config, pages, writes, workers):
     fabric = CxlFabric(
         FabricTopology(n_devices=4),
         config=config,
-        parallel=ParallelConfig(workers=workers, backend="thread"),
+        parallel=ParallelConfig(workers=workers),
         telemetry=telemetry,
     )
     try:
@@ -54,7 +54,7 @@ def _serving_snapshot(config, engine, pages, writes, workers):
             n_shards=4,
             sharding="hash",
             strategy="gmm-caching-eviction",
-            parallel=ParallelConfig(workers=workers, backend="thread"),
+            parallel=ParallelConfig(workers=workers),
         ),
         telemetry=telemetry,
     )

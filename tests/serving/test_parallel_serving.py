@@ -1,10 +1,9 @@
 """Parallel serving-loop determinism tests.
 
 The multicore contract of :class:`repro.serving.IcgmmCacheService`:
-any worker count, either backend, produces byte-identical totals,
-rolling metrics (pricing included), drift-detector decisions, and
-engine-swap history to the sequential loop -- drift adaptation and
-all.
+any worker count produces byte-identical totals, rolling metrics
+(pricing included), drift-detector decisions, and engine-swap history
+to the sequential loop -- drift adaptation and all.
 """
 
 import numpy as np
@@ -22,10 +21,7 @@ from repro.serving import IcgmmCacheService
 N = 60_000
 TRAIN = 5_000
 
-PARALLEL_VARIANTS = [
-    ParallelConfig(workers=4, backend="thread"),
-    ParallelConfig(workers=2, backend="process"),
-]
+PARALLEL_VARIANTS = [ParallelConfig(workers=4)]
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +90,7 @@ def _serve(config, engine, stream, parallel, strategy, refresh):
 
 
 @pytest.mark.parametrize(
-    "parallel", PARALLEL_VARIANTS, ids=["thread4", "process2"]
+    "parallel", PARALLEL_VARIANTS, ids=["thread4"]
 )
 @pytest.mark.parametrize(
     "strategy", ["lru", "gmm-eviction", "gmm-caching-eviction"]
@@ -119,7 +115,7 @@ def test_parallel_serving_is_bit_identical(
 
 
 @pytest.mark.parametrize(
-    "parallel", PARALLEL_VARIANTS, ids=["thread4", "process2"]
+    "parallel", PARALLEL_VARIANTS, ids=["thread4"]
 )
 def test_drift_and_swap_decisions_match_sequential(
     config, engine, stream, parallel
@@ -157,7 +153,7 @@ def test_worker_crash_propagates(config, engine, stream, monkeypatch):
     serving = ServingConfig(
         n_shards=4,
         refresh_enabled=False,
-        parallel=ParallelConfig(workers=4, backend="thread"),
+        parallel=PARALLEL_VARIANTS[0],
     )
     with IcgmmCacheService(
         engine, config=config, serving=serving

@@ -187,9 +187,14 @@ class TestServe:
         assert int(total.group(2)) >= 1
         assert "refresh async:" in out
 
-    def test_serve_rejects_pipeline_flag(self):
+    @pytest.mark.parametrize(
+        "flag",
+        [["--pipeline", "throughput"], ["--parallel-backend", "thread"]],
+        ids=["pipeline", "parallel-backend"],
+    )
+    def test_serve_rejects_pipeline_flag(self, flag):
         with pytest.raises(SystemExit):
-            main(["serve", "--length", "5000", "--pipeline", "throughput"])
+            main(["serve", "--length", "5000", *flag])
 
     def test_serve_rejects_unknown_strategy(self):
         with pytest.raises(SystemExit):

@@ -8,9 +8,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test perfbench-test verify bench-throughput bench-smoke \
-	bench-serving bench-serving-smoke bench-fabric bench-fabric-smoke \
-	bench-parallel bench-parallel-smoke bench-train \
+.PHONY: test perfbench-test verify bench-validate bench-throughput \
+	bench-smoke bench-serving bench-serving-smoke bench-fabric \
+	bench-fabric-smoke bench-parallel bench-parallel-smoke bench-train \
 	bench-train-smoke bench-chaos bench-chaos-smoke \
 	bench-obs bench-obs-smoke bench-ingest bench-ingest-smoke
 
@@ -21,12 +21,26 @@ test:
 perfbench-test:
 	$(PYTHON) -m pytest perfbench/tests -q
 
-# Tier-1 tests, the benchmark's tests, plus every bench smoke
-# validator (schema + acceptance checks on fresh smoke artifacts) --
-# the one-command CI gate.
+# Tier-1 tests, the benchmark's tests, every bench smoke validator
+# (schema + acceptance checks on fresh smoke artifacts), plus the
+# validators over the committed full records -- the one-command CI
+# gate.
 verify: test perfbench-test bench-smoke bench-serving-smoke \
 	bench-fabric-smoke bench-parallel-smoke bench-train-smoke \
-	bench-chaos-smoke bench-obs-smoke bench-ingest-smoke
+	bench-chaos-smoke bench-obs-smoke bench-ingest-smoke bench-validate
+
+# The full-run gates (e.g. sim_throughput's >= 2x set-run and
+# short-span speedups) skip smoke payloads, so the committed full
+# records are validated too.
+BENCH_RECORDS := sim_throughput serving_drift fabric_scaling \
+	parallel_scaling train_throughput chaos_recovery obs_overhead \
+	ingest_throughput
+
+bench-validate:
+	@set -e; for name in $(BENCH_RECORDS); do \
+		echo "validate BENCH_$$name.json"; \
+		$(PYTHON) benchmarks/bench_$$name.py --validate BENCH_$$name.json; \
+	done
 
 # Full simulator-throughput matrix; writes BENCH_sim_throughput.json.
 bench-throughput:

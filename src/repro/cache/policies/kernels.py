@@ -22,6 +22,19 @@ exactly the metadata writes of its scalar counterpart.  The parity
 suite in ``tests/cache/test_simulate_fast_parity.py`` enforces this
 differentially for every registered kernel.
 
+A kernel whose four scalar hooks reduce to a handful of facts --
+which plane ``select_victim`` takes the first argmin of, the
+admission cut, whether ``on_hit`` stores the request score, and where
+``fill_meta`` reads its value -- declares them through
+``list_span`` (a :class:`ListSpan`), and the engine's scalar tail
+then runs the exact list loop
+:func:`repro.cache.simulate_fast._list_span` instead of calling the
+hooks once per access.  ``LruKernel``, ``ScoreKernel`` and
+``CombinedScoreKernel`` (all four Fig. 6 strategies) declare them;
+every other kernel returns ``None`` and its tail keeps the reference
+span.  ``tests/cache/test_list_span.py`` checks the loop against the
+reference span for every declaration.
+
 :class:`repro.cache.policies.random_.RandomPolicy` is deliberately
 *not* registered: its victim draws consume a sequential RNG stream
 whose order the chunk-reordering engine cannot preserve, so the fast
@@ -34,7 +47,8 @@ that gap: each victim is a pure hash of the access index, so
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from collections.abc import Mapping
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -54,6 +68,25 @@ from repro.cache.policies.twoq import TwoQPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.setassoc import SetAssociativeCache
+
+
+class ListSpan(NamedTuple):
+    """A kernel's scalar hooks as data, for the exact list loop.
+
+    Each field restates one hook of the policy the kernel mirrors;
+    every ``on_hit`` also refreshes the hit way's stamp.
+    """
+
+    #: ``select_victim`` is the first argmin of the set's ``meta`` row
+    #: when True, of its ``stamp`` row when False.
+    evict_meta: bool
+    #: ``admit`` is ``score >= threshold``; ``None`` admits every miss.
+    threshold: float | None
+    #: ``on_hit`` also stores the request score in ``meta``.
+    hit_meta: bool
+    #: ``fill_meta`` is ``fill_scores.get(page, score)`` (an empty map
+    #: stores the request score); ``None`` stores ``0.0``.
+    fill_scores: Mapping[int, float] | None
 
 
 class PolicyKernel:
@@ -178,6 +211,11 @@ class PolicyKernel:
         """Vectorized ``select_victim`` for full sets."""
         raise NotImplementedError
 
+    def list_span(self) -> ListSpan | None:
+        """The facts the exact list loop needs, or ``None`` when the
+        scalar tail must drive the policy's own hooks."""
+        return None
+
     def flush(self) -> None:
         """Write kernel-side mirrors of policy state back into the
         policy object.  The engine calls this before handing a span
@@ -256,6 +294,9 @@ class LruKernel(PolicyKernel):
 
     def select_victims(self, sets, idx):
         return _argmin_rows(self.cache.stamp[sets])
+
+    def list_span(self):
+        return ListSpan(False, None, False, None)
 
 
 @register_kernel(FifoPolicy)
@@ -571,6 +612,15 @@ class ScoreKernel(PolicyKernel):
             return _argmin_rows(self.cache.meta[sets])
         return _argmin_rows(self.cache.stamp[sets])
 
+    def list_span(self):
+        policy = self.policy
+        return ListSpan(
+            policy.eviction,
+            policy.threshold if policy.admission else None,
+            policy.update_score_on_hit,
+            {},
+        )
+
 
 class CombinedScoreKernel(ScoreKernel):
     """Score kernel whose fill metadata is a per-page marginal score.
@@ -581,23 +631,24 @@ class CombinedScoreKernel(ScoreKernel):
     :mod:`repro.core.policy` to avoid an import cycle.
     """
 
-    def __init__(self, policy, cache):
-        super().__init__(policy, cache)
-        # The combined policy memoises its sorted view; the serving
-        # loop constructs a kernel per shard per chunk, and
-        # rebuilding O(U log U) arrays from the dict each time would
-        # dominate once U reaches millions of pages.
-        self._keys, self._values = policy.sorted_page_scores()
-
     def fill_meta(self, pages, scores, idx):
-        if self._keys.size == 0:
+        # Sorted on first use, not at construction: the serving loop
+        # builds a kernel per shard per chunk while the page map grows
+        # every chunk, and its calls rarely reach a vector fill.
+        keys, values = self.policy.sorted_page_scores()
+        if keys.size == 0:
             return scores.astype(np.float64)
-        positions = np.searchsorted(self._keys, pages)
-        positions_clipped = np.minimum(positions, self._keys.size - 1)
-        found = self._keys[positions_clipped] == pages
+        positions = np.searchsorted(keys, pages)
+        positions_clipped = np.minimum(positions, keys.size - 1)
+        found = keys[positions_clipped] == pages
         return np.where(
-            found, self._values[positions_clipped], scores
+            found, values[positions_clipped], scores
         ).astype(np.float64)
+
+    def list_span(self):
+        return super().list_span()._replace(
+            fill_scores=self.policy._page_scores
+        )
 
 
 __all__ = [
@@ -608,6 +659,7 @@ __all__ = [
     "FifoKernel",
     "KERNELS",
     "LfuKernel",
+    "ListSpan",
     "LruKernel",
     "PolicyKernel",
     "ScoreKernel",

@@ -20,6 +20,7 @@ at the 8-entry-way shape.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,7 +212,7 @@ def _validate_stream(
 def _scalar_span(
     cache: SetAssociativeCache,
     policy: ReplacementPolicy,
-    tags_list: list[list[int]],
+    tags_list: list[list[int]] | Mapping[int, list[int]],
     page_list: list[int],
     write_list: list[bool],
     score_list: list[float],

@@ -48,18 +48,23 @@ registered policy, on every trace.  The mechanism:
     per-set access order (a run's followers are resolved before its
     set's next round).
 
-4.  **Scalar tail fallback.**  Round *weight* (the accesses a round
-    covers, runs included) shrinks with rank -- only hot sets are
-    touched many times per chunk.  Once a round would weigh less than
+4.  **Scalar tail.**  Round *weight* (the accesses a round covers,
+    runs included) shrinks with rank -- only hot sets are touched many
+    times per chunk.  Once a round would weigh less than
     ``min_round_width``, the chunk's remaining accesses -- exactly
     the full runs of every representative with rank >= the current
-    round -- run through the reference scalar span instead, in access
-    order.  Every vector-processed access of a set strictly precedes
-    its scalar-tail accesses, so the per-set order (the only order
-    that matters) is preserved and results stay exact.  A chunk whose
-    *first* round is already too light (tiny cache, one scorching set
-    of distinct pages) thereby degrades gracefully to the pure
-    reference loop.
+    round -- run access-at-a-time instead, in access order.  Every
+    vector-processed access of a set strictly precedes its tail
+    accesses, so the per-set order (the only order that matters) is
+    preserved and results stay exact.  A chunk whose *first* round is
+    already too light (tiny cache, one scorching set of distinct
+    pages, a serving shard of a few sets) thereby runs entirely in
+    the tail.  Kernels that declare a
+    :class:`~repro.cache.policies.kernels.ListSpan` (LRU, score,
+    combined) run the tail through :func:`_list_span`: the touched
+    sets' rows are mirrored into Python lists and the policy hooks
+    are inlined, with no per-access method call or numpy scalar
+    write.  Every other kernel runs the reference scalar span.
 
 5.  **Same-set run collapse.**  Same-set rounds cap progress at one
     representative per set per round, so a *set-skewed* trace (one
@@ -108,7 +113,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cache.policies.base import ReplacementPolicy
-from repro.cache.policies.kernels import PolicyKernel, kernel_for
+from repro.cache.policies.kernels import ListSpan, PolicyKernel, kernel_for
 from repro.cache.setassoc import (
     INVALID,
     SetAssociativeCache,
@@ -123,6 +128,7 @@ from repro.cache.stats import (
     OUTCOME_FILL,
     OUTCOME_HIT,
     CacheStats,
+    stats_from_outcomes,
 )
 
 #: Requests per chunk.  Bigger chunks amortise the per-chunk sort and
@@ -708,6 +714,92 @@ def _rank_rounds(
     return bounds, seq, max_rank
 
 
+def _list_span(
+    cache: SetAssociativeCache,
+    spec: ListSpan,
+    stats: CacheStats,
+    span_pages: np.ndarray,
+    span_sets: np.ndarray,
+    span_write: np.ndarray,
+    span_scores: np.ndarray,
+    span_idx: np.ndarray,
+    measure_from: int,
+    outcome: np.ndarray | None,
+    outcome_base: int,
+) -> None:
+    """Exact access-at-a-time replay of one span over plain lists.
+
+    :func:`repro.cache.setassoc._scalar_span` with the policy hooks
+    inlined from the kernel's :class:`ListSpan`: the tag/dirty/meta/
+    stamp rows of the sets the span touches are mirrored into Python
+    lists, and every access resolves hit -> admit -> first invalid way
+    or first argmin victim -> fill on those lists, leaving only its
+    outcome code in a ``bytearray``.  The rows go back to the planes
+    once at the end, and the counters are rebuilt from the codes in
+    one vector pass (every access carries exactly one code).  Only
+    the touched rows are copied, so a short tail over a large cache
+    costs no whole-plane round trip.
+    """
+    touched, rows = np.unique(span_sets, return_inverse=True)
+    tags = cache.tags[touched].tolist()
+    dirty = cache.dirty[touched].tolist()
+    meta = cache.meta[touched].tolist()
+    stamp = cache.stamp[touched].tolist()
+    victim_rows = meta if spec.evict_meta else stamp
+    threshold = spec.threshold
+    hit_meta = spec.hit_meta
+    fill_get = None if spec.fill_scores is None else spec.fill_scores.get
+    codes = bytearray()
+    code = codes.append
+    for page, row, write, score, stamp_value in zip(
+        span_pages.tolist(),
+        rows.tolist(),
+        span_write.tolist(),
+        span_scores.tolist(),
+        span_idx.astype(np.float64).tolist(),
+    ):
+        set_tags = tags[row]
+        if page in set_tags:
+            way = set_tags.index(page)
+            stamp[row][way] = stamp_value
+            if hit_meta:
+                meta[row][way] = score
+            if write:
+                dirty[row][way] = True
+            code(OUTCOME_HIT)
+            continue
+        if threshold is not None and not score >= threshold:
+            code(OUTCOME_BYPASS)
+            continue
+        if INVALID in set_tags:
+            way = set_tags.index(INVALID)
+            code(OUTCOME_FILL)
+        else:
+            # ``min`` keeps the first of equal values (and a leading
+            # NaN), exactly like ``argmin_way``'s keyed ``min``.
+            values = victim_rows[row]
+            way = values.index(min(values))
+            code(OUTCOME_DIRTY_EVICT if dirty[row][way] else OUTCOME_EVICT)
+        set_tags[way] = page
+        dirty[row][way] = write
+        meta[row][way] = (
+            0.0 if fill_get is None else float(fill_get(page, score))
+        )
+        stamp[row][way] = stamp_value
+    cache.tags[touched] = tags
+    cache.dirty[touched] = dirty
+    cache.meta[touched] = meta
+    cache.stamp[touched] = stamp
+    codes = np.frombuffer(codes, dtype=np.uint8)
+    counted = stats_from_outcomes(
+        codes, span_write, span_idx >= measure_from
+    )
+    for name, value in vars(counted).items():
+        setattr(stats, name, getattr(stats, name) + value)
+    if outcome is not None:
+        outcome[span_idx - outcome_base] = codes
+
+
 def _run_scalar_tail(
     cache: SetAssociativeCache,
     policy: ReplacementPolicy,
@@ -722,22 +814,35 @@ def _run_scalar_tail(
     outcome: np.ndarray | None,
     outcome_base: int,
 ) -> None:
-    """Reference-loop replay of chunk ``positions`` in access order.
+    """Exact replay of chunk ``positions`` in access order.
 
-    Flushes kernel-side mirrors into the policy, runs the exact
-    scalar span, and reloads -- the shared epilogue of every
-    vector-path bailout.
+    Runs :func:`_list_span` when the kernel declares a
+    :class:`ListSpan`.  Otherwise flushes kernel-side mirrors into the
+    policy, runs the reference scalar span over the touched sets' tag
+    rows, and reloads -- the shared epilogue of every vector-path
+    bailout.
     """
-    tags_list = cache.tags.tolist()
+    span_pages = pages[positions]
+    span_sets = span_pages % cache.geometry.n_sets
+    span_idx = positions + base
+    spec = kernel.list_span()
+    if spec is not None:
+        _list_span(
+            cache, spec, stats,
+            span_pages, span_sets, is_write[positions], scores[positions],
+            span_idx, measure_from, outcome, outcome_base,
+        )
+        return
+    touched = np.unique(span_sets)
     kernel.flush()
     _scalar_span(
         cache,
         policy,
-        tags_list,
-        [int(p) for p in pages[positions]],
-        [bool(w) for w in is_write[positions]],
-        [float(s) for s in scores[positions]],
-        [base + int(p) for p in positions],
+        dict(zip(touched.tolist(), cache.tags[touched].tolist())),
+        span_pages.tolist(),
+        is_write[positions].tolist(),
+        scores[positions].tolist(),
+        span_idx.tolist(),
         measure_from,
         stats,
         outcome=outcome,

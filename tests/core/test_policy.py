@@ -1,8 +1,11 @@
 """Tests for strategy selection."""
 
+import numpy as np
 import pytest
 
 from repro.cache.policies import GmmCachePolicy, LruPolicy
+from repro.cache.policies.kernels import kernel_for
+from repro.cache.setassoc import SetAssociativeCache
 from repro.core.policy import (
     CombinedIcgmmPolicy,
     build_policy,
@@ -75,3 +78,17 @@ class TestCombinedPolicy:
         # admission.
         assert not policy.admit(7, 0.1, False, 0)
         assert policy.admit(7, 0.6, False, 0)
+
+    def test_kernel_sorts_page_scores_on_first_vector_fill(self):
+        # The serving loop builds a kernel per shard per chunk; one
+        # that never reaches a vector fill must not sort the map.
+        policy = CombinedIcgmmPolicy(
+            threshold=0.0, page_scores={7: 0.42}
+        )
+        kernel = kernel_for(policy, SetAssociativeCache())
+        assert policy._sorted_cache is None
+        meta = kernel.fill_meta(
+            np.array([7, 8]), np.array([0.9, 0.8]), np.array([0, 1])
+        )
+        assert meta.tolist() == [0.42, 0.8]
+        assert policy._sorted_cache is not None

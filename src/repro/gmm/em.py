@@ -21,7 +21,13 @@ Two execution paths share the trainer:
   (``weighted = F @ coef.T + const``, coefficients from
   :func:`repro.gmm.linalg.quadratic_coefficients`, shared with scoring),
   with a per-component cancellation guard that falls back to the exact
-  triangular solve when the expansion would lose precision.  All
+  triangular solve when the expansion would lose precision.  When
+  most of a block's lanes underflow, the pass's softmax runs
+  ``np.exp`` only on the lanes whose result can be nonzero; it hands
+  back its normalisers, so the M-step's suspect-covariance guard gets
+  every flagged component's exact covariance from one extra sweep.
+  Both stay bit-identical to the plain softmax and to a full E-sweep
+  per suspect.  All
   ``n_init`` restarts can run **stacked** in one pass
   (components concatenated along the mixture axis) or sequentially or
   under a :class:`~repro.core.parallel.ParallelExecutor` -- the three
@@ -53,28 +59,58 @@ SEEDINGS = ("fast", "reference")
 #: across the softmax passes, large enough to amortise call overhead.
 _EM_BLOCK_ROWS = 2048
 
+#: Peak-shifted exponents below this make ``np.exp`` return exactly
+#: 0.0 (its smallest subnormal result sits at -745.13), so the softmax
+#: may write those zeros itself: such a lane costs ``np.exp`` ~12 ns
+#: against ~0.7 ns for a normal-range one on a 2-CPU Xeon
+#: (``tests/gmm/test_em_softmax.py`` checks the exact zero).
+_EXP_ZERO_BELOW = -750.0
+
 
 def _stacked_softmax(
     stacked: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Masked softmax over the last axis of a ``(rows, R, K)`` slab.
 
-    Returns ``(responsibilities, log_norm)`` with shapes
-    ``(rows, R, K)`` / ``(rows, R)``.  Rows that are ``-inf`` under
-    every component yield ``-inf`` normalisers (and NaN
-    responsibilities, matching the reference E-step).  The one shared
-    implementation keeps the E-step and its suspect-covariance
-    recompute numerically in lockstep.
+    Consumes ``stacked`` (C-contiguous): it is overwritten with the
+    responsibilities.  Returns ``(responsibilities, log_norm,
+    safe_peak, totals)`` -- the slab itself, the ``(rows, R)``
+    log-normalisers, and the ``(rows, R)`` peak shift and row sums
+    each responsibility is ``exp(w - safe_peak) / totals`` against.
+    Rows that are ``-inf`` under every component yield ``-inf``
+    normalisers (and NaN responsibilities, matching the reference
+    E-step).
+
+    Every value is bit-identical to the plain ``np.exp(stacked -
+    safe_peak)`` softmax.  When most peak-shifted exponents lie below
+    :data:`_EXP_ZERO_BELOW` (a warm refresh fold, whose collapsed and
+    dead components sit hundreds of nats below each row's peak),
+    ``np.exp`` runs only on the other lanes -- the fast normal-range
+    ones and the rare subnormal band just below -700 -- gathered into
+    one contiguous array, and the rest are written as 0.0.  Otherwise
+    gathering would cost more than it saves, and ``np.exp`` runs over
+    the whole slab.
     """
     peak = stacked.max(axis=2)
-    safe_peak = np.where(np.isfinite(peak), peak, 0.0)
-    shifted = np.exp(stacked - safe_peak[:, :, None])
-    totals = shifted.sum(axis=2)
+    finite = np.isfinite(peak)
+    safe_peak = np.where(finite, peak, 0.0)
+    np.subtract(stacked, safe_peak[:, :, None], out=stacked)
+    flat = stacked.reshape(-1)
+    far = flat < _EXP_ZERO_BELOW
+    if 2 * np.count_nonzero(far) > flat.size:
+        # NaN lanes compare False, so they are gathered (exp keeps NaN).
+        lanes = np.flatnonzero(~far)
+        shifted = np.exp(flat[lanes])
+        flat.fill(0.0)
+        flat[lanes] = shifted
+    else:
+        np.exp(flat, out=flat)
+    totals = stacked.sum(axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        responsibilities = shifted / totals[:, :, None]
+        np.divide(stacked, totals[:, :, None], out=stacked)
         log_norm = np.log(totals) + safe_peak
-    log_norm = np.where(np.isfinite(peak), log_norm, -np.inf)
-    return responsibilities, log_norm
+    log_norm = np.where(finite, log_norm, -np.inf)
+    return stacked, log_norm, safe_peak, totals
 
 
 @dataclass(frozen=True)
@@ -341,12 +377,13 @@ class EMTrainer:
             covariances[dead] = 0.0
         # Cancellation guard: the shifted-moment identity loses about
         # eps * |terms| of absolute accuracy, which can swamp (or turn
-        # negative) a genuinely tiny variance when a component sits
-        # far from the global mean of raw-scale data.  Components
-        # whose smallest variance falls inside that noise band are
-        # recomputed with the exact centered form (PSD by
-        # construction); the suspect set is empty on standardised
-        # features, keeping the fast path one GEMM.
+        # negative) a genuinely tiny variance -- a component far from
+        # the global mean of raw-scale data, or one collapsed onto
+        # duplicate coordinates.  Components whose smallest variance
+        # falls inside that noise band are recomputed with the exact
+        # centered form (PSD by construction).  Standardised features
+        # trip it too: serving refresh folds collapse components to
+        # zero page-axis variance.
         eps = np.finfo(np.float64).eps
         term_scale = np.abs(second_moment).reshape(k, -1).max(axis=1)
         min_variance = covariances[:, np.arange(d), np.arange(d)].min(
@@ -392,17 +429,18 @@ class EMTrainer:
         n: int,
         moments: tuple[np.ndarray, np.ndarray],
         n_restarts: int,
-        exact_cov,
+        exact_covs,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """M-step closed form from accumulated sufficient statistics.
 
         Mirrors :meth:`_m_step` (same dead-component and cancellation
         guards) but consumes per-component sums instead of the full
-        responsibility matrix; ``exact_cov(j, mean_j, nk_safe_j)``
-        supplies the exact centered covariance for suspect
-        components.  Weights normalise per restart block of
-        ``n_components`` columns, so a stacked call is exactly a
-        sequence of independent single-restart calls.
+        responsibility matrix; ``exact_covs(suspects, means_s,
+        nk_safe_s)`` supplies the exact centered covariances of all
+        the suspect components at once, shaped ``(S, D, D)``.
+        Weights normalise per restart block of ``n_components``
+        columns, so a stacked call is exactly a sequence of
+        independent single-restart calls.
         """
         d = moments[0].shape[0]
         k = self.n_components
@@ -428,9 +466,13 @@ class EMTrainer:
         min_variance = covariances[:, np.arange(d), np.arange(d)].min(
             axis=1
         )
-        suspect = (min_variance <= 64.0 * eps * term_scale) & ~dead
-        for j in np.nonzero(suspect)[0]:
-            covariances[j] = exact_cov(j, means[j], nk_safe[j])
+        suspect = np.flatnonzero(
+            (min_variance <= 64.0 * eps * term_scale) & ~dead
+        )
+        if suspect.size:
+            covariances[suspect] = exact_covs(
+                suspect, means[suspect], nk_safe[suspect]
+            )
         covariances = linalg.regularize_covariances(
             covariances, self.reg_covar
         )
@@ -465,7 +507,7 @@ class EMTrainer:
         weighted = np.empty((hi - lo, m), dtype=np.float64)
         for r in range(m // k):
             cols = slice(r * k, (r + 1) * k)
-            weighted[:, cols] = features @ coef[cols].T
+            np.matmul(features, coef[cols].T, out=weighted[:, cols])
         weighted += const
         if suspect_cols.size:
             weighted[:, suspect_cols] = linalg.exact_log_weighted(
@@ -493,8 +535,12 @@ class EMTrainer:
         per-restart softmax (responsibilities never materialise
         beyond the block), and accumulation of the M-step sufficient
         statistics -- so each block's slab stays cache-hot across all
-        passes.  Returns per-restart mean log-likelihoods and the
-        updated parameters.
+        passes.  Each block keeps its softmax normalisers ``(safe_peak,
+        totals)``; when the M-step's covariance guard flags suspect
+        components, one extra sweep recomputes the block GEMMs and
+        exponentiates only the suspects' columns against them.
+        Returns per-restart mean log-likelihoods and the updated
+        parameters.
 
         Block boundaries depend only on ``N``, every per-element
         operation only on its own restart's columns, and statistic
@@ -519,15 +565,20 @@ class EMTrainer:
             (m, stat_matrix.shape[1]), dtype=np.float64
         )
         ll_sums = np.zeros(n_restarts, dtype=np.float64)
-        for lo in range(0, n, _EM_BLOCK_ROWS):
-            hi = min(lo + _EM_BLOCK_ROWS, n)
+        blocks = [
+            (lo, min(lo + _EM_BLOCK_ROWS, n))
+            for lo in range(0, n, _EM_BLOCK_ROWS)
+        ]
+        normalisers = []
+        for lo, hi in blocks:
             weighted = self._block_weighted(
                 quad, points, lo, hi, coef, const, suspect_cols,
                 means, factors, log_det, log_weights,
             )
-            resp, norm = _stacked_softmax(
+            resp, norm, safe_peak, totals = _stacked_softmax(
                 weighted.reshape(hi - lo, n_restarts, k)
             )
+            normalisers.append((safe_peak, totals))
             # Per-restart accumulation with mode-independent shapes:
             # contiguous column sums (a strided axis-0 reduction
             # changes numpy's accumulation path with the restart
@@ -543,35 +594,41 @@ class EMTrainer:
         sum_points = stat_sums[:, :d]
         sum_moments = stat_sums[:, d : d + d * d]
 
-        def exact_cov(j: int, mean_j: np.ndarray, nk_safe_j: float):
-            """Exact centered covariance for one suspect component,
-            recomputing its responsibilities block by block."""
-            restart = j // k
-            cov = np.zeros((d, d), dtype=np.float64)
-            cols = slice(restart * k, (restart + 1) * k)
-            r_suspects = suspect_cols[
-                (suspect_cols >= restart * k)
-                & (suspect_cols < (restart + 1) * k)
-            ] - restart * k
-            for lo in range(0, n, _EM_BLOCK_ROWS):
-                hi = min(lo + _EM_BLOCK_ROWS, n)
-                weighted = self._block_weighted(
-                    quad, points, lo, hi,
-                    coef[cols], const[cols], r_suspects,
-                    means[cols], factors[cols], log_det[cols],
-                    log_weights[cols],
-                )
-                resp, _ = _stacked_softmax(
-                    weighted.reshape(hi - lo, 1, k)
-                )
-                column = resp.reshape(hi - lo, k)[:, j - restart * k]
-                centered = points[lo:hi] - mean_j
-                cov += (column[:, None] * centered).T @ centered
-            return cov / nk_safe_j
+        def exact_covs(suspects, suspect_means, suspect_nk):
+            """Exact centered covariances of the suspect components
+            from one sweep: per block, each affected restart's GEMM,
+            then only the suspects' columns exponentiated against the
+            normalisers the block's softmax cached."""
+            covs = np.zeros((suspects.size, d, d), dtype=np.float64)
+            restarts = []
+            for r in np.unique(suspects // k):
+                mine = np.flatnonzero(suspects // k == r)
+                r_suspects = suspect_cols[
+                    (suspect_cols >= r * k) & (suspect_cols < (r + 1) * k)
+                ] - r * k
+                restarts.append((r, mine, suspects[mine] - r * k, r_suspects))
+            for (lo, hi), (safe_peak, totals) in zip(blocks, normalisers):
+                for r, mine, local, r_suspects in restarts:
+                    cols = slice(r * k, (r + 1) * k)
+                    weighted = self._block_weighted(
+                        quad, points, lo, hi,
+                        coef[cols], const[cols], r_suspects,
+                        means[cols], factors[cols], log_det[cols],
+                        log_weights[cols],
+                    )
+                    shifted = np.exp(
+                        weighted[:, local] - safe_peak[:, r, None]
+                    )
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        resp = shifted / totals[:, r, None]
+                    for column, s in zip(resp.T, mine):
+                        centered = points[lo:hi] - suspect_means[s]
+                        covs[s] += (column[:, None] * centered).T @ centered
+            return covs / suspect_nk[:, None, None]
 
         new_params = self._stats_to_params(
             nk, sum_points, sum_moments, n, moments, n_restarts,
-            exact_cov,
+            exact_covs,
         )
         return ll_sums / n, new_params
 
@@ -630,14 +687,17 @@ class EMTrainer:
             sum_points = stat_sums[:, :d]
             sum_moments = stat_sums[:, d : d + d * d]
 
-            def exact_cov(j, mean_j, nk_safe_j):
-                centered = points - mean_j
-                weighted = responsibilities[:, j : j + 1] * centered
-                return (weighted.T @ centered) / nk_safe_j
+            def exact_covs(suspects, suspect_means, suspect_nk):
+                covs = np.empty((suspects.size, d, d), dtype=np.float64)
+                for s, j in enumerate(suspects):
+                    centered = points - suspect_means[s]
+                    weighted = responsibilities[:, j : j + 1] * centered
+                    covs[s] = (weighted.T @ centered) / suspect_nk[s]
+                return covs
 
             weights, means, covariances = self._stats_to_params(
                 nk, sum_points, sum_moments, n, moments, n_restarts,
-                exact_cov,
+                exact_covs,
             )
             del responsibilities
 

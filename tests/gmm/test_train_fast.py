@@ -3,16 +3,17 @@
 The contract the training bench relies on: the fast path's batched,
 sequential, and executor-driven restart modes produce *identical*
 models at equal seeds; warm starts skip seeding and still converge;
-the vectorized k-means and the model's quadratic-form scoring kernel
-agree with their references to far better than any decision
-threshold.
+the M-step's one-sweep suspect covariances give the bits of a full
+E-sweep per suspect; the vectorized k-means and the model's
+quadratic-form scoring kernel agree with their references to far
+better than any decision threshold.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.parallel import ParallelExecutor
-from repro.gmm import linalg
+from repro.gmm import em, linalg
 from repro.gmm.em import EMTrainer
 from repro.gmm.kmeans import kmeans, kmeans_fast
 from repro.gmm.model import GaussianMixture
@@ -149,6 +150,213 @@ class TestFastPathQuality:
         for cov in result.model.covariances:
             assert np.all(np.linalg.eigvalsh(cov) > 0)
         assert np.isfinite(result.log_likelihood)
+
+
+def _plain_softmax(stacked):
+    """The fused pass's softmax before lane gating, verbatim."""
+    peak = stacked.max(axis=2)
+    safe_peak = np.where(np.isfinite(peak), peak, 0.0)
+    shifted = np.exp(stacked - safe_peak[:, :, None])
+    totals = shifted.sum(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        responsibilities = shifted / totals[:, :, None]
+        log_norm = np.log(totals) + safe_peak
+    log_norm = np.where(np.isfinite(peak), log_norm, -np.inf)
+    return responsibilities, log_norm
+
+
+class _PerSuspectSweep(EMTrainer):
+    """The fused E+M pass before the one-sweep suspect covariances
+    (the oracle): plain-``exp`` softmax, and for every suspect
+    component a full E-sweep -- GEMM and softmax over every row -- to
+    get its one responsibility column.  The M-step closed form is
+    the trainer's own."""
+
+    def _block_weighted(
+        self, quad, points, lo, hi, coef, const, suspect_cols,
+        means, factors, log_det, log_weights,
+    ):
+        k = self.n_components
+        m = coef.shape[0]
+        features = quad.features[lo:hi]
+        weighted = np.empty((hi - lo, m), dtype=np.float64)
+        for r in range(m // k):
+            cols = slice(r * k, (r + 1) * k)
+            weighted[:, cols] = features @ coef[cols].T
+        weighted += const
+        if suspect_cols.size:
+            weighted[:, suspect_cols] = linalg.exact_log_weighted(
+                points[lo:hi],
+                means[suspect_cols],
+                factors[suspect_cols],
+                log_det[suspect_cols],
+                log_weights[suspect_cols],
+            )
+        return weighted
+
+    def _em_pass(
+        self, points, quad, moments, weights, means, covariances,
+        n_restarts,
+    ):
+        n, d = points.shape
+        m = weights.shape[0]
+        k = self.n_components
+        factors = linalg.cholesky_batch(covariances)
+        log_det = linalg.log_det_from_cholesky(factors)
+        with np.errstate(divide="ignore"):
+            log_weights = np.log(weights)
+        coef, const, p_max, mu_span = linalg.quadratic_coefficients(
+            log_weights, means, log_det, covariances
+        )
+        suspect_cols = np.nonzero(
+            linalg.needs_exact_rescore(quad.span, p_max, mu_span)
+        )[0]
+        stat_matrix = quad.stat_matrix(points, moments[1])
+        stat_sums = np.zeros((m, stat_matrix.shape[1]), dtype=np.float64)
+        ll_sums = np.zeros(n_restarts, dtype=np.float64)
+        for lo in range(0, n, em._EM_BLOCK_ROWS):
+            hi = min(lo + em._EM_BLOCK_ROWS, n)
+            weighted = self._block_weighted(
+                quad, points, lo, hi, coef, const, suspect_cols,
+                means, factors, log_det, log_weights,
+            )
+            resp, norm = _plain_softmax(
+                weighted.reshape(hi - lo, n_restarts, k)
+            )
+            for r in range(n_restarts):
+                ll_sums[r] += np.ascontiguousarray(norm[:, r]).sum()
+                block = np.ascontiguousarray(resp[:, r, :])
+                cols = slice(r * k, (r + 1) * k)
+                stat_sums[cols] += block.T @ stat_matrix[lo:hi]
+        nk = stat_sums[:, -1]
+        sum_points = stat_sums[:, :d]
+        sum_moments = stat_sums[:, d : d + d * d]
+
+        def exact_cov(j, mean_j, nk_safe_j):
+            restart = j // k
+            cov = np.zeros((d, d), dtype=np.float64)
+            cols = slice(restart * k, (restart + 1) * k)
+            r_suspects = suspect_cols[
+                (suspect_cols >= restart * k)
+                & (suspect_cols < (restart + 1) * k)
+            ] - restart * k
+            for lo in range(0, n, em._EM_BLOCK_ROWS):
+                hi = min(lo + em._EM_BLOCK_ROWS, n)
+                weighted = self._block_weighted(
+                    quad, points, lo, hi,
+                    coef[cols], const[cols], r_suspects,
+                    means[cols], factors[cols], log_det[cols],
+                    log_weights[cols],
+                )
+                resp, _ = _plain_softmax(weighted.reshape(hi - lo, 1, k))
+                column = resp.reshape(hi - lo, k)[:, j - restart * k]
+                centered = points[lo:hi] - mean_j
+                cov += (column[:, None] * centered).T @ centered
+            return cov / nk_safe_j
+
+        def exact_covs(suspects, suspect_means, suspect_nk):
+            return np.array(
+                [
+                    exact_cov(j, mean_j, nk_j)
+                    for j, mean_j, nk_j in zip(
+                        suspects, suspect_means, suspect_nk
+                    )
+                ]
+            ).reshape(-1, d, d)
+
+        new_params = self._stats_to_params(
+            nk, sum_points, sum_moments, n, moments, n_restarts,
+            exact_covs,
+        )
+        return ll_sums / n, new_params
+
+
+@pytest.fixture
+def pass_suspects(monkeypatch):
+    """Suspect sets the fused pass's M-step hands its sweep (the
+    oracle's and the seeding M-step's are not recorded)."""
+    seen = []
+    stats_to_params = EMTrainer._stats_to_params
+
+    def spy(self, nk, sum_points, sum_moments, n, moments, n_restarts,
+            exact_covs):
+        def recorded(suspects, suspect_means, suspect_nk):
+            if exact_covs.__qualname__.startswith("EMTrainer._em_pass"):
+                seen.append(suspects.copy())
+            return exact_covs(suspects, suspect_means, suspect_nk)
+
+        return stats_to_params(
+            self, nk, sum_points, sum_moments, n, moments, n_restarts,
+            recorded,
+        )
+
+    monkeypatch.setattr(EMTrainer, "_stats_to_params", spy)
+    return seen
+
+
+@pytest.fixture(scope="module", params=[0.0, 1e4], ids=["unit", "raw"])
+def duplicate_clusters(request):
+    """Four clusters whose first coordinate sits on exact duplicates
+    (like a page axis) while the second spreads, plus a Gaussian blob
+    over the last one, shuffled over two EM blocks.  A component that
+    settles on one of these lines has zero variance along it, so the
+    M-step's covariance guard flags it every pass, while its spread
+    along the line depends on every responsibility bit.  The
+    raw-scale copy also trips the E-step's cancellation guard."""
+    rng = np.random.default_rng(11)
+    points = np.concatenate(
+        [
+            np.column_stack(
+                [np.full(600, page), rng.normal(0.0, 1.0, size=600)]
+            )
+            for page in (-6.0, -2.0, 2.0, 6.0)
+        ]
+        + [rng.normal((6.0, 0.0), 1.0, size=(1500, 2))]
+    )
+    return rng.permutation(points) + request.param
+
+
+class TestSuspectCovarianceSweep:
+    """One sweep over cached softmax normalisers replaces a full
+    E-sweep per suspect component, with identical bits."""
+
+    def test_warm_start_matches_per_suspect_sweep(
+        self, duplicate_clusters, pass_suspects
+    ):
+        points = duplicate_clusters
+        start = EMTrainer(5, max_iter=10).fit(
+            points, np.random.default_rng(1)
+        ).model
+        pass_suspects.clear()
+        fast = EMTrainer(5, max_iter=8, tol=1e-9).fit(
+            points, warm_start=start
+        )
+        assert sum(s.size for s in pass_suspects) > 0
+        oracle = _PerSuspectSweep(5, max_iter=8, tol=1e-9).fit(
+            points, warm_start=start
+        )
+        assert _results_identical(fast, oracle)
+
+    def test_stacked_restarts_match_per_suspect_sweep(
+        self, duplicate_clusters, pass_suspects
+    ):
+        points = duplicate_clusters
+        k = 6
+        settings = dict(max_iter=12, tol=1e-9, n_init=3)
+        batched = EMTrainer(k, **settings).fit(
+            points, np.random.default_rng(4)
+        )
+        # Suspects outside restart 0, so a sweep reading restart 0's
+        # normalisers for every restart cannot pass.
+        assert any((s >= k).any() for s in pass_suspects)
+        oracle = _PerSuspectSweep(k, **settings).fit(
+            points, np.random.default_rng(4)
+        )
+        sequential = EMTrainer(
+            k, restart_mode="sequential", **settings
+        ).fit(points, np.random.default_rng(4))
+        assert _results_identical(batched, oracle)
+        assert _results_identical(batched, sequential)
 
 
 class TestWarmStart:

@@ -33,6 +33,12 @@ Trace shapes:
   contribution, and the validator requires >= 2x on this shape for
   every ``supports_set_runs`` policy (full runs only).
 
+The reference loop is timed once per row.  The three gated fast
+variants (default, no collapse, no short-span batching) are each
+timed :data:`GATED_REPEATS` times, interleaved in rotating order, and
+each records its median, so one noisy timing can neither pass nor
+fail the set-run and short-span gates.
+
 Unlike the pytest-benchmark ablation benches this is a standalone
 script (no fixtures, no GMM training) so it can run in seconds and in
 CI smoke mode::
@@ -105,6 +111,17 @@ MIN_SET_RUN_SPEEDUP = 2.0
 #: cross-set short-span batcher against the pre-batcher fast path.
 MIN_SHORT_SPAN_SPEEDUP = 2.0
 
+#: Interleaved timings of each gated fast variant per row; the row
+#: records their median.  Full runs must use at least this many.
+GATED_REPEATS = 5
+
+#: The gated fast variants: ``simulate_fast`` keyword overrides.
+FAST_VARIANTS = {
+    "fast": {},
+    "no_collapse": {"set_run_collapse": False},
+    "no_short_span": {"short_span_batching": False},
+}
+
 
 def make_trace(
     n: int, geometry: CacheGeometry, kind: str = "skew", seed: int = 1
@@ -161,14 +178,23 @@ def policy_factories(pages: np.ndarray, threshold: float):
     }
 
 
+def _same_planes(one: SetAssociativeCache, other: SetAssociativeCache):
+    return all(
+        np.array_equal(getattr(one, plane), getattr(other, plane))
+        for plane in ("tags", "dirty", "meta", "stamp")
+    )
+
+
 def bench_one(geometry, make_policy, pages, is_write, scores, warmup):
-    """Time all four paths once.
+    """Time the reference once and each gated fast variant
+    :data:`GATED_REPEATS` times, interleaved.
 
     Returns ``(ref_s, fast_s, fast_plain_s, fast_long_only_s,
-    identical, miss_rate)`` where ``fast_plain_s`` is the fast engine
-    with set-run collapse disabled and ``fast_long_only_s`` keeps the
-    collapse but disables cross-set short-span batching (the pre-PR
-    fast path) -- identity is asserted across all four.
+    identical, miss_rate)`` where the fast timings are medians,
+    ``fast_plain_s`` is the fast engine with set-run collapse
+    disabled and ``fast_long_only_s`` keeps the collapse but disables
+    cross-set short-span batching (the pre-batcher fast path) --
+    identity with the reference is asserted on every run.
     """
     ref_cache = SetAssociativeCache(geometry)
     ref_policy = make_policy()
@@ -179,54 +205,32 @@ def bench_one(geometry, make_policy, pages, is_write, scores, warmup):
     )
     ref_s = time.perf_counter() - t0
 
-    fast_cache = SetAssociativeCache(geometry)
-    fast_policy = make_policy()
-    t0 = time.perf_counter()
-    fast_stats = simulate_fast(
-        fast_cache, fast_policy, pages, is_write,
-        scores=scores, warmup_fraction=warmup,
-    )
-    fast_s = time.perf_counter() - t0
-
-    plain_cache = SetAssociativeCache(geometry)
-    plain_policy = make_policy()
-    t0 = time.perf_counter()
-    plain_stats = simulate_fast(
-        plain_cache, plain_policy, pages, is_write,
-        scores=scores, warmup_fraction=warmup,
-        set_run_collapse=False,
-    )
-    plain_s = time.perf_counter() - t0
-
-    long_cache = SetAssociativeCache(geometry)
-    long_policy = make_policy()
-    t0 = time.perf_counter()
-    long_stats = simulate_fast(
-        long_cache, long_policy, pages, is_write,
-        scores=scores, warmup_fraction=warmup,
-        short_span_batching=False,
-    )
-    long_s = time.perf_counter() - t0
-
-    identical = bool(
-        ref_stats == fast_stats
-        and ref_stats == plain_stats
-        and ref_stats == long_stats
-        and np.array_equal(ref_cache.tags, fast_cache.tags)
-        and np.array_equal(ref_cache.dirty, fast_cache.dirty)
-        and np.array_equal(ref_cache.meta, fast_cache.meta)
-        and np.array_equal(ref_cache.stamp, fast_cache.stamp)
-        and np.array_equal(ref_cache.tags, plain_cache.tags)
-        and np.array_equal(ref_cache.dirty, plain_cache.dirty)
-        and np.array_equal(ref_cache.meta, plain_cache.meta)
-        and np.array_equal(ref_cache.stamp, plain_cache.stamp)
-        and np.array_equal(ref_cache.tags, long_cache.tags)
-        and np.array_equal(ref_cache.dirty, long_cache.dirty)
-        and np.array_equal(ref_cache.meta, long_cache.meta)
-        and np.array_equal(ref_cache.stamp, long_cache.stamp)
+    names = list(FAST_VARIANTS)
+    timings = {name: [] for name in names}
+    identical = True
+    for repeat in range(GATED_REPEATS):
+        # Rotate the order so no variant always runs first.
+        shift = repeat % len(names)
+        for name in names[shift:] + names[:shift]:
+            cache = SetAssociativeCache(geometry)
+            policy = make_policy()
+            t0 = time.perf_counter()
+            stats = simulate_fast(
+                cache, policy, pages, is_write,
+                scores=scores, warmup_fraction=warmup,
+                **FAST_VARIANTS[name],
+            )
+            timings[name].append(time.perf_counter() - t0)
+            identical = (
+                identical
+                and stats == ref_stats
+                and _same_planes(ref_cache, cache)
+            )
+    fast_s, plain_s, long_s = (
+        float(np.median(timings[name])) for name in names
     )
     return (
-        ref_s, fast_s, plain_s, long_s, identical,
+        ref_s, fast_s, plain_s, long_s, bool(identical),
         ref_stats.miss_rate,
     )
 
@@ -281,6 +285,14 @@ def validate(payload: dict) -> list[str]:
         return ["missing top-level 'geometry' or 'results'"]
     if not isinstance(payload["results"], list) or not payload["results"]:
         return ["'results' must be a non-empty list"]
+    repeats = payload.get("gated_repeats")
+    if not payload.get("smoke") and (
+        not isinstance(repeats, int) or repeats < GATED_REPEATS
+    ):
+        problems.append(
+            f"gated_repeats {repeats!r}: full runs must time each"
+            f" gated variant at least {GATED_REPEATS} times"
+        )
     for i, row in enumerate(payload["results"]):
         for field, kind in RESULT_SCHEMA.items():
             if field not in row:
@@ -410,6 +422,7 @@ def main(argv=None) -> int:
             "hot_fraction": HOT_FRACTION,
             "write_fraction": WRITE_FRACTION,
         },
+        "gated_repeats": GATED_REPEATS,
         "results": results,
     }
     problems = validate(payload)

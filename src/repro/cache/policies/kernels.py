@@ -633,7 +633,7 @@ class CombinedScoreKernel(ScoreKernel):
 
     def fill_meta(self, pages, scores, idx):
         # Sorted on first use, not at construction: the serving loop
-        # builds a kernel per shard per chunk while the page map grows
+        # builds a kernel per plane per chunk while the page map grows
         # every chunk, and its calls rarely reach a vector fill.
         keys, values = self.policy.sorted_page_scores()
         if keys.size == 0:

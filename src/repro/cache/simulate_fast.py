@@ -58,13 +58,15 @@ registered policy, on every trace.  The mechanism:
     accesses, so the per-set order (the only order that matters) is
     preserved and results stay exact.  A chunk whose *first* round is
     already too light (tiny cache, one scorching set of distinct
-    pages, a serving shard of a few sets) thereby runs entirely in
-    the tail.  Kernels that declare a
+    pages, a narrow plane of a few dozen sets) thereby runs entirely
+    in the tail.  Kernels that declare a
     :class:`~repro.cache.policies.kernels.ListSpan` (LRU, score,
     combined) run the tail through :func:`_list_span`: the touched
     sets' rows are mirrored into Python lists and the policy hooks
     are inlined, with no per-access method call or numpy scalar
-    write.  Every other kernel runs the reference scalar span.
+    write.  That loop breaks even with far heavier rounds than the
+    reference scalar span every other kernel runs, so list-span
+    kernels default to the higher :data:`LIST_SPAN_MIN_ROUND_WIDTH`.
 
 5.  **Same-set run collapse.**  Same-set rounds cap progress at one
     representative per set per round, so a *set-skewed* trace (one
@@ -140,6 +142,10 @@ DEFAULT_CHUNK_SIZE = 131072
 #: rest of a chunk is handed to the scalar tail (below this the numpy
 #: call overhead loses to the plain Python loop).
 DEFAULT_MIN_ROUND_WIDTH = 48
+
+#: The same for kernels that declare a ``ListSpan``, whose list-loop
+#: tail breaks even later (sweep in ``docs/performance.md``).
+LIST_SPAN_MIN_ROUND_WIDTH = 96
 
 #: Run batching engages for a chunk only when at least this fraction
 #: of its accesses are run followers (consecutive same-page repeats).
@@ -732,13 +738,15 @@ def _list_span(
     :func:`repro.cache.setassoc._scalar_span` with the policy hooks
     inlined from the kernel's :class:`ListSpan`: the tag/dirty/meta/
     stamp rows of the sets the span touches are mirrored into Python
-    lists, and every access resolves hit -> admit -> first invalid way
-    or first argmin victim -> fill on those lists, leaving only its
-    outcome code in a ``bytearray``.  The rows go back to the planes
-    once at the end, and the counters are rebuilt from the codes in
-    one vector pass (every access carries exactly one code).  Only
-    the touched rows are copied, so a short tail over a large cache
-    costs no whole-plane round trip.
+    lists (plus a page -> way map of their resident blocks: a page
+    maps to one set, so that is the hit test), and every access
+    resolves hit -> admit -> first invalid way or first argmin victim
+    -> fill on those lists, leaving only its outcome code in a
+    ``bytearray``.  The rows go back to the planes once at the end,
+    and the counters are rebuilt from the codes in one vector pass
+    (every access carries exactly one code).  Only the touched rows
+    are copied, so a short tail over a large cache costs no
+    whole-plane round trip.
     """
     touched, rows = np.unique(span_sets, return_inverse=True)
     tags = cache.tags[touched].tolist()
@@ -746,6 +754,10 @@ def _list_span(
     meta = cache.meta[touched].tolist()
     stamp = cache.stamp[touched].tolist()
     victim_rows = meta if spec.evict_meta else stamp
+    resident = {
+        p: w for row in tags for w, p in enumerate(row) if p != INVALID
+    }
+    way_of = resident.get
     threshold = spec.threshold
     hit_meta = spec.hit_meta
     fill_get = None if spec.fill_scores is None else spec.fill_scores.get
@@ -758,9 +770,8 @@ def _list_span(
         span_scores.tolist(),
         span_idx.astype(np.float64).tolist(),
     ):
-        set_tags = tags[row]
-        if page in set_tags:
-            way = set_tags.index(page)
+        way = way_of(page)
+        if way is not None:
             stamp[row][way] = stamp_value
             if hit_meta:
                 meta[row][way] = score
@@ -771,6 +782,7 @@ def _list_span(
         if threshold is not None and not score >= threshold:
             code(OUTCOME_BYPASS)
             continue
+        set_tags = tags[row]
         if INVALID in set_tags:
             way = set_tags.index(INVALID)
             code(OUTCOME_FILL)
@@ -780,7 +792,9 @@ def _list_span(
             values = victim_rows[row]
             way = values.index(min(values))
             code(OUTCOME_DIRTY_EVICT if dirty[row][way] else OUTCOME_EVICT)
+            del resident[set_tags[way]]
         set_tags[way] = page
+        resident[page] = way
         dirty[row][way] = write
         meta[row][way] = (
             0.0 if fill_get is None else float(fill_get(page, score))
@@ -1310,7 +1324,7 @@ def simulate_fast(
     scores: np.ndarray | None = None,
     warmup_fraction: float = 0.0,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    min_round_width: int = DEFAULT_MIN_ROUND_WIDTH,
+    min_round_width: int | None = None,
     index_offset: int = 0,
     outcome: np.ndarray | None = None,
     run_batching: bool = True,
@@ -1334,7 +1348,8 @@ def simulate_fast(
         Adaptive fallback threshold: once a chunk's next same-set
         round would cover fewer accesses than this (runs included),
         the chunk's remaining accesses run through the exact scalar
-        span.
+        span.  ``None`` picks the kernel's tail's cutoff (mechanism
+        4 above).
     index_offset:
         Absolute access index of the first request (resumable chunked
         replay; see :func:`repro.cache.setassoc.simulate`).
@@ -1362,7 +1377,7 @@ def simulate_fast(
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
-    if min_round_width < 1:
+    if min_round_width is not None and min_round_width < 1:
         raise ValueError("min_round_width must be >= 1")
     pages, is_write, scores, measure_from = _validate_stream(
         pages, is_write, scores, warmup_fraction, index_offset, outcome
@@ -1380,6 +1395,11 @@ def simulate_fast(
             outcome=outcome,
         )
 
+    if min_round_width is None:
+        min_round_width = (
+            DEFAULT_MIN_ROUND_WIDTH if kernel.list_span() is None
+            else LIST_SPAN_MIN_ROUND_WIDTH
+        )
     pages = pages.astype(np.int64, copy=False)
     is_write = is_write.astype(bool, copy=False)
     n = pages.shape[0]

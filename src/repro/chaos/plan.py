@@ -172,8 +172,8 @@ class FaultPlan:
 
         ``task_lanes`` bounds the per-round task index the worker
         crash channel covers; it defaults to
-        ``max(n_devices, n_shards, 1)`` which matches how the fabric
-        and serving loops fan tasks out.  Each channel (and each
+        ``max(n_devices, n_shards, 1)`` (the fabric passes its device
+        count, the serving loop its plane count).  Each channel (and each
         target within a channel) draws from its own ``SeedSequence``
         child, so enabling one channel never perturbs another
         (appending children preserves the earlier channels' streams,

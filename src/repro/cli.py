@@ -220,7 +220,7 @@ def _add_serve(subparsers) -> None:
             " then depends on wall clock; see docs/serving.md)"
         ),
     )
-    _add_parallel_arguments(parser, "shard replays")
+    _add_parallel_arguments(parser, "plane replays")
     _add_chaos_seed_argument(parser)
     _add_profile_argument(parser)
     _add_telemetry_arguments(parser)
@@ -816,8 +816,8 @@ def _cmd_serve(args) -> int:
             emit("  [engine swapped at end of stream]")
         summary = service.summary()
     finally:
-        # Deterministic teardown even on a failed ingest: the shard
-        # executor pool (and any shared planes) must not leak.
+        # Deterministic teardown even on a failed ingest: the
+        # executor pool must not leak.
         service.close()
     emit()
     emit(

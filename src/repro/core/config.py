@@ -654,13 +654,14 @@ class ServingConfig:
         Requests ingested per service step (one scoring + simulation
         batch).
     n_shards:
-        Cache planes the logical cache is split into.  In ``hash``
-        mode the split is exact: it must divide the geometry's set
-        count, and the sharded loop reproduces the unsharded cache's
-        behaviour bit for bit.
+        Shards the logical cache is labelled into; it must divide
+        the geometry's set count.  In ``hash`` mode a shard is a
+        fixed group of the sets of one full-geometry plane, so the
+        loop reproduces the unsharded cache's behaviour bit for bit.
     sharding:
-        ``"hash"`` (page-interleaved set partition; exact) or
-        ``"tenant"`` (one plane per tenant partition; isolation).
+        ``"hash"`` (page-interleaved set labels over one plane;
+        exact) or ``"tenant"`` (one plane per tenant group;
+        isolation).
     partition_pages:
         Tenant address-partition stride (matches
         :func:`repro.traces.multi_tenant_trace`); used for tenant
@@ -703,17 +704,16 @@ class ServingConfig:
     metrics_window_chunks:
         Rolling-window length of the per-shard / per-tenant metrics.
     parallel:
-        Multicore knobs of the per-shard chunk replay (each shard's
-        resumable simulate call is independent, so the service
-        dispatches them concurrently and merges in shard order --
-        bit-identical to ``workers=1``).
+        Multicore knobs of the per-plane chunk replay (``tenant``
+        mode's planes are dispatched concurrently and merged in plane
+        order -- bit-identical to ``workers=1``).
     shard_retry_limit:
         Bounded retry of a stalled shard replay within one chunk
         (total attempts = 1 + limit).  A stall that outlasts the
         budget degrades the chunk: that shard's accesses are served
-        SSD-direct (counted as bypassed misses), the cache plane and
-        its resumable cursor stay untouched, and the degradation is
-        recorded in the rolling metrics.
+        SSD-direct (counted as bypassed misses) and left out of its
+        plane's replay, and the degradation is recorded in the
+        rolling metrics.
     refresh_backoff_chunks:
         Base of the exponential refresh backoff: after ``f``
         consecutive failed/rejected refresh builds the next build is

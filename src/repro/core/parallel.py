@@ -4,7 +4,7 @@ The paper's pitch is hardware-rate caching: the FPGA scores and
 serves the DRAM cache in a pipeline (Sec. 4), every stage busy at
 once.  The software reproduction's analogue is that its three big
 replay loops are *embarrassingly parallel* -- every CXL fabric device,
-every serving shard, and every sweep grid point owns fully
+every serving plane, and every sweep grid point owns fully
 independent state (cache planes, policy, resumable cursor) -- yet
 until this module they all ran sequentially on one core.
 
@@ -68,7 +68,7 @@ class ReplayTask:
     """One resumable Simulate-stage call over an independent cache.
 
     This is the unit the fabric (per device) and the serving loop
-    (per shard) dispatch: the exact argument set of
+    (per plane) dispatch: the exact argument set of
     :meth:`repro.core.pipeline.StagedPipeline.simulate`.  The replay
     mutates :attr:`cache` and :attr:`policy` in place, so the next
     round resumes from the caller's own objects.
@@ -313,7 +313,7 @@ class ParallelExecutor:
 
         The caller is responsible for task independence (no two tasks
         sharing a cache/policy) -- true by construction for fabric
-        devices, serving shards and sweep points.  Each task's cache
+        devices, serving planes and sweep points.  Each task's cache
         and policy are advanced in place, ready for the next round.
 
         ``profiler`` (a :class:`~repro.core.pipeline.StageProfiler`)

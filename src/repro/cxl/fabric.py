@@ -12,7 +12,7 @@ request stream across them at fast-path speed:
    staged pipeline's Simulate stage
    (:meth:`repro.core.pipeline.StagedPipeline.simulate`) with a
    resumable per-device ``index_offset`` cursor, exactly like the
-   serving shards -- so chunked streaming ingestion and a one-shot
+   serving planes -- so chunked streaming ingestion and a one-shot
    offline run are *bit-identical*, and each device's counters equal
    a single-shot offline run on its sub-stream.  Devices own fully
    independent planes/policies/cursors, so each round of per-device
@@ -461,7 +461,7 @@ class CxlFabric:
             Global page -> marginal score mapping; required by
             ``gmm-caching-eviction`` (each device receives the slice
             routed to it, keyed by the device-local page the
-            simulator sees, exactly like the serving shards).
+            simulator sees).
         score_cuts:
             Bucket boundaries of the ``score`` placement; when
             omitted they are derived as unique-page quantiles of

@@ -8,15 +8,16 @@ on an access stream consumed in chunks:
    (Sec. 3.3 inference),
 2. watch the score distribution for drift
    (:mod:`repro.serving.drift`),
-3. simulate the chunk against the live sharded cache planes with
-   resumable, bit-exact calls into the shared pipeline's Simulate
-   stage (:meth:`repro.core.pipeline.StagedPipeline.simulate` --
-   the same code path the offline system and the CXL fabric run);
-   shards are fully independent, so the calls are dispatched
+3. simulate the chunk with one resumable, bit-exact call per cache
+   plane (:mod:`repro.serving.sharding`: ``hash`` mode has one,
+   ``tenant`` mode one per tenant group) into the shared pipeline's
+   Simulate stage (:meth:`repro.core.pipeline.StagedPipeline.simulate`
+   -- the same code path the offline system and the CXL fabric run);
+   planes are fully independent, so the calls are dispatched
    concurrently through
    :class:`~repro.core.parallel.ParallelExecutor`
    (:attr:`~repro.core.config.ServingConfig.parallel`) and merged
-   in shard order -- any worker count is bit-identical to
+   in plane order -- any worker count is bit-identical to
    sequential replay,
 4. account per-shard and per-tenant rolling miss rate and Table 1
    latency from the recorded per-access outcomes, and
@@ -91,8 +92,8 @@ class _PageScoreCache:
     computed once per *new* page and reused for every later chunk --
     the working analogue of the on-board score table.  Vectorized
     per-access lookups go through sorted key/value arrays; the
-    combined policy's shard-local dicts are fed from the new
-    (pages, scores) pairs :meth:`ensure` returns.
+    combined policy's page map is fed from the new (pages, scores)
+    pairs :meth:`ensure` returns.
     """
 
     def __init__(self, engine: GmmPolicyEngine) -> None:
@@ -154,6 +155,10 @@ class SwapEvent:
 class IcgmmCacheService:
     """Long-running sharded ICGMM cache service (module docstring).
 
+    Each chunk replays every cache plane as one
+    :class:`~repro.core.parallel.ReplayTask` with that plane's policy
+    and cursor; a shard is a label for metrics and stall injection.
+
     Parameters
     ----------
     engine:
@@ -192,24 +197,25 @@ class IcgmmCacheService:
         self._executor = ParallelExecutor.from_config(
             self.serving.parallel
         )
-        # Chaos wiring: None when disabled, so every hot-path gate is
-        # an ``is not None`` check and the fault-free run executes the
-        # exact pre-chaos code path (asserted by tests/chaos parity).
-        self.injector = FaultInjector.from_config(
-            chaos,
-            n_shards=self.serving.n_shards,
-            task_lanes=self.serving.n_shards,
-        )
-        if self.injector is not None:
-            self._executor.fault_hook = (
-                self.injector.worker_crash_attempts
-            )
         self.planes = ShardedCachePlanes(
             self.config.geometry,
             self.serving.n_shards,
             mode=self.serving.sharding,
             partition_pages=self.serving.partition_pages,
         )
+        # Chaos wiring: None when disabled, so every hot-path gate is
+        # an ``is not None`` check and the fault-free run executes the
+        # exact pre-chaos code path (asserted by tests/chaos parity).
+        # Worker crashes target the per-plane replay tasks.
+        self.injector = FaultInjector.from_config(
+            chaos,
+            n_shards=self.serving.n_shards,
+            task_lanes=len(self.planes.caches),
+        )
+        if self.injector is not None:
+            self._executor.fault_hook = (
+                self.injector.worker_crash_attempts
+            )
         # None inherits the quantile the deployed engine's threshold
         # was trained at, so the drift detector's expected
         # below-threshold fraction matches reality at generation 0.
@@ -243,7 +249,7 @@ class IcgmmCacheService:
         self._score_view = strategy_score_view(self.serving.strategy)
         self._cursor = 0
         self._chunk_index = 0
-        self._shard_cursors = [0] * self.serving.n_shards
+        self._plane_cursors = [0] * len(self.planes.caches)
         self._last_swap_chunk = -(10**9)
         # Refresh-resilience state: consecutive failed builds drive
         # exponential backoff; the breaker quarantines the drift
@@ -386,23 +392,19 @@ class IcgmmCacheService:
         self._page_cache = _PageScoreCache(engine)
         combined = self.serving.strategy == "gmm-caching-eviction"
         # The combined policy looks its eviction metadata up by the
-        # page value the *simulator* sees, which after routing is the
-        # shard-local page -- so each shard's policy gets its own
-        # local-keyed mapping, filled as new pages are scored.  The
-        # page-view strategy ("gmm-eviction") needs only the global
-        # lookup arrays in the page cache, not these dicts.
-        self._shard_page_maps: list[dict[int, float]] = [
-            {} for _ in range(self.serving.n_shards)
-        ]
+        # page the simulator sees, which is the page itself on every
+        # plane -- so all planes' policies share one map, filled as
+        # new pages are scored.  The page-view strategy
+        # ("gmm-eviction") needs only the lookup arrays in the page
+        # cache, not this dict.
+        self._page_map: dict[int, float] = {}
         self._policies = [
             build_policy(
                 self.serving.strategy,
                 engine.admission_threshold,
-                page_scores=(
-                    self._shard_page_maps[shard] if combined else None
-                ),
+                page_scores=self._page_map if combined else None,
             )
-            for shard in range(self.serving.n_shards)
+            for _ in self.planes.caches
         ]
         self._combined = combined
         self._needs_page_cache = combined or self._score_view == "page"
@@ -481,18 +483,13 @@ class IcgmmCacheService:
                     pages
                 )
                 if self._combined and new_pages.size:
-                    new_shards, new_local = self.planes.route(
-                        new_pages
-                    )
-                    for shard in np.unique(new_shards).tolist():
-                        mask = new_shards == shard
-                        self._shard_page_maps[shard].update(
-                            zip(
-                                new_local[mask].tolist(),
-                                new_marginals[mask].tolist(),
-                                strict=True,
-                            )
+                    self._page_map.update(
+                        zip(
+                            new_pages.tolist(),
+                            new_marginals.tolist(),
+                            strict=True,
                         )
+                    )
             if self._score_view == "request":
                 sim_scores = scores
             elif self._score_view == "page":
@@ -500,71 +497,69 @@ class IcgmmCacheService:
             else:
                 sim_scores = None
 
-        # --- sharded simulation (resumable, exact, parallel) ------------
-        # Each shard's slice goes through the shared pipeline's
-        # Simulate stage, resuming at that shard's cursor; shards are
-        # independent, so the round fans out through the executor and
-        # merges in shard order (bit-identical to sequential).
-        #
-        # Drift observation and refresh buffering used to sit before
-        # this block; they consume only (scores, features) computed
-        # above, so they now run after simulation + accounting.  That
-        # keeps every mutation of service state *behind* the fallible
-        # stages: an exception up to this point leaves cursors,
-        # detector and refresher untouched, and a retried ingest of
-        # the same chunk is bit-identical to an uninterrupted run.
-        shard_ids, local_pages = self.planes.route(pages)
-        outcome = np.empty(n, dtype=np.uint8)
+        # --- simulation: one task per plane (resumable, exact) -------
+        # Each plane's accesses resume at that plane's cursor; the
+        # tasks fan out through the executor and merge in plane
+        # order (bit-identical to sequential).  Every mutation of
+        # service state sits *behind* this fallible stage: an
+        # exception up to here leaves cursors, detector and refresher
+        # untouched, so a retried ingest of the same chunk is
+        # bit-identical to an uninterrupted run.
+        shard_ids, plane_ids = self.planes.route(pages)
         shard_positions = self.planes.partition(shard_ids)
-        shards: list[int] = []
-        tasks: list[ReplayTask] = []
+        outcome = np.empty(n, dtype=np.uint8)
         degraded_shards: set[int] = set()
         for shard, positions in enumerate(shard_positions):
+            if self.injector is None or positions.size == 0:
+                continue
+            attempts = self.injector.shard_stall_attempts(
+                self._chunk_index, shard
+            )
+            if not attempts:
+                continue
+            if attempts > self.serving.shard_retry_limit:
+                # Retry budget exhausted: the shard's accesses are
+                # served SSD-direct for the chunk and left out of its
+                # plane's task -- the plane never sees them, which is
+                # exactly what a stalled shard looks like from the
+                # data's point of view.
+                outcome[positions] = OUTCOME_BYPASS
+                degraded_shards.add(shard)
+                kind = "stall-degraded"
+            else:
+                # Cleared within the retry budget: bit-identical to
+                # no stall at all.
+                self._stall_retries += attempts
+                kind = "stall-recovered"
+            self.shard_metrics.record_event(
+                f"shard:{shard}",
+                kind,
+                self._chunk_index,
+                attempts=attempts,
+            )
+        if degraded_shards:
+            plane_ids = np.where(
+                np.isin(shard_ids, list(degraded_shards)), -1, plane_ids
+            )
+        dispatched: list[tuple[int, np.ndarray]] = []
+        tasks: list[ReplayTask] = []
+        for plane, cache in enumerate(self.planes.caches):
+            positions = np.flatnonzero(plane_ids == plane)
             if positions.size == 0:
                 continue
-            if self.injector is not None:
-                attempts = self.injector.shard_stall_attempts(
-                    self._chunk_index, shard
-                )
-                if attempts > self.serving.shard_retry_limit:
-                    # Retry budget exhausted: degrade this shard's
-                    # slice to SSD-direct service for the chunk.  No
-                    # task is dispatched and the shard cursor does
-                    # not advance -- the cache simply never saw these
-                    # accesses, which is exactly what a stalled plane
-                    # looks like from the data's point of view.
-                    outcome[positions] = OUTCOME_BYPASS
-                    degraded_shards.add(shard)
-                    self.shard_metrics.record_event(
-                        f"shard:{shard}",
-                        "stall-degraded",
-                        self._chunk_index,
-                        attempts=attempts,
-                    )
-                    continue
-                if attempts:
-                    # Stall cleared within the retry budget: dispatch
-                    # normally (bit-identical to no stall at all).
-                    self._stall_retries += attempts
-                    self.shard_metrics.record_event(
-                        f"shard:{shard}",
-                        "stall-recovered",
-                        self._chunk_index,
-                        attempts=attempts,
-                    )
-            shards.append(shard)
+            dispatched.append((plane, positions))
             tasks.append(
                 ReplayTask(
-                    cache=self.planes.caches[shard],
-                    policy=self._policies[shard],
-                    pages=local_pages[positions],
+                    cache=cache,
+                    policy=self._policies[plane],
+                    pages=pages[positions],
                     is_write=is_write[positions],
                     scores=(
                         sim_scores[positions]
                         if sim_scores is not None
                         else None
                     ),
-                    index_offset=self._shard_cursors[shard],
+                    index_offset=self._plane_cursors[plane],
                     record_outcome=True,
                 )
             )
@@ -573,17 +568,11 @@ class IcgmmCacheService:
             simulator=self.config.simulator,
             profiler=self.pipeline.profiler,
         )
-        for shard, result in zip(shards, results, strict=True):
-            positions = shard_positions[shard]
+        for (plane, positions), result in zip(
+            dispatched, results, strict=True
+        ):
             outcome[positions] = result.outcome
-            self._shard_cursors[shard] += int(positions.size)
-            if self.telemetry is not None:
-                self.telemetry.tracer.instant(
-                    "serving",
-                    "shard_round",
-                    shard=shard,
-                    accesses=int(positions.size),
-                )
+            self._plane_cursors[plane] += int(positions.size)
 
         # --- accounting -------------------------------------------------
         measured = abs_idx >= self.measure_from
@@ -592,6 +581,14 @@ class IcgmmCacheService:
         for shard, positions in enumerate(shard_positions):
             if positions.size == 0:
                 continue
+            degraded = shard in degraded_shards
+            if self.telemetry is not None and not degraded:
+                self.telemetry.tracer.instant(
+                    "serving",
+                    "shard_round",
+                    shard=shard,
+                    accesses=int(positions.size),
+                )
             self.shard_metrics.record(
                 f"shard:{shard}",
                 stats_from_outcomes(
@@ -599,7 +596,7 @@ class IcgmmCacheService:
                     is_write[positions],
                     measured[positions],
                 ),
-                degraded=shard in degraded_shards,
+                degraded=degraded,
             )
         tenants = pages // self.serving.partition_pages
         for tenant in np.unique(tenants).tolist():

@@ -1,25 +1,24 @@
 """Sharded cache planes for the serving loop.
 
-One logical DRAM cache is split into ``n_shards`` independent
-:class:`~repro.cache.setassoc.SetAssociativeCache` planes so the
-serving loop can simulate (and later, scale-out PRs can distribute)
-them independently.  Two partitioning modes:
+One logical DRAM cache, labelled into ``n_shards`` shards for
+metrics and fault injection, and held in one or more
+:class:`~repro.cache.setassoc.SetAssociativeCache` *planes* that the
+serving loop replays independently.  Two modes:
 
-``hash`` -- *exact* set interleaving.  Global set ``s`` lives in
-shard ``s % n_shards`` as local set ``s // n_shards``.  Because the
+``hash`` -- *exact* set interleaving.  Shard ``page % n_shards``
+labels a fixed group of the sets of one full-geometry plane: the
 global set index is ``page % n_sets`` and ``n_shards`` divides
-``n_sets``, this is equivalent to routing page ``p`` to shard
-``p % n_shards`` with local tag ``p // n_shards``: two pages share a
-(shard, local set, tag) exactly when they share a (global set, tag).
-All simulator and policy state is per-set, so the union of the shard
-planes behaves *bit-identically* to the unsharded cache -- the
-property the serving equivalence test (and the acceptance bench)
-asserts.
+``n_sets``, so set ``s`` belongs to shard ``s % n_shards``.  The
+plane is the unsharded cache itself, so the serving loop is
+*bit-identical* to a single-shot replay -- the property the serving
+equivalence test (and the acceptance bench) asserts.
 
 ``tenant`` -- isolation partitioning.  Each tenant address partition
-(``page // partition_pages``) owns one plane of ``1/n_shards`` of the
-capacity.  This deliberately changes behaviour (no cross-tenant
-interference), so it trades the exactness guarantee for isolation.
+(``page // partition_pages``) is labelled shard
+``tenant % n_shards`` and owns that shard's plane of ``1/n_shards``
+of the capacity.  This deliberately changes behaviour (no
+cross-tenant interference), so it trades the exactness guarantee for
+isolation.
 """
 
 from __future__ import annotations
@@ -30,22 +29,23 @@ from repro.cache.setassoc import CacheGeometry, SetAssociativeCache
 
 
 class ShardedCachePlanes:
-    """The shard planes plus the routing arithmetic.
+    """The planes plus the routing arithmetic.
 
     Parameters
     ----------
     geometry:
         The *logical* (total) cache geometry.
     n_shards:
-        Number of planes; in ``hash`` mode it must divide the
-        geometry's set count.
+        Number of shard labels; it must divide the geometry's set
+        count.
     mode:
         ``"hash"`` or ``"tenant"`` (see module docstring).
     partition_pages:
         Tenant partition stride (``tenant`` mode routing).
 
-    The planes are plain in-process caches; the serving loop's worker
-    threads replay them in place.
+    ``caches`` holds one full-geometry plane in ``hash`` mode and one
+    ``1/n_shards`` plane per shard in ``tenant`` mode; the serving
+    loop replays them in place.
     """
 
     def __init__(
@@ -70,36 +70,32 @@ class ShardedCachePlanes:
         self.n_shards = int(n_shards)
         self.mode = mode
         self.partition_pages = int(partition_pages)
-        shard_geometry = CacheGeometry(
-            capacity_bytes=geometry.capacity_bytes // n_shards,
+        n_planes = 1 if mode == "hash" else self.n_shards
+        self.plane_geometry = CacheGeometry(
+            capacity_bytes=geometry.capacity_bytes // n_planes,
             block_bytes=geometry.block_bytes,
             associativity=geometry.associativity,
         )
-        self.shard_geometry = shard_geometry
         self.caches = [
-            SetAssociativeCache(shard_geometry) for _ in range(n_shards)
+            SetAssociativeCache(self.plane_geometry)
+            for _ in range(n_planes)
         ]
 
     def route(
         self, pages: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-access ``(shard_id, local_page)`` arrays.
+        """Per-access ``(shard_id, plane_id)`` arrays.
 
-        ``hash`` mode divides the page by the shard count so the
-        local page doubles as a collision-free tag (see module
-        docstring); ``tenant`` mode keeps the global page (tags are
-        unique within a tenant partition already).
+        ``hash`` mode labels ``page % n_shards`` and sends every
+        access to the one plane; ``tenant`` mode's label is the
+        plane.  Pages are their own tags on every plane.
         """
         pages = np.asarray(pages)
         if self.mode == "hash":
             shard_ids = pages % self.n_shards
-            local_pages = pages // self.n_shards
-        else:
-            shard_ids = (
-                pages // self.partition_pages
-            ) % self.n_shards
-            local_pages = pages
-        return shard_ids, local_pages
+            return shard_ids, np.zeros_like(shard_ids)
+        shard_ids = (pages // self.partition_pages) % self.n_shards
+        return shard_ids, shard_ids
 
     def partition(self, shard_ids: np.ndarray) -> list[np.ndarray]:
         """Positions per shard, preserving stream order within each.
@@ -121,6 +117,6 @@ class ShardedCachePlanes:
         return (
             f"ShardedCachePlanes(n_shards={self.n_shards},"
             f" mode={self.mode!r},"
-            f" shard_sets={self.shard_geometry.n_sets},"
+            f" plane_sets={self.plane_geometry.n_sets},"
             f" occupancy={self.occupancy()}/{self.geometry.n_blocks})"
         )

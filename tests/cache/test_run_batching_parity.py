@@ -32,7 +32,10 @@ from repro.cache.setassoc import (
     SetAssociativeCache,
     simulate,
 )
-from repro.cache.simulate_fast import simulate_fast
+from repro.cache.simulate_fast import (
+    DEFAULT_MIN_ROUND_WIDTH,
+    simulate_fast,
+)
 from repro.core.policy import CombinedIcgmmPolicy
 
 #: Every registered-kernel policy (RandomPolicy is scalar-only by
@@ -128,12 +131,17 @@ def _hot_traces(n_sets: int):
 
 def _run_all_three(geometry, make, pages, is_write, scores, warmup,
                    index_offset=0):
-    """Reference, unbatched fast, batched fast -- with outcomes."""
+    """Reference, unbatched fast, batched fast -- with outcomes.
+
+    The fast runs keep the vector-path cutoff for every kernel, so
+    list-span kernels still reach the run machinery under test.
+    """
     results = []
+    vector = {"min_round_width": DEFAULT_MIN_ROUND_WIDTH}
     for runner, kwargs in (
         (simulate, {}),
-        (simulate_fast, {"run_batching": False}),
-        (simulate_fast, {"run_batching": True}),
+        (simulate_fast, {"run_batching": False, **vector}),
+        (simulate_fast, {"run_batching": True, **vector}),
     ):
         cache = SetAssociativeCache(geometry)
         policy = make(pages, int(pages.max()) + 1)
@@ -158,7 +166,7 @@ def _run_all_three(geometry, make, pages, is_write, scores, warmup,
 )
 @pytest.mark.parametrize("n_sets,ways", [(64, 8), (8, 4), (1, 4)])
 def test_batched_matches_reference_on_hot_traces(
-    name, make, n_sets, ways
+    name, make, n_sets, ways, vector_rounds
 ):
     geometry = _geometry(n_sets, ways)
     rng = np.random.default_rng(7)
@@ -190,6 +198,8 @@ def test_batched_matches_reference_on_hot_traces(
         np.testing.assert_array_equal(
             ref_out, bat_out, err_msg=context
         )
+    if n_sets == 64:
+        assert vector_rounds, "vector rounds never engaged"
 
 
 @pytest.mark.parametrize(

@@ -33,7 +33,10 @@ from repro.cache.setassoc import (
     SetAssociativeCache,
     simulate,
 )
-from repro.cache.simulate_fast import simulate_fast
+from repro.cache.simulate_fast import (
+    DEFAULT_MIN_ROUND_WIDTH,
+    simulate_fast,
+)
 from repro.core.policy import CombinedIcgmmPolicy
 
 #: Kernels whose hit updates commute across ways (the collapse set).
@@ -125,12 +128,17 @@ def _set_skewed_traces(n_sets: int, ways: int):
 
 
 def _run_three(geometry, make, pages, is_write, scores, warmup):
-    """Reference, fast without collapse, fast with collapse."""
+    """Reference, fast without collapse, fast with collapse.
+
+    The fast runs keep the vector-path cutoff for every kernel, so
+    list-span kernels still reach the round machinery under test.
+    """
     results = []
+    vector = {"min_round_width": DEFAULT_MIN_ROUND_WIDTH}
     for runner, kwargs in (
         (simulate, {}),
-        (simulate_fast, {"set_run_collapse": False}),
-        (simulate_fast, {"set_run_collapse": True}),
+        (simulate_fast, {"set_run_collapse": False, **vector}),
+        (simulate_fast, {"set_run_collapse": True, **vector}),
     ):
         cache = SetAssociativeCache(geometry)
         policy = make(pages, int(pages.max()) + 1)
@@ -176,7 +184,7 @@ def _assert_identical(reference, other, context):
 )
 @pytest.mark.parametrize("n_sets,ways", [(64, 8), (8, 4), (1, 4)])
 def test_collapse_bit_identical_on_set_skewed_traces(
-    name, make, n_sets, ways
+    name, make, n_sets, ways, vector_rounds
 ):
     geometry = _geometry(n_sets, ways)
     rng = np.random.default_rng(11)
@@ -189,6 +197,8 @@ def test_collapse_bit_identical_on_set_skewed_traces(
         context = f"{name}/{trace_name}/{n_sets}x{ways}"
         _assert_identical(reference, plain, context + "/plain")
         _assert_identical(reference, collapsed, context + "/collapse")
+    if n_sets == 64:
+        assert vector_rounds, "vector rounds never engaged"
 
 
 @pytest.mark.parametrize(
@@ -225,7 +235,7 @@ def test_collapse_with_short_spans_forced(name, make, monkeypatch):
     [p for p in COMMUTATIVE_FACTORIES if p[0] != "belady"],
     ids=[n for n, _ in COMMUTATIVE_FACTORIES if n != "belady"],
 )
-def test_collapse_resumable_chunked_replay(name, make):
+def test_collapse_resumable_chunked_replay(name, make, vector_rounds):
     """Chunked replay with index_offset stays exact under collapse
     (spans straddling chunk boundaries split without losing parity)."""
     geometry = _geometry(4, 4)
@@ -239,6 +249,7 @@ def test_collapse_resumable_chunked_replay(name, make):
     one = simulate_fast(
         one_cache, one_policy, pages, is_write, scores=scores,
         set_run_collapse=True,
+        min_round_width=DEFAULT_MIN_ROUND_WIDTH,
     )
 
     chunk_cache = SetAssociativeCache(geometry)
@@ -255,8 +266,10 @@ def test_collapse_resumable_chunked_replay(name, make):
             scores=scores[start:stop],
             index_offset=start,
             set_run_collapse=True,
+            min_round_width=DEFAULT_MIN_ROUND_WIDTH,
         )
         total = stats if total is None else total.merge(stats)
+    assert vector_rounds, "vector rounds never engaged"
     assert total == one, name
     np.testing.assert_array_equal(one_cache.tags, chunk_cache.tags)
     np.testing.assert_array_equal(one_cache.meta, chunk_cache.meta)
@@ -316,6 +329,7 @@ def test_short_span_resumable_chunked_replay(name, make, monkeypatch):
             outcome=chunk_out[start:stop],
             set_run_collapse=True,
             short_span_batching=True,
+            min_round_width=DEFAULT_MIN_ROUND_WIDTH,
         )
         total = stats if total is None else total.merge(stats)
     chunked = (total, chunk_cache, chunk_out)
@@ -326,9 +340,11 @@ def test_short_span_resumable_chunked_replay(name, make, monkeypatch):
 
 @pytest.mark.parametrize("strategy", ["lru", "gmm-caching-eviction"])
 def test_short_span_serving_workers_match(strategy, monkeypatch):
-    """Parallel shard replay (thread workers share the patched
+    """Parallel plane replay (thread workers share the patched
     module) through the forced short-span path is bit-identical to
-    the sequential loop."""
+    the sequential loop.  Tenant sharding gives four independent
+    planes, so the workers really fan out; the list-span cutoff is
+    lowered to the vector one so the planes' rounds stay vector."""
     import sys
 
     from repro.core.config import (
@@ -343,6 +359,17 @@ def test_short_span_serving_workers_match(strategy, monkeypatch):
     module = sys.modules["repro.cache.simulate_fast"]
     monkeypatch.setattr(module, "SET_RUN_MIN_SPAN_REPS", 10**9)
     monkeypatch.setattr(module, "SHORT_SPAN_MIN_ROUND_REPS", 0)
+    monkeypatch.setattr(
+        module, "LIST_SPAN_MIN_ROUND_WIDTH", DEFAULT_MIN_ROUND_WIDTH
+    )
+    fired = []
+    inner = module._resolve_short_spans
+
+    def counting(*args, **kwargs):
+        fired.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, "_resolve_short_spans", counting)
 
     n, train = 40_000, 4_000
     rng = np.random.default_rng(29)
@@ -367,6 +394,8 @@ def test_short_span_serving_workers_match(strategy, monkeypatch):
         serving = ServingConfig(
             chunk_requests=4_096,
             n_shards=4,
+            sharding="tenant",
+            partition_pages=750,
             strategy=strategy,
             refresh_enabled=False,
             parallel=ParallelConfig(workers=workers),
@@ -381,6 +410,7 @@ def test_short_span_serving_workers_match(strategy, monkeypatch):
             return service.totals, service.summary()
 
     assert serve(4) == serve(1)
+    assert fired, "short-span batcher never engaged"
 
 
 def test_order_dependent_kernels_refuse_set_runs():

@@ -33,7 +33,10 @@ from repro.cache.setassoc import (
     SetAssociativeCache,
     simulate,
 )
-from repro.cache.simulate_fast import simulate_fast
+from repro.cache.simulate_fast import (
+    DEFAULT_MIN_ROUND_WIDTH,
+    simulate_fast,
+)
 from repro.core.policy import CombinedIcgmmPolicy
 
 #: (name, factory(pages, universe)) for every policy in the zoo.
@@ -138,7 +141,9 @@ class TestPolicyParity:
         "name,make", POLICY_FACTORIES, ids=[n for n, _ in POLICY_FACTORIES]
     )
     @pytest.mark.parametrize("n_sets,ways", GEOMETRIES)
-    def test_randomized_trace(self, name, make, n_sets, ways):
+    def test_randomized_trace(
+        self, name, make, n_sets, ways, vector_rounds
+    ):
         # Stable digest (hash() is salted per process, which would
         # make a failing trace unreproducible).
         seed = zlib.crc32(f"{name}/{n_sets}/{ways}".encode())
@@ -147,11 +152,17 @@ class TestPolicyParity:
             n=4000,
             universe=max(8, n_sets * ways * 3),
         )
-        for warmup in (0.0, 0.37):
-            _assert_identical(
-                name, _geometry(n_sets, ways), make,
-                pages, is_write, scores, warmup,
-            )
+        # The kernel's own cutoff (list-span kernels resolve a 64-set
+        # cache in the tail) and the vector-path one.
+        for width in (None, DEFAULT_MIN_ROUND_WIDTH):
+            for warmup in (0.0, 0.37):
+                _assert_identical(
+                    name, _geometry(n_sets, ways), make,
+                    pages, is_write, scores, warmup,
+                    min_round_width=width,
+                )
+        if n_sets == 64 and name != "random":
+            assert vector_rounds, "vector rounds never engaged"
 
     @pytest.mark.parametrize(
         "name,make", POLICY_FACTORIES, ids=[n for n, _ in POLICY_FACTORIES]

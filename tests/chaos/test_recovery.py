@@ -633,9 +633,16 @@ class TestExecutorCrashes:
 
 
 class TestWorkerCountInvariance:
-    @pytest.mark.parametrize("workers", [2, 4])
+    # Hash sharding replays one plane per chunk; tenant sharding
+    # (three tenants per phase of the stream at this stride) gives
+    # the workers independent planes to fan out over.
+    @pytest.mark.parametrize(
+        "workers,sharding",
+        [(2, "hash"), (4, "hash"), (2, "tenant"), (4, "tenant")],
+        ids=["2", "4", "2-tenant", "4-tenant"],
+    )
     def test_chaotic_run_is_bit_identical_across_workers(
-        self, chaos_workload, workers
+        self, chaos_workload, workers, sharding
     ):
         config, engine, pages, writes = chaos_workload
         chaos = ChaosConfig(
@@ -651,7 +658,9 @@ class TestWorkerCountInvariance:
 
         def run(n_workers):
             serving = _serving_config(
-                parallel=ParallelConfig(workers=n_workers, max_retries=2)
+                sharding=sharding,
+                partition_pages=300,
+                parallel=ParallelConfig(workers=n_workers, max_retries=2),
             )
             service = _service(config, engine, serving, chaos=chaos)
             try:

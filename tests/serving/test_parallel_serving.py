@@ -3,7 +3,9 @@
 The multicore contract of :class:`repro.serving.IcgmmCacheService`:
 any worker count produces byte-identical totals, rolling metrics
 (pricing included), drift-detector decisions, and engine-swap history
-to the sequential loop -- drift adaptation and all.
+to the sequential loop -- drift adaptation and all.  Hash sharding
+replays one plane per chunk; tenant sharding's planes (four tenants
+here, one per plane) are what the worker threads fan out over.
 """
 
 import numpy as np
@@ -21,7 +23,16 @@ from repro.serving import IcgmmCacheService
 N = 60_000
 TRAIN = 5_000
 
-PARALLEL_VARIANTS = [ParallelConfig(workers=4)]
+#: Tenant stride: the stream's pages span four tenants, one per plane.
+PARTITION_PAGES = 10_000
+
+#: (parallel config, sharding mode) of every variant checked against
+#: the sequential loop.
+PARALLEL_VARIANTS = [
+    (ParallelConfig(workers=4), "hash"),
+    (ParallelConfig(workers=4), "tenant"),
+]
+VARIANT_IDS = ["thread4", "thread4-tenant"]
 
 
 @pytest.fixture(scope="module")
@@ -57,11 +68,15 @@ def engine(config, stream):
     )
 
 
-def _serve(config, engine, stream, parallel, strategy, refresh):
+def _serve(
+    config, engine, stream, parallel, strategy, refresh, sharding="hash"
+):
     pages, is_write = stream
     serving = ServingConfig(
         chunk_requests=4_096,
         n_shards=4,
+        sharding=sharding,
+        partition_pages=PARTITION_PAGES,
         strategy=strategy,
         refresh_enabled=refresh,
         parallel=parallel,
@@ -90,13 +105,13 @@ def _serve(config, engine, stream, parallel, strategy, refresh):
 
 
 @pytest.mark.parametrize(
-    "parallel", PARALLEL_VARIANTS, ids=["thread4"]
+    "parallel,sharding", PARALLEL_VARIANTS, ids=VARIANT_IDS
 )
 @pytest.mark.parametrize(
     "strategy", ["lru", "gmm-eviction", "gmm-caching-eviction"]
 )
 def test_parallel_serving_is_bit_identical(
-    config, engine, stream, parallel, strategy
+    config, engine, stream, parallel, sharding, strategy
 ):
     sequential = _serve(
         config,
@@ -105,9 +120,16 @@ def test_parallel_serving_is_bit_identical(
         ParallelConfig(workers=1),
         strategy,
         refresh=False,
+        sharding=sharding,
     )
     result = _serve(
-        config, engine, stream, parallel, strategy, refresh=False
+        config,
+        engine,
+        stream,
+        parallel,
+        strategy,
+        refresh=False,
+        sharding=sharding,
     )
     assert result[0] == sequential[0]  # totals
     assert result[1] == sequential[1]  # metrics + pricing snapshot
@@ -115,10 +137,10 @@ def test_parallel_serving_is_bit_identical(
 
 
 @pytest.mark.parametrize(
-    "parallel", PARALLEL_VARIANTS, ids=["thread4"]
+    "parallel,sharding", PARALLEL_VARIANTS, ids=VARIANT_IDS
 )
 def test_drift_and_swap_decisions_match_sequential(
-    config, engine, stream, parallel
+    config, engine, stream, parallel, sharding
 ):
     sequential = _serve(
         config,
@@ -127,6 +149,7 @@ def test_drift_and_swap_decisions_match_sequential(
         ParallelConfig(workers=1),
         "gmm-caching-eviction",
         refresh=True,
+        sharding=sharding,
     )
     assert sequential[1]["swaps"], "scenario must trigger a swap"
     result = _serve(
@@ -136,6 +159,7 @@ def test_drift_and_swap_decisions_match_sequential(
         parallel,
         "gmm-caching-eviction",
         refresh=True,
+        sharding=sharding,
     )
     assert result[0] == sequential[0]
     assert result[1] == sequential[1]
@@ -152,8 +176,10 @@ def test_worker_crash_propagates(config, engine, stream, monkeypatch):
     pages, is_write = stream
     serving = ServingConfig(
         n_shards=4,
+        sharding="tenant",
+        partition_pages=PARTITION_PAGES,
         refresh_enabled=False,
-        parallel=PARALLEL_VARIANTS[0],
+        parallel=ParallelConfig(workers=4),
     )
     with IcgmmCacheService(
         engine, config=config, serving=serving

@@ -10,6 +10,12 @@ Fig. 6 strategy.
 import numpy as np
 import pytest
 
+from repro.cache.policies import LruPolicy
+from repro.cache.setassoc import (
+    CacheGeometry,
+    SetAssociativeCache,
+    simulate,
+)
 from repro.cache.stats import CacheStats
 from repro.core.config import (
     ChaosConfig,
@@ -172,21 +178,47 @@ class TestAccounting:
 
 class TestTenantMode:
     def test_tenant_planes_isolate(self, prepared_system):
+        """Each tenant owns a plane of ``1/n_shards`` of the capacity:
+        its figures are those of a standalone replay of its own
+        substream on such a plane, untouched by the other tenant."""
         config, _, prepared = prepared_system
+        pages, writes = prepared.page_indices, prepared.is_write
+        # Two tenants (pages below and above the stride), one per plane.
+        partition = 760
         serving = ServingConfig(
             chunk_requests=4_096,
             n_shards=2,
             sharding="tenant",
-            partition_pages=1 << 9,
+            partition_pages=partition,
             strategy="lru",
             refresh_enabled=False,
         )
         service = IcgmmCacheService(
             prepared.engine, config=config, serving=serving
         )
-        service.ingest(prepared.page_indices, prepared.is_write)
+        service.ingest(pages, writes)
         assert service.totals.accesses == len(prepared)
-        assert len(service.tenant_metrics.keys()) >= 1
+        assert service.tenant_metrics.keys() == ["tenant:0", "tenant:1"]
+        geometry = config.geometry
+        plane = CacheGeometry(
+            capacity_bytes=geometry.capacity_bytes // 2,
+            block_bytes=geometry.block_bytes,
+            associativity=geometry.associativity,
+        )
+        for tenant in (0, 1):
+            mine = pages // partition == tenant
+            alone = simulate(
+                SetAssociativeCache(plane),
+                LruPolicy(),
+                pages[mine],
+                writes[mine],
+            )
+            assert (
+                service.tenant_metrics.total(f"tenant:{tenant}") == alone
+            )
+            assert (
+                service.shard_metrics.total(f"shard:{tenant}") == alone
+            )
 
 
 class TestThresholdQuantileWiring:

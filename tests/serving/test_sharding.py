@@ -19,13 +19,20 @@ def _geometry(n_sets=64, ways=4):
 
 class TestConstruction:
     def test_capacity_splits_evenly(self):
-        planes = ShardedCachePlanes(_geometry(64, 4), n_shards=4)
-        assert len(planes.caches) == 4
-        assert planes.shard_geometry.n_sets == 16
-        assert (
-            planes.shard_geometry.capacity_bytes * 4
-            == planes.geometry.capacity_bytes
+        """Tenant planes split the capacity; hash mode keeps one
+        full-geometry plane whatever the shard count."""
+        tenant = ShardedCachePlanes(
+            _geometry(64, 4), n_shards=4, mode="tenant"
         )
+        assert len(tenant.caches) == 4
+        assert tenant.plane_geometry.n_sets == 16
+        assert (
+            tenant.plane_geometry.capacity_bytes * 4
+            == tenant.geometry.capacity_bytes
+        )
+        hashed = ShardedCachePlanes(_geometry(64, 4), n_shards=4)
+        assert len(hashed.caches) == 1
+        assert hashed.plane_geometry == hashed.geometry
 
     def test_rejects_indivisible_shards(self):
         with pytest.raises(ValueError, match="divide"):
@@ -38,29 +45,23 @@ class TestConstruction:
     def test_single_shard_is_identity(self):
         planes = ShardedCachePlanes(_geometry(), n_shards=1)
         pages = np.array([5, 77, 123456])
-        shard_ids, local = planes.route(pages)
+        shard_ids, plane_ids = planes.route(pages)
         assert (shard_ids == 0).all()
-        np.testing.assert_array_equal(local, pages)
+        assert (plane_ids == 0).all()
 
 
 class TestHashRouting:
-    def test_local_mapping_is_bijective_per_shard(self):
-        """(shard, local page) <-> page, and local set == global set
-        restricted to the shard (the exactness precondition)."""
+    def test_shard_labels_a_fixed_group_of_sets(self):
+        """Every access goes to the one plane, and a shard label is a
+        function of the set (the exactness precondition: per-shard
+        figures are those of a fixed group of the plane's sets)."""
         geometry = _geometry(64, 4)
         planes = ShardedCachePlanes(geometry, n_shards=4)
         pages = np.arange(0, 4096)
-        shard_ids, local = planes.route(pages)
-        # Reconstruct: page = local * n_shards + shard.
-        np.testing.assert_array_equal(
-            local * 4 + shard_ids, pages
-        )
-        # Same (shard, local set) <=> same global set.
-        global_sets = pages % geometry.n_sets
-        local_sets = local % planes.shard_geometry.n_sets
-        np.testing.assert_array_equal(
-            global_sets, local_sets * 4 + shard_ids
-        )
+        shard_ids, plane_ids = planes.route(pages)
+        assert (plane_ids == 0).all()
+        sets = pages % geometry.n_sets
+        np.testing.assert_array_equal(shard_ids, sets % 4)
 
     def test_partition_preserves_order(self):
         planes = ShardedCachePlanes(_geometry(), n_shards=4)
@@ -78,8 +79,9 @@ class TestHashRouting:
         lambda: GmmCachePolicy(threshold=0.2),
     ])
     def test_hash_sharding_is_exact(self, make_policy):
-        """Union of shard planes == the unsharded cache, counter for
-        counter, under chunked resumable replay."""
+        """The one plane under chunked resumable replay == a split
+        layout of four 16-set planes with ``p // 4`` tags and
+        per-shard cursors, counter for counter and block for block."""
         rng = np.random.default_rng(3)
         n = 20000
         pages = rng.integers(0, 900, n)
@@ -87,43 +89,59 @@ class TestHashRouting:
         scores = rng.standard_normal(n)
         geometry = _geometry(64, 4)
 
-        single_cache = SetAssociativeCache(geometry)
-        expected = simulate_fast(
-            single_cache, make_policy(), pages, writes, scores=scores
-        )
-
+        split = [
+            SetAssociativeCache(_geometry(16, 4)) for _ in range(4)
+        ]
+        split_policies = [make_policy() for _ in range(4)]
+        split_cursors = [0] * 4
+        expected = None
         planes = ShardedCachePlanes(geometry, n_shards=4)
-        policies = [make_policy() for _ in range(4)]
-        cursors = [0] * 4
+        policy = make_policy()
         merged = None
         for start in range(0, n, 4096):
             stop = min(start + 4096, n)
             c_pages = pages[start:stop]
-            shard_ids, local = planes.route(c_pages)
+            c_writes = writes[start:stop]
+            c_scores = scores[start:stop]
+            shard_ids, plane_ids = planes.route(c_pages)
             for shard, positions in enumerate(
                 planes.partition(shard_ids)
             ):
                 if positions.size == 0:
                     continue
                 part = simulate_fast(
-                    planes.caches[shard],
-                    policies[shard],
-                    local[positions],
-                    writes[start:stop][positions],
-                    scores=scores[start:stop][positions],
-                    index_offset=cursors[shard],
+                    split[shard],
+                    split_policies[shard],
+                    c_pages[positions] // 4,
+                    c_writes[positions],
+                    scores=c_scores[positions],
+                    index_offset=split_cursors[shard],
                 )
-                cursors[shard] += int(positions.size)
-                merged = part if merged is None else merged.merge(part)
+                split_cursors[shard] += int(positions.size)
+                expected = (
+                    part if expected is None else expected.merge(part)
+                )
+            assert (plane_ids == 0).all()
+            part = simulate_fast(
+                planes.caches[0],
+                policy,
+                c_pages,
+                c_writes,
+                scores=c_scores,
+                index_offset=start,
+            )
+            merged = part if merged is None else merged.merge(part)
         assert merged == expected
-        # The resident pages agree (local tags map back to global).
+        # The resident pages agree (split tags map back to pages).
         resident = set()
-        for shard, cache in enumerate(planes.caches):
+        for shard, cache in enumerate(split):
             resident |= {
                 tag * 4 + shard for tag in cache.resident_pages()
             }
-        assert resident == single_cache.resident_pages()
-        assert planes.occupancy() == single_cache.occupancy()
+        assert resident == planes.caches[0].resident_pages()
+        assert planes.occupancy() == sum(
+            cache.occupancy() for cache in split
+        )
 
 
 class TestTenantRouting:
@@ -133,6 +151,6 @@ class TestTenantRouting:
             partition_pages=1000,
         )
         pages = np.array([5, 1005, 2005, 3005])
-        shard_ids, local = planes.route(pages)
+        shard_ids, plane_ids = planes.route(pages)
         np.testing.assert_array_equal(shard_ids, [0, 1, 0, 1])
-        np.testing.assert_array_equal(local, pages)
+        np.testing.assert_array_equal(plane_ids, shard_ids)

@@ -29,9 +29,9 @@ verify: test perfbench-test bench-smoke bench-serving-smoke \
 	bench-fabric-smoke bench-parallel-smoke bench-train-smoke \
 	bench-chaos-smoke bench-obs-smoke bench-ingest-smoke bench-validate
 
-# The full-run gates (e.g. sim_throughput's >= 2x set-run and
-# short-span speedups) skip smoke payloads, so the committed full
-# records are validated too.
+# The full-run gates (e.g. fabric_scaling's >= 8x on the paper
+# geometry) skip smoke payloads, so the committed full records are
+# validated too.
 BENCH_RECORDS := sim_throughput serving_drift fabric_scaling \
 	parallel_scaling train_throughput chaos_recovery obs_overhead \
 	ingest_throughput

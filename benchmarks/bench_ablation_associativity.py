@@ -10,8 +10,6 @@ nothing at 1-way to its full margin by 8-way.
 
 import dataclasses
 
-from conftest import fast_config
-
 from repro.analysis import render_table
 from repro.cache.setassoc import CacheGeometry
 from repro.core.system import IcgmmSystem
@@ -19,7 +17,7 @@ from repro.core.system import IcgmmSystem
 WAYS = (1, 2, 8, 32)
 
 
-def test_associativity_sweep(report, benchmark):
+def test_associativity_sweep(fast_config, report, benchmark):
     """LRU vs best GMM across associativities (hashmap)."""
     base = fast_config()
 

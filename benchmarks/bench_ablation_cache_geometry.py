@@ -8,8 +8,6 @@ swallows the workload (there is nothing left for any policy to win --
 the Belady-headroom effect DESIGN.md documents).
 """
 
-from conftest import fast_config
-
 from repro.analysis import render_table
 from repro.analysis.sweep import sweep_cache_capacity
 
@@ -20,7 +18,7 @@ CAPACITIES = (
 )
 
 
-def test_capacity_sweep(report, benchmark):
+def test_capacity_sweep(fast_config, report, benchmark):
     """Miss rates across cache capacities (memtier)."""
     base = fast_config()
 

@@ -12,7 +12,6 @@ import time
 
 import numpy as np
 import pytest
-from conftest import fast_config
 
 from repro.analysis import render_table
 from repro.cache import SetAssociativeCache, simulate_fast
@@ -22,7 +21,7 @@ from repro.core.system import IcgmmSystem
 
 
 @pytest.fixture(scope="module")
-def setup():
+def setup(fast_config):
     config = fast_config(trace_length=80_000)
     system = IcgmmSystem(config)
     rng = np.random.default_rng(config.seed)

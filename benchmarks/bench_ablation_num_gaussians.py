@@ -10,8 +10,6 @@ engine latency keep growing with K.
 
 import dataclasses
 
-from conftest import fast_config
-
 from repro.analysis import render_table
 from repro.analysis.sweep import sweep_n_components
 from repro.hardware import FpgaSpec, GmmEngineTiming, estimate_gmm_engine
@@ -19,7 +17,7 @@ from repro.hardware import FpgaSpec, GmmEngineTiming, estimate_gmm_engine
 SWEEP = (4, 16, 64)
 
 
-def test_k_sweep(report, benchmark):
+def test_k_sweep(fast_config, report, benchmark):
     """Miss rate and hardware cost across the K sweep."""
     # dlrm needs its full phase structure for the sweep to be
     # meaningful; use a longer trace than the other ablations.

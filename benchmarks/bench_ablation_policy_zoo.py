@@ -9,7 +9,6 @@ random/FIFO row) and how close the learned policy gets to the optimum.
 
 import numpy as np
 import pytest
-from conftest import fast_config
 
 from repro.analysis import render_table
 from repro.cache import BeladyPolicy, SetAssociativeCache, simulate_fast
@@ -18,7 +17,7 @@ from repro.core.system import IcgmmSystem
 
 
 @pytest.fixture(scope="module")
-def heap_setup():
+def heap_setup(fast_config):
     config = fast_config()
     system = IcgmmSystem(config)
     return config, system, system.prepare("heap")

@@ -9,17 +9,14 @@ bounds the divergence.
 
 import dataclasses
 
-from conftest import fast_config
-
 from repro.analysis import render_table
 from repro.core.system import IcgmmSystem
 
 
-def _run(use_quantized):
-    config = fast_config()
+def _run(base, use_quantized):
     config = dataclasses.replace(
-        config,
-        gmm=dataclasses.replace(config.gmm, use_quantized=use_quantized),
+        base,
+        gmm=dataclasses.replace(base.gmm, use_quantized=use_quantized),
     )
     return IcgmmSystem(config).run_benchmark(
         "hashmap",
@@ -27,12 +24,15 @@ def _run(use_quantized):
     )
 
 
-def test_quantized_pipeline_matches_float(report, benchmark):
+def test_quantized_pipeline_matches_float(
+    fast_config, report, benchmark
+):
     """Fixed-point scoring reproduces the float64 policy results."""
+    base = fast_config()
     quantized = benchmark.pedantic(
-        _run, args=(True,), rounds=1, iterations=1
+        _run, args=(base, True), rounds=1, iterations=1
     )
-    float64 = _run(False)
+    float64 = _run(base, False)
 
     q = quantized.outcomes["gmm-caching-eviction"]
     f = float64.outcomes["gmm-caching-eviction"]

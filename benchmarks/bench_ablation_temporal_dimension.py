@@ -13,7 +13,6 @@ measurements test that claim on this reproduction:
 
 import numpy as np
 import pytest
-from conftest import fast_config
 
 from repro.analysis import render_table
 from repro.analysis.distributions import temporal_information_gain
@@ -24,7 +23,7 @@ from repro.core.system import IcgmmSystem
 
 
 @pytest.fixture(scope="module")
-def memtier_setup():
+def memtier_setup(fast_config):
     config = fast_config()
     system = IcgmmSystem(config)
     return config, system, system.prepare("memtier")

@@ -8,15 +8,13 @@ start refusing pages with real reuse and miss rate climbs back above
 the baseline -- exposing the optimum the default targets.
 """
 
-from conftest import fast_config
-
 from repro.analysis import render_table
 from repro.analysis.sweep import sweep_threshold_quantile
 
 QUANTILES = (0.0, 0.01, 0.02, 0.05, 0.15)
 
 
-def test_threshold_sweep(report, benchmark):
+def test_threshold_sweep(fast_config, report, benchmark):
     """Miss rate across admission-threshold quantiles (sysbench)."""
     base = fast_config()
 

@@ -14,15 +14,14 @@ and smart caching collapses into mass bypassing.
 import dataclasses
 
 import pytest
-from conftest import fast_config
 
 from repro.analysis import render_table
 from repro.core.system import IcgmmSystem
 
 
-def _run(mode):
+def _run(base, mode):
     config = dataclasses.replace(
-        fast_config(), timestamp_mode=mode, train_fraction=0.5
+        base, timestamp_mode=mode, train_fraction=0.5
     )
     system = IcgmmSystem(config)
     result = system.run_benchmark(
@@ -31,12 +30,13 @@ def _run(mode):
     return result
 
 
-def test_timestamp_mode_comparison(report, benchmark):
+def test_timestamp_mode_comparison(fast_config, report, benchmark):
     """Prose (periodic) vs algorithm (ramp) timestamps, end to end."""
+    base = fast_config()
     prose = benchmark.pedantic(
-        _run, args=("prose",), rounds=1, iterations=1
+        _run, args=(base, "prose"), rounds=1, iterations=1
     )
-    ramp = _run("algorithm")
+    ramp = _run(base, "algorithm")
 
     rows = []
     for label, result in (("prose", prose), ("algorithm", ramp)):

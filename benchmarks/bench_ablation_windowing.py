@@ -7,15 +7,13 @@ the end-to-end miss rate, checking the paper's pick sits in the flat
 optimum rather than on a cliff.
 """
 
-from conftest import fast_config
-
 from repro.analysis import render_table
 from repro.analysis.sweep import sweep_windowing
 
 WINDOWS = (8, 32, 128)
 
 
-def test_window_sweep(report, benchmark):
+def test_window_sweep(fast_config, report, benchmark):
     """Miss rate across Algorithm 1 window lengths (memtier)."""
     base = fast_config()
 

@@ -19,7 +19,6 @@ score comparison per tenant (future work the bench makes visible).
 
 import numpy as np
 import pytest
-from conftest import fast_config
 
 from repro.analysis import render_table
 from repro.cache import SetAssociativeCache, simulate
@@ -33,7 +32,7 @@ PARTITION = 1 << 20
 
 
 @pytest.fixture(scope="module")
-def consolidated():
+def consolidated(fast_config):
     config = fast_config()
     rng = np.random.default_rng(config.seed)
     trace = multi_tenant_trace(

@@ -10,7 +10,6 @@ showing the two mechanisms compose.
 
 import numpy as np
 import pytest
-from conftest import fast_config
 
 from repro.analysis import render_table
 from repro.cache import SetAssociativeCache, simulate_fast
@@ -23,7 +22,7 @@ from repro.core.system import IcgmmSystem
 
 
 @pytest.fixture(scope="module")
-def stream_setup():
+def stream_setup(fast_config):
     config = fast_config(trace_length=150_000)
     system = IcgmmSystem(config)
     prepared = system.prepare("stream")

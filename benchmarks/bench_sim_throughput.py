@@ -3,7 +3,7 @@
 Measures accesses/second of the scalar reference simulator
 (:func:`repro.cache.setassoc.simulate`) and the chunked vectorized
 engine (:func:`repro.cache.simulate_fast.simulate_fast`) across the
-policy zoo, several trace lengths, and three trace shapes, asserting
+policy zoo, several trace lengths, and four trace shapes, asserting
 bit-identical counters between the paths on every run, and emits a
 machine-readable ``BENCH_sim_throughput.json``.
 
@@ -15,29 +15,16 @@ Trace shapes:
   synthetic standard-normal scores with the admission threshold at
   the 10th percentile (score *values* do not affect throughput, only
   the admit/bypass mix does).
-* ``hammer-page`` -- 90% of accesses hammer a single page: the
-  per-page run-length batching fast path (PR 4).
+* ``hammer-page`` -- 90% of accesses hammer a single page.
 * ``hammer-set`` -- 6 distinct pages that all collide in one cache
-  set: the same-set run collapse fast path.  Each row also times the
-  fast engine with ``set_run_collapse=False``; the recorded
-  ``set_run_speedup`` is the collapse's own contribution, and the
-  validator requires >= 2x on this shape for every
-  ``supports_set_runs`` policy (full runs only).
+  set: every same-set round holds one access, so the fast engine
+  replays the stream in its scalar tail.
 * ``set-pingpong`` -- short same-set spans (12 runs of consecutive
-  distinct tags, 3 accesses per run -- well under the
-  ``SET_RUN_MIN_SPAN_REPS`` collapse threshold) rotating across 16
-  sets: the *interrupted-span* shape that defeats both the long-span
-  collapse and per-element rounds.  Each row also times the fast
-  engine with ``short_span_batching=False``; the recorded
-  ``short_span_speedup`` is the cross-set short-span batcher's own
-  contribution, and the validator requires >= 2x on this shape for
-  every ``supports_set_runs`` policy (full runs only).
+  distinct tags, 3 accesses per run) rotating across 16 sets: rounds
+  at most 16 accesses wide, so the stream also runs in the tail.
 
-The reference loop is timed once per row.  The three gated fast
-variants (default, no collapse, no short-span batching) are each
-timed :data:`GATED_REPEATS` times, interleaved in rotating order, and
-each records its median, so one noisy timing can neither pass nor
-fail the set-run and short-span gates.
+The reference loop and the fast engine are each timed once per row;
+the only gate is exactness (``stats_identical`` on every row).
 
 Unlike the pytest-benchmark ablation benches this is a standalone
 script (no fixtures, no GMM training) so it can run in seconds and in
@@ -84,43 +71,15 @@ RESULT_SCHEMA = {
     "trace_length": int,
     "reference_s": float,
     "fast_s": float,
-    "fast_no_collapse_s": float,
-    "fast_no_short_span_s": float,
     "reference_accesses_per_s": float,
     "fast_accesses_per_s": float,
     "speedup": float,
-    "set_run_speedup": float,
-    "short_span_speedup": float,
     "stats_identical": bool,
     "miss_rate": float,
 }
 
 HOT_FRACTION = 0.8
 WRITE_FRACTION = 0.3
-
-#: Policies whose kernels collapse same-set runs; the validator's
-#: >= 2x ``set_run_speedup`` gate on the ``hammer-set`` trace applies
-#: to these (full runs only).
-SET_RUN_POLICIES = ("lru", "fifo", "lfu", "clock", "2q", "gmm",
-                    "counter-random", "belady")
-
-#: Acceptance gate on ``hammer-set`` rows of full runs.
-MIN_SET_RUN_SPEEDUP = 2.0
-
-#: Acceptance gate on ``set-pingpong`` rows of full runs: the
-#: cross-set short-span batcher against the pre-batcher fast path.
-MIN_SHORT_SPAN_SPEEDUP = 2.0
-
-#: Interleaved timings of each gated fast variant per row; the row
-#: records their median.  Full runs must use at least this many.
-GATED_REPEATS = 5
-
-#: The gated fast variants: ``simulate_fast`` keyword overrides.
-FAST_VARIANTS = {
-    "fast": {},
-    "no_collapse": {"set_run_collapse": False},
-    "no_short_span": {"short_span_batching": False},
-}
 
 
 def make_trace(
@@ -141,11 +100,8 @@ def make_trace(
         pages = rng.integers(0, 6, n) * geometry.n_sets
     elif kind == "set-pingpong":
         # Interrupted spans: each span is 12 runs of *consecutive
-        # distinct* tags within one set (3 accesses per run, so run
-        # batching engages), and spans rotate across 16 sets.  Every
-        # span is far under the collapse threshold, so the stream
-        # defeats both the long-span collapse and per-element
-        # rounds -- the shape mechanism 6 exists for.
+        # distinct* tags within one set (3 accesses per run), and
+        # spans rotate across 16 sets.
         reps, tags, run_len, sets_used = 12, 6, 3, 16
         n_spans = n // (reps * run_len) + 2
         set_of = np.arange(n_spans) % sets_used
@@ -186,53 +142,24 @@ def _same_planes(one: SetAssociativeCache, other: SetAssociativeCache):
 
 
 def bench_one(geometry, make_policy, pages, is_write, scores, warmup):
-    """Time the reference once and each gated fast variant
-    :data:`GATED_REPEATS` times, interleaved.
+    """Time the reference and the fast engine once each.
 
-    Returns ``(ref_s, fast_s, fast_plain_s, fast_long_only_s,
-    identical, miss_rate)`` where the fast timings are medians,
-    ``fast_plain_s`` is the fast engine with set-run collapse
-    disabled and ``fast_long_only_s`` keeps the collapse but disables
-    cross-set short-span batching (the pre-batcher fast path) --
-    identity with the reference is asserted on every run.
+    Returns ``(ref_s, fast_s, identical, miss_rate)``; ``identical``
+    compares the counters and all four cache planes.
     """
-    ref_cache = SetAssociativeCache(geometry)
-    ref_policy = make_policy()
-    t0 = time.perf_counter()
-    ref_stats = simulate(
-        ref_cache, ref_policy, pages, is_write,
-        scores=scores, warmup_fraction=warmup,
-    )
-    ref_s = time.perf_counter() - t0
-
-    names = list(FAST_VARIANTS)
-    timings = {name: [] for name in names}
-    identical = True
-    for repeat in range(GATED_REPEATS):
-        # Rotate the order so no variant always runs first.
-        shift = repeat % len(names)
-        for name in names[shift:] + names[:shift]:
-            cache = SetAssociativeCache(geometry)
-            policy = make_policy()
-            t0 = time.perf_counter()
-            stats = simulate_fast(
-                cache, policy, pages, is_write,
-                scores=scores, warmup_fraction=warmup,
-                **FAST_VARIANTS[name],
-            )
-            timings[name].append(time.perf_counter() - t0)
-            identical = (
-                identical
-                and stats == ref_stats
-                and _same_planes(ref_cache, cache)
-            )
-    fast_s, plain_s, long_s = (
-        float(np.median(timings[name])) for name in names
-    )
-    return (
-        ref_s, fast_s, plain_s, long_s, bool(identical),
-        ref_stats.miss_rate,
-    )
+    runs = []
+    for simulator in (simulate, simulate_fast):
+        cache = SetAssociativeCache(geometry)
+        policy = make_policy()
+        t0 = time.perf_counter()
+        stats = simulator(
+            cache, policy, pages, is_write,
+            scores=scores, warmup_fraction=warmup,
+        )
+        runs.append((time.perf_counter() - t0, stats, cache))
+    (ref_s, ref_stats, ref_cache), (fast_s, stats, cache) = runs
+    identical = stats == ref_stats and _same_planes(ref_cache, cache)
+    return ref_s, fast_s, bool(identical), ref_stats.miss_rate
 
 
 def run(matrix, policies, geometry, warmup=0.0):
@@ -243,9 +170,7 @@ def run(matrix, policies, geometry, warmup=0.0):
         threshold = float(np.quantile(scores, 0.1))
         factories = policy_factories(pages, threshold)
         for name in policies:
-            (
-                ref_s, fast_s, plain_s, long_s, identical, miss_rate,
-            ) = bench_one(
+            ref_s, fast_s, identical, miss_rate = bench_one(
                 geometry, factories[name], pages, is_write,
                 scores, warmup,
             )
@@ -255,13 +180,9 @@ def run(matrix, policies, geometry, warmup=0.0):
                 "trace_length": int(n),
                 "reference_s": round(ref_s, 4),
                 "fast_s": round(fast_s, 4),
-                "fast_no_collapse_s": round(plain_s, 4),
-                "fast_no_short_span_s": round(long_s, 4),
                 "reference_accesses_per_s": round(n / ref_s, 1),
                 "fast_accesses_per_s": round(n / fast_s, 1),
                 "speedup": round(ref_s / fast_s, 2),
-                "set_run_speedup": round(plain_s / fast_s, 2),
-                "short_span_speedup": round(long_s / fast_s, 2),
                 "stats_identical": identical,
                 "miss_rate": round(miss_rate, 4),
             }
@@ -271,8 +192,6 @@ def run(matrix, policies, geometry, warmup=0.0):
                 f"  ref {row['reference_accesses_per_s']:>12,.0f}/s"
                 f"  fast {row['fast_accesses_per_s']:>12,.0f}/s"
                 f"  speedup {row['speedup']:6.1f}x"
-                f"  set-run {row['set_run_speedup']:5.1f}x"
-                f"  short-span {row['short_span_speedup']:5.1f}x"
                 f"  identical={identical}"
             )
     return results
@@ -285,14 +204,6 @@ def validate(payload: dict) -> list[str]:
         return ["missing top-level 'geometry' or 'results'"]
     if not isinstance(payload["results"], list) or not payload["results"]:
         return ["'results' must be a non-empty list"]
-    repeats = payload.get("gated_repeats")
-    if not payload.get("smoke") and (
-        not isinstance(repeats, int) or repeats < GATED_REPEATS
-    ):
-        problems.append(
-            f"gated_repeats {repeats!r}: full runs must time each"
-            f" gated variant at least {GATED_REPEATS} times"
-        )
     for i, row in enumerate(payload["results"]):
         for field, kind in RESULT_SCHEMA.items():
             if field not in row:
@@ -306,29 +217,6 @@ def validate(payload: dict) -> list[str]:
                 )
         if not row.get("stats_identical", False):
             problems.append(f"results[{i}]: fast/reference diverged")
-        if (
-            not payload.get("smoke")
-            and row.get("trace") == "hammer-set"
-            and row.get("policy") in SET_RUN_POLICIES
-            and row.get("set_run_speedup", 0.0) < MIN_SET_RUN_SPEEDUP
-        ):
-            problems.append(
-                f"results[{i}]: set-run collapse speedup"
-                f" {row.get('set_run_speedup')} <"
-                f" {MIN_SET_RUN_SPEEDUP}x on hammer-set"
-            )
-        if (
-            not payload.get("smoke")
-            and row.get("trace") == "set-pingpong"
-            and row.get("policy") in SET_RUN_POLICIES
-            and row.get("short_span_speedup", 0.0)
-            < MIN_SHORT_SPAN_SPEEDUP
-        ):
-            problems.append(
-                f"results[{i}]: short-span batching speedup"
-                f" {row.get('short_span_speedup')} <"
-                f" {MIN_SHORT_SPAN_SPEEDUP}x on set-pingpong"
-            )
     return problems
 
 
@@ -422,7 +310,6 @@ def main(argv=None) -> int:
             "hot_fraction": HOT_FRACTION,
             "write_fraction": WRITE_FRACTION,
         },
-        "gated_repeats": GATED_REPEATS,
         "results": results,
     }
     problems = validate(payload)

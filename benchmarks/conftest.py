@@ -20,20 +20,27 @@ from repro.core.experiment import run_suite
 OUTPUT_DIR = Path(__file__).parent / "output"
 
 
-def fast_config(**overrides) -> IcgmmConfig:
+@pytest.fixture(scope="session")
+def fast_config():
     """Reduced profile for the ablation benches (seconds, not minutes).
 
-    Shorter traces and a smaller mixture; the headline Fig. 6/Table 1
-    benches use the full default profile instead.
+    A factory: ``fast_config(**overrides)`` builds an
+    :class:`IcgmmConfig` with shorter traces and a smaller mixture;
+    the headline Fig. 6/Table 1 benches use the full default profile
+    instead.
     """
-    overrides.setdefault("trace_length", 120_000)
-    overrides.setdefault(
-        "gmm",
-        GmmEngineConfig(
-            n_components=24, max_iter=30, max_train_samples=15_000
-        ),
-    )
-    return IcgmmConfig(**overrides)
+
+    def make(**overrides) -> IcgmmConfig:
+        overrides.setdefault("trace_length", 120_000)
+        overrides.setdefault(
+            "gmm",
+            GmmEngineConfig(
+                n_components=24, max_iter=30, max_train_samples=15_000
+            ),
+        )
+        return IcgmmConfig(**overrides)
+
+    return make
 
 
 @pytest.fixture(scope="session")

@@ -18,8 +18,12 @@ Contract (mirrors the scalar hooks in
 
 Every vectorized method must make exactly the decisions (including
 tie-breaking: *first* way on ties, matching ``argmin_way``) and
-exactly the metadata writes of its scalar counterpart.  The parity
-suite in ``tests/cache/test_simulate_fast_parity.py`` enforces this
+exactly the metadata writes of its scalar counterpart, one access
+per set per call.  A kernel that mirrors policy state outside the
+cache planes (CLOCK's hands) writes it back in ``flush`` and re-reads
+it in ``reload``: the engine's scalar tail drives the policy's own
+hooks between the two.  The parity suite in
+``tests/cache/test_simulate_fast_parity.py`` enforces all of this
 differentially for every registered kernel.
 
 A kernel whose four scalar hooks reduce to a handful of facts --
@@ -106,35 +110,6 @@ class PolicyKernel:
     #: clear it.
     admits_all = True
 
-    #: When True, ``admit`` is a pure per-access function (its answer
-    #: depends only on the call's arguments, never on accumulated
-    #: state), so the run-length batching engine may pre-resolve
-    #: admission for the followers of a collapsed run.  Kernels with
-    #: a stateful admission rule must clear it.
-    pure_admission = True
-
-    #: When True, ``k`` consecutive hits on one resident block can be
-    #: reproduced by the single closed-form update ``on_hit_runs``;
-    #: kernels (or instances) whose per-hit update cannot be composed
-    #: exactly -- e.g. decaying LFU, whose repeated float multiplies
-    #: are not associative bit for bit -- clear it, and the engine
-    #: falls back to one round per access for them.
-    supports_hit_runs = True
-
-    #: When True, the engine may collapse a contiguous same-set span
-    #: of *distinct-page* hits into per-way ``on_hit_runs`` updates
-    #: whose hit indices are **not consecutive** (hits on the span's
-    #: other ways interleave).  That is sound exactly when a hit's
-    #: update is *order-commutative across ways*: it touches only its
-    #: own way's metadata (or is idempotent) and composes from the
-    #: (first, last, count) summary alone.  LRU / FIFO / CLOCK / 2Q /
-    #: score / Belady / counter-random qualify; SLRU does **not**
-    #: (a promotion can demote a *different* way, so hit order within
-    #: the set matters), nor does decaying LFU (each hit rescales the
-    #: whole set row).  Deliberately False on the base class: a new
-    #: kernel must opt in after checking its cross-way semantics.
-    supports_set_runs = False
-
     def __init__(
         self, policy: ReplacementPolicy, cache: "SetAssociativeCache"
     ) -> None:
@@ -154,40 +129,6 @@ class PolicyKernel:
     ) -> None:
         """Vectorized ``on_hit``: default refreshes recency."""
         self.cache.stamp[sets, ways] = idx.astype(np.float64)
-
-    def on_hit_runs(
-        self,
-        sets: np.ndarray,
-        ways: np.ndarray,
-        first_idx: np.ndarray,
-        last_idx: np.ndarray,
-        counts: np.ndarray,
-        first_scores: np.ndarray,
-        last_scores: np.ndarray,
-    ) -> None:
-        """Collapsed update for ``counts`` consecutive hits per row.
-
-        Contract: bit-identical to ``counts[i]`` sequential
-        ``on_hit`` calls on row ``i``'s block at the consecutive
-        access indices ``first_idx[i] .. last_idx[i]``.  Only the
-        first and last index/score and the count are available --
-        the run-length engine guarantees the intermediate accesses
-        hit the same block, and a kernel whose update depends on
-        their individual values must clear ``supports_hit_runs``
-        instead of overriding this.
-
-        Kernels that additionally declare ``supports_set_runs`` are
-        called with a weaker guarantee: the ``counts[i]`` hits all
-        land on row ``i``'s block between ``first_idx[i]`` and
-        ``last_idx[i]``, but hits on *other ways of the same set*
-        may interleave (the indices are increasing, not
-        consecutive).  Every registered set-run kernel's composite
-        depends only on the summary arguments, so the same
-        implementation serves both contracts.
-
-        Default (recency refresh): the last hit's stamp wins.
-        """
-        self.cache.stamp[sets, ways] = last_idx.astype(np.float64)
 
     def admit(
         self,
@@ -290,8 +231,6 @@ def _argmax_rows(values: np.ndarray) -> np.ndarray:
 class LruKernel(PolicyKernel):
     """LRU: base recency refresh, evict the oldest stamp."""
 
-    supports_set_runs = True
-
     def select_victims(self, sets, idx):
         return _argmin_rows(self.cache.stamp[sets])
 
@@ -303,15 +242,7 @@ class LruKernel(PolicyKernel):
 class FifoKernel(PolicyKernel):
     """FIFO: hits do not refresh; evict the earliest fill."""
 
-    supports_set_runs = True
-
     def on_hits(self, sets, ways, idx, scores):
-        pass
-
-    def on_hit_runs(
-        self, sets, ways, first_idx, last_idx, counts, first_scores,
-        last_scores,
-    ):
         pass
 
     def select_victims(self, sets, idx):
@@ -322,15 +253,6 @@ class FifoKernel(PolicyKernel):
 class LfuKernel(PolicyKernel):
     """LFU: count hits in ``meta`` (with optional per-set decay)."""
 
-    def __init__(self, policy, cache):
-        super().__init__(policy, cache)
-        # With decay, k sequential (meta * d) multiplies are not the
-        # same float64 value as meta * d**k -- no exact closed form;
-        # worse, each decayed hit rescales the *whole* set row, so
-        # hit order across ways matters too (no set-run collapse).
-        self.supports_hit_runs = policy.decay == 1.0
-        self.supports_set_runs = policy.decay == 1.0
-
     def on_hits(self, sets, ways, idx, scores):
         cache = self.cache
         cache.stamp[sets, ways] = idx.astype(np.float64)
@@ -340,15 +262,6 @@ class LfuKernel(PolicyKernel):
             # set matches the scalar per-hit decay loop exactly.
             cache.meta[sets] *= decay
         cache.meta[sets, ways] += 1.0
-
-    def on_hit_runs(
-        self, sets, ways, first_idx, last_idx, counts, first_scores,
-        last_scores,
-    ):
-        # Only reached when decay == 1.0: counters stay small
-        # integers in float64, so += count is exact.
-        self.cache.stamp[sets, ways] = last_idx.astype(np.float64)
-        self.cache.meta[sets, ways] += counts.astype(np.float64)
 
     def fill_meta(self, pages, scores, idx):
         return np.ones(pages.shape[0], dtype=np.float64)
@@ -366,13 +279,7 @@ class ClockKernel(PolicyKernel):
     hand position) is replayed with one rotation per round.  Hands are
     mirrored into a dense array for vector gather/scatter and written
     back to the policy's sparse dict in :meth:`finalize`.
-
-    Set-run safe: a hit only sets its own way's reference bit
-    (idempotent) and the hand moves only at evictions, which the
-    set-run engine resolves sequentially.
     """
-
-    supports_set_runs = True
 
     def __init__(self, policy, cache):
         super().__init__(policy, cache)
@@ -383,15 +290,6 @@ class ClockKernel(PolicyKernel):
 
     def on_hits(self, sets, ways, idx, scores):
         self.cache.stamp[sets, ways] = idx.astype(np.float64)
-        self.cache.meta[sets, ways] = 1.0
-
-    def on_hit_runs(
-        self, sets, ways, first_idx, last_idx, counts, first_scores,
-        last_scores,
-    ):
-        # Setting the reference bit is idempotent; the hand moves
-        # only on evictions, so k hits collapse to the last stamp.
-        self.cache.stamp[sets, ways] = last_idx.astype(np.float64)
         self.cache.meta[sets, ways] = 1.0
 
     def fill_meta(self, pages, scores, idx):
@@ -440,12 +338,7 @@ class CounterRandomKernel(PolicyKernel):
     arithmetic.  Because the draw ignores every other access, chunk
     reordering is invisible and parity with the scalar reference is
     exact (unlike the sequential-stream ``RandomPolicy``).
-
-    Set-run safe: hits take the base recency refresh (own-way stamp
-    only) and victim draws are pure functions of the access index.
     """
-
-    supports_set_runs = True
 
     def select_victims(self, sets, idx):
         draws = splitmix64_array(
@@ -483,16 +376,6 @@ class SlruKernel(PolicyKernel):
             cache.meta[p_sets[over_cap], demoted] = 0.0
         cache.meta[p_sets, p_ways] = 1.0
 
-    def on_hit_runs(
-        self, sets, ways, first_idx, last_idx, counts, first_scores,
-        last_scores,
-    ):
-        # Only the run's first hit can promote (afterwards the block
-        # is protected and later hits return early), so the composite
-        # is "first hit's full update, then the last stamp".
-        self.on_hits(sets, ways, first_idx, first_scores)
-        self.cache.stamp[sets, ways] = last_idx.astype(np.float64)
-
     def select_victims(self, sets, idx):
         cache = self.cache
         meta_rows = cache.meta[sets]
@@ -509,24 +392,10 @@ class SlruKernel(PolicyKernel):
 
 @register_kernel(TwoQPolicy)
 class TwoQKernel(PolicyKernel):
-    """2Q: A1in/Am segments in ``meta``, FIFO within A1in.
-
-    Set-run safe: an A1in -> Am promotion writes only the hit way's
-    segment bit (idempotent), never another way's.
-    """
-
-    supports_set_runs = True
+    """2Q: A1in/Am segments in ``meta``, FIFO within A1in."""
 
     def on_hits(self, sets, ways, idx, scores):
         self.cache.stamp[sets, ways] = idx.astype(np.float64)
-        self.cache.meta[sets, ways] = 1.0
-
-    def on_hit_runs(
-        self, sets, ways, first_idx, last_idx, counts, first_scores,
-        last_scores,
-    ):
-        # A1in -> Am promotion is idempotent; the last stamp wins.
-        self.cache.stamp[sets, ways] = last_idx.astype(np.float64)
         self.cache.meta[sets, ways] = 1.0
 
     def select_victims(self, sets, idx):
@@ -545,19 +414,9 @@ class TwoQKernel(PolicyKernel):
 class BeladyKernel(PolicyKernel):
     """Belady/OPT: next-use distances in ``meta``, evict the farthest."""
 
-    supports_set_runs = True
-
     def on_hits(self, sets, ways, idx, scores):
         self.cache.stamp[sets, ways] = idx.astype(np.float64)
         self.cache.meta[sets, ways] = self.policy._next_use[idx]
-
-    def on_hit_runs(
-        self, sets, ways, first_idx, last_idx, counts, first_scores,
-        last_scores,
-    ):
-        # Each hit overwrites both planes; the last access wins.
-        self.cache.stamp[sets, ways] = last_idx.astype(np.float64)
-        self.cache.meta[sets, ways] = self.policy._next_use[last_idx]
 
     def fill_meta(self, pages, scores, idx):
         return self.policy._next_use[idx].astype(np.float64)
@@ -574,11 +433,8 @@ class ScoreKernel(PolicyKernel):
     (``GmmCachePolicy``, ``LstmCachePolicy``); the combined-view
     :class:`~repro.core.policy.CombinedIcgmmPolicy` overrides
     ``fill_meta`` and therefore registers its own kernel (see
-    :class:`CombinedScoreKernel`, which inherits set-run support --
-    both only ever write the hit way's stamp/score).
+    :class:`CombinedScoreKernel`).
     """
-
-    supports_set_runs = True
 
     def __init__(self, policy, cache):
         super().__init__(policy, cache)
@@ -588,16 +444,6 @@ class ScoreKernel(PolicyKernel):
         self.cache.stamp[sets, ways] = idx.astype(np.float64)
         if self.policy.update_score_on_hit:
             self.cache.meta[sets, ways] = scores
-
-    def on_hit_runs(
-        self, sets, ways, first_idx, last_idx, counts, first_scores,
-        last_scores,
-    ):
-        # Stamp and (optionally) stored score are overwritten per
-        # hit; the run's last access wins.
-        self.cache.stamp[sets, ways] = last_idx.astype(np.float64)
-        if self.policy.update_score_on_hit:
-            self.cache.meta[sets, ways] = last_scores
 
     def admit(self, pages, scores, is_write, idx):
         if not self.policy.admission:

@@ -1,27 +1,88 @@
 """Fixtures shared by the simulator suites."""
 
-import sys
-
+import numpy as np
 import pytest
+
+from repro.cache.setassoc import SetAssociativeCache, simulate
+from repro.cache.simulate_fast import simulate_fast
+
+#: The two schedules a parity check runs: the kernel's own round
+#: cutoff, and ``min_round_width=1``, which makes every round --
+#: however narrow -- a vector round.
+CUTOFFS = {"default": None, "forced": 1}
+
+
+def _replay(runner, geometry, make, pages, is_write, scores, warmup,
+            step=None, **kwargs):
+    """One run, or with ``step`` a chunked resumable replay through
+    ``index_offset``, recording per-access outcome codes."""
+    cache = SetAssociativeCache(geometry)
+    policy = make(pages, int(pages.max()) + 1)
+    n = pages.shape[0]
+    outcome = np.empty(n, dtype=np.uint8)
+    if step is None:
+        stats = runner(
+            cache, policy, pages, is_write,
+            scores=scores, warmup_fraction=warmup, outcome=outcome,
+            **kwargs,
+        )
+        return stats, cache, outcome
+    assert warmup == 0.0  # index_offset replays count every access
+    total = None
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        stats = runner(
+            cache, policy,
+            pages[start:stop], is_write[start:stop],
+            scores=scores[start:stop],
+            index_offset=start,
+            outcome=outcome[start:stop],
+            **kwargs,
+        )
+        total = stats if total is None else total.merge(stats)
+    return total, cache, outcome
+
+
+def _assert_identical(reference, other, context):
+    (ref_stats, ref_cache, ref_out) = reference
+    (stats, cache, out) = other
+    assert ref_stats == stats, f"{context}: counters diverge"
+    for plane in ("tags", "dirty", "meta", "stamp"):
+        np.testing.assert_array_equal(
+            getattr(ref_cache, plane),
+            getattr(cache, plane),
+            err_msg=f"{context}: {plane}",
+        )
+    np.testing.assert_array_equal(
+        ref_out, out, err_msg=f"{context}: outcomes"
+    )
 
 
 @pytest.fixture
-def vector_rounds(monkeypatch):
-    """Records every ``simulate_fast._process_round`` call the test makes.
+def assert_fast_parity(vector_rounds):
+    """Checker: a stream through ``simulate_fast`` at both
+    :data:`CUTOFFS` (one-shot, or chunked with ``step``) must match
+    one ``simulate`` run bit for bit -- counters, all four cache
+    planes and outcome codes -- and the forced run must go through
+    vector rounds.  Returns the reference ``(stats, cache,
+    outcome)``."""
 
-    A suite whose subject is a vector mechanism asserts on it, so a
-    round-cutoff change that sends its rounds to the scalar tail fails
-    loudly instead of quietly testing the tail twice.
-    """
-    # The package re-exports simulate_fast the *function* under the
-    # module's dotted name, so patch the module object directly.
-    module = sys.modules["repro.cache.simulate_fast"]
-    inner = module._process_round
-    calls = []
+    def check(geometry, make, pages, is_write, scores, warmup,
+              context, step=None):
+        reference = _replay(
+            simulate, geometry, make, pages, is_write, scores, warmup
+        )
+        for cutoff, width in CUTOFFS.items():
+            before = len(vector_rounds)
+            fast = _replay(
+                simulate_fast, geometry, make, pages, is_write,
+                scores, warmup, step=step, min_round_width=width,
+            )
+            _assert_identical(reference, fast, f"{context}/{cutoff}")
+            if width == 1:
+                assert len(vector_rounds) > before, (
+                    f"{context}: vector rounds never engaged"
+                )
+        return reference
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(module, "_process_round", counting)
-    return calls
+    return check

@@ -1,14 +1,14 @@
-"""Differential tests: per-set run-length batching vs the reference.
+"""Differential tests: the fast engine on page-run traces.
 
-The run-length engine of :mod:`repro.cache.simulate_fast` collapses
-consecutive same-page accesses into closed-form kernel updates
-(``on_hit_runs``) and replays bypassed runs' admission scans
-vectorized.  Its contract is the fast path's usual one -- *bit
-identical* counters, final cache planes, and per-access outcomes
-against the scalar reference -- stressed here with the hot-set-skewed
-traces run batching exists for: a single hammered page, a single
-scorching set, two-set ping-pong, long geometric runs, and
-memtier-style traffic with hot fraction 0.99.
+Streams that repeat pages back to back -- a single hammered page, a
+single scorching set, two-set ping-pong, long geometric runs, and
+memtier-style traffic with hot fraction 0.99 -- give the same-set
+rounds of :mod:`repro.cache.simulate_fast` one access per set, so the
+kernel's own cutoff sends most of every chunk to the scalar tail.
+Each stream runs at that cutoff and with vector rounds forced
+(``min_round_width=1``: every round, however narrow, is a vector
+round), and both must match the scalar reference bit for bit:
+counters, final cache planes and per-access outcome codes.
 """
 
 import numpy as np
@@ -26,20 +26,11 @@ from repro.cache.policies import (
     SlruPolicy,
     TwoQPolicy,
 )
-from repro.cache.policies.kernels import kernel_for
-from repro.cache.setassoc import (
-    CacheGeometry,
-    SetAssociativeCache,
-    simulate,
-)
-from repro.cache.simulate_fast import (
-    DEFAULT_MIN_ROUND_WIDTH,
-    simulate_fast,
-)
+from repro.cache.setassoc import CacheGeometry
 from repro.core.policy import CombinedIcgmmPolicy
 
-#: Every registered-kernel policy (RandomPolicy is scalar-only by
-#: design and exercises no batching path).
+#: Every registered-kernel policy (RandomPolicy has no kernel and
+#: runs the reference loop whole).
 POLICY_FACTORIES = [
     ("lru", lambda pages, universe: LruPolicy()),
     ("fifo", lambda pages, universe: FifoPolicy()),
@@ -81,7 +72,9 @@ POLICY_FACTORIES = [
     ),
 ]
 
-N = 24_000
+#: Accesses per stream.  Forced rounds on a one-set stream resolve
+#: one access per round, so the length sets the suite's run time.
+N = 4_000
 
 
 def _geometry(n_sets: int, ways: int) -> CacheGeometry:
@@ -93,12 +86,11 @@ def _geometry(n_sets: int, ways: int) -> CacheGeometry:
 
 
 def _hot_traces(n_sets: int):
-    """The hot-set-skewed page streams run batching targets."""
+    """Page streams dominated by back-to-back repeats."""
     rng = np.random.default_rng(99)
     traces = {}
     traces["single-page"] = np.zeros(N, dtype=np.int64)
-    # One scorching set, a handful of distinct pages (pure conflict,
-    # repeat density above the run-batching gate).
+    # One scorching set, a handful of distinct pages.
     traces["single-set"] = (
         rng.integers(0, 4, N) * n_sets
     ).astype(np.int64)
@@ -119,8 +111,7 @@ def _hot_traces(n_sets: int):
     traces["runs-geometric"] = np.repeat(vals, reps)[:N].astype(
         np.int64
     )
-    # Sparse repeats: density below the gate, so batching must stand
-    # down chunk by chunk without changing anything.
+    # Sparse repeats over a wide universe.
     traces["sparse-runs"] = np.where(
         rng.random(N) < 0.05,
         np.repeat(rng.integers(0, 500, N // 2 + 1), 2)[:N],
@@ -129,77 +120,24 @@ def _hot_traces(n_sets: int):
     return traces
 
 
-def _run_all_three(geometry, make, pages, is_write, scores, warmup,
-                   index_offset=0):
-    """Reference, unbatched fast, batched fast -- with outcomes.
-
-    The fast runs keep the vector-path cutoff for every kernel, so
-    list-span kernels still reach the run machinery under test.
-    """
-    results = []
-    vector = {"min_round_width": DEFAULT_MIN_ROUND_WIDTH}
-    for runner, kwargs in (
-        (simulate, {}),
-        (simulate_fast, {"run_batching": False, **vector}),
-        (simulate_fast, {"run_batching": True, **vector}),
-    ):
-        cache = SetAssociativeCache(geometry)
-        policy = make(pages, int(pages.max()) + 1)
-        outcome = np.empty(pages.shape[0], dtype=np.uint8)
-        stats = runner(
-            cache,
-            policy,
-            pages,
-            is_write,
-            scores=scores,
-            warmup_fraction=warmup,
-            index_offset=index_offset,
-            outcome=outcome,
-            **kwargs,
-        )
-        results.append((stats, cache, outcome))
-    return results
-
-
 @pytest.mark.parametrize(
     "name,make", POLICY_FACTORIES, ids=[n for n, _ in POLICY_FACTORIES]
 )
 @pytest.mark.parametrize("n_sets,ways", [(64, 8), (8, 4), (1, 4)])
 def test_batched_matches_reference_on_hot_traces(
-    name, make, n_sets, ways, vector_rounds
+    name, make, n_sets, ways, assert_fast_parity
 ):
+    """Every hot stream, chunk-batched at both cutoffs, matches the
+    reference."""
     geometry = _geometry(n_sets, ways)
     rng = np.random.default_rng(7)
     for trace_name, pages in _hot_traces(n_sets).items():
         is_write = rng.random(N) < 0.3
         scores = rng.standard_normal(N)
-        (ref, ref_cache, ref_out), unbatched, (
-            bat,
-            bat_cache,
-            bat_out,
-        ) = _run_all_three(
-            geometry, make, pages, is_write, scores, warmup=0.2
+        assert_fast_parity(
+            geometry, make, pages, is_write, scores, 0.2,
+            f"{name}/{trace_name}/{n_sets}x{ways}",
         )
-        context = f"{name}/{trace_name}/{n_sets}x{ways}"
-        assert ref == bat, f"{context}: counters diverge"
-        assert ref == unbatched[0], f"{context}: unbatched diverges"
-        np.testing.assert_array_equal(
-            ref_cache.tags, bat_cache.tags, err_msg=context
-        )
-        np.testing.assert_array_equal(
-            ref_cache.dirty, bat_cache.dirty, err_msg=context
-        )
-        np.testing.assert_array_equal(
-            ref_cache.meta, bat_cache.meta, err_msg=context
-        )
-        np.testing.assert_array_equal(
-            ref_cache.stamp, bat_cache.stamp, err_msg=context
-        )
-        np.testing.assert_array_equal(
-            ref_out, bat_out, err_msg=context
-        )
-    if n_sets == 64:
-        assert vector_rounds, "vector rounds never engaged"
 
 
 @pytest.mark.parametrize(
@@ -207,55 +145,27 @@ def test_batched_matches_reference_on_hot_traces(
     [p for p in POLICY_FACTORIES if p[0] != "belady"],
     ids=[n for n, _ in POLICY_FACTORIES if n != "belady"],
 )
-def test_batched_resumable_replay_matches(name, make):
-    """Chunked replay with index_offset stays exact under batching
-    (runs crossing chunk boundaries split without losing parity)."""
+def test_batched_resumable_replay_matches(
+    name, make, assert_fast_parity
+):
+    """Chunked replay with ``index_offset`` (an odd step, so page runs
+    straddle chunk boundaries) matches one reference run at both
+    cutoffs."""
     geometry = _geometry(16, 4)
     pages = _hot_traces(16)["memtier-hot99"]
     rng = np.random.default_rng(3)
     is_write = rng.random(N) < 0.3
     scores = rng.standard_normal(N)
-
-    one_cache = SetAssociativeCache(geometry)
-    one_policy = make(pages, int(pages.max()) + 1)
-    one = simulate_fast(
-        one_cache, one_policy, pages, is_write, scores=scores,
-        run_batching=True,
+    assert_fast_parity(
+        geometry, make, pages, is_write, scores, 0.0,
+        f"{name}/memtier-hot99/chunked", step=431,
     )
 
-    chunk_cache = SetAssociativeCache(geometry)
-    chunk_policy = make(pages, int(pages.max()) + 1)
-    total = None
-    step = 1_711  # odd step so runs straddle chunk boundaries
-    for start in range(0, N, step):
-        stop = min(start + step, N)
-        stats = simulate_fast(
-            chunk_cache,
-            chunk_policy,
-            pages[start:stop],
-            is_write[start:stop],
-            scores=scores[start:stop],
-            index_offset=start,
-            run_batching=True,
-        )
-        total = stats if total is None else total.merge(stats)
-    assert total == one, name
-    np.testing.assert_array_equal(one_cache.tags, chunk_cache.tags)
-    np.testing.assert_array_equal(one_cache.stamp, chunk_cache.stamp)
 
-
-def test_decaying_lfu_declines_hit_runs():
-    """Float decay has no exact closed form, so its kernel opts out
-    of run collapse (and stays exact through the plain path)."""
-    geometry = _geometry(8, 4)
-    cache = SetAssociativeCache(geometry)
-    assert kernel_for(LfuPolicy(decay=0.9), cache).supports_hit_runs is False
-    assert kernel_for(LfuPolicy(), cache).supports_hit_runs is True
-
-
-def test_bypass_runs_replay_admission_exactly():
-    """A hammered page scoring around the admission cut exercises the
-    bypassed-run scan: refusals, the first admitted fill, then hits."""
+def test_bypass_runs_replay_admission_exactly(assert_fast_parity):
+    """A hammered page scoring around the admission cut: runs open
+    with refusals, then the first admitted access fills and the rest
+    hit."""
     geometry = _geometry(4, 2)
     n = 6_000
     rng = np.random.default_rng(21)
@@ -272,12 +182,7 @@ def test_bypass_runs_replay_admission_exactly():
     def make(pages_, universe):
         return GmmCachePolicy(threshold=0.1, eviction=True)
 
-    (ref, ref_cache, ref_out), _, (bat, bat_cache, bat_out) = (
-        _run_all_three(
-            geometry, make, pages, is_write, scores, warmup=0.1
-        )
+    reference = assert_fast_parity(
+        geometry, make, pages, is_write, scores, 0.1, "bypass-runs"
     )
-    assert ref.bypasses > 0  # the scenario actually triggers
-    assert ref == bat
-    np.testing.assert_array_equal(ref_out, bat_out)
-    np.testing.assert_array_equal(ref_cache.meta, bat_cache.meta)
+    assert reference[0].bypasses > 0  # the scenario actually triggers

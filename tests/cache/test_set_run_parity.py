@@ -1,15 +1,15 @@
-"""Differential tests: same-set run collapse vs the reference.
+"""Differential tests: the fast engine on set-skewed traces.
 
-The set-run engine of :mod:`repro.cache.simulate_fast` collapses a
-contiguous same-set span of runs into one round element -- grouped
-per-way ``on_hit_runs`` composites plus exact sequential miss
-resolution -- for kernels whose hit updates commute across ways
-(``supports_set_runs``).  Contract: *bit identical* counters, final
-cache planes, and per-access outcome codes against both the scalar
-reference and the uncollapsed fast path, on the set-skewed traces the
-mechanism exists for; and order-dependent kernels (SLRU, decayed LFU)
-must refuse the collapse entirely while staying exact through the
-plain path.
+Streams that hammer one or two cache sets with a handful of distinct
+pages -- a single set whose working set fits, a single set thrashing
+through twice its ways, two-set burst ping-pong, and memtier-style
+traffic with hot fraction 0.99 -- put one access per round into the
+same-set rounds of :mod:`repro.cache.simulate_fast`, so the kernel's
+own cutoff sends whole chunks to the scalar tail.  Each stream runs
+at that cutoff and with vector rounds forced (``min_round_width=1``),
+one-shot and as a chunked resumable replay, and must match the
+scalar reference bit for bit: counters, final cache planes and
+per-access outcome codes.
 """
 
 import numpy as np
@@ -27,20 +27,13 @@ from repro.cache.policies import (
     SlruPolicy,
     TwoQPolicy,
 )
-from repro.cache.policies.kernels import kernel_for
-from repro.cache.setassoc import (
-    CacheGeometry,
-    SetAssociativeCache,
-    simulate,
-)
-from repro.cache.simulate_fast import (
-    DEFAULT_MIN_ROUND_WIDTH,
-    simulate_fast,
-)
+from repro.cache.setassoc import CacheGeometry
 from repro.core.policy import CombinedIcgmmPolicy
 
-#: Kernels whose hit updates commute across ways (the collapse set).
-COMMUTATIVE_FACTORIES = [
+#: Every registered-kernel policy, including the ones whose hit
+#: updates depend on the order of hits within a set (SLRU promotion,
+#: decayed LFU).
+POLICY_FACTORIES = [
     ("lru", lambda pages, universe: LruPolicy()),
     ("fifo", lambda pages, universe: FifoPolicy()),
     ("lfu", lambda pages, universe: LfuPolicy()),
@@ -77,15 +70,19 @@ COMMUTATIVE_FACTORIES = [
             },
         ),
     ),
-]
-
-#: Order-dependent kernels: must refuse set runs, stay exact anyway.
-ORDER_DEPENDENT_FACTORIES = [
     ("slru", lambda pages, universe: SlruPolicy()),
     ("lfu-decay", lambda pages, universe: LfuPolicy(decay=0.9)),
 ]
+POLICY_IDS = [n for n, _ in POLICY_FACTORIES]
 
-N = 24_000
+#: Chunked replay needs a policy that can start mid-trace; Belady's
+#: next-use table is built from the whole trace.
+RESUMABLE = [p for p in POLICY_FACTORIES if p[0] != "belady"]
+RESUMABLE_IDS = [n for n, _ in RESUMABLE]
+
+#: Accesses per stream.  Forced rounds on a one-set stream resolve
+#: one access per round, so the length sets the suite's run time.
+N = 4_000
 
 
 def _geometry(n_sets: int, ways: int) -> CacheGeometry:
@@ -97,21 +94,20 @@ def _geometry(n_sets: int, ways: int) -> CacheGeometry:
 
 
 def _set_skewed_traces(n_sets: int, ways: int):
-    """The set-skewed streams the collapse targets."""
+    """Streams concentrated on one or two cache sets."""
     rng = np.random.default_rng(31)
     traces = {}
-    # One scorching set, working set fits: long all-hit spans.
+    # One scorching set, working set fits: all hits once warm.
     fitting = max(2, ways - 2)
     traces["single-set-fits"] = (
         rng.integers(0, fitting, N) * n_sets
     ).astype(np.int64)
     # One scorching set, working set overflows: constant conflict
-    # misses exercise the sequential miss resolution and the
-    # miss-density bail.
+    # misses, every one a victim choice.
     traces["single-set-thrash"] = (
         rng.integers(0, 2 * ways, N) * n_sets
     ).astype(np.int64)
-    # Two sets, burst ping-pong (spans alternate between the sets).
+    # Two sets, burst ping-pong (bursts alternate between the sets).
     burst = np.repeat(rng.integers(0, ways, N // 6 + 1), 6)[:N]
     traces["2set-pingpong"] = (
         burst % 2 + (burst // 2) * n_sets
@@ -127,334 +123,70 @@ def _set_skewed_traces(n_sets: int, ways: int):
     return traces
 
 
-def _run_three(geometry, make, pages, is_write, scores, warmup):
-    """Reference, fast without collapse, fast with collapse.
-
-    The fast runs keep the vector-path cutoff for every kernel, so
-    list-span kernels still reach the round machinery under test.
-    """
-    results = []
-    vector = {"min_round_width": DEFAULT_MIN_ROUND_WIDTH}
-    for runner, kwargs in (
-        (simulate, {}),
-        (simulate_fast, {"set_run_collapse": False, **vector}),
-        (simulate_fast, {"set_run_collapse": True, **vector}),
-    ):
-        cache = SetAssociativeCache(geometry)
-        policy = make(pages, int(pages.max()) + 1)
-        outcome = np.empty(pages.shape[0], dtype=np.uint8)
-        stats = runner(
-            cache,
-            policy,
-            pages,
-            is_write,
-            scores=scores,
-            warmup_fraction=warmup,
-            outcome=outcome,
-            **kwargs,
-        )
-        results.append((stats, cache, outcome))
-    return results
+def _stream(seed: int):
+    rng = np.random.default_rng(seed)
+    return rng.random(N) < 0.3, rng.standard_normal(N) * 0.4
 
 
-def _assert_identical(reference, other, context):
-    (ref_stats, ref_cache, ref_out) = reference
-    (stats, cache, out) = other
-    assert ref_stats == stats, f"{context}: counters diverge"
-    np.testing.assert_array_equal(
-        ref_cache.tags, cache.tags, err_msg=context
-    )
-    np.testing.assert_array_equal(
-        ref_cache.dirty, cache.dirty, err_msg=context
-    )
-    np.testing.assert_array_equal(
-        ref_cache.meta, cache.meta, err_msg=context
-    )
-    np.testing.assert_array_equal(
-        ref_cache.stamp, cache.stamp, err_msg=context
-    )
-    np.testing.assert_array_equal(ref_out, out, err_msg=context)
-
-
-@pytest.mark.parametrize(
-    "name,make",
-    COMMUTATIVE_FACTORIES + ORDER_DEPENDENT_FACTORIES,
-    ids=[n for n, _ in COMMUTATIVE_FACTORIES]
-    + [n for n, _ in ORDER_DEPENDENT_FACTORIES],
-)
+@pytest.mark.parametrize("name,make", POLICY_FACTORIES, ids=POLICY_IDS)
 @pytest.mark.parametrize("n_sets,ways", [(64, 8), (8, 4), (1, 4)])
 def test_collapse_bit_identical_on_set_skewed_traces(
-    name, make, n_sets, ways, vector_rounds
+    name, make, n_sets, ways, assert_fast_parity
 ):
+    """Every set-skewed stream matches the reference at both
+    cutoffs."""
     geometry = _geometry(n_sets, ways)
-    rng = np.random.default_rng(11)
+    is_write, scores = _stream(11)
     for trace_name, pages in _set_skewed_traces(n_sets, ways).items():
-        is_write = rng.random(N) < 0.3
-        scores = rng.standard_normal(N) * 0.4
-        reference, plain, collapsed = _run_three(
-            geometry, make, pages, is_write, scores, warmup=0.2
+        assert_fast_parity(
+            geometry, make, pages, is_write, scores, 0.2,
+            f"{name}/{trace_name}/{n_sets}x{ways}",
         )
-        context = f"{name}/{trace_name}/{n_sets}x{ways}"
-        _assert_identical(reference, plain, context + "/plain")
-        _assert_identical(reference, collapsed, context + "/collapse")
-    if n_sets == 64:
-        assert vector_rounds, "vector rounds never engaged"
 
 
-@pytest.mark.parametrize(
-    "name,make",
-    COMMUTATIVE_FACTORIES + ORDER_DEPENDENT_FACTORIES,
-    ids=[n for n, _ in COMMUTATIVE_FACTORIES]
-    + [n for n, _ in ORDER_DEPENDENT_FACTORIES],
-)
-def test_collapse_with_short_spans_forced(name, make, monkeypatch):
-    """Dropping the span-length threshold forces the resolver onto
-    every multi-run span (short bursts included), covering the
-    expansion/round interleaving that the default threshold skips."""
-    import sys
-
-    # The package re-exports simulate_fast the *function* under the
-    # module's dotted name, so patch the module object directly.
-    module = sys.modules["repro.cache.simulate_fast"]
-    monkeypatch.setattr(module, "SET_RUN_MIN_SPAN_REPS", 2)
+@pytest.mark.parametrize("name,make", POLICY_FACTORIES, ids=POLICY_IDS)
+def test_collapse_with_short_spans_forced(
+    name, make, assert_fast_parity
+):
+    """The same streams on 16 sets of 4 ways with a short warm-up:
+    short bursts per set, and a measure cut inside the first
+    chunk."""
     geometry = _geometry(16, 4)
-    rng = np.random.default_rng(13)
+    is_write, scores = _stream(13)
     for trace_name, pages in _set_skewed_traces(16, 4).items():
-        is_write = rng.random(N) < 0.3
-        scores = rng.standard_normal(N) * 0.4
-        reference, _, collapsed = _run_three(
-            geometry, make, pages, is_write, scores, warmup=0.1
-        )
-        _assert_identical(
-            reference, collapsed, f"{name}/{trace_name}/forced"
+        assert_fast_parity(
+            geometry, make, pages, is_write, scores, 0.1,
+            f"{name}/{trace_name}/16x4",
         )
 
 
-@pytest.mark.parametrize(
-    "name,make",
-    [p for p in COMMUTATIVE_FACTORIES if p[0] != "belady"],
-    ids=[n for n, _ in COMMUTATIVE_FACTORIES if n != "belady"],
-)
-def test_collapse_resumable_chunked_replay(name, make, vector_rounds):
-    """Chunked replay with index_offset stays exact under collapse
-    (spans straddling chunk boundaries split without losing parity)."""
+@pytest.mark.parametrize("name,make", RESUMABLE, ids=RESUMABLE_IDS)
+def test_collapse_resumable_chunked_replay(
+    name, make, assert_fast_parity
+):
+    """Chunked replay with ``index_offset`` on 4 sets, an odd chunk
+    step so bursts straddle chunk boundaries, matches one reference
+    run at both cutoffs."""
     geometry = _geometry(4, 4)
     pages = _set_skewed_traces(4, 4)["memtier-hot99"]
-    rng = np.random.default_rng(7)
-    is_write = rng.random(N) < 0.3
-    scores = rng.standard_normal(N) * 0.4
-
-    one_cache = SetAssociativeCache(geometry)
-    one_policy = make(pages, int(pages.max()) + 1)
-    one = simulate_fast(
-        one_cache, one_policy, pages, is_write, scores=scores,
-        set_run_collapse=True,
-        min_round_width=DEFAULT_MIN_ROUND_WIDTH,
+    is_write, scores = _stream(7)
+    assert_fast_parity(
+        geometry, make, pages, is_write, scores, 0.0,
+        f"{name}/memtier-hot99/chunked", step=437,
     )
 
-    chunk_cache = SetAssociativeCache(geometry)
-    chunk_policy = make(pages, int(pages.max()) + 1)
-    total = None
-    step = 1_237  # odd step so spans straddle chunk boundaries
-    for start in range(0, N, step):
-        stop = min(start + step, N)
-        stats = simulate_fast(
-            chunk_cache,
-            chunk_policy,
-            pages[start:stop],
-            is_write[start:stop],
-            scores=scores[start:stop],
-            index_offset=start,
-            set_run_collapse=True,
-            min_round_width=DEFAULT_MIN_ROUND_WIDTH,
-        )
-        total = stats if total is None else total.merge(stats)
-    assert vector_rounds, "vector rounds never engaged"
-    assert total == one, name
-    np.testing.assert_array_equal(one_cache.tags, chunk_cache.tags)
-    np.testing.assert_array_equal(one_cache.meta, chunk_cache.meta)
-    np.testing.assert_array_equal(one_cache.stamp, chunk_cache.stamp)
 
-
-@pytest.mark.parametrize(
-    "name,make",
-    [p for p in COMMUTATIVE_FACTORIES if p[0] != "belady"],
-    ids=[n for n, _ in COMMUTATIVE_FACTORIES if n != "belady"],
-)
-def test_short_span_resumable_chunked_replay(name, make, monkeypatch):
-    """Chunk-straddling resumable replay through the *cross-set
-    short-span* path: with the span threshold forced *up* every
-    multi-rep span counts as short, the density gate forced to zero
-    makes them all batch through ``_resolve_short_spans``, and an
-    odd chunk step splits spans across chunk boundaries.  Totals and
-    final planes must stay bit-identical to both the unbatched fast
-    path and the scalar reference."""
-    import sys
-
-    module = sys.modules["repro.cache.simulate_fast"]
-    monkeypatch.setattr(module, "SET_RUN_MIN_SPAN_REPS", 10**9)
-    monkeypatch.setattr(module, "SHORT_SPAN_MIN_ROUND_REPS", 0)
-    fired = []
-    inner = module._resolve_short_spans
-
-    def counting(*args, **kwargs):
-        fired.append(1)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(module, "_resolve_short_spans", counting)
+@pytest.mark.parametrize("name,make", RESUMABLE, ids=RESUMABLE_IDS)
+def test_short_span_resumable_chunked_replay(
+    name, make, assert_fast_parity
+):
+    """Chunked replay of the two-set ping-pong on 8 sets, bursts
+    split across chunk boundaries, matches one reference run at both
+    cutoffs."""
     geometry = _geometry(8, 4)
     pages = _set_skewed_traces(8, 4)["2set-pingpong"]
-    rng = np.random.default_rng(19)
-    is_write = rng.random(N) < 0.3
-    scores = rng.standard_normal(N) * 0.4
-
-    reference, plain, _ = _run_three(
-        geometry, make, pages, is_write, scores, warmup=0.0
+    is_write, scores = _stream(19)
+    assert_fast_parity(
+        geometry, make, pages, is_write, scores, 0.0,
+        f"{name}/2set-pingpong/chunked", step=437,
     )
-
-    chunk_cache = SetAssociativeCache(geometry)
-    chunk_policy = make(pages, int(pages.max()) + 1)
-    chunk_out = np.empty(N, dtype=np.uint8)
-    total = None
-    step = 1_237  # odd step so spans straddle chunk boundaries
-    for start in range(0, N, step):
-        stop = min(start + step, N)
-        stats = simulate_fast(
-            chunk_cache,
-            chunk_policy,
-            pages[start:stop],
-            is_write[start:stop],
-            scores=scores[start:stop],
-            index_offset=start,
-            outcome=chunk_out[start:stop],
-            set_run_collapse=True,
-            short_span_batching=True,
-            min_round_width=DEFAULT_MIN_ROUND_WIDTH,
-        )
-        total = stats if total is None else total.merge(stats)
-    chunked = (total, chunk_cache, chunk_out)
-    assert fired, "short-span batcher never engaged"
-    _assert_identical(reference, chunked, f"{name}/short-span/ref")
-    _assert_identical(plain, chunked, f"{name}/short-span/plain")
-
-
-@pytest.mark.parametrize("strategy", ["lru", "gmm-caching-eviction"])
-def test_short_span_serving_workers_match(strategy, monkeypatch):
-    """Parallel plane replay (thread workers share the patched
-    module) through the forced short-span path is bit-identical to
-    the sequential loop.  Tenant sharding gives four independent
-    planes, so the workers really fan out; the list-span cutoff is
-    lowered to the vector one so the planes' rounds stay vector."""
-    import sys
-
-    from repro.core.config import (
-        GmmEngineConfig,
-        IcgmmConfig,
-        ParallelConfig,
-        ServingConfig,
-    )
-    from repro.core.engine import GmmPolicyEngine
-    from repro.serving import IcgmmCacheService
-
-    module = sys.modules["repro.cache.simulate_fast"]
-    monkeypatch.setattr(module, "SET_RUN_MIN_SPAN_REPS", 10**9)
-    monkeypatch.setattr(module, "SHORT_SPAN_MIN_ROUND_REPS", 0)
-    monkeypatch.setattr(
-        module, "LIST_SPAN_MIN_ROUND_WIDTH", DEFAULT_MIN_ROUND_WIDTH
-    )
-    fired = []
-    inner = module._resolve_short_spans
-
-    def counting(*args, **kwargs):
-        fired.append(1)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(module, "_resolve_short_spans", counting)
-
-    n, train = 40_000, 4_000
-    rng = np.random.default_rng(29)
-    # Set-skewed bursts so short multi-rep spans actually form.
-    burst = np.repeat(rng.integers(0, 3000, n // 5 + 1), 5)[:n]
-    pages = burst.astype(np.int64)
-    is_write = rng.random(n) < 0.3
-    config = IcgmmConfig(
-        gmm=GmmEngineConfig(n_components=4, max_train_samples=2_000)
-    )
-    features = np.column_stack(
-        [
-            pages[:train].astype(np.float64),
-            np.zeros(train, dtype=np.float64),
-        ]
-    )
-    engine = GmmPolicyEngine.train(
-        features, config.gmm, np.random.default_rng(1)
-    )
-
-    def serve(workers):
-        serving = ServingConfig(
-            chunk_requests=4_096,
-            n_shards=4,
-            sharding="tenant",
-            partition_pages=750,
-            strategy=strategy,
-            refresh_enabled=False,
-            parallel=ParallelConfig(workers=workers),
-        )
-        with IcgmmCacheService(
-            engine,
-            config=config,
-            serving=serving,
-            measure_from=train,
-        ) as service:
-            service.ingest(pages, is_write)
-            return service.totals, service.summary()
-
-    assert serve(4) == serve(1)
-    assert fired, "short-span batcher never engaged"
-
-
-def test_order_dependent_kernels_refuse_set_runs():
-    """SLRU promotions can demote *other* ways and decayed-LFU hits
-    rescale the whole set row: both must refuse the collapse gate."""
-    cache = SetAssociativeCache(_geometry(8, 4))
-    assert kernel_for(SlruPolicy(), cache).supports_set_runs is False
-    assert (
-        kernel_for(LfuPolicy(decay=0.9), cache).supports_set_runs
-        is False
-    )
-    assert kernel_for(LfuPolicy(), cache).supports_set_runs is True
-    for name, make in COMMUTATIVE_FACTORIES:
-        if name in ("belady", "combined"):
-            continue
-        kernel = kernel_for(make(np.zeros(4, np.int64), 8), cache)
-        assert kernel.supports_set_runs is True, name
-
-
-def test_collapse_faster_on_single_set_hammer():
-    """The mechanism's raison d'etre: a single scorching set must run
-    far faster collapsed than through the per-element rounds."""
-    import time
-
-    geometry = CacheGeometry()  # paper geometry
-    n = 400_000
-    rng = np.random.default_rng(3)
-    pages = (rng.integers(0, 6, n) * geometry.n_sets).astype(np.int64)
-    is_write = rng.random(n) < 0.3
-    scores = rng.standard_normal(n)
-
-    timing = {}
-    for collapse in (True, False):
-        cache = SetAssociativeCache(geometry)
-        started = time.perf_counter()
-        stats = simulate_fast(
-            cache,
-            LruPolicy(),
-            pages,
-            is_write,
-            scores=scores,
-            set_run_collapse=collapse,
-        )
-        timing[collapse] = (time.perf_counter() - started, stats)
-    assert timing[True][1] == timing[False][1]
-    # Generous bound for CI noise; typical observed speedup is ~6x.
-    assert timing[True][0] < timing[False][0] / 1.5

@@ -8,6 +8,8 @@ replays one plane per chunk; tenant sharding's planes (four tenants
 here, one per plane) are what the worker threads fan out over.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,34 @@ def test_drift_and_swap_decisions_match_sequential(
     assert result[0] == sequential[0]
     assert result[1] == sequential[1]
     assert result[2] == sequential[2]
+
+
+@pytest.mark.parametrize("strategy", ["lru", "gmm-caching-eviction"])
+def test_vector_rounds_workers_match(
+    config, engine, stream, strategy, monkeypatch, vector_rounds
+):
+    """Tenant planes replayed through vector rounds on four workers
+    match the sequential loop.  A tenant plane has 16 sets, so no
+    round reaches the list-span kernels' default cutoff; lowering it
+    to 8 sends every round at least 8 sets wide through
+    ``_process_round`` (the worker threads share the patched
+    module)."""
+    module = importlib.import_module("repro.cache.simulate_fast")
+    monkeypatch.setattr(module, "LIST_SPAN_MIN_ROUND_WIDTH", 8)
+    sequential, parallel = (
+        _serve(
+            config,
+            engine,
+            stream,
+            ParallelConfig(workers=workers),
+            strategy,
+            refresh=False,
+            sharding="tenant",
+        )
+        for workers in (1, 4)
+    )
+    assert vector_rounds, "vector rounds never engaged"
+    assert parallel == sequential
 
 
 def test_worker_crash_propagates(config, engine, stream, monkeypatch):

@@ -19,9 +19,7 @@ run under the deterministic fault-injection demo plan (see
 accept ``--telemetry-out PATH`` to capture the run's unified
 telemetry (``docs/observability.md``) -- the export format follows
 the suffix.  ``serve``/``fabric``/``chaos`` also accept ``--json`` to
-emit the canonical telemetry snapshot on stdout instead of tables,
-and ``serve --refresh-async`` builds model refreshes off the request
-path (``docs/serving.md``).
+emit the canonical telemetry snapshot on stdout instead of tables.
 """
 
 from __future__ import annotations
@@ -210,15 +208,6 @@ def _add_serve(subparsers) -> None:
     parser.add_argument(
         "--report-every", type=int, default=8,
         help="chunks between progress lines",
-    )
-    parser.add_argument(
-        "--refresh-async",
-        action="store_true",
-        help=(
-            "build model refreshes on a background worker while"
-            " chunks keep flowing on the old engine (swap timing"
-            " then depends on wall clock; see docs/serving.md)"
-        ),
     )
     _add_parallel_arguments(parser, "plane replays")
     _add_chaos_seed_argument(parser)
@@ -637,7 +626,6 @@ def _cmd_serve(args) -> int:
             strategy=args.strategy,
             refresh_enabled=not args.no_refresh,
             parallel=_parallel_from_args(args, chaos),
-            refresh_async=args.refresh_async,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -810,10 +798,6 @@ def _cmd_serve(args) -> int:
                 f"  generation {service.generation}"
                 f"{'  [engine swapped]' if swapped else ''}"
             )
-        # A background build still in flight at the end of the
-        # stream lands now rather than being discarded by close().
-        if service.drain_refresh():
-            emit("  [engine swapped at end of stream]")
         summary = service.summary()
     finally:
         # Deterministic teardown even on a failed ingest: the
@@ -855,13 +839,6 @@ def _cmd_serve(args) -> int:
         f" {len(summary['swaps'])} engine swap(s),"
         f" generation {summary['generation']}"
     )
-    if "refresh_async" in summary:
-        background = summary["refresh_async"]
-        emit(
-            f"refresh async: {background['attempts']} build(s),"
-            f" {background['overlap_chunks']} chunk(s) served under"
-            f" an off-path build, {background['discarded']} discarded"
-        )
     if "chaos" in summary:
         chaos = summary["chaos"]
         emit(

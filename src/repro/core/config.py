@@ -35,15 +35,6 @@ SHARDING_MODES = ("hash", "tenant")
 #: Valid values of :attr:`FabricTopology.placement`.
 PLACEMENTS = ("interleave", "range", "score")
 
-#: Valid values of :attr:`GmmEngineConfig.seeding` /
-#: :attr:`GmmEngineConfig.restart_mode`.  Literal copies of
-#: :data:`repro.gmm.em.SEEDINGS` / :data:`repro.gmm.em.RESTART_MODES`
-#: -- config stays import-leaf-light (no gmm dependency) and the gmm
-#: layer stays core-free; ``tests/gmm/test_train_fast.py`` asserts
-#: the pairs match so they cannot drift apart silently.
-EM_SEEDINGS = ("fast", "reference")
-EM_RESTART_MODES = ("batched", "sequential")
-
 
 @dataclass(frozen=True)
 class ParallelConfig:
@@ -108,17 +99,6 @@ class GmmEngineConfig:
         Score through the fixed-point pipeline of
         :class:`repro.gmm.quantized.QuantizedGmm` instead of float64
         (hardware-faithful mode).
-    seeding:
-        EM initialisation implementation: ``"fast"`` (default, the
-        vectorized greedy k-means++ of
-        :func:`repro.gmm.kmeans.kmeans_fast`) or ``"reference"``
-        (the sequential reference k-means).
-    restart_mode:
-        How ``n_init`` EM restarts execute: ``"batched"`` (default;
-        all restarts stacked through one fused pass) or
-        ``"sequential"``.  Identical models either way at equal
-        seeds -- the knob exists for differential testing and
-        benchmarking.
     """
 
     n_components: int = 64
@@ -129,8 +109,6 @@ class GmmEngineConfig:
     max_train_samples: int = 40_000
     threshold_quantile: float = 0.02
     use_quantized: bool = False
-    seeding: str = "fast"
-    restart_mode: str = "batched"
 
     def __post_init__(self) -> None:
         if self.n_components < 1:
@@ -140,16 +118,6 @@ class GmmEngineConfig:
         if self.max_train_samples < self.n_components:
             raise ValueError(
                 "max_train_samples must be >= n_components"
-            )
-        if self.seeding not in EM_SEEDINGS:
-            raise ValueError(
-                f"seeding must be one of {EM_SEEDINGS}, got"
-                f" {self.seeding!r}"
-            )
-        if self.restart_mode not in EM_RESTART_MODES:
-            raise ValueError(
-                f"restart_mode must be one of {EM_RESTART_MODES},"
-                f" got {self.restart_mode!r}"
             )
 
 
@@ -726,17 +694,6 @@ class ServingConfig:
         for: no observations, no refresh attempts.  On expiry the
         detector is rebased (fresh baseline under the still-serving
         engine) and the failure count resets.
-    refresh_async:
-        Run :class:`~repro.serving.refresh.ModelRefresher` builds in
-        a background executor worker instead of inline: the service
-        keeps serving chunks on the old engine while the refresh
-        builds, and the finished engine is committed through the
-        same compare-and-swap :meth:`~repro.serving.refresh.EngineSlot.swap`
-        (discarded on :class:`~repro.serving.refresh.StaleSwapError`).
-        Which chunk harvests the finished build depends on wall-clock
-        build time, so swap timing (and everything downstream of it)
-        is not reproducible run to run; with refresh disabled the
-        results equal a synchronous run's.
     """
 
     chunk_requests: int = 8192
@@ -759,7 +716,6 @@ class ServingConfig:
     refresh_backoff_chunks: int = 2
     refresh_breaker_threshold: int = 3
     quarantine_chunks: int = 16
-    refresh_async: bool = False
 
     def __post_init__(self) -> None:
         if self.chunk_requests < 1:

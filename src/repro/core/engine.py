@@ -83,16 +83,12 @@ class GmmPolicyEngine:
         features: np.ndarray,
         config: GmmEngineConfig,
         rng: np.random.Generator,
-        executor=None,
     ) -> "GmmPolicyEngine":
         """Fit the engine on training features of shape ``(N, 2)``.
 
         Subsamples to ``config.max_train_samples``, standardises, runs
         EM, and derives the admission threshold as the
-        ``threshold_quantile`` of the training scores.  An optional
-        :class:`~repro.core.parallel.ParallelExecutor` fans the
-        ``n_init`` EM restarts out across workers (identical models
-        either way).
+        ``threshold_quantile`` of the training scores.
         """
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2:
@@ -120,10 +116,8 @@ class GmmPolicyEngine:
             tol=config.tol,
             reg_covar=config.reg_covar,
             n_init=config.n_init,
-            seeding=config.seeding,
-            restart_mode=config.restart_mode,
         )
-        fit_result = trainer.fit(scaled, rng, executor=executor)
+        fit_result = trainer.fit(scaled, rng)
         model = fit_result.model
         quantized = QuantizedGmm(model) if config.use_quantized else None
         if quantized is not None:

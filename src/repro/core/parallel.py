@@ -243,23 +243,6 @@ class ParallelExecutor:
                 )
             self._retries_performed += crashes
 
-    # -- single-task background submission ------------------------------
-    def submit(self, fn, *args) -> Future:
-        """Run ``fn(*args)`` on the pool and return its :class:`Future`.
-
-        The escape hatch for work that must *overlap* the caller's own
-        loop rather than fan out and join -- the serving loop's
-        off-critical-path refresh build
-        (``ServingConfig.refresh_async``) is the canonical user.
-        Unlike :meth:`map`/:meth:`replay` there is no ordered
-        gather, no retry plumbing, and no fault-hook consultation: the
-        caller owns the future's lifecycle (harvest, exception
-        handling, discard).  A pool is created even at ``workers=1``
-        -- a submitted task is concurrent by request, never inline.
-        """
-        self._tasks_dispatched += 1
-        return self._ensure_pool().submit(fn, *args)
-
     # -- generic ordered fan-out ---------------------------------------
     def map(self, fn, items, star: bool = False) -> list:
         """``[fn(item) for item in items]``, possibly concurrent.

@@ -44,7 +44,6 @@ from repro.cache.simulate_fast import simulate_fast
 from repro.cache.stats import CacheStats
 from repro.core.config import STRATEGIES, IcgmmConfig
 from repro.core.engine import GmmPolicyEngine
-from repro.core.parallel import ParallelExecutor
 from repro.core.policy import build_policy, strategy_score_view
 from repro.core.results import BenchmarkResult, StrategyOutcome
 from repro.hardware.latency import LatencyModel
@@ -310,13 +309,7 @@ class StagedPipeline:
         trace: MemoryTrace | None = None,
         rng: np.random.Generator | None = None,
     ) -> PreparedWorkload:
-        """Trace generation, preprocessing, training and scoring.
-
-        With :attr:`IcgmmConfig.parallel` workers and multiple EM
-        restarts configured, training fans the restarts out through a
-        :class:`~repro.core.parallel.ParallelExecutor` whose pool is
-        torn down before returning (identical models either way).
-        """
+        """Trace generation, preprocessing, training and scoring."""
         with self.stage_scope("prepare"):
             if rng is None:
                 rng = np.random.default_rng(self.config.seed)
@@ -327,27 +320,9 @@ class StagedPipeline:
             n_train = max(
                 1, int(len(processed) * self.config.train_fraction)
             )
-            executor = None
-            if (
-                self.config.parallel.workers != 1
-                and self.config.gmm.n_init > 1
-                and self.config.gmm.restart_mode == "sequential"
-            ):
-                # Batched mode is a single stacked pass -- only the
-                # sequential mode has per-restart work to fan out.
-                executor = ParallelExecutor.from_config(
-                    self.config.parallel
-                )
-            try:
-                engine = GmmPolicyEngine.train(
-                    features[:n_train],
-                    self.config.gmm,
-                    rng,
-                    executor=executor,
-                )
-            finally:
-                if executor is not None:
-                    executor.shutdown()
+            engine = GmmPolicyEngine.train(
+                features[:n_train], self.config.gmm, rng
+            )
             scores = engine.score(features)
             page_frequency_scores = engine.page_scores(
                 processed.page_indices

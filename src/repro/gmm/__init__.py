@@ -7,8 +7,8 @@ This subpackage implements that model with numpy only:
 * :mod:`repro.gmm.linalg` -- small dense linear-algebra kernels
   (Cholesky factors, log-determinants, log-sum-exp) shared by the model
   and the trainer.
-* :mod:`repro.gmm.kmeans` -- k-means++ seeding and Lloyd iterations used
-  to initialise EM.
+* :mod:`repro.gmm.kmeans` -- greedy k-means++ seeding and Lloyd
+  iterations used to initialise EM.
 * :mod:`repro.gmm.model` -- :class:`GaussianMixture`, the inference-side
   model holding (weights, means, covariances) and computing the paper's
   score ``G(pi, mu, Sigma)``.
@@ -22,7 +22,6 @@ This subpackage implements that model with numpy only:
 """
 
 from repro.gmm.em import EMTrainer, fit_gmm
-from repro.gmm.kmeans import kmeans, kmeans_plus_plus_init
 from repro.gmm.model import GaussianMixture
 from repro.gmm.quantized import FixedPointFormat, QuantizedGmm
 from repro.gmm.serialization import (
@@ -40,8 +39,6 @@ __all__ = [
     "fit_gmm",
     "gmm_from_dict",
     "gmm_to_dict",
-    "kmeans",
-    "kmeans_plus_plus_init",
     "load_gmm",
     "save_gmm",
 ]

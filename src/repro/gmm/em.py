@@ -6,36 +6,25 @@ to each Gaussian, (2) a maximization step updating ``pi``, ``mu`` and
 ``Sigma``, and (3) a convergence test on the change of the maximum
 likelihood estimate between iterations.
 
-Two execution paths share the trainer:
-
-* The **reference path** (:meth:`EMTrainer.fit_reference`, built on
-  :meth:`EMTrainer._fit_once`): sequential restarts threaded through
-  one rng, reference k-means++ seeding, and the triangular-solve
-  E-step of :mod:`repro.gmm.linalg`.  It is the executable
-  specification and the baseline ``benchmarks/bench_train_throughput``
-  measures against.
-* The **fast path** (:meth:`EMTrainer.fit`, the default): restarts
-  derive independent child rngs up front, seed through the vectorized
-  :func:`repro.gmm.kmeans.kmeans_fast`, and run EM with a fused
-  blocked E+M pass whose log-density is a single quadratic-form GEMM
-  (``weighted = F @ coef.T + const``, coefficients from
-  :func:`repro.gmm.linalg.quadratic_coefficients`, shared with scoring),
-  with a per-component cancellation guard that falls back to the exact
-  triangular solve when the expansion would lose precision.  When
-  most of a block's lanes underflow, the pass's softmax runs
-  ``np.exp`` only on the lanes whose result can be nonzero; it hands
-  back its normalisers, so the M-step's suspect-covariance guard gets
-  every flagged component's exact covariance from one extra sweep.
-  Both stay bit-identical to the plain softmax and to a full E-sweep
-  per suspect.  All
-  ``n_init`` restarts can run **stacked** in one pass
-  (components concatenated along the mixture axis) or sequentially or
-  under a :class:`~repro.core.parallel.ParallelExecutor` -- the three
-  modes produce *identical* models at equal seeds, a property the
-  training bench asserts per row.  A ``warm_start`` skips seeding
-  entirely and iterates from a caller-supplied mixture, which is how
-  the serving loop's :class:`~repro.serving.refresh.ModelRefresher`
-  folds drifted traffic in without paying initialisation.
+:meth:`EMTrainer.fit` derives one child seed per restart up front,
+seeds each restart through the vectorized
+:func:`repro.gmm.kmeans.kmeans_fast`, and runs all ``n_init`` restarts
+**stacked** (components concatenated along the mixture axis) through
+one fused blocked E+M pass.  The pass's log-density is a single
+quadratic-form GEMM (``weighted = F @ coef.T + const``, coefficients
+from :func:`repro.gmm.linalg.quadratic_coefficients`, shared with
+scoring), with a per-component cancellation guard that falls back to
+the exact triangular solve when the expansion would lose precision.
+When most of a block's lanes underflow, the pass's softmax runs
+``np.exp`` only on the lanes whose result can be nonzero; it hands
+back its normalisers, so the M-step's suspect-covariance guard gets
+every flagged component's exact covariance from one extra sweep.
+Both stay bit-identical to the plain softmax and to a full E-sweep
+per suspect, and a stacked fit is bit-identical to fitting each
+restart alone from its own child seed.  A ``warm_start`` skips
+seeding entirely and iterates from a caller-supplied mixture, which
+is how the serving loop's :class:`~repro.serving.refresh.ModelRefresher`
+folds drifted traffic in without paying initialisation.
 """
 
 from __future__ import annotations
@@ -45,14 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.gmm import linalg
-from repro.gmm.kmeans import kmeans, kmeans_fast
+from repro.gmm.kmeans import kmeans_fast
 from repro.gmm.model import GaussianMixture
-
-#: Valid restart-execution modes of the fast path.
-RESTART_MODES = ("batched", "sequential")
-
-#: Valid seeding implementations (``init="kmeans"`` only).
-SEEDINGS = ("fast", "reference")
 
 #: Rows per block of the fused E+M pass.  Small enough that one
 #: block's ``(rows, R * K)`` weighted-density slab stays cache-hot
@@ -78,8 +61,7 @@ def _stacked_softmax(
     log-normalisers, and the ``(rows, R)`` peak shift and row sums
     each responsibility is ``exp(w - safe_peak) / totals`` against.
     Rows that are ``-inf`` under every component yield ``-inf``
-    normalisers (and NaN responsibilities, matching the reference
-    E-step).
+    normalisers (and NaN responsibilities).
 
     Every value is bit-identical to the plain ``np.exp(stacked -
     safe_peak)`` softmax.  When most peak-shifted exponents lie below
@@ -203,24 +185,10 @@ class EMTrainer:
     reg_covar:
         Diagonal ridge added to every covariance at each M-step, keeping
         components positive-definite when they collapse onto few points.
-    init:
-        ``"kmeans"`` (k-means++ seeding then per-cluster moments, the
-        default) or ``"random"`` (random responsibilities).
     n_init:
-        Number of independent restarts; the fit with the best final
-        log-likelihood wins.
-    seeding:
-        ``"fast"`` (default) seeds ``init="kmeans"`` restarts through
-        the vectorized :func:`~repro.gmm.kmeans.kmeans_fast`;
-        ``"reference"`` uses the reference :func:`~repro.gmm.kmeans.
-        kmeans`.  Only the fast :meth:`fit` consults this -- the
-        reference path always seeds through the reference k-means.
-    restart_mode:
-        ``"batched"`` (default) runs all ``n_init`` restarts of
-        :meth:`fit` stacked in one fused pass; ``"sequential"`` runs
-        them one at a time.  Both produce identical models at equal
-        seeds (asserted by the training bench and the gmm test
-        suite).
+        Number of independent restarts, each seeded by k-means from its
+        own child seed; the fit with the best final log-likelihood
+        wins.
     """
 
     def __init__(
@@ -229,10 +197,7 @@ class EMTrainer:
         max_iter: int = 100,
         tol: float = 1e-4,
         reg_covar: float = 1e-6,
-        init: str = "kmeans",
         n_init: int = 1,
-        seeding: str = "fast",
-        restart_mode: str = "batched",
     ) -> None:
         if n_components < 1:
             raise ValueError(
@@ -242,72 +207,27 @@ class EMTrainer:
             raise ValueError(f"max_iter must be >= 1, got {max_iter}")
         if tol <= 0:
             raise ValueError(f"tol must be > 0, got {tol}")
-        if init not in ("kmeans", "random"):
-            raise ValueError(f"unknown init method: {init!r}")
         if n_init < 1:
             raise ValueError(f"n_init must be >= 1, got {n_init}")
-        if seeding not in SEEDINGS:
-            raise ValueError(
-                f"seeding must be one of {SEEDINGS}, got {seeding!r}"
-            )
-        if restart_mode not in RESTART_MODES:
-            raise ValueError(
-                f"restart_mode must be one of {RESTART_MODES},"
-                f" got {restart_mode!r}"
-            )
         self.n_components = n_components
         self.max_iter = max_iter
         self.tol = tol
         self.reg_covar = reg_covar
-        self.init = init
         self.n_init = n_init
-        self.seeding = seeding
-        self.restart_mode = restart_mode
 
     # ------------------------------------------------------------------
     # Initialisation
     # ------------------------------------------------------------------
-    def _initial_parameters(
-        self,
-        points: np.ndarray,
-        rng: np.random.Generator,
-        moments=None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Produce (weights, means, covariances) to start EM from.
-
-        Reference-path initialisation: always the reference k-means.
-        """
-        n, d = points.shape
-        k = self.n_components
-        if self.init == "kmeans":
-            result = kmeans(points, k, rng)
-            labels = result.labels
-            responsibilities = np.zeros((n, k), dtype=np.float64)
-            responsibilities[np.arange(n), labels] = 1.0
-        else:
-            responsibilities = rng.random((n, k))
-            responsibilities /= responsibilities.sum(axis=1, keepdims=True)
-        return self._m_step(points, responsibilities, moments)
-
     def _initial_responsibilities(
         self, points: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """Fast-path seeding: one ``(N, K)`` responsibility matrix."""
+        """One-hot ``(N, K)`` responsibilities of a k-means labelling."""
         n = points.shape[0]
-        k = self.n_components
-        if self.init == "kmeans":
-            run = kmeans_fast if self.seeding == "fast" else kmeans
-            labels = run(points, k, rng).labels
-            responsibilities = np.zeros((n, k), dtype=np.float64)
-            responsibilities[np.arange(n), labels] = 1.0
-            return responsibilities
-        responsibilities = rng.random((n, k))
-        responsibilities /= responsibilities.sum(axis=1, keepdims=True)
+        labels = kmeans_fast(points, self.n_components, rng).labels
+        responsibilities = np.zeros((n, self.n_components), dtype=np.float64)
+        responsibilities[np.arange(n), labels] = 1.0
         return responsibilities
 
-    # ------------------------------------------------------------------
-    # E and M steps (reference)
-    # ------------------------------------------------------------------
     @staticmethod
     def _moment_features(
         points: np.ndarray,
@@ -326,100 +246,8 @@ class EMTrainer:
         ).reshape(n, d * d)
         return global_mean, moment_matrix
 
-    def _m_step(
-        self,
-        points: np.ndarray,
-        responsibilities: np.ndarray,
-        moments: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Maximisation step: moment-match each component.
-
-        Given responsibilities ``r_{nk}``, computes
-
-        * ``N_k = sum_n r_{nk}``
-        * ``pi_k = N_k / N``
-        * ``mu_k = sum_n r_{nk} x_n / N_k``
-        * ``Sigma_k = sum_n r_{nk} (x_n - mu_k)(x_n - mu_k)^T / N_k``
-
-        with a ``reg_covar`` ridge on each ``Sigma_k`` diagonal.
-        """
-        n, d = points.shape
-        k = responsibilities.shape[1]
-        nk = responsibilities.sum(axis=0)  # (K,)
-        # A component that lost all mass keeps a tiny floor so the
-        # division below stays finite; its weight becomes ~0.
-        nk_safe = np.maximum(nk, 10.0 * np.finfo(np.float64).tiny)
-        weights = nk / n
-        weights = weights / weights.sum()
-        means = (responsibilities.T @ points) / nk_safe[:, None]
-        # All K scatter matrices from one GEMM over per-sample second
-        # moments -- replaces the former component-at-a-time Python
-        # loop (the EM hot spot: K skinny matmuls plus 3K
-        # temporaries per iteration).  Moments are taken around the
-        # *global* mean, so the usual E[yy^T] - E[y]E[y]^T
-        # cancellation is scaled by the data spread rather than the
-        # raw feature magnitude (numerically benign), and the result
-        # is exactly symmetric.
-        if moments is None:
-            moments = self._moment_features(points)
-        global_mean, moment_matrix = moments
-        second_moment = (
-            responsibilities.T @ moment_matrix
-        ).reshape(k, d, d) / nk_safe[:, None, None]
-        delta = means - global_mean  # (K, D)
-        covariances = second_moment - delta[:, :, None] * delta[:, None, :]
-        # A zero-mass component has means[j] = 0 (not the conditional
-        # mean), so the identity above would yield the spurious
-        # -global_mean outer product; match the old per-component
-        # loop, which degraded to the regularized zero matrix.
-        dead = nk <= 10.0 * np.finfo(np.float64).tiny
-        if np.any(dead):
-            covariances[dead] = 0.0
-        # Cancellation guard: the shifted-moment identity loses about
-        # eps * |terms| of absolute accuracy, which can swamp (or turn
-        # negative) a genuinely tiny variance -- a component far from
-        # the global mean of raw-scale data, or one collapsed onto
-        # duplicate coordinates.  Components whose smallest variance
-        # falls inside that noise band are recomputed with the exact
-        # centered form (PSD by construction).  Standardised features
-        # trip it too: serving refresh folds collapse components to
-        # zero page-axis variance.
-        eps = np.finfo(np.float64).eps
-        term_scale = np.abs(second_moment).reshape(k, -1).max(axis=1)
-        min_variance = covariances[:, np.arange(d), np.arange(d)].min(
-            axis=1
-        )
-        suspect = (min_variance <= 64.0 * eps * term_scale) & ~dead
-        for j in np.nonzero(suspect)[0]:
-            centered = points - means[j]
-            weighted = responsibilities[:, j : j + 1] * centered
-            covariances[j] = (weighted.T @ centered) / nk_safe[j]
-        covariances = linalg.regularize_covariances(
-            covariances, self.reg_covar
-        )
-        return weights, means, covariances
-
-    def _e_step(
-        self,
-        points: np.ndarray,
-        weights: np.ndarray,
-        means: np.ndarray,
-        covariances: np.ndarray,
-    ) -> tuple[np.ndarray, float]:
-        """Expectation step.
-
-        Returns the responsibility matrix ``(N, K)`` and the mean
-        per-sample log-likelihood under the current parameters.
-        """
-        log_density = linalg.log_gaussian_density(points, means, covariances)
-        with np.errstate(divide="ignore"):
-            weighted = log_density + np.log(weights)[None, :]
-        log_norm = linalg.logsumexp(weighted, axis=1)
-        log_resp = weighted - log_norm[:, None]
-        return np.exp(log_resp), float(np.mean(log_norm))
-
     # ------------------------------------------------------------------
-    # Fused blocked E+M pass (fast path)
+    # Fused blocked E+M pass
     # ------------------------------------------------------------------
     def _stats_to_params(
         self,
@@ -433,11 +261,26 @@ class EMTrainer:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """M-step closed form from accumulated sufficient statistics.
 
-        Mirrors :meth:`_m_step` (same dead-component and cancellation
-        guards) but consumes per-component sums instead of the full
-        responsibility matrix; ``exact_covs(suspects, means_s,
-        nk_safe_s)`` supplies the exact centered covariances of all
-        the suspect components at once, shaped ``(S, D, D)``.
+        Given per-component sums of responsibilities ``r_{nk}``,
+        computes ``pi_k = N_k / N``, ``mu_k = sum_n r_{nk} x_n / N_k``
+        and ``Sigma_k = sum_n r_{nk} (x_n - mu_k)(x_n - mu_k)^T / N_k``
+        with a ``reg_covar`` ridge on each diagonal.  Second moments
+        are taken around the *global* mean, so the ``E[yy^T] -
+        E[y]E[y]^T`` cancellation is scaled by the data spread rather
+        than the raw feature magnitude.  Two guards:
+
+        * a component that lost all mass degrades to the regularized
+          zero covariance (its mean is 0, not a conditional mean, so
+          the identity would give a spurious ``-global_mean`` outer
+          product);
+        * a component whose smallest variance falls inside the
+          identity's cancellation noise band (a component far from
+          the global mean of raw-scale data, or one collapsed onto
+          duplicate coordinates, as serving refresh folds do on the
+          page axis) is recomputed in the exact centered form:
+          ``exact_covs(suspects, means_s, nk_safe_s)`` supplies those
+          covariances, shaped ``(S, D, D)``.
+
         Weights normalise per restart block of ``n_components``
         columns, so a stacked call is exactly a sequence of
         independent single-restart calls.
@@ -498,7 +341,7 @@ class EMTrainer:
         columns (one GEMM of identical shape whether the pass is
         stacked or single-restart -- BLAS may pick different kernels
         for different output widths, so a single wide GEMM would
-        break the stacked/sequential identity), with suspect columns
+        break the stacked/single-restart identity), with suspect columns
         rescored through the exact triangular solve.
         """
         k = self.n_components
@@ -584,7 +427,7 @@ class EMTrainer:
             # changes numpy's accumulation path with the restart
             # count) and one (K, rows) @ (rows, stats) GEMM per
             # restart (identical shape stacked or alone) keep the
-            # batched pass bit-identical to sequential restarts.
+            # stacked pass bit-identical to single-restart passes.
             for r in range(n_restarts):
                 ll_sums[r] += np.ascontiguousarray(norm[:, r]).sum()
                 block = np.ascontiguousarray(resp[:, r, :])
@@ -638,12 +481,13 @@ class EMTrainer:
         seeds=None,
         warm_start: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> list[FitResult]:
-        """Fast-path EM over stacked restarts (or one warm start).
+        """EM over stacked restarts (or one warm start).
 
         ``seeds`` are per-restart child seeds; each restart seeds its
         initial responsibilities from its own fresh rng, so the
         result is independent of whether restarts run stacked here or
-        one call at a time -- the identity the bench asserts.  With
+        one call at a time -- the identity the tests and the training
+        bench assert.  With
         ``warm_start`` the (single) run skips seeding and iterates
         from the given ``(weights, means, covariances)``.
         """
@@ -756,42 +600,6 @@ class EMTrainer:
     # ------------------------------------------------------------------
     # Fit
     # ------------------------------------------------------------------
-    def _fit_once(
-        self, points: np.ndarray, rng: np.random.Generator
-    ) -> FitResult:
-        """One reference-path restart (executable specification)."""
-        moments = self._moment_features(points)
-        weights, means, covariances = self._initial_parameters(
-            points, rng, moments
-        )
-        history: list[float] = []
-        previous = -np.inf
-        converged = False
-        n_iter = 0
-        for n_iter in range(1, self.max_iter + 1):
-            responsibilities, log_likelihood = self._e_step(
-                points, weights, means, covariances
-            )
-            weights, means, covariances = self._m_step(
-                points, responsibilities, moments
-            )
-            history.append(log_likelihood)
-            if abs(log_likelihood - previous) < self.tol:
-                converged = True
-                break
-            previous = log_likelihood
-        covariances = linalg.ensure_positive_definite(
-            covariances, self.reg_covar
-        )
-        model = GaussianMixture(weights, means, covariances)
-        return FitResult(
-            model=model,
-            converged=converged,
-            n_iter=n_iter,
-            log_likelihood=model.mean_log_likelihood(points),
-            history=tuple(history),
-        )
-
     def _validate_points(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2:
@@ -814,40 +622,25 @@ class EMTrainer:
         assert best is not None  # n_init >= 1
         return best
 
-    def fit_reference(
-        self, points: np.ndarray, rng: np.random.Generator
-    ) -> FitResult:
-        """Reference fit: sequential restarts through one rng.
-
-        The pre-fast-path behaviour, kept as the baseline of
-        ``benchmarks/bench_train_throughput`` and the differential
-        anchor of the gmm test suite.
-        """
-        points = self._validate_points(points)
-        return self._best(
-            [self._fit_once(points, rng) for _ in range(self.n_init)]
-        )
-
     def fit(
         self,
         points: np.ndarray,
         rng: np.random.Generator | None = None,
         warm_start=None,
-        executor=None,
     ) -> FitResult:
         """Fit the mixture to ``points`` of shape ``(N, D)``.
 
-        Runs ``n_init`` independent restarts through the fast path
-        (see the module docstring) and returns the result with the
-        highest final log-likelihood.
+        Runs ``n_init`` restarts stacked in one pass (see the module
+        docstring) and returns the result with the highest final
+        log-likelihood.
 
         Parameters
         ----------
         rng:
             Root randomness; each restart derives an independent
-            child seed from it up front, making the result identical
-            across the batched / sequential / executor execution
-            modes.  Required unless ``warm_start`` is given.
+            child seed from it up front, so a stacked fit equals
+            fitting each restart alone.  Required unless
+            ``warm_start`` is given.
         warm_start:
             A :class:`GaussianMixture` (or ``(weights, means,
             covariances)`` tuple) to start EM from; skips seeding and
@@ -855,13 +648,6 @@ class EMTrainer:
             :class:`~repro.serving.refresh.ModelRefresher` refresh
             path -- the deployed mixture is already a good starting
             point for the drifted traffic.
-        executor:
-            Optional :class:`~repro.core.parallel.ParallelExecutor`;
-            with ``restart_mode="sequential"`` and more than one
-            worker, the per-restart fits fan out through it
-            (deterministic order-preserving merge, identical
-            results).  Ignored in ``"batched"`` mode, whose single
-            stacked pass has nothing to fan out.
         """
         points = self._validate_points(points)
         if warm_start is not None:
@@ -877,26 +663,7 @@ class EMTrainer:
         if rng is None:
             raise ValueError("fit needs an rng unless warm_start is given")
         seeds = rng.integers(0, 2**63 - 1, size=self.n_init)
-        if self.restart_mode == "batched":
-            # Stacked fused pass; an executor cannot help (the whole
-            # point is one pass), so the knob keeps its meaning even
-            # when a pool is available.
-            results = self._fit_restarts(points, seeds)
-        elif (
-            executor is not None
-            and executor.workers > 1
-            and self.n_init > 1
-        ):
-            results = executor.map(
-                lambda seed: self._fit_restarts(points, [int(seed)])[0],
-                seeds,
-            )
-        else:
-            results = [
-                self._fit_restarts(points, [int(seed)])[0]
-                for seed in seeds
-            ]
-        return self._best(results)
+        return self._best(self._fit_restarts(points, seeds))
 
 
 def fit_gmm(

@@ -2,26 +2,17 @@
 
 EM for mixtures is sensitive to initialisation; the standard recipe
 (k-means++ seeding followed by a few Lloyd iterations, then moments per
-cluster) is what we use to start the trainer in :mod:`repro.gmm.em`.
+cluster) is what starts the trainer in :mod:`repro.gmm.em`.
 
-Two implementations live here:
-
-* :func:`kmeans` / :func:`kmeans_plus_plus_init` -- the reference:
-  sequential D^2 sampling through ``rng.choice`` and a per-cluster
-  Python loop in the Lloyd update.  Kept as the executable
-  specification (and the baseline the training-throughput bench
-  measures against).
-* :func:`kmeans_fast` / :func:`kmeans_plus_plus_fast` -- the
-  vectorized path the EM trainer seeds from by default: greedy
-  k-means++ (a handful of candidates per step, drawn by D^2
-  inverse-CDF sampling and scored by the resulting potential on a
-  bounded subsample) followed by Lloyd iterations whose per-cluster
-  means come from ``bincount`` accumulations instead of one boolean
-  mask per cluster.  Both stages run on a size-capped subsample of
-  the points -- an *initialisation* for EM needs well-spread moment
-  estimates, not a converged clustering -- and the final labelling
-  assigns every point once, reseeding any cluster that came back
-  empty so EM always starts with ``K`` live components.
+:func:`kmeans_fast` runs greedy k-means++ (:func:`kmeans_plus_plus_fast`:
+a handful of candidates per step, drawn by D^2 inverse-CDF sampling
+and scored by the resulting potential) followed by Lloyd iterations
+whose per-cluster means come from ``bincount`` accumulations instead
+of one boolean mask per cluster.  Both stages run on a size-capped
+subsample of the points -- an *initialisation* for EM needs
+well-spread moment estimates, not a converged clustering -- and the
+final labelling assigns every point once, reseeding any cluster that
+came back empty so EM always starts with ``K`` live components.
 """
 
 from __future__ import annotations
@@ -30,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Point budget for the fast path's seeding/Lloyd subsample and for
+#: Point budget for the seeding/Lloyd subsample and for
 #: scoring greedy k-means++ candidates.  Above this the subsample is
 #: a uniform draw without replacement (deterministic under the
 #: caller's rng).
@@ -71,93 +62,6 @@ def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return distances
 
 
-def kmeans_plus_plus_init(
-    points: np.ndarray, n_clusters: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Choose ``n_clusters`` seeds with the k-means++ D^2 weighting.
-
-    Parameters
-    ----------
-    points:
-        Data of shape ``(N, D)`` with ``N >= n_clusters``.
-    n_clusters:
-        Number of seeds to draw.
-    rng:
-        Source of randomness; passing the generator explicitly keeps
-        every experiment in the repository reproducible.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
-    if n_clusters < 1:
-        raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
-    if n < n_clusters:
-        raise ValueError(
-            f"need at least n_clusters={n_clusters} points, got {n}"
-        )
-    centers = np.empty((n_clusters, points.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n))
-    centers[0] = points[first]
-    closest_sq = _squared_distances(points, centers[:1])[:, 0]
-    for i in range(1, n_clusters):
-        total = float(np.sum(closest_sq))
-        if total <= 0.0:
-            # All points coincide with chosen centers; fall back to
-            # uniform sampling so we still return K seeds.
-            idx = int(rng.integers(n))
-        else:
-            probabilities = closest_sq / total
-            idx = int(rng.choice(n, p=probabilities))
-        centers[i] = points[idx]
-        new_sq = _squared_distances(points, centers[i : i + 1])[:, 0]
-        np.minimum(closest_sq, new_sq, out=closest_sq)
-    return centers
-
-
-def kmeans(
-    points: np.ndarray,
-    n_clusters: int,
-    rng: np.random.Generator,
-    max_iter: int = 30,
-    tol: float = 1e-6,
-) -> KMeansResult:
-    """Run k-means++ seeding followed by Lloyd iterations.
-
-    Empty clusters are re-seeded to the point currently farthest from
-    its assigned center, which keeps all ``K`` clusters alive -- EM
-    initialisation needs a moment estimate for every component.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    centers = kmeans_plus_plus_init(points, n_clusters, rng)
-    labels = np.zeros(points.shape[0], dtype=np.int64)
-    inertia = np.inf
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
-        distances = _squared_distances(points, centers)
-        labels = np.argmin(distances, axis=1)
-        new_inertia = float(np.sum(distances[np.arange(len(labels)), labels]))
-        new_centers = np.empty_like(centers)
-        farthest = np.argsort(
-            -distances[np.arange(len(labels)), labels]
-        )
-        spare = 0
-        for j in range(n_clusters):
-            members = points[labels == j]
-            if len(members) == 0:
-                new_centers[j] = points[farthest[spare]]
-                spare += 1
-            else:
-                new_centers[j] = members.mean(axis=0)
-        shift = float(np.max(np.abs(new_centers - centers)))
-        centers = new_centers
-        converged = shift <= tol or abs(inertia - new_inertia) <= tol
-        inertia = new_inertia
-        if converged:
-            break
-    return KMeansResult(
-        centers=centers, labels=labels, inertia=inertia, n_iter=n_iter
-    )
-
-
 def kmeans_plus_plus_fast(
     points: np.ndarray,
     n_clusters: int,
@@ -168,8 +72,8 @@ def kmeans_plus_plus_fast(
 
     Per step, ``n_candidates`` seeds are drawn by D^2 sampling
     (inverse-CDF over the running closest-distance array -- no
-    ``rng.choice(p=...)``, whose per-call CDF build dominated the
-    reference seeding) and the candidate whose adoption leaves the
+    per-step ``rng.choice(p=...)`` CDF build) and the candidate whose
+    adoption leaves the
     smallest total potential wins.  Greedy candidate selection is
     the standard quality upgrade over single-draw k-means++ (it is
     what scikit-learn ships); the default candidate count follows
@@ -222,11 +126,10 @@ def _lloyd_fast(
 ) -> tuple[np.ndarray, int]:
     """Lloyd iterations with bincount-accumulated cluster means.
 
-    Replaces the reference update's per-cluster boolean-mask loop
-    (O(N * K) mask evaluations per iteration) with one ``bincount``
-    per feature dimension.  Empty clusters are re-seeded to the
-    points currently farthest from their assigned centers, the same
-    rule as the reference.
+    One ``bincount`` per feature dimension instead of a per-cluster
+    boolean mask (O(N * K) mask evaluations per iteration).  Empty
+    clusters are re-seeded to the points currently farthest from
+    their assigned centers.
     """
     n_clusters, d = centers.shape
     inertia = np.inf
@@ -272,10 +175,7 @@ def kmeans_fast(
     with the points farthest from their assigned center (one point
     per empty cluster, farthest first), so every cluster has at
     least one member -- the property EM initialisation relies on.
-
-    Deterministic given ``rng``; *not* numerically identical to the
-    reference :func:`kmeans` (different sampling and summation
-    order), which stays available as the executable specification.
+    Deterministic given ``rng``.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]

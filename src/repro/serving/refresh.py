@@ -6,11 +6,11 @@ periodic weight-buffer reload -- inference keeps running on the old
 parameters until the new set is committed in one step.  This module
 reproduces that split in software:
 
-* :class:`ModelRefresher` is the *background stage*: it keeps a
-  bounded buffer of recent chunk features and, on demand, folds them
-  into the currently-serving mixture by warm-started EM, then
-  re-derives the admission threshold at the configured quantile of
-  the refreshed scores.
+* :class:`ModelRefresher` is the *reload stage*: it keeps a bounded
+  buffer of recent chunk features and, on demand, folds them into the
+  currently-serving mixture by warm-started EM, then re-derives the
+  admission threshold at the configured quantile of the refreshed
+  scores.
 * :class:`EngineSlot` is the *weight buffer*: the serving loop reads
   ``slot.engine`` at the top of every chunk, and a refresh replaces
   the whole engine reference in one assignment -- a chunk is scored
@@ -54,9 +54,9 @@ class StaleSwapError(RuntimeError):
 class EngineSlot:
     """Atomic holder of the serving engine (weight-buffer analogue).
 
-    Reads and swaps are serialised by a lock, so a background refresh
-    thread can never hand a reader a torn (engine, generation) pair,
-    and the generation counter is strictly monotonic: a swap may pass
+    Reads and swaps are serialised by a lock, so a reader on another
+    thread can never see a torn (engine, generation) pair, and the
+    generation counter is strictly monotonic: a swap may pass
     the generation it built against (``expected_generation``) and the
     slot refuses the install -- :class:`StaleSwapError` -- if a newer
     engine landed in between, instead of silently rolling the
@@ -201,14 +201,10 @@ class ModelRefresher:
         return sum(chunk.shape[0] for chunk in self._buffer)
 
     def snapshot_features(self) -> np.ndarray | None:
-        """One immutable copy of the buffered traffic, or ``None``.
+        """One copy of the buffered traffic, or ``None`` when empty.
 
-        Off-critical-path builds must not read the live deque from a
-        worker thread -- :meth:`ingest` keeps appending while the
-        build runs, and a fold over a moving buffer would not be the
-        fold the serving loop decided on.  The consumer snapshots on
-        its own thread at submit time and hands the frozen array to
-        :meth:`build_from`.
+        The copy is independent of the buffer: chunks ingested after
+        the snapshot do not change it.
         """
         if not self._buffer:
             return None
@@ -220,22 +216,10 @@ class ModelRefresher:
         Returns a fresh engine sharing the deployed scaler, with the
         warm-started EM mixture and a threshold re-cut at the
         configured quantile of the buffered traffic's new scores.
+        Counts the attempt first, then raises :class:`ValueError`
+        when the buffer is empty.
         """
-        return self.build_from(self.snapshot_features(), current)
-
-    def build_from(
-        self,
-        features: np.ndarray | None,
-        current: GmmPolicyEngine,
-    ) -> GmmPolicyEngine:
-        """:meth:`build` over a pre-taken feature snapshot.
-
-        ``features`` is raw ``(N, 2)`` traffic (what
-        :meth:`snapshot_features` returns); ``None`` or empty means
-        there is nothing to fold and raises exactly like an
-        empty-buffer :meth:`build` -- after counting the attempt, so
-        the bookkeeping is identical on both entry points.
-        """
+        features = self.snapshot_features()
         self.builds_attempted += 1
         if features is None or features.shape[0] == 0:
             raise ValueError("no buffered features to refresh from")

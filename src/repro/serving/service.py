@@ -24,10 +24,9 @@ on an access stream consumed in chunks:
 5. when drift is confirmed, fold the recent traffic into the
    mixture by warm-started EM and atomically swap the refreshed
    engine in (:mod:`repro.serving.refresh` -- the software analogue
-   of the FPGA weight-buffer reload).  The build runs inline, or on
-   a background worker while chunks keep flowing on the old engine
-   (:attr:`~repro.core.config.ServingConfig.refresh_async`); either
-   way it lands through one validate-and-CAS-commit path.
+   of the FPGA weight-buffer reload).  The build runs inline, at the
+   chunk whose drift verdict asked for it, and lands through one
+   validate-and-CAS-commit path.
 
 Exactness contract: with ``hash`` sharding and refresh disabled, the
 service's totals are *bit-identical* to a single-shot
@@ -40,7 +39,6 @@ details, not approximations.  The equivalence test in
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,22 +64,6 @@ from repro.serving.refresh import (
     validate_engine,
 )
 from repro.serving.sharding import ShardedCachePlanes
-
-
-def _timed_build(build, *args) -> tuple:
-    """Run one refresh build; returns ``(engine, error, seconds)``.
-
-    Never raises: a failed fold comes back as ``error`` so both
-    deployments land it the same way -- inline under the ``refresh``
-    profiler section, or off-path on the refresh executor's thread,
-    whose harvest needs the build's wall time even when it failed.
-    """
-    started = time.perf_counter()
-    try:
-        engine, error = build(*args), None
-    except Exception as exc:  # noqa: BLE001 - landed as a failed build
-        engine, error = None, exc
-    return engine, error, time.perf_counter() - started
 
 
 class _PageScoreCache:
@@ -260,17 +242,6 @@ class IcgmmCacheService:
         self._quarantine_until = -(10**9)
         self._quarantined = False
         self._stall_retries = 0
-        # Off-critical-path refresh (ServingConfig.refresh_async):
-        # builds run on a dedicated single-worker thread executor and
-        # commit through the CAS swap; the serving loop keeps
-        # answering on the old engine meanwhile.  All state is None /
-        # zero when disabled, so the synchronous path is untouched.
-        self._refresh_executor: ParallelExecutor | None = None
-        self._pending_refresh: tuple | None = None
-        self._refresh_overlap_chunks = 0
-        self._refresh_discarded = 0
-        if self.serving.refresh_async:
-            self._refresh_executor = ParallelExecutor(workers=1)
         # Telemetry wiring mirrors chaos: None when disabled, so every
         # hot-path gate is an ``is not None`` check and the untraced
         # run executes the exact pre-telemetry code path.
@@ -337,27 +308,6 @@ class IcgmmCacheService:
             generation.set(self.slot.generation)
 
         registry.register_collector(collect)
-        if self.serving.refresh_async:
-            # Registered only for async deployments so synchronous
-            # runs keep their pre-async family set byte-identical;
-            # overlap depends on build wall time, hence
-            # non-deterministic.
-            overlap = registry.counter(
-                "serving_refresh_overlap_chunks_total",
-                help="Chunks served while a refresh built off-path.",
-                deterministic=False,
-            )
-            discarded = registry.counter(
-                "serving_refresh_discarded_total",
-                help="Background builds dropped (stale or at close).",
-                deterministic=False,
-            )
-
-            def collect_async() -> None:
-                overlap.set(self._refresh_overlap_chunks)
-                discarded.set(self._refresh_discarded)
-
-            registry.register_collector(collect_async)
         # Telemetry implies stage accounting: attach a profiler when
         # --profile did not already hang one on the pipeline.
         if self.pipeline.profiler is None:
@@ -646,30 +596,19 @@ class IcgmmCacheService:
             >= self.serving.refresh_cooldown_chunks
             and self._chunk_index >= self._refresh_block_until
         )
-        if self._refresh_executor is not None:
-            # Off-critical-path deployment: harvest a finished
-            # background build first (it commits through the CAS
-            # swap), then submit a new one if drift demands it and
-            # none is in flight.  A pending build never blocks the
-            # chunk -- that is the whole point.
-            swapped = self._harvest_refresh(self._cursor + n)
-            if (
-                refresh_due
-                and not swapped
-                and self._pending_refresh is None
-            ):
-                self._submit_refresh(engine, generation)
-        elif refresh_due:
+        if refresh_due:
             build = self._next_build()
             if build is not None:
                 # The build blocks the request path here; its own
                 # profiler section keeps `serve --profile` honest
-                # about that on-path cost (and gives the async
-                # deployment's overlap numbers their baseline).
+                # about that on-path cost.
+                refreshed = error = None
                 with self.pipeline.profile_stage("refresh"):
-                    refreshed, error, _ = _timed_build(
-                        self.refresher.build, engine
-                    )
+                    try:
+                        refreshed = self.refresher.build(engine)
+                    except Exception as exc:  # noqa: BLE001
+                        # A failed fold backs off like an invalid one.
+                        error = exc
                 swapped = self._land_refresh(
                     build, generation, refreshed, error,
                     self._cursor + n,
@@ -695,7 +634,7 @@ class IcgmmCacheService:
         return report
 
     # ------------------------------------------------------------------
-    # Refresh bookkeeping (shared by the on-path and off-path flows)
+    # Refresh bookkeeping
     # ------------------------------------------------------------------
     def _record_refresh_failure(
         self, build_index: int, exc: Exception
@@ -775,13 +714,13 @@ class IcgmmCacheService:
     ) -> bool:
         """Validate a finished build and CAS-swap it in.
 
-        The one landing path of inline and off-path builds: ``build``
-        is :meth:`_next_build`'s ``(build_index, fault)``, and
-        ``refreshed``/``error`` are what the fold returned.  A failed
-        or invalid build backs off (:meth:`_record_refresh_failure`),
-        a stale one -- a newer engine landed between submit and
-        harvest -- is discarded without backoff, and a good one
-        rebases every consumer.  True if the engine swapped in.
+        ``build`` is :meth:`_next_build`'s ``(build_index, fault)``,
+        and ``refreshed``/``error`` are what the fold returned.  A
+        failed or invalid build backs off
+        (:meth:`_record_refresh_failure`), a stale one -- another
+        engine reached the slot after this chunk read it -- is
+        discarded without backoff, and a good one rebases every
+        consumer.  True if the engine swapped in.
         """
         build_index, fault = build
         if error is None:
@@ -805,7 +744,6 @@ class IcgmmCacheService:
                 refreshed, expected_generation=expected_generation
             )
         except StaleSwapError:
-            self._refresh_discarded += 1
             self.shard_metrics.record_event(
                 "engine",
                 "refresh-stale",
@@ -846,87 +784,15 @@ class IcgmmCacheService:
             )
         return True
 
-    def _submit_refresh(
-        self, engine: GmmPolicyEngine, generation: int
-    ) -> None:
-        """Hand one build to the refresh executor (non-blocking).
-
-        The feature snapshot is taken *here*, on the serving thread,
-        so the worker folds exactly the traffic the drift decision
-        saw -- not whatever the buffer holds when the thread gets
-        scheduled.
-        """
-        build = self._next_build()
-        if build is None:
-            return
-        future = self._refresh_executor.submit(
-            _timed_build,
-            self.refresher.build_from,
-            self.refresher.snapshot_features(),
-            engine,
-        )
-        self._pending_refresh = (future, build, generation)
-
-    def _harvest_refresh(
-        self, access_cursor: int, block: bool = False
-    ) -> bool:
-        """Land a finished background build; True if one swapped in.
-
-        Non-blocking by default: a build still running just bumps the
-        overlap counter (one per chunk served under it) and the chunk
-        goes on.  The landing cost -- validation, CAS swap, consumer
-        rebase -- is the only refresh work left on the request path,
-        recorded as the ``refresh.onpath`` profiler section against
-        the worker's ``refresh.offpath`` build seconds.  A blocking
-        harvest (:meth:`drain_refresh`) waits for the build first;
-        that wait is the build's own time, not landing cost.
-        """
-        if self._pending_refresh is None:
-            return False
-        future, build, generation = self._pending_refresh
-        if not block and not future.done():
-            self._refresh_overlap_chunks += 1
-            return False
-        self._pending_refresh = None
-        refreshed, error, build_seconds = future.result()
-        started = time.perf_counter()
-        swapped = self._land_refresh(
-            build, generation, refreshed, error, access_cursor
-        )
-        profiler = self.pipeline.profiler
-        if profiler is not None:
-            profiler.add("refresh.offpath", build_seconds)
-            profiler.add(
-                "refresh.onpath", time.perf_counter() - started
-            )
-        return swapped
-
-    def drain_refresh(self) -> bool:
-        """Block until an in-flight background build lands (if any).
-
-        Call it when the stream ends, so a refresh that started near
-        the tail still commits (and its off-path seconds are
-        accounted) instead of being silently discarded by
-        :meth:`close`.  True if an engine swapped in.
-        """
-        return self._harvest_refresh(self._cursor, block=True)
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the worker pools.
+        """Release the worker pool.
 
-        Only needed for parallel/async deployments (inline execution
-        holds no pool); safe to call repeatedly.  A background build
-        still in flight is discarded, never committed -- callers
-        wanting it should :meth:`drain_refresh` first.
+        Only needed for parallel deployments (inline execution holds
+        no pool); safe to call repeatedly.
         """
-        if self._refresh_executor is not None:
-            if self._pending_refresh is not None:
-                self._pending_refresh = None
-                self._refresh_discarded += 1
-            self._refresh_executor.shutdown()
         self._executor.shutdown()
 
     def __enter__(self) -> "IcgmmCacheService":
@@ -963,13 +829,6 @@ class IcgmmCacheService:
             "shards": self.shard_metrics.snapshot(),
             "tenants": self.tenant_metrics.snapshot(),
         }
-        if self.serving.refresh_async:
-            out["refresh_async"] = {
-                "overlap_chunks": self._refresh_overlap_chunks,
-                "discarded": self._refresh_discarded,
-                "pending": self._pending_refresh is not None,
-                "attempts": self._refresh_attempts,
-            }
         if self.injector is not None:
             out["chaos"] = {
                 "timeline": self.injector.timeline(),

@@ -125,7 +125,6 @@ class TestTrainingFanOutLifecycle:
                 max_iter=5,
                 n_init=3,
                 max_train_samples=2000,
-                restart_mode="sequential",  # the mode that fans out
             ),
             trace_length=6000,
             parallel=ParallelConfig(workers=2),
@@ -143,7 +142,6 @@ class TestTrainingFanOutLifecycle:
                     max_iter=5,
                     n_init=3,
                     max_train_samples=2000,
-                    restart_mode="sequential",
                 ),
                 trace_length=6000,
                 parallel=ParallelConfig(workers=workers),

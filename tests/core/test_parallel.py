@@ -107,29 +107,6 @@ class TestMap:
                 executor.map(_boom, [0, 1, 2, 3, 4])
 
 
-class TestSubmit:
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_returns_future_with_result(self, workers):
-        with ParallelExecutor(workers) as executor:
-            future = executor.submit(_square, 7)
-            assert future.result(timeout=10) == 49
-
-    def test_counts_toward_dispatch_total(self):
-        with ParallelExecutor(2) as executor:
-            before = executor.tasks_dispatched
-            executor.submit(_square, 2).result(timeout=10)
-            executor.submit(_square, 3).result(timeout=10)
-            assert executor.tasks_dispatched == before + 2
-
-    def test_exception_surfaces_through_future(self):
-        # Unlike map(), submit() has no retry plumbing: the caller
-        # harvests the raw exception from the future.
-        with ParallelExecutor(2) as executor:
-            future = executor.submit(_boom, 3)
-            with pytest.raises(ValueError, match="boom on 3"):
-                future.result(timeout=10)
-
-
 class TestReplay:
     @pytest.mark.parametrize(
         "workers", [1, 4], ids=["1-thread", "4-thread"]

@@ -1,11 +1,11 @@
-"""Tests for the k-means initialiser."""
+"""Tests for the k-means initialiser (greedy k-means++ and Lloyd)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gmm.kmeans import kmeans, kmeans_plus_plus_init
+from repro.gmm.kmeans import kmeans_fast, kmeans_plus_plus_fast
 
 
 def _three_blobs(rng, n_per=50, spread=0.2):
@@ -20,34 +20,34 @@ def _three_blobs(rng, n_per=50, spread=0.2):
 class TestKMeansPlusPlusInit:
     def test_returns_requested_count(self, rng):
         points, _ = _three_blobs(rng)
-        seeds = kmeans_plus_plus_init(points, 3, rng)
+        seeds = kmeans_plus_plus_fast(points, 3, rng)
         assert seeds.shape == (3, 2)
 
     def test_seeds_are_data_points(self, rng):
         points, _ = _three_blobs(rng)
-        seeds = kmeans_plus_plus_init(points, 4, rng)
+        seeds = kmeans_plus_plus_fast(points, 4, rng)
         for seed in seeds:
             assert np.any(np.all(np.isclose(points, seed), axis=1))
 
     def test_duplicate_points_fallback(self, rng):
         points = np.zeros((10, 2))
-        seeds = kmeans_plus_plus_init(points, 3, rng)
+        seeds = kmeans_plus_plus_fast(points, 3, rng)
         assert seeds.shape == (3, 2)
         np.testing.assert_allclose(seeds, 0.0)
 
     def test_rejects_too_few_points(self, rng):
         with pytest.raises(ValueError, match="at least"):
-            kmeans_plus_plus_init(np.zeros((2, 2)), 5, rng)
+            kmeans_plus_plus_fast(np.zeros((2, 2)), 5, rng)
 
     def test_rejects_zero_clusters(self, rng):
         with pytest.raises(ValueError, match=">= 1"):
-            kmeans_plus_plus_init(np.zeros((5, 2)), 0, rng)
+            kmeans_plus_plus_fast(np.zeros((5, 2)), 0, rng)
 
 
 class TestKMeans:
     def test_recovers_separated_blobs(self, rng):
         points, true_centers = _three_blobs(rng)
-        result = kmeans(points, 3, rng)
+        result = kmeans_fast(points, 3, rng)
         # Each true center should be close to one found center.
         for center in true_centers:
             distances = np.linalg.norm(result.centers - center, axis=1)
@@ -55,7 +55,7 @@ class TestKMeans:
 
     def test_labels_match_nearest_center(self, rng):
         points, _ = _three_blobs(rng)
-        result = kmeans(points, 3, rng)
+        result = kmeans_fast(points, 3, rng)
         distances = np.linalg.norm(
             points[:, None, :] - result.centers[None, :, :], axis=2
         )
@@ -65,14 +65,14 @@ class TestKMeans:
 
     def test_inertia_decreases_with_more_clusters(self, rng):
         points, _ = _three_blobs(rng)
-        few = kmeans(points, 2, np.random.default_rng(7))
-        many = kmeans(points, 6, np.random.default_rng(7))
+        few = kmeans_fast(points, 2, np.random.default_rng(7))
+        many = kmeans_fast(points, 6, np.random.default_rng(7))
         assert many.inertia <= few.inertia
 
     def test_deterministic_given_seed(self, rng_factory):
         points, _ = _three_blobs(np.random.default_rng(3))
-        a = kmeans(points, 3, rng_factory(11))
-        b = kmeans(points, 3, rng_factory(11))
+        a = kmeans_fast(points, 3, rng_factory(11))
+        b = kmeans_fast(points, 3, rng_factory(11))
         np.testing.assert_array_equal(a.centers, b.centers)
         assert a.inertia == b.inertia
 
@@ -81,7 +81,7 @@ class TestKMeans:
         # end up with exactly one value even though points repeat.
         base = np.array([[float(i) * 5, 0.0] for i in range(5)])
         points = np.repeat(base, 20, axis=0)
-        result = kmeans(points, 5, rng)
+        result = kmeans_fast(points, 5, rng)
         assert len(np.unique(result.labels)) == 5
         assert result.inertia == pytest.approx(0.0, abs=1e-9)
 
@@ -90,7 +90,7 @@ class TestKMeans:
     def test_property_inertia_nonnegative(self, seed):
         rng = np.random.default_rng(seed)
         points = rng.standard_normal((30, 2))
-        result = kmeans(points, 4, rng)
+        result = kmeans_fast(points, 4, rng)
         assert result.inertia >= 0.0
         assert result.centers.shape == (4, 2)
         assert len(result.labels) == 30

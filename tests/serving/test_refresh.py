@@ -193,16 +193,15 @@ class TestModelRefresher:
 
 
 class TestSnapshotFeatures:
-    """The off-critical-path snapshot contract used by async refresh."""
+    """The buffered-traffic copy a refresh build folds."""
 
     def test_empty_buffer_snapshots_to_none(self):
         assert ModelRefresher().snapshot_features() is None
 
     def test_snapshot_is_an_immutable_copy(self):
-        # The worker thread folds over the snapshot while the serving
-        # loop keeps ingesting; later ingests (including ones that
-        # evict the snapshotted chunks from the bounded deque) must
-        # not change what the in-flight build sees.
+        # Later ingests (including ones that evict the snapshotted
+        # chunks from the bounded deque) must not change a snapshot
+        # already taken.
         refresher = ModelRefresher(buffer_chunks=2)
         rng = np.random.default_rng(5)
         first = _features(0, 300, rng)
@@ -223,31 +222,16 @@ class TestSnapshotFeatures:
             refresher.snapshot_features(), np.concatenate(chunks)
         )
 
-    def test_build_from_counts_attempt_before_raising(self):
+    def test_build_counts_attempt_before_raising(self):
         rng = np.random.default_rng(7)
         engine = _engine(_features(0, 4_000, rng))
         refresher = ModelRefresher()
         with pytest.raises(ValueError, match="buffered"):
-            refresher.build_from(None, engine)
+            refresher.build(engine)
+        refresher.ingest(np.empty((0, 2)))
         with pytest.raises(ValueError, match="buffered"):
-            refresher.build_from(np.empty((0, 2)), engine)
-        # Both entry points keep the same bookkeeping as an
-        # empty-buffer build(): the attempt is counted, no build is.
+            refresher.build(engine)
+        # An empty buffer and an empty chunk both count the attempt,
+        # and neither counts a build.
         assert refresher.builds_attempted == 2
         assert refresher.refreshes_built == 0
-
-    def test_build_equals_build_from_snapshot(self):
-        rng = np.random.default_rng(8)
-        engine = _engine(_features(0, 6_000, rng))
-        chunk = _features(2_500, 3_000, rng)
-        via_build = ModelRefresher()
-        via_build.ingest(chunk)
-        via_snapshot = ModelRefresher()
-        via_snapshot.ingest(chunk)
-        a = via_build.build(engine)
-        b = via_snapshot.build_from(
-            via_snapshot.snapshot_features(), engine
-        )
-        assert a.admission_threshold == b.admission_threshold
-        np.testing.assert_array_equal(a.model.weights, b.model.weights)
-        np.testing.assert_array_equal(a.model.means, b.model.means)

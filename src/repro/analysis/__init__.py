@@ -18,7 +18,6 @@ from repro.analysis.mrc import (
 )
 from repro.analysis.sweep import (
     SweepPoint,
-    run_grid,
     sweep_cache_capacity,
     sweep_n_components,
     sweep_threshold_quantile,
@@ -38,7 +37,6 @@ __all__ = [
     "render_dict_table",
     "render_table",
     "working_set_curve",
-    "run_grid",
     "sweep_cache_capacity",
     "sweep_n_components",
     "sweep_threshold_quantile",

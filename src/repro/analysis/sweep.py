@@ -1,16 +1,7 @@
 """Parameter sweeps for the ablation benches.
 
 Each sweep varies one design choice of DESIGN.md's ablation list and
-reruns the end-to-end pipeline, reusing a single prepared workload
-where the swept parameter allows it.
-
-Sweep points are fully independent end-to-end runs (own config, own
-trace, own GMM), so every sweep accepts a
-:class:`~repro.core.config.ParallelConfig` and fans its grid out
-through :func:`run_grid` -- the same deterministic-merge executor the
-fabric and the serving loop use.  Results always come back in grid
-order, so a parallel sweep is indistinguishable from a sequential
-one.
+reruns the end-to-end pipeline once per grid point, in grid order.
 """
 
 from __future__ import annotations
@@ -19,12 +10,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.cache.setassoc import CacheGeometry
-from repro.core.config import (
-    GmmEngineConfig,
-    IcgmmConfig,
-    ParallelConfig,
-)
-from repro.core.parallel import ParallelExecutor
+from repro.core.config import IcgmmConfig
 from repro.core.system import IcgmmSystem
 
 
@@ -42,61 +28,28 @@ class SweepPoint:
         return self.lru_miss_percent - self.gmm_miss_percent
 
 
-def _run_point(config: IcgmmConfig, workload: str, value) -> SweepPoint:
-    system = IcgmmSystem(config)
-    result = system.run_benchmark(workload)
-    return SweepPoint(
-        value=value,
-        lru_miss_percent=result.lru.miss_rate_percent,
-        gmm_miss_percent=result.best_gmm.miss_rate_percent,
-    )
-
-
-def run_grid(
-    fn,
-    points,
-    parallel: ParallelConfig | None = None,
-    star: bool = True,
-):
-    """Evaluate independent grid points, optionally in parallel.
-
-    The benchmark/ablation matrices (policy x geometry, K x workload,
-    ...) are lists of argument tuples evaluated by a module-level
-    function; this runner fans them out through a
-    :class:`~repro.core.parallel.ParallelExecutor` and returns
-    results in *point order* regardless of completion order (the
-    first failing point's exception propagates).  With
-    ``parallel=None`` (or ``workers=1``) the grid runs inline;
-    otherwise the points run on worker threads.
-    """
-    executor = ParallelExecutor.from_config(parallel)
-    try:
-        return executor.map(fn, points, star=star)
-    finally:
-        executor.shutdown()
-
-
 def _sweep(
     configs_and_values: list[tuple[IcgmmConfig, object]],
     workload: str,
-    parallel: ParallelConfig | None,
 ) -> list[SweepPoint]:
-    """Shared driver of the concrete sweeps below."""
-    return run_grid(
-        _run_point,
-        [
-            (config, workload, value)
-            for config, value in configs_and_values
-        ],
-        parallel=parallel,
-    )
+    """Run the pipeline at each grid point (shared by the sweeps)."""
+    points = []
+    for config, value in configs_and_values:
+        result = IcgmmSystem(config).run_benchmark(workload)
+        points.append(
+            SweepPoint(
+                value=value,
+                lru_miss_percent=result.lru.miss_rate_percent,
+                gmm_miss_percent=result.best_gmm.miss_rate_percent,
+            )
+        )
+    return points
 
 
 def sweep_n_components(
     workload: str,
     component_counts: tuple[int, ...] = (4, 16, 64, 256),
     config: IcgmmConfig | None = None,
-    parallel: ParallelConfig | None = None,
 ) -> list[SweepPoint]:
     """Miss rate vs number of Gaussians K.
 
@@ -117,7 +70,6 @@ def sweep_n_components(
             for k in component_counts
         ],
         workload,
-        parallel,
     )
 
 
@@ -125,7 +77,6 @@ def sweep_threshold_quantile(
     workload: str,
     quantiles: tuple[float, ...] = (0.0, 0.01, 0.02, 0.05, 0.10),
     config: IcgmmConfig | None = None,
-    parallel: ParallelConfig | None = None,
 ) -> list[SweepPoint]:
     """Miss rate vs admission threshold quantile.
 
@@ -147,7 +98,6 @@ def sweep_threshold_quantile(
             for q in quantiles
         ],
         workload,
-        parallel,
     )
 
 
@@ -160,7 +110,6 @@ def sweep_cache_capacity(
         8 * 1024 * 1024,
     ),
     config: IcgmmConfig | None = None,
-    parallel: ParallelConfig | None = None,
 ) -> list[SweepPoint]:
     """Miss rate vs cache capacity (block size and ways fixed)."""
     base = config if config is not None else IcgmmConfig()
@@ -180,7 +129,6 @@ def sweep_cache_capacity(
             for capacity in capacities_bytes
         ],
         workload,
-        parallel,
     )
 
 
@@ -188,7 +136,6 @@ def sweep_windowing(
     workload: str,
     len_windows: tuple[int, ...] = (8, 32, 128),
     config: IcgmmConfig | None = None,
-    parallel: ParallelConfig | None = None,
 ) -> list[SweepPoint]:
     """Miss rate vs Algorithm 1 window length.
 
@@ -205,5 +152,4 @@ def sweep_windowing(
             for len_window in len_windows
         ],
         workload,
-        parallel,
     )

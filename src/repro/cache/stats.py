@@ -127,37 +127,6 @@ class CacheStats:
         }
 
 
-def fold_outcome(
-    stats: CacheStats, outcome: int, is_write: bool
-) -> None:
-    """Fold one classified access into running counters, in place.
-
-    The scalar single-source of the outcome-code accounting rules
-    (miss implies fill-or-bypass, eviction implies fill, dirty
-    implies eviction); :func:`stats_from_outcomes` is its vectorized
-    whole-array equivalent, and folding a stream access by access
-    must always equal rebuilding it in one pass.
-    """
-    if outcome == OUTCOME_HIT:
-        stats.hits += 1
-        if is_write:
-            stats.write_hits += 1
-        return
-    stats.misses += 1
-    if is_write:
-        stats.write_misses += 1
-    if outcome == OUTCOME_BYPASS:
-        stats.bypasses += 1
-        if is_write:
-            stats.bypassed_writes += 1
-        return
-    stats.fills += 1
-    if outcome in (OUTCOME_EVICT, OUTCOME_DIRTY_EVICT):
-        stats.evictions += 1
-        if outcome == OUTCOME_DIRTY_EVICT:
-            stats.dirty_evictions += 1
-
-
 def stats_from_outcomes(
     outcomes: np.ndarray,
     is_write: np.ndarray,

@@ -630,6 +630,22 @@ def _cmd_serve(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    n_tenants = len(args.workloads)
+    if (
+        args.sharding == "tenant"
+        and not args.trace
+        and n_tenants < args.shards
+    ):
+        # Tenant t replays into plane t % shards: a plane no tenant
+        # maps to never holds a block, and its capacity is lost.
+        print(
+            f"error: --sharding tenant splits the cache into"
+            f" {args.shards} shard planes, but the stream has only"
+            f" {n_tenants} tenant(s) (--workloads); lower --shards"
+            f" to at most {n_tenants} or add workloads",
+            file=sys.stderr,
+        )
+        return 2
 
     step = serving.chunk_requests * max(1, args.report_every)
     pages = is_write = chunk_iter = None
@@ -916,14 +932,11 @@ def _cmd_fabric(args) -> int:
         prepared = fabric.pipeline.prepare(
             args.workload, trace=trace
         )
-        if chaos is not None:
-            # Faults hook the streaming path: replay chunk by chunk
-            # through ingest instead of the one-shot replay.
-            result = fabric.run_streamed(
-                prepared, args.strategy, chunk_requests=args.chunk
-            )
-        else:
-            result = fabric.run_prepared(prepared, args.strategy)
+        # Under chaos, run_prepared replays chunk by chunk through
+        # ingest, where the faults hook in.
+        result = fabric.run_prepared(
+            prepared, args.strategy, chunk_requests=args.chunk
+        )
     finally:
         # Deterministic teardown: the executor pool must not outlive
         # the command, even when preparation or replay raises.

@@ -41,12 +41,12 @@ class ParallelConfig:
     """Multicore execution knobs
     (:class:`repro.core.parallel.ParallelExecutor`).
 
-    The fabric's per-device replay, the serving loop's per-shard
-    replay, and the sweep runner are all embarrassingly parallel:
-    every device/shard/grid-point owns independent state, so their
+    The fabric's per-device replay and the serving loop's per-plane
+    replay are embarrassingly parallel: every device/plane owns
+    independent state, so their
     :meth:`~repro.core.pipeline.StagedPipeline.simulate` calls can run
     concurrently on a thread pool and merge deterministically (results
-    are always combined in device/shard/point order, never completion
+    are always combined in device/plane order, never completion
     order -- parallel runs are *bit-identical* to ``workers=1``).
 
     Attributes
@@ -55,13 +55,12 @@ class ParallelConfig:
         Concurrent worker threads.  ``1`` (default) executes inline
         with zero overhead; ``0`` resolves to the host's CPU count.
     max_retries:
-        Per-task retry budget before the first (in task order) error
-        propagates; retries run immediately.  Injected chaos faults
+        Per-task budget of injected chaos crashes
         (:class:`repro.chaos.FaultInjector` wired through
-        :attr:`repro.core.parallel.ParallelExecutor.fault_hook`) and
-        real exceptions in pure ``map`` tasks both draw from this
-        budget; stateful replay tasks only retry *pre-execution*
-        faults (a half-executed replay cannot be safely repeated).
+        :attr:`repro.core.parallel.ParallelExecutor.fault_hook`) a
+        replay round absorbs before it raises.  Real exceptions are
+        never retried: a half-executed replay cannot be safely
+        repeated.
     """
 
     workers: int = 1
@@ -467,9 +466,8 @@ class IcgmmConfig:
         Both produce bit-identical results -- the flag exists for
         differential testing and for timing the reference path.
     parallel:
-        Multicore execution knobs; consumed by the multi-device
-        fabric and any entry point that fans independent simulations
-        out through :class:`repro.core.parallel.ParallelExecutor`.
+        Multicore execution knobs; the multi-device fabric's default
+        (:class:`repro.cxl.fabric.CxlFabric`).
     seed:
         Root seed for trace generation and EM initialisation.
     """
@@ -552,37 +550,31 @@ class FabricTopology:
           the lowest link latency.
     range_stride_pages:
         Stride of the ``range`` placement.
-    link_overhead_ns / link_bandwidth_gb_s:
-        Optional per-device CXL link parameters (length must equal
-        ``n_devices``); ``None`` gives every device the default
-        :class:`repro.cxl.link.CxlLinkSpec`.  Heterogeneous values
-        model near/far fabric topologies (switch hops, longer
+    link_overhead_ns:
+        Optional per-device CXL link round-trip overheads (length
+        must equal ``n_devices``); ``None`` gives every device the
+        default :class:`repro.cxl.link.CxlLinkSpec`.  Heterogeneous
+        values model near/far fabric topologies (switch hops, longer
         retimed paths), which is what the ``score`` placement
-        exploits.
+        exploits.  Every device uses the spec's default bandwidth.
     failover:
         Whether a failed device's traffic is re-placed onto healthy
         devices (score-aware when page marginals are available) and
-        served in degraded mode instead of erroring out.  Only
-        consulted when a :class:`repro.chaos.FaultInjector` is
-        attached; with ``False`` a device failure raises.
-    degraded_link_factor:
-        Link-latency multiplier priced onto failover-served traffic
-        (the re-route crosses an extra switch hop).
+        served in degraded mode.  Only consulted when a
+        :class:`repro.chaos.FaultInjector` is attached; with
+        ``False`` a failed device's accesses are served SSD-direct
+        (bypasses) on its own path.
     """
 
     n_devices: int = 4
     placement: str = "interleave"
     range_stride_pages: int = 1 << 14
     link_overhead_ns: tuple[int, ...] | None = None
-    link_bandwidth_gb_s: tuple[float, ...] | None = None
     failover: bool = True
-    degraded_link_factor: float = 2.0
 
     def __post_init__(self) -> None:
         if self.n_devices < 1:
             raise ValueError("n_devices must be >= 1")
-        if self.degraded_link_factor < 1.0:
-            raise ValueError("degraded_link_factor must be >= 1")
         if self.placement not in PLACEMENTS:
             raise ValueError(
                 f"placement must be one of {PLACEMENTS}, got"
@@ -590,15 +582,12 @@ class FabricTopology:
             )
         if self.range_stride_pages < 1:
             raise ValueError("range_stride_pages must be >= 1")
-        for name in ("link_overhead_ns", "link_bandwidth_gb_s"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            value = tuple(value)
-            object.__setattr__(self, name, value)
+        if self.link_overhead_ns is not None:
+            value = tuple(self.link_overhead_ns)
+            object.__setattr__(self, "link_overhead_ns", value)
             if len(value) != self.n_devices:
                 raise ValueError(
-                    f"{name} must have one entry per device"
+                    "link_overhead_ns must have one entry per device"
                     f" ({self.n_devices}), got {len(value)}"
                 )
 

@@ -2,18 +2,19 @@
 
 The paper's pitch is hardware-rate caching: the FPGA scores and
 serves the DRAM cache in a pipeline (Sec. 4), every stage busy at
-once.  The software reproduction's analogue is that its three big
-replay loops are *embarrassingly parallel* -- every CXL fabric device,
-every serving plane, and every sweep grid point owns fully
-independent state (cache planes, policy, resumable cursor) -- yet
-until this module they all ran sequentially on one core.
+once.  The software reproduction's analogue is that its replay loops
+are *embarrassingly parallel* -- every CXL fabric device and every
+serving plane is a cache *lane* that owns fully independent state
+(cache planes, policy, resumable cursor).
 
-:class:`ParallelExecutor` drives them concurrently under one
-contract: **determinism**.  Tasks are dispatched in caller order,
-results are merged in caller order (never completion order), no
+:class:`ParallelExecutor` drives the lanes concurrently under one
+contract: **determinism**.  Tasks are dispatched in lane order,
+results are merged in lane order (never completion order), no
 randomness enters scheduling, and each task touches only its own
 state -- so a parallel run is *bit-identical* to ``workers=1``, which
 the parity suites in ``tests/cxl`` and ``tests/serving`` assert.
+:meth:`ParallelExecutor.replay_lanes` is the one lane-replay loop the
+serving planes and the fabric devices share.
 
 ``workers=1`` runs every task inline; more workers use a plain
 thread pool.  The fast-path simulator spends its time in numpy
@@ -67,8 +68,9 @@ def resolve_workers(workers: int) -> int:
 class ReplayTask:
     """One resumable Simulate-stage call over an independent cache.
 
-    This is the unit the fabric (per device) and the serving loop
-    (per plane) dispatch: the exact argument set of
+    This is the unit :meth:`ParallelExecutor.replay_lanes` dispatches
+    per lane (a fabric device or a serving plane): the exact argument
+    set of
     :meth:`repro.core.pipeline.StagedPipeline.simulate`.  The replay
     mutates :attr:`cache` and :attr:`policy` in place, so the next
     round resumes from the caller's own objects.
@@ -180,7 +182,7 @@ class ParallelExecutor:
 
     @property
     def retries_performed(self) -> int:
-        """Attempts recovered so far (injected crashes + real retries)."""
+        """Injected crashes absorbed so far by the retry budget."""
         return self._retries_performed
 
     @property
@@ -190,7 +192,7 @@ class ParallelExecutor:
 
     @property
     def tasks_dispatched(self) -> int:
-        """Tasks/items submitted across all fan-out calls."""
+        """Tasks submitted across all fan-out calls."""
         return self._tasks_dispatched
 
     # -- lifecycle ------------------------------------------------------
@@ -243,48 +245,6 @@ class ParallelExecutor:
                 )
             self._retries_performed += crashes
 
-    # -- generic ordered fan-out ---------------------------------------
-    def map(self, fn, items, star: bool = False) -> list:
-        """``[fn(item) for item in items]``, possibly concurrent.
-
-        Results come back in *item order* regardless of completion
-        order, and the first failing item's exception (again in item
-        order) is re-raised -- both halves of the determinism
-        contract.  With ``star=True`` each item is an argument tuple.
-
-        Real exceptions are retried immediately, up to
-        :attr:`max_retries` times (``map`` tasks are pure functions,
-        so a wholesale re-run is safe); on final failure the pool is
-        shut down before the error propagates, and the next fan-out
-        re-pools lazily.
-        """
-        dispatch_round = self._dispatch_round
-        self._dispatch_round += 1
-        items = list(items)
-        self._tasks_dispatched += len(items)
-        self._consume_injected_crashes(dispatch_round, len(items))
-        attempt = 0
-        while True:
-            try:
-                return self._map_once(fn, items, star)
-            except Exception:
-                self.shutdown()
-                if attempt >= self.max_retries:
-                    raise
-                attempt += 1
-                self._retries_performed += 1
-
-    def _map_once(self, fn, items: list, star: bool) -> list:
-        if self.workers <= 1 or len(items) <= 1:
-            return [fn(*item) if star else fn(item) for item in items]
-        pool = self._ensure_pool()
-        return _gather(
-            [
-                pool.submit(fn, *item) if star else pool.submit(fn, item)
-                for item in items
-            ]
-        )
-
     # -- simulate fan-out ----------------------------------------------
     def replay(
         self,
@@ -296,8 +256,8 @@ class ParallelExecutor:
 
         The caller is responsible for task independence (no two tasks
         sharing a cache/policy) -- true by construction for fabric
-        devices, serving planes and sweep points.  Each task's cache
-        and policy are advanced in place, ready for the next round.
+        devices and serving planes.  Each task's cache and policy are
+        advanced in place, ready for the next round.
 
         ``profiler`` (a :class:`~repro.core.pipeline.StageProfiler`)
         receives each task's in-worker simulate time under the
@@ -306,12 +266,11 @@ class ParallelExecutor:
         profile's section names and call counts are identical at
         workers=1 and workers=N.
 
-        Unlike :meth:`map`, a *real* exception is never retried here:
-        replay tasks mutate resumable cache/policy state, so a re-run
-        after a partial mutation would not be bit-exact.  Injected
-        (pre-execution) crashes still draw from the retry budget, and
-        the pool is shut down before any error propagates so the
-        executor stays usable.
+        A *real* exception is never retried: replay tasks mutate
+        resumable cache/policy state, so a re-run after a partial
+        mutation would not be bit-exact.  Injected (pre-execution)
+        crashes draw from the retry budget, and the pool is shut down
+        before any error propagates so the executor stays usable.
         """
         dispatch_round = self._dispatch_round
         self._dispatch_round += 1
@@ -335,6 +294,64 @@ class ParallelExecutor:
             for result in results:
                 profiler.add("simulate.task", result.elapsed_s)
         return results
+
+    def replay_lanes(
+        self,
+        caches: list[SetAssociativeCache],
+        policies: list[ReplacementPolicy],
+        cursors: list[int],
+        lane_ids: np.ndarray,
+        pages: np.ndarray,
+        is_write: np.ndarray,
+        scores: np.ndarray | None = None,
+        *,
+        simulator: str = "fast",
+        profiler=None,
+        record_outcome: bool = False,
+        warmup_fraction: float = 0.0,
+    ) -> list[tuple[int, np.ndarray, ReplayResult]]:
+        """Replay one round of a stream split over cache lanes.
+
+        ``lane_ids`` names each access's lane (an index into
+        ``caches``/``policies``/``cursors``; ``-1`` leaves the access
+        out).  Every lane with accesses becomes one
+        :class:`ReplayTask` over its accesses in stream order,
+        resuming at its cursor with ``warmup_fraction`` cut from its
+        own sub-stream; the tasks go through one :meth:`replay` call
+        -- even an empty one, so dispatch rounds stay one per call --
+        and each replayed lane's cursor advances by its access count.
+
+        Returns ``(lane, positions, result)`` per replayed lane, in
+        lane order; ``positions`` index the lane's accesses in the
+        round's stream.
+        """
+        lanes: list[tuple[int, np.ndarray]] = []
+        tasks: list[ReplayTask] = []
+        for lane, cache in enumerate(caches):
+            positions = np.flatnonzero(lane_ids == lane)
+            if positions.size == 0:
+                continue
+            lanes.append((lane, positions))
+            tasks.append(
+                ReplayTask(
+                    cache=cache,
+                    policy=policies[lane],
+                    pages=pages[positions],
+                    is_write=is_write[positions],
+                    scores=(
+                        scores[positions] if scores is not None else None
+                    ),
+                    warmup_fraction=warmup_fraction,
+                    index_offset=cursors[lane],
+                    record_outcome=record_outcome,
+                )
+            )
+        results = self.replay(tasks, simulator, profiler)
+        replayed = []
+        for (lane, positions), result in zip(lanes, results, strict=True):
+            cursors[lane] += int(positions.size)
+            replayed.append((lane, positions, result))
+        return replayed
 
     def __repr__(self) -> str:
         return f"ParallelExecutor(workers={self.workers})"

@@ -30,7 +30,6 @@ from repro.cache.stats import (
     OUTCOME_FILL,
     OUTCOME_HIT,
     CacheStats,
-    fold_outcome,
     stats_from_outcomes,
 )
 from repro.hardware.ssd import SsdLatencyEmulator
@@ -75,14 +74,9 @@ class CxlMemoryDevice:
         SSD latency emulator backing the cache.
     hit_latency_ns:
         DRAM cache service time on a hit.
-    keep_outcomes:
-        With ``True`` (default) the full per-access ``OUTCOME_*`` /
-        write record is retained, which is what the differential
-        parity suites re-account against -- but it grows with the
-        replayed stream.  Pass ``False`` for long replays that only
-        need counters: outcomes then fold into a running
-        :class:`~repro.cache.stats.CacheStats` one access at a time
-        and nothing per-access stays alive.
+
+    The full per-access ``OUTCOME_*`` / write record is retained: it
+    is what the differential parity suites re-account against.
     """
 
     def __init__(
@@ -91,7 +85,6 @@ class CxlMemoryDevice:
         policy: ReplacementPolicy,
         ssd: SsdLatencyEmulator | None = None,
         hit_latency_ns: int = DEVICE_DRAM_HIT_NS,
-        keep_outcomes: bool = True,
     ) -> None:
         if hit_latency_ns <= 0:
             raise ValueError("hit_latency_ns must be positive")
@@ -99,10 +92,8 @@ class CxlMemoryDevice:
         self.policy = policy
         self.ssd = ssd if ssd is not None else SsdLatencyEmulator()
         self.hit_latency_ns = hit_latency_ns
-        self.keep_outcomes = keep_outcomes
         self._outcomes: list[int] = []
         self._writes: list[bool] = []
-        self._running = CacheStats()
         self._access_index = 0
         self._stats_cache: tuple[int, CacheStats] | None = None
 
@@ -112,12 +103,7 @@ class CxlMemoryDevice:
 
         Memoised per history length, so polling between accesses is
         O(1); only the first read after new traffic pays the rebuild.
-        With ``keep_outcomes=False`` the incrementally-folded
-        counters are returned directly (same single-source-of-truth
-        arithmetic -- each access's code is folded exactly once).
         """
-        if not self.keep_outcomes:
-            return self._running
         n = len(self._outcomes)
         if self._stats_cache is None or self._stats_cache[0] != n:
             self._stats_cache = (
@@ -131,23 +117,15 @@ class CxlMemoryDevice:
 
     def outcome_record(self) -> tuple[np.ndarray, np.ndarray]:
         """The per-access ``(outcomes, is_write)`` arrays so far."""
-        if not self.keep_outcomes:
-            raise ValueError(
-                "outcome_record() needs keep_outcomes=True; this"
-                " device only folded counters"
-            )
         return (
             np.asarray(self._outcomes, dtype=np.uint8),
             np.asarray(self._writes, dtype=bool),
         )
 
     def _record(self, outcome: int, is_write: bool) -> None:
-        """Account one classified access (list or running counters)."""
-        if self.keep_outcomes:
-            self._outcomes.append(outcome)
-            self._writes.append(is_write)
-            return
-        fold_outcome(self._running, outcome, is_write)
+        """Append one classified access to the record."""
+        self._outcomes.append(outcome)
+        self._writes.append(is_write)
 
     def access(
         self, page: int, is_write: bool, score: float = 0.0

@@ -52,7 +52,7 @@ from repro.core.config import (
     IcgmmConfig,
     ParallelConfig,
 )
-from repro.core.parallel import ParallelExecutor, ReplayTask
+from repro.core.parallel import ParallelExecutor
 from repro.core.pipeline import (
     PreparedWorkload,
     StagedPipeline,
@@ -75,6 +75,10 @@ from repro.traces.record import CACHE_LINE_SIZE
 #: fails over twice during one outage hits the copy its first
 #: failover filled.
 FAILOVER_TAG_OFFSET = np.int64(1) << 56
+
+#: Link-latency multiplier priced onto failover-served traffic: the
+#: re-route crosses an extra switch hop.
+FAILOVER_LINK_FACTOR = 2.0
 
 
 def _stats_minus(total: CacheStats, part: CacheStats) -> CacheStats:
@@ -103,11 +107,6 @@ class DeviceReplayResult:
         Cache counters of the device's sub-stream.
     time_ns:
         End-to-end service time of the sub-stream (link included).
-    outcomes:
-        Per-access ``OUTCOME_*`` codes of the device's sub-stream,
-        kept only when the replay was asked for them
-        (``keep_outcomes=True``); ``None`` otherwise, so a large
-        fleet replay never holds one outcome array per device alive.
     failover_stats:
         Counters of *this device's home traffic served elsewhere*
         while it was failed over (chaos runs only; ``None`` without
@@ -125,7 +124,6 @@ class DeviceReplayResult:
     link: CxlLinkSpec
     stats: CacheStats
     time_ns: int
-    outcomes: np.ndarray | None = None
     failover_stats: CacheStats | None = None
     degraded_time_ns: int = 0
 
@@ -284,7 +282,6 @@ class CxlFabric:
         ssd = ssd if ssd is not None else SSD_CATALOG["tlc"]
         n = self.topology.n_devices
         overheads = self.topology.link_overhead_ns
-        bandwidths = self.topology.link_bandwidth_gb_s
         default = CxlLinkSpec()
         self.links: tuple[CxlLinkSpec, ...] = tuple(
             CxlLinkSpec(
@@ -293,11 +290,6 @@ class CxlFabric:
                     overheads[i]
                     if overheads is not None
                     else default.round_trip_overhead_ns
-                ),
-                bandwidth_gb_s=(
-                    bandwidths[i]
-                    if bandwidths is not None
-                    else default.bandwidth_gb_s
                 ),
             )
             for i in range(n)
@@ -420,7 +412,6 @@ class CxlFabric:
         ]
         self._cursors = [0] * n
         self._device_stats = [CacheStats() for _ in range(n)]
-        self._device_outcomes: list = [None] * n
         self._policies: list | None = None
         # Chaos bookkeeping (all zero / empty on fault-free runs).
         self._chunk_index = 0
@@ -602,11 +593,11 @@ class CxlFabric:
         Under chaos (an injector is wired), each chunk first consults
         the fault timeline at this chunk's logical index: a failed
         device's accesses fail over to healthy devices (score-aware
-        when marginals are present, priced at the topology's degraded
-        link factor) or -- with ``failover=False`` or no healthy
-        device left -- are served SSD-direct on the failed device's
-        path; degraded link windows inflate the affected device's
-        link component.  All of it is deterministic in the chunk
+        when marginals are present, priced at
+        :data:`FAILOVER_LINK_FACTOR`) or -- with ``failover=False``
+        or no healthy device left -- are served SSD-direct on the
+        failed device's path; degraded link windows inflate the
+        affected device's link component.  All of it is deterministic in the chunk
         index, so any worker count observes the identical timeline.
         """
         if self._policies is None:
@@ -680,38 +671,22 @@ class CxlFabric:
         need_outcome = (
             failover_mask is not None and bool(failover_mask.any())
         )
-        devices: list[int] = []
-        tasks: list[ReplayTask] = []
-        for device in range(self.topology.n_devices):
-            positions = np.nonzero(device_ids == device)[0]
-            if positions.size == 0:
-                continue
-            devices.append(device)
-            tasks.append(
-                ReplayTask(
-                    cache=self.caches[device],
-                    policy=self._policies[device],
-                    pages=local_pages[positions],
-                    is_write=is_write[positions],
-                    scores=(
-                        scores[positions]
-                        if scores is not None
-                        else None
-                    ),
-                    index_offset=self._cursors[device],
-                    record_outcome=need_outcome,
-                )
-            )
         # One concurrent round of per-device simulate calls, merged
         # in device order.
-        results = self._executor.replay(
-            tasks,
+        replayed = self._executor.replay_lanes(
+            self.caches,
+            self._policies,
+            self._cursors,
+            device_ids,
+            local_pages,
+            is_write,
+            scores,
             simulator=self.config.simulator,
             profiler=self.pipeline.profiler,
+            record_outcome=need_outcome,
         )
         served: dict[int, CacheStats] = {}
-        for device, task, result in zip(devices, tasks, results, strict=True):
-            self._cursors[device] += int(task.pages.shape[0])
+        for device, positions, result in replayed:
             self._device_stats[device] = self._device_stats[
                 device
             ].merge(result.stats)
@@ -754,7 +729,6 @@ class CxlFabric:
                     f"device:{device}", result.stats, degraded=True
                 )
             if need_outcome:
-                positions = np.nonzero(device_ids == device)[0]
                 self._account_failover(
                     device,
                     result.outcome,
@@ -1018,9 +992,10 @@ class CxlFabric:
     ) -> None:
         """Split one serving device's chunk outcome by failed home.
 
-        Charges the failover-path premium (degraded link factor on
-        the serving device's link) and credits the counters to each
-        failed home device's failover lens.
+        Charges the failover-path premium
+        (:data:`FAILOVER_LINK_FACTOR` on the serving device's link)
+        and credits the counters to each failed home device's failover
+        lens.
         """
         task_mask = failover_mask[positions]
         count = int(np.count_nonzero(task_mask))
@@ -1032,7 +1007,7 @@ class CxlFabric:
                 round(
                     count
                     * self.pricing[device].link_request_ns
-                    * (self.topology.degraded_link_factor - 1.0)
+                    * (FAILOVER_LINK_FACTOR - 1.0)
                 )
             ),
             observe=False,
@@ -1068,7 +1043,6 @@ class CxlFabric:
                     self._device_stats[d]
                 )
                 + self._extra_time_ns[d],
-                outcomes=self._device_outcomes[d],
                 failover_stats=(
                     self._failover_stats[d] if chaos else None
                 ),
@@ -1083,170 +1057,99 @@ class CxlFabric:
     # ------------------------------------------------------------------
     # Offline one-shot entry point
     # ------------------------------------------------------------------
-    def _bind_prepared(
-        self, prepared: PreparedWorkload, strategy: str
-    ) -> np.ndarray | None:
-        """Bind ``strategy`` for a prepared workload; returns the
-        per-access strategy scores (``None`` for LRU).
-
-        The shared preamble of :meth:`run_prepared` and
-        :meth:`run_streamed`: the page-score map (combined strategy
-        or score placement), the placement's score cuts, and
-        :meth:`bind`.  Callers run it inside their Score section.
-        """
-        page_score_map = (
-            prepared.page_score_map()
-            if strategy == "gmm-caching-eviction"
-            or self.topology.placement == "score"
-            else None
-        )
-        score_cuts = None
-        if self.topology.placement == "score":
-            score_cuts = self._cuts_from_marginals(
-                np.fromiter(
-                    page_score_map.values(),
-                    dtype=np.float64,
-                    count=len(page_score_map),
-                )
-            )
-        self.bind(
-            strategy,
-            prepared.engine.admission_threshold,
-            page_score_map=(
-                page_score_map
-                if strategy == "gmm-caching-eviction"
-                else None
-            ),
-            score_cuts=score_cuts,
-        )
-        return self.pipeline.strategy_scores(prepared, strategy)
-
     def run_prepared(
         self,
         prepared: PreparedWorkload,
         strategy: str,
         warmup_fraction: float | None = None,
-        keep_outcomes: bool = False,
         chunk_requests: int = 8192,
     ) -> FabricRunResult:
-        """Replay a prepared workload over the fleet in one shot.
+        """Replay a prepared workload over the fleet.
 
-        Binds the strategy, places the full stream, and replays each
-        device's sub-stream through the pipeline's Simulate stage
-        with the warm-up cut applied *per sub-stream* -- which is
-        exactly what a single-shot offline run on that sub-stream
-        does, so per-device counters match it bit for bit (the
-        fabric parity suite asserts this for every placement and
-        strategy).  Device replays run concurrently per
-        :attr:`parallel` and merge in device order.
+        Binds the strategy (the page-score map feeds the combined
+        strategy and the ``score`` placement's cuts), places the full
+        stream, and replays each device's sub-stream through the
+        pipeline's Simulate stage in one lane round, with the warm-up
+        cut applied *per sub-stream* -- which is exactly what a
+        single-shot offline run on that sub-stream does, so
+        per-device counters match it bit for bit (the fabric parity
+        suite asserts this for every placement and strategy).
 
         **Chaos-capable.**  When a fault injector or health monitor
-        is wired, the one-shot fan-out cannot consult the fault
-        timeline (faults tick on chunk indices), so the replay
-        degrades to the chunked ingest path in ``chunk_requests``
-        slices: every fault channel (outages, correlated blasts,
-        link windows, fail-slow ramps, worker crashes) and the fleet
+        is wired, the one-shot round cannot consult the fault
+        timeline (faults tick on chunk indices), so the stream goes
+        through :meth:`ingest` in ``chunk_requests`` slices instead:
+        every fault channel (outages, correlated blasts, link
+        windows, fail-slow ramps, worker crashes) and the fleet
         monitor fire exactly as on a streamed run, with zero access
-        loss.  Like :meth:`run_streamed`, the chaos path measures
-        every access (steady-state serving; ``warmup_fraction`` is
-        not applied) and does not support ``keep_outcomes``.  With
-        chaos and monitoring disabled this method executes the exact
-        pre-chaos one-shot path, byte for byte -- the parity suite
-        asserts it.
-
-        With ``keep_outcomes=False`` (the default) only the
-        per-device :class:`~repro.cache.stats.CacheStats` are
-        aggregated -- no per-access outcome array is ever allocated,
-        so an 8-device x 1M-access replay costs counters, not eight
-        megabyte-scale buffers.  Pass ``keep_outcomes=True`` to
-        record each device's ``OUTCOME_*`` stream on
-        :attr:`DeviceReplayResult.outcomes` for downstream per-access
-        accounting.
+        loss.  That path measures every access (steady-state
+        serving; ``warmup_fraction`` is not applied).  With chaos and
+        monitoring disabled this method executes the exact pre-chaos
+        one-shot path, byte for byte -- the parity suite asserts it.
         """
-        if self.injector is not None or self.monitor is not None:
-            if keep_outcomes:
-                raise ValueError(
-                    "keep_outcomes is not supported on a chaos or"
-                    " monitored run_prepared: the chunked replay"
-                    " aggregates counters only"
-                )
-            return self.run_streamed(
-                prepared, strategy, chunk_requests=chunk_requests
-            )
-        if warmup_fraction is None:
-            warmup_fraction = self.config.warmup_fraction
-        with self.pipeline.stage_scope("score"):
-            scores = self._bind_prepared(prepared, strategy)
-            device_ids, local_pages = self.place(
-                prepared.page_indices, prepared.page_frequency_scores
-            )
-        devices: list[int] = []
-        tasks: list[ReplayTask] = []
-        for device in range(self.topology.n_devices):
-            positions = np.nonzero(device_ids == device)[0]
-            if positions.size == 0:
-                continue
-            devices.append(device)
-            tasks.append(
-                ReplayTask(
-                    cache=self.caches[device],
-                    policy=self._policies[device],
-                    pages=local_pages[positions],
-                    is_write=prepared.is_write[positions],
-                    scores=(
-                        scores[positions]
-                        if scores is not None
-                        else None
-                    ),
-                    warmup_fraction=warmup_fraction,
-                    record_outcome=keep_outcomes,
-                )
-            )
-        # The whole fan-out is timed as one Simulate section (the
-        # profiler accounts stages, not workers).
-        with self.pipeline.stage_scope("simulate"):
-            results = self._executor.replay(
-                tasks,
-                simulator=self.config.simulator,
-                profiler=self.pipeline.profiler,
-            )
-        for device, task, result in zip(devices, tasks, results, strict=True):
-            self._cursors[device] += int(task.pages.shape[0])
-            self._device_stats[device] = result.stats
-            if keep_outcomes:
-                self._device_outcomes[device] = result.outcome
-        with self.pipeline.stage_scope("price"):
-            return self.results()
-
-    def run_streamed(
-        self,
-        prepared: PreparedWorkload,
-        strategy: str,
-        chunk_requests: int = 8192,
-    ) -> FabricRunResult:
-        """Replay a prepared workload through the chunked ingest path.
-
-        Binds exactly like :meth:`run_prepared`, then streams the
-        stream chunk by chunk through :meth:`ingest` -- the path the
-        chaos harness hooks (outage failover, link degradation).
-        Streamed replay measures every access (no warm-up cut): it
-        models steady-state serving, not the offline Fig. 6 protocol.
-        """
-        with self.pipeline.stage_scope("score"):
-            scores = self._bind_prepared(prepared, strategy)
+        chunked = self.injector is not None or self.monitor is not None
+        combined = strategy == "gmm-caching-eviction"
+        by_score = self.topology.placement == "score"
         pages = prepared.page_indices
         marginals = prepared.page_frequency_scores
-        with self.pipeline.stage_scope("simulate"):
-            for start in range(0, pages.shape[0], chunk_requests):
-                sl = slice(start, start + chunk_requests)
-                self.ingest(
-                    pages[sl],
-                    prepared.is_write[sl],
-                    scores=scores[sl] if scores is not None else None,
-                    page_marginals=(
-                        marginals[sl] if marginals is not None else None
-                    ),
+        with self.pipeline.stage_scope("score"):
+            page_score_map = (
+                prepared.page_score_map() if combined or by_score else None
+            )
+            score_cuts = None
+            if by_score:
+                score_cuts = self._cuts_from_marginals(
+                    np.fromiter(
+                        page_score_map.values(),
+                        dtype=np.float64,
+                        count=len(page_score_map),
+                    )
                 )
+            self.bind(
+                strategy,
+                prepared.engine.admission_threshold,
+                page_score_map=page_score_map if combined else None,
+                score_cuts=score_cuts,
+            )
+            scores = self.pipeline.strategy_scores(prepared, strategy)
+            if not chunked:
+                device_ids, local_pages = self.place(pages, marginals)
+        # The whole replay is timed as one Simulate section (the
+        # profiler accounts stages, not workers).
+        with self.pipeline.stage_scope("simulate"):
+            if chunked:
+                for start in range(0, pages.shape[0], chunk_requests):
+                    sl = slice(start, start + chunk_requests)
+                    self.ingest(
+                        pages[sl],
+                        prepared.is_write[sl],
+                        scores=(
+                            scores[sl] if scores is not None else None
+                        ),
+                        page_marginals=(
+                            marginals[sl]
+                            if marginals is not None
+                            else None
+                        ),
+                    )
+            else:
+                for device, _, result in self._executor.replay_lanes(
+                    self.caches,
+                    self._policies,
+                    self._cursors,
+                    device_ids,
+                    local_pages,
+                    prepared.is_write,
+                    scores,
+                    simulator=self.config.simulator,
+                    profiler=self.pipeline.profiler,
+                    warmup_fraction=(
+                        self.config.warmup_fraction
+                        if warmup_fraction is None
+                        else warmup_fraction
+                    ),
+                ):
+                    self._device_stats[device] = result.stats
         with self.pipeline.stage_scope("price"):
             return self.results()
 

@@ -274,90 +274,3 @@ class RollingMetrics:
                     self.degraded_miss_rate(key)
                 )
         return out
-
-    @staticmethod
-    def merge_snapshots(
-        *snapshots: dict[str, dict[str, float]],
-    ) -> dict[str, dict[str, float]]:
-        """Combine :meth:`snapshot` dicts into one cross-view dict.
-
-        Rates are re-derived as access-weighted averages, so a key
-        present in several inputs (e.g. the same tenant seen by two
-        service instances) gets the rates one combined window would
-        have reported, and ``traffic_share`` is recomputed over the
-        merged access total.  The degraded lens appears on a merged
-        key iff any input carried it, weighted by degraded accesses --
-        keys whose inputs never served degraded traffic keep the
-        plain (pre-chaos) row shape.  Keys keep first-seen order
-        across the inputs.
-        """
-        weights: dict[str, dict[str, float]] = {}
-        degraded_seen: set[str] = set()
-        for snapshot in snapshots:
-            for key, row in snapshot.items():
-                w = weights.setdefault(
-                    key,
-                    {
-                        "accesses": 0.0,
-                        "miss": 0.0,
-                        "latency": 0.0,
-                        "degraded_accesses": 0.0,
-                        "degraded_miss": 0.0,
-                    },
-                )
-                accesses = float(row.get("accesses", 0.0))
-                w["accesses"] += accesses
-                w["miss"] += row.get("miss_rate", 0.0) * accesses
-                w["latency"] += row.get("latency_us", 0.0) * accesses
-                if "degraded_accesses" in row:
-                    degraded_seen.add(key)
-                    served = float(row["degraded_accesses"])
-                    w["degraded_accesses"] += served
-                    w["degraded_miss"] += (
-                        row.get("degraded_miss_rate", 0.0) * served
-                    )
-        total = sum(w["accesses"] for w in weights.values())
-        merged: dict[str, dict[str, float]] = {}
-        for key, w in weights.items():
-            accesses = w["accesses"]
-            merged[key] = {
-                "miss_rate": (
-                    w["miss"] / accesses if accesses else 0.0
-                ),
-                "latency_us": (
-                    w["latency"] / accesses if accesses else 0.0
-                ),
-                "accesses": accesses,
-                "traffic_share": (
-                    accesses / total if total else 0.0
-                ),
-            }
-            if key in degraded_seen:
-                served = w["degraded_accesses"]
-                merged[key]["degraded_accesses"] = served
-                merged[key]["degraded_miss_rate"] = (
-                    w["degraded_miss"] / served if served else 0.0
-                )
-        return merged
-
-    @staticmethod
-    def merge_event_timelines(
-        *timelines: list[FailureEvent],
-    ) -> list[FailureEvent]:
-        """Interleave several instances' failure/recovery timelines.
-
-        Events from all inputs are ordered by
-        ``(chunk_index, key, kind)`` -- the logical clock first, so a
-        cross-instance view (e.g. two service replicas watching the
-        same fleet) pairs downs with ups in causal order and
-        :meth:`recovery_latencies` computed over the merged list is
-        meaningful.  The sort is stable, so same-tick events keep a
-        deterministic order regardless of input order.
-        """
-        merged = [
-            event for timeline in timelines for event in timeline
-        ]
-        merged.sort(
-            key=lambda e: (e.chunk_index, e.key, e.kind)
-        )
-        return merged

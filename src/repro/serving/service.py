@@ -51,7 +51,7 @@ from repro.cache.stats import (
 from repro.chaos import FaultInjector, InjectedFaultError
 from repro.core.config import ChaosConfig, IcgmmConfig, ServingConfig
 from repro.core.engine import GmmPolicyEngine
-from repro.core.parallel import ParallelExecutor, ReplayTask
+from repro.core.parallel import ParallelExecutor
 from repro.core.pipeline import StagedPipeline, StageProfiler
 from repro.core.policy import build_policy, strategy_score_view
 from repro.hardware.latency import LatencyModel
@@ -448,13 +448,14 @@ class IcgmmCacheService:
                 sim_scores = None
 
         # --- simulation: one task per plane (resumable, exact) -------
-        # Each plane's accesses resume at that plane's cursor; the
-        # tasks fan out through the executor and merge in plane
-        # order (bit-identical to sequential).  Every mutation of
-        # service state sits *behind* this fallible stage: an
-        # exception up to here leaves cursors, detector and refresher
-        # untouched, so a retried ingest of the same chunk is
-        # bit-identical to an uninterrupted run.
+        # The executor's lane loop replays each plane's accesses at
+        # that plane's cursor and merges in plane order (bit-identical
+        # to sequential); degraded shards' accesses are lane -1 and
+        # never reach a plane.  Every mutation of service state sits
+        # *behind* this fallible stage: an exception up to here leaves
+        # cursors, detector and refresher untouched, so a retried
+        # ingest of the same chunk is bit-identical to an
+        # uninterrupted run.
         shard_ids, plane_ids = self.planes.route(pages)
         shard_positions = self.planes.partition(shard_ids)
         outcome = np.empty(n, dtype=np.uint8)
@@ -491,38 +492,19 @@ class IcgmmCacheService:
             plane_ids = np.where(
                 np.isin(shard_ids, list(degraded_shards)), -1, plane_ids
             )
-        dispatched: list[tuple[int, np.ndarray]] = []
-        tasks: list[ReplayTask] = []
-        for plane, cache in enumerate(self.planes.caches):
-            positions = np.flatnonzero(plane_ids == plane)
-            if positions.size == 0:
-                continue
-            dispatched.append((plane, positions))
-            tasks.append(
-                ReplayTask(
-                    cache=cache,
-                    policy=self._policies[plane],
-                    pages=pages[positions],
-                    is_write=is_write[positions],
-                    scores=(
-                        sim_scores[positions]
-                        if sim_scores is not None
-                        else None
-                    ),
-                    index_offset=self._plane_cursors[plane],
-                    record_outcome=True,
-                )
-            )
-        results = self._executor.replay(
-            tasks,
+        for _, positions, result in self._executor.replay_lanes(
+            self.planes.caches,
+            self._policies,
+            self._plane_cursors,
+            plane_ids,
+            pages,
+            is_write,
+            sim_scores,
             simulator=self.config.simulator,
             profiler=self.pipeline.profiler,
-        )
-        for (plane, positions), result in zip(
-            dispatched, results, strict=True
+            record_outcome=True,
         ):
             outcome[positions] = result.outcome
-            self._plane_cursors[plane] += int(positions.size)
 
         # --- accounting -------------------------------------------------
         measured = abs_idx >= self.measure_from

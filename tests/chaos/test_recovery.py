@@ -10,6 +10,8 @@ that a chaotic run is bit-identical at every worker count.
 import numpy as np
 import pytest
 
+from repro.cache.policies import LruPolicy
+from repro.cache.setassoc import CacheGeometry, SetAssociativeCache
 from repro.chaos import (
     KIND_DEVICE_CORRELATED,
     KIND_DEVICE_FAIL,
@@ -30,7 +32,11 @@ from repro.core.config import (
     ParallelConfig,
     ServingConfig,
 )
-from repro.core.parallel import ParallelExecutor, WorkerCrashError
+from repro.core.parallel import (
+    ParallelExecutor,
+    ReplayTask,
+    WorkerCrashError,
+)
 from repro.cxl.fabric import CxlFabric
 from repro.serving import IcgmmCacheService
 
@@ -423,19 +429,6 @@ class TestPreparedChaos:
         assert kinds.count("device-down") == 1
         assert kinds.count("device-restored") == 1
 
-    def test_keep_outcomes_rejected_under_chaos(self, chaos_workload):
-        config, _, pages, writes = chaos_workload
-        fabric = _fabric(config)
-        try:
-            with pytest.raises(ValueError, match="keep_outcomes"):
-                fabric.run_prepared(
-                    _prepared(pages, writes),
-                    "lru",
-                    keep_outcomes=True,
-                )
-        finally:
-            fabric.close()
-
     def test_monitored_prepared_matches_streamed(self, chaos_workload):
         """A monitor (no injector) also routes run_prepared through
         the chunked path; counters must match a streamed run with the
@@ -609,6 +602,28 @@ class TestRefreshFaults:
         assert service.totals.accesses == pages.shape[0]
 
 
+def _replay_tasks(n):
+    """``n`` small independent LRU replay tasks."""
+    rng = np.random.default_rng(3)
+    pages = rng.integers(0, 400, 300)
+    writes = rng.random(300) < 0.3
+    return [
+        ReplayTask(
+            cache=SetAssociativeCache(
+                CacheGeometry(
+                    capacity_bytes=8 * 4096 * 4,
+                    block_bytes=4096,
+                    associativity=4,
+                )
+            ),
+            policy=LruPolicy(),
+            pages=pages,
+            is_write=writes,
+        )
+        for _ in range(n)
+    ]
+
+
 class TestExecutorCrashes:
     def test_crashes_within_budget_are_transparent(self):
         def hook(dispatch_round, task):
@@ -617,19 +632,24 @@ class TestExecutorCrashes:
         executor = ParallelExecutor(workers=2, max_retries=2)
         executor.fault_hook = hook
         try:
-            assert executor.map(lambda v: v * v, [1, 2, 3]) == [1, 4, 9]
+            results = executor.replay(_replay_tasks(3))
             assert executor.retries_performed == 1
         finally:
             executor.shutdown()
+        clean = ParallelExecutor().replay(_replay_tasks(3))
+        assert [r.stats for r in results] == [r.stats for r in clean]
 
     def test_budget_exhaustion_raises_worker_crash_error(self):
         executor = ParallelExecutor(workers=2, max_retries=1)
         executor.fault_hook = lambda r, t: 2
+        tasks = _replay_tasks(1)
         try:
             with pytest.raises(WorkerCrashError, match="retry budget"):
-                executor.map(lambda v: v, [1])
+                executor.replay(tasks)
         finally:
             executor.shutdown()
+        # The crash is injected before dispatch: the task never ran.
+        assert tasks[0].cache.occupancy() == 0
 
 
 class TestWorkerCountInvariance:

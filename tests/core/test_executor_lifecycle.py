@@ -1,10 +1,10 @@
 """Executor lifecycle: pools must never outlive their owners.
 
-Every path that constructs a :class:`ParallelExecutor` -- the sweep
-grid runner, the training fan-out inside ``StagedPipeline.prepare``,
-the fabric and serving CLIs -- must tear its pool down
-deterministically (context manager or ``close()``/``shutdown()`` in a
-``finally``), including on error paths.  These tests assert the
+Every owner of a :class:`ParallelExecutor` -- the fabric, the serving
+loop and their CLIs -- must tear its pool down deterministically
+(context manager or ``close()``/``shutdown()`` in a ``finally``),
+including on error paths, and a replay round that fails must leave
+no pool behind.  These tests assert the
 absence of leaked worker threads by counting live threads with the
 executor's name prefix.
 """
@@ -14,17 +14,22 @@ import threading
 import numpy as np
 import pytest
 
-from repro.analysis.sweep import run_grid
+from repro.cache.policies import LruPolicy
+from repro.cache.setassoc import CacheGeometry, SetAssociativeCache
 from repro.core.config import (
     GmmEngineConfig,
     IcgmmConfig,
     ParallelConfig,
 )
-from repro.core.parallel import ParallelExecutor
+from repro.core.parallel import ParallelExecutor, ReplayTask
 from repro.core.pipeline import StagedPipeline
 
 #: Thread-name prefix of every ParallelExecutor thread pool.
 _PREFIX = "repro-parallel"
+
+GEOMETRY = CacheGeometry(
+    capacity_bytes=16 * 4096 * 4, block_bytes=4096, associativity=4
+)
 
 
 def _live_pool_threads() -> int:
@@ -35,30 +40,40 @@ def _live_pool_threads() -> int:
     )
 
 
-def _square(value):
-    return value * value
-
-
-def _boom(value):
-    raise RuntimeError(f"boom {value}")
+def _tasks(n, failing=None):
+    """``n`` small independent LRU replays; task ``failing`` carries
+    an invalid warm-up fraction, so it raises inside the replay."""
+    rng = np.random.default_rng(0)
+    pages = rng.integers(0, 500, 300)
+    is_write = rng.random(300) < 0.3
+    return [
+        ReplayTask(
+            cache=SetAssociativeCache(GEOMETRY),
+            policy=LruPolicy(),
+            pages=pages,
+            is_write=is_write,
+            warmup_fraction=-1.0 if i == failing else 0.0,
+        )
+        for i in range(n)
+    ]
 
 
 class TestExecutorShutdown:
     def test_context_manager_tears_pool_down(self):
         baseline = _live_pool_threads()
         with ParallelExecutor(workers=3) as executor:
-            assert executor.map(_square, [1, 2, 3]) == [1, 4, 9]
+            assert len(executor.replay(_tasks(3))) == 3
             assert _live_pool_threads() > baseline
         assert _live_pool_threads() == baseline
 
     def test_shutdown_idempotent(self):
         executor = ParallelExecutor(workers=2)
-        executor.map(_square, [1, 2])
+        executor.replay(_tasks(2))
         executor.shutdown()
         executor.shutdown()
         assert _live_pool_threads() == 0
         # A retired executor can lazily re-pool and close again.
-        assert executor.map(_square, [3, 4]) == [9, 16]
+        assert len(executor.replay(_tasks(2))) == 2
         executor.shutdown()
         assert _live_pool_threads() == 0
 
@@ -68,16 +83,21 @@ class TestExecutorShutdown:
 
         baseline = _live_pool_threads()
         executor = ParallelExecutor(workers=2, max_retries=1)
-        executor.fault_hook = lambda round_, task: 5  # always fatal
         try:
+            executor.replay(_tasks(2))
+            assert _live_pool_threads() > baseline
+            executor.fault_hook = lambda round_, task: 5  # always fatal
             with pytest.raises(WorkerCrashError):
-                executor.map(_square, [1, 2, 3])
+                executor.replay(_tasks(3))
             # The failed fan-out shut its own pool down.
             assert _live_pool_threads() == baseline
             # Clearing the hook makes the same executor usable again
             # via lazy re-pooling.
             executor.fault_hook = None
-            assert executor.map(_square, [1, 2, 3]) == [1, 4, 9]
+            results = executor.replay(_tasks(3))
+            assert [r.stats for r in results] == [
+                r.stats for r in ParallelExecutor().replay(_tasks(3))
+            ]
         finally:
             executor.shutdown()
         assert _live_pool_threads() == baseline
@@ -86,33 +106,11 @@ class TestExecutorShutdown:
         baseline = _live_pool_threads()
         executor = ParallelExecutor(workers=2)
         try:
-            with pytest.raises(RuntimeError, match="boom"):
-                executor.map(_boom, [1, 2])
+            with pytest.raises(ValueError, match="warmup_fraction"):
+                executor.replay(_tasks(2, failing=1))
             assert _live_pool_threads() == baseline
         finally:
             executor.shutdown()
-        assert _live_pool_threads() == baseline
-
-
-class TestRunGridLifecycle:
-    def test_closes_pool_after_success(self):
-        baseline = _live_pool_threads()
-        results = run_grid(
-            _square,
-            [(1,), (2,), (3,)],
-            parallel=ParallelConfig(workers=3),
-        )
-        assert results == [1, 4, 9]
-        assert _live_pool_threads() == baseline
-
-    def test_closes_pool_after_failure(self):
-        baseline = _live_pool_threads()
-        with pytest.raises(RuntimeError, match="boom"):
-            run_grid(
-                _boom,
-                [(1,), (2,)],
-                parallel=ParallelConfig(workers=2),
-            )
         assert _live_pool_threads() == baseline
 
 

@@ -1,24 +1,20 @@
-"""Parallel fabric replay determinism + memory-lean result tests.
+"""Parallel fabric replay determinism tests.
 
 The multicore contract of :class:`repro.cxl.fabric.CxlFabric`: any
 worker count, one-shot or chunked, produces *byte-identical*
 per-device counters and priced service times to the sequential
-replay; a worker crash propagates to the caller; and outcome arrays
-are only materialised when explicitly requested
-(``keep_outcomes=True``).
+replay, and a worker crash propagates to the caller.
 """
 
 import numpy as np
 import pytest
 
-from repro.cache.stats import stats_from_outcomes
 from repro.core.config import (
     FabricTopology,
     GmmEngineConfig,
     IcgmmConfig,
     ParallelConfig,
 )
-from repro.core.system import IcgmmSystem
 from repro.cxl.fabric import CxlFabric
 
 N_DEVICES = 4
@@ -154,55 +150,3 @@ def test_worker_crash_propagates(
             fabric.ingest(pages, is_write, scores=scores)
     finally:
         fabric.close()
-
-
-class TestKeepOutcomes:
-    @pytest.fixture(scope="class")
-    def prepared(self, config):
-        return IcgmmSystem(config).prepare("memtier")
-
-    def test_default_keeps_nothing(self, config, prepared):
-        fabric = CxlFabric(_topology(), config=config)
-        result = fabric.run_prepared(prepared, "gmm-caching")
-        assert all(d.outcomes is None for d in result.devices)
-
-    def test_requested_outcomes_reaccount_to_stats(
-        self, config, prepared
-    ):
-        fabric = CxlFabric(_topology(), config=config)
-        result = fabric.run_prepared(
-            prepared, "gmm-caching", warmup_fraction=0.0,
-            keep_outcomes=True,
-        )
-        device_ids, _ = fabric.place(prepared.page_indices)
-        for device in result.devices:
-            assert device.outcomes is not None
-            positions = np.nonzero(device_ids == device.device_id)[0]
-            assert device.outcomes.shape[0] == positions.size
-            rebuilt = stats_from_outcomes(
-                device.outcomes, prepared.is_write[positions]
-            )
-            assert rebuilt == device.stats
-
-    def test_parallel_outcome_streams_match_sequential(
-        self, config, prepared
-    ):
-        sequential = CxlFabric(
-            _topology(), config=config
-        ).run_prepared(prepared, "lru", keep_outcomes=True)
-        for parallel in PARALLEL_VARIANTS:
-            fabric = CxlFabric(
-                _topology(), config=config, parallel=parallel
-            )
-            try:
-                result = fabric.run_prepared(
-                    prepared, "lru", keep_outcomes=True
-                )
-                for seq, par in zip(
-                    sequential.devices, result.devices, strict=True
-                ):
-                    np.testing.assert_array_equal(
-                        seq.outcomes, par.outcomes
-                    )
-            finally:
-                fabric.close()

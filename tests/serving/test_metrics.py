@@ -113,83 +113,6 @@ class TestFailureEvents:
         ) == [4]
 
 
-class TestMergeSnapshots:
-    def test_rates_are_access_weighted(self):
-        a = RollingMetrics()
-        a.record("tenant:0", _stats(90, 10))
-        b = RollingMetrics()
-        b.record("tenant:0", _stats(0, 100))
-        merged = RollingMetrics.merge_snapshots(
-            a.snapshot(), b.snapshot()
-        )
-        # 10 + 100 misses over 200 accesses -- not the mean of the
-        # two miss rates (0.1 and 1.0 would average to 0.55).
-        assert merged["tenant:0"]["miss_rate"] == pytest.approx(0.55)
-        assert merged["tenant:0"]["accesses"] == 200.0
-        assert merged["tenant:0"]["traffic_share"] == 1.0
-
-    def test_traffic_share_spans_all_inputs(self):
-        a = RollingMetrics()
-        a.record("tenant:0", _stats(30, 0))
-        b = RollingMetrics()
-        b.record("tenant:1", _stats(10, 0))
-        merged = RollingMetrics.merge_snapshots(
-            a.snapshot(), b.snapshot()
-        )
-        assert merged["tenant:0"]["traffic_share"] == pytest.approx(
-            0.75
-        )
-        assert merged["tenant:1"]["traffic_share"] == pytest.approx(
-            0.25
-        )
-
-    def test_keys_keep_first_seen_order(self):
-        a = RollingMetrics()
-        a.record("tenant:b", _stats(1, 0))
-        b = RollingMetrics()
-        b.record("tenant:a", _stats(1, 0))
-        b.record("tenant:b", _stats(1, 0))
-        merged = RollingMetrics.merge_snapshots(
-            a.snapshot(), b.snapshot()
-        )
-        assert list(merged) == ["tenant:b", "tenant:a"]
-
-    def test_degraded_lens_survives_only_where_present(self):
-        a = RollingMetrics()
-        a.record("tenant:0", _stats(80, 20))
-        a.record("tenant:0", _stats(0, 10), degraded=True)
-        a.record("tenant:1", _stats(50, 0))
-        b = RollingMetrics()
-        b.record("tenant:0", _stats(10, 0))
-        merged = RollingMetrics.merge_snapshots(
-            a.snapshot(), b.snapshot()
-        )
-        assert merged["tenant:0"]["degraded_accesses"] == 10.0
-        assert merged["tenant:0"][
-            "degraded_miss_rate"
-        ] == pytest.approx(1.0)
-        # tenant:1 never served degraded traffic: plain row shape.
-        assert "degraded_accesses" not in merged["tenant:1"]
-
-    def test_empty_and_zero_access_inputs(self):
-        zero = RollingMetrics()
-        zero.record("cold", _stats(0, 0))
-        merged = RollingMetrics.merge_snapshots({}, zero.snapshot())
-        assert merged["cold"]["miss_rate"] == 0.0
-        assert merged["cold"]["traffic_share"] == 0.0
-        assert RollingMetrics.merge_snapshots() == {}
-
-    def test_single_snapshot_round_trips(self):
-        metrics = RollingMetrics()
-        metrics.record("tenant:0", _stats(75, 25))
-        metrics.record("tenant:1", _stats(40, 10))
-        snapshot = metrics.snapshot()
-        merged = RollingMetrics.merge_snapshots(snapshot)
-        for key, row in snapshot.items():
-            for field, value in row.items():
-                assert merged[key][field] == pytest.approx(value)
-
-
 class TestRecoveryLatencyEdgeCases:
     def test_overlapping_downs_pair_with_first(self):
         """A second down before the restore must not reset the clock:
@@ -221,37 +144,6 @@ class TestRecoveryLatencyEdgeCases:
         assert metrics.recovery_latencies(
             "device-down", "device-restored"
         ) == [2, 1]
-
-    def test_merged_timelines_pair_in_causal_order(self):
-        """Two replicas each saw half of an outage; the merged view
-        pairs the down with the restore across instances."""
-        a = RollingMetrics()
-        a.record_event("device:0", "device-down", 2)
-        b = RollingMetrics()
-        b.record_event("device:0", "device-restored", 5)
-        merged = RollingMetrics.merge_event_timelines(
-            a.events(), b.events()
-        )
-        assert [e.chunk_index for e in merged] == [2, 5]
-        replay = RollingMetrics()
-        replay._events = merged
-        assert replay.recovery_latencies(
-            "device-down", "device-restored"
-        ) == [3]
-
-    def test_same_tick_merge_is_input_order_independent(self):
-        a = RollingMetrics()
-        a.record_event("device:1", "device-down", 4)
-        b = RollingMetrics()
-        b.record_event("device:0", "device-down", 4)
-        one = RollingMetrics.merge_event_timelines(
-            a.events(), b.events()
-        )
-        two = RollingMetrics.merge_event_timelines(
-            b.events(), a.events()
-        )
-        assert one == two
-        assert [e.key for e in one] == ["device:0", "device:1"]
 
 
 class TestEwmaSignals:

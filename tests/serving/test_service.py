@@ -369,6 +369,41 @@ class TestRefreshFaults:
             assert service.refresher.refreshes_built >= 1
 
 
+class TestStaleRefresh:
+    def test_outside_swap_discards_the_build_without_backoff(
+        self, prepared_system, drifted_stream
+    ):
+        """A build that lands after another engine reached the slot
+        is stale: recorded, never swapped in, and not a failure."""
+        config, _, prepared = prepared_system
+        pages, writes = drifted_stream
+        with IcgmmCacheService(
+            prepared.engine,
+            config=config,
+            serving=ServingConfig(chunk_requests=2_000, n_shards=4),
+        ) as service:
+            build = service.refresher.build
+            outside_swaps = []
+
+            def racing_build(engine):
+                refreshed = build(engine)
+                # Another writer swaps the slot while the build runs.
+                service.slot.swap(engine)
+                outside_swaps.append(service.slot.generation)
+                return refreshed
+
+            service.refresher.build = racing_build
+            service.ingest(pages, writes)
+        assert outside_swaps, "the drifted stream must trigger a build"
+        kinds = [e.kind for e in service.shard_metrics.events("engine")]
+        assert kinds.count("refresh-stale") == len(outside_swaps)
+        assert "refresh-failed" not in kinds
+        assert service.swaps == []
+        assert service.generation == len(outside_swaps)
+        assert service._refresh_failures == 0
+        assert service._refresh_block_until < 0
+
+
 class TestValidation:
     def test_rejects_bad_inputs(self, prepared_system):
         config, _, prepared = prepared_system

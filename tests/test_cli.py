@@ -205,6 +205,32 @@ class TestServe:
         assert "divide" in capsys.readouterr().err
 
 
+    def test_serve_rejects_tenant_planes_without_tenants(self, capsys):
+        # Tenant t replays into plane t % shards: two tenants over the
+        # default four shards would leave two planes without a block.
+        args = [
+            "serve",
+            "--workloads",
+            "memtier",
+            "stream",
+            "--length",
+            "20000",
+            "--components",
+            "6",
+            "--sharding",
+            "tenant",
+            "--no-refresh",
+        ]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "4 shard planes" in err
+        assert "2 tenant(s)" in err
+        assert main([*args, "--shards", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "shard:1" in out
+        assert "shard:2" not in out
+
+
 class TestHardwareReport:
     def test_report_contains_table2(self, capsys):
         assert main(["hardware-report"]) == 0

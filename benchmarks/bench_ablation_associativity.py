@@ -12,7 +12,7 @@ import dataclasses
 
 from repro.analysis import render_table
 from repro.cache.setassoc import CacheGeometry
-from repro.core.system import IcgmmSystem
+from repro.core.pipeline import StagedPipeline
 
 WAYS = (1, 2, 8, 32)
 
@@ -30,7 +30,7 @@ def test_associativity_sweep(fast_config, report, benchmark):
                 associativity=ways,
             )
             config = dataclasses.replace(base, geometry=geometry)
-            result = IcgmmSystem(config).run_benchmark("hashmap")
+            result = StagedPipeline(config).run_benchmark("hashmap")
             rows.append(
                 (
                     ways,

@@ -17,17 +17,17 @@ from repro.analysis import render_table
 from repro.cache import SetAssociativeCache, simulate_fast
 from repro.cache.policies import GmmCachePolicy
 from repro.core.lstm_engine import LstmEngineConfig, LstmPolicyEngine
-from repro.core.system import IcgmmSystem
+from repro.core.pipeline import StagedPipeline
 
 
 @pytest.fixture(scope="module")
 def setup(fast_config):
     config = fast_config(trace_length=80_000)
-    system = IcgmmSystem(config)
+    pipeline = StagedPipeline(config)
     rng = np.random.default_rng(config.seed)
-    trace = system.generate_trace("memtier", rng)
-    processed = system._preprocessor.process(trace)
-    return config, system, processed
+    trace = pipeline.generate_trace("memtier", rng)
+    processed = pipeline._preprocessor.process(trace)
+    return config, pipeline, processed
 
 
 def _page_mean_scores(page_indices, request_scores):
@@ -40,7 +40,7 @@ def _page_mean_scores(page_indices, request_scores):
 
 def test_lstm_vs_gmm_policy(setup, report, benchmark):
     """Train both engines, drive the same eviction policy."""
-    config, system, processed = setup
+    config, pipeline, processed = setup
     features = processed.features
     n_train = int(len(processed) * config.train_fraction)
 

@@ -13,19 +13,19 @@ import pytest
 from repro.analysis import render_table
 from repro.cache import BeladyPolicy, SetAssociativeCache, simulate_fast
 from repro.cache.policies import make_policy
-from repro.core.system import IcgmmSystem
+from repro.core.pipeline import StagedPipeline
 
 
 @pytest.fixture(scope="module")
 def heap_setup(fast_config):
     config = fast_config()
-    system = IcgmmSystem(config)
-    return config, system, system.prepare("heap")
+    pipeline = StagedPipeline(config)
+    return config, pipeline, pipeline.prepare("heap")
 
 
 def test_policy_zoo(heap_setup, report, benchmark):
     """Miss rate of every policy on the heap workload."""
-    config, system, prepared = heap_setup
+    config, pipeline, prepared = heap_setup
 
     def run_classical():
         out = {}
@@ -50,7 +50,7 @@ def test_policy_zoo(heap_setup, report, benchmark):
     classical = benchmark.pedantic(run_classical, rounds=1, iterations=1)
     gmm = min(
         (
-            system.run_strategy(prepared, s)
+            pipeline.run_strategy(prepared, s)
             for s in (
                 "gmm-caching",
                 "gmm-eviction",

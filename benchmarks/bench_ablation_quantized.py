@@ -10,7 +10,7 @@ bounds the divergence.
 import dataclasses
 
 from repro.analysis import render_table
-from repro.core.system import IcgmmSystem
+from repro.core.pipeline import StagedPipeline
 
 
 def _run(base, use_quantized):
@@ -18,7 +18,7 @@ def _run(base, use_quantized):
         base,
         gmm=dataclasses.replace(base.gmm, use_quantized=use_quantized),
     )
-    return IcgmmSystem(config).run_benchmark(
+    return StagedPipeline(config).run_benchmark(
         "hashmap",
         strategies=("lru", "gmm-caching-eviction"),
     )

@@ -18,20 +18,20 @@ from repro.analysis import render_table
 from repro.analysis.distributions import temporal_information_gain
 from repro.cache import SetAssociativeCache, simulate_fast
 from repro.core.engine import GmmPolicyEngine
+from repro.core.pipeline import StagedPipeline
 from repro.core.policy import build_policy
-from repro.core.system import IcgmmSystem
 
 
 @pytest.fixture(scope="module")
 def memtier_setup(fast_config):
     config = fast_config()
-    system = IcgmmSystem(config)
-    return config, system, system.prepare("memtier")
+    pipeline = StagedPipeline(config)
+    return config, pipeline, pipeline.prepare("memtier")
 
 
 def test_temporal_information_gain(memtier_setup, report, benchmark):
     """Statistical claim: (P, T) carries more than P alone."""
-    config, system, prepared = memtier_setup
+    config, pipeline, prepared = memtier_setup
     features = np.column_stack(
         [
             prepared.page_indices.astype(float),
@@ -41,9 +41,9 @@ def test_temporal_information_gain(memtier_setup, report, benchmark):
     # Rebuild the true features from the preprocessor for the gain
     # computation (prepared only keeps the derived arrays).
     rng = np.random.default_rng(config.seed)
-    trace = system.generate_trace("memtier", rng)
+    trace = pipeline.generate_trace("memtier", rng)
     processed_features = (
-        system._preprocessor.process(trace).features
+        pipeline._preprocessor.process(trace).features
     )
 
     gain = benchmark.pedantic(
@@ -63,14 +63,14 @@ def test_temporal_information_gain(memtier_setup, report, benchmark):
 
 def test_spatial_only_admission_degrades(memtier_setup, report, benchmark):
     """End-to-end claim: spatial-only scores mis-handle burst traffic."""
-    config, system, prepared = memtier_setup
+    config, pipeline, prepared = memtier_setup
 
     # Spatial-only engine: train and score with the timestamp column
     # frozen to its mean, removing all temporal signal.
     def train_spatial_only():
         rng = np.random.default_rng(config.seed)
-        trace = system.generate_trace("memtier", rng)
-        features = system._preprocessor.process(trace).features
+        trace = pipeline.generate_trace("memtier", rng)
+        features = pipeline._preprocessor.process(trace).features
         flat = features.copy()
         flat[:, 1] = flat[:, 1].mean()
         engine = GmmPolicyEngine.train(

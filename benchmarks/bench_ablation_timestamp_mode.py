@@ -16,15 +16,15 @@ import dataclasses
 import pytest
 
 from repro.analysis import render_table
-from repro.core.system import IcgmmSystem
+from repro.core.pipeline import StagedPipeline
 
 
 def _run(base, mode):
     config = dataclasses.replace(
         base, timestamp_mode=mode, train_fraction=0.5
     )
-    system = IcgmmSystem(config)
-    result = system.run_benchmark(
+    pipeline = StagedPipeline(config)
+    result = pipeline.run_benchmark(
         "memtier", strategies=("lru", "gmm-caching")
     )
     return result

@@ -68,6 +68,7 @@ from repro.core.config import (
     ServingConfig,
 )
 from repro.core.engine import GmmPolicyEngine
+from repro.serving.health import MISS_THRESHOLD
 from repro.traces.preprocess import transform_timestamps
 from repro.traces.synthetic import ZipfSampler
 
@@ -90,7 +91,6 @@ WORKER_COUNTS = (1, 4)
 #: resets from 4x): a 2.5x median breach held for 3 chunks
 #: quarantines the ramping device before its reset blips start.
 HEALTH = FleetHealthConfig(
-    enabled=True,
     latency_threshold=2.5,
     breach_chunks=3,
     quarantine_chunks=8,
@@ -284,8 +284,6 @@ def run(smoke: bool, seed: int = 7, chaos_seed: int = 0) -> dict:
             sharding="hash",
             partition_pages=PARTITION,
             strategy="gmm-caching-eviction",
-            drift_baseline_chunks=2,
-            drift_patience=2,
             refresh_cooldown_chunks=2,
             # Quick backoff, late breaker: the refresh-failure
             # scenario must land a good build inside the stream (the
@@ -436,7 +434,7 @@ def run(smoke: bool, seed: int = 7, chaos_seed: int = 0) -> dict:
         },
         "health": {
             "latency_threshold": HEALTH.latency_threshold,
-            "miss_threshold": HEALTH.miss_threshold,
+            "miss_threshold": MISS_THRESHOLD,
             "breach_chunks": HEALTH.breach_chunks,
             "quarantine_chunks": HEALTH.quarantine_chunks,
             "probation_chunks": HEALTH.probation_chunks,

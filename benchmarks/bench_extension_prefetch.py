@@ -18,14 +18,14 @@ from repro.cache.prefetch import (
     StridePrefetcher,
     simulate_with_prefetch_fast,
 )
-from repro.core.system import IcgmmSystem
+from repro.core.pipeline import StagedPipeline
 
 
 @pytest.fixture(scope="module")
 def stream_setup(fast_config):
     config = fast_config(trace_length=150_000)
-    system = IcgmmSystem(config)
-    prepared = system.prepare("stream")
+    pipeline = StagedPipeline(config)
+    prepared = pipeline.prepare("stream")
     return config, prepared
 
 

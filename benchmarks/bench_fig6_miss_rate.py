@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis import grouped_bar_chart, render_dict_table
 from repro.core.config import GmmEngineConfig, IcgmmConfig
-from repro.core.system import IcgmmSystem
+from repro.core.pipeline import StagedPipeline
 from repro.traces.workloads import WORKLOAD_NAMES
 
 #: Paper values (percent, from Fig. 6) for shape comparison.
@@ -115,7 +115,7 @@ def test_fig6_pipeline_timing(benchmark):
     )
 
     def run():
-        return IcgmmSystem(config).run_benchmark(
+        return StagedPipeline(config).run_benchmark(
             "memtier", strategies=("lru", "gmm-caching-eviction")
         )
 

@@ -41,7 +41,6 @@ from repro.core.config import (
     GmmEngineConfig,
     IcgmmConfig,
     ServingConfig,
-    TelemetryConfig,
 )
 from repro.core.engine import GmmPolicyEngine
 from repro.cxl.fabric import CxlFabric
@@ -100,10 +99,6 @@ def train_engine(pages, n_train, gmm_config, seed):
     return GmmPolicyEngine.train(
         features, gmm_config, np.random.default_rng(seed)
     )
-
-
-def _telemetry() -> Telemetry:
-    return Telemetry.from_config(TelemetryConfig(enabled=True, seed=0))
 
 
 def _replay_fabric(config, pages, writes, chunk, telemetry):
@@ -230,7 +225,7 @@ def run(smoke: bool, seed: int = 7) -> dict:
         for _ in range(max(repeats, 2)):
             times, disabled_out = replay[layer](None)
             disabled_runs.append(times)
-            bundle = _telemetry()
+            bundle = Telemetry(seed=0)
             times, enabled_out = replay[layer](bundle)
             enabled_runs.append(times)
             if len(layer_digests) < 2:

@@ -22,7 +22,7 @@ emitted ``BENCH_serving_drift.json``:
    least half of the frozen-vs-oracle post-drift miss-rate gap;
 2. ``parity.identical`` -- with refresh disabled, the sharded,
    chunked, resumable serving loop's counters are *bit-identical* to
-   a single-shot :meth:`repro.core.system.IcgmmSystem.run_strategy`
+   a single-shot :meth:`repro.core.pipeline.StagedPipeline.run_strategy`
    on the same stream (chunking and sharding are exact, not
    approximate);
 3. ``lost_accesses == 0`` on every deployment -- each chunk report is
@@ -52,8 +52,11 @@ import numpy as np
 from repro.cache.setassoc import CacheGeometry
 from repro.core.config import GmmEngineConfig, IcgmmConfig, ServingConfig
 from repro.core.engine import GmmPolicyEngine
-from repro.core.pipeline import StageProfiler
-from repro.core.system import IcgmmSystem, PreparedWorkload
+from repro.core.pipeline import (
+    PreparedWorkload,
+    StagedPipeline,
+    StageProfiler,
+)
 from repro.serving import IcgmmCacheService
 from repro.traces.preprocess import transform_timestamps
 from repro.traces.synthetic import ZipfSampler
@@ -181,7 +184,7 @@ def lost_accesses(reports, n_accesses: int) -> int:
 
 
 def parity_check(engine, config, serving, pages, writes):
-    """Sharded serving loop vs single-shot IcgmmSystem, bit for bit."""
+    """Sharded serving loop vs single-shot StagedPipeline, bit for bit."""
     frozen = ServingConfig(
         chunk_requests=serving.chunk_requests,
         n_shards=serving.n_shards,
@@ -190,7 +193,7 @@ def parity_check(engine, config, serving, pages, writes):
         strategy=serving.strategy,
         refresh_enabled=False,
     )
-    system = IcgmmSystem(config)
+    pipeline = StagedPipeline(config)
     timestamps = transform_timestamps(
         pages.shape[0],
         config.len_window,
@@ -208,7 +211,7 @@ def parity_check(engine, config, serving, pages, writes):
         page_frequency_scores=engine.page_scores(pages),
         engine=engine,
     )
-    expected = system.run_strategy(prepared, serving.strategy).stats
+    expected = pipeline.run_strategy(prepared, serving.strategy).stats
     service, _, _ = run_service(
         engine,
         config,
@@ -253,8 +256,6 @@ def run(smoke: bool, seed: int = 7) -> dict:
         sharding="hash",
         partition_pages=PARTITION,
         strategy="gmm-caching-eviction",
-        drift_baseline_chunks=2,
-        drift_patience=2,
         refresh_cooldown_chunks=2,
     )
     frozen_engine = train_engine(pages, n_train, gmm, seed)
@@ -374,7 +375,7 @@ def validate(payload: dict) -> list[str]:
     if not payload["parity"].get("identical", False):
         problems.append(
             "acceptance: sharded serving loop diverged from the"
-            " single-shot IcgmmSystem run"
+            " single-shot StagedPipeline run"
         )
     for row in payload["results"]:
         if row.get("lost_accesses") != 0:

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.config import GmmEngineConfig
-from repro.core.engine import GmmPolicyEngine
+from repro.core.engine import EM_REG_COVAR, EM_TOL, GmmPolicyEngine
 from repro.gmm.em import EMTrainer
 from repro.serving.refresh import ModelRefresher
 from repro.traces.preprocess import transform_timestamps
@@ -178,8 +178,8 @@ def bench_refresh(
     trainer = EMTrainer(
         n_components=k,
         max_iter=gmm.max_iter,
-        tol=gmm.tol,
-        reg_covar=gmm.reg_covar,
+        tol=EM_TOL,
+        reg_covar=EM_REG_COVAR,
     )
     # Both fits are deterministic, so every repeat returns the same
     # models; only the timings vary.

@@ -12,7 +12,7 @@ Run with::
 
 import numpy as np
 
-from repro import IcgmmConfig, IcgmmSystem
+from repro import IcgmmConfig, StagedPipeline
 from repro.analysis import render_table
 from repro.cache import (
     BeladyPolicy,
@@ -28,11 +28,11 @@ def main() -> None:
         trace_length=150_000,
         gmm=GmmEngineConfig(n_components=24, max_train_samples=15_000),
     )
-    system = IcgmmSystem(config)
+    pipeline = StagedPipeline(config)
 
     for workload in ("memtier", "sysbench"):
         print(f"=== {workload} ===")
-        prepared = system.prepare(workload)
+        prepared = pipeline.prepare(workload)
         rows = []
 
         # Classical policies.
@@ -52,13 +52,13 @@ def main() -> None:
             )
             rows.append(
                 [name.upper(), 100 * stats.miss_rate,
-                 system.latency_model.average_access_time_us(stats)]
+                 pipeline.latency_model.average_access_time_us(stats)]
             )
 
         # The GMM policy (best Fig. 6 strategy for this workload).
         best = min(
             (
-                system.run_strategy(prepared, s)
+                pipeline.run_strategy(prepared, s)
                 for s in (
                     "gmm-caching",
                     "gmm-eviction",
@@ -88,7 +88,7 @@ def main() -> None:
             [
                 "Belady (offline bound)",
                 100 * oracle_stats.miss_rate,
-                system.latency_model.average_access_time_us(
+                pipeline.latency_model.average_access_time_us(
                     oracle_stats
                 ),
             ]

@@ -17,7 +17,7 @@ Run with::
 
 import numpy as np
 
-from repro import IcgmmConfig, IcgmmSystem
+from repro import IcgmmConfig, StagedPipeline
 from repro.analysis import histogram_figure, render_table
 from repro.analysis.distributions import workload_distributions
 from repro.core.config import GmmEngineConfig
@@ -29,11 +29,11 @@ def main() -> None:
         trace_length=300_000,
         gmm=GmmEngineConfig(n_components=48, max_train_samples=25_000),
     )
-    system = IcgmmSystem(config)
+    pipeline = StagedPipeline(config)
 
     print("Generating the DLRM trace...")
     rng = np.random.default_rng(config.seed)
-    trace = system.generate_trace("dlrm", rng)
+    trace = pipeline.generate_trace("dlrm", rng)
     dist = workload_distributions("dlrm", trace, n_spatial_bins=72)
     print()
     print(
@@ -47,7 +47,7 @@ def main() -> None:
 
     print()
     print("Training the GMM engine and simulating the cache...")
-    result = system.run_benchmark("dlrm", trace=trace)
+    result = pipeline.run_benchmark("dlrm", trace=trace)
     lru = result.lru
     gmm = result.best_gmm
     print()

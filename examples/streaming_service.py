@@ -77,8 +77,6 @@ def replay(engine, config, pages, writes, refresh, measure_from):
         sharding="hash",
         strategy="gmm-caching-eviction",
         refresh_enabled=refresh,
-        drift_baseline_chunks=2,
-        drift_patience=2,
         refresh_cooldown_chunks=2,
     )
     service = IcgmmCacheService(

@@ -10,10 +10,10 @@ system model.
 
 Quickstart::
 
-    from repro import IcgmmSystem
+    from repro import StagedPipeline
 
-    system = IcgmmSystem()
-    result = system.run_benchmark("dlrm")
+    pipeline = StagedPipeline()
+    result = pipeline.run_benchmark("dlrm")
     print(result.lru.miss_rate_percent,
           result.best_gmm.miss_rate_percent)
 
@@ -29,7 +29,6 @@ from repro.core import (
     GmmEngineConfig,
     GmmPolicyEngine,
     IcgmmConfig,
-    IcgmmSystem,
     ServingConfig,
     StagedPipeline,
     StrategyOutcome,
@@ -48,7 +47,6 @@ __all__ = [
     "GmmPolicyEngine",
     "IcgmmCacheService",
     "IcgmmConfig",
-    "IcgmmSystem",
     "STRATEGIES",
     "ServingConfig",
     "StagedPipeline",

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from repro.cache.setassoc import CacheGeometry
 from repro.core.config import IcgmmConfig
-from repro.core.system import IcgmmSystem
+from repro.core.pipeline import StagedPipeline
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ def _sweep(
     """Run the pipeline at each grid point (shared by the sweeps)."""
     points = []
     for config, value in configs_and_values:
-        result = IcgmmSystem(config).run_benchmark(workload)
+        result = StagedPipeline(config).run_benchmark(workload)
         points.append(
             SweepPoint(
                 value=value,

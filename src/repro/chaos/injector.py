@@ -147,13 +147,13 @@ class FaultInjector:
         n_shards: int = 0,
         task_lanes: int = 0,
     ) -> Optional["FaultInjector"]:
-        """Build an injector, or ``None`` when chaos is disabled.
+        """Build an injector, or ``None`` when ``config`` is ``None``.
 
         ``None`` (not a no-op injector) is the disabled form so every
         victim layer can gate on ``if injector is not None`` and run
         its exact pre-chaos code path otherwise.
         """
-        if config is None or not config.enabled:
+        if config is None:
             return None
         plan = FaultPlan.generate(
             config,

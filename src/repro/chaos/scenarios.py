@@ -138,7 +138,7 @@ def scenario_chaos(
     kwargs = dict(_SCENARIO_OVERRIDES[name])
     if horizon_chunks is not None:
         kwargs["horizon_chunks"] = horizon_chunks
-    return ChaosConfig(enabled=True, seed=seed, **kwargs)
+    return ChaosConfig(seed=seed, **kwargs)
 
 
 def last_fault_end(timeline: list[dict]) -> int:

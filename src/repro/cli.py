@@ -53,12 +53,10 @@ from repro.core.config import (
     IcgmmConfig,
     ParallelConfig,
     ServingConfig,
-    TelemetryConfig,
 )
 from repro.core.engine import GmmPolicyEngine
 from repro.core.experiment import run_suite
-from repro.core.pipeline import StageProfiler
-from repro.core.system import IcgmmSystem
+from repro.core.pipeline import StagedPipeline, StageProfiler
 from repro.cxl.fabric import CxlFabric
 from repro.obs import SNAPSHOT_SCHEMA, Telemetry
 from repro.hardware import (
@@ -268,9 +266,7 @@ def _telemetry_from_args(args) -> Telemetry | None:
         args, "json", False
     ):
         return None
-    return Telemetry.from_config(
-        TelemetryConfig(enabled=True, seed=args.seed)
-    )
+    return Telemetry(seed=args.seed)
 
 
 def _finish_telemetry(args, telemetry, extra=None) -> None:
@@ -542,20 +538,20 @@ def _config_from_args(args) -> IcgmmConfig:
 
 
 def _cmd_run(args) -> int:
-    system = IcgmmSystem(_config_from_args(args))
+    pipeline = StagedPipeline(_config_from_args(args))
     if args.profile:
-        system.pipeline.profiler = StageProfiler()
+        pipeline.profiler = StageProfiler()
     telemetry = _telemetry_from_args(args)
     if telemetry is not None:
         from repro.obs import bridge
 
-        if system.pipeline.profiler is None:
-            system.pipeline.profiler = StageProfiler()
-        system.pipeline.telemetry = telemetry
+        if pipeline.profiler is None:
+            pipeline.profiler = StageProfiler()
+        pipeline.telemetry = telemetry
         bridge.register_stage_profiler(
-            telemetry.registry, system.pipeline.profiler
+            telemetry.registry, pipeline.profiler
         )
-    result = system.run_benchmark(args.workload)
+    result = pipeline.run_benchmark(args.workload)
     rows = [
         [
             outcome.strategy,
@@ -575,7 +571,7 @@ def _cmd_run(args) -> int:
         f" -{result.time_reduction_percent:.1f}% time)"
     )
     if args.profile:
-        _print_profile(system.pipeline)
+        _print_profile(pipeline)
     _finish_telemetry(
         args,
         telemetry,
@@ -1050,8 +1046,6 @@ def _cmd_chaos(args) -> int:
         sharding="hash",
         strategy="gmm-caching-eviction",
         refresh_enabled=True,
-        drift_baseline_chunks=2,
-        drift_patience=2,
         refresh_cooldown_chunks=2,
         # Soft resilience knobs: quick backoff and a late breaker so
         # the refresh-failure scenario can land a good build before
@@ -1083,9 +1077,7 @@ def _cmd_chaos(args) -> int:
         emit(f"training engine on {n_train:,} requests...")
         engine = GmmPolicyEngine.train(features, config.gmm, rng)
 
-    health = (
-        FleetHealthConfig(enabled=True) if args.monitor else None
-    )
+    health = FleetHealthConfig() if args.monitor else None
 
     def run(name, chaos, telemetry=None):
         if name in SERVING_SCENARIOS:

@@ -24,7 +24,6 @@ from repro.core.results import (
     StrategyOutcome,
     SuiteResult,
 )
-from repro.core.system import IcgmmSystem
 
 __all__ = [
     "BenchmarkResult",
@@ -35,7 +34,6 @@ __all__ = [
     "GmmEngineConfig",
     "GmmPolicyEngine",
     "IcgmmConfig",
-    "IcgmmSystem",
     "PLACEMENTS",
     "ParallelConfig",
     "PreparedWorkload",

@@ -26,9 +26,6 @@ STRATEGIES = (
     "gmm-caching-eviction",
 )
 
-#: Valid values of :attr:`IcgmmConfig.simulator`.
-SIMULATORS = ("fast", "reference")
-
 #: Valid values of :attr:`ServingConfig.sharding`.
 SHARDING_MODES = ("hash", "tenant")
 
@@ -82,8 +79,10 @@ class GmmEngineConfig:
     n_components:
         Gaussians ``K`` in the mixture (paper prototype: 256;
         simulator default: 64 -- see module docstring).
-    max_iter / tol / reg_covar / n_init:
-        EM parameters (Sec. 3.3 trains to MLE-change convergence).
+    max_iter:
+        EM iteration budget (Sec. 3.3 trains to MLE-change
+        convergence; the stopping tolerance and covariance ridge are
+        fixed in :mod:`repro.core.engine`).
     max_train_samples:
         EM training-set cap; the training slice of the trace is
         subsampled to this size (EM cost is O(N K) per iteration).
@@ -102,9 +101,6 @@ class GmmEngineConfig:
 
     n_components: int = 64
     max_iter: int = 40
-    tol: float = 1e-3
-    reg_covar: float = 1e-6
-    n_init: int = 1
     max_train_samples: int = 40_000
     threshold_quantile: float = 0.02
     use_quantized: bool = False
@@ -133,10 +129,10 @@ class ChaosConfig:
     are per-target, per-logical-tick Bernoulli probabilities sampled
     once when the plan is generated.
 
-    ``enabled=False`` (default) means no injector is constructed at
-    all and every victim layer runs its exact pre-chaos code path
-    (the parity suite in ``tests/chaos`` asserts bit-identical
-    behaviour).
+    Passing a config arms the injector; passing ``None`` instead
+    means no injector is constructed at all and every victim layer
+    runs its exact pre-chaos code path (the parity suite in
+    ``tests/chaos`` asserts bit-identical behaviour).
 
     Attributes
     ----------
@@ -158,8 +154,9 @@ class ChaosConfig:
     shard_stall_rate / shard_stall_attempts:
         Per-shard per-chunk stall probability and the number of
         consecutive attempts the stall swallows (the serving loop
-        retries up to :attr:`ServingConfig.shard_retry_limit` times,
-        then degrades the chunk to SSD-direct service).
+        retries up to
+        :data:`repro.serving.service.SHARD_RETRY_LIMIT` times, then
+        degrades the chunk to SSD-direct service).
     refresh_fail_rate / refresh_corrupt_rate:
         Per-build probabilities that a model refresh raises mid-build
         or silently produces a corrupted engine (non-finite
@@ -199,7 +196,6 @@ class ChaosConfig:
         (the default) disables resets -- pure pricing ramps.
     """
 
-    enabled: bool = False
     seed: int = 0
     horizon_chunks: int = 256
     device_fail_rate: float = 0.0
@@ -288,7 +284,6 @@ class ChaosConfig:
         drowning the run.
         """
         defaults = dict(
-            enabled=True,
             seed=seed,
             device_fail_rate=0.01,
             link_degrade_rate=0.01,
@@ -305,10 +300,11 @@ class FleetHealthConfig:
     """Fleet health monitoring knobs
     (:class:`repro.serving.health.FleetHealthMonitor`).
 
-    Mirrors :class:`ChaosConfig`'s enable contract: with
-    ``enabled=False`` (default) no monitor is constructed at all and
-    the fabric runs its exact pre-monitor code path (the parity suite
-    in ``tests/chaos`` asserts byte-identical behaviour).
+    Mirrors :class:`ChaosConfig`'s arming contract: passing a config
+    arms the monitor, and with ``None`` no monitor is constructed at
+    all and the fabric runs its exact pre-monitor code path (the
+    parity suite in ``tests/chaos`` asserts byte-identical
+    behaviour).
 
     The monitor watches per-device latency/miss EWMAs (maintained by
     :class:`repro.serving.metrics.RollingMetrics`) against the fleet
@@ -326,10 +322,8 @@ class FleetHealthConfig:
     ----------
     latency_threshold:
         Relative breach bar: a device is suspect when its latency
-        EWMA exceeds ``latency_threshold`` times the fleet median.
-    miss_threshold / miss_floor:
-        Relative miss-EWMA bar, plus an absolute floor so near-zero
-        medians do not flag noise.
+        EWMA exceeds ``latency_threshold`` times the fleet median
+        (the miss-EWMA bar is fixed in :mod:`repro.serving.health`).
     breach_chunks:
         Consecutive breaching chunks before quarantine.
     quarantine_chunks:
@@ -346,10 +340,7 @@ class FleetHealthConfig:
         devices, whatever the breach counters say.
     """
 
-    enabled: bool = False
     latency_threshold: float = 2.0
-    miss_threshold: float = 2.0
-    miss_floor: float = 0.05
     breach_chunks: int = 3
     quarantine_chunks: int = 4
     probation_chunks: int = 3
@@ -358,11 +349,8 @@ class FleetHealthConfig:
     min_active_devices: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("latency_threshold", "miss_threshold"):
-            if getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be >= 1")
-        if self.miss_floor < 0.0:
-            raise ValueError("miss_floor must be >= 0")
+        if self.latency_threshold < 1.0:
+            raise ValueError("latency_threshold must be >= 1")
         for name in (
             "breach_chunks",
             "quarantine_chunks",
@@ -375,39 +363,6 @@ class FleetHealthConfig:
             raise ValueError("ewma_alpha must be in (0, 1]")
         if self.min_chunk_accesses < 1:
             raise ValueError("min_chunk_accesses must be >= 1")
-
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Telemetry knobs (:class:`repro.obs.Telemetry`).
-
-    Mirrors :class:`ChaosConfig`'s enable contract: with
-    ``enabled=False`` (default) no telemetry object is constructed at
-    all and every instrumented layer runs its exact pre-telemetry
-    code path (the parity suite in ``tests/obs`` asserts
-    byte-identical outputs).  When enabled, all metric values and
-    span timestamps derive from logical clocks -- chunk indices,
-    dispatch rounds, build indices -- so the exported snapshot digest
-    is a pure function of (seed, workload, config).
-
-    Attributes
-    ----------
-    seed:
-        Root seed of span-ID derivation (span IDs hash
-        ``(seed, component, name, logical clock)``).
-    max_spans:
-        Span-count cap of the tracer; spans past it are counted as
-        dropped (``tracer_dropped_spans_total``) rather than
-        recorded, bounding memory on long runs.
-    """
-
-    enabled: bool = False
-    seed: int = 0
-    max_spans: int = 100_000
-
-    def __post_init__(self) -> None:
-        if self.max_spans < 1:
-            raise ValueError("max_spans must be >= 1")
 
 
 #: Scale factor of the default simulation profile: cache capacity and
@@ -449,9 +404,8 @@ class IcgmmConfig:
         Algorithm 1 constants (paper: 32 and 10,000).
     timestamp_mode:
         ``"prose"`` (periodic, default) or ``"algorithm"`` (literal
-        pseudocode); see :mod:`repro.traces.preprocess`.
-    head_fraction / tail_fraction:
-        Warm-up trim (paper: 20% / 10%).
+        pseudocode); see :mod:`repro.traces.preprocess`, which also
+        fixes the paper's 20% / 10% warm-up trim.
     train_fraction:
         Leading fraction of the *processed* trace used to train the
         GMM (the paper trains offline on collected traces, then runs
@@ -459,12 +413,6 @@ class IcgmmConfig:
     warmup_fraction:
         Leading fraction of the simulated trace excluded from cache
         counters (the cache is filling during it).
-    simulator:
-        ``"fast"`` (default) drives strategies through the chunked
-        vectorized engine of :mod:`repro.cache.simulate_fast`;
-        ``"reference"`` forces the scalar access-at-a-time loop.
-        Both produce bit-identical results -- the flag exists for
-        differential testing and for timing the reference path.
     parallel:
         Multicore execution knobs; the multi-device fabric's default
         (:class:`repro.cxl.fabric.CxlFabric`).
@@ -478,11 +426,8 @@ class IcgmmConfig:
     len_window: int = DEFAULT_LEN_WINDOW
     len_access_shot: int = DEFAULT_LEN_ACCESS_SHOT
     timestamp_mode: str = "prose"
-    head_fraction: float = 0.2
-    tail_fraction: float = 0.1
     train_fraction: float = 0.5
     warmup_fraction: float = 0.3
-    simulator: str = "fast"
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
     trace_length: int | None = None
     seed: int = 42
@@ -494,11 +439,6 @@ class IcgmmConfig:
             raise ValueError("train_fraction must be in (0, 1]")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
-        if self.simulator not in SIMULATORS:
-            raise ValueError(
-                f"simulator must be one of {SIMULATORS}, got"
-                f" {self.simulator!r}"
-            )
         if self.trace_length is not None and self.trace_length < 10:
             raise ValueError("trace_length must be >= 10")
 
@@ -603,7 +543,10 @@ class ServingConfig:
     distribution drift, and periodically refreshed by warm-started EM
     over recent traffic, the refreshed engine being atomically swapped
     in (the software analogue of the FPGA weight-buffer reload of
-    Sec. 3.3).
+    Sec. 3.3).  The drift, refresh and rolling-metrics settings are
+    the defaults of :class:`~repro.serving.drift.DriftDetector`,
+    :class:`~repro.serving.refresh.ModelRefresher` and
+    :class:`~repro.serving.metrics.RollingMetrics`.
 
     Attributes
     ----------
@@ -625,52 +568,16 @@ class ServingConfig:
         attribution in metrics and for ``tenant`` sharding.
     strategy:
         Fig. 6 strategy driving the cache planes.
-    threshold_quantile:
-        Quantile used when re-deriving the admission threshold after
-        a model refresh, and the drift detector's expected
-        below-threshold fraction.  ``None`` (default) inherits
-        :attr:`GmmEngineConfig.threshold_quantile` from the system
-        config, keeping the detector consistent with however the
-        deployed engine's threshold was actually cut.
-    drift_baseline_chunks:
-        Chunks of scores accumulated as the reference distribution
-        after every (re)load before drift monitoring starts.
-    ks_threshold:
-        Two-sample Kolmogorov-Smirnov statistic above which a chunk's
-        score distribution counts as drifted.
-    quantile_drift_tolerance:
-        Allowed deviation of the observed below-threshold score
-        fraction from ``threshold_quantile`` (the cheap secondary
-        drift signal: a frozen engine under drift suddenly scores
-        most traffic below its admission cut).
-    drift_patience:
-        Consecutive drifted chunks required before a refresh fires
-        (debounces bursts).
     refresh_enabled:
         Master switch; with ``False`` the engine stays frozen (the
         paper's deployment) and the loop is exactly reproducible
         against a single-shot run.
-    refresh_max_iter:
-        EM iteration budget of the
-        :class:`~repro.serving.refresh.ModelRefresher`'s warm-started
-        fold-in.
-    refresh_buffer_chunks:
-        Recent chunks of features kept for the refresh fold-in.
     refresh_cooldown_chunks:
         Minimum chunks between consecutive engine swaps.
-    metrics_window_chunks:
-        Rolling-window length of the per-shard / per-tenant metrics.
     parallel:
         Multicore knobs of the per-plane chunk replay (``tenant``
         mode's planes are dispatched concurrently and merged in plane
         order -- bit-identical to ``workers=1``).
-    shard_retry_limit:
-        Bounded retry of a stalled shard replay within one chunk
-        (total attempts = 1 + limit).  A stall that outlasts the
-        budget degrades the chunk: that shard's accesses are served
-        SSD-direct (counted as bypassed misses) and left out of its
-        plane's replay, and the degradation is recorded in the
-        rolling metrics.
     refresh_backoff_chunks:
         Base of the exponential refresh backoff: after ``f``
         consecutive failed/rejected refresh builds the next build is
@@ -682,7 +589,7 @@ class ServingConfig:
         Chunks the tripped breaker quarantines the drift detector
         for: no observations, no refresh attempts.  On expiry the
         detector is rebased (fresh baseline under the still-serving
-        engine) and the failure count resets.
+        engine) and the consecutive-failure streak resets.
     """
 
     chunk_requests: int = 8192
@@ -690,18 +597,9 @@ class ServingConfig:
     sharding: str = "hash"
     partition_pages: int = 1 << 20
     strategy: str = "gmm-caching-eviction"
-    threshold_quantile: float | None = None
-    drift_baseline_chunks: int = 2
-    ks_threshold: float = 0.25
-    quantile_drift_tolerance: float = 0.25
-    drift_patience: int = 2
     refresh_enabled: bool = True
-    refresh_max_iter: int = 8
-    refresh_buffer_chunks: int = 6
     refresh_cooldown_chunks: int = 4
-    metrics_window_chunks: int = 8
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
-    shard_retry_limit: int = 2
     refresh_backoff_chunks: int = 2
     refresh_breaker_threshold: int = 3
     quarantine_chunks: int = 16
@@ -723,30 +621,8 @@ class ServingConfig:
                 f"strategy must be one of {STRATEGIES}, got"
                 f" {self.strategy!r}"
             )
-        if self.threshold_quantile is not None and not (
-            0.0 <= self.threshold_quantile < 1.0
-        ):
-            raise ValueError(
-                "threshold_quantile must be None or in [0, 1)"
-            )
-        if self.drift_baseline_chunks < 1:
-            raise ValueError("drift_baseline_chunks must be >= 1")
-        if not 0.0 < self.ks_threshold <= 1.0:
-            raise ValueError("ks_threshold must be in (0, 1]")
-        if self.quantile_drift_tolerance <= 0.0:
-            raise ValueError("quantile_drift_tolerance must be > 0")
-        if self.drift_patience < 1:
-            raise ValueError("drift_patience must be >= 1")
-        if self.refresh_max_iter < 1:
-            raise ValueError("refresh_max_iter must be >= 1")
-        if self.refresh_buffer_chunks < 1:
-            raise ValueError("refresh_buffer_chunks must be >= 1")
         if self.refresh_cooldown_chunks < 0:
             raise ValueError("refresh_cooldown_chunks must be >= 0")
-        if self.metrics_window_chunks < 1:
-            raise ValueError("metrics_window_chunks must be >= 1")
-        if self.shard_retry_limit < 0:
-            raise ValueError("shard_retry_limit must be >= 0")
         if self.refresh_backoff_chunks < 1:
             raise ValueError("refresh_backoff_chunks must be >= 1")
         if self.refresh_breaker_threshold < 1:

@@ -23,6 +23,11 @@ from repro.gmm.quantized import QuantizedGmm
 #: on traces with millions of distinct pages.
 _GRID_BUFFER_ROWS = 1 << 20
 
+#: EM's MLE-change stopping tolerance (Sec. 3.3 trains to
+#: convergence) and the covariance ridge of every offline fit.
+EM_TOL = 1e-3
+EM_REG_COVAR = 1e-6
+
 
 @dataclass(frozen=True)
 class FeatureScaler:
@@ -113,9 +118,8 @@ class GmmPolicyEngine:
         trainer = EMTrainer(
             n_components=config.n_components,
             max_iter=config.max_iter,
-            tol=config.tol,
-            reg_covar=config.reg_covar,
-            n_init=config.n_init,
+            tol=EM_TOL,
+            reg_covar=EM_REG_COVAR,
         )
         fit_result = trainer.fit(scaled, rng)
         model = fit_result.model

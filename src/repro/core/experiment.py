@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import STRATEGIES, IcgmmConfig
+from repro.core.pipeline import StagedPipeline
 from repro.core.results import SuiteResult
-from repro.core.system import IcgmmSystem
 from repro.traces.workloads import WORKLOAD_NAMES
 
 
@@ -14,7 +14,6 @@ def run_suite(
     workloads: tuple[str, ...] = WORKLOAD_NAMES,
     config: IcgmmConfig | None = None,
     strategies: tuple[str, ...] = STRATEGIES,
-    system: IcgmmSystem | None = None,
 ) -> SuiteResult:
     """Run the full evaluation matrix.
 
@@ -27,16 +26,13 @@ def run_suite(
     ``SuiteResult.fig6_rows()`` regenerates Fig. 6 and
     ``SuiteResult.table1_rows()`` regenerates Table 1.
     """
-    if system is None:
-        system = IcgmmSystem(config)
-    elif config is not None:
-        raise ValueError("pass either config or system, not both")
-    root = np.random.SeedSequence(system.config.seed)
+    pipeline = StagedPipeline(config)
+    root = np.random.SeedSequence(pipeline.config.seed)
     children = root.spawn(len(workloads))
     results = {}
     for workload, child in zip(workloads, children):
         rng = np.random.default_rng(child)
-        results[workload] = system.run_benchmark(
+        results[workload] = pipeline.run_benchmark(
             workload, strategies=strategies, rng=rng
         )
     return SuiteResult(results=results)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cache.policies.base import ReplacementPolicy
-from repro.cache.setassoc import SetAssociativeCache, simulate
+from repro.cache.setassoc import SetAssociativeCache
 from repro.cache.simulate_fast import simulate_fast
 from repro.cache.stats import CacheStats
 from repro.core.config import ParallelConfig
@@ -110,16 +110,15 @@ class ReplayResult:
     elapsed_s: float = 0.0
 
 
-def _run_replay(task: ReplayTask, simulator: str) -> ReplayResult:
+def _run_replay(task: ReplayTask) -> ReplayResult:
     """Execute one task on the calling thread."""
-    run = simulate_fast if simulator == "fast" else simulate
     outcome = (
         np.empty(task.pages.shape[0], dtype=np.uint8)
         if task.record_outcome
         else None
     )
     started = time.perf_counter()
-    stats = run(
+    stats = simulate_fast(
         task.cache,
         task.policy,
         task.pages,
@@ -249,7 +248,6 @@ class ParallelExecutor:
     def replay(
         self,
         tasks: list[ReplayTask],
-        simulator: str = "fast",
         profiler=None,
     ) -> list[ReplayResult]:
         """Run independent Simulate-stage tasks; results in task order.
@@ -278,14 +276,11 @@ class ParallelExecutor:
         self._consume_injected_crashes(dispatch_round, len(tasks))
         try:
             if self.workers <= 1 or len(tasks) <= 1:
-                results = [_run_replay(task, simulator) for task in tasks]
+                results = [_run_replay(task) for task in tasks]
             else:
                 pool = self._ensure_pool()
                 results = _gather(
-                    [
-                        pool.submit(_run_replay, task, simulator)
-                        for task in tasks
-                    ]
+                    [pool.submit(_run_replay, task) for task in tasks]
                 )
         except Exception:
             self.shutdown()
@@ -305,7 +300,6 @@ class ParallelExecutor:
         is_write: np.ndarray,
         scores: np.ndarray | None = None,
         *,
-        simulator: str = "fast",
         profiler=None,
         record_outcome: bool = False,
         warmup_fraction: float = 0.0,
@@ -346,7 +340,7 @@ class ParallelExecutor:
                     record_outcome=record_outcome,
                 )
             )
-        results = self.replay(tasks, simulator, profiler)
+        results = self.replay(tasks, profiler)
         replayed = []
         for (lane, positions), result in zip(lanes, results, strict=True):
             cursors[lane] += int(positions.size)

@@ -1,13 +1,12 @@
 """The shared staged execution core of every ICGMM entry point.
 
 The paper's loop -- prepare a workload, score it under the GMM,
-simulate the DRAM cache, price the result -- used to live in three
-near-duplicate copies: the offline :class:`~repro.core.system.
-IcgmmSystem`, the per-access CXL router, and the streaming
-:class:`~repro.serving.IcgmmCacheService`.  This module is the single
-implementation all of them (and the vectorized multi-device
-:class:`~repro.cxl.fabric.CxlFabric`) now call into, as four explicit
-stages over :class:`PreparedWorkload`:
+simulate the DRAM cache, price the result -- is implemented once, in
+:class:`StagedPipeline`: it is the offline entry point itself
+(:meth:`StagedPipeline.run_benchmark`), and the streaming
+:class:`~repro.serving.IcgmmCacheService` and the vectorized
+multi-device :class:`~repro.cxl.fabric.CxlFabric` call into it.  It
+runs four explicit stages over :class:`PreparedWorkload`:
 
 * **Prepare** -- generate/accept a trace, preprocess it per Sec. 3.1,
   train the GMM engine on the leading slice, score the full stream
@@ -16,9 +15,9 @@ stages over :class:`PreparedWorkload`:
   build its policy (:meth:`StagedPipeline.plan_strategy`); streaming
   callers stamp raw page chunks into scoreable features with
   :meth:`StagedPipeline.chunk_features`.
-* **Simulate** -- drive a cache/policy pair over a (sub-)stream,
-  dispatching on :attr:`IcgmmConfig.simulator` between the vectorized
-  fast engine and the scalar reference, with resumable
+* **Simulate** -- drive a cache/policy pair over a (sub-)stream
+  through the vectorized fast engine (bit-identical to the scalar
+  reference :func:`repro.cache.setassoc.simulate`), with resumable
   ``index_offset`` replay and per-access ``OUTCOME_*`` recording
   (:meth:`StagedPipeline.simulate`).
 * **Price** -- turn the counters into the Table 1 access-time view
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cache.policies.base import ReplacementPolicy
-from repro.cache.setassoc import SetAssociativeCache, simulate
+from repro.cache.setassoc import SetAssociativeCache
 from repro.cache.simulate_fast import simulate_fast
 from repro.cache.stats import CacheStats
 from repro.core.config import STRATEGIES, IcgmmConfig
@@ -211,13 +210,13 @@ class StrategyPlan:
 
 class StagedPipeline:
     """Prepare -> Score -> Simulate -> Price, shared by all entry
-    points (see module docstring).
+    points (see module docstring); :meth:`run_benchmark` is the
+    offline one.
 
     Parameters
     ----------
     config:
-        System configuration (geometry, GMM, Algorithm 1 constants,
-        simulator selection).
+        System configuration (geometry, GMM, Algorithm 1 constants).
     latency_model:
         Table 1 pricing model used by the Price stage.
     """
@@ -232,8 +231,6 @@ class StagedPipeline:
             latency_model if latency_model is not None else LatencyModel()
         )
         self._preprocessor = TracePreprocessor(
-            head_fraction=self.config.head_fraction,
-            tail_fraction=self.config.tail_fraction,
             len_window=self.config.len_window,
             len_access_shot=self.config.len_access_shot,
             timestamp_mode=self.config.timestamp_mode,
@@ -447,20 +444,14 @@ class StagedPipeline:
     ) -> CacheStats:
         """Drive one cache/policy pair over a (sub-)stream.
 
-        Dispatches on :attr:`IcgmmConfig.simulator` between the
-        chunked vectorized engine and the scalar reference loop --
-        both bit-identical.  ``index_offset`` makes the call
+        Runs the chunked vectorized engine, bit-identical to the
+        scalar reference loop.  ``index_offset`` makes the call
         resumable (chunked/sharded/multi-device replay) and
         ``outcome`` records per-access ``OUTCOME_*`` codes for exact
         downstream accounting.
         """
-        run = (
-            simulate_fast
-            if self.config.simulator == "fast"
-            else simulate
-        )
         with self.stage_scope("simulate"):
-            return run(
+            return simulate_fast(
                 cache,
                 policy,
                 pages,

@@ -219,8 +219,8 @@ class CxlFabric:
     topology:
         Device count, placement rule and per-device link parameters.
     config:
-        System profile shared by all devices (geometry, simulator
-        selection); the fabric replays through this config's staged
+        System profile shared by all devices (geometry, warm-up
+        cut); the fabric replays through this config's staged
         pipeline.
     ssd:
         Backing-store latency profile used by the pricing model.
@@ -418,7 +418,6 @@ class CxlFabric:
         self._down: dict[int, int] = {}
         self._slow: dict[int, int] = {}
         self._failover_stats = [CacheStats() for _ in range(n)]
-        self._degraded_stats = [CacheStats() for _ in range(n)]
         self._extra_time_ns = [0] * n
         self._chunk_premium = [0] * n
         self._chunk_foreign = [CacheStats() for _ in range(n)]
@@ -681,7 +680,6 @@ class CxlFabric:
             local_pages,
             is_write,
             scores,
-            simulator=self.config.simulator,
             profiler=self.pipeline.profiler,
             record_outcome=need_outcome,
         )
@@ -722,9 +720,6 @@ class CxlFabric:
                 )
             if premium:
                 self._add_premium(device, premium)
-                self._degraded_stats[device] = self._degraded_stats[
-                    device
-                ].merge(result.stats)
                 self.metrics.record(
                     f"device:{device}", result.stats, degraded=True
                 )
@@ -1141,7 +1136,6 @@ class CxlFabric:
                     local_pages,
                     prepared.is_write,
                     scores,
-                    simulator=self.config.simulator,
                     profiler=self.pipeline.profiler,
                     warmup_fraction=(
                         self.config.warmup_fraction

@@ -28,7 +28,6 @@ byte-identical to a build without this package.
 
 from __future__ import annotations
 
-from repro.core.config import TelemetryConfig
 from repro.obs.export import (
     EVENT_PAIRS,
     SNAPSHOT_SCHEMA,
@@ -54,34 +53,20 @@ from repro.obs import bridge
 
 
 class Telemetry:
-    """The run-scoped bundle of registry + tracer + event sources."""
+    """The run-scoped bundle of registry + tracer + event sources.
 
-    def __init__(self, config: TelemetryConfig | None = None) -> None:
-        self.config = (
-            config
-            if config is not None
-            else TelemetryConfig(enabled=True)
-        )
+    Constructing one arms telemetry; the disabled form is ``None``
+    (module docstring).  ``seed`` roots the tracer's span-ID
+    derivation; with every metric value and span timestamp on a
+    logical clock, the exported snapshot digest is a pure function
+    of (seed, workload, config).
+    """
+
+    def __init__(self, seed: int = 0) -> None:
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(
-            seed=self.config.seed, max_spans=self.config.max_spans
-        )
+        self.tracer = Tracer(seed=seed)
         self._event_sources = []
         self.registry.register_collector(self._collect_tracer)
-
-    @classmethod
-    def from_config(
-        cls, config: TelemetryConfig | None
-    ) -> "Telemetry | None":
-        """A telemetry bundle, or ``None`` when disabled.
-
-        ``None`` (not a no-op object) is the disabled form so every
-        instrumented layer gates on ``if telemetry is not None`` and
-        runs its exact pre-telemetry code path otherwise.
-        """
-        if config is None or not config.enabled:
-            return None
-        return cls(config)
 
     def _collect_tracer(self) -> None:
         self.registry.counter(
@@ -157,7 +142,6 @@ __all__ = [
     "MetricsRegistry",
     "Span",
     "Telemetry",
-    "TelemetryConfig",
     "Tracer",
     "bridge",
     "build_snapshot",

@@ -68,6 +68,11 @@ EVENT_REINSTATED = "device-reinstated"
 #: values too, so it is never exempted.
 IMPROVEMENT_TOLERANCE = 0.95
 
+#: Relative miss-EWMA breach bar (times the fleet median), plus an
+#: absolute floor so near-zero medians do not flag noise.
+MISS_THRESHOLD = 2.0
+MISS_FLOOR = 0.05
+
 
 class FleetHealthMonitor:
     """Median-relative EWMA watchdog over a device fleet.
@@ -123,7 +128,7 @@ class FleetHealthMonitor:
         n_devices: int,
         metrics: RollingMetrics | None = None,
     ) -> Optional["FleetHealthMonitor"]:
-        """Build a monitor, or ``None`` when monitoring is disabled.
+        """Build a monitor, or ``None`` when ``config`` is ``None``.
 
         ``None`` (not a no-op monitor) is the disabled form so the
         fabric can gate on ``if monitor is not None`` and run its
@@ -131,7 +136,7 @@ class FleetHealthMonitor:
         also gets ``None``: there is no fleet median to compare
         against (and nowhere to re-home traffic).
         """
-        if config is None or not config.enabled or n_devices < 2:
+        if config is None or n_devices < 2:
             return None
         return cls(config, n_devices, metrics=metrics)
 
@@ -260,9 +265,7 @@ class FleetHealthMonitor:
             # one visibly healing (cold cache after an outage) is
             # judged on the *instantaneous* chunk values, which react
             # a full EWMA time-constant earlier.
-            miss_bound = (
-                cfg.miss_threshold * median_miss + cfg.miss_floor
-            )
+            miss_bound = MISS_THRESHOLD * median_miss + MISS_FLOOR
 
             def fold(latency_ns: float, miss_rate: float) -> float:
                 sev = 0.0

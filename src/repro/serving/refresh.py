@@ -29,7 +29,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.core.engine import GmmPolicyEngine
+from repro.core.engine import EM_REG_COVAR, GmmPolicyEngine
 from repro.gmm.em import EMTrainer
 
 #: Sample budget of the warm fold-in's EM fit.  Refresh adapts an
@@ -160,8 +160,9 @@ class ModelRefresher:
     max_fit_samples:
         Sample cap of the fold-in's EM fit (the admission threshold
         is still re-cut on the *full* buffered traffic).
-    reg_covar:
-        Covariance ridge of the fold-in.
+
+    The fold-in uses the offline fit's covariance ridge
+    (:data:`repro.core.engine.EM_REG_COVAR`).
     """
 
     def __init__(
@@ -171,7 +172,6 @@ class ModelRefresher:
         warm_max_iter: int = 8,
         warm_tol: float = 1e-3,
         max_fit_samples: int = DEFAULT_MAX_FIT_SAMPLES,
-        reg_covar: float = 1e-6,
     ) -> None:
         if buffer_chunks < 1:
             raise ValueError("buffer_chunks must be >= 1")
@@ -183,7 +183,6 @@ class ModelRefresher:
         self.threshold_quantile = float(threshold_quantile)
         self.warm_max_iter = int(warm_max_iter)
         self.warm_tol = float(warm_tol)
-        self.reg_covar = float(reg_covar)
         self._buffer: deque[np.ndarray] = deque(maxlen=buffer_chunks)
         self.refreshes_built = 0
         self.builds_attempted = 0
@@ -236,7 +235,7 @@ class ModelRefresher:
             n_components=current.model.n_components,
             max_iter=self.warm_max_iter,
             tol=self.warm_tol,
-            reg_covar=self.reg_covar,
+            reg_covar=EM_REG_COVAR,
         )
         model = trainer.fit(fit_points, warm_start=current.model).model
         # Cut on exactly the scores the refreshed engine will serve:

@@ -30,7 +30,7 @@ on an access stream consumed in chunks:
 
 Exactness contract: with ``hash`` sharding and refresh disabled, the
 service's totals are *bit-identical* to a single-shot
-:meth:`repro.core.system.IcgmmSystem.run_strategy` over the same
+:meth:`repro.core.pipeline.StagedPipeline.run_strategy` over the same
 stream -- chunking, sharding and resumption are pure implementation
 details, not approximations.  The equivalence test in
 ``tests/serving`` and the acceptance check in
@@ -64,6 +64,13 @@ from repro.serving.refresh import (
     validate_engine,
 )
 from repro.serving.sharding import ShardedCachePlanes
+
+#: Bounded retry of a stalled shard replay within one chunk (total
+#: attempts = 1 + limit).  A stall that outlasts the budget degrades
+#: the chunk: that shard's accesses are served SSD-direct (counted as
+#: bypassed misses) and left out of its plane's replay, and the
+#: degradation is recorded in the rolling metrics.
+SHARD_RETRY_LIMIT = 2
 
 
 class _PageScoreCache:
@@ -198,34 +205,19 @@ class IcgmmCacheService:
             self._executor.fault_hook = (
                 self.injector.worker_crash_attempts
             )
-        # None inherits the quantile the deployed engine's threshold
-        # was trained at, so the drift detector's expected
-        # below-threshold fraction matches reality at generation 0.
-        self.threshold_quantile = (
-            self.serving.threshold_quantile
-            if self.serving.threshold_quantile is not None
-            else self.config.gmm.threshold_quantile
-        )
+        # The quantile the deployed engine's threshold was trained at:
+        # refreshes re-cut at it, so the drift detector's expected
+        # below-threshold fraction matches reality at every generation.
+        self.threshold_quantile = self.config.gmm.threshold_quantile
         self.detector = DriftDetector(
             threshold=engine.admission_threshold,
             quantile=self.threshold_quantile,
-            ks_threshold=self.serving.ks_threshold,
-            quantile_tolerance=self.serving.quantile_drift_tolerance,
-            patience=self.serving.drift_patience,
-            baseline_chunks=self.serving.drift_baseline_chunks,
         )
         self.refresher = ModelRefresher(
-            buffer_chunks=self.serving.refresh_buffer_chunks,
             threshold_quantile=self.threshold_quantile,
-            warm_max_iter=self.serving.refresh_max_iter,
-            reg_covar=self.config.gmm.reg_covar,
         )
-        self.shard_metrics = RollingMetrics(
-            latency_model, self.serving.metrics_window_chunks
-        )
-        self.tenant_metrics = RollingMetrics(
-            latency_model, self.serving.metrics_window_chunks
-        )
+        self.shard_metrics = RollingMetrics(latency_model)
+        self.tenant_metrics = RollingMetrics(latency_model)
         self.totals = CacheStats()
         self.swaps: list[SwapEvent] = []
         self._score_view = strategy_score_view(self.serving.strategy)
@@ -233,11 +225,13 @@ class IcgmmCacheService:
         self._chunk_index = 0
         self._plane_cursors = [0] * len(self.planes.caches)
         self._last_swap_chunk = -(10**9)
-        # Refresh-resilience state: consecutive failed builds drive
-        # exponential backoff; the breaker quarantines the drift
-        # detector after repeated refusals.
+        # Refresh-resilience state: the streak of consecutive failed
+        # builds drives exponential backoff, and the breaker
+        # quarantines the drift detector after repeated refusals;
+        # the summary reports every failed or rejected build.
         self._refresh_attempts = 0
         self._refresh_failures = 0
+        self._failure_streak = 0
         self._refresh_block_until = -(10**9)
         self._quarantine_until = -(10**9)
         self._quarantined = False
@@ -468,7 +462,7 @@ class IcgmmCacheService:
             )
             if not attempts:
                 continue
-            if attempts > self.serving.shard_retry_limit:
+            if attempts > SHARD_RETRY_LIMIT:
                 # Retry budget exhausted: the shard's accesses are
                 # served SSD-direct for the chunk and left out of its
                 # plane's task -- the plane never sees them, which is
@@ -500,7 +494,6 @@ class IcgmmCacheService:
             pages,
             is_write,
             sim_scores,
-            simulator=self.config.simulator,
             profiler=self.pipeline.profiler,
             record_outcome=True,
         ):
@@ -556,7 +549,7 @@ class IcgmmCacheService:
                     # the engine actually serving and forgive the
                     # failure streak.
                     self._quarantined = False
-                    self._refresh_failures = 0
+                    self._failure_streak = 0
                     self.detector.rebase(
                         engine.admission_threshold,
                         self.threshold_quantile,
@@ -626,8 +619,9 @@ class IcgmmCacheService:
         enough consecutive refusals the breaker opens and quarantines
         the detector."""
         self._refresh_failures += 1
+        self._failure_streak += 1
         backoff = self.serving.refresh_backoff_chunks * (
-            2 ** (self._refresh_failures - 1)
+            2 ** (self._failure_streak - 1)
         )
         self._refresh_block_until = self._chunk_index + backoff
         self.shard_metrics.record_event(
@@ -646,10 +640,7 @@ class IcgmmCacheService:
                 build=build_index,
                 outcome="failed",
             )
-        if (
-            self._refresh_failures
-            >= self.serving.refresh_breaker_threshold
-        ):
+        if self._failure_streak >= self.serving.refresh_breaker_threshold:
             self._quarantine_until = (
                 self._chunk_index + self.serving.quarantine_chunks
             )
@@ -739,7 +730,7 @@ class IcgmmCacheService:
             self.threshold_quantile,
         )
         self._last_swap_chunk = self._chunk_index
-        self._refresh_failures = 0
+        self._failure_streak = 0
         self.swaps.append(
             SwapEvent(
                 chunk_index=self._chunk_index,

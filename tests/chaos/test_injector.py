@@ -19,24 +19,29 @@ from repro.core.config import ChaosConfig
 
 
 def _injector(events):
-    config = ChaosConfig(enabled=True, seed=0)
+    config = ChaosConfig(seed=0)
     return FaultInjector(FaultPlan(config, events))
 
 
 class TestFromConfig:
+    """A config arms the injector by its presence; ``None`` is off."""
+
     def test_none_when_disabled(self):
         assert FaultInjector.from_config(None) is None
-        assert (
-            FaultInjector.from_config(ChaosConfig(enabled=False))
-            is None
-        )
+        assert FaultInjector.from_config(None, n_devices=4) is None
+
+    def test_default_config_arms(self):
+        injector = FaultInjector.from_config(ChaosConfig(), n_devices=2)
+        assert isinstance(injector, FaultInjector)
+        # Every default rate is 0: armed, but the plan is empty.
+        assert len(injector.plan) == 0
 
     def test_injector_when_enabled(self):
         injector = FaultInjector.from_config(
-            ChaosConfig(enabled=True, seed=1, device_fail_rate=0.5),
+            ChaosConfig(seed=1, device_fail_rate=0.5),
             n_devices=2,
         )
-        assert injector is not None
+        assert isinstance(injector, FaultInjector)
         assert len(injector.plan) > 0
 
 

@@ -2,9 +2,8 @@
 
 The chaos wiring gates every hot-path hook on ``injector is not
 None``; these tests pin the contract that a run with chaos disabled
-(``chaos=None`` or ``ChaosConfig(enabled=False)``) is byte-identical
--- counters, summaries, payload keys -- to a run constructed without
-any chaos argument at all.
+(``chaos=None``) is byte-identical -- counters, summaries, payload
+keys -- to a run constructed without any chaos argument at all.
 """
 
 import json
@@ -12,7 +11,6 @@ import json
 import pytest
 
 from repro.core.config import (
-    ChaosConfig,
     FabricTopology,
     FleetHealthConfig,
     ServingConfig,
@@ -20,11 +18,10 @@ from repro.core.config import (
 from repro.cxl.fabric import CxlFabric
 from repro.serving import IcgmmCacheService
 
-#: The three spellings of "chaos off".
+#: The two spellings of "chaos off".
 DISABLED = {
     "omitted": "omitted",
     "none": None,
-    "disabled-config": ChaosConfig(enabled=False, seed=9),
 }
 
 
@@ -35,8 +32,6 @@ def _serve(config, engine, pages, writes, chaos):
         sharding="hash",
         strategy="gmm-caching-eviction",
         refresh_enabled=True,
-        drift_baseline_chunks=2,
-        drift_patience=2,
         refresh_cooldown_chunks=2,
     )
     kwargs = {} if chaos == "omitted" else {"chaos": chaos}
@@ -168,14 +163,7 @@ class TestPreparedParity:
             reference, sort_keys=True
         )
 
-    @pytest.mark.parametrize(
-        "health",
-        [
-            None,
-            FleetHealthConfig(enabled=False),
-        ],
-        ids=["none", "disabled-config"],
-    )
+    @pytest.mark.parametrize("health", [None], ids=["none"])
     def test_disabled_monitor_is_byte_identical(
         self, chaos_workload, health
     ):
@@ -196,7 +184,7 @@ class TestPreparedParity:
         fabric = CxlFabric(
             FabricTopology(n_devices=1),
             config=config,
-            health=FleetHealthConfig(enabled=True),
+            health=FleetHealthConfig(),
         )
         try:
             assert fabric.monitor is None

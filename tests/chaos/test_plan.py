@@ -22,7 +22,6 @@ from repro.core.config import ChaosConfig
 
 def _config(**overrides):
     base = dict(
-        enabled=True,
         seed=3,
         horizon_chunks=64,
         device_fail_rate=0.05,
@@ -93,12 +92,12 @@ class TestShape:
 
     def test_zero_rates_empty_plan(self):
         plan = _generate(
-            ChaosConfig(enabled=True, seed=3, horizon_chunks=64)
+            ChaosConfig(seed=3, horizon_chunks=64)
         )
         assert len(plan) == 0
 
     def test_direct_construction_is_canonical(self):
-        config = ChaosConfig(enabled=True, seed=0)
+        config = ChaosConfig(seed=0)
         events = [
             FaultEvent(start=5, kind=KIND_SHARD_STALL, target=1),
             FaultEvent(start=2, kind=KIND_DEVICE_FAIL, target=0),
@@ -166,7 +165,6 @@ class TestFailslowChannel:
     @staticmethod
     def _failslow_only(**overrides):
         base = dict(
-            enabled=True,
             seed=3,
             horizon_chunks=64,
             failslow_rate=0.05,
@@ -226,7 +224,7 @@ class TestScenarioFactory:
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_scenarios_build_single_channel_configs(self, name):
         config = scenario_chaos(name, seed=5)
-        assert config.enabled
+        assert isinstance(config, ChaosConfig)
         assert config.seed == 5
         plan = _generate(config)
         kinds = {event.kind for event in plan.events}

@@ -39,12 +39,13 @@ from repro.core.parallel import (
 )
 from repro.cxl.fabric import CxlFabric
 from repro.serving import IcgmmCacheService
+from repro.serving.service import SHARD_RETRY_LIMIT
 
 
 def _inject(victim, events):
     """Swap a hand-written plan into an already-wired victim."""
     injector = FaultInjector(
-        FaultPlan(ChaosConfig(enabled=True, seed=0), events)
+        FaultPlan(ChaosConfig(seed=0), events)
     )
     victim.injector = injector
     victim._executor.fault_hook = injector.worker_crash_attempts
@@ -53,7 +54,7 @@ def _inject(victim, events):
 
 #: Zero-rate but enabled: the victims build an (empty) injector and
 #: activate every chaos gate, then tests swap in a targeted plan.
-ARMED = ChaosConfig(enabled=True, seed=0)
+ARMED = ChaosConfig(seed=0)
 
 
 def _fabric(config, chaos=ARMED, failover=True, health=None):
@@ -303,7 +304,6 @@ class TestHealthMonitorRecovery:
         reinstated once the ramp clears -- with zero access loss."""
         config, _, pages, writes = chaos_workload
         health = FleetHealthConfig(
-            enabled=True,
             latency_threshold=2.5,
             breach_chunks=2,
             quarantine_chunks=3,
@@ -359,7 +359,6 @@ class TestHealthMonitorRecovery:
         monitor-free fabric bit for bit (modulo the chaos lens)."""
         config, _, pages, writes = chaos_workload
         health = FleetHealthConfig(
-            enabled=True,
             latency_threshold=2.5,
             breach_chunks=2,
         )
@@ -434,7 +433,7 @@ class TestPreparedChaos:
         the chunked path; counters must match a streamed run with the
         same chunking bit for bit."""
         config, _, pages, writes = chaos_workload
-        health = FleetHealthConfig(enabled=True, latency_threshold=2.5)
+        health = FleetHealthConfig(latency_threshold=2.5)
         streamed = _fabric(config, chaos=None, health=health)
         prepared = _fabric(config, chaos=None, health=health)
         try:
@@ -463,8 +462,6 @@ def _serving_config(**overrides):
         sharding="hash",
         strategy="gmm-caching-eviction",
         refresh_enabled=True,
-        drift_baseline_chunks=2,
-        drift_patience=2,
         refresh_cooldown_chunks=2,
     )
     base.update(overrides)
@@ -484,13 +481,13 @@ class TestServingStalls:
             [
                 FaultEvent(
                     start=1, kind=KIND_SHARD_STALL, target=2,
-                    duration=serving.shard_retry_limit,
+                    duration=SHARD_RETRY_LIMIT,
                 )
             ],
         )
         stalled.ingest(pages, writes)
         assert stalled.totals == clean.totals
-        assert stalled._stall_retries == serving.shard_retry_limit
+        assert stalled._stall_retries == SHARD_RETRY_LIMIT
         events = stalled.shard_metrics.events("shard:2")
         assert [e.kind for e in events] == ["stall-recovered"]
 
@@ -508,7 +505,7 @@ class TestServingStalls:
             [
                 FaultEvent(
                     start=1, kind=KIND_SHARD_STALL, target=2,
-                    duration=serving.shard_retry_limit + 1,
+                    duration=SHARD_RETRY_LIMIT + 1,
                 )
             ],
         )
@@ -666,7 +663,6 @@ class TestWorkerCountInvariance:
     ):
         config, engine, pages, writes = chaos_workload
         chaos = ChaosConfig(
-            enabled=True,
             seed=13,
             horizon_chunks=8,
             shard_stall_rate=0.2,

@@ -16,11 +16,6 @@ import pytest
 
 from repro.cache.policies import LruPolicy
 from repro.cache.setassoc import CacheGeometry, SetAssociativeCache
-from repro.core.config import (
-    GmmEngineConfig,
-    IcgmmConfig,
-    ParallelConfig,
-)
 from repro.core.parallel import ParallelExecutor, ReplayTask
 from repro.core.pipeline import StagedPipeline
 
@@ -112,47 +107,6 @@ class TestExecutorShutdown:
         finally:
             executor.shutdown()
         assert _live_pool_threads() == baseline
-
-
-class TestTrainingFanOutLifecycle:
-    def test_prepare_closes_training_pool(self):
-        baseline = _live_pool_threads()
-        config = IcgmmConfig(
-            gmm=GmmEngineConfig(
-                n_components=4,
-                max_iter=5,
-                n_init=3,
-                max_train_samples=2000,
-            ),
-            trace_length=6000,
-            parallel=ParallelConfig(workers=2),
-        )
-        pipeline = StagedPipeline(config)
-        prepared = pipeline.prepare("memtier")
-        assert len(prepared) > 0
-        assert _live_pool_threads() == baseline
-
-    def test_prepare_parallel_matches_inline(self):
-        def build(workers):
-            config = IcgmmConfig(
-                gmm=GmmEngineConfig(
-                    n_components=4,
-                    max_iter=5,
-                    n_init=3,
-                    max_train_samples=2000,
-                ),
-                trace_length=6000,
-                parallel=ParallelConfig(workers=workers),
-            )
-            return StagedPipeline(config).prepare("memtier")
-
-        inline = build(1)
-        fanned = build(3)
-        np.testing.assert_array_equal(inline.scores, fanned.scores)
-        assert (
-            inline.engine.admission_threshold
-            == fanned.engine.admission_threshold
-        )
 
 
 class TestCliLifecycle:

@@ -2,19 +2,17 @@
 
 The pipeline is the single implementation of the paper's
 prepare/score/simulate/price loop; these tests pin its stage
-contracts and the facade equivalences the refactor relies on: the
-offline system is a thin delegate, both simulator dispatch targets
-are bit-identical, and chunked feature stamping matches a
-whole-stream pass.
+contracts: the Simulate stage is bit-identical to the scalar
+reference simulator, resumable replays match a single shot, and
+chunked feature stamping matches a whole-stream pass.
 """
 
 import numpy as np
 import pytest
 
-from repro.cache.setassoc import SetAssociativeCache
+from repro.cache.setassoc import SetAssociativeCache, simulate
 from repro.core.config import GmmEngineConfig, IcgmmConfig
 from repro.core.pipeline import StagedPipeline, StrategyPlan
-from repro.core.system import IcgmmSystem
 from repro.traces.preprocess import transform_timestamps
 
 
@@ -39,19 +37,6 @@ class TestPrepareStage:
         assert prepared.is_write.shape == (n,)
         assert prepared.scores.shape == (n,)
         assert prepared.page_frequency_scores.shape == (n,)
-
-    def test_system_prepare_is_the_pipeline(self, pipeline, prepared):
-        system = IcgmmSystem(pipeline.config)
-        via_system = system.prepare("memtier")
-        assert np.array_equal(
-            via_system.page_indices, prepared.page_indices
-        )
-        assert np.array_equal(via_system.scores, prepared.scores)
-
-    def test_system_delegates_config(self, pipeline):
-        system = IcgmmSystem(pipeline.config)
-        assert system.config is system.pipeline.config
-        assert system.latency_model is system.pipeline.latency_model
 
 
 class TestScoreStage:
@@ -101,21 +86,20 @@ class TestScoreStage:
 
 
 class TestSimulateStage:
-    def test_dispatch_paths_bit_identical(self, prepared):
-        fast = StagedPipeline(IcgmmConfig(simulator="fast"))
-        reference = StagedPipeline(IcgmmConfig(simulator="reference"))
-        plan = fast.plan_strategy(prepared, "gmm-caching")
-        cache_a = SetAssociativeCache(fast.config.geometry)
-        cache_b = SetAssociativeCache(reference.config.geometry)
-        stats_a = fast.simulate(
+    def test_dispatch_paths_bit_identical(self, pipeline, prepared):
+        """The Simulate stage matches the scalar reference oracle."""
+        plan = pipeline.plan_strategy(prepared, "gmm-caching")
+        cache_a = SetAssociativeCache(pipeline.config.geometry)
+        cache_b = SetAssociativeCache(pipeline.config.geometry)
+        stats_a = pipeline.simulate(
             cache_a,
             plan.policy,
             prepared.page_indices,
             prepared.is_write,
             scores=plan.scores,
         )
-        plan_b = reference.plan_strategy(prepared, "gmm-caching")
-        stats_b = reference.simulate(
+        plan_b = pipeline.plan_strategy(prepared, "gmm-caching")
+        stats_b = simulate(
             cache_b,
             plan_b.policy,
             prepared.page_indices,
@@ -159,10 +143,3 @@ class TestPriceStage:
         assert outcome.average_time_us == pytest.approx(
             pipeline.latency_model.average_access_time_us(outcome.stats)
         )
-
-    def test_run_strategy_equals_system(self, pipeline, prepared):
-        system = IcgmmSystem(pipeline.config)
-        via_pipeline = pipeline.run_strategy(prepared, "gmm-caching")
-        via_system = system.run_strategy(prepared, "gmm-caching")
-        assert via_pipeline.stats == via_system.stats
-        assert via_pipeline.average_time_us == via_system.average_time_us

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.config import GmmEngineConfig, IcgmmConfig
 from repro.core.experiment import run_suite
-from repro.core.system import IcgmmSystem
+from repro.core.pipeline import StagedPipeline
 
 
 def _fast_config(**overrides):
@@ -26,8 +26,8 @@ def _fast_config(**overrides):
 
 @pytest.fixture(scope="module")
 def prepared_memtier():
-    system = IcgmmSystem(_fast_config())
-    return system, system.prepare("memtier")
+    pipeline = StagedPipeline(_fast_config())
+    return pipeline, pipeline.prepare("memtier")
 
 
 class TestPrepare:
@@ -54,32 +54,32 @@ class TestPrepare:
             )
 
     def test_accepts_external_trace(self):
-        system = IcgmmSystem(_fast_config())
+        pipeline = StagedPipeline(_fast_config())
         rng = np.random.default_rng(0)
-        trace = system.generate_trace("heap", rng)
-        prepared = system.prepare("heap", trace=trace)
+        trace = pipeline.generate_trace("heap", rng)
+        prepared = pipeline.prepare("heap", trace=trace)
         assert len(prepared) > 0
 
 
 class TestRunStrategy:
     def test_all_strategies_produce_outcomes(self, prepared_memtier):
-        system, prepared = prepared_memtier
+        pipeline, prepared = prepared_memtier
         for strategy in (
             "lru",
             "gmm-caching",
             "gmm-eviction",
             "gmm-caching-eviction",
         ):
-            outcome = system.run_strategy(prepared, strategy)
+            outcome = pipeline.run_strategy(prepared, strategy)
             assert outcome.strategy == strategy
             assert outcome.stats.accesses > 0
             assert outcome.average_time_us > 0
 
     def test_only_admission_strategies_bypass(self, prepared_memtier):
-        system, prepared = prepared_memtier
-        lru = system.run_strategy(prepared, "lru")
-        eviction = system.run_strategy(prepared, "gmm-eviction")
-        caching = system.run_strategy(prepared, "gmm-caching")
+        pipeline, prepared = prepared_memtier
+        lru = pipeline.run_strategy(prepared, "lru")
+        eviction = pipeline.run_strategy(prepared, "gmm-eviction")
+        caching = pipeline.run_strategy(prepared, "gmm-caching")
         assert lru.stats.bypasses == 0
         assert eviction.stats.bypasses == 0
         assert caching.stats.bypasses >= 0
@@ -87,8 +87,8 @@ class TestRunStrategy:
 
 class TestRunBenchmark:
     def test_full_benchmark(self):
-        system = IcgmmSystem(_fast_config())
-        result = system.run_benchmark("stream")
+        pipeline = StagedPipeline(_fast_config())
+        result = pipeline.run_benchmark("stream")
         assert set(result.outcomes) == {
             "lru",
             "gmm-caching",
@@ -101,8 +101,8 @@ class TestRunBenchmark:
         assert result.time_reduction_percent > 0
 
     def test_benchmark_deterministic(self):
-        a = IcgmmSystem(_fast_config()).run_benchmark("heap")
-        b = IcgmmSystem(_fast_config()).run_benchmark("heap")
+        a = StagedPipeline(_fast_config()).run_benchmark("heap")
+        b = StagedPipeline(_fast_config()).run_benchmark("heap")
         assert (
             a.lru.stats.as_dict() == b.lru.stats.as_dict()
         )
@@ -111,8 +111,8 @@ class TestRunBenchmark:
         )
 
     def test_strategies_subset(self):
-        system = IcgmmSystem(_fast_config())
-        result = system.run_benchmark(
+        pipeline = StagedPipeline(_fast_config())
+        result = pipeline.run_benchmark(
             "memtier", strategies=("lru", "gmm-eviction")
         )
         assert set(result.outcomes) == {"lru", "gmm-eviction"}
@@ -127,11 +127,3 @@ class TestRunSuite:
         assert set(suite.results) == {"memtier", "stream"}
         assert len(suite.fig6_rows()) == 2
         assert len(suite.table1_rows()) == 2
-
-    def test_suite_rejects_config_and_system(self):
-        with pytest.raises(ValueError, match="not both"):
-            run_suite(
-                workloads=("memtier",),
-                config=_fast_config(),
-                system=IcgmmSystem(_fast_config()),
-            )

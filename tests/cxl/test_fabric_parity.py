@@ -3,7 +3,7 @@
 The contract of :class:`repro.cxl.fabric.CxlFabric`: replaying a
 trace over N devices is *bit-identical* to running each device's
 sub-stream through a single-shot offline simulation (the same staged
-pipeline the offline system drives), for every placement and every
+pipeline offline runs drive), for every placement and every
 Fig. 6 strategy; chunked streaming ingestion equals the one-shot
 replay; and the count-based per-link pricing reproduces the scalar
 per-access :class:`~repro.cxl.device.CxlMemoryDevice` loop exactly.
@@ -22,7 +22,6 @@ from repro.core.config import (
 )
 from repro.core.pipeline import StagedPipeline
 from repro.core.policy import build_policy
-from repro.core.system import IcgmmSystem
 from repro.cxl.device import CxlMemoryDevice
 from repro.cxl.fabric import CxlFabric
 from repro.traces.record import CACHE_LINE_SIZE
@@ -41,7 +40,7 @@ def config():
 
 @pytest.fixture(scope="module")
 def prepared(config):
-    return IcgmmSystem(config).prepare("memtier")
+    return StagedPipeline(config).prepare("memtier")
 
 
 def _topology(placement):

@@ -138,7 +138,7 @@ def test_worker_crash_propagates(
     never as a silently dropped device."""
     import repro.core.parallel as parallel_mod
 
-    def explode(task, simulator):
+    def explode(task):
         raise RuntimeError("device replay exploded")
 
     monkeypatch.setattr(parallel_mod, "_run_replay", explode)

@@ -10,7 +10,6 @@ import json
 import pytest
 
 from repro.chaos.scenarios import run_fabric_scenario, scenario_chaos
-from repro.core.config import TelemetryConfig
 from repro.obs import Telemetry
 from repro.obs.export import (
     EVENT_PAIRS,
@@ -246,9 +245,7 @@ class TestChaosScenarioExport:
     @pytest.fixture(scope="class")
     def scenario_snapshot(self, obs_workload):
         config, _, pages, writes = obs_workload
-        telemetry = Telemetry.from_config(
-            TelemetryConfig(enabled=True, seed=0)
-        )
+        telemetry = Telemetry(seed=0)
         out = run_fabric_scenario(
             scenario_chaos("device_failure", seed=0, horizon_chunks=6),
             pages,

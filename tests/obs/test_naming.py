@@ -12,7 +12,6 @@ import re
 from repro.core.config import (
     FabricTopology,
     ServingConfig,
-    TelemetryConfig,
 )
 from repro.cxl.fabric import CxlFabric
 from repro.obs import Telemetry
@@ -38,9 +37,7 @@ def test_source_registrations_pass_the_lint():
 
 def test_fabric_registry_names_pass_the_lint(obs_workload):
     config, _, pages, writes = obs_workload
-    telemetry = Telemetry.from_config(
-        TelemetryConfig(enabled=True, seed=0)
-    )
+    telemetry = Telemetry(seed=0)
     fabric = CxlFabric(
         FabricTopology(n_devices=2), config=config, telemetry=telemetry
     )
@@ -58,9 +55,7 @@ def test_fabric_registry_names_pass_the_lint(obs_workload):
 
 def test_serving_registry_names_pass_the_lint(obs_workload):
     config, engine, pages, writes = obs_workload
-    telemetry = Telemetry.from_config(
-        TelemetryConfig(enabled=True, seed=0)
-    )
+    telemetry = Telemetry(seed=0)
     service = IcgmmCacheService(
         engine,
         config=config,

@@ -2,10 +2,10 @@
 
 Every instrumented layer gates its hooks on ``telemetry is not
 None``; these tests pin the contract that a run with telemetry
-disabled (omitted, ``None``, or ``TelemetryConfig(enabled=False)``)
-is byte-identical -- counters, summaries, payload keys -- to a run
-constructed without any telemetry argument at all, and that an
-*enabled* bundle observes without perturbing the results.
+disabled (``None``) is byte-identical -- counters, summaries,
+payload keys -- to a run constructed without any telemetry argument
+at all, and that a :class:`~repro.obs.Telemetry` bundle observes
+without perturbing the results.
 """
 
 import json
@@ -20,20 +20,15 @@ from repro.chaos.scenarios import (
 from repro.core.config import (
     FabricTopology,
     ServingConfig,
-    TelemetryConfig,
 )
 from repro.cxl.fabric import CxlFabric
 from repro.obs import Telemetry
 from repro.serving import IcgmmCacheService
 
-#: The three spellings of "telemetry off" (``from_config`` maps the
-#: disabled config to None before it reaches any constructor).
+#: The two spellings of "telemetry off".
 DISABLED = {
     "omitted": "omitted",
     "none": None,
-    "disabled-config": Telemetry.from_config(
-        TelemetryConfig(enabled=False, seed=9)
-    ),
 }
 
 
@@ -44,8 +39,6 @@ def _serving_config():
         sharding="hash",
         strategy="gmm-caching-eviction",
         refresh_enabled=True,
-        drift_baseline_chunks=2,
-        drift_patience=2,
         refresh_cooldown_chunks=2,
     )
 
@@ -100,9 +93,7 @@ class TestServingParity:
     ):
         config, engine, pages, writes = obs_workload
         reference = _serve(config, engine, pages, writes, "omitted")
-        telemetry = Telemetry.from_config(
-            TelemetryConfig(enabled=True, seed=0)
-        )
+        telemetry = Telemetry(seed=0)
         observed = _serve(config, engine, pages, writes, telemetry)
         assert json.dumps(observed, sort_keys=True) == json.dumps(
             reference, sort_keys=True
@@ -129,9 +120,7 @@ class TestFabricParity:
     ):
         config, _, pages, writes = obs_workload
         reference = _stream_fabric(config, pages, writes, "omitted")
-        telemetry = Telemetry.from_config(
-            TelemetryConfig(enabled=True, seed=0)
-        )
+        telemetry = Telemetry(seed=0)
         observed = _stream_fabric(config, pages, writes, telemetry)
         assert json.dumps(observed, sort_keys=True) == json.dumps(
             reference, sort_keys=True
@@ -161,9 +150,7 @@ class TestScenarioParity:
             writes,
             config=config,
             chunk_requests=2_000,
-            telemetry=Telemetry.from_config(
-                TelemetryConfig(enabled=True, seed=0)
-            ),
+            telemetry=Telemetry(seed=0),
         )
         assert json.dumps(observed, sort_keys=True) == json.dumps(
             reference, sort_keys=True
@@ -183,9 +170,7 @@ class TestScenarioParity:
             engine,
             pages,
             writes,
-            telemetry=Telemetry.from_config(
-                TelemetryConfig(enabled=True, seed=0)
-            ),
+            telemetry=Telemetry(seed=0),
             **kwargs,
         )
         assert json.dumps(observed, sort_keys=True) == json.dumps(

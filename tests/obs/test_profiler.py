@@ -10,7 +10,6 @@ wall-clock seconds (non-deterministic by design) may differ.
 from repro.core.config import (
     FabricTopology,
     ParallelConfig,
-    TelemetryConfig,
 )
 from repro.core.pipeline import StageProfiler
 from repro.cxl.fabric import CxlFabric
@@ -43,9 +42,7 @@ class TestStageProfilerUnit:
 
 class TestParallelAggregation:
     def _profile(self, config, pages, writes, workers):
-        telemetry = Telemetry.from_config(
-            TelemetryConfig(enabled=True, seed=0)
-        )
+        telemetry = Telemetry(seed=0)
         fabric = CxlFabric(
             FabricTopology(n_devices=4),
             config=config,

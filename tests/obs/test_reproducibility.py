@@ -12,7 +12,6 @@ from repro.core.config import (
     FabricTopology,
     ParallelConfig,
     ServingConfig,
-    TelemetryConfig,
 )
 from repro.cxl.fabric import CxlFabric
 from repro.obs import Telemetry
@@ -20,7 +19,7 @@ from repro.serving import IcgmmCacheService
 
 
 def _telemetry():
-    return Telemetry.from_config(TelemetryConfig(enabled=True, seed=0))
+    return Telemetry(seed=0)
 
 
 def _fabric_snapshot(config, pages, writes, workers):
@@ -134,9 +133,7 @@ class TestSeedSeparation:
         config, _, pages, writes = obs_workload
 
         def snap(seed):
-            telemetry = Telemetry.from_config(
-                TelemetryConfig(enabled=True, seed=seed)
-            )
+            telemetry = Telemetry(seed=seed)
             fabric = CxlFabric(
                 FabricTopology(n_devices=2),
                 config=config,

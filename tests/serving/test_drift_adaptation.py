@@ -77,8 +77,6 @@ def _replay(pages, writes, engine, config, refresh):
         sharding="hash",
         strategy="gmm-caching-eviction",
         refresh_enabled=refresh,
-        drift_baseline_chunks=2,
-        drift_patience=2,
         refresh_cooldown_chunks=2,
     )
     # Post-drift steady state only: skip the detect/refresh transient.

@@ -18,7 +18,7 @@ from repro.core.config import (
     GmmEngineConfig,
     IcgmmConfig,
 )
-from repro.core.system import IcgmmSystem
+from repro.core.pipeline import StagedPipeline
 from repro.cxl.fabric import CxlFabric
 
 CHUNK = 3_000
@@ -30,7 +30,7 @@ def setup():
         trace_length=21_000,
         gmm=GmmEngineConfig(n_components=8, max_train_samples=4_000),
     )
-    prepared = IcgmmSystem(config).prepare("memtier")
+    prepared = StagedPipeline(config).prepare("memtier")
     return config, prepared
 
 

@@ -24,7 +24,6 @@ from repro.serving.health import (
 
 def _monitor(n_devices=3, **overrides):
     base = dict(
-        enabled=True,
         latency_threshold=2.0,
         breach_chunks=2,
         quarantine_chunks=2,
@@ -46,30 +45,26 @@ def _chunk(monitor, chunk, latencies, miss=0.1, accesses=100):
 
 
 class TestFromConfig:
+    """A config arms the monitor by its presence; ``None`` is off."""
+
     def test_none_when_disabled(self):
         assert FleetHealthMonitor.from_config(None, 4) is None
-        assert (
-            FleetHealthMonitor.from_config(
-                FleetHealthConfig(enabled=False), 4
-            )
-            is None
-        )
 
     def test_none_on_single_device_fleet(self):
         """No fleet median and nowhere to re-home."""
-        assert (
-            FleetHealthMonitor.from_config(
-                FleetHealthConfig(enabled=True), 1
-            )
-            is None
-        )
+        assert FleetHealthMonitor.from_config(FleetHealthConfig(), 1) is None
+
+    def test_default_config_arms(self):
+        monitor = FleetHealthMonitor.from_config(FleetHealthConfig(), 2)
+        assert isinstance(monitor, FleetHealthMonitor)
+        assert monitor.n_devices == 2
 
     def test_monitor_when_enabled(self):
-        monitor = FleetHealthMonitor.from_config(
-            FleetHealthConfig(enabled=True), 2
-        )
-        assert monitor is not None
-        assert monitor.n_devices == 2
+        config = FleetHealthConfig(latency_threshold=2.5)
+        monitor = FleetHealthMonitor.from_config(config, 4)
+        assert isinstance(monitor, FleetHealthMonitor)
+        assert monitor.config is config
+        assert monitor.n_devices == 4
 
 
 class TestStateMachineWalk:

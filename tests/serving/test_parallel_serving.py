@@ -199,7 +199,7 @@ def test_vector_rounds_workers_match(
 def test_worker_crash_propagates(config, engine, stream, monkeypatch):
     import repro.core.parallel as parallel_mod
 
-    def explode(task, simulator):
+    def explode(task):
         raise RuntimeError("shard replay exploded")
 
     monkeypatch.setattr(parallel_mod, "_run_replay", explode)

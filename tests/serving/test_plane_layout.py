@@ -43,9 +43,9 @@ from repro.core.engine import GmmPolicyEngine
 from repro.core.pipeline import StagedPipeline
 from repro.core.policy import build_policy, strategy_score_view
 from repro.serving import IcgmmCacheService
+from repro.serving.service import SHARD_RETRY_LIMIT
 
 PARTITION_PAGES = 1 << 14
-RETRY_LIMIT = ServingConfig().shard_retry_limit
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +125,7 @@ def _split_layout(engine, config, serving, pages, writes, measure_from,
             if pos.size == 0:
                 continue
             down = stall is not None and stall[:2] == (index, shard) and (
-                stall[2] > RETRY_LIMIT
+                stall[2] > SHARD_RETRY_LIMIT
             )
             if not down:
                 out = np.empty(pos.size, dtype=np.uint8)
@@ -181,7 +181,7 @@ def _rows(cache: SetAssociativeCache, sets: np.ndarray):
         st.tuples(
             st.integers(0, 3),
             st.integers(0, 7),
-            st.sampled_from([1, RETRY_LIMIT + 1]),
+            st.sampled_from([1, SHARD_RETRY_LIMIT + 1]),
         ),
     ),
     seed=st.integers(0, 2**16),
@@ -212,7 +212,7 @@ def test_one_plane_replays_the_split_layout(
         config=config,
         serving=serving,
         measure_from=measure_from,
-        chaos=ChaosConfig(enabled=True, seed=0),
+        chaos=ChaosConfig(seed=0),
     )
     events = []
     if stall is not None:
@@ -225,7 +225,7 @@ def test_one_plane_replays_the_split_layout(
             )
         )
     service.injector = FaultInjector(
-        FaultPlan(ChaosConfig(enabled=True, seed=0), events)
+        FaultPlan(ChaosConfig(seed=0), events)
     )
 
     plane = service.planes.caches[0]
@@ -235,7 +235,7 @@ def test_one_plane_replays_the_split_layout(
         degrading = (
             stall is not None
             and stall[0] == index
-            and stall[2] > RETRY_LIMIT
+            and stall[2] > SHARD_RETRY_LIMIT
             and bool((c_pages % n_shards == stall[1]).any())
         )
         if degrading:

@@ -3,7 +3,7 @@
 The headline property is the exactness contract: with ``hash``
 sharding and refresh disabled, the chunked, sharded, resumable
 serving loop produces *bit-identical* counters to a single-shot
-:meth:`IcgmmSystem.run_strategy` over the same stream, for every
+:meth:`StagedPipeline.run_strategy` over the same stream, for every
 Fig. 6 strategy.
 """
 
@@ -23,7 +23,7 @@ from repro.core.config import (
     IcgmmConfig,
     ServingConfig,
 )
-from repro.core.system import IcgmmSystem
+from repro.core.pipeline import StagedPipeline
 from repro.serving import IcgmmCacheService
 
 
@@ -36,9 +36,9 @@ def prepared_system():
             n_components=8, max_iter=15, max_train_samples=8_000
         ),
     )
-    system = IcgmmSystem(config)
-    prepared = system.prepare("memtier")
-    return config, system, prepared
+    pipeline = StagedPipeline(config)
+    prepared = pipeline.prepare("memtier")
+    return config, pipeline, prepared
 
 
 class TestSingleShotEquivalence:
@@ -49,8 +49,8 @@ class TestSingleShotEquivalence:
     def test_sharded_chunked_loop_matches_system(
         self, prepared_system, strategy
     ):
-        config, system, prepared = prepared_system
-        expected = system.run_strategy(prepared, strategy).stats
+        config, pipeline, prepared = prepared_system
+        expected = pipeline.run_strategy(prepared, strategy).stats
         serving = ServingConfig(
             chunk_requests=3_000,
             n_shards=4,
@@ -70,8 +70,8 @@ class TestSingleShotEquivalence:
     def test_shard_and_chunk_geometry_is_irrelevant(
         self, prepared_system
     ):
-        config, system, prepared = prepared_system
-        expected = system.run_strategy(
+        config, pipeline, prepared = prepared_system
+        expected = pipeline.run_strategy(
             prepared, "gmm-caching-eviction"
         ).stats
         for n_shards, chunk in ((1, 10**9), (8, 1_024)):
@@ -237,19 +237,6 @@ class TestThresholdQuantileWiring:
         assert service.detector.quantile == 0.3
         assert service.refresher.threshold_quantile == 0.3
 
-    def test_explicit_serving_quantile_wins(self, prepared_system):
-        _, _, prepared = prepared_system
-        config = IcgmmConfig(
-            gmm=GmmEngineConfig(threshold_quantile=0.3)
-        )
-        service = IcgmmCacheService(
-            prepared.engine,
-            config=config,
-            serving=ServingConfig(threshold_quantile=0.1),
-        )
-        assert service.threshold_quantile == 0.1
-        assert service.detector.quantile == 0.1
-
 
 class TestResumableReplay:
     def test_mid_chunk_exception_leaves_state_resumable(
@@ -280,16 +267,14 @@ class TestResumableReplay:
         original_replay = service._executor.replay
         crash_at = {"chunk": 2, "armed": True}
 
-        def flaky_replay(tasks, simulator=None, profiler=None):
+        def flaky_replay(tasks, profiler=None):
             if (
                 crash_at["armed"]
                 and service._chunk_index == crash_at["chunk"]
             ):
                 crash_at["armed"] = False
                 raise RuntimeError("transient replay failure")
-            return original_replay(
-                tasks, simulator=simulator, profiler=profiler
-            )
+            return original_replay(tasks, profiler=profiler)
 
         service._executor.replay = flaky_replay
         with pytest.raises(RuntimeError, match="transient"):
@@ -337,9 +322,7 @@ class TestRefreshFaults:
     ):
         config, _, prepared = prepared_system
         pages, writes = drifted_stream
-        chaos = ChaosConfig(
-            enabled=True, seed=0, **{f"refresh_{fault}_rate": 1.0}
-        )
+        chaos = ChaosConfig(seed=0, **{f"refresh_{fault}_rate": 1.0})
         with IcgmmCacheService(
             prepared.engine,
             config=config,
@@ -367,6 +350,36 @@ class TestRefreshFaults:
             assert service.refresher.refreshes_built == 0
         else:
             assert service.refresher.refreshes_built >= 1
+
+
+class TestRefreshFailureCount:
+    def test_summary_counts_every_failed_build(
+        self, prepared_system, drifted_stream
+    ):
+        """The summary reports every failed build, not the backoff
+        streak that each swap resets."""
+        config, _, prepared = prepared_system
+        pages, writes = drifted_stream
+        with IcgmmCacheService(
+            prepared.engine,
+            config=config,
+            serving=ServingConfig(chunk_requests=2_000, n_shards=4),
+            chaos=ChaosConfig(seed=4, refresh_fail_rate=0.5),
+        ) as service:
+            service.ingest(pages, writes)
+        kinds = [e.kind for e in service.shard_metrics.events("engine")]
+        failed = [
+            i for i, kind in enumerate(kinds) if kind == "refresh-failed"
+        ]
+        swaps = [
+            i for i, kind in enumerate(kinds) if kind == "refresh-swap"
+        ]
+        # The plan must put a swap between two failures, or a
+        # streak would count the same as a total.
+        assert any(failed[0] < swap < failed[-1] for swap in swaps)
+        chaos = service.summary()["chaos"]
+        assert chaos["refresh_failures"] == len(failed)
+        assert chaos["refresh_attempts"] == len(failed) + len(swaps)
 
 
 class TestStaleRefresh:

@@ -4,8 +4,8 @@ The paper's case study fixes one geometry (64 MB / 4 KB / 8-way,
 Sec. 5.1).  This bench sweeps capacity at the simulation scale and
 shows where the GMM's advantage lives: it is largest when the working
 set contests the cache, and shrinks toward zero once the cache
-swallows the workload (there is nothing left for any policy to win --
-the Belady-headroom effect DESIGN.md documents).
+swallows the workload (there is nothing left for any policy to win:
+the Belady headroom closes).
 """
 
 from repro.analysis import render_table

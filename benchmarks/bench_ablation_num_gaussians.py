@@ -1,8 +1,7 @@
 """Ablation: number of Gaussian components K.
 
 The paper fixes K = 256 for the FPGA engine (Sec. 5.1) without a
-sweep; DESIGN.md calls the choice out as an ablation target.  This
-bench sweeps K and shows (a) the miss-rate curve saturating at modest
+sweep.  This bench sweeps K and shows (a) the miss-rate curve saturating at modest
 K on these traces -- justifying the simulator default of 64 -- and
 (b) the hardware cost that *doesn't* saturate: the weight buffer and
 engine latency keep growing with K.

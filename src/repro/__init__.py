@@ -17,8 +17,8 @@ Quickstart::
     print(result.lru.miss_rate_percent,
           result.best_gmm.miss_rate_percent)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+``docs/architecture.md`` is the system inventory; the paper-figure
+benches under ``benchmarks/`` regenerate every table and figure.
 """
 
 from repro.core import (

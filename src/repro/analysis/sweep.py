@@ -1,7 +1,8 @@
 """Parameter sweeps for the ablation benches.
 
-Each sweep varies one design choice of DESIGN.md's ablation list and
-reruns the end-to-end pipeline once per grid point, in grid order.
+Each sweep varies one design choice of the paper (one
+``benchmarks/bench_ablation_*.py`` bench each) and reruns the
+end-to-end pipeline once per grid point, in grid order.
 """
 
 from __future__ import annotations

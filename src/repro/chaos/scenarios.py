@@ -1,4 +1,4 @@
-"""Canonical chaos scenarios shared by the recovery bench and CLI.
+"""Canonical chaos scenarios shared by the scorecard tests and CLI.
 
 Each scenario activates exactly one fault channel of
 :class:`~repro.core.config.ChaosConfig` at a rate tuned to fire a
@@ -7,8 +7,9 @@ layer chunk by chunk, collecting everything the scorecard needs: the
 observed fault timeline (and its digest), per-chunk miss counters (so
 post-recovery windows can be priced against a no-fault baseline over
 the *same* chunk range), degraded/failover traffic, and retry
-counters.  Everything is deterministic in the chaos seed; the bench
-asserts byte-identical rows across repeat runs and worker counts.
+counters.  Everything is deterministic in the chaos seed;
+``tests/chaos/test_scorecard.py`` asserts identical rows across
+worker counts.
 """
 
 from __future__ import annotations
@@ -257,8 +258,11 @@ def run_fabric_scenario(
     asserts is bit-identical to the pre-chaos fabric.  ``health``
     arms the :class:`~repro.serving.health.FleetHealthMonitor`; the
     scorecard crosses every fault scenario with monitor on/off, so
-    both arms flow through this one runner.
+    both arms flow through this one runner.  Raises
+    :class:`ValueError` when ``chunk_requests < 1``.
     """
+    if chunk_requests < 1:
+        raise ValueError("chunk_requests must be >= 1")
     pages = np.asarray(pages, dtype=np.int64)
     is_write = np.asarray(is_write, dtype=bool)
     fabric = CxlFabric(
@@ -356,10 +360,10 @@ def run_prepared_scenario(
     injector (or monitor) wired it degrades to the chunked ingest
     path, so every fault channel fires and zero accesses are lost.
     ``chaos=None`` with ``health=None`` exercises the untouched
-    one-shot path -- the scorecard's prepared-parity row asserts that
-    a disabled-chaos prepared run is byte-identical to the pre-chaos
-    fabric's (warm-up cut disabled so counters match the streamed
-    baseline access for access).
+    one-shot path -- the scorecard tests assert that a disabled-chaos
+    prepared run equals the streamed no-fault fabric run (warm-up
+    cut disabled so counters match the streamed baseline access for
+    access).
     """
     from repro.core.pipeline import PreparedWorkload
 

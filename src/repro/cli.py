@@ -104,16 +104,6 @@ def _add_generate_trace(subparsers) -> None:
             " (serve/fabric --trace) can memory-map them zero-copy"
         ),
     )
-    parser.add_argument(
-        "--mmap-out",
-        action="store_true",
-        help=(
-            "write the .npz column-by-column through memory-mapped"
-            " temporaries instead of materializing the archive in"
-            " RAM (implies --uncompressed; bounds writer RSS for"
-            " huge traces)"
-        ),
-    )
     parser.add_argument("--seed", type=int, default=42)
 
 
@@ -503,19 +493,10 @@ def _cmd_generate_trace(args) -> int:
     rng = np.random.default_rng(args.seed)
     trace = generator.generate(args.length, rng)
     if args.output.endswith(".csv"):
-        if args.mmap_out:
-            print(
-                "error: --mmap-out requires a .npz output",
-                file=sys.stderr,
-            )
-            return 2
         save_trace_csv(trace, args.output)
     elif args.output.endswith(".npz"):
         save_trace_npz(
-            trace,
-            args.output,
-            compressed=not args.uncompressed and not args.mmap_out,
-            mmap=args.mmap_out,
+            trace, args.output, compressed=not args.uncompressed
         )
     else:
         print("error: output must end in .csv or .npz", file=sys.stderr)
@@ -930,9 +911,13 @@ def _cmd_fabric(args) -> int:
         )
         # Under chaos, run_prepared replays chunk by chunk through
         # ingest, where the faults hook in.
-        result = fabric.run_prepared(
-            prepared, args.strategy, chunk_requests=args.chunk
-        )
+        try:
+            result = fabric.run_prepared(
+                prepared, args.strategy, chunk_requests=args.chunk
+            )
+        except ValueError as exc:  # e.g. --chunk below 1
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     finally:
         # Deterministic teardown: the executor pool must not outlive
         # the command, even when preparation or replay raises.
@@ -1040,22 +1025,26 @@ def _cmd_chaos(args) -> int:
     # the run aborts instead of recovering.
     retrying = ParallelConfig(workers=args.workers, max_retries=2)
     topology = FabricTopology(n_devices=args.devices)
-    serving = ServingConfig(
-        chunk_requests=args.chunk,
-        n_shards=args.shards,
-        sharding="hash",
-        strategy="gmm-caching-eviction",
-        refresh_enabled=True,
-        refresh_cooldown_chunks=2,
-        # Soft resilience knobs: quick backoff and a late breaker so
-        # the refresh-failure scenario can land a good build before
-        # the stream ends (the breaker path itself is exercised
-        # deterministically in tests/chaos).
-        refresh_backoff_chunks=1,
-        refresh_breaker_threshold=4,
-        quarantine_chunks=8,
-        parallel=retrying,
-    )
+    try:
+        serving = ServingConfig(
+            chunk_requests=args.chunk,
+            n_shards=args.shards,
+            sharding="hash",
+            strategy="gmm-caching-eviction",
+            refresh_enabled=True,
+            refresh_cooldown_chunks=2,
+            # Soft resilience knobs: quick backoff and a late breaker
+            # so the refresh-failure scenario can land a good build
+            # before the stream ends (the breaker path itself is
+            # exercised deterministically in tests/chaos).
+            refresh_backoff_chunks=1,
+            refresh_breaker_threshold=4,
+            quarantine_chunks=8,
+            parallel=retrying,
+        )
+    except ValueError as exc:  # e.g. --chunk below 1
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     engine = None
     if any(name in SERVING_SCENARIOS for name in args.scenarios):

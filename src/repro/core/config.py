@@ -389,7 +389,7 @@ class IcgmmConfig:
     The default profile is the *scaled simulation*: the paper's 64 MB
     cache and its workload footprints are both divided by
     :data:`SIMULATION_SCALE` (ratios preserved), which is what every
-    experiment in EXPERIMENTS.md runs.  Use :meth:`paper_hardware`
+    paper-figure bench under ``benchmarks/`` runs.  Use :meth:`paper_hardware`
     for the unscaled 64 MB geometry of the FPGA case study.
 
     Attributes

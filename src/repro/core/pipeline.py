@@ -16,17 +16,21 @@ runs four explicit stages over :class:`PreparedWorkload`:
   callers stamp raw page chunks into scoreable features with
   :meth:`StagedPipeline.chunk_features`.
 * **Simulate** -- drive a cache/policy pair over a (sub-)stream
-  through the vectorized fast engine (bit-identical to the scalar
-  reference :func:`repro.cache.setassoc.simulate`), with resumable
-  ``index_offset`` replay and per-access ``OUTCOME_*`` recording
-  (:meth:`StagedPipeline.simulate`).
+  through the vectorized fast engine
+  :func:`~repro.cache.simulate_fast.simulate_fast` (bit-identical to
+  the scalar reference :func:`repro.cache.setassoc.simulate`), with
+  resumable ``index_offset`` replay and per-access ``OUTCOME_*``
+  recording.  :meth:`StagedPipeline.simulate` runs it for
+  :meth:`StagedPipeline.run_strategy`; chunked, sharded and
+  multi-device replays run it per lane through
+  :meth:`repro.core.parallel.ParallelExecutor.replay_lanes`.
 * **Price** -- turn the counters into the Table 1 access-time view
   (:meth:`StagedPipeline.price`).
 
-Because chunked, sharded and multi-device replays all route through
-:meth:`simulate`, their results stay *bit-identical* to a single-shot
-offline run -- the property the serving and fabric parity suites
-assert.
+Because every replay resumes one ``simulate_fast`` call per lane at
+its cursor, chunked, sharded and multi-device results stay
+*bit-identical* to a single-shot offline run -- the property the
+serving and fabric parity suites assert.
 """
 
 from __future__ import annotations
@@ -194,18 +198,11 @@ class StrategyPlan:
     scores:
         The per-access score stream the simulator feeds the policy
         (``None`` for LRU).
-    page_score_map:
-        The combined strategy's page -> marginal-score view (``None``
-        for the others).  Carried on the plan so chunked replays --
-        serving shards, fabric binds, resumable sweeps -- consume the
-        score views the Score stage already materialised instead of
-        re-deriving them per chunk.
     """
 
     strategy: str
     policy: ReplacementPolicy
     scores: np.ndarray | None
-    page_score_map: dict[int, float] | None = None
 
 
 class StagedPipeline:
@@ -371,7 +368,6 @@ class StagedPipeline:
                 strategy=strategy,
                 policy=policy,
                 scores=self.strategy_scores(prepared, strategy),
-                page_score_map=page_scores,
             )
 
     def chunk_features(

@@ -8,16 +8,16 @@ request stream across them at fast-path speed:
 1. **Place.**  The stream is partitioned per
    :class:`~repro.core.config.FabricTopology` (interleave / range /
    score-aware placement; see that class's docstring).
-2. **Replay.**  Every device's sub-stream runs through the shared
-   staged pipeline's Simulate stage
-   (:meth:`repro.core.pipeline.StagedPipeline.simulate`) with a
-   resumable per-device ``index_offset`` cursor, exactly like the
-   serving planes -- so chunked streaming ingestion and a one-shot
-   offline run are *bit-identical*, and each device's counters equal
-   a single-shot offline run on its sub-stream.  Devices own fully
-   independent planes/policies/cursors, so each round of per-device
-   simulate calls is dispatched concurrently through
-   :class:`repro.core.parallel.ParallelExecutor` (``workers`` per
+2. **Replay.**  Every device's sub-stream runs through
+   :func:`~repro.cache.simulate_fast.simulate_fast` with a resumable
+   per-device ``index_offset`` cursor, in the lane loop the serving
+   planes share
+   (:meth:`repro.core.parallel.ParallelExecutor.replay_lanes`) -- so
+   chunked streaming ingestion and a one-shot offline run are
+   *bit-identical*, and each device's counters equal a single-shot
+   offline run on its sub-stream.  Devices own fully independent
+   planes/policies/cursors, so each round of per-device replays is
+   dispatched concurrently (``workers`` per
    :class:`~repro.core.config.ParallelConfig`) and merged in device
    order -- parallel replay is bit-identical to ``workers=1``.
 3. **Price.**  Per-device counters are priced through that device's
@@ -27,8 +27,8 @@ request stream across them at fast-path speed:
    :class:`~repro.cxl.router.CxlSystem` from outcome counts alone.
 
 The scalar router remains the executable specification; the fabric
-parity suite (``tests/cxl/test_fabric_parity.py``) and the scaling
-bench (``benchmarks/bench_fabric_scaling.py``) assert agreement.
+parity suite (``tests/cxl/test_fabric_parity.py``) asserts agreement
+for every Fig. 6 strategy.
 """
 
 from __future__ import annotations
@@ -1081,7 +1081,10 @@ class CxlFabric:
         serving; ``warmup_fraction`` is not applied).  With chaos and
         monitoring disabled this method executes the exact pre-chaos
         one-shot path, byte for byte -- the parity suite asserts it.
+        Raises :class:`ValueError` when ``chunk_requests < 1``.
         """
+        if chunk_requests < 1:
+            raise ValueError("chunk_requests must be >= 1")
         chunked = self.injector is not None or self.monitor is not None
         combined = strategy == "gmm-caching-eviction"
         by_score = self.topology.placement == "score"

@@ -218,8 +218,8 @@ def register_health_monitor(
     """Export a ``FleetHealthMonitor``'s counters and fleet states.
 
     Quarantine/reinstatement/suspect counts are logical decisions
-    (bit-identical across worker counts, which the recovery bench
-    asserts via the monitor's own decision digest); the per-state
+    (bit-identical across worker counts, which the chaos scorecard
+    tests assert via the monitor's own decision digest); the per-state
     device counts give an operator the live fleet shape.
     """
     quarantines = registry.counter(

@@ -26,9 +26,9 @@ mechanism outage windows use -- then held in probation where live
 probe traffic must stay clean for a configured number of chunks
 before reinstatement.  Every transition is recorded as a
 :class:`~repro.serving.metrics.FailureEvent` and appended to a
-decision log whose digest the recovery bench compares across worker
-counts: decisions are pure functions of per-chunk counters and the
-chunk index, never wall-clock time.
+decision log whose digest the chaos scorecard tests compare across
+worker counts: decisions are pure functions of per-chunk counters and
+the chunk index, never wall-clock time.
 """
 
 from __future__ import annotations
@@ -356,7 +356,7 @@ class FleetHealthMonitor:
     def decision_digest(self) -> str:
         """Canonical SHA-256 of the decision log.
 
-        The recovery bench asserts this digest is bit-identical
+        The chaos scorecard tests assert this digest is identical
         across worker counts: monitor decisions depend only on
         logical clocks and merged per-chunk counters.
         """

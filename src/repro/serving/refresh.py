@@ -36,8 +36,15 @@ from repro.gmm.em import EMTrainer
 #: already-trained mixture; a deterministic even-stride subsample of
 #: the buffered traffic carries the drifted distribution at a
 #: fraction of the per-iteration cost (mirroring the offline
-#: pipeline's ``max_train_samples`` cap).
-DEFAULT_MAX_FIT_SAMPLES = 8192
+#: pipeline's ``max_train_samples`` cap).  The admission threshold is
+#: still re-cut on the *full* buffered traffic.
+MAX_FIT_SAMPLES = 8192
+
+#: EM budget of the warm fold-in: a handful of iterations suffices
+#: because the deployed mixture is already a good starting point for
+#: the shifted traffic.
+WARM_MAX_ITER = 8
+WARM_TOL = 1e-3
 
 
 class StaleSwapError(RuntimeError):
@@ -153,15 +160,10 @@ class ModelRefresher:
     threshold_quantile:
         Quantile of the refreshed scores at which the new admission
         threshold is cut.
-    warm_max_iter / warm_tol:
-        EM budget of the fold-in; a handful of iterations suffices
-        because the deployed mixture is already a good starting
-        point for the shifted traffic.
-    max_fit_samples:
-        Sample cap of the fold-in's EM fit (the admission threshold
-        is still re-cut on the *full* buffered traffic).
 
-    The fold-in uses the offline fit's covariance ridge
+    The fold-in runs :data:`WARM_MAX_ITER` iterations at most (to
+    :data:`WARM_TOL`) on at most :data:`MAX_FIT_SAMPLES` rows, with
+    the offline fit's covariance ridge
     (:data:`repro.core.engine.EM_REG_COVAR`).
     """
 
@@ -169,20 +171,10 @@ class ModelRefresher:
         self,
         buffer_chunks: int = 6,
         threshold_quantile: float = 0.02,
-        warm_max_iter: int = 8,
-        warm_tol: float = 1e-3,
-        max_fit_samples: int = DEFAULT_MAX_FIT_SAMPLES,
     ) -> None:
         if buffer_chunks < 1:
             raise ValueError("buffer_chunks must be >= 1")
-        if warm_max_iter < 1:
-            raise ValueError("warm_max_iter must be >= 1")
-        if max_fit_samples < 1:
-            raise ValueError("max_fit_samples must be >= 1")
-        self.max_fit_samples = int(max_fit_samples)
         self.threshold_quantile = float(threshold_quantile)
-        self.warm_max_iter = int(warm_max_iter)
-        self.warm_tol = float(warm_tol)
         self._buffer: deque[np.ndarray] = deque(maxlen=buffer_chunks)
         self.refreshes_built = 0
         self.builds_attempted = 0
@@ -224,17 +216,17 @@ class ModelRefresher:
             raise ValueError("no buffered features to refresh from")
         scaled = current.scaler.transform(features)
         fit_points = scaled
-        if scaled.shape[0] > self.max_fit_samples:
+        if scaled.shape[0] > MAX_FIT_SAMPLES:
             # Deterministic even-stride subsample across the whole
             # buffer (every retained chunk contributes).
             index = np.linspace(
-                0, scaled.shape[0] - 1, self.max_fit_samples
+                0, scaled.shape[0] - 1, MAX_FIT_SAMPLES
             ).astype(np.int64)
             fit_points = scaled[index]
         trainer = EMTrainer(
             n_components=current.model.n_components,
-            max_iter=self.warm_max_iter,
-            tol=self.warm_tol,
+            max_iter=WARM_MAX_ITER,
+            tol=WARM_TOL,
             reg_covar=EM_REG_COVAR,
         )
         model = trainer.fit(fit_points, warm_start=current.model).model

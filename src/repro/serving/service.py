@@ -8,14 +8,13 @@ on an access stream consumed in chunks:
    (Sec. 3.3 inference),
 2. watch the score distribution for drift
    (:mod:`repro.serving.drift`),
-3. simulate the chunk with one resumable, bit-exact call per cache
+3. simulate the chunk with one resumable, bit-exact
+   :func:`~repro.cache.simulate_fast.simulate_fast` call per cache
    plane (:mod:`repro.serving.sharding`: ``hash`` mode has one,
-   ``tenant`` mode one per tenant group) into the shared pipeline's
-   Simulate stage (:meth:`repro.core.pipeline.StagedPipeline.simulate`
-   -- the same code path the offline system and the CXL fabric run);
-   planes are fully independent, so the calls are dispatched
-   concurrently through
-   :class:`~repro.core.parallel.ParallelExecutor`
+   ``tenant`` mode one per tenant group), replayed through
+   :meth:`repro.core.parallel.ParallelExecutor.replay_lanes` -- the
+   same lane loop the CXL fabric runs; planes are fully independent,
+   so the calls are dispatched concurrently
    (:attr:`~repro.core.config.ServingConfig.parallel`) and merged
    in plane order -- any worker count is bit-identical to
    sequential replay,
@@ -32,9 +31,8 @@ Exactness contract: with ``hash`` sharding and refresh disabled, the
 service's totals are *bit-identical* to a single-shot
 :meth:`repro.core.pipeline.StagedPipeline.run_strategy` over the same
 stream -- chunking, sharding and resumption are pure implementation
-details, not approximations.  The equivalence test in
-``tests/serving`` and the acceptance check in
-``benchmarks/bench_serving_drift.py`` both assert it.
+details, not approximations.  ``tests/serving/test_service.py``
+(``TestSingleShotEquivalence``) asserts it.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ global set index is ``page % n_sets`` and ``n_shards`` divides
 ``n_sets``, so set ``s`` belongs to shard ``s % n_shards``.  The
 plane is the unsharded cache itself, so the serving loop is
 *bit-identical* to a single-shot replay -- the property the serving
-equivalence test (and the acceptance bench) asserts.
+equivalence test asserts.
 
 ``tenant`` -- isolation partitioning.  Each tenant address partition
 (``page // partition_pages``) is labelled shard

@@ -19,10 +19,6 @@ loaders, sized for the ROADMAP's multi-GB fleet traces:
   copied at open time and untouched spans never enter memory.
 * :func:`stream_trace_chunks` is the dispatching front the CLI ingest
   paths (``repro serve --trace`` / ``repro fabric --trace``) consume.
-* :class:`TraceNpzWriter` mirrors the mapped reader on the write
-  side: column chunks append into memory-mapped temporaries and close
-  into a stored archive (``repro generate-trace --mmap-out``), so
-  writing a trace never costs a second in-RAM copy of it.
 """
 
 from __future__ import annotations
@@ -257,190 +253,15 @@ def load_trace_csv(path: str | Path) -> MemoryTrace:
     )
 
 
-class TraceNpzWriter:
-    """Chunked, memory-mapped writer for uncompressed ``.npz`` traces.
-
-    The write-side counterpart of :func:`load_trace_npz`'s zero-copy
-    reader: each column accumulates in a per-column ``.npy``
-    temporary created with :func:`np.lib.format.open_memmap`, so an
-    :meth:`append` is a mapped slice assignment the OS pages out
-    behind the writer -- peak RSS is bounded by the append chunk, not
-    the trace.  :meth:`close` assembles the final archive by
-    streaming the finished temporaries into a ``ZIP_STORED`` zip
-    (``zipfile.write`` copies file-to-file) and unlinking them, which
-    makes the output byte-layout a stored npz that
-    :func:`load_trace_npz` can memory-map straight back.
-
-    The total ``length`` is declared up front (a memory map needs its
-    shape at creation); :meth:`close` refuses an underfilled writer.
-    Aborting the context manager on an exception removes the
-    temporaries and never writes the archive.
-    """
-
-    _DTYPES = {
-        "addresses": np.int64,
-        "is_write": np.bool_,
-        "times": np.int64,
-    }
-
-    def __init__(self, path: str | Path, length: int) -> None:
-        if length < 0:
-            raise ValueError("length must be >= 0")
-        self._path = Path(path)
-        if self._path.suffix != ".npz":
-            raise ValueError(
-                f"TraceNpzWriter writes .npz archives, got {path!r}"
-            )
-        self._length = int(length)
-        self._written = 0
-        self._closed = False
-        self._temp = {
-            name: self._path.with_name(
-                f".{self._path.name}.{name}.tmp.npy"
-            )
-            for name in _NPZ_ARRAYS
-        }
-        self._maps = {
-            name: np.lib.format.open_memmap(
-                self._temp[name],
-                mode="w+",
-                dtype=self._DTYPES[name],
-                shape=(self._length,),
-            )
-            for name in _NPZ_ARRAYS
-        }
-
-    @property
-    def written(self) -> int:
-        """Requests appended so far."""
-        return self._written
-
-    def append(
-        self,
-        addresses: np.ndarray,
-        is_write: np.ndarray,
-        times: np.ndarray | None = None,
-    ) -> None:
-        """Append one chunk of rows to every column.
-
-        ``times`` defaults to the running request index (the same
-        ``arange`` a :class:`MemoryTrace` built without timestamps
-        carries).
-        """
-        if self._closed:
-            raise ValueError("writer is closed")
-        addresses = np.asarray(addresses, dtype=np.int64)
-        is_write = np.asarray(is_write, dtype=bool)
-        if addresses.shape != is_write.shape or addresses.ndim != 1:
-            raise ValueError(
-                "addresses and is_write must be 1-D and equal-length:"
-                f" {addresses.shape} vs {is_write.shape}"
-            )
-        n = addresses.shape[0]
-        if self._written + n > self._length:
-            raise ValueError(
-                f"append overflows declared length {self._length}:"
-                f" {self._written} written + {n} appended"
-            )
-        if times is None:
-            times = np.arange(
-                self._written, self._written + n, dtype=np.int64
-            )
-        else:
-            times = np.asarray(times, dtype=np.int64)
-            if times.shape != addresses.shape:
-                raise ValueError(
-                    "times and addresses must have the same shape:"
-                    f" {times.shape} vs {addresses.shape}"
-                )
-        stop = self._written + n
-        self._maps["addresses"][self._written : stop] = addresses
-        self._maps["is_write"][self._written : stop] = is_write
-        self._maps["times"][self._written : stop] = times
-        self._written = stop
-
-    def close(self) -> None:
-        """Flush the columns and assemble the stored archive."""
-        if self._closed:
-            return
-        if self._written != self._length:
-            self.abort()
-            raise ValueError(
-                f"writer declared {self._length} requests but only"
-                f" {self._written} were appended"
-            )
-        for name in _NPZ_ARRAYS:
-            self._maps[name].flush()
-        self._release_maps()
-        try:
-            with zipfile.ZipFile(
-                self._path, "w", zipfile.ZIP_STORED
-            ) as archive:
-                for name in _NPZ_ARRAYS:
-                    archive.write(
-                        self._temp[name], arcname=f"{name}.npy"
-                    )
-        finally:
-            self._unlink_temp()
-        self._closed = True
-
-    def abort(self) -> None:
-        """Drop the temporaries without writing the archive."""
-        if self._closed:
-            return
-        self._release_maps()
-        self._unlink_temp()
-        self._closed = True
-
-    def _release_maps(self) -> None:
-        # Drop the mmap references so the underlying files close
-        # before they are re-read (zip assembly) or unlinked.
-        self._maps = {}
-
-    def _unlink_temp(self) -> None:
-        for temp in self._temp.values():
-            try:
-                temp.unlink()
-            except FileNotFoundError:
-                pass
-
-    def __enter__(self) -> "TraceNpzWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            self.abort()
-        else:
-            self.close()
-
-
 def save_trace_npz(
-    trace: MemoryTrace,
-    path: str | Path,
-    compressed: bool = True,
-    mmap: bool = False,
+    trace: MemoryTrace, path: str | Path, compressed: bool = True
 ) -> None:
     """Write a trace as an ``.npz`` archive.
 
     ``compressed=False`` stores the members raw (``np.savez``), which
     is what :func:`load_trace_npz`'s memory-mapped mode requires --
-    deflated members cannot be mapped.  ``mmap=True`` routes through
-    :class:`TraceNpzWriter` instead of ``np.savez``: the columns are
-    written through memory-mapped temporaries (bounded writer RSS)
-    and the archive comes out stored, so it forces
-    ``compressed=False`` semantics.
+    deflated members cannot be mapped.
     """
-    if mmap:
-        if compressed:
-            raise ValueError(
-                "mmap-backed writes produce stored archives; pass"
-                " compressed=False"
-            )
-        with TraceNpzWriter(path, len(trace)) as writer:
-            writer.append(
-                trace.addresses, trace.is_write, trace.times
-            )
-        return
     save = np.savez_compressed if compressed else np.savez
     save(
         Path(path),
@@ -451,27 +272,20 @@ def save_trace_npz(
 
 
 def save_trace(
-    trace: MemoryTrace,
-    path: str | Path,
-    compressed: bool = True,
-    mmap: bool = False,
+    trace: MemoryTrace, path: str | Path, compressed: bool = True
 ) -> None:
     """Save a trace file, dispatching on its suffix.
 
     The write-side twin of :func:`load_trace`: ``.csv`` goes through
     the row writer, ``.npz`` through :func:`save_trace_npz` with the
-    given ``compressed``/``mmap`` options.
+    given ``compressed`` option.
     """
     path = Path(path)
     if path.suffix == ".csv":
-        if mmap:
-            raise ValueError(
-                "mmap-backed writes require an .npz target"
-            )
         save_trace_csv(trace, path)
         return
     if path.suffix == ".npz":
-        save_trace_npz(trace, path, compressed=compressed, mmap=mmap)
+        save_trace_npz(trace, path, compressed=compressed)
         return
     raise ValueError(
         f"unsupported trace format {path.suffix!r}"
@@ -654,7 +468,6 @@ def stream_trace_chunks(
 
 __all__ = [
     "DEFAULT_CSV_CHUNK",
-    "TraceNpzWriter",
     "iter_trace_csv",
     "load_trace",
     "load_trace_csv",

@@ -8,8 +8,8 @@ database systems."
 
 The authors' traces are not published, so each module here generates a
 seeded synthetic trace that reproduces the workload's documented access
-structure (see DESIGN.md for the substitution argument).  All seven
-expose the same :class:`repro.traces.synthetic.TraceGenerator` API.
+structure.  All seven expose the same
+:class:`repro.traces.synthetic.TraceGenerator` API.
 """
 
 from repro.traces.workloads.dlrm import DlrmWorkload

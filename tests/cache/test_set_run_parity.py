@@ -3,9 +3,10 @@
 Streams that hammer one or two cache sets with a handful of distinct
 pages -- a single set whose working set fits, a single set thrashing
 through twice its ways, two-set burst ping-pong, and memtier-style
-traffic with hot fraction 0.99 -- put one access per round into the
-same-set rounds of :mod:`repro.cache.simulate_fast`, so the kernel's
-own cutoff sends whole chunks to the scalar tail.  Each stream runs
+traffic with hot fraction 0.99 -- or rotate short same-set spans
+across 16 sets (set ping-pong) put at most a few accesses per round
+into the same-set rounds of :mod:`repro.cache.simulate_fast`, so the
+kernel's own cutoff sends whole chunks to the scalar tail.  Each stream runs
 at that cutoff and with vector rounds forced (``min_round_width=1``),
 one-shot and as a chunked resumable replay, and must match the
 scalar reference bit for bit: counters, final cache planes and
@@ -120,6 +121,21 @@ def _set_skewed_traces(n_sets: int, ways: int):
     traces["memtier-hot99"] = np.where(
         rng.random(N) < 0.99, hot, cold
     ).astype(np.int64)
+    # Set ping-pong: spans of 12 runs of consecutive distinct tags (3
+    # accesses per run, 6 tags) within one set, the spans rotating
+    # across 16 sets (all of them on smaller caches), so every round
+    # is at most 16 accesses wide.
+    reps, tags, run_len = 12, 6, 3
+    n_spans = N // (reps * run_len) + 2
+    set_of = np.arange(n_spans) % min(16, n_sets)
+    tag = rng.integers(0, tags, (n_spans, reps))
+    for k in range(1, reps):
+        same = tag[:, k] == tag[:, k - 1]
+        tag[same, k] = (tag[same, k] + 1) % tags
+    span_pages = tag * n_sets + set_of[:, None]
+    traces["set-pingpong"] = np.repeat(span_pages.reshape(-1), run_len)[
+        :N
+    ].astype(np.int64)
     return traces
 
 

@@ -24,6 +24,7 @@ from repro.chaos import (
     FaultEvent,
     FaultInjector,
     FaultPlan,
+    run_fabric_scenario,
 )
 from repro.core.config import (
     ChaosConfig,
@@ -447,6 +448,25 @@ class TestPreparedChaos:
             prepared.close()
         assert candidate.totals == reference.totals
         assert candidate.total_time_ns == reference.total_time_ns
+
+    @pytest.mark.parametrize("chunk", [0, -5])
+    def test_nonpositive_chunk_is_rejected(self, chaos_workload, chunk):
+        """A chunk size below 1 is refused up front: a negative step
+        would replay an empty range and report a run that served
+        nothing."""
+        config, _, pages, writes = chaos_workload
+        fabric = _fabric(config)
+        try:
+            with pytest.raises(ValueError, match="chunk_requests"):
+                fabric.run_prepared(
+                    _prepared(pages, writes), "lru", chunk_requests=chunk
+                )
+        finally:
+            fabric.close()
+        with pytest.raises(ValueError, match="chunk_requests"):
+            run_fabric_scenario(
+                ARMED, pages, writes, config=config, chunk_requests=chunk
+            )
 
 
 def _service(config, engine, serving, chaos=ARMED):

@@ -9,6 +9,8 @@ replay; and the count-based per-link pricing reproduces the scalar
 per-access :class:`~repro.cxl.device.CxlMemoryDevice` loop exactly.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from repro.core.config import (
     GmmEngineConfig,
     IcgmmConfig,
 )
-from repro.core.pipeline import StagedPipeline
+from repro.core.pipeline import PreparedWorkload, StagedPipeline
 from repro.core.policy import build_policy
 from repro.cxl.device import CxlMemoryDevice
 from repro.cxl.fabric import CxlFabric
@@ -146,53 +148,93 @@ class TestFabricOfflineParity:
         assert result.total_time_ns == reference.total_time_ns
 
 
-class TestFabricScalarRouterParity:
-    @pytest.mark.parametrize(
-        "strategy", ("lru", "gmm-caching", "gmm-caching-eviction")
+@pytest.fixture(scope="module")
+def evicting(config):
+    """A stream that evicts on every device: 80 % of 20,000 accesses
+    on half the cache's blocks, the rest over eight times them, 30 %
+    writes, synthetic request scores, and each page's first score as
+    its marginal."""
+    rng = np.random.default_rng(1)
+    n, n_blocks = 20_000, config.geometry.n_blocks
+    hot = rng.integers(0, n_blocks // 2, n)
+    cold = rng.integers(0, 8 * n_blocks, n)
+    pages = np.where(rng.random(n) < 0.8, hot, cold)
+    is_write = rng.random(n) < 0.3
+    scores = rng.standard_normal(n)
+    _, first, inverse = np.unique(
+        pages, return_index=True, return_inverse=True
     )
+    return PreparedWorkload(
+        name="evicting",
+        page_indices=pages,
+        is_write=is_write,
+        scores=scores,
+        page_frequency_scores=scores[first][inverse],
+        engine=SimpleNamespace(
+            admission_threshold=float(np.quantile(scores, 0.1))
+        ),
+    )
+
+
+def _assert_matches_device_walk(config, prepared, strategy):
+    """Replay ``prepared`` over the fleet and walk every device's
+    sub-stream through the scalar device, access by access; returns
+    the fabric's result."""
+    fabric = CxlFabric(_topology("interleave"), config=config)
+    result = fabric.run_prepared(prepared, strategy, warmup_fraction=0.0)
+    device_ids, local_pages = fabric.place(prepared.page_indices)
+    scores = fabric.pipeline.strategy_scores(prepared, strategy)
+    for d in range(N_DEVICES):
+        positions = np.nonzero(device_ids == d)[0]
+        device = CxlMemoryDevice(
+            SetAssociativeCache(config.geometry),
+            build_policy(
+                strategy,
+                prepared.engine.admission_threshold,
+                page_scores=(
+                    dict(fabric._device_page_maps[d])
+                    if strategy == "gmm-caching-eviction"
+                    else None
+                ),
+            ),
+        )
+        link_ns = fabric.links[d].request_latency_ns(CACHE_LINE_SIZE)
+        total_ns = 0
+        lp = local_pages[positions]
+        wr = prepared.is_write[positions]
+        for i in range(positions.size):
+            access = device.access(
+                int(lp[i]),
+                bool(wr[i]),
+                float(scores[positions[i]])
+                if scores is not None
+                else 0.0,
+            )
+            total_ns += link_ns + access.latency_ns
+        assert device.stats == result.devices[d].stats
+        assert total_ns == result.devices[d].time_ns
+    return result
+
+
+class TestFabricScalarRouterParity:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_pricing_matches_per_access_device_loop(
         self, config, prepared, strategy
     ):
         """Count-based per-link pricing equals summing the scalar
         device loop's per-access latencies plus the link, request by
         request."""
-        fabric = CxlFabric(_topology("interleave"), config=config)
-        result = fabric.run_prepared(
-            prepared, strategy, warmup_fraction=0.0
-        )
-        device_ids, local_pages = fabric.place(prepared.page_indices)
-        scores = fabric.pipeline.strategy_scores(prepared, strategy)
-        for d in range(N_DEVICES):
-            positions = np.nonzero(device_ids == d)[0]
-            device = CxlMemoryDevice(
-                SetAssociativeCache(config.geometry),
-                build_policy(
-                    strategy,
-                    prepared.engine.admission_threshold,
-                    page_scores=(
-                        dict(fabric._device_page_maps[d])
-                        if strategy == "gmm-caching-eviction"
-                        else None
-                    ),
-                ),
-            )
-            link_ns = fabric.links[d].request_latency_ns(
-                CACHE_LINE_SIZE
-            )
-            total_ns = 0
-            lp = local_pages[positions]
-            wr = prepared.is_write[positions]
-            for i in range(positions.size):
-                access = device.access(
-                    int(lp[i]),
-                    bool(wr[i]),
-                    float(scores[positions[i]])
-                    if scores is not None
-                    else 0.0,
-                )
-                total_ns += link_ns + access.latency_ns
-            assert device.stats == result.devices[d].stats
-            assert total_ns == result.devices[d].time_ns
+        _assert_matches_device_walk(config, prepared, strategy)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_evicting_stream_matches_per_access_device_loop(
+        self, config, evicting, strategy
+    ):
+        """The same on a stream that evicts on every device (the
+        memtier fixture never evicts under interleave placement), so
+        victim choice is checked too."""
+        result = _assert_matches_device_walk(config, evicting, strategy)
+        assert all(d.stats.evictions > 0 for d in result.devices)
 
 
 class TestPlacements:

@@ -94,7 +94,9 @@ class TestRestartModeIdentity:
     """One stacked pass over ``n_init`` restarts equals fitting each
     restart on its own."""
 
-    @pytest.mark.parametrize("k,n_init", [(1, 3), (4, 4), (12, 3)])
+    @pytest.mark.parametrize(
+        "k,n_init", [(1, 3), (4, 4), (12, 3), (64, 4)]
+    )
     def test_batched_equals_sequential(self, blobs, k, n_init):
         trainer = EMTrainer(k, max_iter=30, tol=1e-3, n_init=n_init)
         _assert_stacked_equals_alone(trainer, blobs, 7)

@@ -9,6 +9,13 @@ bypasses/evicts them -- post-drift its miss rate collapses toward
 distribution, fold recent chunks into the mixture by warm EM,
 swap the refreshed engine in, and end up with a materially better
 post-drift miss rate.
+
+:class:`TestTwoTenantGapRecovery` races three deployments -- frozen,
+online refresh, and an oracle engine trained on post-drift traffic --
+on a two-tenant stream where only the second tenant drifts: the
+online service must close at least half of the frozen-vs-oracle
+post-drift miss-rate gap, and every deployment must account every
+access.
 """
 
 import numpy as np
@@ -119,3 +126,88 @@ class TestDriftAdaptation:
         frozen = _replay(pages, writes, engine, config, refresh=False)
         assert frozen.swaps == []
         assert frozen.generation == 0
+
+
+def _train(pages, gmm_config, seed=7):
+    timestamps = transform_timestamps(pages.shape[0], mode="prose")
+    features = np.column_stack(
+        [pages.astype(float), timestamps.astype(float)]
+    )
+    return GmmPolicyEngine.train(
+        features, gmm_config, np.random.default_rng(seed)
+    )
+
+
+class TestTwoTenantGapRecovery:
+    """Frozen vs online vs oracle on the two-tenant drift stream
+    (1,200 hot pages per tenant, seed 7, 64 sets, K = 8)."""
+
+    N_PHASE = 30_000
+    N_TRAIN = 15_000
+
+    @pytest.fixture(scope="class")
+    def deployments(self, two_tenant_drift_stream):
+        pages, writes, boundary = two_tenant_drift_stream(
+            self.N_PHASE, 1_200, seed=7
+        )
+        gmm = GmmEngineConfig(
+            n_components=8, max_iter=20, max_train_samples=8_000
+        )
+        config = IcgmmConfig(
+            geometry=CacheGeometry(
+                capacity_bytes=64 * 8 * 4096,
+                block_bytes=4096,
+                associativity=8,
+            ),
+            gmm=gmm,
+        )
+        frozen = _train(pages[: self.N_TRAIN], gmm)
+        oracle = _train(pages[boundary : boundary + self.N_TRAIN], gmm)
+        # Post-drift steady state: the last 60 % of the second phase.
+        measure_from = boundary + int(0.4 * self.N_PHASE)
+        runs = {}
+        for name, engine, refresh in (
+            ("frozen", frozen, False),
+            ("online", frozen, True),
+            ("oracle", oracle, False),
+        ):
+            serving = ServingConfig(
+                chunk_requests=4_096,
+                n_shards=4,
+                sharding="hash",
+                strategy="gmm-caching-eviction",
+                refresh_enabled=refresh,
+                refresh_cooldown_chunks=2,
+            )
+            service = IcgmmCacheService(
+                engine,
+                config=config,
+                serving=serving,
+                measure_from=measure_from,
+            )
+            try:
+                reports = service.ingest(pages, writes)
+            finally:
+                service.close()
+            runs[name] = (service, reports)
+        return pages.shape[0], runs
+
+    def test_online_recovers_half_the_oracle_gap(self, deployments):
+        _, runs = deployments
+        miss = {
+            name: service.totals.miss_rate
+            for name, (service, _) in runs.items()
+        }
+        gap = miss["frozen"] - miss["oracle"]
+        assert gap > 0
+        recovered = (miss["frozen"] - miss["online"]) / gap
+        assert recovered >= 0.5, miss
+
+    @pytest.mark.parametrize("name", ["frozen", "online", "oracle"])
+    def test_every_access_is_reported_in_order(self, deployments, name):
+        n_accesses, runs = deployments
+        _, reports = runs[name]
+        assert [r.chunk_index for r in reports] == list(
+            range(len(reports))
+        )
+        assert sum(r.accesses for r in reports) == n_accesses

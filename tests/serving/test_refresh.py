@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro.core.config import GmmEngineConfig
-from repro.core.engine import GmmPolicyEngine
+from repro.core.engine import EM_REG_COVAR, EM_TOL, GmmPolicyEngine
+from repro.gmm.em import EMTrainer
 from repro.serving.refresh import (
+    MAX_FIT_SAMPLES,
     EngineSlot,
     ModelRefresher,
     StaleSwapError,
@@ -17,8 +19,10 @@ from repro.traces.preprocess import transform_timestamps
 from repro.traces.synthetic import ZipfSampler
 
 
-def _features(base_page, n, rng):
-    sampler = ZipfSampler(base_page=base_page, n_pages=800, alpha=1.2)
+def _features(base_page, n, rng, n_pages=800):
+    sampler = ZipfSampler(
+        base_page=base_page, n_pages=n_pages, alpha=1.2
+    )
     pages, _ = sampler.sample(n, rng)
     timestamps = transform_timestamps(n, mode="prose")
     return np.column_stack(
@@ -178,7 +182,7 @@ class TestModelRefresher:
         for _ in range(2):
             refresher.ingest(_features(300, 5_000, rng))
         buffer = refresher.snapshot_features()
-        assert buffer.shape[0] > refresher.max_fit_samples
+        assert buffer.shape[0] > MAX_FIT_SAMPLES
         refreshed = refresher.build(engine)
         assert refreshed.admission_threshold == float(
             np.quantile(refreshed.score(buffer), 0.05)
@@ -235,3 +239,51 @@ class TestSnapshotFeatures:
         # and neither counts a build.
         assert refresher.builds_attempted == 2
         assert refresher.refreshes_built == 0
+
+
+class TestRefreshQuality:
+    """At the simulator-default K = 64, the warm fold recovers what
+    the frozen engine loses on drifted traffic."""
+
+    def test_refresh_recovers_lost_holdout_likelihood(self):
+        # The frozen engine trains on 24,000 rows of one Zipf region;
+        # the refresher buffers 49,152 rows of a region 6,000 pages
+        # up, in six chunks.
+        rng = np.random.default_rng(0)
+        gmm = GmmEngineConfig(n_components=64, max_iter=30)
+        engine = GmmPolicyEngine.train(
+            _features(0, 24_000, rng, n_pages=2000),
+            gmm,
+            np.random.default_rng(1),
+        )
+        drifted = _features(6000, 49_152, rng, n_pages=2000)
+        holdout = engine.scaler.transform(
+            _features(6000, 8000, rng, n_pages=2000)
+        )
+        refresher = ModelRefresher(buffer_chunks=6)
+        for start in range(0, drifted.shape[0], 8192):
+            refresher.ingest(drifted[start : start + 8192])
+        refreshed = refresher.build(engine)
+
+        # The retrain runs the offline engine's EM from scratch on the
+        # even-stride subsample the warm fold fits.
+        scaled = engine.scaler.transform(refresher.snapshot_features())
+        fit_points = scaled[
+            np.linspace(0, scaled.shape[0] - 1, MAX_FIT_SAMPLES).astype(
+                np.int64
+            )
+        ]
+        retrained = EMTrainer(
+            n_components=64,
+            max_iter=gmm.max_iter,
+            tol=EM_TOL,
+            reg_covar=EM_REG_COVAR,
+        ).fit(fit_points, np.random.default_rng(1)).model
+
+        frozen_ll, retrain_ll, warm_ll = (
+            float(np.mean(model.log_score_samples(holdout)))
+            for model in (engine.model, retrained, refreshed.model)
+        )
+        lost = retrain_ll - frozen_ll
+        assert lost > 0
+        assert (warm_ll - frozen_ll) / lost >= 0.9

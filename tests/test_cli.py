@@ -56,6 +56,22 @@ class TestGenerateTrace:
         assert code == 2
         assert "must end in" in capsys.readouterr().err
 
+    def test_rejects_deleted_mmap_out_flag(self, tmp_path):
+        # Deleted option: argparse's usage error, exit code 2.
+        with pytest.raises(SystemExit) as exited:
+            main(
+                [
+                    "generate-trace",
+                    "memtier",
+                    "-n",
+                    "1000",
+                    "--mmap-out",
+                    "-o",
+                    str(tmp_path / "t.npz"),
+                ]
+            )
+        assert exited.value.code == 2
+
     def test_seed_reproducible(self, tmp_path):
         a = tmp_path / "a.npz"
         b = tmp_path / "b.npz"
@@ -229,6 +245,46 @@ class TestServe:
         out = capsys.readouterr().out
         assert "shard:1" in out
         assert "shard:2" not in out
+
+
+class TestChunkValidation:
+    """A chunk size below 1 is a usage error on every chunked command,
+    never a silently empty replay."""
+
+    @pytest.mark.parametrize("chunk", ["0", "-5"])
+    def test_fabric_rejects_nonpositive_chunk(self, chunk, capsys):
+        code = main(
+            [
+                "fabric",
+                "memtier",
+                "--trace-length",
+                "3000",
+                "--components",
+                "4",
+                "--chunk",
+                chunk,
+                "--chaos-seed",
+                "1",
+            ]
+        )
+        assert code == 2
+        assert "chunk_requests must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("chunk", ["0", "-3"])
+    def test_chaos_rejects_nonpositive_chunk(self, chunk, capsys):
+        code = main(
+            [
+                "chaos",
+                "--scenarios",
+                "device_failure",
+                "--length",
+                "4096",
+                "--chunk",
+                chunk,
+            ]
+        )
+        assert code == 2
+        assert "chunk_requests must be >= 1" in capsys.readouterr().err
 
 
 class TestHardwareReport:

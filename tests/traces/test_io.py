@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.traces.io import (
-    TraceNpzWriter,
     _parse_csv_rows_scalar,
     iter_trace_csv,
     load_trace,
@@ -361,78 +360,6 @@ def _npz_is_stored(path):
         )
 
 
-class TestTraceNpzWriter:
-    def test_chunked_writes_round_trip(self, tmp_path, rng):
-        trace = _random_trace(rng, 10_000)
-        path = tmp_path / "trace.npz"
-        with TraceNpzWriter(path, len(trace)) as writer:
-            for start in range(0, len(trace), 3_000):
-                stop = min(start + 3_000, len(trace))
-                writer.append(
-                    trace.addresses[start:stop],
-                    trace.is_write[start:stop],
-                    trace.times[start:stop],
-                )
-        assert writer.written == len(trace)
-        loaded = load_trace_npz(path, mmap=True)
-        assert _is_mapped(loaded.addresses)
-        np.testing.assert_array_equal(loaded.addresses, trace.addresses)
-        np.testing.assert_array_equal(loaded.is_write, trace.is_write)
-        np.testing.assert_array_equal(loaded.times, trace.times)
-        # open_memmap can only assemble an uncompressed archive; the
-        # zero-copy reader depends on that.
-        assert _npz_is_stored(path)
-        # No temp spill files left behind.
-        assert sorted(tmp_path.iterdir()) == [path]
-
-    def test_default_times_are_global_arange(self, tmp_path):
-        path = tmp_path / "trace.npz"
-        with TraceNpzWriter(path, 7) as writer:
-            writer.append(np.zeros(4, dtype=np.int64), np.zeros(4, bool))
-            writer.append(np.zeros(3, dtype=np.int64), np.zeros(3, bool))
-        loaded = load_trace_npz(path)
-        # Omitted times continue the global sequence across appends.
-        np.testing.assert_array_equal(loaded.times, np.arange(7))
-
-    def test_underfill_refuses_to_close(self, tmp_path):
-        path = tmp_path / "trace.npz"
-        writer = TraceNpzWriter(path, 10)
-        writer.append(np.zeros(4, dtype=np.int64), np.zeros(4, bool))
-        with pytest.raises(ValueError, match="only 4 were appended"):
-            writer.close()
-        # The refusal aborts: no archive, no temp files.
-        assert list(tmp_path.iterdir()) == []
-
-    def test_exception_in_context_aborts_cleanly(self, tmp_path):
-        path = tmp_path / "trace.npz"
-        with pytest.raises(RuntimeError, match="boom"):
-            with TraceNpzWriter(path, 10) as writer:
-                writer.append(
-                    np.zeros(4, dtype=np.int64), np.zeros(4, bool)
-                )
-                raise RuntimeError("boom")
-        assert list(tmp_path.iterdir()) == []
-
-    def test_append_validation(self, tmp_path):
-        path = tmp_path / "trace.npz"
-        writer = TraceNpzWriter(path, 3)
-        with pytest.raises(ValueError, match="equal-length"):
-            writer.append(
-                np.zeros(2, dtype=np.int64), np.zeros(3, bool)
-            )
-        with pytest.raises(ValueError, match="overflows"):
-            writer.append(
-                np.zeros(4, dtype=np.int64), np.zeros(4, bool)
-            )
-        writer.abort()
-
-    def test_ctor_validation(self, tmp_path):
-        with pytest.raises(ValueError, match=r"\.npz"):
-            TraceNpzWriter(tmp_path / "trace.csv", 3)
-        with pytest.raises(ValueError, match="length"):
-            TraceNpzWriter(tmp_path / "trace.npz", -1)
-
-
 def _assert_traces_equal(a, b):
     np.testing.assert_array_equal(a.addresses, b.addresses)
     np.testing.assert_array_equal(a.is_write, b.is_write)
@@ -450,25 +377,15 @@ class TestSaveTraceDispatch:
         save_trace(_trace(), path)
         _assert_traces_equal(load_trace_npz(path), _trace())
 
-    def test_npz_mmap_writes_stored_archive(self, tmp_path, rng):
+    def test_uncompressed_npz_writes_stored_archive(self, tmp_path, rng):
+        # What perfbench and `generate-trace --uncompressed` write: an
+        # archive the zero-copy reader can map.
         trace = _random_trace(rng, 2_000)
         path = tmp_path / "trace.npz"
-        save_trace(trace, path, compressed=False, mmap=True)
+        save_trace(trace, path, compressed=False)
         assert _npz_is_stored(path)
         _assert_traces_equal(load_trace_npz(path, mmap=True), trace)
-
-    def test_mmap_refuses_compression(self, tmp_path):
-        with pytest.raises(ValueError, match="compressed"):
-            save_trace_npz(
-                _trace(), tmp_path / "t.npz", compressed=True, mmap=True
-            )
 
     def test_unknown_suffix_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unsupported trace format"):
             save_trace(_trace(), tmp_path / "trace.bin")
-
-    def test_csv_ignores_mmap_flag_is_an_error(self, tmp_path):
-        # The dispatcher routes mmap=True to the npz writer only; a
-        # CSV target cannot honor it and must say so.
-        with pytest.raises(ValueError, match="mmap"):
-            save_trace(_trace(), tmp_path / "trace.csv", mmap=True)

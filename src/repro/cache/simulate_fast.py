@@ -35,8 +35,10 @@ registered policy, on every trace.  The mechanism:
     access of a set strictly precedes its tail accesses, so the
     per-set order (the only order that matters) is preserved and
     results stay exact.  A chunk whose *first* round is already too
-    narrow (a cache of a few dozen sets, one scorching set) thereby
-    runs entirely in the tail.  Kernels that declare a
+    narrow (one scorching set) thereby runs entirely in the tail; on
+    a cache with fewer sets than the cutoff no round can be wide
+    enough, so its chunks go to the tail without being ranked.
+    Kernels that declare a
     :class:`~repro.cache.policies.kernels.ListSpan` (LRU, score,
     combined) run the tail through :func:`_list_span`: the touched
     sets' rows are mirrored into Python lists and the policy hooks
@@ -344,9 +346,12 @@ def _list_span(
     and the counters are rebuilt from the codes in one vector pass
     (every access carries exactly one code).  Only the touched rows
     are copied, so a short tail over a large cache costs no
-    whole-plane round trip.
+    whole-plane round trip; a per-set count maps each access to its
+    row without sorting the span.
     """
-    touched, rows = np.unique(span_sets, return_inverse=True)
+    present = np.bincount(span_sets, minlength=cache.geometry.n_sets) > 0
+    touched = np.flatnonzero(present)
+    rows = (np.cumsum(present) - 1)[span_sets]
     tags = cache.tags[touched].tolist()
     dirty = cache.dirty[touched].tolist()
     meta = cache.meta[touched].tolist()
@@ -534,13 +539,25 @@ def simulate_fast(
         min(chunk_size, n_sets), cache.geometry.associativity
     )
 
+    # A round holds at most one access per set, so on a cache of fewer
+    # sets than the cutoff no round is ever vector-processed: every
+    # chunk is one scalar tail over all its positions, in access order.
+    narrow = n_sets < min_round_width
     for start in range(0, n, chunk_size):
         stop = min(start + chunk_size, n)
         c_pages = pages[start:stop]
-        c_sets = c_pages % n_sets
         c_write = is_write[start:stop]
         c_scores = scores[start:stop]
         base = start + index_offset
+        if narrow:
+            _run_scalar_tail(
+                cache, policy, kernel, stats,
+                c_pages, c_write, c_scores,
+                np.arange(stop - start),
+                base, measure_from, outcome, index_offset,
+            )
+            continue
+        c_sets = c_pages % n_sets
         bounds, seq, max_rank = _rank_rounds(c_sets, n_sets)
         # Round widths never grow with rank, so the vector rounds are
         # the prefix of rounds at least ``min_round_width`` wide.

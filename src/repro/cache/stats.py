@@ -127,6 +127,71 @@ class CacheStats:
         }
 
 
+#: Number of ``OUTCOME_*`` codes.
+N_OUTCOMES = 5
+
+
+def outcome_counts(
+    outcomes: np.ndarray,
+    is_write: np.ndarray,
+    measured: np.ndarray | None = None,
+    labels: np.ndarray | None = None,
+    n_labels: int = 1,
+) -> np.ndarray:
+    """Accesses per ``(label, outcome code, write flag)``, counted in
+    one ``bincount`` pass; an int array of shape
+    ``(n_labels, N_OUTCOMES, 2)``.
+
+    ``measured`` is an optional boolean mask of the accesses to
+    count.  ``labels`` (non-negative ints below ``n_labels``, one per
+    counted access) splits the counts, e.g. per shard and tenant of a
+    serving chunk; ``None`` is one label.  :func:`stats_from_counts` turns any
+    sum of label slices into :class:`CacheStats`.
+    """
+    outcomes = np.asarray(outcomes)
+    is_write = np.asarray(is_write, dtype=bool)
+    if outcomes.shape != is_write.shape:
+        raise ValueError("outcomes and is_write must have the same shape")
+    if measured is not None:
+        measured = np.asarray(measured, dtype=bool)
+        if measured.shape != outcomes.shape:
+            raise ValueError(
+                "measured mask and outcomes must have the same shape"
+            )
+        outcomes, is_write = outcomes[measured], is_write[measured]
+    if outcomes.size and int(outcomes.max()) >= N_OUTCOMES:
+        raise ValueError("outcome codes must be OUTCOME_* values")
+    key = outcomes.astype(np.intp)
+    if labels is not None:
+        key += np.asarray(labels) * N_OUTCOMES
+    key *= 2
+    key += is_write
+    counts = np.bincount(key, minlength=n_labels * N_OUTCOMES * 2)
+    return counts.reshape(n_labels, N_OUTCOMES, 2)
+
+
+def stats_from_counts(counts: np.ndarray) -> CacheStats:
+    """:class:`CacheStats` from one ``(N_OUTCOMES, 2)`` count table
+    (:func:`outcome_counts`, one label's slice or a sum of them)."""
+    counts = counts.tolist()
+    hits = sum(counts[OUTCOME_HIT])
+    bypasses = sum(counts[OUTCOME_BYPASS])
+    dirty = sum(counts[OUTCOME_DIRTY_EVICT])
+    misses = sum(map(sum, counts)) - hits
+    write_hits = counts[OUTCOME_HIT][1]
+    return CacheStats(
+        hits=hits,
+        misses=misses,
+        bypasses=bypasses,
+        bypassed_writes=counts[OUTCOME_BYPASS][1],
+        fills=misses - bypasses,
+        evictions=sum(counts[OUTCOME_EVICT]) + dirty,
+        dirty_evictions=dirty,
+        write_hits=write_hits,
+        write_misses=sum(row[1] for row in counts) - write_hits,
+    )
+
+
 def stats_from_outcomes(
     outcomes: np.ndarray,
     is_write: np.ndarray,
@@ -142,47 +207,13 @@ def stats_from_outcomes(
     is_write:
         Write flag per access (same shape as ``outcomes``).
     measured:
-        Optional boolean mask selecting the accesses to count; the
-        serving loop uses it to slice one simulation pass into
-        per-tenant / post-warm-up views.
+        Optional boolean mask selecting the accesses to count (a
+        post-warm-up view of one simulation pass).
 
     Because every access carries exactly one code, the counters built
     here over the *full* stream equal the simulator's own counters for
     a ``warmup_fraction=0`` run, and any partition of the stream sums
-    back to the whole (asserted by the test suite).
+    back to the whole (asserted by the test suite).  This is the
+    one-label case of :func:`outcome_counts`.
     """
-    outcomes = np.asarray(outcomes)
-    is_write = np.asarray(is_write, dtype=bool)
-    if outcomes.shape != is_write.shape:
-        raise ValueError("outcomes and is_write must have the same shape")
-    if measured is not None:
-        measured = np.asarray(measured, dtype=bool)
-        if measured.shape != outcomes.shape:
-            raise ValueError(
-                "measured mask and outcomes must have the same shape"
-            )
-        outcomes = outcomes[measured]
-        is_write = is_write[measured]
-    hit = outcomes == OUTCOME_HIT
-    bypass = outcomes == OUTCOME_BYPASS
-    evict = outcomes == OUTCOME_EVICT
-    dirty = outcomes == OUTCOME_DIRTY_EVICT
-    n = outcomes.shape[0]
-    n_hits = int(np.count_nonzero(hit))
-    n_bypass = int(np.count_nonzero(bypass))
-    n_evict = int(np.count_nonzero(evict))
-    n_dirty = int(np.count_nonzero(dirty))
-    n_misses = n - n_hits
-    write_hits = int(np.count_nonzero(hit & is_write))
-    write_misses = int(np.count_nonzero(~hit & is_write))
-    return CacheStats(
-        hits=n_hits,
-        misses=n_misses,
-        bypasses=n_bypass,
-        bypassed_writes=int(np.count_nonzero(bypass & is_write)),
-        fills=n_misses - n_bypass,
-        evictions=n_evict + n_dirty,
-        dirty_evictions=n_dirty,
-        write_hits=write_hits,
-        write_misses=write_misses,
-    )
+    return stats_from_counts(outcome_counts(outcomes, is_write, measured)[0])

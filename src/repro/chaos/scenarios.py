@@ -34,6 +34,7 @@ from repro.core.config import (
     ServingConfig,
 )
 from repro.cxl.fabric import CxlFabric
+from repro.serving.health import DECISION_EVENTS
 
 #: Scenario name -> the single fault channel it exercises.
 SCENARIO_NAMES = (
@@ -170,13 +171,16 @@ def recovery_chunk(timeline: list[dict], events: list[dict]) -> int:
     Takes the later of the last chunk-clocked fault window's end and
     the last recorded failure/recovery event (which covers
     build-indexed refresh faults: their ``FailureEvent`` records
-    carry the chunk they hit).
+    carry the chunk they hit).  The health monitor's decisions are
+    not faults and do not move the window, so a run with the monitor
+    and one without it price the same tail chunks.
     """
     end = last_fault_end(
         [e for e in timeline if e["kind"] in _CHUNK_CLOCKED]
     )
     for event in events:
-        end = max(end, event["chunk_index"] + 1)
+        if event["kind"] not in DECISION_EVENTS:
+            end = max(end, event["chunk_index"] + 1)
     return end
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 
 def span_id(seed: int, component: str, name: str, clock: int) -> str:
@@ -33,17 +32,46 @@ def span_id(seed: int, component: str, name: str, clock: int) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-@dataclass
 class Span:
-    """One node of the span tree (``end`` is None while open)."""
+    """One node of the span tree (``end`` is None while open).
 
-    id: str
-    parent_id: str | None
-    component: str
-    name: str
-    start: int
-    end: int | None = None
-    attrs: dict = field(default_factory=dict)
+    A span the tracer opens hashes its ID on first read -- at export,
+    as a rule -- not when it opens: the hash is most of a span's cost
+    on the replay path, and the ID it yields is the same either way.
+    """
+
+    def __init__(
+        self,
+        id: str | None,
+        parent_id: "str | Span | None",
+        component: str,
+        name: str,
+        start: int,
+        end: int | None = None,
+        attrs: dict | None = None,
+        seed: int = 0,
+    ) -> None:
+        self._id = id
+        self._parent = parent_id
+        self._seed = seed
+        self.component = component
+        self.name = name
+        self.start = start
+        self.end = end
+        self.attrs = {} if attrs is None else attrs
+
+    @property
+    def id(self) -> str:
+        if self._id is None:
+            self._id = span_id(
+                self._seed, self.component, self.name, self.start
+            )
+        return self._id
+
+    @property
+    def parent_id(self) -> str | None:
+        parent = self._parent
+        return parent.id if isinstance(parent, Span) else parent
 
     def as_dict(self) -> dict:
         return {
@@ -86,14 +114,14 @@ class Tracer:
         if len(self._spans) >= self.max_spans:
             self.dropped += 1
             return None
-        parent = self._stack[-1] if self._stack else None
         span = Span(
-            id=span_id(self.seed, component, name, clock),
-            parent_id=parent.id if parent else None,
+            id=None,
+            parent_id=self._stack[-1] if self._stack else None,
             component=component,
             name=name,
             start=clock,
-            attrs=dict(attrs),
+            attrs=attrs,
+            seed=self.seed,
         )
         self._spans.append(span)
         self._stack.append(span)

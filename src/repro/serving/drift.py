@@ -37,10 +37,14 @@ def ks_statistic(
 ) -> float:
     """Two-sample KS statistic ``sup |F_a - F_b|`` (vectorized).
 
-    Evaluated over the union of both samples via sorted
-    ``searchsorted`` -- no SciPy dependency.  ``assume_sorted``
-    skips the input sorts (the detector's reference sample is stored
-    pre-sorted and compared on every chunk).
+    Both empirical CDFs are evaluated at every value of either sample
+    -- no SciPy dependency.  The sorted samples are merged by one
+    stable argsort (timsort merges two sorted runs in linear time);
+    running per-side counts at the last element of each run of equal
+    values are the two CDFs there.  NaNs sort last and count as one
+    value, larger than every other.  ``assume_sorted`` skips the
+    input sorts (the detector's reference sample is stored pre-sorted
+    and compared on every chunk).
     """
     sample_a = np.asarray(sample_a, dtype=np.float64)
     sample_b = np.asarray(sample_b, dtype=np.float64)
@@ -49,9 +53,18 @@ def ks_statistic(
         sample_b = np.sort(sample_b)
     if sample_a.size == 0 or sample_b.size == 0:
         raise ValueError("both samples must be non-empty")
-    grid = np.concatenate([sample_a, sample_b])
-    cdf_a = np.searchsorted(sample_a, grid, side="right") / sample_a.size
-    cdf_b = np.searchsorted(sample_b, grid, side="right") / sample_b.size
+    merged = np.concatenate([sample_a, sample_b])
+    order = np.argsort(merged, kind="stable")
+    merged = merged[order]
+    count_a = np.cumsum(order < sample_a.size)
+    count_b = np.arange(1, merged.size + 1) - count_a
+    run_end = np.empty(merged.size, dtype=bool)
+    run_end[-1] = True
+    np.not_equal(merged[1:], merged[:-1], out=run_end[:-1])
+    if np.isnan(merged[-1]):
+        run_end[np.searchsorted(merged, np.nan) : -1] = False
+    cdf_a = count_a[run_end] / sample_a.size
+    cdf_b = count_b[run_end] / sample_b.size
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 

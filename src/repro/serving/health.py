@@ -57,6 +57,15 @@ EVENT_QUARANTINED = "device-quarantined"
 EVENT_PROBATION = "device-probation"
 EVENT_REINSTATED = "device-reinstated"
 
+#: Every kind above: the monitor's decisions, not faults.
+DECISION_EVENTS = (
+    EVENT_SUSPECT,
+    EVENT_CLEARED,
+    EVENT_QUARANTINED,
+    EVENT_PROBATION,
+    EVENT_REINSTATED,
+)
+
 #: A breaching device whose *instantaneous* severity dropped below
 #: this fraction of its previous chunk's is *recovering* (cold cache
 #: re-warming after an outage, backlog draining) and does not advance

@@ -44,7 +44,9 @@ import numpy as np
 from repro.cache.stats import (
     OUTCOME_BYPASS,
     CacheStats,
-    stats_from_outcomes,
+    outcome_counts,
+    stats_from_counts,
+    stats_from_outcomes,  # noqa: F401 -- the benchmark traces it here
 )
 from repro.chaos import FaultInjector, InjectedFaultError
 from repro.core.config import ChaosConfig, IcgmmConfig, ServingConfig
@@ -89,10 +91,12 @@ class _PageScoreCache:
         self._values = np.empty(0, dtype=np.float64)
 
     def ensure(
-        self, pages: np.ndarray
+        self, unique: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Score pages not yet cached; returns the new (pages, scores)."""
-        unique = np.unique(np.asarray(pages, dtype=np.int64))
+        """Score pages not yet cached; returns the new (pages, scores).
+
+        ``unique`` holds distinct pages in ascending order.
+        """
         if self._keys.size:
             pos = np.searchsorted(self._keys, unique)
             pos_clipped = np.minimum(pos, self._keys.size - 1)
@@ -115,6 +119,32 @@ class _PageScoreCache:
             self._keys, np.asarray(pages, dtype=np.int64)
         )
         return self._values[pos]
+
+
+def score_distinct_rows(
+    engine: GmmPolicyEngine, features: np.ndarray, page_rank: np.ndarray
+) -> np.ndarray:
+    """``engine.score(features)``, scoring each distinct row once.
+
+    Algorithm 1 gives ``len_window`` consecutive accesses one
+    timestamp, so a chunk repeats (page, timestamp) rows; the scorer
+    gives a row the same bits whatever else shares its call, so the
+    gather is exact.  ``page_rank`` (each access's index among the
+    chunk's distinct pages) and the integral timestamp form a key
+    below ``len(features) * len_access_shot``; one sort groups it.
+    """
+    stamps = features[:, 1].astype(np.int64)
+    key = page_rank * (int(stamps.max()) + 1) + stamps
+    order = np.argsort(key)
+    sorted_key = key[order]
+    first = np.empty(key.size, dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
+    scores = np.empty(key.size, dtype=np.float64)
+    scores[order] = engine.score(features[order[first]])[
+        np.cumsum(first) - 1
+    ]
+    return scores
 
 
 @dataclass(frozen=True)
@@ -399,7 +429,6 @@ class IcgmmCacheService:
             span = self.telemetry.tracer.begin(
                 "serving", "chunk", index=self._chunk_index
             )
-        abs_idx = np.arange(self._cursor, self._cursor + n)
 
         # --- scoring (Sec. 3.3 inference) -------------------------------
         # The 2-D request scores feed admission ("request" view) and
@@ -414,15 +443,19 @@ class IcgmmCacheService:
             or self.serving.refresh_enabled
         )
         with self.pipeline.stage_scope("score"):
-            features = (
-                self.pipeline.chunk_features(pages, self._cursor)
-                if need_scores
-                else None
-            )
-            scores = engine.score(features) if need_scores else None
+            features = scores = None
+            if need_scores or self._needs_page_cache:
+                distinct_pages, page_rank = np.unique(
+                    pages, return_inverse=True
+                )
+            if need_scores:
+                features = self.pipeline.chunk_features(
+                    pages, self._cursor
+                )
+                scores = score_distinct_rows(engine, features, page_rank)
             if self._needs_page_cache:
                 new_pages, new_marginals = self._page_cache.ensure(
-                    pages
+                    distinct_pages
                 )
                 if self._combined and new_pages.size:
                     self._page_map.update(
@@ -498,8 +531,21 @@ class IcgmmCacheService:
             outcome[positions] = result.outcome
 
         # --- accounting -------------------------------------------------
-        measured = abs_idx >= self.measure_from
-        chunk_stats = stats_from_outcomes(outcome, is_write, measured)
+        # The measured accesses are the chunk's suffix from
+        # ``measure_from``; one count over (shard, tenant) labels gives
+        # the chunk, every shard and every tenant.
+        tenants, tenant_rank = np.unique(
+            pages // self.serving.partition_pages, return_inverse=True
+        )
+        n_shards, n_tenants = self.planes.n_shards, tenants.size
+        first = min(max(self.measure_from - self._cursor, 0), n)
+        counts = outcome_counts(
+            outcome[first:],
+            is_write[first:],
+            labels=(shard_ids * n_tenants + tenant_rank)[first:],
+            n_labels=n_shards * n_tenants,
+        ).reshape(n_shards, n_tenants, -1, 2)
+        chunk_stats = stats_from_counts(counts.sum(axis=(0, 1)))
         self.totals = self.totals.merge(chunk_stats)
         for shard, positions in enumerate(shard_positions):
             if positions.size == 0:
@@ -514,21 +560,13 @@ class IcgmmCacheService:
                 )
             self.shard_metrics.record(
                 f"shard:{shard}",
-                stats_from_outcomes(
-                    outcome[positions],
-                    is_write[positions],
-                    measured[positions],
-                ),
+                stats_from_counts(counts[shard].sum(axis=0)),
                 degraded=degraded,
             )
-        tenants = pages // self.serving.partition_pages
-        for tenant in np.unique(tenants).tolist():
-            mask = tenants == tenant
+        for rank, tenant in enumerate(tenants.tolist()):
             self.tenant_metrics.record(
                 f"tenant:{tenant}",
-                stats_from_outcomes(
-                    outcome[mask], is_write[mask], measured[mask]
-                ),
+                stats_from_counts(counts[:, rank].sum(axis=0)),
             )
 
         # --- drift watch ------------------------------------------------

@@ -1,8 +1,21 @@
 """Tests for cache statistics."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cache.stats import CacheStats
+from repro.cache.stats import (
+    N_OUTCOMES,
+    OUTCOME_BYPASS,
+    OUTCOME_DIRTY_EVICT,
+    OUTCOME_EVICT,
+    OUTCOME_HIT,
+    CacheStats,
+    outcome_counts,
+    stats_from_counts,
+    stats_from_outcomes,
+)
 
 
 class TestDerivedRates:
@@ -66,3 +79,67 @@ class TestAsDict:
             "miss_rate",
             "hit_rate",
         }
+
+
+def _masked_stats(outcomes, is_write, mask):
+    """Per-mask counters, one code at a time (the oracle)."""
+    outcomes, is_write = outcomes[mask], is_write[mask]
+    hit = outcomes == OUTCOME_HIT
+    bypass = outcomes == OUTCOME_BYPASS
+    dirty = outcomes == OUTCOME_DIRTY_EVICT
+    misses = int(outcomes.size - hit.sum())
+    return CacheStats(
+        hits=int(hit.sum()),
+        misses=misses,
+        bypasses=int(bypass.sum()),
+        bypassed_writes=int((bypass & is_write).sum()),
+        fills=misses - int(bypass.sum()),
+        evictions=int((outcomes == OUTCOME_EVICT).sum() + dirty.sum()),
+        dirty_evictions=int(dirty.sum()),
+        write_hits=int((hit & is_write).sum()),
+        write_misses=int((~hit & is_write).sum()),
+    )
+
+
+class TestOutcomeCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(0, 200),
+        n_labels=st.integers(1, 9),
+    )
+    def test_each_label_counts_its_own_accesses(self, data, n, n_labels):
+        codes = st.sampled_from(range(N_OUTCOMES))
+        outcomes = np.array(
+            data.draw(st.lists(codes, min_size=n, max_size=n)),
+            dtype=np.uint8,
+        )
+        is_write = np.array(
+            data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+            dtype=bool,
+        )
+        # Labels drawn from a prefix of the range, so some have no
+        # accesses at all.
+        used = data.draw(st.integers(1, n_labels))
+        labels = np.array(
+            data.draw(
+                st.lists(st.integers(0, used - 1), min_size=n, max_size=n)
+            ),
+            dtype=np.int64,
+        )
+        counts = outcome_counts(
+            outcomes, is_write, labels=labels, n_labels=n_labels
+        )
+        assert counts.shape == (n_labels, N_OUTCOMES, 2)
+        for label in range(n_labels):
+            mask = labels == label
+            expected = _masked_stats(outcomes, is_write, mask)
+            assert stats_from_counts(counts[label]) == expected
+            assert stats_from_outcomes(outcomes, is_write, mask) == expected
+        assert stats_from_counts(counts.sum(axis=0)) == stats_from_outcomes(
+            outcomes, is_write
+        )
+
+    def test_rejects_unknown_codes(self):
+        with pytest.raises(ValueError):
+            outcome_counts(np.array([N_OUTCOMES]), np.array([False]))

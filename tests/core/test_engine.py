@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import engine as engine_module
 from repro.core.config import GmmEngineConfig
 from repro.core.engine import FeatureScaler, GmmPolicyEngine
+from repro.gmm import model as model_module
+from repro.gmm.model import GaussianMixture
+from repro.gmm.quantized import QuantizedGmm
 
 
 def _clustered_features(rng, n=3000):
@@ -181,3 +186,76 @@ class TestPageScores:
         picks = range(0, pages.size, 37)
         singles = [engine.page_scores(pages[i : i + 1])[0] for i in picks]
         np.testing.assert_array_equal(together[::37], singles)
+
+
+def _guarded_engine(rng, k, quantized):
+    """An engine over well-conditioned standardised components plus two
+    raw-scale ones (means ~1e7), so that raw-scale rows trip the
+    scoring kernel's cancellation guard."""
+    weights = rng.dirichlet(np.ones(k + 2))
+    means = np.concatenate(
+        [
+            rng.uniform(-2.5, 2.5, size=(k, 2)),
+            rng.normal(1e7, 10.0, size=(2, 2)),
+        ]
+    )
+    scales = rng.uniform(0.1, 2.0, size=(k + 2, 2))
+    covariances = np.stack([np.diag(s) for s in scales])
+    model = GaussianMixture(weights, means, covariances)
+    scaler = FeatureScaler(
+        mean=np.array([1_000.0, 150.0]), std=np.array([400.0, 90.0])
+    )
+    return GmmPolicyEngine(
+        model=model,
+        scaler=scaler,
+        admission_threshold=0.0,
+        quantized=QuantizedGmm(model) if quantized else None,
+    ), scaler
+
+
+class TestRowIndependence:
+    """``score(x)[idx]`` is ``score(x[idx])`` bit for bit.
+
+    The serving chunk scores each distinct (page, timestamp) row once
+    and gathers the result back to every access; that is exact only
+    because a row's score never depends on which rows share its call
+    or its 2,048-row kernel block.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([1, 8]),
+        quantized=st.booleans(),
+        kind=st.sampled_from(["subset", "permutation", "duplication"]),
+    )
+    def test_gather_commutes_with_score(self, seed, k, quantized, kind):
+        rng = np.random.default_rng(seed)
+        engine, scaler = _guarded_engine(rng, k, quantized)
+        block = model_module._SCORE_BLOCK_ROWS
+        n = 2 * block + 37
+        features = scaler.mean + scaler.std * rng.standard_normal((n, 2))
+        raw = rng.choice(n, size=int(rng.integers(1, 40)), replace=False)
+        # Raw-scale rows: standardised, they sit next to the raw means.
+        features[raw] = (
+            scaler.mean
+            + scaler.std
+            * (
+                engine.model.means[k + rng.integers(0, 2, size=raw.size)]
+                + rng.standard_normal((raw.size, 2))
+            )
+        )
+        full = engine.score(features)
+        if kind == "subset":
+            size = int(rng.integers(1, n))
+            idx = np.sort(rng.choice(n, size=size, replace=False))
+        elif kind == "permutation":
+            idx = rng.permutation(n)
+        else:
+            idx = rng.integers(0, n, size=int(rng.integers(1, 2 * n)))
+        np.testing.assert_array_equal(engine.score(features[idx]), full[idx])
+        # The padded one-row call and a lone raw-scale row.
+        for row in (int(idx[0]), int(raw[0])):
+            np.testing.assert_array_equal(
+                engine.score(features[row : row + 1]), full[row : row + 1]
+            )

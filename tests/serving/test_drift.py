@@ -2,8 +2,39 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serving.drift import DriftDetector, ks_statistic
+
+#: Few distinct values, so draws are tie-heavy; signed zeros, both
+#: infinities and NaN included.
+_TIE_VALUES = [-np.inf, -2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, np.inf, np.nan]
+
+
+def _union_grid_ks(sample_a, sample_b, assume_sorted):
+    """The union-grid formula: both CDFs by ``searchsorted`` at every
+    value of either sample."""
+    sample_a = np.asarray(sample_a, dtype=np.float64)
+    sample_b = np.asarray(sample_b, dtype=np.float64)
+    if not assume_sorted:
+        sample_a = np.sort(sample_a)
+        sample_b = np.sort(sample_b)
+    grid = np.concatenate([sample_a, sample_b])
+    cdf_a = np.searchsorted(sample_a, grid, side="right") / sample_a.size
+    cdf_b = np.searchsorted(sample_b, grid, side="right") / sample_b.size
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+def _sample(size):
+    return st.lists(
+        st.one_of(
+            st.sampled_from(_TIE_VALUES),
+            st.floats(-4.0, 4.0, allow_subnormal=False),
+        ),
+        min_size=1,
+        max_size=size,
+    )
 
 
 class TestKsStatistic:
@@ -29,6 +60,16 @@ class TestKsStatistic:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             ks_statistic(np.array([]), np.array([1.0]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_sample(300), b=_sample(300), assume_sorted=st.booleans())
+    def test_merge_matches_union_grid(self, a, b, assume_sorted):
+        a, b = np.array(a), np.array(b)
+        if assume_sorted:
+            a, b = np.sort(a), np.sort(b)
+        got = ks_statistic(a, b, assume_sorted=assume_sorted)
+        expected = _union_grid_ks(a, b, assume_sorted)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 class TestDriftDetector:

@@ -435,6 +435,36 @@ class TestTelemetryCapture:
         assert rows and rows[0]["scenario"] == "device_failure"
         assert "timeline_digest" in rows[0]
 
+    def test_chaos_monitor_keeps_the_recovery_window(self, capsys):
+        # The health monitor's suspect/cleared decisions are not
+        # faults: with and without --monitor the tail columns must
+        # price the same post-recovery chunks.
+        rows = []
+        for monitor in ([], ["--monitor"]):
+            code = main(
+                [
+                    "chaos",
+                    "--scenarios",
+                    "device_failure",
+                    "--length",
+                    "30000",
+                    "--chunk",
+                    "2048",
+                    "--components",
+                    "8",
+                    "--json",
+                    *monitor,
+                ]
+            )
+            assert code == 0
+            payload = json.loads(capsys.readouterr().out)
+            (row,) = payload["extra"]["scenarios"]
+            rows.append(row)
+        off, on = rows
+        assert on["quarantines"] == 0
+        assert on["baseline_tail_miss_rate"] == off["baseline_tail_miss_rate"]
+        assert on["tail_miss_rate"] == off["tail_miss_rate"]
+
     def test_run_accepts_telemetry_out(self, tmp_path, capsys):
         path = tmp_path / "run.json"
         code = main(

@@ -8,8 +8,8 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test perfbench-test verify bench-validate bench-obs \
-	bench-obs-smoke
+.PHONY: test perfbench-test bench-collect verify bench-validate \
+	bench-obs bench-obs-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -18,10 +18,16 @@ test:
 perfbench-test:
 	$(PYTHON) -m pytest perfbench/tests -q
 
-# Tier-1 tests, the benchmark's tests, the telemetry-overhead smoke
-# validator, plus the validator over its committed full record -- the
-# one-command CI gate.
-verify: test perfbench-test bench-obs-smoke bench-validate
+# The paper-figure and ablation benches (benchmarks/bench_*.py, run
+# on demand) must at least import and collect.
+bench-collect:
+	$(PYTHON) -m pytest benchmarks/bench_*.py --collect-only -q
+
+# Tier-1 tests, the benchmark's tests, the paper benches' collection,
+# the telemetry-overhead smoke validator, plus the validator over its
+# committed full record -- the one-command CI gate.
+verify: test perfbench-test bench-collect bench-obs-smoke \
+	bench-validate
 
 BENCH_RECORDS := obs_overhead
 

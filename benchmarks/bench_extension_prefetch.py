@@ -14,10 +14,7 @@ import pytest
 from repro.analysis import render_table
 from repro.cache import SetAssociativeCache, simulate_fast
 from repro.cache.policies import GmmCachePolicy, LruPolicy
-from repro.cache.prefetch import (
-    StridePrefetcher,
-    simulate_with_prefetch_fast,
-)
+from repro.cache.prefetch import StridePrefetcher, simulate_with_prefetch
 from repro.core.pipeline import StagedPipeline
 
 
@@ -52,9 +49,7 @@ def test_prefetch_composes_with_gmm(stream_setup, report, benchmark):
     )
 
     def run_prefetch():
-        # The vectorized prefetch path (bit-identical to the scalar
-        # reference; parity asserted in tests/cache).
-        return simulate_with_prefetch_fast(
+        return simulate_with_prefetch(
             SetAssociativeCache(config.geometry),
             GmmCachePolicy(admission=False, eviction=True),
             StridePrefetcher(degree=2, distance=8),

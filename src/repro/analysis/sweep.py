@@ -17,11 +17,17 @@ from repro.core.pipeline import StagedPipeline
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One sweep sample: the varied value and its outcomes."""
+    """One sweep sample: the varied value and its outcomes.
+
+    ``gmm_miss_percent`` is the best GMM strategy's miss rate (Fig. 6's
+    pick); ``caching_miss_percent`` is ``gmm-caching``'s, the strategy
+    whose only GMM decision is the admission threshold.
+    """
 
     value: object
     lru_miss_percent: float
     gmm_miss_percent: float
+    caching_miss_percent: float
 
     @property
     def reduction_points(self) -> float:
@@ -42,6 +48,9 @@ def _sweep(
                 value=value,
                 lru_miss_percent=result.lru.miss_rate_percent,
                 gmm_miss_percent=result.best_gmm.miss_rate_percent,
+                caching_miss_percent=result.outcomes[
+                    "gmm-caching"
+                ].miss_rate_percent,
             )
         )
     return points

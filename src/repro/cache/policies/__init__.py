@@ -18,10 +18,7 @@ from repro.cache.policies.gmm_policy import (
 )
 from repro.cache.policies.lfu import LfuPolicy
 from repro.cache.policies.lru import LruPolicy
-from repro.cache.policies.random_ import (
-    CounterRandomPolicy,
-    RandomPolicy,
-)
+from repro.cache.policies.random_ import RandomPolicy
 from repro.cache.policies.slru import SlruPolicy
 from repro.cache.policies.twoq import TwoQPolicy
 
@@ -30,7 +27,6 @@ SIMPLE_POLICIES = {
     "lru": LruPolicy,
     "fifo": FifoPolicy,
     "random": RandomPolicy,
-    "counter-random": CounterRandomPolicy,
     "lfu": LfuPolicy,
     "clock": ClockPolicy,
     "slru": SlruPolicy,
@@ -57,7 +53,6 @@ def make_policy(name: str, **kwargs) -> ReplacementPolicy:
 __all__ = [
     "BeladyPolicy",
     "ClockPolicy",
-    "CounterRandomPolicy",
     "FifoPolicy",
     "GmmCachePolicy",
     "LfuPolicy",

@@ -1,56 +1,10 @@
-"""Random replacement.
-
-Two variants:
-
-* :class:`RandomPolicy` draws from a *sequential* RNG stream.  Its
-  draw order cannot survive the fast engine's chunk reordering, so it
-  always runs on the scalar reference path (bit-exactness beats
-  throughput for a baseline).
-* :class:`CounterRandomPolicy` derives each victim from a
-  *counter-based* RNG keyed by the access index (a SplitMix64 hash),
-  like the Philox/Threefry family used by GPU samplers.  The draw is a
-  pure function of ``(seed, access_index)``, so any processing order
-  gives the same victims -- which is exactly what lets it vectorize
-  (see ``CounterRandomKernel`` in
-  :mod:`repro.cache.policies.kernels`).
-"""
+"""Random replacement."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.cache.policies.base import ReplacementPolicy
-
-_MASK64 = (1 << 64) - 1
-#: SplitMix64 constants (Steele et al., the JDK splittable RNG).
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-
-
-def splitmix64(value: int) -> int:
-    """Scalar SplitMix64 finalizer over a 64-bit counter.
-
-    The executable specification for the vectorized
-    :func:`splitmix64_array`; plain Python ints emulate the wrapping
-    64-bit arithmetic with explicit masking.
-    """
-    z = (value + _GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
-
-
-def splitmix64_array(values: np.ndarray) -> np.ndarray:
-    """Vectorized SplitMix64 over a ``uint64`` counter array.
-
-    numpy's unsigned arithmetic wraps exactly like the masked scalar
-    reference; parity is asserted by the test suite.
-    """
-    z = values.astype(np.uint64) + np.uint64(_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
 
 
 class RandomPolicy(ReplacementPolicy):
@@ -70,37 +24,3 @@ class RandomPolicy(ReplacementPolicy):
     def select_victim(self, cache, set_index, access_index):
         """Evict a random way."""
         return int(self._rng.integers(cache.geometry.associativity))
-
-
-class CounterRandomPolicy(ReplacementPolicy):
-    """Random replacement with a counter-based (stateless) RNG.
-
-    The victim for access ``i`` is ``splitmix64(seed_mix + i) % ways``
-    -- statistically uniform like :class:`RandomPolicy`, but a pure
-    function of the access index, so the vectorized engine computes
-    whole rounds of victims with a handful of ``uint64`` operations
-    and any processing order agrees with the scalar reference.
-
-    Parameters
-    ----------
-    seed:
-        Stream selector; pre-mixed through SplitMix64 so nearby seeds
-        produce decorrelated victim streams.
-    """
-
-    name = "counter-random"
-
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = int(seed)
-        self._seed_mix = splitmix64(self.seed & _MASK64)
-
-    def victim_for(self, access_index: int, ways: int) -> int:
-        """The policy's pure draw (shared with the vector kernel)."""
-        draw = splitmix64((self._seed_mix + access_index) & _MASK64)
-        return int(draw % ways)
-
-    def select_victim(self, cache, set_index, access_index):
-        """Evict the way drawn for this access index."""
-        return self.victim_for(
-            access_index, cache.geometry.associativity
-        )

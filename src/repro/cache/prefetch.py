@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cache.policies.base import ReplacementPolicy
-from repro.cache.policies.kernels import PolicyKernel, kernel_for
 from repro.cache.setassoc import SetAssociativeCache
 from repro.cache.stats import CacheStats
 
@@ -213,250 +212,4 @@ def simulate_with_prefetch(
                 install(target, access_index, score)
                 pending_prefetched.add(target)
                 prefetch_stats.issued += 1
-    return stats, prefetch_stats
-
-
-#: Adaptive scan-window bounds of the prefetch fast path: the window
-#: doubles after an all-hit scan and halves after a miss, so hit-heavy
-#: traffic amortises one vector compare over tens of thousands of
-#: accesses while miss-heavy traffic pays at most a small window per
-#: miss.
-_MIN_WINDOW = 64
-_MAX_WINDOW = 65536
-
-
-def _hit_span(
-    cache: SetAssociativeCache,
-    kernel: PolicyKernel,
-    stats: CacheStats,
-    pages: np.ndarray,
-    sets: np.ndarray,
-    ways: np.ndarray,
-    is_write: np.ndarray,
-    scores: np.ndarray,
-    base_index: int,
-    measure_from: int,
-    pending: set[int],
-    prefetch_stats: PrefetchStats,
-) -> None:
-    """Vectorized processing of a run of consecutive demand hits.
-
-    Hits never change the tag plane, so the span's (set, way) pairs
-    -- resolved against the tags *before* the span -- stay valid
-    throughout it; only the policy's hit updates are order-sensitive,
-    and only within one set.  Those run through the kernel in per-set
-    occurrence-rank rounds (the same decomposition the chunked
-    simulator uses), which preserves the exact per-set hit order.
-    """
-    m = pages.shape[0]
-    idx = np.arange(base_index, base_index + m)
-    if base_index >= measure_from:
-        stats.hits += m
-        stats.write_hits += int(np.count_nonzero(is_write))
-    elif base_index + m > measure_from:
-        measured = idx >= measure_from
-        stats.hits += int(np.count_nonzero(measured))
-        stats.write_hits += int(np.count_nonzero(measured & is_write))
-    if is_write.any():
-        cache.dirty[sets[is_write], ways[is_write]] = True
-
-    # Per-set rank rounds: round r holds the r-th hit of every set.
-    order = np.argsort(sets, kind="stable")
-    sorted_sets = sets[order]
-    new_group = np.empty(m, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = sorted_sets[1:] != sorted_sets[:-1]
-    group_starts = np.nonzero(new_group)[0]
-    group_sizes = np.diff(np.append(group_starts, m))
-    rank = np.arange(m) - np.repeat(group_starts, group_sizes)
-    max_rank = int(group_sizes.max())
-    if max_rank == 1:
-        kernel.on_hits(sets, ways, idx, scores)
-    else:
-        by_rank = order[np.argsort(rank, kind="stable")]
-        bounds = np.concatenate(
-            ([0], np.cumsum(np.bincount(rank, minlength=max_rank)))
-        )
-        for r in range(max_rank):
-            sel = by_rank[bounds[r] : bounds[r + 1]]
-            kernel.on_hits(
-                sets[sel], ways[sel], idx[sel], scores[sel]
-            )
-
-    if pending:
-        for page in np.unique(pages).tolist():
-            if page in pending:
-                pending.discard(page)
-                prefetch_stats.useful += 1
-
-
-def simulate_with_prefetch_fast(
-    cache: SetAssociativeCache,
-    policy: ReplacementPolicy,
-    prefetcher: StridePrefetcher,
-    pages: np.ndarray,
-    is_write: np.ndarray,
-    scores: np.ndarray | None = None,
-    warmup_fraction: float = 0.0,
-) -> tuple[CacheStats, PrefetchStats]:
-    """Vectorized drop-in replacement for
-    :func:`simulate_with_prefetch`.
-
-    Same signature, same semantics, bit-identical counters, prefetch
-    stats and final cache state.  The prefetcher's stream table
-    observes demand misses in *global* access order, so the chunked
-    set-reordering of :func:`~repro.cache.simulate_fast.simulate_fast`
-    cannot apply; instead the stream is scanned with an adaptive
-    window: one gather-and-compare against the tag plane finds the
-    next demand miss, the hit run before it is processed with whole-
-    array operations (policy updates through the registered kernel in
-    per-set rank rounds), and the miss itself -- admission, victim
-    choice, fill, prefetch installs -- runs access-at-a-time through
-    the same kernel, preserving the exact miss order the prefetcher
-    and the policy state depend on.
-
-    Policies without a registered vector kernel fall back to the
-    scalar reference transparently.
-    """
-    pages = np.asarray(pages)
-    is_write = np.asarray(is_write)
-    if pages.shape != is_write.shape:
-        raise ValueError("pages and is_write must have the same shape")
-    if scores is None:
-        scores = np.zeros(pages.shape[0], dtype=np.float64)
-    else:
-        scores = np.asarray(scores, dtype=np.float64)
-        if scores.shape != pages.shape:
-            raise ValueError("scores and pages must have the same shape")
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ValueError("warmup_fraction must be in [0, 1)")
-    kernel = kernel_for(policy, cache)
-    if kernel is None:
-        return simulate_with_prefetch(
-            cache,
-            policy,
-            prefetcher,
-            pages,
-            is_write,
-            scores=scores,
-            warmup_fraction=warmup_fraction,
-        )
-    pages = pages.astype(np.int64, copy=False)
-    is_write = is_write.astype(bool, copy=False)
-    n = pages.shape[0]
-    measure_from = int(n * warmup_fraction)
-    n_sets = cache.geometry.n_sets
-    stats = CacheStats()
-    prefetch_stats = PrefetchStats()
-    pending: set[int] = set()
-
-    def fill_via_kernel(
-        page: int,
-        set_index: int,
-        write: bool,
-        score: float,
-        access_index: int,
-        measured: bool,
-    ) -> None:
-        """Victim choice + fill through the kernel's vector hooks
-        (single-element calls keep kernel-side mirrors like CLOCK
-        hands authoritative -- no per-miss flush/reload)."""
-        victim = cache.find_invalid_way(set_index)
-        if victim is None:
-            victim = int(
-                kernel.select_victims(
-                    np.array([set_index], dtype=np.int64),
-                    np.array([access_index], dtype=np.int64),
-                )[0]
-            )
-            if measured:
-                stats.evictions += 1
-                if cache.dirty[set_index][victim]:
-                    stats.dirty_evictions += 1
-            pending.discard(int(cache.tags[set_index][victim]))
-        meta = float(
-            kernel.fill_meta(
-                np.array([page], dtype=np.int64),
-                np.array([score], dtype=np.float64),
-                np.array([access_index], dtype=np.int64),
-            )[0]
-        )
-        cache.fill(
-            set_index, victim, page, write, meta, float(access_index)
-        )
-
-    pos = 0
-    window = _MIN_WINDOW
-    while pos < n:
-        hi = min(pos + window, n)
-        w_pages = pages[pos:hi]
-        w_sets = w_pages % n_sets
-        match = cache.tags[w_sets] == w_pages[:, None]
-        hit = match.any(axis=1)
-        span = int(hit.shape[0]) if hit.all() else int(np.argmin(hit))
-        if span:
-            _hit_span(
-                cache,
-                kernel,
-                stats,
-                w_pages[:span],
-                w_sets[:span],
-                match[:span].argmax(axis=1),
-                is_write[pos : pos + span],
-                scores[pos : pos + span],
-                pos,
-                measure_from,
-                pending,
-                prefetch_stats,
-            )
-        miss_at = pos + span
-        if miss_at >= hi:
-            pos = hi
-            window = min(_MAX_WINDOW, window * 2)
-            continue
-
-        # The demand miss, in exact global order (mirrors the scalar
-        # reference step for step).
-        page = int(pages[miss_at])
-        write = bool(is_write[miss_at])
-        score = float(scores[miss_at])
-        measured = miss_at >= measure_from
-        set_index = page % n_sets
-        if measured:
-            stats.misses += 1
-            if write:
-                stats.write_misses += 1
-        pending.discard(page)
-        to_prefetch = prefetcher.observe_miss(page)
-        admitted = kernel.admits_all or bool(
-            kernel.admit(
-                np.array([page], dtype=np.int64),
-                np.array([score], dtype=np.float64),
-                np.array([write]),
-                np.array([miss_at], dtype=np.int64),
-            )[0]
-        )
-        if admitted:
-            if measured:
-                stats.fills += 1
-            fill_via_kernel(
-                page, set_index, write, score, miss_at, measured
-            )
-        elif measured:
-            stats.bypasses += 1
-            if write:
-                stats.bypassed_writes += 1
-        for target in to_prefetch:
-            _, existing = cache.lookup(target)
-            if existing is None:
-                fill_via_kernel(
-                    target, target % n_sets, False, score,
-                    miss_at, measured,
-                )
-                pending.add(target)
-                prefetch_stats.issued += 1
-        pos = miss_at + 1
-        window = max(_MIN_WINDOW, window // 2)
-
-    kernel.finalize()
     return stats, prefetch_stats

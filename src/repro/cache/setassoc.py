@@ -8,14 +8,12 @@ on-board table.  The paper's case-study geometry -- 64 MB capacity,
 :class:`CacheGeometry`.
 
 Cache state lives in four ``(n_sets, ways)`` numpy planes (tags,
-dirty, meta, stamp), which is what lets
-:mod:`repro.cache.simulate_fast` process whole request chunks with
-array operations.  The reference :func:`simulate` below stays a
-scalar access-at-a-time loop -- it is the executable specification
-the fast path is differential-tested against -- and mirrors the tag
-plane into plain Python lists for the duration of the loop, because
-list indexing is several times faster than numpy scalar extraction
-at the 8-entry-way shape.
+dirty, meta, stamp).  The reference :func:`simulate` below is a
+scalar access-at-a-time loop -- the executable specification
+:mod:`repro.cache.simulate_fast` is differential-tested against --
+and mirrors the tag plane into plain Python lists for the duration
+of the loop, because list indexing is several times faster than
+numpy scalar extraction at the 8-entry-way shape.
 """
 
 from __future__ import annotations
@@ -94,10 +92,9 @@ class SetAssociativeCache:
     ``stamp``) are maintained per way; each policy assigns them its own
     meaning (GMM score, LRU counter, reference bit, ...).
 
-    All four planes are ``(n_sets, ways)`` numpy arrays so the
-    vectorized simulator can gather/scatter whole chunks at once;
-    scalar code indexes them exactly like the former list-of-lists
-    (``cache.meta[set_index][way]``).
+    All four planes are ``(n_sets, ways)`` numpy arrays, so whole
+    rows copy in and out at once; scalar code indexes them exactly
+    like a list-of-lists (``cache.meta[set_index][way]``).
     """
 
     def __init__(self, geometry: CacheGeometry | None = None) -> None:
@@ -235,9 +232,8 @@ def _scalar_span(
     When ``outcome`` is given, each access's ``OUTCOME_*`` code is
     written at ``outcome[access_index - outcome_base]``.
 
-    This is the executable specification: the vectorized engine in
-    :mod:`repro.cache.simulate_fast` must match it bit for bit, and
-    falls back to it for heavily set-conflicted request spans.
+    This is the executable specification: the list loop in
+    :mod:`repro.cache.simulate_fast` must match it bit for bit.
     """
     dirty = cache.dirty
     n_sets = cache.geometry.n_sets
@@ -330,9 +326,9 @@ def simulate(
     precomputed GMM score, and -- when the set is full -- selects the
     victim; a dirty victim costs an SSD write-back.
 
-    This is the *reference* scalar path.  The chunked/vectorized
-    engine lives in :func:`repro.cache.simulate_fast.simulate_fast`
-    and produces bit-identical counters and final cache state.
+    This is the *reference* scalar path.  The list-loop engine
+    lives in :func:`repro.cache.simulate_fast.simulate_fast` and
+    produces bit-identical counters and final cache state.
 
     Parameters
     ----------

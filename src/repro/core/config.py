@@ -497,20 +497,18 @@ class FabricTopology:
         values model near/far fabric topologies (switch hops, longer
         retimed paths), which is what the ``score`` placement
         exploits.  Every device uses the spec's default bandwidth.
-    failover:
-        Whether a failed device's traffic is re-placed onto healthy
-        devices (score-aware when page marginals are available) and
-        served in degraded mode.  Only consulted when a
-        :class:`repro.chaos.FaultInjector` is attached; with
-        ``False`` a failed device's accesses are served SSD-direct
-        (bypasses) on its own path.
+
+    Under chaos (a :class:`repro.chaos.FaultInjector` attached), a
+    failed device's traffic is re-placed onto healthy devices
+    (score-aware when page marginals are available) and served in
+    degraded mode; with no healthy device left it is served
+    SSD-direct (bypasses) on its own path.
     """
 
     n_devices: int = 4
     placement: str = "interleave"
     range_stride_pages: int = 1 << 14
     link_overhead_ns: tuple[int, ...] | None = None
-    failover: bool = True
 
     def __post_init__(self) -> None:
         if self.n_devices < 1:

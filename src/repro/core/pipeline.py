@@ -16,11 +16,11 @@ runs four explicit stages over :class:`PreparedWorkload`:
   callers stamp raw page chunks into scoreable features with
   :meth:`StagedPipeline.chunk_features`.
 * **Simulate** -- drive a cache/policy pair over a (sub-)stream
-  through the vectorized fast engine
-  :func:`~repro.cache.simulate_fast.simulate_fast` (bit-identical to
-  the scalar reference :func:`repro.cache.setassoc.simulate`), with
-  resumable ``index_offset`` replay and per-access ``OUTCOME_*``
-  recording.  :meth:`StagedPipeline.simulate` runs it for
+  through :func:`~repro.cache.simulate_fast.simulate_fast`
+  (bit-identical to the scalar reference
+  :func:`repro.cache.setassoc.simulate`), with resumable
+  ``index_offset`` replay and per-access ``OUTCOME_*`` recording.
+  :meth:`StagedPipeline.simulate` runs it for
   :meth:`StagedPipeline.run_strategy`; chunked, sharded and
   multi-device replays run it per lane through
   :meth:`repro.core.parallel.ParallelExecutor.replay_lanes`.
@@ -440,8 +440,8 @@ class StagedPipeline:
     ) -> CacheStats:
         """Drive one cache/policy pair over a (sub-)stream.
 
-        Runs the chunked vectorized engine, bit-identical to the
-        scalar reference loop.  ``index_offset`` makes the call
+        Runs :func:`~repro.cache.simulate_fast.simulate_fast`,
+        bit-identical to the scalar reference loop.  ``index_offset`` makes the call
         resumable (chunked/sharded/multi-device replay) and
         ``outcome`` records per-access ``OUTCOME_*`` codes for exact
         downstream accounting.

@@ -19,16 +19,15 @@ page score as eviction metadata.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cache.policies import (
     GmmCachePolicy,
     LruPolicy,
     ReplacementPolicy,
 )
 from repro.cache.policies.kernels import (
-    CombinedScoreKernel,
-    register_kernel,
+    ListSpan,
+    declares_list_span,
+    score_list_span,
 )
 from repro.core.config import STRATEGIES
 
@@ -55,45 +54,21 @@ class CombinedIcgmmPolicy(GmmCachePolicy):
             threshold=threshold, admission=True, eviction=True
         )
         self._page_scores = page_scores
-        self._sorted_cache: tuple | None = None
 
     def fill_meta(self, page, score, access_index):
         """Store the page's marginal score for coherent eviction."""
         return self._page_scores.get(page, score)
 
-    def sorted_page_scores(self) -> tuple:
-        """Sorted ``(keys, values)`` arrays of the page-score map.
 
-        The vector kernel binary-searches these; rebuilding them from
-        the dict costs O(U log U), so the arrays are cached and only
-        rebuilt when the dict *grew* -- the serving loop extends the
-        mapping with newly-seen pages every chunk but never rewrites
-        existing entries.  Callers that mutate values in place must
-        reset ``_sorted_cache`` themselves.
-        """
-        mapping = self._page_scores
-        if (
-            self._sorted_cache is not None
-            and self._sorted_cache[0] == len(mapping)
-        ):
-            return self._sorted_cache[1], self._sorted_cache[2]
-        keys = np.fromiter(
-            mapping.keys(), dtype=np.int64, count=len(mapping)
-        )
-        values = np.fromiter(
-            mapping.values(), dtype=np.float64, count=len(mapping)
-        )
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        values = values[order]
-        self._sorted_cache = (len(mapping), keys, values)
-        return keys, values
-
-
-# The combined policy overrides fill_meta (dict lookup), so the plain
-# ScoreBasedPolicy kernel would no longer match it; its dedicated
-# kernel vectorizes the lookup with a sorted-key binary search.
-register_kernel(CombinedIcgmmPolicy)(CombinedScoreKernel)
+# The combined policy overrides fill_meta (a dict lookup), so the
+# ScoreBasedPolicy declaration does not cover it; this one adds the
+# lookup.  It lives here, not in the kernels module, to avoid an
+# import cycle.
+@declares_list_span(CombinedIcgmmPolicy)
+def _combined_list_span(policy: CombinedIcgmmPolicy) -> ListSpan:
+    return score_list_span(policy)._replace(
+        fill_scores=policy._page_scores
+    )
 
 
 def strategy_uses_scores(strategy: str) -> bool:

@@ -593,11 +593,11 @@ class CxlFabric:
         the fault timeline at this chunk's logical index: a failed
         device's accesses fail over to healthy devices (score-aware
         when marginals are present, priced at
-        :data:`FAILOVER_LINK_FACTOR`) or -- with ``failover=False``
-        or no healthy device left -- are served SSD-direct on the
-        failed device's path; degraded link windows inflate the
-        affected device's link component.  All of it is deterministic in the chunk
-        index, so any worker count observes the identical timeline.
+        :data:`FAILOVER_LINK_FACTOR`) or -- with no healthy device
+        left -- are served SSD-direct on the failed device's path;
+        degraded link windows inflate the affected device's link
+        component.  All of it is deterministic in the chunk index, so
+        any worker count observes the identical timeline.
         """
         if self._policies is None:
             raise ValueError("bind() a strategy before ingesting")
@@ -910,11 +910,10 @@ class CxlFabric:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, CacheStats]:
         """Re-target failed devices' accesses for one chunk.
 
-        With failover enabled and at least one healthy device, the
-        failed homes' accesses move onto healthy devices under the
-        collision-free :data:`FAILOVER_TAG_OFFSET` tag space (the
-        combined strategy's backup score maps are extended with the
-        same tags).  Otherwise the accesses are served SSD-direct and
+        With at least one healthy device, the failed homes' accesses
+        move onto healthy devices under the collision-free
+        :data:`FAILOVER_TAG_OFFSET` tag space (the combined strategy's
+        backup score maps are extended with the same tags).  Otherwise the accesses are served SSD-direct and
         accounted as bypasses on their home device -- degraded, but
         never lost.
         """
@@ -929,7 +928,7 @@ class CxlFabric:
             [d for d in range(n) if d not in set(failed)],
             dtype=np.int64,
         )
-        if healthy.size == 0 or not self.topology.failover:
+        if healthy.size == 0:
             # SSD-direct: every affected access bypasses the caches
             # entirely, charged to its home device's path.
             for device in failed:

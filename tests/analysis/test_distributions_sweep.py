@@ -13,7 +13,10 @@ from repro.analysis.sweep import (
     sweep_n_components,
     sweep_threshold_quantile,
 )
+from repro.cache.stats import CacheStats
 from repro.core.config import GmmEngineConfig, IcgmmConfig
+from repro.core.pipeline import StagedPipeline
+from repro.core.results import BenchmarkResult, StrategyOutcome
 from repro.traces import TracePreprocessor, get_workload
 
 
@@ -95,3 +98,31 @@ class TestSweeps:
             assert point.reduction_points == pytest.approx(
                 point.lru_miss_percent - point.gmm_miss_percent
             )
+
+    def test_sweep_point_reads_each_strategy(self, monkeypatch):
+        """LRU, the best GMM strategy and gmm-caching each land in
+        their own field."""
+        misses = {
+            "lru": 40,
+            "gmm-caching": 30,
+            "gmm-eviction": 10,
+            "gmm-caching-eviction": 20,
+        }
+        result = BenchmarkResult(
+            "stream",
+            {
+                name: StrategyOutcome(
+                    name, CacheStats(hits=100 - miss, misses=miss), 0.0
+                )
+                for name, miss in misses.items()
+            },
+        )
+        monkeypatch.setattr(
+            StagedPipeline, "run_benchmark", lambda self, w: result
+        )
+        (point,) = sweep_threshold_quantile(
+            "stream", quantiles=(0.02,), config=_fast_config()
+        )
+        assert point.lru_miss_percent == 40.0
+        assert point.gmm_miss_percent == 10.0
+        assert point.caching_miss_percent == 30.0

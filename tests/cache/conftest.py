@@ -6,14 +6,9 @@ import pytest
 from repro.cache.setassoc import SetAssociativeCache, simulate
 from repro.cache.simulate_fast import simulate_fast
 
-#: The two schedules a parity check runs: the kernel's own round
-#: cutoff, and ``min_round_width=1``, which makes every round --
-#: however narrow -- a vector round.
-CUTOFFS = {"default": None, "forced": 1}
-
 
 def _replay(runner, geometry, make, pages, is_write, scores, warmup,
-            step=None, **kwargs):
+            step=None):
     """One run, or with ``step`` a chunked resumable replay through
     ``index_offset``, recording per-access outcome codes."""
     cache = SetAssociativeCache(geometry)
@@ -24,7 +19,6 @@ def _replay(runner, geometry, make, pages, is_write, scores, warmup,
         stats = runner(
             cache, policy, pages, is_write,
             scores=scores, warmup_fraction=warmup, outcome=outcome,
-            **kwargs,
         )
         return stats, cache, outcome
     assert warmup == 0.0  # index_offset replays count every access
@@ -37,7 +31,6 @@ def _replay(runner, geometry, make, pages, is_write, scores, warmup,
             scores=scores[start:stop],
             index_offset=start,
             outcome=outcome[start:stop],
-            **kwargs,
         )
         total = stats if total is None else total.merge(stats)
     return total, cache, outcome
@@ -59,30 +52,22 @@ def _assert_identical(reference, other, context):
 
 
 @pytest.fixture
-def assert_fast_parity(vector_rounds):
-    """Checker: a stream through ``simulate_fast`` at both
-    :data:`CUTOFFS` (one-shot, or chunked with ``step``) must match
-    one ``simulate`` run bit for bit -- counters, all four cache
-    planes and outcome codes -- and the forced run must go through
-    vector rounds.  Returns the reference ``(stats, cache,
-    outcome)``."""
+def assert_fast_parity():
+    """Checker: a stream through ``simulate_fast`` (one-shot, or
+    chunked with ``step``) must match one ``simulate`` run bit for
+    bit -- counters, all four cache planes and outcome codes.
+    Returns the reference ``(stats, cache, outcome)``."""
 
     def check(geometry, make, pages, is_write, scores, warmup,
               context, step=None):
         reference = _replay(
             simulate, geometry, make, pages, is_write, scores, warmup
         )
-        for cutoff, width in CUTOFFS.items():
-            before = len(vector_rounds)
-            fast = _replay(
-                simulate_fast, geometry, make, pages, is_write,
-                scores, warmup, step=step, min_round_width=width,
-            )
-            _assert_identical(reference, fast, f"{context}/{cutoff}")
-            if width == 1:
-                assert len(vector_rounds) > before, (
-                    f"{context}: vector rounds never engaged"
-                )
+        fast = _replay(
+            simulate_fast, geometry, make, pages, is_write, scores,
+            warmup, step=step,
+        )
+        _assert_identical(reference, fast, context)
         return reference
 
     return check

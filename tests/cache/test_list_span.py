@@ -1,33 +1,32 @@
 """Property test: the exact list span against the reference span.
 
-:func:`repro.cache.simulate_fast._list_span` replays a scalar-tail
-span over plain-list mirrors of the touched set rows, with the policy
-hooks inlined from the kernel's ``ListSpan`` declaration.  Contract:
+:func:`repro.cache.simulate_fast._list_span` replays a span of
+accesses over plain-list mirrors of the touched set rows, with the policy
+hooks inlined from the policy's ``ListSpan`` declaration.  Contract:
 from the same pre-warmed cache (invalid ways, dirty bits, non-zero
 meta and stamps) it leaves *bit identical* counters, outcome codes and
 cache planes to :func:`repro.cache.setassoc._scalar_span` driving the
-policy's own hooks -- for every declaring kernel (LRU, the score
+policy's own hooks -- for every declaring policy (LRU, the score
 policy in each admission/eviction/update mode, the combined policy
 with a partial page map), on tie-heavy scores that include the
 threshold itself, signed zeros, infinities and NaN.
 """
 
 import copy
-import importlib
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.policies import LruPolicy, ScoreBasedPolicy
-from repro.cache.policies.kernels import kernel_for
+from repro.cache.policies.kernels import list_span_for
 from repro.cache.setassoc import (
     CacheGeometry,
     SetAssociativeCache,
     _scalar_span,
     simulate,
 )
-from repro.cache.simulate_fast import _list_span, simulate_fast
+from repro.cache.simulate_fast import _list_span
 from repro.cache.stats import CacheStats
 from repro.core.policy import CombinedIcgmmPolicy
 
@@ -66,7 +65,7 @@ def _exactly(elements, size):
 
 @st.composite
 def span_cases(draw):
-    n_sets = draw(st.sampled_from((1, 2, 3, 16, 64)))
+    n_sets = draw(st.sampled_from((1, 2, 3, 16, 64, 128, 512)))
     ways = draw(st.sampled_from((1, 2, 8)))
     universe = draw(st.integers(1, 3 * n_sets * ways))
     pages = st.integers(0, universe - 1)
@@ -148,7 +147,7 @@ class TestListSpanMatchesScalarSpan:
 
         cache = copy.deepcopy(warmed)
         policy = copy.deepcopy(case["policy"])
-        spec = kernel_for(policy, cache).list_span()
+        spec = list_span_for(policy)
         assert spec is not None
         stats = CacheStats()
         outcome = _outcome(case)
@@ -178,78 +177,3 @@ class TestListSpanMatchesScalarSpan:
                 getattr(ref_cache, plane).view(np.int64),
                 err_msg=plane,
             )
-
-
-def _fast_and_reference(geometry, make_policy, pages, writes, scores, **kw):
-    """(stats, cache, outcome) of ``simulate_fast`` and of ``simulate``."""
-    runs = []
-    for runner in (simulate_fast, simulate):
-        cache = SetAssociativeCache(geometry)
-        outcome = np.empty(pages.shape[0], dtype=np.uint8)
-        stats = runner(
-            cache, make_policy(), pages, writes,
-            scores=scores, outcome=outcome,
-            **(kw if runner is simulate_fast else {}),
-        )
-        runs.append((stats, cache, outcome))
-    return runs
-
-
-def _assert_same(fast, reference):
-    assert fast[0] == reference[0]
-    for plane in ("tags", "dirty", "meta", "stamp"):
-        np.testing.assert_array_equal(
-            getattr(fast[1], plane), getattr(reference[1], plane)
-        )
-    np.testing.assert_array_equal(fast[2], reference[2])
-
-
-class TestNarrowCacheShortcut:
-    """A same-set round holds at most one access per set, so on a
-    cache of fewer sets than the round cutoff ``simulate_fast`` hands
-    every chunk to the tail without ranking it; at a cutoff equal to
-    the set count a full-width round is still a vector round."""
-
-    GEOMETRY = CacheGeometry(
-        capacity_bytes=64 * 8, block_bytes=1, associativity=8
-    )
-
-    def _stream(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 5_000
-        pages = rng.integers(0, 64 * 8 * 3, size=n).astype(np.int64)
-        return pages, rng.random(n) < 0.3, rng.random(n)
-
-    def test_narrow_list_span_cache_never_ranks(self, monkeypatch):
-        module = importlib.import_module("repro.cache.simulate_fast")
-        inner = module._rank_rounds
-        calls = []
-
-        def counting(*args):
-            calls.append(1)
-            return inner(*args)
-
-        monkeypatch.setattr(module, "_rank_rounds", counting)
-        pages, writes, scores = self._stream(1)
-        for make in (
-            LruPolicy,
-            lambda: CombinedIcgmmPolicy(0.5, {1: 0.7, 2: 0.1}),
-        ):
-            assert kernel_for(make(), SetAssociativeCache(self.GEOMETRY))
-            fast, reference = _fast_and_reference(
-                self.GEOMETRY, make, pages, writes, scores,
-                chunk_size=1_000,
-            )
-            _assert_same(fast, reference)
-        assert calls == []
-
-    def test_cutoff_equal_to_set_count_runs_vector_rounds(
-        self, vector_rounds
-    ):
-        pages, writes, scores = self._stream(2)
-        fast, reference = _fast_and_reference(
-            self.GEOMETRY, LruPolicy, pages, writes, scores,
-            min_round_width=self.GEOMETRY.n_sets,
-        )
-        assert vector_rounds
-        _assert_same(fast, reference)

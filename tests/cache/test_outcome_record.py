@@ -16,7 +16,6 @@ import pytest
 
 from repro.cache.policies import (
     ClockPolicy,
-    CounterRandomPolicy,
     GmmCachePolicy,
     LruPolicy,
     RandomPolicy,
@@ -36,13 +35,23 @@ from repro.cache.stats import (
     CacheStats,
     stats_from_outcomes,
 )
+from repro.core.policy import CombinedIcgmmPolicy
 
 POLICIES = [
     ("lru", lambda: LruPolicy()),
     ("gmm", lambda: GmmCachePolicy(threshold=0.2)),
+    # Fill metadata from the page map, not the request score.
+    (
+        "combined",
+        lambda: CombinedIcgmmPolicy(
+            threshold=0.2,
+            page_scores={
+                page: (page % 31) / 31.0 for page in range(0, 600, 3)
+            },
+        ),
+    ),
+    # Reference-loop policies must record outcomes too.
     ("clock", lambda: ClockPolicy()),
-    ("counter-random", lambda: CounterRandomPolicy(seed=1)),
-    # Scalar-fallback path (no kernel) must record outcomes too.
     ("random", lambda: RandomPolicy(np.random.default_rng(7))),
 ]
 
@@ -95,8 +104,7 @@ class TestOutcomeReconstruction:
         )
         simulate_fast(
             SetAssociativeCache(_geometry()), make(), pages, writes,
-            scores=scores, outcome=fast_out, chunk_size=1111,
-            min_round_width=2,
+            scores=scores, outcome=fast_out,
         )
         np.testing.assert_array_equal(ref_out, fast_out)
 

@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.cache.policies import LruPolicy
+from repro.cache.policies import (
+    BeladyPolicy,
+    ClockPolicy,
+    FifoPolicy,
+    GmmCachePolicy,
+    LfuPolicy,
+    LruPolicy,
+    RandomPolicy,
+    SlruPolicy,
+    TwoQPolicy,
+)
 from repro.cache.prefetch import (
     PrefetchStats,
     StridePrefetcher,
@@ -14,6 +24,26 @@ from repro.cache.setassoc import (
     SetAssociativeCache,
     simulate,
 )
+
+
+#: Every policy of the zoo, built from the trace (Belady reads it).
+POLICY_FACTORIES = {
+    "lru": lambda pages: LruPolicy(),
+    "fifo": lambda pages: FifoPolicy(),
+    "lfu": lambda pages: LfuPolicy(),
+    "lfu-decay": lambda pages: LfuPolicy(decay=0.9),
+    "clock": lambda pages: ClockPolicy(),
+    "slru": lambda pages: SlruPolicy(),
+    "2q": lambda pages: TwoQPolicy(),
+    "random": lambda pages: RandomPolicy(np.random.default_rng(11)),
+    "belady": lambda pages: BeladyPolicy(pages),
+    "gmm": lambda pages: GmmCachePolicy(threshold=0.4),
+    "gmm-evict": lambda pages: GmmCachePolicy(
+        admission=False, eviction=True
+    ),
+}
+
+TRACES = ("sequential", "random", "mixed")
 
 
 def _cache(ways=4, sets=8):
@@ -34,6 +64,21 @@ def _run(pages, prefetcher=None, **kwargs):
     return simulate_with_prefetch(
         _cache(), LruPolicy(), prefetcher, pages, writes, **kwargs
     )
+
+
+def _trace(kind, n=1_200, seed=3):
+    rng = np.random.default_rng(seed)
+    if kind == "sequential":
+        pages = np.arange(n) // 2
+    elif kind == "random":
+        pages = rng.integers(0, 150, n)
+    else:
+        sweep = np.arange(n)
+        noise = rng.integers(0, 400, n)
+        pages = np.where(rng.random(n) < 0.6, sweep, noise)
+    is_write = rng.random(n) < 0.3
+    scores = rng.random(n)
+    return pages.astype(np.int64), is_write, scores
 
 
 class TestStridePrefetcher:
@@ -119,3 +164,39 @@ class TestSimulateWithPrefetch:
             )
         with pytest.raises(ValueError, match="warmup_fraction"):
             _run([1, 2], warmup_fraction=1.5)
+
+
+class TestEveryPolicy:
+    @pytest.mark.parametrize("kind", TRACES)
+    @pytest.mark.parametrize("policy_key", sorted(POLICY_FACTORIES))
+    def test_silent_prefetcher_matches_simulate(self, policy_key, kind):
+        """With a prefetcher that never arms, the prefetch loop is the
+        reference loop under every policy: bit-identical counters
+        (with and without a warm-up cut) and all four cache planes,
+        and nothing issued."""
+        pages, is_write, scores = _trace(kind)
+        make = POLICY_FACTORIES[policy_key]
+        for warmup in (0.0, 0.3):
+            ref_cache, cache = _cache(), _cache()
+            ref_stats = simulate(
+                ref_cache, make(pages), pages, is_write,
+                scores=scores, warmup_fraction=warmup,
+            )
+            stats, prefetch_stats = simulate_with_prefetch(
+                cache,
+                make(pages),
+                StridePrefetcher(degree=len(pages) + 1),
+                pages,
+                is_write,
+                scores=scores,
+                warmup_fraction=warmup,
+            )
+            assert stats == ref_stats
+            assert ref_stats.evictions > 0
+            assert prefetch_stats.issued == 0
+            for plane in ("tags", "dirty", "meta", "stamp"):
+                np.testing.assert_array_equal(
+                    getattr(ref_cache, plane),
+                    getattr(cache, plane),
+                    err_msg=f"{policy_key}/{kind}: {plane}",
+                )

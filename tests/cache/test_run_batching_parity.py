@@ -2,13 +2,10 @@
 
 Streams that repeat pages back to back -- a single hammered page, a
 single scorching set, two-set ping-pong, long geometric runs, and
-memtier-style traffic with hot fraction 0.99 -- give the same-set
-rounds of :mod:`repro.cache.simulate_fast` one access per set, so the
-kernel's own cutoff sends most of every chunk to the scalar tail.
-Each stream runs at that cutoff and with vector rounds forced
-(``min_round_width=1``: every round, however narrow, is a vector
-round), and both must match the scalar reference bit for bit:
-counters, final cache planes and per-access outcome codes.
+memtier-style traffic with hot fraction 0.99 -- run through
+:func:`repro.cache.simulate_fast.simulate_fast`, one-shot and as
+chunked resumable replays, and must match the scalar reference bit
+for bit: counters, final cache planes and per-access outcome codes.
 """
 
 import numpy as np
@@ -17,7 +14,6 @@ import pytest
 from repro.cache.policies import (
     BeladyPolicy,
     ClockPolicy,
-    CounterRandomPolicy,
     FifoPolicy,
     GmmCachePolicy,
     LfuPolicy,
@@ -29,8 +25,8 @@ from repro.cache.policies import (
 from repro.cache.setassoc import CacheGeometry
 from repro.core.policy import CombinedIcgmmPolicy
 
-#: Every registered-kernel policy (RandomPolicy has no kernel and
-#: runs the reference loop whole).
+#: Every policy but RandomPolicy (``test_simulate_fast_parity.py``
+#: covers it).
 POLICY_FACTORIES = [
     ("lru", lambda pages, universe: LruPolicy()),
     ("fifo", lambda pages, universe: FifoPolicy()),
@@ -40,10 +36,6 @@ POLICY_FACTORIES = [
     ("slru", lambda pages, universe: SlruPolicy()),
     ("2q", lambda pages, universe: TwoQPolicy()),
     ("belady", lambda pages, universe: BeladyPolicy(pages)),
-    (
-        "counter-random",
-        lambda pages, universe: CounterRandomPolicy(seed=11),
-    ),
     (
         "score-update",
         lambda pages, universe: ScoreBasedPolicy(
@@ -72,8 +64,7 @@ POLICY_FACTORIES = [
     ),
 ]
 
-#: Accesses per stream.  Forced rounds on a one-set stream resolve
-#: one access per round, so the length sets the suite's run time.
+#: Accesses per stream.
 N = 4_000
 
 
@@ -127,8 +118,7 @@ def _hot_traces(n_sets: int):
 def test_batched_matches_reference_on_hot_traces(
     name, make, n_sets, ways, assert_fast_parity
 ):
-    """Every hot stream, chunk-batched at both cutoffs, matches the
-    reference."""
+    """Every hot stream matches the reference."""
     geometry = _geometry(n_sets, ways)
     rng = np.random.default_rng(7)
     for trace_name, pages in _hot_traces(n_sets).items():
@@ -149,8 +139,7 @@ def test_batched_resumable_replay_matches(
     name, make, assert_fast_parity
 ):
     """Chunked replay with ``index_offset`` (an odd step, so page runs
-    straddle chunk boundaries) matches one reference run at both
-    cutoffs."""
+    straddle chunk boundaries) matches one reference run."""
     geometry = _geometry(16, 4)
     pages = _hot_traces(16)["memtier-hot99"]
     rng = np.random.default_rng(3)

@@ -4,13 +4,10 @@ Streams that hammer one or two cache sets with a handful of distinct
 pages -- a single set whose working set fits, a single set thrashing
 through twice its ways, two-set burst ping-pong, and memtier-style
 traffic with hot fraction 0.99 -- or rotate short same-set spans
-across 16 sets (set ping-pong) put at most a few accesses per round
-into the same-set rounds of :mod:`repro.cache.simulate_fast`, so the
-kernel's own cutoff sends whole chunks to the scalar tail.  Each stream runs
-at that cutoff and with vector rounds forced (``min_round_width=1``),
-one-shot and as a chunked resumable replay, and must match the
-scalar reference bit for bit: counters, final cache planes and
-per-access outcome codes.
+across 16 sets (set ping-pong) run through
+:func:`repro.cache.simulate_fast.simulate_fast`, one-shot and as a
+chunked resumable replay, and must match the scalar reference bit
+for bit: counters, final cache planes and per-access outcome codes.
 """
 
 import numpy as np
@@ -19,7 +16,6 @@ import pytest
 from repro.cache.policies import (
     BeladyPolicy,
     ClockPolicy,
-    CounterRandomPolicy,
     FifoPolicy,
     GmmCachePolicy,
     LfuPolicy,
@@ -31,7 +27,7 @@ from repro.cache.policies import (
 from repro.cache.setassoc import CacheGeometry
 from repro.core.policy import CombinedIcgmmPolicy
 
-#: Every registered-kernel policy, including the ones whose hit
+#: Every policy but RandomPolicy, including the ones whose hit
 #: updates depend on the order of hits within a set (SLRU promotion,
 #: decayed LFU).
 POLICY_FACTORIES = [
@@ -41,10 +37,6 @@ POLICY_FACTORIES = [
     ("clock", lambda pages, universe: ClockPolicy()),
     ("2q", lambda pages, universe: TwoQPolicy()),
     ("belady", lambda pages, universe: BeladyPolicy(pages)),
-    (
-        "counter-random",
-        lambda pages, universe: CounterRandomPolicy(seed=17),
-    ),
     (
         "score-update",
         lambda pages, universe: ScoreBasedPolicy(
@@ -81,8 +73,7 @@ POLICY_IDS = [n for n, _ in POLICY_FACTORIES]
 RESUMABLE = [p for p in POLICY_FACTORIES if p[0] != "belady"]
 RESUMABLE_IDS = [n for n, _ in RESUMABLE]
 
-#: Accesses per stream.  Forced rounds on a one-set stream resolve
-#: one access per round, so the length sets the suite's run time.
+#: Accesses per stream.
 N = 4_000
 
 
@@ -123,8 +114,7 @@ def _set_skewed_traces(n_sets: int, ways: int):
     ).astype(np.int64)
     # Set ping-pong: spans of 12 runs of consecutive distinct tags (3
     # accesses per run, 6 tags) within one set, the spans rotating
-    # across 16 sets (all of them on smaller caches), so every round
-    # is at most 16 accesses wide.
+    # across 16 sets (all of them on smaller caches).
     reps, tags, run_len = 12, 6, 3
     n_spans = N // (reps * run_len) + 2
     set_of = np.arange(n_spans) % min(16, n_sets)
@@ -149,8 +139,7 @@ def _stream(seed: int):
 def test_collapse_bit_identical_on_set_skewed_traces(
     name, make, n_sets, ways, assert_fast_parity
 ):
-    """Every set-skewed stream matches the reference at both
-    cutoffs."""
+    """Every set-skewed stream matches the reference."""
     geometry = _geometry(n_sets, ways)
     is_write, scores = _stream(11)
     for trace_name, pages in _set_skewed_traces(n_sets, ways).items():
@@ -182,7 +171,7 @@ def test_collapse_resumable_chunked_replay(
 ):
     """Chunked replay with ``index_offset`` on 4 sets, an odd chunk
     step so bursts straddle chunk boundaries, matches one reference
-    run at both cutoffs."""
+    run."""
     geometry = _geometry(4, 4)
     pages = _set_skewed_traces(4, 4)["memtier-hot99"]
     is_write, scores = _stream(7)
@@ -197,8 +186,7 @@ def test_short_span_resumable_chunked_replay(
     name, make, assert_fast_parity
 ):
     """Chunked replay of the two-set ping-pong on 8 sets, bursts
-    split across chunk boundaries, matches one reference run at both
-    cutoffs."""
+    split across chunk boundaries, matches one reference run."""
     geometry = _geometry(8, 4)
     pages = _set_skewed_traces(8, 4)["2set-pingpong"]
     is_write, scores = _stream(19)

@@ -4,9 +4,10 @@ The contract of :func:`repro.cache.simulate_fast.simulate_fast` is
 *bit-identical* output to :func:`repro.cache.setassoc.simulate` --
 counters, final cache state, and mirrored policy state -- for every
 policy, on every trace.  These tests enforce it with randomized
-traces across cache geometries, warm-up settings, score streams, and
-chunking parameters (including degenerate chunk sizes that force the
-same-set round machinery and the scalar tail through every branch).
+traces across cache geometries (up to the 2,048-set paper shape),
+warm-up settings, score streams and degenerate resumable calls, and
+pin which policies run the exact list loop and which run the
+reference loop itself.
 """
 
 import zlib
@@ -17,26 +18,24 @@ import pytest
 from repro.cache.policies import (
     BeladyPolicy,
     ClockPolicy,
-    CounterRandomPolicy,
     FifoPolicy,
     GmmCachePolicy,
     LfuPolicy,
     LruPolicy,
+    LstmCachePolicy,
     RandomPolicy,
     ScoreBasedPolicy,
     SlruPolicy,
     TwoQPolicy,
 )
-from repro.cache.policies.kernels import kernel_for
+from repro.cache.policies.kernels import ListSpan, list_span_for
 from repro.cache.setassoc import (
     CacheGeometry,
     SetAssociativeCache,
     simulate,
 )
-from repro.cache.simulate_fast import (
-    DEFAULT_MIN_ROUND_WIDTH,
-    simulate_fast,
-)
+from repro.cache.simulate_fast import simulate_fast
+from repro.cache.stats import CacheStats
 from repro.core.policy import CombinedIcgmmPolicy
 
 #: (name, factory(pages, universe)) for every policy in the zoo.
@@ -52,10 +51,6 @@ POLICY_FACTORIES = [
     (
         "random",
         lambda pages, universe: RandomPolicy(np.random.default_rng(7)),
-    ),
-    (
-        "counter-random",
-        lambda pages, universe: CounterRandomPolicy(seed=11),
     ),
     ("score", lambda pages, universe: ScoreBasedPolicy(threshold=0.1)),
     (
@@ -81,11 +76,13 @@ POLICY_FACTORIES = [
 ]
 
 GEOMETRIES = [
-    (2, 2),  # tiny: every chunk is one scorching conflict
+    (2, 2),  # tiny: every access a scorching conflict
     (8, 4),
     (64, 8),  # the scaled simulation default shape
     (1, 4),  # single set
     (16, 1),  # direct-mapped
+    (256, 8),
+    (2048, 8),  # the paper's 64 MB / 4 KB / 8-way shape
 ]
 
 
@@ -106,7 +103,8 @@ def _trace(seed: int, n: int, universe: int):
 
 
 def _assert_identical(name, geometry, make, pages, is_write, scores,
-                      warmup, **fast_kwargs):
+                      warmup):
+    """Both engines from fresh state; returns the reference stats."""
     ref_cache = SetAssociativeCache(geometry)
     fast_cache = SetAssociativeCache(geometry)
     ref_policy = make(pages, int(pages.max()) + 1 if len(pages) else 1)
@@ -117,7 +115,7 @@ def _assert_identical(name, geometry, make, pages, is_write, scores,
     )
     fast_stats = simulate_fast(
         fast_cache, fast_policy, pages, is_write,
-        scores=scores, warmup_fraction=warmup, **fast_kwargs,
+        scores=scores, warmup_fraction=warmup,
     )
     assert ref_stats == fast_stats, f"{name}: counters diverge"
     np.testing.assert_array_equal(
@@ -134,6 +132,7 @@ def _assert_identical(name, geometry, make, pages, is_write, scores,
     )
     if isinstance(ref_policy, ClockPolicy):
         assert ref_policy._hands == fast_policy._hands
+    return ref_stats
 
 
 class TestPolicyParity:
@@ -141,40 +140,65 @@ class TestPolicyParity:
         "name,make", POLICY_FACTORIES, ids=[n for n, _ in POLICY_FACTORIES]
     )
     @pytest.mark.parametrize("n_sets,ways", GEOMETRIES)
-    def test_randomized_trace(
-        self, name, make, n_sets, ways, vector_rounds
-    ):
+    def test_randomized_trace(self, name, make, n_sets, ways):
         # Stable digest (hash() is salted per process, which would
         # make a failing trace unreproducible).
         seed = zlib.crc32(f"{name}/{n_sets}/{ways}".encode())
+        # Three times the capacity in pages and at least 16 accesses
+        # per set, so the sets fill and evict on every geometry.
         pages, is_write, scores = _trace(
             seed=seed,
-            n=4000,
+            n=max(4000, 16 * n_sets),
             universe=max(8, n_sets * ways * 3),
         )
-        # The kernel's own cutoff (list-span kernels resolve a 64-set
-        # cache in the tail) and the vector-path one.
-        for width in (None, DEFAULT_MIN_ROUND_WIDTH):
-            for warmup in (0.0, 0.37):
-                _assert_identical(
-                    name, _geometry(n_sets, ways), make,
-                    pages, is_write, scores, warmup,
-                    min_round_width=width,
-                )
-        if n_sets == 64 and name != "random":
-            assert vector_rounds, "vector rounds never engaged"
+        for warmup in (0.0, 0.37):
+            stats = _assert_identical(
+                name, _geometry(n_sets, ways), make,
+                pages, is_write, scores, warmup,
+            )
+            assert stats.evictions > 0
 
     @pytest.mark.parametrize(
         "name,make", POLICY_FACTORIES, ids=[n for n, _ in POLICY_FACTORIES]
     )
     def test_degenerate_chunking(self, name, make):
-        """Tiny chunks + unit round width force every engine branch."""
+        """Degenerate ``index_offset`` calls -- single accesses, an
+        empty call, and 17-access slices that cut the stream at
+        arbitrary points -- match one reference run: counters, all
+        four planes and outcome codes."""
         pages, is_write, scores = _trace(seed=99, n=1500, universe=600)
-        _assert_identical(
-            name, _geometry(32, 4), make,
-            pages, is_write, scores, 0.25,
-            chunk_size=17, min_round_width=1,
+        n = len(pages)
+        universe = int(pages.max()) + 1
+        geometry = _geometry(32, 4)
+        ref_cache = SetAssociativeCache(geometry)
+        ref_out = np.empty(n, dtype=np.uint8)
+        ref_stats = simulate(
+            ref_cache, make(pages, universe), pages, is_write,
+            scores=scores, outcome=ref_out,
         )
+        cuts = [0, 1, 1, 2, 3, *range(20, n - 1, 17), n - 1, n]
+        cache = SetAssociativeCache(geometry)
+        policy = make(pages, universe)
+        out = np.empty(n, dtype=np.uint8)
+        total = CacheStats()
+        for start, stop in zip(cuts, cuts[1:]):
+            total = total.merge(
+                simulate_fast(
+                    cache, policy,
+                    pages[start:stop], is_write[start:stop],
+                    scores=scores[start:stop],
+                    index_offset=start,
+                    outcome=out[start:stop],
+                )
+            )
+        assert total == ref_stats, f"{name}: counters diverge"
+        assert ref_stats.evictions > 0
+        np.testing.assert_array_equal(ref_out, out)
+        for plane in ("tags", "dirty", "meta", "stamp"):
+            np.testing.assert_array_equal(
+                getattr(ref_cache, plane), getattr(cache, plane),
+                err_msg=f"{name}: {plane}",
+            )
 
     @pytest.mark.parametrize(
         "name,make", POLICY_FACTORIES, ids=[n for n, _ in POLICY_FACTORIES]
@@ -240,14 +264,6 @@ class TestEdgeCases:
                 np.array([False]),
                 warmup_fraction=1.0,
             )
-        with pytest.raises(ValueError, match="chunk_size"):
-            simulate_fast(
-                SetAssociativeCache(geometry),
-                LruPolicy(),
-                np.array([1]),
-                np.array([False]),
-                chunk_size=0,
-            )
 
     def test_mixed_measured_chunk(self):
         """Warm-up boundary falling inside a chunk counts exactly."""
@@ -255,36 +271,102 @@ class TestEdgeCases:
         _assert_identical(
             "lru", _geometry(8, 4), lambda p, u: LruPolicy(),
             pages, is_write, scores, 0.5,
-            chunk_size=4096,  # single chunk straddles the boundary
         )
 
 
-class TestKernelRegistry:
-    def test_known_policies_have_kernels(self):
-        cache = SetAssociativeCache(_geometry(4, 2))
-        for policy in (
-            LruPolicy(), FifoPolicy(), LfuPolicy(), ClockPolicy(),
-            SlruPolicy(), TwoQPolicy(), CounterRandomPolicy(),
-            ScoreBasedPolicy(threshold=0.0),
-            GmmCachePolicy(threshold=0.0),
-            CombinedIcgmmPolicy(threshold=0.0, page_scores={}),
-            BeladyPolicy(np.array([1, 2, 3])),
-        ):
-            assert kernel_for(policy, cache) is not None, policy
+#: Policies that run the exact list loop: all four Fig. 6 strategies.
+LIST_SPAN_POLICIES = [
+    ("lru", LruPolicy),
+    ("score", lambda: ScoreBasedPolicy(threshold=0.3)),
+    ("score-caching", lambda: ScoreBasedPolicy(eviction=False)),
+    ("score-eviction", lambda: ScoreBasedPolicy(admission=False)),
+    (
+        "score-update",
+        lambda: ScoreBasedPolicy(update_score_on_hit=True),
+    ),
+    ("gmm", lambda: GmmCachePolicy(threshold=0.3)),
+    ("lstm", lambda: LstmCachePolicy(threshold=0.3)),
+    ("combined", lambda: CombinedIcgmmPolicy(0.3, {7: 0.5})),
+]
 
-    def test_random_policy_has_no_kernel(self):
-        """Sequential RNG draws cannot survive reordering."""
-        cache = SetAssociativeCache(_geometry(4, 2))
-        assert kernel_for(RandomPolicy(), cache) is None
+#: Policies that run the reference loop itself.
+REFERENCE_POLICIES = [
+    ("fifo", FifoPolicy),
+    ("lfu", LfuPolicy),
+    ("clock", ClockPolicy),
+    ("slru", SlruPolicy),
+    ("2q", TwoQPolicy),
+    ("belady", lambda: BeladyPolicy(np.array([1, 2, 3]))),
+    ("random", RandomPolicy),
+]
 
-    def test_subclass_with_overridden_hook_falls_back(self):
+#: The classes that declare a ``ListSpan``, with constructor
+#: arguments.
+DECLARING = [
+    (LruPolicy, ()),
+    (ScoreBasedPolicy, ()),
+    (CombinedIcgmmPolicy, (0.3, {7: 0.5})),
+]
+HOOKS = ("on_hit", "admit", "fill_meta", "select_victim")
+
+
+def _overriding(cls, hook):
+    """A subclass of ``cls`` that overrides ``hook`` with a wrapper
+    doing exactly what the inherited hook does."""
+    inherited = getattr(cls, hook)
+
+    def wrapper(self, *args):
+        return inherited(self, *args)
+
+    return type(f"{cls.__name__}With{hook}", (cls,), {hook: wrapper})
+
+
+class TestListSpanRouting:
+    @pytest.mark.parametrize(
+        "name,make",
+        LIST_SPAN_POLICIES,
+        ids=[n for n, _ in LIST_SPAN_POLICIES],
+    )
+    def test_fig6_policies_declare_a_list_span(self, name, make):
+        policy = make()
+        spec = list_span_for(policy)
+        assert isinstance(spec, ListSpan)
+        if name == "lru":
+            assert spec == ListSpan(False, None, False, None)
+            return
+        assert spec.evict_meta == policy.eviction
+        assert spec.threshold == (
+            policy.threshold if policy.admission else None
+        )
+        assert spec.hit_meta == policy.update_score_on_hit
+        if name == "combined":
+            assert spec.fill_scores is policy._page_scores
+        else:
+            assert spec.fill_scores == {}
+
+    @pytest.mark.parametrize(
+        "name,make",
+        REFERENCE_POLICIES,
+        ids=[n for n, _ in REFERENCE_POLICIES],
+    )
+    def test_other_policies_run_the_reference(self, name, make):
+        assert list_span_for(make()) is None
+
+    @pytest.mark.parametrize("hook", HOOKS)
+    @pytest.mark.parametrize(
+        "cls,args", DECLARING, ids=[c.__name__ for c, _ in DECLARING]
+    )
+    def test_subclass_overriding_a_hook_runs_the_reference(
+        self, cls, args, hook
+    ):
+        assert list_span_for(cls(*args)) is not None
+        assert list_span_for(_overriding(cls, hook)(*args)) is None
+
+    def test_subclass_with_overridden_hook_matches_reference(self):
         class WeirdLru(LruPolicy):
             def select_victim(self, cache, set_index, access_index):
                 return 0  # not LRU at all
 
-        cache = SetAssociativeCache(_geometry(4, 2))
-        assert kernel_for(WeirdLru(), cache) is None
-        # ... and simulate_fast still gets it right via fallback.
         pages, is_write, scores = _trace(seed=3, n=1200, universe=80)
         _assert_identical(
             "weird-lru", _geometry(4, 2),

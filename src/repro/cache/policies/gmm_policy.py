@@ -32,11 +32,10 @@ class ScoreBasedPolicy(ReplacementPolicy):
         Enable smart eviction (victim = lowest stored score); when
         False the victim falls back to LRU order, reproducing the
         paper's "GMM caching-only" configuration.
-    update_score_on_hit:
-        When True the stored score is refreshed with the current
-        request's score on every hit.  The paper's engine skips the GMM
-        entirely on hits (Fig. 4), so the faithful default is False;
-        the switch exists for the ablation bench.
+
+    A hit only refreshes recency: the paper's engine skips the GMM
+    entirely on hits (Fig. 4), so the stored score is the one the
+    block was filled with.
     """
 
     name = "score"
@@ -46,7 +45,6 @@ class ScoreBasedPolicy(ReplacementPolicy):
         threshold: float = 0.0,
         admission: bool = True,
         eviction: bool = True,
-        update_score_on_hit: bool = False,
     ) -> None:
         if not admission and not eviction:
             raise ValueError(
@@ -56,13 +54,6 @@ class ScoreBasedPolicy(ReplacementPolicy):
         self.threshold = float(threshold)
         self.admission = bool(admission)
         self.eviction = bool(eviction)
-        self.update_score_on_hit = bool(update_score_on_hit)
-
-    def on_hit(self, cache, set_index, way, access_index, score):
-        """Refresh recency (and optionally the stored score)."""
-        cache.stamp[set_index][way] = float(access_index)
-        if self.update_score_on_hit:
-            cache.meta[set_index][way] = score
 
     def admit(self, page, score, is_write, access_index):
         """Smart caching: admit only pages predicted hot enough."""

@@ -3,8 +3,8 @@
 A policy whose four scalar hooks (``on_hit``, ``admit``,
 ``fill_meta``, ``select_victim``) reduce to a handful of facts --
 which plane ``select_victim`` takes the first argmin of, the
-admission cut, whether ``on_hit`` stores the request score, and where
-``fill_meta`` reads its value -- declares them as a
+admission cut and where ``fill_meta`` reads its value -- declares
+them as a
 :class:`ListSpan`, and :func:`repro.cache.simulate_fast.simulate_fast`
 then runs the exact list loop
 :func:`repro.cache.simulate_fast._list_span` instead of calling the
@@ -29,8 +29,8 @@ from repro.cache.policies.lru import LruPolicy
 class ListSpan(NamedTuple):
     """A policy's scalar hooks as data, for the exact list loop.
 
-    Each field restates one hook of the declaring policy; every
-    ``on_hit`` also refreshes the hit way's stamp.
+    Each field restates one hook of the declaring policy; ``on_hit``
+    is the base recency refresh (the hit way's stamp) for all of them.
     """
 
     #: ``select_victim`` is the first argmin of the set's ``meta`` row
@@ -38,8 +38,6 @@ class ListSpan(NamedTuple):
     evict_meta: bool
     #: ``admit`` is ``score >= threshold``; ``None`` admits every miss.
     threshold: float | None
-    #: ``on_hit`` also stores the request score in ``meta``.
-    hit_meta: bool
     #: ``fill_meta`` is ``fill_scores.get(page, score)`` (an empty map
     #: stores the request score); ``None`` stores ``0.0``.
     fill_scores: Mapping[int, float] | None
@@ -92,7 +90,7 @@ def list_span_for(policy: ReplacementPolicy) -> ListSpan | None:
 @declares_list_span(LruPolicy)
 def _lru_list_span(policy: LruPolicy) -> ListSpan:
     """LRU: base recency refresh, evict the oldest stamp."""
-    return ListSpan(False, None, False, None)
+    return ListSpan(False, None, None)
 
 
 @declares_list_span(ScoreBasedPolicy)
@@ -101,7 +99,6 @@ def score_list_span(policy: ScoreBasedPolicy) -> ListSpan:
     return ListSpan(
         policy.eviction,
         policy.threshold if policy.admission else None,
-        policy.update_score_on_hit,
         {},
     )
 

@@ -6,31 +6,20 @@ from repro.cache.policies.base import ReplacementPolicy, argmin_way
 
 
 class LfuPolicy(ReplacementPolicy):
-    """In-cache LFU with optional decay.
+    """In-cache LFU.
 
     Each block's ``meta`` counts its hits since fill; the victim is the
-    least-counted way.  ``decay`` < 1 ages counters at every hit update
-    so stale frequency does not pin dead blocks forever (LFU's classic
-    failure mode).  LFU is the closest classical analogue of the GMM
-    score policy -- both approximate access *frequency* -- so it
+    least-counted way.  LFU is the closest classical analogue of the
+    GMM score policy -- both approximate access *frequency* -- so it
     anchors the policy ablation.
     """
 
     name = "lfu"
 
-    def __init__(self, decay: float = 1.0) -> None:
-        if not 0.0 < decay <= 1.0:
-            raise ValueError("decay must be in (0, 1]")
-        self.decay = decay
-
     def on_hit(self, cache, set_index, way, access_index, score):
-        """Count the hit (and age the set when decay is enabled)."""
+        """Count the hit."""
         cache.stamp[set_index][way] = float(access_index)
-        meta = cache.meta[set_index]
-        if self.decay < 1.0:
-            for i in range(len(meta)):
-                meta[i] *= self.decay
-        meta[way] += 1.0
+        cache.meta[set_index][way] += 1.0
 
     def fill_meta(self, page, score, access_index):
         """A fresh block starts with one (its filling miss)."""

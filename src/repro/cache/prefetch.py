@@ -21,8 +21,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cache.policies.base import ReplacementPolicy
-from repro.cache.setassoc import SetAssociativeCache
-from repro.cache.stats import CacheStats
+from repro.cache.setassoc import (
+    SetAssociativeCache,
+    _validate_stream,
+    access_step,
+    place,
+)
+from repro.cache.stats import (
+    OUTCOME_DIRTY_EVICT,
+    OUTCOME_FILL,
+    OUTCOME_HIT,
+    CacheStats,
+    stats_from_outcomes,
+)
 
 
 @dataclass
@@ -107,109 +118,59 @@ def simulate_with_prefetch(
 ) -> tuple[CacheStats, PrefetchStats]:
     """Trace-driven simulation with demand-miss-triggered prefetch.
 
-    Mirrors :func:`repro.cache.setassoc.simulate` with one addition:
-    each demand miss consults the prefetcher and installs the returned
-    pages as clean blocks (respecting the replacement policy's victim
-    choice; prefetches never bypass).  Usefulness is tracked through a
-    side set of resident prefetched pages: a demand hit on one counts
-    as a useful prefetch, eviction before use does not.
+    Mirrors :func:`repro.cache.setassoc.simulate` (one
+    :func:`~repro.cache.setassoc.access_step` per demand access) with
+    one addition: each demand miss consults the prefetcher and
+    installs the returned pages that are not resident as clean blocks
+    through :func:`~repro.cache.setassoc.place` (respecting the
+    replacement policy's victim choice; prefetches never bypass).
+    The demand counters come from the outcome codes; a prefetch
+    install's eviction counts too, its fill does not.  A demand hit
+    counts as a useful prefetch when the page's latest fill was a
+    prefetch not yet hit.
     """
-    pages = np.asarray(pages)
-    is_write = np.asarray(is_write)
-    if pages.shape != is_write.shape:
-        raise ValueError("pages and is_write must have the same shape")
-    if scores is None:
-        scores = np.zeros(pages.shape[0], dtype=np.float64)
-    else:
-        scores = np.asarray(scores, dtype=np.float64)
-        if scores.shape != pages.shape:
-            raise ValueError("scores and pages must have the same shape")
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ValueError("warmup_fraction must be in [0, 1)")
-    measure_from = int(pages.shape[0] * warmup_fraction)
-
-    stats = CacheStats()
+    pages, is_write, scores, measure_from = _validate_stream(
+        pages, is_write, scores, warmup_fraction
+    )
+    n_sets = cache.geometry.n_sets
+    tags_list = cache.tags.tolist()
+    codes = np.empty(pages.shape[0], dtype=np.uint8)
     prefetch_stats = PrefetchStats()
-    pending_prefetched: set[int] = set()
-
-    def install(page: int, access_index: int, score: float) -> None:
-        set_index, way = cache.lookup(page)
-        if way is not None:
-            return
-        victim = cache.find_invalid_way(set_index)
-        if victim is None:
-            victim = policy.select_victim(cache, set_index, access_index)
-            if access_index >= measure_from:
-                stats.evictions += 1
-                if cache.dirty[set_index][victim]:
-                    stats.dirty_evictions += 1
-            evicted = cache.tags[set_index][victim]
-            pending_prefetched.discard(evicted)
-        cache.fill(
-            set_index,
-            victim,
-            page,
-            False,
-            policy.fill_meta(page, score, access_index),
-            float(access_index),
+    evictions = dirty_evictions = 0
+    prefetched: set[int] = set()
+    for access_index, (page, write, score) in enumerate(
+        zip(pages.tolist(), is_write.tolist(), scores.tolist())
+    ):
+        set_index = page % n_sets
+        code = access_step(
+            cache, policy, tags_list[set_index], set_index, page,
+            write, score, access_index,
         )
-
-    for access_index in range(pages.shape[0]):
-        page = int(pages[access_index])
-        write = bool(is_write[access_index])
-        score = float(scores[access_index])
-        measured = access_index >= measure_from
-        set_index, way = cache.lookup(page)
-
-        if way is not None:
-            policy.on_hit(cache, set_index, way, access_index, score)
-            if write:
-                cache.dirty[set_index][way] = True
-            if measured:
-                stats.hits += 1
-                if write:
-                    stats.write_hits += 1
-            if page in pending_prefetched:
-                pending_prefetched.discard(page)
+        codes[access_index] = code
+        if code == OUTCOME_HIT:
+            if page in prefetched:
+                prefetched.discard(page)
                 prefetch_stats.useful += 1
             continue
-
-        if measured:
-            stats.misses += 1
-            if write:
-                stats.write_misses += 1
-        pending_prefetched.discard(page)
-        to_prefetch = prefetcher.observe_miss(page)
-        if policy.admit(page, score, write, access_index):
-            if measured:
-                stats.fills += 1
-            victim = cache.find_invalid_way(set_index)
-            if victim is None:
-                victim = policy.select_victim(
-                    cache, set_index, access_index
-                )
-                if measured:
-                    stats.evictions += 1
-                    if cache.dirty[set_index][victim]:
-                        stats.dirty_evictions += 1
-                evicted = cache.tags[set_index][victim]
-                pending_prefetched.discard(evicted)
-            cache.fill(
-                set_index,
-                victim,
-                page,
-                write,
-                policy.fill_meta(page, score, access_index),
-                float(access_index),
+        prefetched.discard(page)
+        for target in prefetcher.observe_miss(page):
+            target_set = target % n_sets
+            target_tags = tags_list[target_set]
+            if target in target_tags:
+                continue
+            fill = place(
+                cache, policy, target_tags, target_set, target, False,
+                score, access_index,
             )
-        elif measured:
-            stats.bypasses += 1
-            if write:
-                stats.bypassed_writes += 1
-        for target in to_prefetch:
-            _, existing = cache.lookup(target)
-            if existing is None:
-                install(target, access_index, score)
-                pending_prefetched.add(target)
-                prefetch_stats.issued += 1
+            prefetched.add(target)
+            prefetch_stats.issued += 1
+            if access_index >= measure_from and fill != OUTCOME_FILL:
+                evictions += 1
+                if fill == OUTCOME_DIRTY_EVICT:
+                    dirty_evictions += 1
+    stats = stats_from_outcomes(
+        codes, is_write, np.arange(pages.shape[0]) >= measure_from
+    )
+    stats.evictions += evictions
+    stats.dirty_evictions += dirty_evictions
     return stats, prefetch_stats

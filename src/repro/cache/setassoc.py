@@ -206,6 +206,80 @@ def _validate_stream(
     return pages, is_write, scores, measure_from
 
 
+def place(
+    cache: SetAssociativeCache,
+    policy: ReplacementPolicy,
+    set_tags: list[int],
+    set_index: int,
+    page: int,
+    write: bool,
+    score: float,
+    access_index: int,
+) -> int:
+    """Install a missing ``page``: the first invalid way, else the
+    policy's victim.
+
+    ``set_tags`` is the caller's list mirror of the set's tag row and
+    is kept in sync.  Returns the fill's code: ``OUTCOME_FILL``,
+    ``OUTCOME_EVICT`` or ``OUTCOME_DIRTY_EVICT``.
+    """
+    if INVALID in set_tags:
+        way = set_tags.index(INVALID)
+        code = OUTCOME_FILL
+    else:
+        way = policy.select_victim(cache, set_index, access_index)
+        code = (
+            OUTCOME_DIRTY_EVICT
+            if cache.dirty[set_index][way]
+            else OUTCOME_EVICT
+        )
+    set_tags[way] = page
+    cache.fill(
+        set_index,
+        way,
+        page,
+        write,
+        policy.fill_meta(page, score, access_index),
+        float(access_index),
+    )
+    return code
+
+
+def access_step(
+    cache: SetAssociativeCache,
+    policy: ReplacementPolicy,
+    set_tags: list[int],
+    set_index: int,
+    page: int,
+    write: bool,
+    score: float,
+    access_index: int,
+) -> int:
+    """One access through the Sec. 3.2 flow; returns its ``OUTCOME_*``.
+
+    A hit is served from DRAM (the GMM is bypassed); a miss asks the
+    policy whether to cache the page at all and, when admitted,
+    :func:`place` fills it.  ``set_tags`` is the caller's list mirror
+    of the set's tag row and is kept in sync; dirty/meta/stamp go
+    through the cache's numpy planes so policy hooks observe them.
+    """
+    try:
+        way = set_tags.index(page)
+    except ValueError:
+        pass
+    else:
+        policy.on_hit(cache, set_index, way, access_index, score)
+        if write:
+            cache.dirty[set_index][way] = True
+        return OUTCOME_HIT
+    if not policy.admit(page, score, write, access_index):
+        return OUTCOME_BYPASS
+    return place(
+        cache, policy, set_tags, set_index, page, write, score,
+        access_index,
+    )
+
+
 def _scalar_span(
     cache: SetAssociativeCache,
     policy: ReplacementPolicy,
@@ -225,88 +299,53 @@ def _scalar_span(
     requests as plain Python scalars; ``index_list`` (any indexable
     sequence, e.g. a ``range`` or a list) gives the absolute access
     index of each position.  ``tags_list`` is a list-of-lists mirror
-    of ``cache.tags`` kept in sync by this function (fast lookups);
-    dirty/meta/stamp go through the cache's numpy planes directly so
-    policy hooks observe them.
+    of ``cache.tags`` kept in sync by :func:`access_step` (fast
+    lookups).
 
     When ``outcome`` is given, each access's ``OUTCOME_*`` code is
     written at ``outcome[access_index - outcome_base]``.
 
     This is the executable specification: the list loop in
-    :mod:`repro.cache.simulate_fast` must match it bit for bit.
+    :mod:`repro.cache.simulate_fast` must match it bit for bit, and
+    its counters are what
+    :func:`~repro.cache.stats.stats_from_outcomes` must rebuild from
+    the codes.
     """
-    dirty = cache.dirty
     n_sets = cache.geometry.n_sets
     record = outcome is not None
     for offset in range(len(page_list)):
         access_index = index_list[offset]
         page = page_list[offset]
         write = write_list[offset]
-        score = score_list[offset]
-        measured = access_index >= measure_from
         set_index = page % n_sets
-        set_tags = tags_list[set_index]
-        try:
-            way: int | None = set_tags.index(page)
-        except ValueError:
-            way = None
-
-        if way is not None:
-            # DRAM cache hit: data goes straight to the host.
-            policy.on_hit(cache, set_index, way, access_index, score)
-            if write:
-                dirty[set_index][way] = True
-            if measured:
-                stats.hits += 1
-                if write:
-                    stats.write_hits += 1
-            if record:
-                outcome[access_index - outcome_base] = OUTCOME_HIT
-            continue
-
-        # Miss: SSD must be accessed either way; the policy decides
-        # whether the page also gets cached.
-        if measured:
-            stats.misses += 1
-            if write:
-                stats.write_misses += 1
-        if not policy.admit(page, score, write, access_index):
-            if measured:
-                stats.bypasses += 1
-                if write:
-                    stats.bypassed_writes += 1
-            if record:
-                outcome[access_index - outcome_base] = OUTCOME_BYPASS
-            continue
-
-        try:
-            victim: int | None = set_tags.index(INVALID)
-        except ValueError:
-            victim = None
-        if victim is None:
-            victim = policy.select_victim(cache, set_index, access_index)
-            victim_dirty = bool(dirty[set_index][victim])
-            if measured:
-                stats.evictions += 1
-                if victim_dirty:
-                    stats.dirty_evictions += 1
-            if record:
-                outcome[access_index - outcome_base] = (
-                    OUTCOME_DIRTY_EVICT if victim_dirty else OUTCOME_EVICT
-                )
-        elif record:
-            outcome[access_index - outcome_base] = OUTCOME_FILL
-        if measured:
-            stats.fills += 1
-        set_tags[victim] = page
-        cache.fill(
-            set_index,
-            victim,
-            page,
-            write,
-            policy.fill_meta(page, score, access_index),
-            float(access_index),
+        code = access_step(
+            cache, policy, tags_list[set_index], set_index, page,
+            write, score_list[offset], access_index,
         )
+        if record:
+            outcome[access_index - outcome_base] = code
+        if access_index < measure_from:
+            continue
+        if code == OUTCOME_HIT:
+            stats.hits += 1
+            if write:
+                stats.write_hits += 1
+            continue
+        # Miss: SSD must be accessed either way; the policy decided
+        # whether the page also got cached.
+        stats.misses += 1
+        if write:
+            stats.write_misses += 1
+        if code == OUTCOME_BYPASS:
+            stats.bypasses += 1
+            if write:
+                stats.bypassed_writes += 1
+            continue
+        stats.fills += 1
+        if code != OUTCOME_FILL:
+            stats.evictions += 1
+            if code == OUTCOME_DIRTY_EVICT:
+                stats.dirty_evictions += 1
 
 
 def simulate(

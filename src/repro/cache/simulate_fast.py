@@ -4,8 +4,8 @@ The reference :func:`repro.cache.setassoc.simulate` walks the request
 stream one access at a time through the policy's hook methods.  The
 four Fig. 6 strategies -- LRU, GMM smart caching, smart eviction and
 both -- reduce those hooks to a handful of facts (which plane the
-victim is the first argmin of, the admission cut, whether a hit
-stores the request score, where the fill metadata comes from), which
+victim is the first argmin of, the admission cut, where the fill
+metadata comes from), which
 their policies declare as a
 :class:`~repro.cache.policies.kernels.ListSpan`.  For them
 :func:`simulate_fast` replays the stream in chunks of
@@ -93,7 +93,6 @@ def _list_span(
     }
     way_of = resident.get
     threshold = spec.threshold
-    hit_meta = spec.hit_meta
     fill_get = None if spec.fill_scores is None else spec.fill_scores.get
     codes = bytearray()
     code = codes.append
@@ -107,8 +106,6 @@ def _list_span(
         way = way_of(page)
         if way is not None:
             stamp[row][way] = stamp_value
-            if hit_meta:
-                meta[row][way] = score
             if write:
                 dirty[row][way] = True
             code(OUTCOME_HIT)

@@ -28,7 +28,6 @@ from repro.chaos.plan import (
 from repro.core.config import (
     ChaosConfig,
     FabricTopology,
-    FleetHealthConfig,
     IcgmmConfig,
     ParallelConfig,
     ServingConfig,
@@ -86,9 +85,12 @@ _SCENARIO_OVERRIDES: dict[str, dict] = {
         "refresh_corrupt_rate": 0.2,
     },
     # Single-attempt crashes, always inside the retry budget: the
-    # run must be bit-identical to fault-free, with retries > 0.
+    # run must be bit-identical to fault-free, with retries > 0.  The
+    # rate is per dispatch round and task, and hash-mode serving
+    # dispatches one plane task per chunk, so it is high enough that
+    # a 21-chunk horizon plans a crash at every chaos seed 0-7.
     "worker_crash": {
-        "worker_crash_rate": 0.05,
+        "worker_crash_rate": 0.2,
         "worker_crash_attempts": 1,
     },
     # Correlated blasts: k devices drop together (shared enclosure /
@@ -252,14 +254,14 @@ def run_fabric_scenario(
     page_score_map: dict[int, float] | None = None,
     chunk_requests: int = 4096,
     parallel: ParallelConfig | None = None,
-    health: FleetHealthConfig | None = None,
+    monitor: bool = False,
     telemetry=None,
 ) -> dict:
     """Stream a workload through a (possibly faulty) fabric.
 
     Pass ``chaos=None`` for the no-fault baseline: the identical
     ingest path runs with the injector absent, which the parity suite
-    asserts is bit-identical to the pre-chaos fabric.  ``health``
+    asserts is bit-identical to the pre-chaos fabric.  ``monitor``
     arms the :class:`~repro.serving.health.FleetHealthMonitor`; the
     scorecard crosses every fault scenario with monitor on/off, so
     both arms flow through this one runner.  Raises
@@ -274,7 +276,7 @@ def run_fabric_scenario(
         config=config,
         parallel=parallel,
         chaos=chaos,
-        health=health,
+        monitor=monitor,
         telemetry=telemetry,
     )
     try:
@@ -355,7 +357,7 @@ def run_prepared_scenario(
     admission_threshold: float = 0.0,
     chunk_requests: int = 4096,
     parallel: ParallelConfig | None = None,
-    health: FleetHealthConfig | None = None,
+    monitor: bool = False,
     telemetry=None,
 ) -> dict:
     """Drive ``CxlFabric.run_prepared`` under a (possibly faulty) plan.
@@ -363,7 +365,7 @@ def run_prepared_scenario(
     The one-shot offline entry point must survive chaos too: with an
     injector (or monitor) wired it degrades to the chunked ingest
     path, so every fault channel fires and zero accesses are lost.
-    ``chaos=None`` with ``health=None`` exercises the untouched
+    ``chaos=None`` with ``monitor=False`` exercises the untouched
     one-shot path -- the scorecard tests assert that a disabled-chaos
     prepared run equals the streamed no-fault fabric run (warm-up
     cut disabled so counters match the streamed baseline access for
@@ -388,7 +390,7 @@ def run_prepared_scenario(
         config=config,
         parallel=parallel,
         chaos=chaos,
-        health=health,
+        monitor=monitor,
         telemetry=telemetry,
     )
     try:

@@ -48,7 +48,6 @@ from repro.core.config import (
     STRATEGIES,
     ChaosConfig,
     FabricTopology,
-    FleetHealthConfig,
     GmmEngineConfig,
     IcgmmConfig,
     ParallelConfig,
@@ -1066,8 +1065,6 @@ def _cmd_chaos(args) -> int:
         emit(f"training engine on {n_train:,} requests...")
         engine = GmmPolicyEngine.train(features, config.gmm, rng)
 
-    health = FleetHealthConfig() if args.monitor else None
-
     def run(name, chaos, telemetry=None):
         if name in SERVING_SCENARIOS:
             return run_serving_scenario(
@@ -1080,13 +1077,13 @@ def _cmd_chaos(args) -> int:
                 chaos, pages, is_write,
                 topology=topology, config=config,
                 chunk_requests=args.chunk, parallel=retrying,
-                health=health, telemetry=telemetry,
+                monitor=args.monitor, telemetry=telemetry,
             )
         return run_fabric_scenario(
             chaos, pages, is_write,
             topology=topology, config=config,
             chunk_requests=args.chunk, parallel=retrying,
-            health=health, telemetry=telemetry,
+            monitor=args.monitor, telemetry=telemetry,
         )
 
     baselines = {}

@@ -295,76 +295,6 @@ class ChaosConfig:
         return cls(**defaults)
 
 
-@dataclass(frozen=True)
-class FleetHealthConfig:
-    """Fleet health monitoring knobs
-    (:class:`repro.serving.health.FleetHealthMonitor`).
-
-    Mirrors :class:`ChaosConfig`'s arming contract: passing a config
-    arms the monitor, and with ``None`` no monitor is constructed at
-    all and the fabric runs its exact pre-monitor code path (the
-    parity suite in ``tests/chaos`` asserts byte-identical
-    behaviour).
-
-    The monitor watches per-device latency/miss EWMAs (maintained by
-    :class:`repro.serving.metrics.RollingMetrics`) against the fleet
-    median and walks each device through
-    ``healthy -> suspect -> quarantined -> probation -> healthy``:
-    a device whose EWMA breaches a *relative* threshold for
-    ``breach_chunks`` consecutive chunks is quarantined (its traffic
-    re-homed onto healthy devices, exactly like outage failover), held
-    out for ``quarantine_chunks``, then probed live for
-    ``probation_chunks`` clean chunks before reinstatement.  All
-    decisions are pure functions of per-chunk counters and the chunk
-    index, so they are bit-identical across worker counts.
-
-    Attributes
-    ----------
-    latency_threshold:
-        Relative breach bar: a device is suspect when its latency
-        EWMA exceeds ``latency_threshold`` times the fleet median
-        (the miss-EWMA bar is fixed in :mod:`repro.serving.health`).
-    breach_chunks:
-        Consecutive breaching chunks before quarantine.
-    quarantine_chunks:
-        Chunks a quarantined device is held out of placement.
-    probation_chunks:
-        Consecutive clean probe chunks before reinstatement.
-    ewma_alpha:
-        Smoothing factor of the per-device EWMAs.
-    min_chunk_accesses:
-        Chunks serving fewer accesses than this are not judged
-        (too little traffic to trust the latency estimate).
-    min_active_devices:
-        The monitor never quarantines below this many serving
-        devices, whatever the breach counters say.
-    """
-
-    latency_threshold: float = 2.0
-    breach_chunks: int = 3
-    quarantine_chunks: int = 4
-    probation_chunks: int = 3
-    ewma_alpha: float = 0.3
-    min_chunk_accesses: int = 64
-    min_active_devices: int = 1
-
-    def __post_init__(self) -> None:
-        if self.latency_threshold < 1.0:
-            raise ValueError("latency_threshold must be >= 1")
-        for name in (
-            "breach_chunks",
-            "quarantine_chunks",
-            "probation_chunks",
-            "min_active_devices",
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if self.min_chunk_accesses < 1:
-            raise ValueError("min_chunk_accesses must be >= 1")
-
-
 #: Scale factor of the default simulation profile: cache capacity and
 #: workload footprints are both divided by 32 relative to the paper's
 #: 64 MB case study, preserving every footprint-to-cache ratio while
@@ -480,16 +410,14 @@ class FabricTopology:
           ``page % n``, device-local page ``page // n`` (the
           collision-free division the hash-sharded serving planes
           use).  Balances load across devices.
-        * ``"range"`` -- contiguous runs of ``range_stride_pages``
-          pages assigned round-robin: device
-          ``(page // stride) % n``.  Keeps spatial locality (and
-          tenant partitions) on one device.
+        * ``"range"`` -- contiguous runs of
+          :data:`repro.cxl.fabric.RANGE_STRIDE_PAGES` pages assigned
+          round-robin: device ``(page // stride) % n``.  Keeps spatial
+          locality (and tenant partitions) on one device.
         * ``"score"`` -- score-aware: pages are bucketed by their
           time-marginalised GMM score into ``n_devices`` quantile
           buckets, and the hottest bucket lands on the device with
           the lowest link latency.
-    range_stride_pages:
-        Stride of the ``range`` placement.
     link_overhead_ns:
         Optional per-device CXL link round-trip overheads (length
         must equal ``n_devices``); ``None`` gives every device the
@@ -507,7 +435,6 @@ class FabricTopology:
 
     n_devices: int = 4
     placement: str = "interleave"
-    range_stride_pages: int = 1 << 14
     link_overhead_ns: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -518,8 +445,6 @@ class FabricTopology:
                 f"placement must be one of {PLACEMENTS}, got"
                 f" {self.placement!r}"
             )
-        if self.range_stride_pages < 1:
-            raise ValueError("range_stride_pages must be >= 1")
         if self.link_overhead_ns is not None:
             value = tuple(self.link_overhead_ns)
             object.__setattr__(self, "link_overhead_ns", value)
@@ -542,9 +467,8 @@ class ServingConfig:
     over recent traffic, the refreshed engine being atomically swapped
     in (the software analogue of the FPGA weight-buffer reload of
     Sec. 3.3).  The drift, refresh and rolling-metrics settings are
-    the defaults of :class:`~repro.serving.drift.DriftDetector`,
-    :class:`~repro.serving.refresh.ModelRefresher` and
-    :class:`~repro.serving.metrics.RollingMetrics`.
+    module constants of :mod:`repro.serving.drift`,
+    :mod:`repro.serving.refresh` and :mod:`repro.serving.metrics`.
 
     Attributes
     ----------

@@ -214,19 +214,15 @@ class StagedPipeline:
     ----------
     config:
         System configuration (geometry, GMM, Algorithm 1 constants).
-    latency_model:
-        Table 1 pricing model used by the Price stage.
+
+    The Price stage uses the Table 1
+    :class:`~repro.hardware.latency.LatencyModel`
+    (:attr:`latency_model`).
     """
 
-    def __init__(
-        self,
-        config: IcgmmConfig | None = None,
-        latency_model: LatencyModel | None = None,
-    ) -> None:
+    def __init__(self, config: IcgmmConfig | None = None) -> None:
         self.config = config if config is not None else IcgmmConfig()
-        self.latency_model = (
-            latency_model if latency_model is not None else LatencyModel()
-        )
+        self.latency_model = LatencyModel()
         self._preprocessor = TracePreprocessor(
             len_window=self.config.len_window,
             len_access_shot=self.config.len_access_shot,

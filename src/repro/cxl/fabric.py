@@ -48,7 +48,6 @@ from repro.chaos import FaultInjector
 from repro.core.config import (
     ChaosConfig,
     FabricTopology,
-    FleetHealthConfig,
     IcgmmConfig,
     ParallelConfig,
 )
@@ -62,7 +61,7 @@ from repro.core.policy import build_policy
 from repro.cxl.device import DEVICE_DRAM_HIT_NS
 from repro.cxl.link import CxlLinkSpec
 from repro.hardware.latency import DevicePathLatencyModel
-from repro.hardware.ssd import SSD_CATALOG, SsdSpec
+from repro.hardware.ssd import SSD_CATALOG
 from repro.serving.health import FleetHealthMonitor
 from repro.serving.metrics import RollingMetrics
 from repro.traces.record import CACHE_LINE_SIZE
@@ -79,6 +78,9 @@ FAILOVER_TAG_OFFSET = np.int64(1) << 56
 #: Link-latency multiplier priced onto failover-served traffic: the
 #: re-route crosses an extra switch hop.
 FAILOVER_LINK_FACTOR = 2.0
+
+#: Pages per contiguous run of the ``range`` placement.
+RANGE_STRIDE_PAGES = 1 << 14
 
 
 def _stats_minus(total: CacheStats, part: CacheStats) -> CacheStats:
@@ -222,10 +224,6 @@ class CxlFabric:
         System profile shared by all devices (geometry, warm-up
         cut); the fabric replays through this config's staged
         pipeline.
-    ssd:
-        Backing-store latency profile used by the pricing model.
-    hit_latency_ns:
-        Device-DRAM hit service time.
     parallel:
         Multicore replay knobs; ``None`` inherits
         :attr:`IcgmmConfig.parallel`.  Each round of per-device
@@ -234,17 +232,22 @@ class CxlFabric:
         device order, so any worker count is bit-identical to
         sequential replay.  Call :meth:`close` when done with a
         multi-worker fabric (it holds a thread pool).
+    monitor:
+        Arm the :class:`~repro.serving.health.FleetHealthMonitor`
+        (fleets of two or more devices only).
+
+    Every device is priced with the ``tlc`` SSD and
+    :data:`~repro.cxl.device.DEVICE_DRAM_HIT_NS` hits: the default
+    device of the scalar :class:`~repro.cxl.router.CxlSystem`.
     """
 
     def __init__(
         self,
         topology: FabricTopology | None = None,
         config: IcgmmConfig | None = None,
-        ssd: SsdSpec | None = None,
-        hit_latency_ns: int = DEVICE_DRAM_HIT_NS,
         parallel: ParallelConfig | None = None,
         chaos: ChaosConfig | None = None,
-        health: FleetHealthConfig | None = None,
+        monitor: bool = False,
         telemetry=None,
     ) -> None:
         self.topology = (
@@ -270,16 +273,16 @@ class CxlFabric:
             )
         # Fleet health monitoring follows the same contract: None
         # when disabled, so a monitor-free run executes the exact
-        # pre-monitor code path.  The monitor owns its own
-        # RollingMetrics (keyed per device) so its per-chunk timed
-        # records never double-count into this fabric's degraded
-        # lens; its quarantine/reinstate transitions land on
-        # ``self.metrics``'s event timeline.
-        self.monitor = FleetHealthMonitor.from_config(
-            health, n_devices=self.topology.n_devices
+        # pre-monitor code path.  A one-device fleet gets none: there
+        # is no fleet median to compare against and nowhere to
+        # re-home traffic.  Its quarantine/reinstate transitions land
+        # on ``self.metrics``'s event timeline.
+        self.monitor = (
+            FleetHealthMonitor(self.topology.n_devices)
+            if monitor and self.topology.n_devices >= 2
+            else None
         )
         self.metrics = RollingMetrics()
-        ssd = ssd if ssd is not None else SSD_CATALOG["tlc"]
         n = self.topology.n_devices
         overheads = self.topology.link_overhead_ns
         default = CxlLinkSpec()
@@ -296,8 +299,8 @@ class CxlFabric:
         )
         self.pricing: tuple[DevicePathLatencyModel, ...] = tuple(
             DevicePathLatencyModel(
-                ssd=ssd,
-                hit_latency_ns=hit_latency_ns,
+                ssd=SSD_CATALOG["tlc"],
+                hit_latency_ns=DEVICE_DRAM_HIT_NS,
                 link_request_ns=link.request_latency_ns(CACHE_LINE_SIZE),
             )
             for link in self.links
@@ -553,8 +556,7 @@ class CxlFabric:
         if placement == "interleave":
             return pages % n, pages // n
         if placement == "range":
-            stride = self.topology.range_stride_pages
-            return (pages // stride) % n, pages
+            return (pages // RANGE_STRIDE_PAGES) % n, pages
         if page_marginals is None:
             raise ValueError(
                 "score placement needs per-access page_marginals"

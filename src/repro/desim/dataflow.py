@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cache.policies.base import ReplacementPolicy
-from repro.cache.setassoc import SetAssociativeCache
-from repro.cache.stats import CacheStats
+from repro.cache.setassoc import SetAssociativeCache, _validate_stream
+from repro.cache.stats import CacheStats, stats_from_outcomes
 from repro.desim.kernels import (
     DataflowTiming,
     cache_control_kernel,
@@ -109,29 +109,20 @@ class IcgmmDataflow:
         (latencies then include queueing delay); the default is the
         closed-loop mode matching the average-access-time measurement.
         """
-        pages = np.asarray(pages)
-        is_write = np.asarray(is_write)
-        if pages.shape != is_write.shape:
-            raise ValueError("pages and is_write must have the same shape")
-        if scores is None:
-            scores = np.zeros(pages.shape[0])
-        else:
-            scores = np.asarray(scores, dtype=np.float64)
-            if scores.shape != pages.shape:
-                raise ValueError(
-                    "scores and pages must have the same shape"
-                )
-        requests = [
-            (int(p), bool(w), float(s))
-            for p, w, s in zip(pages, is_write, scores)
-        ]
+        pages, is_write, scores, _ = _validate_stream(
+            pages, is_write, scores, 0.0
+        )
+        is_write = is_write.astype(bool)
+        requests = list(
+            zip(pages.tolist(), is_write.tolist(), scores.tolist())
+        )
 
         sim = Simulator()
         trace_fifo = Fifo(sim, self.fifo_capacity, "trace")
         response_fifo = Fifo(sim, self.fifo_capacity, "rsp")
         score_request_fifo = Fifo(sim, self.fifo_capacity, "gmm-req")
         score_response_fifo = Fifo(sim, self.fifo_capacity, "gmm-rsp")
-        stats = CacheStats()
+        outcomes: list[int] = []
         latencies: list[int] = []
 
         if open_loop_interval_ns is None:
@@ -183,13 +174,15 @@ class IcgmmDataflow:
                 response_fifo,
                 score_request_fifo,
                 score_response_fifo,
-                stats,
+                outcomes,
             ),
             name="cache-control",
         )
         total_time = sim.run()
         return DataflowResult(
             latencies_ns=np.asarray(latencies, dtype=np.int64),
-            stats=stats,
+            stats=stats_from_outcomes(
+                np.asarray(outcomes, dtype=np.uint8), is_write
+            ),
             total_time_ns=total_time,
         )

@@ -19,8 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cache.policies.base import ReplacementPolicy
-from repro.cache.setassoc import SetAssociativeCache
-from repro.cache.stats import CacheStats
+from repro.cache.setassoc import SetAssociativeCache, access_step
+from repro.cache.stats import (
+    OUTCOME_BYPASS,
+    OUTCOME_DIRTY_EVICT,
+    OUTCOME_HIT,
+)
 from repro.desim.sim import Delay, Fifo, Simulator
 from repro.hardware.ssd import SsdLatencyEmulator
 
@@ -143,15 +147,20 @@ def cache_control_kernel(
     response_fifo: Fifo,
     score_request_fifo: Fifo,
     score_response_fifo: Fifo,
-    stats: CacheStats,
+    outcomes: list[int],
 ):
     """Cache control engine: hit/miss service and replacement.
 
-    The replacement *decisions* reuse the same policy objects as the
-    fast simulator (:func:`repro.cache.setassoc.simulate`), so both
-    simulators agree on hits and misses by construction; this kernel
-    adds the nanosecond timing of the hardware pipeline around them.
+    The replacement *decisions* are one
+    :func:`~repro.cache.setassoc.access_step` per request -- the step
+    the reference simulator (:func:`repro.cache.setassoc.simulate`)
+    runs -- so both simulators agree on hits and misses by
+    construction; this kernel appends each request's ``OUTCOME_*``
+    code to ``outcomes`` and adds the nanosecond timing of the
+    hardware pipeline around it.
     """
+    n_sets = cache.geometry.n_sets
+    tags_list = cache.tags.tolist()
     access_index = 0
     while True:
         request = yield trace_fifo.get()
@@ -160,25 +169,21 @@ def cache_control_kernel(
             return
         page, is_write, score = request
         yield Delay(timing.tag_compare_ns)
-        set_index, way = cache.lookup(page)
+        set_index = page % n_sets
+        code = access_step(
+            cache, policy, tags_list[set_index], set_index, page,
+            is_write, score, access_index,
+        )
+        outcomes.append(code)
+        access_index += 1
 
-        if way is not None:
-            policy.on_hit(cache, set_index, way, access_index, score)
-            if is_write:
-                cache.dirty[set_index][way] = True
-            stats.hits += 1
-            if is_write:
-                stats.write_hits += 1
+        if code == OUTCOME_HIT:
             yield Delay(timing.hit_latency_ns - timing.tag_compare_ns)
             yield response_fifo.put(("hit", page))
-            access_index += 1
             continue
 
         # Miss: the SSD must be read; the policy engine scores the
         # page meanwhile (or afterwards, without the dataflow overlap).
-        stats.misses += 1
-        if is_write:
-            stats.write_misses += 1
         miss_start = sim.now
         ssd_ns = ssd.read_latency_ns()
         if timing.overlap:
@@ -192,32 +197,13 @@ def cache_control_kernel(
             yield score_response_fifo.get()
             yield Delay(ssd_ns)
 
-        if not policy.admit(page, score, is_write, access_index):
-            stats.bypasses += 1
+        if code == OUTCOME_BYPASS:
             if is_write:
-                stats.bypassed_writes += 1
                 # The store itself must still be programmed to flash.
                 yield Delay(ssd.write_latency_ns())
             yield response_fifo.put(("bypass", page))
-            access_index += 1
             continue
-
-        victim = cache.find_invalid_way(set_index)
-        if victim is None:
-            victim = policy.select_victim(cache, set_index, access_index)
-            stats.evictions += 1
-            if cache.dirty[set_index][victim]:
-                stats.dirty_evictions += 1
-                # Dirty write-back: the 975 us total penalty path.
-                yield Delay(ssd.write_latency_ns())
-        stats.fills += 1
-        cache.fill(
-            set_index,
-            victim,
-            page,
-            is_write,
-            policy.fill_meta(page, score, access_index),
-            float(access_index),
-        )
+        if code == OUTCOME_DIRTY_EVICT:
+            # Dirty write-back: the 975 us total penalty path.
+            yield Delay(ssd.write_latency_ns())
         yield response_fifo.put(("fill", page))
-        access_index += 1

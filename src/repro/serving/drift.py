@@ -14,7 +14,7 @@ The detector watches two windowed signals per chunk:
   traffic below its own cut, so ``|observed_below - q|`` is a cheap,
   interpretable alarm wired to the exact knob the policy acts on.
 
-Either signal sustained for ``patience`` consecutive chunks reports
+Either signal sustained for :data:`PATIENCE` consecutive chunks reports
 drift; the service then schedules a model refresh and, after the
 swap, :meth:`DriftDetector.rebase` re-anchors the reference under
 the new engine.
@@ -28,6 +28,20 @@ import numpy as np
 
 #: Reference-sample cap; KS precision saturates well below this.
 _MAX_REFERENCE = 8192
+
+#: KS statistic above which a chunk signals drift.
+KS_THRESHOLD = 0.25
+
+#: ``|below-threshold fraction - quantile|`` above which a chunk
+#: signals drift.
+QUANTILE_TOLERANCE = 0.25
+
+#: Consecutive signalling chunks before drift is reported.
+PATIENCE = 2
+
+#: Chunks of scores accumulated as the reference sample after every
+#: (re)base before monitoring starts.
+BASELINE_CHUNKS = 2
 
 
 def ks_statistic(
@@ -93,34 +107,11 @@ class DriftDetector:
         The engine's current admission threshold.
     quantile:
         Training-score quantile the threshold was derived at.
-    ks_threshold / quantile_tolerance / patience:
-        Decision knobs (see module docstring).
-    baseline_chunks:
-        Chunks of scores accumulated as the reference sample after
-        every (re)base before monitoring starts.
+
+    The decision knobs are the module constants above.
     """
 
-    def __init__(
-        self,
-        threshold: float,
-        quantile: float,
-        ks_threshold: float = 0.25,
-        quantile_tolerance: float = 0.25,
-        patience: int = 2,
-        baseline_chunks: int = 2,
-    ) -> None:
-        if not 0.0 < ks_threshold <= 1.0:
-            raise ValueError("ks_threshold must be in (0, 1]")
-        if quantile_tolerance <= 0.0:
-            raise ValueError("quantile_tolerance must be > 0")
-        if patience < 1:
-            raise ValueError("patience must be >= 1")
-        if baseline_chunks < 1:
-            raise ValueError("baseline_chunks must be >= 1")
-        self.ks_threshold = float(ks_threshold)
-        self.quantile_tolerance = float(quantile_tolerance)
-        self.patience = int(patience)
-        self.baseline_chunks = int(baseline_chunks)
+    def __init__(self, threshold: float, quantile: float) -> None:
         self.rebase(threshold, quantile)
 
     def rebase(self, threshold: float, quantile: float) -> None:
@@ -144,7 +135,7 @@ class DriftDetector:
         below = float(np.mean(scores < self.threshold))
         if self._reference is None:
             self._baseline_parts.append(scores.copy())
-            if len(self._baseline_parts) >= self.baseline_chunks:
+            if len(self._baseline_parts) >= BASELINE_CHUNKS:
                 reference = np.concatenate(self._baseline_parts)
                 if reference.size > _MAX_REFERENCE:
                     stride = reference.size / _MAX_REFERENCE
@@ -165,15 +156,12 @@ class DriftDetector:
             self._reference, np.sort(scores), assume_sorted=True
         )
         quantile_shift = abs(below - self.quantile)
-        signal = (
-            ks > self.ks_threshold
-            or quantile_shift > self.quantile_tolerance
-        )
+        signal = ks > KS_THRESHOLD or quantile_shift > QUANTILE_TOLERANCE
         self._streak = self._streak + 1 if signal else 0
         return DriftReport(
             ks=ks,
             below_threshold_fraction=below,
             signal=signal,
-            drifted=self._streak >= self.patience,
+            drifted=self._streak >= PATIENCE,
             baselining=False,
         )

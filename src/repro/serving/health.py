@@ -6,9 +6,9 @@ failover does the rest.  Fail-slow devices break that model: the
 device keeps answering, its cache counters look healthy, and only its
 *latency* drifts away from the fleet.  The
 :class:`FleetHealthMonitor` is the response layer for exactly that
-blind spot: it watches per-device latency/miss EWMAs (maintained by
-:class:`repro.serving.metrics.RollingMetrics`) against the fleet
-median and walks each device through a four-state machine::
+blind spot: it keeps per-device latency/miss EWMAs of the priced
+chunk service time, compares them against the fleet median and walks
+each device through a four-state machine::
 
     healthy --breach--> suspect --N consecutive--> quarantined
        ^                   |                           |
@@ -23,7 +23,7 @@ median and walks each device through a four-state machine::
 A quarantined device is removed from placement -- the fabric re-homes
 its traffic onto healthy devices under the same score-aware failover
 mechanism outage windows use -- then held in probation where live
-probe traffic must stay clean for a configured number of chunks
+probe traffic must stay clean for :data:`PROBATION_CHUNKS` chunks
 before reinstatement.  Every transition is recorded as a
 :class:`~repro.serving.metrics.FailureEvent` and appended to a
 decision log whose digest the chaos scorecard tests compare across
@@ -35,13 +35,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Optional
 
 import numpy as np
 
 from repro.cache.stats import CacheStats
-from repro.core.config import FleetHealthConfig
-from repro.serving.metrics import RollingMetrics
 
 #: Monitor states (``suspect`` is derived: healthy with a nonzero
 #: breach streak).
@@ -82,86 +79,91 @@ IMPROVEMENT_TOLERANCE = 0.95
 MISS_THRESHOLD = 2.0
 MISS_FLOOR = 0.05
 
+#: Relative latency-EWMA breach bar (times the fleet median).
+LATENCY_THRESHOLD = 2.0
+
+#: Consecutive breaching chunks before quarantine.
+BREACH_CHUNKS = 3
+
+#: Chunks a quarantined device is held out of placement.
+QUARANTINE_CHUNKS = 4
+
+#: Consecutive clean probe chunks before reinstatement.
+PROBATION_CHUNKS = 3
+
+#: Smoothing factor of the per-device latency and miss EWMAs.
+EWMA_ALPHA = 0.3
+
+#: Chunks serving fewer accesses than this are not judged (too little
+#: traffic to trust the latency estimate).
+MIN_CHUNK_ACCESSES = 64
+
+#: The monitor never quarantines below this many serving devices,
+#: whatever the breach counters say.
+MIN_ACTIVE_DEVICES = 1
+
 
 class FleetHealthMonitor:
     """Median-relative EWMA watchdog over a device fleet.
 
     Parameters
     ----------
-    config:
-        Thresholds and state-machine clocks
-        (:class:`~repro.core.config.FleetHealthConfig`).
     n_devices:
         Fleet size; device ids are ``0..n_devices-1``.
-    metrics:
-        Optional :class:`RollingMetrics` to observe into; by default
-        the monitor owns a private instance (keyed ``device:<id>``)
-        so its per-chunk records never double-count into a fabric's
-        own degraded-lens bookkeeping.
 
     The driving layer calls :meth:`observe` once per (device, chunk)
     with the chunk's counters and *priced* service time (premiums
     included), then :meth:`step` once per chunk; decisions returned
     by ``step`` take effect at the next chunk via
-    :meth:`blocked_devices`.
+    :meth:`blocked_devices`.  The thresholds and state-machine clocks
+    are the module constants above.
     """
 
-    def __init__(
-        self,
-        config: FleetHealthConfig,
-        n_devices: int,
-        metrics: RollingMetrics | None = None,
-    ) -> None:
-        self.config = config
+    def __init__(self, n_devices: int) -> None:
         self.n_devices = int(n_devices)
-        self.metrics = (
-            metrics
-            if metrics is not None
-            else RollingMetrics(ewma_alpha=config.ewma_alpha)
-        )
         self._state = [STATE_HEALTHY] * self.n_devices
         self._breaches = [0] * self.n_devices
         self._clean = [0] * self.n_devices
         self._quarantined_at = [-1] * self.n_devices
         self._severity: list[float | None] = [None] * self.n_devices
+        self._ewma_latency_ns: list[float | None] = [None] * self.n_devices
+        self._ewma_miss: list[float | None] = [None] * self.n_devices
         self._pending: dict[int, tuple[CacheStats, int]] = {}
         self.decisions: list[dict] = []
         self.quarantines = 0
         self.reinstatements = 0
         self.suspects = 0
 
-    @classmethod
-    def from_config(
-        cls,
-        config: Optional[FleetHealthConfig],
-        n_devices: int,
-        metrics: RollingMetrics | None = None,
-    ) -> Optional["FleetHealthMonitor"]:
-        """Build a monitor, or ``None`` when ``config`` is ``None``.
-
-        ``None`` (not a no-op monitor) is the disabled form so the
-        fabric can gate on ``if monitor is not None`` and run its
-        exact pre-monitor code path otherwise.  A single-device fleet
-        also gets ``None``: there is no fleet median to compare
-        against (and nowhere to re-home traffic).
-        """
-        if config is None or n_devices < 2:
-            return None
-        return cls(config, n_devices, metrics=metrics)
-
     # ------------------------------------------------------------------
     # Per-chunk protocol
     # ------------------------------------------------------------------
-    def _key(self, device: int) -> str:
-        return f"device:{device}"
-
     def observe(
         self, device: int, stats: CacheStats, time_ns: int
     ) -> None:
-        """Feed one device's chunk counters and priced service time."""
+        """Feed one device's chunk counters and priced service time.
+
+        ``time_ns`` includes any degraded-mode premiums (fail-slow
+        ramps, link windows), so a slowly sickening device shows in
+        its latency EWMA even though its cache counters look healthy.
+        The first observation seeds both EWMAs; a chunk with zero
+        accesses leaves them untouched.
+        """
         if stats.accesses == 0:
             return
-        self.metrics.record_timed(self._key(device), stats, time_ns)
+        latency = time_ns / stats.accesses
+        miss = stats.miss_rate
+        previous = self._ewma_latency_ns[device]
+        if previous is None:
+            self._ewma_latency_ns[device] = latency
+            self._ewma_miss[device] = miss
+        else:
+            self._ewma_latency_ns[device] = (
+                EWMA_ALPHA * latency + (1.0 - EWMA_ALPHA) * previous
+            )
+            self._ewma_miss[device] = (
+                EWMA_ALPHA * miss
+                + (1.0 - EWMA_ALPHA) * self._ewma_miss[device]
+            )
         self._pending[device] = (stats, int(time_ns))
 
     def state(self, device: int) -> str:
@@ -190,7 +192,6 @@ class FleetHealthMonitor:
         timeline.  Deterministic: devices are judged in ascending id
         order and every input is a per-chunk counter.
         """
-        cfg = self.config
         observed = self._pending
         self._pending = {}
         transitions: list[tuple[str, int, dict]] = []
@@ -212,12 +213,13 @@ class FleetHealthMonitor:
             if (
                 self._state[device] == STATE_QUARANTINED
                 and chunk_index
-                >= self._quarantined_at[device] + cfg.quarantine_chunks
+                >= self._quarantined_at[device] + QUARANTINE_CHUNKS
             ):
                 self._state[device] = STATE_PROBATION
                 self._clean[device] = 0
                 self._severity[device] = None
-                self.metrics.reset_ewma(self._key(device))
+                self._ewma_latency_ns[device] = None
+                self._ewma_miss[device] = None
                 fire(EVENT_PROBATION, device)
 
         serving = [
@@ -236,14 +238,12 @@ class FleetHealthMonitor:
         latency_samples = [
             ewma
             for d in voting
-            if (ewma := self.metrics.ewma_latency_ns(self._key(d)))
-            is not None
+            if (ewma := self._ewma_latency_ns[d]) is not None
         ]
         miss_samples = [
             ewma
             for d in voting
-            if (ewma := self.metrics.ewma_miss_rate(self._key(d)))
-            is not None
+            if (ewma := self._ewma_miss[d]) is not None
         ]
         if len(latency_samples) < 2:
             return transitions
@@ -259,12 +259,11 @@ class FleetHealthMonitor:
             pending = observed.get(device)
             if (
                 pending is None
-                or pending[0].accesses < cfg.min_chunk_accesses
+                or pending[0].accesses < MIN_CHUNK_ACCESSES
             ):
                 continue
-            key = self._key(device)
-            ewma_latency = self.metrics.ewma_latency_ns(key)
-            ewma_miss = self.metrics.ewma_miss_rate(key)
+            ewma_latency = self._ewma_latency_ns[device]
+            ewma_miss = self._ewma_miss[device]
             if ewma_latency is None:
                 continue
             # Severity folds both channels onto a shared "times the
@@ -280,7 +279,7 @@ class FleetHealthMonitor:
                 sev = 0.0
                 if median_latency > 0.0:
                     sev = latency_ns / (
-                        cfg.latency_threshold * median_latency
+                        LATENCY_THRESHOLD * median_latency
                     )
                 if miss_bound > 0.0:
                     sev = max(sev, miss_rate / miss_bound)
@@ -314,8 +313,8 @@ class FleetHealthMonitor:
                         self.suspects += 1
                         fire(EVENT_SUSPECT, device, **info)
                     if (
-                        self._breaches[device] >= cfg.breach_chunks
-                        and active > cfg.min_active_devices
+                        self._breaches[device] >= BREACH_CHUNKS
+                        and active > MIN_ACTIVE_DEVICES
                     ):
                         self._state[device] = STATE_QUARANTINED
                         self._quarantined_at[device] = int(
@@ -336,7 +335,7 @@ class FleetHealthMonitor:
                     # severity trend; judgement starts next chunk.
                     pass
                 elif breach and not improving:
-                    if active > cfg.min_active_devices:
+                    if active > MIN_ACTIVE_DEVICES:
                         self._state[device] = STATE_QUARANTINED
                         self._quarantined_at[device] = int(
                             chunk_index
@@ -352,7 +351,7 @@ class FleetHealthMonitor:
                         )
                 elif not breach:
                     self._clean[device] += 1
-                    if self._clean[device] >= cfg.probation_chunks:
+                    if self._clean[device] >= PROBATION_CHUNKS:
                         self._state[device] = STATE_HEALTHY
                         self._clean[device] = 0
                         self.reinstatements += 1

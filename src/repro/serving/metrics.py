@@ -23,6 +23,9 @@ from dataclasses import dataclass, field
 from repro.cache.stats import CacheStats
 from repro.hardware.latency import LatencyModel
 
+#: Chunk deltas retained per key by the rolling window.
+WINDOW_CHUNKS = 8
+
 
 @dataclass(frozen=True)
 class FailureEvent:
@@ -51,35 +54,17 @@ class FailureEvent:
 class RollingMetrics:
     """Windowed metric aggregation keyed by shard/tenant label.
 
-    Parameters
-    ----------
-    latency_model:
-        Table 1 pricing model used for the latency view.
-    window_chunks:
-        Chunk deltas retained per key.
+    Keeps the last :data:`WINDOW_CHUNKS` chunk deltas per key and
+    prices them with the Table 1
+    :class:`~repro.hardware.latency.LatencyModel`.
     """
 
-    def __init__(
-        self,
-        latency_model: LatencyModel | None = None,
-        window_chunks: int = 8,
-        ewma_alpha: float = 0.25,
-    ) -> None:
-        if window_chunks < 1:
-            raise ValueError("window_chunks must be >= 1")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        self.latency_model = (
-            latency_model if latency_model is not None else LatencyModel()
-        )
-        self.window_chunks = int(window_chunks)
-        self.ewma_alpha = float(ewma_alpha)
+    def __init__(self) -> None:
+        self.latency_model = LatencyModel()
         self._windows: dict[str, deque[CacheStats]] = {}
         self._totals: dict[str, CacheStats] = {}
         self._degraded: dict[str, CacheStats] = {}
         self._events: list[FailureEvent] = []
-        self._ewma_latency_ns: dict[str, float] = {}
-        self._ewma_miss: dict[str, float] = {}
 
     def record(
         self, key: str, stats: CacheStats, degraded: bool = False
@@ -93,7 +78,7 @@ class RollingMetrics:
         """
         window = self._windows.get(key)
         if window is None:
-            window = deque(maxlen=self.window_chunks)
+            window = deque(maxlen=WINDOW_CHUNKS)
             self._windows[key] = window
             self._totals[key] = CacheStats()
         window.append(stats)
@@ -102,65 +87,6 @@ class RollingMetrics:
             self._degraded[key] = self._degraded.get(
                 key, CacheStats()
             ).merge(stats)
-
-    def record_timed(
-        self,
-        key: str,
-        stats: CacheStats,
-        time_ns: int,
-        degraded: bool = False,
-    ) -> None:
-        """Record a chunk delta with its *priced* service time.
-
-        On top of :meth:`record`, maintains exponentially-weighted
-        moving averages of per-access latency and miss rate for
-        ``key`` -- the signals
-        :class:`repro.serving.health.FleetHealthMonitor` compares
-        against the fleet median.  ``time_ns`` is the chunk's total
-        service time under the caller's pricing model *including* any
-        degraded-mode premiums (fail-slow ramps, link windows), so a
-        slowly sickening device is visible here even though its cache
-        counters look healthy.  Chunks with zero accesses leave the
-        EWMAs untouched.
-        """
-        self.record(key, stats, degraded=degraded)
-        if stats.accesses == 0:
-            return
-        latency = time_ns / stats.accesses
-        miss = stats.miss_rate
-        alpha = self.ewma_alpha
-        prev_latency = self._ewma_latency_ns.get(key)
-        if prev_latency is None:
-            self._ewma_latency_ns[key] = latency
-            self._ewma_miss[key] = miss
-        else:
-            self._ewma_latency_ns[key] = (
-                alpha * latency + (1.0 - alpha) * prev_latency
-            )
-            self._ewma_miss[key] = (
-                alpha * miss
-                + (1.0 - alpha) * self._ewma_miss[key]
-            )
-
-    def ewma_latency_ns(self, key: str) -> float | None:
-        """EWMA per-access latency of ``key`` (None before any
-        timed observation)."""
-        return self._ewma_latency_ns.get(key)
-
-    def ewma_miss_rate(self, key: str) -> float | None:
-        """EWMA miss rate of ``key`` (None before any timed
-        observation)."""
-        return self._ewma_miss.get(key)
-
-    def reset_ewma(self, key: str) -> None:
-        """Drop ``key``'s EWMAs so the next observation starts fresh.
-
-        The health monitor rebases a device's estimate when it enters
-        probation: the quarantine froze the sick EWMA, and probe
-        chunks must be judged on current behaviour, not history.
-        """
-        self._ewma_latency_ns.pop(key, None)
-        self._ewma_miss.pop(key, None)
 
     def keys(self) -> list[str]:
         """All keys seen so far, in first-seen order."""

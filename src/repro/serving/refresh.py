@@ -46,6 +46,9 @@ MAX_FIT_SAMPLES = 8192
 WARM_MAX_ITER = 8
 WARM_TOL = 1e-3
 
+#: Recent chunks of features the refresher retains (bounded memory).
+BUFFER_CHUNKS = 6
+
 
 class StaleSwapError(RuntimeError):
     """A swap was attempted against an outdated generation.
@@ -155,27 +158,20 @@ class ModelRefresher:
 
     Parameters
     ----------
-    buffer_chunks:
-        Recent chunks of features retained (bounded memory).
     threshold_quantile:
         Quantile of the refreshed scores at which the new admission
         threshold is cut.
 
-    The fold-in runs :data:`WARM_MAX_ITER` iterations at most (to
+    The refresher keeps the last :data:`BUFFER_CHUNKS` chunks.  The
+    fold-in runs :data:`WARM_MAX_ITER` iterations at most (to
     :data:`WARM_TOL`) on at most :data:`MAX_FIT_SAMPLES` rows, with
     the offline fit's covariance ridge
     (:data:`repro.core.engine.EM_REG_COVAR`).
     """
 
-    def __init__(
-        self,
-        buffer_chunks: int = 6,
-        threshold_quantile: float = 0.02,
-    ) -> None:
-        if buffer_chunks < 1:
-            raise ValueError("buffer_chunks must be >= 1")
+    def __init__(self, threshold_quantile: float = 0.02) -> None:
         self.threshold_quantile = float(threshold_quantile)
-        self._buffer: deque[np.ndarray] = deque(maxlen=buffer_chunks)
+        self._buffer: deque[np.ndarray] = deque(maxlen=BUFFER_CHUNKS)
         self.refreshes_built = 0
         self.builds_attempted = 0
 

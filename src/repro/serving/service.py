@@ -54,7 +54,6 @@ from repro.core.engine import GmmPolicyEngine
 from repro.core.parallel import ParallelExecutor
 from repro.core.pipeline import StagedPipeline, StageProfiler
 from repro.core.policy import build_policy, strategy_score_view
-from repro.hardware.latency import LatencyModel
 from repro.serving.drift import DriftDetector, DriftReport
 from repro.serving.metrics import RollingMetrics
 from repro.serving.refresh import (
@@ -186,8 +185,6 @@ class IcgmmCacheService:
         preprocessing constants the stream is stamped with.
     serving:
         Serving-loop knobs (:class:`~repro.core.config.ServingConfig`).
-    latency_model:
-        Table 1 pricing for the metrics view.
     measure_from:
         Absolute access index at which counters start (the stream
         before it warms the cache unmeasured -- the serving analogue
@@ -199,14 +196,13 @@ class IcgmmCacheService:
         engine: GmmPolicyEngine,
         config: IcgmmConfig | None = None,
         serving: ServingConfig | None = None,
-        latency_model: LatencyModel | None = None,
         measure_from: int = 0,
         chaos: ChaosConfig | None = None,
         telemetry=None,
     ) -> None:
         if measure_from < 0:
             raise ValueError("measure_from must be >= 0")
-        self.pipeline = StagedPipeline(config, latency_model)
+        self.pipeline = StagedPipeline(config)
         self.config = self.pipeline.config
         self.serving = serving if serving is not None else ServingConfig()
         self.measure_from = int(measure_from)
@@ -244,8 +240,8 @@ class IcgmmCacheService:
         self.refresher = ModelRefresher(
             threshold_quantile=self.threshold_quantile,
         )
-        self.shard_metrics = RollingMetrics(latency_model)
-        self.tenant_metrics = RollingMetrics(latency_model)
+        self.shard_metrics = RollingMetrics()
+        self.tenant_metrics = RollingMetrics()
         self.totals = CacheStats()
         self.swaps: list[SwapEvent] = []
         self._score_view = strategy_score_view(self.serving.strategy)

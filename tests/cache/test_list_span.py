@@ -7,7 +7,7 @@ from the same pre-warmed cache (invalid ways, dirty bits, non-zero
 meta and stamps) it leaves *bit identical* counters, outcome codes and
 cache planes to :func:`repro.cache.setassoc._scalar_span` driving the
 policy's own hooks -- for every declaring policy (LRU, the score
-policy in each admission/eviction/update mode, the combined policy
+policy in each admission/eviction mode, the combined policy
 with a partial page map), on tie-heavy scores that include the
 threshold itself, signed zeros, infinities and NaN.
 """
@@ -43,19 +43,14 @@ SCORES = (
 SCORE_MODES = ((True, True), (True, False), (False, True))
 
 
-def _policy(kind, threshold, mode, update_on_hit, page_scores):
+def _policy(kind, threshold, mode, page_scores):
     if kind == "lru":
         return LruPolicy()
     if kind == "combined":
-        policy = CombinedIcgmmPolicy(threshold, page_scores)
-        policy.update_score_on_hit = update_on_hit
-        return policy
+        return CombinedIcgmmPolicy(threshold, page_scores)
     admission, eviction = mode
     return ScoreBasedPolicy(
-        threshold=threshold,
-        admission=admission,
-        eviction=eviction,
-        update_score_on_hit=update_on_hit,
+        threshold=threshold, admission=admission, eviction=eviction
     )
 
 
@@ -87,7 +82,6 @@ def span_cases(draw):
             kind,
             draw(st.sampled_from(THRESHOLDS)),
             draw(st.sampled_from(SCORE_MODES)),
-            draw(st.booleans()),
             {page: draw(scores) for page in mapped},
         ),
         warm_pages=draw(_exactly(pages, warm)),

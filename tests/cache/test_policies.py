@@ -56,8 +56,8 @@ class TestRegistry:
         assert isinstance(make_policy("clock"), ClockPolicy)
 
     def test_make_policy_kwargs(self):
-        policy = make_policy("lfu", decay=0.9)
-        assert policy.decay == 0.9
+        policy = make_policy("slru", protected_fraction=0.25)
+        assert policy.protected_fraction == 0.25
 
     def test_make_policy_unknown(self):
         with pytest.raises(ValueError, match="unknown policy"):
@@ -112,21 +112,6 @@ class TestLfu:
         pages = [0, 1] + [0] * 8 + [2, 0, 1]
         cache, _ = _simulate(pages, LfuPolicy(), ways=2)
         assert 0 in cache.resident_pages()
-
-    def test_decay_validation(self):
-        with pytest.raises(ValueError, match="decay"):
-            LfuPolicy(decay=0.0)
-        with pytest.raises(ValueError, match="decay"):
-            LfuPolicy(decay=1.5)
-
-    def test_decay_ages_counters(self):
-        # With strong decay, a formerly-hot-but-dead block is evicted
-        # in favour of recent traffic.
-        pages = [0] * 20 + [1, 2, 3, 1, 2, 3, 1, 2, 3]
-        cache, _ = _simulate(pages, LfuPolicy(decay=0.5), ways=2)
-        assert 0 not in cache.resident_pages() or len(
-            cache.resident_pages()
-        ) == 2
 
 
 class TestClock:
@@ -197,20 +182,9 @@ class TestScoreBasedPolicy:
         assert LstmCachePolicy().name == "lstm"
         assert isinstance(GmmCachePolicy(), ScoreBasedPolicy)
 
-    def test_update_score_on_hit(self):
-        cache = _cache(ways=2)
-        policy = GmmCachePolicy(threshold=0.0, update_score_on_hit=True)
-        simulate(
-            cache,
-            policy,
-            np.array([0, 0]),
-            np.array([False, False]),
-            scores=np.array([0.2, 0.9]),
-        )
-        _, way = cache.lookup(0)
-        assert cache.meta[0][way] == 0.9
-
-    def test_no_update_score_on_hit_by_default(self):
+    def test_hit_keeps_the_fill_score(self):
+        """Hits never touch ``meta``: the GMM is skipped on hits
+        (Fig. 4)."""
         cache = _cache(ways=2)
         policy = GmmCachePolicy(threshold=0.0)
         simulate(

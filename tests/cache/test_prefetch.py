@@ -31,7 +31,6 @@ POLICY_FACTORIES = {
     "lru": lambda pages: LruPolicy(),
     "fifo": lambda pages: FifoPolicy(),
     "lfu": lambda pages: LfuPolicy(),
-    "lfu-decay": lambda pages: LfuPolicy(decay=0.9),
     "clock": lambda pages: ClockPolicy(),
     "slru": lambda pages: SlruPolicy(),
     "2q": lambda pages: TwoQPolicy(),
@@ -149,6 +148,23 @@ class TestSimulateWithPrefetch:
         stats, _ = _run(pages)
         assert stats.accesses == 53
         assert stats.dirty_evictions <= stats.evictions
+
+    def test_demand_refill_of_an_evicted_prefetch_is_not_useful(self):
+        """Only a page whose latest fill was a prefetch counts as a
+        useful prefetch when hit."""
+        # 11 arms the stream and prefetches 12, which 50 evicts
+        # unused; 12 then misses, is refilled on demand, and hits.
+        pages = np.array([10, 11, 50, 12, 12])
+        stats, prefetch_stats = simulate_with_prefetch(
+            _cache(ways=2, sets=1),
+            LruPolicy(),
+            StridePrefetcher(degree=2, distance=1),
+            pages,
+            np.zeros(len(pages), dtype=bool),
+        )
+        assert stats.hits == 1
+        assert prefetch_stats.issued == 2
+        assert prefetch_stats.useful == 0
 
     def test_accuracy_zero_when_nothing_issued(self):
         assert PrefetchStats().accuracy == 0.0

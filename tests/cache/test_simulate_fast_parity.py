@@ -5,9 +5,11 @@ The contract of :func:`repro.cache.simulate_fast.simulate_fast` is
 counters, final cache state, and mirrored policy state -- for every
 policy, on every trace.  These tests enforce it with randomized
 traces across cache geometries (up to the 2,048-set paper shape),
-warm-up settings, score streams and degenerate resumable calls, and
-pin which policies run the exact list loop and which run the
-reference loop itself.
+warm-up settings, score streams and degenerate resumable calls, on
+skewed streams (back-to-back page runs, one or two hammered sets,
+short same-set spans rotating across sets) one-shot and as chunked
+resumable replays, and pin which policies run the exact list loop
+and which run the reference loop itself.
 """
 
 import zlib
@@ -43,7 +45,6 @@ POLICY_FACTORIES = [
     ("lru", lambda pages, universe: LruPolicy()),
     ("fifo", lambda pages, universe: FifoPolicy()),
     ("lfu", lambda pages, universe: LfuPolicy()),
-    ("lfu-decay", lambda pages, universe: LfuPolicy(decay=0.9)),
     ("clock", lambda pages, universe: ClockPolicy()),
     ("slru", lambda pages, universe: SlruPolicy()),
     ("2q", lambda pages, universe: TwoQPolicy()),
@@ -274,16 +275,195 @@ class TestEdgeCases:
         )
 
 
+#: Accesses per skewed stream.
+N_SKEWED = 4_000
+
+
+def _page_run_streams(n_sets: int) -> dict[str, np.ndarray]:
+    """Page streams dominated by back-to-back repeats."""
+    n = N_SKEWED
+    streams = {}
+    rng = np.random.default_rng(99)
+    streams["single-page"] = np.zeros(n, dtype=np.int64)
+    # One scorching set, a handful of distinct pages.
+    streams["single-set"] = (
+        rng.integers(0, 4, n) * n_sets
+    ).astype(np.int64)
+    # Two sets, short repeat bursts ping-ponging between them.
+    burst = np.repeat(rng.integers(0, 4, n // 4 + 1), 4)[:n]
+    streams["2set-pingpong"] = (
+        burst % 2 + (burst // 2) * n_sets
+    ).astype(np.int64)
+    # memtier-style: hot fraction 0.99 over a handful of keys.
+    hot = rng.integers(0, 5, n)
+    cold = rng.integers(0, 50_000, n)
+    streams["memtier-hot99"] = np.where(
+        rng.random(n) < 0.99, hot, cold
+    ).astype(np.int64)
+    # Geometric run lengths over a mid-size universe.
+    reps = rng.geometric(0.3, n)
+    vals = rng.integers(0, 3_000, n)
+    streams["runs-geometric"] = np.repeat(vals, reps)[
+        :n
+    ].astype(np.int64)
+    # Sparse repeats over a wide universe.
+    streams["sparse-runs"] = np.where(
+        rng.random(n) < 0.05,
+        np.repeat(rng.integers(0, 500, n // 2 + 1), 2)[:n],
+        rng.integers(0, 5_000, n),
+    ).astype(np.int64)
+    return streams
+
+
+def _set_skewed_streams(n_sets: int, ways: int) -> dict[str, np.ndarray]:
+    """Page streams concentrated on one or two cache sets, or on short
+    same-set spans rotating across sets."""
+    n = N_SKEWED
+    streams = {}
+    rng = np.random.default_rng(31)
+    # One scorching set, working set fits: all hits once warm.
+    fitting = max(2, ways - 2)
+    streams["single-set-fits"] = (
+        rng.integers(0, fitting, n) * n_sets
+    ).astype(np.int64)
+    # One scorching set, working set overflows: constant conflict
+    # misses, every one a victim choice.
+    streams["single-set-thrash"] = (
+        rng.integers(0, 2 * ways, n) * n_sets
+    ).astype(np.int64)
+    # Two sets, burst ping-pong (bursts alternate between the sets).
+    burst = np.repeat(rng.integers(0, ways, n // 6 + 1), 6)[:n]
+    streams["2set-pingpong"] = (
+        burst % 2 + (burst // 2) * n_sets
+    ).astype(np.int64)
+    # memtier-style: hot fraction 0.99 over a handful of keys, with
+    # a cold tail that lands in (and occasionally evicts from) the
+    # hot sets.
+    hot = (rng.integers(0, fitting, n) * n_sets).astype(np.int64)
+    cold = rng.integers(0, 40 * n_sets * ways, n).astype(np.int64)
+    streams["memtier-hot99"] = np.where(
+        rng.random(n) < 0.99, hot, cold
+    ).astype(np.int64)
+    # Set ping-pong: spans of 12 runs of consecutive distinct tags (3
+    # accesses per run, 6 tags) within one set, the spans rotating
+    # across 16 sets (all of them on smaller caches).
+    reps, tags, run_len = 12, 6, 3
+    n_spans = n // (reps * run_len) + 2
+    set_of = np.arange(n_spans) % min(16, n_sets)
+    tag = rng.integers(0, tags, (n_spans, reps))
+    for k in range(1, reps):
+        same = tag[:, k] == tag[:, k - 1]
+        tag[same, k] = (tag[same, k] + 1) % tags
+    span_pages = tag * n_sets + set_of[:, None]
+    streams["set-pingpong"] = np.repeat(
+        span_pages.reshape(-1), run_len
+    )[:n].astype(np.int64)
+    return streams
+
+
+#: Each family of skewed streams: ``builder(n_sets, ways)``.
+SKEWED_FAMILIES = {
+    "page-runs": lambda n_sets, ways: _page_run_streams(n_sets),
+    "set-skewed": _set_skewed_streams,
+}
+
+#: ``(n_sets, ways, warmup)`` of each one-shot skewed pass: 16 sets
+#: of 4 ways gives short bursts per set and a measure cut inside the
+#: first chunk.
+SKEWED_SHAPES = [(64, 8, 0.2), (8, 4, 0.2), (1, 4, 0.2), (16, 4, 0.1)]
+
+#: ``(family, n_sets, ways, stream, step)`` of each chunked resumable
+#: replay; the odd steps make runs and bursts straddle chunk
+#: boundaries.
+SKEWED_REPLAYS = [
+    ("page-runs", 16, 4, "memtier-hot99", 431),
+    ("set-skewed", 4, 4, "memtier-hot99", 437),
+    ("set-skewed", 8, 4, "2set-pingpong", 437),
+]
+
+#: Chunked replay needs a policy that can start mid-trace; Belady's
+#: next-use table is built from the whole trace.
+RESUMABLE = [p for p in POLICY_FACTORIES if p[0] != "belady"]
+
+
+class TestSkewedStreams:
+    @pytest.mark.parametrize(
+        "name,make", POLICY_FACTORIES, ids=[n for n, _ in POLICY_FACTORIES]
+    )
+    @pytest.mark.parametrize("family", SKEWED_FAMILIES)
+    @pytest.mark.parametrize("n_sets,ways,warmup", SKEWED_SHAPES)
+    def test_skewed_streams(
+        self, name, make, family, n_sets, ways, warmup,
+        assert_fast_parity,
+    ):
+        """Every stream of the family matches the reference."""
+        _, is_write, scores = _trace(seed=n_sets, n=N_SKEWED, universe=1)
+        streams = SKEWED_FAMILIES[family](n_sets, ways)
+        for stream, pages in streams.items():
+            assert_fast_parity(
+                _geometry(n_sets, ways), make,
+                pages, is_write, scores, warmup,
+                f"{name}/{family}/{stream}/{n_sets}x{ways}",
+            )
+
+    @pytest.mark.parametrize(
+        "name,make", RESUMABLE, ids=[n for n, _ in RESUMABLE]
+    )
+    @pytest.mark.parametrize(
+        "family,n_sets,ways,stream,step",
+        SKEWED_REPLAYS,
+        ids=[f"{f}-{s}-{n}x{w}" for f, n, w, s, _ in SKEWED_REPLAYS],
+    )
+    def test_skewed_chunked_replay(
+        self, name, make, family, n_sets, ways, stream, step,
+        assert_fast_parity,
+    ):
+        """Chunked replay with ``index_offset`` matches one reference
+        run."""
+        pages = SKEWED_FAMILIES[family](n_sets, ways)[stream]
+        _, is_write, scores = _trace(seed=step, n=N_SKEWED, universe=1)
+        assert_fast_parity(
+            _geometry(n_sets, ways), make,
+            pages, is_write, scores, 0.0,
+            f"{name}/{family}/{stream}/{n_sets}x{ways}/chunked",
+            step=step,
+        )
+
+    def test_bypass_runs_replay_admission_exactly(
+        self, assert_fast_parity
+    ):
+        """A hammered page scoring around the admission cut: runs
+        open with refusals, then the first admitted access fills and
+        the rest hit."""
+        geometry = _geometry(4, 2)
+        n = 6_000
+        rng = np.random.default_rng(21)
+        # Far more hammered pages than the 8-block cache holds, so
+        # runs regularly open with a miss whose admission depends on
+        # the score.
+        pages = np.repeat(rng.integers(0, 40, n // 8 + 1), 8)[
+            :n
+        ].astype(np.int64)
+        is_write = rng.random(n) < 0.5
+        # Scores oscillate around the threshold so runs flip between
+        # bypassed and admitted mid-run.
+        scores = rng.standard_normal(n) * 0.2
+
+        def make(pages_, universe):
+            return GmmCachePolicy(threshold=0.1, eviction=True)
+
+        reference = assert_fast_parity(
+            geometry, make, pages, is_write, scores, 0.1, "bypass-runs"
+        )
+        assert reference[0].bypasses > 0  # the scenario triggers
+
+
 #: Policies that run the exact list loop: all four Fig. 6 strategies.
 LIST_SPAN_POLICIES = [
     ("lru", LruPolicy),
     ("score", lambda: ScoreBasedPolicy(threshold=0.3)),
     ("score-caching", lambda: ScoreBasedPolicy(eviction=False)),
     ("score-eviction", lambda: ScoreBasedPolicy(admission=False)),
-    (
-        "score-update",
-        lambda: ScoreBasedPolicy(update_score_on_hit=True),
-    ),
     ("gmm", lambda: GmmCachePolicy(threshold=0.3)),
     ("lstm", lambda: LstmCachePolicy(threshold=0.3)),
     ("combined", lambda: CombinedIcgmmPolicy(0.3, {7: 0.5})),
@@ -332,13 +512,12 @@ class TestListSpanRouting:
         spec = list_span_for(policy)
         assert isinstance(spec, ListSpan)
         if name == "lru":
-            assert spec == ListSpan(False, None, False, None)
+            assert spec == ListSpan(False, None, None)
             return
         assert spec.evict_meta == policy.eviction
         assert spec.threshold == (
             policy.threshold if policy.admission else None
         )
-        assert spec.hit_meta == policy.update_score_on_hit
         if name == "combined":
             assert spec.fill_scores is policy._page_scores
         else:

@@ -10,11 +10,7 @@ import json
 
 import pytest
 
-from repro.core.config import (
-    FabricTopology,
-    FleetHealthConfig,
-    ServingConfig,
-)
+from repro.core.config import FabricTopology, ServingConfig
 from repro.cxl.fabric import CxlFabric
 from repro.serving import IcgmmCacheService
 
@@ -128,12 +124,12 @@ def _prepared_workload(pages, writes):
     )
 
 
-def _run_prepared(config, pages, writes, chaos="omitted", health="omitted"):
+def _run_prepared(config, pages, writes, chaos="omitted", monitor="omitted"):
     kwargs = {}
     if chaos != "omitted":
         kwargs["chaos"] = chaos
-    if health != "omitted":
-        kwargs["health"] = health
+    if monitor != "omitted":
+        kwargs["monitor"] = monitor
     fabric = CxlFabric(
         FabricTopology(n_devices=4), config=config, **kwargs
     )
@@ -163,15 +159,10 @@ class TestPreparedParity:
             reference, sort_keys=True
         )
 
-    @pytest.mark.parametrize("health", [None], ids=["none"])
-    def test_disabled_monitor_is_byte_identical(
-        self, chaos_workload, health
-    ):
+    def test_disabled_monitor_is_byte_identical(self, chaos_workload):
         config, _, pages, writes = chaos_workload
         reference = _run_prepared(config, pages, writes)
-        candidate = _run_prepared(
-            config, pages, writes, health=health
-        )
+        candidate = _run_prepared(config, pages, writes, monitor=False)
         assert json.dumps(candidate, sort_keys=True) == json.dumps(
             reference, sort_keys=True
         )
@@ -184,7 +175,7 @@ class TestPreparedParity:
         fabric = CxlFabric(
             FabricTopology(n_devices=1),
             config=config,
-            health=FleetHealthConfig(),
+            monitor=True,
         )
         try:
             assert fabric.monitor is None

@@ -15,8 +15,10 @@ from repro.chaos import (
     FaultEvent,
     FaultPlan,
     SCENARIO_NAMES,
+    SERVING_SCENARIOS,
     scenario_chaos,
 )
+from repro.cli import build_parser
 from repro.core.config import ChaosConfig
 
 
@@ -240,3 +242,31 @@ class TestScenarioFactory:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario"):
             scenario_chaos("power-loss")
+
+
+class TestCliDefaultShape:
+    """``repro chaos`` at its defaults exercises every channel: each
+    scenario plans at least one fault for the default chaos seed."""
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_every_scenario_plans_a_fault(self, name):
+        args = build_parser().parse_args(["chaos"])
+        # The CLI plans faults over the leading 70 % of the chunks,
+        # except fail-slow ramps, which run to the end of the stream.
+        n_chunks = -(-args.length // args.chunk)
+        horizon = (
+            n_chunks
+            if name == "device_failslow"
+            else max(1, (7 * n_chunks) // 10)
+        )
+        chaos = scenario_chaos(name, args.chaos_seed, horizon)
+        if name in SERVING_SCENARIOS:
+            # Hash-mode serving dispatches one plane task per chunk.
+            plan = FaultPlan.generate(
+                chaos, n_shards=args.shards, task_lanes=1
+            )
+        else:
+            plan = FaultPlan.generate(
+                chaos, n_devices=args.devices, task_lanes=args.devices
+            )
+        assert len(plan) >= 1

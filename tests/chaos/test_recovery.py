@@ -29,7 +29,6 @@ from repro.chaos import (
 from repro.core.config import (
     ChaosConfig,
     FabricTopology,
-    FleetHealthConfig,
     ParallelConfig,
     ServingConfig,
 )
@@ -58,12 +57,12 @@ def _inject(victim, events):
 ARMED = ChaosConfig(seed=0)
 
 
-def _fabric(config, chaos=ARMED, health=None):
+def _fabric(config, chaos=ARMED, monitor=False):
     return CxlFabric(
         FabricTopology(n_devices=4),
         config=config,
         chaos=chaos,
-        health=health,
+        monitor=monitor,
     )
 
 
@@ -283,13 +282,7 @@ class TestHealthMonitorRecovery:
         traffic re-homed score-aware like an outage), then probed and
         reinstated once the ramp clears -- with zero access loss."""
         config, _, pages, writes = chaos_workload
-        health = FleetHealthConfig(
-            latency_threshold=2.5,
-            breach_chunks=2,
-            quarantine_chunks=3,
-            probation_chunks=2,
-        )
-        fabric = _fabric(config, health=health)
+        fabric = _fabric(config, monitor=True)
         _inject(
             fabric,
             [
@@ -338,12 +331,8 @@ class TestHealthMonitorRecovery:
         """No faults: the monitor must not fire -- results match the
         monitor-free fabric bit for bit (modulo the chaos lens)."""
         config, _, pages, writes = chaos_workload
-        health = FleetHealthConfig(
-            latency_threshold=2.5,
-            breach_chunks=2,
-        )
         plain = _fabric(config, chaos=None)
-        watched = _fabric(config, chaos=None, health=health)
+        watched = _fabric(config, chaos=None, monitor=True)
         try:
             plain.bind("lru", 0.0)
             watched.bind("lru", 0.0)
@@ -413,9 +402,8 @@ class TestPreparedChaos:
         the chunked path; counters must match a streamed run with the
         same chunking bit for bit."""
         config, _, pages, writes = chaos_workload
-        health = FleetHealthConfig(latency_threshold=2.5)
-        streamed = _fabric(config, chaos=None, health=health)
-        prepared = _fabric(config, chaos=None, health=health)
+        streamed = _fabric(config, chaos=None, monitor=True)
+        prepared = _fabric(config, chaos=None, monitor=True)
         try:
             streamed.bind("lru", 0.0)
             reference = _stream(streamed, pages, writes)

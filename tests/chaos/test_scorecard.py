@@ -7,7 +7,8 @@ each scenario of :data:`repro.chaos.SCENARIO_NAMES` with chaos seed
 stream and ramp a single device on fail-slow (a sick *majority* would
 contaminate the fleet median the health monitor judges against).
 Fabric and prepared scenarios run with the fleet health monitor off
-and on, every cell at workers 1 and 4, each against a no-fault
+and on (the constants ``repro chaos --monitor`` ships), every cell at
+workers 1 and 4, each against a no-fault
 baseline on the same path.  Faults are planned over the leading 70 %
 of the stream so the trailing chunks form a post-recovery window,
 except fail-slow, whose ramp runs to the end of the stream: a sick
@@ -33,7 +34,6 @@ from repro.chaos import (
 )
 from repro.core.config import (
     FabricTopology,
-    FleetHealthConfig,
     GmmEngineConfig,
     IcgmmConfig,
     ParallelConfig,
@@ -45,19 +45,6 @@ from repro.traces.preprocess import transform_timestamps
 CHUNK = 2_048
 CHAOS_SEED = 50
 WORKER_COUNTS = (1, 4)
-
-#: The monitor armed in every ``monitor="on"`` cell.  The latency bar
-#: clears the fleet's natural skew (warm-up and tenant phase shifts
-#: push the slowest healthy device to ~1.9x the fleet median on this
-#: stream) yet trips early on a fail-slow ramp (peak 8x, watchdog
-#: resets from 4x): a 2.5x breach held for 3 chunks quarantines the
-#: ramping device before its reset blips start.
-HEALTH = FleetHealthConfig(
-    latency_threshold=2.5,
-    breach_chunks=3,
-    quarantine_chunks=8,
-    probation_chunks=3,
-)
 
 #: Post-recovery miss rate must stay within this factor (plus a small
 #: absolute slack) of the no-fault baseline over the same chunks.
@@ -149,7 +136,7 @@ def scorecard(two_tenant_drift_stream):
     n_chunks = -(-pages.shape[0] // CHUNK)
     horizon = max(1, (7 * n_chunks) // 10)
 
-    def run(name, chaos, workers, health=None):
+    def run(name, chaos, workers, monitor=False):
         parallel = ParallelConfig(workers=workers, max_retries=2)
         if name in SERVING_SCENARIOS:
             # Quick backoff, late breaker: the refresh-failure
@@ -177,7 +164,7 @@ def scorecard(two_tenant_drift_stream):
         return runner(
             chaos, pages, writes,
             topology=topology, config=config, chunk_requests=CHUNK,
-            parallel=parallel, health=health,
+            parallel=parallel, monitor=monitor,
         )
 
     rows = {}
@@ -192,10 +179,7 @@ def scorecard(two_tenant_drift_stream):
         for workers in WORKER_COUNTS:
             base = run(name, None, workers)
             outs = {
-                arm: run(
-                    name, chaos, workers,
-                    health=HEALTH if arm == "on" else None,
-                )
+                arm: run(name, chaos, workers, monitor=arm == "on")
                 for arm in _arms(name)
             }
             # One recovery window per cell, anchored on the

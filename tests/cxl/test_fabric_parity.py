@@ -25,7 +25,7 @@ from repro.core.config import (
 from repro.core.pipeline import PreparedWorkload, StagedPipeline
 from repro.core.policy import build_policy
 from repro.cxl.device import CxlMemoryDevice
-from repro.cxl.fabric import CxlFabric
+from repro.cxl.fabric import RANGE_STRIDE_PAGES, CxlFabric
 from repro.traces.record import CACHE_LINE_SIZE
 
 N_DEVICES = 4
@@ -251,16 +251,15 @@ class TestPlacements:
         )
 
     def test_range_keeps_runs_together(self, config):
-        topology = FabricTopology(
-            n_devices=2, placement="range", range_stride_pages=64
-        )
+        topology = FabricTopology(n_devices=2, placement="range")
         fabric = CxlFabric(topology, config=config)
-        pages = np.arange(256, dtype=np.int64)
+        stride = RANGE_STRIDE_PAGES
+        pages = np.arange(4 * stride, dtype=np.int64)
         device_ids, local = fabric.place(pages)
         assert np.array_equal(local, pages)
-        assert np.all(device_ids[:64] == 0)
-        assert np.all(device_ids[64:128] == 1)
-        assert np.all(device_ids[128:192] == 0)
+        assert np.all(device_ids[:stride] == 0)
+        assert np.all(device_ids[stride : 2 * stride] == 1)
+        assert np.all(device_ids[2 * stride : 3 * stride] == 0)
 
     def test_score_placement_sends_hot_pages_to_fast_links(
         self, config

@@ -1,10 +1,17 @@
 """Property test: the two simulators agree on cache behaviour.
 
 The fast statistical simulator (:func:`repro.cache.setassoc.simulate`)
-and the cycle-level dataflow (:mod:`repro.desim`) share the policy
-objects but implement the request loop independently.  On any request
-stream they must produce identical hit/miss/eviction counters -- a
-strong cross-check on both implementations.
+and the cycle-level dataflow (:mod:`repro.desim`) run the same
+per-access step (:func:`repro.cache.setassoc.access_step`) but count
+differently: the reference loop tallies its counters access by
+access, while the dataflow kernel wraps each step in FIFO and delay
+timing and its counters are rebuilt from the outcome codes.  On any
+request stream they must produce identical hit/miss/eviction
+counters -- a cross-check of the kernel's request bookkeeping and of
+the code-to-counter rebuild.  The step's control flow itself is
+checked against the independent list loop
+(``tests/cache/test_list_span.py``) and the scalar device walk of
+:class:`~repro.cxl.router.CxlSystem` (``tests/cxl``).
 """
 
 import numpy as np

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.serving import drift
 from repro.serving.drift import DriftDetector, ks_statistic
 
 #: Few distinct values, so draws are tie-heavy; signed zeros, both
@@ -72,32 +73,40 @@ class TestKsStatistic:
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
-class TestDriftDetector:
-    def _detector(self, **kwargs):
+@pytest.fixture
+def make_detector(monkeypatch):
+    """Build a detector, setting the module's decision constants
+    (named in lower case) for this test only."""
+
+    def make(threshold=-1.2816, quantile=0.1, **knobs):
         # Threshold at the 10% quantile of the stationary N(0, 1)
         # score stream the tests feed in.
-        defaults = dict(
-            threshold=-1.2816,
-            quantile=0.1,
+        values = dict(
             ks_threshold=0.2,
             quantile_tolerance=0.2,
             patience=2,
             baseline_chunks=2,
         )
-        defaults.update(kwargs)
-        return DriftDetector(**defaults)
+        values.update(knobs)
+        for name, value in values.items():
+            monkeypatch.setattr(drift, name.upper(), value)
+        return DriftDetector(threshold, quantile)
 
-    def test_baseline_then_stationary_never_fires(self):
+    return make
+
+
+class TestDriftDetector:
+    def test_baseline_then_stationary_never_fires(self, make_detector):
         rng = np.random.default_rng(1)
-        detector = self._detector()
+        detector = make_detector()
         for _ in range(10):
             report = detector.observe(rng.normal(0, 1, 3000))
             assert not report.drifted
         assert detector.ready
 
-    def test_baselining_flag(self):
+    def test_baselining_flag(self, make_detector):
         rng = np.random.default_rng(2)
-        detector = self._detector(baseline_chunks=3)
+        detector = make_detector(baseline_chunks=3)
         reports = [
             detector.observe(rng.normal(0, 1, 500)) for _ in range(4)
         ]
@@ -107,9 +116,9 @@ class TestDriftDetector:
         assert np.isnan(reports[0].ks)
         assert not np.isnan(reports[3].ks)
 
-    def test_distribution_shift_fires_after_patience(self):
+    def test_distribution_shift_fires_after_patience(self, make_detector):
         rng = np.random.default_rng(3)
-        detector = self._detector(patience=2)
+        detector = make_detector(patience=2)
         for _ in range(4):
             detector.observe(rng.normal(0, 1, 2000))
         first = detector.observe(rng.normal(4, 1, 2000))
@@ -117,12 +126,12 @@ class TestDriftDetector:
         second = detector.observe(rng.normal(4, 1, 2000))
         assert second.signal and second.drifted
 
-    def test_quantile_signal_catches_threshold_starvation(self):
+    def test_quantile_signal_catches_threshold_starvation(self, make_detector):
         """A frozen engine under drift scores ~all traffic below its
         admission cut -- the cheap signal must catch it even when the
         KS alarm is off."""
         rng = np.random.default_rng(4)
-        detector = self._detector(
+        detector = make_detector(
             threshold=0.1,
             ks_threshold=1.0,  # disable the KS alarm
             quantile_tolerance=0.3,
@@ -134,9 +143,9 @@ class TestDriftDetector:
         assert report.below_threshold_fraction > 0.9
         assert report.drifted
 
-    def test_intermittent_signal_resets_patience(self):
+    def test_intermittent_signal_resets_patience(self, make_detector):
         rng = np.random.default_rng(5)
-        detector = self._detector(patience=2)
+        detector = make_detector(patience=2)
         for _ in range(3):
             detector.observe(rng.normal(0, 1, 2000))
         assert detector.observe(rng.normal(4, 1, 2000)).signal
@@ -144,9 +153,9 @@ class TestDriftDetector:
         # Streak was broken: one more drifted chunk is not enough.
         assert not detector.observe(rng.normal(4, 1, 2000)).drifted
 
-    def test_rebase_restarts_baseline(self):
+    def test_rebase_restarts_baseline(self, make_detector):
         rng = np.random.default_rng(6)
-        detector = self._detector()
+        detector = make_detector()
         for _ in range(3):
             detector.observe(rng.normal(0, 1, 1000))
         assert detector.ready
@@ -155,22 +164,16 @@ class TestDriftDetector:
         report = detector.observe(rng.normal(4, 1, 1000))
         assert report.baselining and not report.drifted
 
-    def test_reference_subsampling_bounds_memory(self):
+    def test_reference_subsampling_bounds_memory(self, make_detector):
         rng = np.random.default_rng(7)
-        detector = self._detector(baseline_chunks=1)
+        detector = make_detector(baseline_chunks=1)
         detector.observe(rng.normal(0, 1, 100_000))
         assert detector._reference.size <= 8192
         # Still detects an obvious shift.
         report = detector.observe(rng.normal(5, 1, 2000))
         assert report.signal
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            self._detector(ks_threshold=0.0)
-        with pytest.raises(ValueError):
-            self._detector(patience=0)
-        with pytest.raises(ValueError):
-            self._detector(quantile_tolerance=0.0)
-        detector = self._detector()
+    def test_empty_chunk_is_rejected(self, make_detector):
+        detector = make_detector()
         with pytest.raises(ValueError):
             detector.observe(np.array([]))

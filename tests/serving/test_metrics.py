@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache.stats import CacheStats
+from repro.serving import metrics as rolling
 from repro.serving.metrics import RollingMetrics
 
 
@@ -10,9 +11,21 @@ def _stats(hits, misses, **kwargs):
     return CacheStats(hits=hits, misses=misses, **kwargs)
 
 
+@pytest.fixture
+def window_chunks(monkeypatch):
+    """Set :data:`~repro.serving.metrics.WINDOW_CHUNKS` for this test
+    only."""
+
+    def set_chunks(value):
+        monkeypatch.setattr(rolling, "WINDOW_CHUNKS", value)
+
+    return set_chunks
+
+
 class TestRollingMetrics:
-    def test_window_rolls(self):
-        metrics = RollingMetrics(window_chunks=2)
+    def test_window_rolls(self, window_chunks):
+        window_chunks(2)
+        metrics = RollingMetrics()
         metrics.record("shard:0", _stats(10, 0))
         metrics.record("shard:0", _stats(0, 10))
         assert metrics.miss_rate("shard:0") == pytest.approx(0.5)
@@ -20,15 +33,16 @@ class TestRollingMetrics:
         metrics.record("shard:0", _stats(0, 10))
         assert metrics.miss_rate("shard:0") == pytest.approx(1.0)
 
-    def test_totals_keep_everything(self):
-        metrics = RollingMetrics(window_chunks=1)
+    def test_totals_keep_everything(self, window_chunks):
+        window_chunks(1)
+        metrics = RollingMetrics()
         metrics.record("k", _stats(10, 0))
         metrics.record("k", _stats(0, 10))
         assert metrics.total("k").accesses == 20
         assert metrics.total("k").miss_rate == pytest.approx(0.5)
 
     def test_latency_tracks_miss_mix(self):
-        metrics = RollingMetrics(window_chunks=4)
+        metrics = RollingMetrics()
         metrics.record("fast", _stats(100, 0))
         metrics.record("slow", _stats(0, 100, fills=100))
         assert metrics.latency_us("fast") == pytest.approx(1.0)
@@ -46,10 +60,6 @@ class TestRollingMetrics:
         metrics = RollingMetrics()
         assert metrics.total("nope").accesses == 0
         assert metrics.miss_rate("nope") == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RollingMetrics(window_chunks=0)
 
     def test_fresh_key_snapshot_is_all_zeros(self):
         """A key seen only through empty deltas must read 0.0, not NaN."""
@@ -144,35 +154,4 @@ class TestRecoveryLatencyEdgeCases:
         assert metrics.recovery_latencies(
             "device-down", "device-restored"
         ) == [2, 1]
-
-
-class TestEwmaSignals:
-    def test_record_timed_maintains_ewmas(self):
-        metrics = RollingMetrics(ewma_alpha=0.5)
-        assert metrics.ewma_latency_ns("d") is None
-        assert metrics.ewma_miss_rate("d") is None
-        metrics.record_timed("d", _stats(90, 10), 100_000)
-        # First observation seeds the estimate directly.
-        assert metrics.ewma_latency_ns("d") == pytest.approx(1_000.0)
-        assert metrics.ewma_miss_rate("d") == pytest.approx(0.1)
-        metrics.record_timed("d", _stats(50, 50), 300_000)
-        assert metrics.ewma_latency_ns("d") == pytest.approx(2_000.0)
-        assert metrics.ewma_miss_rate("d") == pytest.approx(0.3)
-
-    def test_zero_access_chunk_leaves_ewmas_untouched(self):
-        metrics = RollingMetrics(ewma_alpha=0.5)
-        metrics.record_timed("d", _stats(100, 0), 100_000)
-        before = metrics.ewma_latency_ns("d")
-        metrics.record_timed("d", _stats(0, 0), 0)
-        assert metrics.ewma_latency_ns("d") == before
-
-    def test_reset_ewma_rebases_the_estimate(self):
-        metrics = RollingMetrics(ewma_alpha=0.5)
-        metrics.record_timed("d", _stats(0, 100), 1_000_000)
-        metrics.reset_ewma("d")
-        assert metrics.ewma_latency_ns("d") is None
-        # The next observation seeds fresh, with no sick history.
-        metrics.record_timed("d", _stats(100, 0), 100_000)
-        assert metrics.ewma_latency_ns("d") == pytest.approx(1_000.0)
-        assert metrics.ewma_miss_rate("d") == pytest.approx(0.0)
 

@@ -8,6 +8,7 @@ import pytest
 from repro.core.config import GmmEngineConfig
 from repro.core.engine import EM_REG_COVAR, EM_TOL, GmmPolicyEngine
 from repro.gmm.em import EMTrainer
+from repro.serving import refresh
 from repro.serving.refresh import (
     MAX_FIT_SAMPLES,
     EngineSlot,
@@ -28,6 +29,17 @@ def _features(base_page, n, rng, n_pages=800):
     return np.column_stack(
         [pages.astype(float), timestamps.astype(float)]
     )
+
+
+@pytest.fixture
+def buffer_chunks(monkeypatch):
+    """Set :data:`~repro.serving.refresh.BUFFER_CHUNKS` for this test
+    only."""
+
+    def set_chunks(value):
+        monkeypatch.setattr(refresh, "BUFFER_CHUNKS", value)
+
+    return set_chunks
 
 
 def _engine(features, seed=0):
@@ -123,8 +135,9 @@ class TestValidateEngine:
 
 
 class TestModelRefresher:
-    def test_buffer_is_bounded(self):
-        refresher = ModelRefresher(buffer_chunks=3)
+    def test_buffer_is_bounded(self, buffer_chunks):
+        buffer_chunks(3)
+        refresher = ModelRefresher()
         rng = np.random.default_rng(1)
         for _ in range(10):
             refresher.ingest(_features(0, 500, rng))
@@ -144,7 +157,7 @@ class TestModelRefresher:
         pre = _features(0, 12_000, rng)
         post = _features(5_000, 12_000, rng)
         engine = _engine(pre)
-        refresher = ModelRefresher(buffer_chunks=6)
+        refresher = ModelRefresher()
         for start in range(0, 12_000, 2_000):
             refresher.ingest(post[start : start + 2_000])
         refreshed = refresher.build(engine)
@@ -189,8 +202,6 @@ class TestModelRefresher:
         )
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ModelRefresher(buffer_chunks=0)
         refresher = ModelRefresher()
         with pytest.raises(ValueError, match=r"\(N, 2\)"):
             refresher.ingest(np.zeros((5, 3)))
@@ -202,11 +213,12 @@ class TestSnapshotFeatures:
     def test_empty_buffer_snapshots_to_none(self):
         assert ModelRefresher().snapshot_features() is None
 
-    def test_snapshot_is_an_immutable_copy(self):
+    def test_snapshot_is_an_immutable_copy(self, buffer_chunks):
         # Later ingests (including ones that evict the snapshotted
         # chunks from the bounded deque) must not change a snapshot
         # already taken.
-        refresher = ModelRefresher(buffer_chunks=2)
+        buffer_chunks(2)
+        refresher = ModelRefresher()
         rng = np.random.default_rng(5)
         first = _features(0, 300, rng)
         refresher.ingest(first)
@@ -216,8 +228,9 @@ class TestSnapshotFeatures:
         refresher.ingest(_features(9_000, 300, rng))
         np.testing.assert_array_equal(snapshot, first)
 
-    def test_snapshot_concatenates_in_ingest_order(self):
-        refresher = ModelRefresher(buffer_chunks=4)
+    def test_snapshot_concatenates_in_ingest_order(self, buffer_chunks):
+        buffer_chunks(4)
+        refresher = ModelRefresher()
         rng = np.random.default_rng(6)
         chunks = [_features(0, 200, rng) for _ in range(3)]
         for chunk in chunks:
@@ -260,7 +273,7 @@ class TestRefreshQuality:
         holdout = engine.scaler.transform(
             _features(6000, 8000, rng, n_pages=2000)
         )
-        refresher = ModelRefresher(buffer_chunks=6)
+        refresher = ModelRefresher()
         for start in range(0, drifted.shape[0], 8192):
             refresher.ingest(drifted[start : start + 8192])
         refreshed = refresher.build(engine)

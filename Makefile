@@ -19,9 +19,12 @@ perfbench-test:
 	$(PYTHON) -m pytest perfbench/tests -q
 
 # The paper-figure and ablation benches (benchmarks/bench_*.py, run
-# on demand) must at least import and collect.
+# on demand) must at least import and collect; the Table 2 bench
+# (~2 s) also runs, so a missing pytest-benchmark `benchmark` fixture
+# fails here rather than only when a bench runs.
 bench-collect:
 	$(PYTHON) -m pytest benchmarks/bench_*.py --collect-only -q
+	$(PYTHON) -m pytest benchmarks/bench_table2_resources.py -q
 
 # Tier-1 tests, the benchmark's tests, the paper benches' collection,
 # the telemetry-overhead smoke validator, plus the validator over its

@@ -3,22 +3,20 @@
 A policy whose four scalar hooks (``on_hit``, ``admit``,
 ``fill_meta``, ``select_victim``) reduce to a handful of facts --
 which plane ``select_victim`` takes the first argmin of, the
-admission cut and where ``fill_meta`` reads its value -- declares
-them as a
-:class:`ListSpan`, and :func:`repro.cache.simulate_fast.simulate_fast`
-then runs the exact list loop
-:func:`repro.cache.simulate_fast._list_span` instead of calling the
-hooks once per access.  :class:`LruPolicy`, :class:`ScoreBasedPolicy`
-(with its GMM and LSTM aliases) and
-:class:`~repro.core.policy.CombinedIcgmmPolicy` declare one: all four
-Fig. 6 strategies.  Every other policy runs the reference loop.
-``tests/cache/test_list_span.py`` checks the loop against the
+admission cut and whether ``fill_meta`` stores the fill score --
+declares them as a :class:`ListSpan`, and
+:func:`repro.cache.simulate_fast.simulate_fast` then runs the exact
+list loop :func:`repro.cache.simulate_fast._list_span` instead of
+calling the hooks once per access.  :class:`LruPolicy` and
+:class:`ScoreBasedPolicy` (with its GMM and LSTM aliases) declare one:
+all four Fig. 6 strategies.  Every other policy runs the reference
+loop.  ``tests/cache/test_list_span.py`` checks the loop against the
 reference span for every declaration.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from typing import NamedTuple
 
 from repro.cache.policies.base import ReplacementPolicy
@@ -38,31 +36,35 @@ class ListSpan(NamedTuple):
     evict_meta: bool
     #: ``admit`` is ``score >= threshold``; ``None`` admits every miss.
     threshold: float | None
-    #: ``fill_meta`` is ``fill_scores.get(page, score)`` (an empty map
-    #: stores the request score); ``None`` stores ``0.0``.
-    fill_scores: Mapping[int, float] | None
+    #: ``fill_meta`` returns the fill score (the replay's
+    #: ``fill_scores``, else the request score) when True, ``0.0``
+    #: when False.
+    fill_scores: bool
+
+
+def _lru_list_span(policy: LruPolicy) -> ListSpan:
+    """LRU: base recency refresh, evict the oldest stamp."""
+    return ListSpan(False, None, False)
+
+
+def _score_list_span(policy: ScoreBasedPolicy) -> ListSpan:
+    """Score-driven admission/eviction (GMM, LSTM, any scorer)."""
+    return ListSpan(
+        policy.eviction,
+        policy.threshold if policy.admission else None,
+        True,
+    )
 
 
 #: Declaring policy class -> the function that builds an instance's
 #: :class:`ListSpan`.
 _DECLARATIONS: dict[
     type[ReplacementPolicy], Callable[[ReplacementPolicy], ListSpan]
-] = {}
+] = {LruPolicy: _lru_list_span, ScoreBasedPolicy: _score_list_span}
 
 #: The scalar hooks a declaration restates; a subclass overriding any
 #: of them relative to its declaring class gets no declaration.
 _HOOKS = ("on_hit", "admit", "fill_meta", "select_victim")
-
-
-def declares_list_span(policy_cls: type[ReplacementPolicy]):
-    """Decorator registering a :class:`ListSpan` builder for
-    ``policy_cls`` and its subclasses."""
-
-    def decorate(build):
-        _DECLARATIONS[policy_cls] = build
-        return build
-
-    return decorate
 
 
 def list_span_for(policy: ReplacementPolicy) -> ListSpan | None:
@@ -87,25 +89,4 @@ def list_span_for(policy: ReplacementPolicy) -> ListSpan | None:
     return build(policy)
 
 
-@declares_list_span(LruPolicy)
-def _lru_list_span(policy: LruPolicy) -> ListSpan:
-    """LRU: base recency refresh, evict the oldest stamp."""
-    return ListSpan(False, None, None)
-
-
-@declares_list_span(ScoreBasedPolicy)
-def score_list_span(policy: ScoreBasedPolicy) -> ListSpan:
-    """Score-driven admission/eviction (GMM, LSTM, any scorer)."""
-    return ListSpan(
-        policy.eviction,
-        policy.threshold if policy.admission else None,
-        {},
-    )
-
-
-__all__ = [
-    "ListSpan",
-    "declares_list_span",
-    "list_span_for",
-    "score_list_span",
-]
+__all__ = ["ListSpan", "list_span_for"]

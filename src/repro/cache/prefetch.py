@@ -129,7 +129,7 @@ def simulate_with_prefetch(
     counts as a useful prefetch when the page's latest fill was a
     prefetch not yet hit.
     """
-    pages, is_write, scores, measure_from = _validate_stream(
+    pages, is_write, scores, measure_from, _ = _validate_stream(
         pages, is_write, scores, warmup_fraction
     )
     n_sets = cache.geometry.n_sets

@@ -174,12 +174,14 @@ def _validate_stream(
     warmup_fraction: float,
     index_offset: int = 0,
     outcome: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    fill_scores: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray | None]:
     """Shared input validation for both simulator paths.
 
-    Returns ``(pages, is_write, scores, measure_from)`` with scores
-    defaulted to zeros.  ``measure_from`` is an *absolute* access
-    index (``index_offset`` plus the warm-up cut within this call).
+    Returns ``(pages, is_write, scores, measure_from, fill_scores)``
+    with scores defaulted to zeros and ``fill_scores`` left ``None``
+    when omitted.  ``measure_from`` is an *absolute* access index
+    (``index_offset`` plus the warm-up cut within this call).
     """
     pages = np.asarray(pages)
     is_write = np.asarray(is_write)
@@ -191,6 +193,12 @@ def _validate_stream(
         scores = np.asarray(scores, dtype=np.float64)
         if scores.shape != pages.shape:
             raise ValueError("scores and pages must have the same shape")
+    if fill_scores is not None:
+        fill_scores = np.asarray(fill_scores, dtype=np.float64)
+        if fill_scores.shape != pages.shape:
+            raise ValueError(
+                "fill_scores and pages must have the same shape"
+            )
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError("warmup_fraction must be in [0, 1)")
     if index_offset < 0:
@@ -203,7 +211,7 @@ def _validate_stream(
         if outcome.dtype != np.uint8:
             raise ValueError("outcome must have dtype uint8")
     measure_from = index_offset + int(pages.shape[0] * warmup_fraction)
-    return pages, is_write, scores, measure_from
+    return pages, is_write, scores, measure_from, fill_scores
 
 
 def place(
@@ -254,6 +262,7 @@ def access_step(
     write: bool,
     score: float,
     access_index: int,
+    fill_score: float | None = None,
 ) -> int:
     """One access through the Sec. 3.2 flow; returns its ``OUTCOME_*``.
 
@@ -262,6 +271,8 @@ def access_step(
     :func:`place` fills it.  ``set_tags`` is the caller's list mirror
     of the set's tag row and is kept in sync; dirty/meta/stamp go
     through the cache's numpy planes so policy hooks observe them.
+    ``fill_score`` (default: ``score``) is the score the fill hands
+    the policy's ``fill_meta``.
     """
     try:
         way = set_tags.index(page)
@@ -275,8 +286,8 @@ def access_step(
     if not policy.admit(page, score, write, access_index):
         return OUTCOME_BYPASS
     return place(
-        cache, policy, set_tags, set_index, page, write, score,
-        access_index,
+        cache, policy, set_tags, set_index, page, write,
+        score if fill_score is None else fill_score, access_index,
     )
 
 
@@ -292,15 +303,17 @@ def _scalar_span(
     stats: CacheStats,
     outcome: np.ndarray | None = None,
     outcome_base: int = 0,
+    fill_list: list[float] | None = None,
 ) -> None:
     """Exact access-at-a-time simulation of one request span.
 
     ``page_list``/``write_list``/``score_list`` are the span's
-    requests as plain Python scalars; ``index_list`` (any indexable
-    sequence, e.g. a ``range`` or a list) gives the absolute access
-    index of each position.  ``tags_list`` is a list-of-lists mirror
-    of ``cache.tags`` kept in sync by :func:`access_step` (fast
-    lookups).
+    requests as plain Python scalars, and ``fill_list`` (default:
+    ``score_list``) the score each fill stores; ``index_list`` (any
+    indexable sequence, e.g. a ``range`` or a list) gives the
+    absolute access index of each position.  ``tags_list`` is a
+    list-of-lists mirror of ``cache.tags`` kept in sync by
+    :func:`access_step` (fast lookups).
 
     When ``outcome`` is given, each access's ``OUTCOME_*`` code is
     written at ``outcome[access_index - outcome_base]``.
@@ -321,6 +334,7 @@ def _scalar_span(
         code = access_step(
             cache, policy, tags_list[set_index], set_index, page,
             write, score_list[offset], access_index,
+            None if fill_list is None else fill_list[offset],
         )
         if record:
             outcome[access_index - outcome_base] = code
@@ -357,6 +371,7 @@ def simulate(
     warmup_fraction: float = 0.0,
     index_offset: int = 0,
     outcome: np.ndarray | None = None,
+    fill_scores: np.ndarray | None = None,
 ) -> CacheStats:
     """Drive a cache/policy pair over a page-level request stream.
 
@@ -398,14 +413,20 @@ def simulate(
         each access's ``OUTCOME_*`` code (see
         :mod:`repro.cache.stats`) is recorded at its call-local
         position, enabling exact per-tenant accounting downstream.
+    fill_scores:
+        Score per request that a fill hands the policy's
+        ``fill_meta`` (the block's stored eviction score); ``None``
+        means ``scores``.  The combined Fig. 6 strategy admits on the
+        request scores and stores the time-marginalised page scores.
 
     Returns
     -------
     CacheStats
         Counters over the measured (post-warm-up) region.
     """
-    pages, is_write, scores, measure_from = _validate_stream(
-        pages, is_write, scores, warmup_fraction, index_offset, outcome
+    pages, is_write, scores, measure_from, fill_scores = _validate_stream(
+        pages, is_write, scores, warmup_fraction, index_offset, outcome,
+        fill_scores,
     )
     stats = CacheStats()
     tags_list = [
@@ -426,5 +447,9 @@ def simulate(
         stats,
         outcome=outcome,
         outcome_base=index_offset,
+        fill_list=(
+            None if fill_scores is None
+            else [float(s) for s in fill_scores]
+        ),
     )
     return stats

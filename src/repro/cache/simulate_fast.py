@@ -4,9 +4,8 @@ The reference :func:`repro.cache.setassoc.simulate` walks the request
 stream one access at a time through the policy's hook methods.  The
 four Fig. 6 strategies -- LRU, GMM smart caching, smart eviction and
 both -- reduce those hooks to a handful of facts (which plane the
-victim is the first argmin of, the admission cut, where the fill
-metadata comes from), which
-their policies declare as a
+victim is the first argmin of, the admission cut, whether a fill
+stores its score), which their policies declare as a
 :class:`~repro.cache.policies.kernels.ListSpan`.  For them
 :func:`simulate_fast` replays the stream in chunks of
 :data:`CHUNK_SIZE` accesses through :func:`_list_span`: the touched
@@ -25,6 +24,8 @@ reference loop itself.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 import numpy as np
 
@@ -59,6 +60,7 @@ def _list_span(
     span_sets: np.ndarray,
     span_write: np.ndarray,
     span_scores: np.ndarray,
+    span_fills: np.ndarray | None,
     span_idx: np.ndarray,
     measure_from: int,
     outcome: np.ndarray | None,
@@ -72,13 +74,14 @@ def _list_span(
     lists (plus a page -> way map of their resident blocks: a page
     maps to one set, so that is the hit test), and every access
     resolves hit -> admit -> first invalid way or first argmin victim
-    -> fill on those lists, leaving only its outcome code in a
-    ``bytearray``.  The rows go back to the planes once at the end,
-    and the counters are rebuilt from the codes in one vector pass
-    (every access carries exactly one code).  Only the touched rows
-    are copied, so a short span over a large cache costs no
-    whole-plane round trip; a per-set count maps each access to its
-    row without sorting the span.
+    -> fill on those lists (storing ``span_fills``, else the request
+    score, when the policy's ``fill_meta`` stores one), leaving only
+    its outcome code in a ``bytearray``.  The rows go back to the
+    planes once at the end, and the counters are rebuilt from the
+    codes in one vector pass (every access carries exactly one
+    code).  Only the touched rows are copied, so a short span over a
+    large cache costs no whole-plane round trip; a per-set count maps
+    each access to its row without sorting the span.
     """
     present = np.bincount(span_sets, minlength=cache.geometry.n_sets) > 0
     touched = np.flatnonzero(present)
@@ -93,14 +96,21 @@ def _list_span(
     }
     way_of = resident.get
     threshold = spec.threshold
-    fill_get = None if spec.fill_scores is None else spec.fill_scores.get
+    scores = span_scores.tolist()
+    if not spec.fill_scores:
+        fills = repeat(0.0)
+    elif span_fills is None:
+        fills = scores
+    else:
+        fills = span_fills.tolist()
     codes = bytearray()
     code = codes.append
-    for page, row, write, score, stamp_value in zip(
+    for page, row, write, score, fill, stamp_value in zip(
         span_pages.tolist(),
         rows.tolist(),
         span_write.tolist(),
-        span_scores.tolist(),
+        scores,
+        fills,
         span_idx.astype(np.float64).tolist(),
     ):
         way = way_of(page)
@@ -127,9 +137,7 @@ def _list_span(
         set_tags[way] = page
         resident[page] = way
         dirty[row][way] = write
-        meta[row][way] = (
-            0.0 if fill_get is None else float(fill_get(page, score))
-        )
+        meta[row][way] = fill
         stamp[row][way] = stamp_value
     cache.tags[touched] = tags
     cache.dirty[touched] = dirty
@@ -154,6 +162,7 @@ def simulate_fast(
     warmup_fraction: float = 0.0,
     index_offset: int = 0,
     outcome: np.ndarray | None = None,
+    fill_scores: np.ndarray | None = None,
 ) -> CacheStats:
     """Drop-in replacement for :func:`repro.cache.setassoc.simulate`.
 
@@ -171,9 +180,13 @@ def simulate_fast(
     outcome:
         Optional ``uint8`` per-access outcome buffer (see
         :func:`repro.cache.setassoc.simulate`).
+    fill_scores:
+        Score per request a fill stores; ``None`` means ``scores``
+        (see :func:`repro.cache.setassoc.simulate`).
     """
-    pages, is_write, scores, measure_from = _validate_stream(
-        pages, is_write, scores, warmup_fraction, index_offset, outcome
+    pages, is_write, scores, measure_from, fill_scores = _validate_stream(
+        pages, is_write, scores, warmup_fraction, index_offset, outcome,
+        fill_scores,
     )
     spec = list_span_for(policy)
     if spec is None:
@@ -186,6 +199,7 @@ def simulate_fast(
             warmup_fraction=warmup_fraction,
             index_offset=index_offset,
             outcome=outcome,
+            fill_scores=fill_scores,
         )
 
     pages = pages.astype(np.int64, copy=False)
@@ -199,7 +213,9 @@ def simulate_fast(
         _list_span(
             cache, spec, stats,
             c_pages, c_pages % n_sets, is_write[start:stop],
-            scores[start:stop], np.arange(start, stop) + index_offset,
+            scores[start:stop],
+            None if fill_scores is None else fill_scores[start:stop],
+            np.arange(start, stop) + index_offset,
             measure_from, outcome, index_offset,
         )
     return stats

@@ -251,7 +251,6 @@ def run_fabric_scenario(
     admission_threshold: float = 0.0,
     scores: np.ndarray | None = None,
     page_marginals: np.ndarray | None = None,
-    page_score_map: dict[int, float] | None = None,
     chunk_requests: int = 4096,
     parallel: ParallelConfig | None = None,
     monitor: bool = False,
@@ -280,11 +279,7 @@ def run_fabric_scenario(
         telemetry=telemetry,
     )
     try:
-        fabric.bind(
-            strategy,
-            admission_threshold,
-            page_score_map=page_score_map,
-        )
+        fabric.bind(strategy, admission_threshold)
         chunk_counters: list[tuple[int, int]] = []
         chunk_times_ns: list[int] = []
         previous_time_ns = 0

@@ -12,12 +12,8 @@ from repro.core.config import (
 )
 from repro.core.engine import FeatureScaler, GmmPolicyEngine
 from repro.core.experiment import run_suite
-from repro.core.pipeline import (
-    PreparedWorkload,
-    StagedPipeline,
-    StrategyPlan,
-)
-from repro.core.policy import build_policy, strategy_uses_scores
+from repro.core.pipeline import PreparedWorkload, StagedPipeline
+from repro.core.policy import build_policy, strategy_views
 from repro.core.results import (
     GMM_STRATEGIES,
     BenchmarkResult,
@@ -41,9 +37,8 @@ __all__ = [
     "ServingConfig",
     "StagedPipeline",
     "StrategyOutcome",
-    "StrategyPlan",
     "SuiteResult",
     "build_policy",
     "run_suite",
-    "strategy_uses_scores",
+    "strategy_views",
 ]

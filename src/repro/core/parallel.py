@@ -84,6 +84,7 @@ class ReplayTask:
     warmup_fraction: float = 0.0
     index_offset: int = 0
     record_outcome: bool = False
+    fill_scores: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -127,6 +128,7 @@ def _run_replay(task: ReplayTask) -> ReplayResult:
         warmup_fraction=task.warmup_fraction,
         index_offset=task.index_offset,
         outcome=outcome,
+        fill_scores=task.fill_scores,
     )
     return ReplayResult(
         stats=stats,
@@ -299,6 +301,7 @@ class ParallelExecutor:
         pages: np.ndarray,
         is_write: np.ndarray,
         scores: np.ndarray | None = None,
+        fill_scores: np.ndarray | None = None,
         *,
         profiler=None,
         record_outcome: bool = False,
@@ -308,7 +311,8 @@ class ParallelExecutor:
 
         ``lane_ids`` names each access's lane (an index into
         ``caches``/``policies``/``cursors``; ``-1`` leaves the access
-        out).  Every lane with accesses becomes one
+        out).  ``scores`` and ``fill_scores`` are per-access streams
+        like ``pages``.  Every lane with accesses becomes one
         :class:`ReplayTask` over its accesses in stream order,
         resuming at its cursor with ``warmup_fraction`` cut from its
         own sub-stream; the tasks go through one :meth:`replay` call
@@ -338,6 +342,11 @@ class ParallelExecutor:
                     warmup_fraction=warmup_fraction,
                     index_offset=cursors[lane],
                     record_outcome=record_outcome,
+                    fill_scores=(
+                        fill_scores[positions]
+                        if fill_scores is not None
+                        else None
+                    ),
                 )
             )
         results = self.replay(tasks, profiler)

@@ -11,10 +11,11 @@ runs four explicit stages over :class:`PreparedWorkload`:
 * **Prepare** -- generate/accept a trace, preprocess it per Sec. 3.1,
   train the GMM engine on the leading slice, score the full stream
   (:meth:`StagedPipeline.prepare`).
-* **Score** -- select the score view a Fig. 6 strategy consumes and
-  build its policy (:meth:`StagedPipeline.plan_strategy`); streaming
-  callers stamp raw page chunks into scoreable features with
-  :meth:`StagedPipeline.chunk_features`.
+* **Score** -- select the two score streams a Fig. 6 strategy
+  replays, the scores its policy decides on and the scores a fill
+  stores (:meth:`StagedPipeline.strategy_scores`), and build its
+  policy; streaming callers stamp raw page chunks into scoreable
+  features with :meth:`StagedPipeline.chunk_features`.
 * **Simulate** -- drive a cache/policy pair over a (sub-)stream
   through :func:`~repro.cache.simulate_fast.simulate_fast`
   (bit-identical to the scalar reference
@@ -47,7 +48,7 @@ from repro.cache.simulate_fast import simulate_fast
 from repro.cache.stats import CacheStats
 from repro.core.config import STRATEGIES, IcgmmConfig
 from repro.core.engine import GmmPolicyEngine
-from repro.core.policy import build_policy, strategy_score_view
+from repro.core.policy import build_policy, strategy_views
 from repro.core.results import BenchmarkResult, StrategyOutcome
 from repro.hardware.latency import LatencyModel
 from repro.traces.preprocess import (
@@ -86,25 +87,16 @@ class PreparedWorkload:
         return self.page_indices.shape[0]
 
     def page_score_map(self) -> dict[int, float]:
-        """Mapping page index -> marginal score (for the combined
-        policy's eviction metadata).
+        """Mapping page index -> marginal score (the fabric's
+        ``score`` placement cuts its buckets from the values).
 
         Built with one vectorized ``np.unique`` + take; ``tolist()``
-        converts to Python scalars in bulk so the dict materialises
-        at C speed even on million-page traces (the per-element
-        ``int()``/``float()`` loop it replaces dominated profile time
-        in the serving replay).
-
-        Memoized: the map is a pure function of the instance's
-        immutable page/score columns, so repeated Score stages --
-        one per strategy, plus every fabric bind and streamed replay
-        -- reuse the first build instead of re-materialising the
-        dict.  An engine swap always constructs a *new*
+        converts to Python scalars in bulk.  Memoized: the map is a
+        pure function of the instance's immutable page/score columns,
+        and an engine swap always constructs a *new*
         ``PreparedWorkload`` (the dataclass is frozen), so the cache
-        is invalidated by construction and can never go stale.
-        Callers must treat the returned dict as read-only; the
-        policies built from it copy what they mutate (device/shard
-        maps are routed local-keyed copies).
+        can never go stale.  Callers must treat the returned dict as
+        read-only.
         """
         cached = self.__dict__.get("_page_score_map")
         if cached is None:
@@ -185,24 +177,6 @@ class StageProfiler:
             )
             for name in ordered
         ]
-
-
-@dataclass(frozen=True)
-class StrategyPlan:
-    """Output of the Score stage for one strategy.
-
-    Attributes
-    ----------
-    policy:
-        The configured replacement/admission policy.
-    scores:
-        The per-access score stream the simulator feeds the policy
-        (``None`` for LRU).
-    """
-
-    strategy: str
-    policy: ReplacementPolicy
-    scores: np.ndarray | None
 
 
 class StagedPipeline:
@@ -331,40 +305,21 @@ class StagedPipeline:
     # ------------------------------------------------------------------
     def strategy_scores(
         self, prepared: PreparedWorkload, strategy: str
-    ) -> np.ndarray | None:
-        """Score stream a strategy's simulation consumes.
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """The ``(scores, fill_scores)`` a strategy's replay consumes.
 
-        ``"request"``-view strategies get the 2-D request scores,
-        ``"page"``-view ones the time-marginalised per-page scores,
-        LRU none.
+        Each is the stream of its view in
+        :func:`~repro.core.policy.strategy_views`: the 2-D request
+        scores for ``"request"``, the time-marginalised per-page
+        scores for ``"page"``, ``None`` for none.
         """
-        view = strategy_score_view(strategy)
-        if view == "request":
-            return prepared.scores
-        if view == "page":
-            return prepared.page_frequency_scores
-        return None
-
-    def plan_strategy(
-        self, prepared: PreparedWorkload, strategy: str
-    ) -> StrategyPlan:
-        """Build a strategy's policy and score stream (Score stage)."""
-        with self.stage_scope("score"):
-            page_scores = (
-                prepared.page_score_map()
-                if strategy == "gmm-caching-eviction"
-                else None
-            )
-            policy = build_policy(
-                strategy,
-                prepared.engine.admission_threshold,
-                page_scores=page_scores,
-            )
-            return StrategyPlan(
-                strategy=strategy,
-                policy=policy,
-                scores=self.strategy_scores(prepared, strategy),
-            )
+        streams = {
+            "request": prepared.scores,
+            "page": prepared.page_frequency_scores,
+            None: None,
+        }
+        score_view, fill_view = strategy_views(strategy)
+        return streams[score_view], streams[fill_view]
 
     def chunk_features(
         self, pages: np.ndarray, start_index: int
@@ -433,14 +388,16 @@ class StagedPipeline:
         warmup_fraction: float = 0.0,
         index_offset: int = 0,
         outcome: np.ndarray | None = None,
+        fill_scores: np.ndarray | None = None,
     ) -> CacheStats:
         """Drive one cache/policy pair over a (sub-)stream.
 
         Runs :func:`~repro.cache.simulate_fast.simulate_fast`,
-        bit-identical to the scalar reference loop.  ``index_offset`` makes the call
-        resumable (chunked/sharded/multi-device replay) and
-        ``outcome`` records per-access ``OUTCOME_*`` codes for exact
-        downstream accounting.
+        bit-identical to the scalar reference loop.  ``index_offset``
+        makes the call resumable (chunked/sharded/multi-device
+        replay), ``outcome`` records per-access ``OUTCOME_*`` codes
+        for exact downstream accounting, and ``fill_scores`` (default:
+        ``scores``) is what each fill stores.
         """
         with self.stage_scope("simulate"):
             return simulate_fast(
@@ -452,6 +409,7 @@ class StagedPipeline:
                 warmup_fraction=warmup_fraction,
                 index_offset=index_offset,
                 outcome=outcome,
+                fill_scores=fill_scores,
             )
 
     # ------------------------------------------------------------------
@@ -475,15 +433,20 @@ class StagedPipeline:
         self, prepared: PreparedWorkload, strategy: str
     ) -> StrategyOutcome:
         """Score + Simulate + Price for one Fig. 6 strategy."""
-        plan = self.plan_strategy(prepared, strategy)
+        with self.stage_scope("score"):
+            policy = build_policy(
+                strategy, prepared.engine.admission_threshold
+            )
+            scores, fill_scores = self.strategy_scores(prepared, strategy)
         cache = SetAssociativeCache(self.config.geometry)
         stats = self.simulate(
             cache,
-            plan.policy,
+            policy,
             prepared.page_indices,
             prepared.is_write,
-            scores=plan.scores,
+            scores=scores,
             warmup_fraction=self.config.warmup_fraction,
+            fill_scores=fill_scores,
         )
         return self.price(strategy, stats)
 

@@ -128,13 +128,19 @@ class CxlMemoryDevice:
         self._writes.append(is_write)
 
     def access(
-        self, page: int, is_write: bool, score: float = 0.0
+        self,
+        page: int,
+        is_write: bool,
+        score: float = 0.0,
+        fill_score: float | None = None,
     ) -> DeviceAccessResult:
         """Serve one 4 KB page request; returns internal latency.
 
         Follows the Sec. 3.2 flow exactly: hit -> DRAM; miss -> SSD
         read plus (admission permitting) a fill with possible dirty
         write-back; bypassed writes program flash directly.
+        ``fill_score`` (default: ``score``) is what a fill hands the
+        policy's ``fill_meta``.
         """
         index = self._access_index
         self._access_index += 1
@@ -181,7 +187,9 @@ class CxlMemoryDevice:
             victim,
             page,
             is_write,
-            self.policy.fill_meta(page, score, index),
+            self.policy.fill_meta(
+                page, score if fill_score is None else fill_score, index
+            ),
             float(index),
         )
         self._record(outcome, bool(is_write))

@@ -57,7 +57,7 @@ from repro.core.pipeline import (
     StagedPipeline,
     StageProfiler,
 )
-from repro.core.policy import build_policy
+from repro.core.policy import build_policy, strategy_views
 from repro.cxl.device import DEVICE_DRAM_HIT_NS
 from repro.cxl.link import CxlLinkSpec
 from repro.hardware.latency import DevicePathLatencyModel
@@ -311,6 +311,7 @@ class CxlFabric:
             [p.link_request_ns for p in self.pricing], kind="stable"
         ).astype(np.int64)
         self._strategy: str | None = None
+        self._fill_view: str | None = None
         self._score_cuts: np.ndarray | None = None
         # Telemetry wiring follows the chaos contract: None when
         # disabled, so every hot-path gate is an ``is not None`` check
@@ -439,7 +440,6 @@ class CxlFabric:
         self,
         strategy: str,
         admission_threshold: float = 0.0,
-        page_score_map: dict[int, float] | None = None,
         score_cuts: np.ndarray | None = None,
     ) -> None:
         """Reset the fleet and build per-device policies for a strategy.
@@ -450,65 +450,20 @@ class CxlFabric:
             Fig. 6 strategy driving every device.
         admission_threshold:
             Sec. 3.2 score cut-off (admission-enabled strategies).
-        page_score_map:
-            Global page -> marginal score mapping; required by
-            ``gmm-caching-eviction`` (each device receives the slice
-            routed to it, keyed by the device-local page the
-            simulator sees).
         score_cuts:
-            Bucket boundaries of the ``score`` placement; when
-            omitted they are derived as unique-page quantiles of
-            ``page_score_map``'s values.
+            Bucket boundaries of the ``score`` placement (required by
+            it; see :meth:`_cuts_from_marginals`).
         """
         self.reset()
         self._strategy = strategy
-        n = self.topology.n_devices
-        combined = strategy == "gmm-caching-eviction"
+        self._fill_view = strategy_views(strategy)[1]
         if self.topology.placement == "score":
-            if score_cuts is not None:
-                self._score_cuts = np.asarray(
-                    score_cuts, dtype=np.float64
-                )
-            elif page_score_map:
-                marginals = np.fromiter(
-                    page_score_map.values(),
-                    dtype=np.float64,
-                    count=len(page_score_map),
-                )
-                self._score_cuts = self._cuts_from_marginals(marginals)
-            else:
-                raise ValueError(
-                    "score placement needs score_cuts or a"
-                    " page_score_map to derive them from"
-                )
-        self._device_page_maps: list[dict[int, float]] = [
-            {} for _ in range(n)
-        ]
-        if combined:
-            if page_score_map is None:
-                raise ValueError(
-                    "gmm-caching-eviction requires page_score_map"
-                )
-            keys = np.fromiter(
-                page_score_map.keys(),
-                dtype=np.int64,
-                count=len(page_score_map),
-            )
-            values = np.fromiter(
-                page_score_map.values(),
-                dtype=np.float64,
-                count=len(page_score_map),
-            )
-            self._extend_page_maps(keys, values)
+            if score_cuts is None:
+                raise ValueError("score placement needs score_cuts")
+            self._score_cuts = np.asarray(score_cuts, dtype=np.float64)
         self._policies = [
-            build_policy(
-                strategy,
-                admission_threshold,
-                page_scores=(
-                    self._device_page_maps[d] if combined else None
-                ),
-            )
-            for d in range(n)
+            build_policy(strategy, admission_threshold)
+            for _ in range(self.topology.n_devices)
         ]
 
     def _cuts_from_marginals(self, marginals: np.ndarray) -> np.ndarray:
@@ -518,21 +473,6 @@ class CxlFabric:
             return np.empty(0, dtype=np.float64)
         quantiles = np.arange(1, n) / n
         return np.quantile(np.unique(marginals), quantiles)
-
-    def _extend_page_maps(
-        self, pages: np.ndarray, marginals: np.ndarray
-    ) -> None:
-        """Route (page, marginal) pairs into the per-device dicts."""
-        device_ids, local_pages = self.place(pages, marginals)
-        for device in np.unique(device_ids).tolist():
-            mask = device_ids == device
-            self._device_page_maps[device].update(
-                zip(
-                    local_pages[mask].tolist(),
-                    marginals[mask].tolist(),
-                    strict=True,
-                )
-            )
 
     # ------------------------------------------------------------------
     # Stage: Place
@@ -587,9 +527,9 @@ class CxlFabric:
 
         Requires a prior :meth:`bind`.  Each device's slice resumes
         at that device's cursor, so chunked ingestion is bit-identical
-        to a one-shot :meth:`run_prepared` with no warm-up cut.  For
-        the combined strategy, ``page_marginals`` extends the
-        per-device eviction metadata with newly-seen pages.
+        to a one-shot :meth:`run_prepared` with no warm-up cut.  A
+        strategy that fills from the page view (the combined one)
+        stores ``page_marginals`` as its blocks' eviction scores.
 
         Under chaos (an injector is wired), each chunk first consults
         the fault timeline at this chunk's logical index: a failed
@@ -605,17 +545,13 @@ class CxlFabric:
             raise ValueError("bind() a strategy before ingesting")
         pages = np.asarray(pages, dtype=np.int64)
         is_write = np.asarray(is_write, dtype=bool)
-        if self._strategy == "gmm-caching-eviction":
+        fill_scores = None
+        if self._fill_view == "page":
             if page_marginals is None:
                 raise ValueError(
-                    "gmm-caching-eviction ingestion needs"
-                    " page_marginals"
+                    f"{self._strategy} ingestion needs page_marginals"
                 )
-            unique_pages, first = np.unique(pages, return_index=True)
-            self._extend_page_maps(
-                unique_pages,
-                np.asarray(page_marginals, dtype=np.float64)[first],
-            )
+            fill_scores = np.asarray(page_marginals, dtype=np.float64)
         device_ids, local_pages = self.place(pages, page_marginals)
         chunk_index = self._chunk_index
         self._chunk_index += 1
@@ -682,6 +618,7 @@ class CxlFabric:
             local_pages,
             is_write,
             scores,
+            fill_scores,
             profiler=self.pipeline.profiler,
             record_outcome=need_outcome,
         )
@@ -914,10 +851,10 @@ class CxlFabric:
 
         With at least one healthy device, the failed homes' accesses
         move onto healthy devices under the collision-free
-        :data:`FAILOVER_TAG_OFFSET` tag space (the combined strategy's
-        backup score maps are extended with the same tags).  Otherwise the accesses are served SSD-direct and
-        accounted as bypasses on their home device -- degraded, but
-        never lost.
+        :data:`FAILOVER_TAG_OFFSET` tag space; their scores and fills
+        keep their positions in the chunk.  Otherwise the accesses
+        are served SSD-direct and accounted as bypasses on their home
+        device -- degraded, but never lost.
         """
         n = self.topology.n_devices
         device_ids = device_ids.copy()
@@ -962,19 +899,8 @@ class CxlFabric:
         targets = self._failover_targets(
             pages[mask], marginals, healthy
         )
-        failover_tags = pages[mask] + FAILOVER_TAG_OFFSET
         device_ids[mask] = targets
-        local_pages[mask] = failover_tags
-        if self._strategy == "gmm-caching-eviction":
-            for device in np.unique(targets).tolist():
-                sub = targets == device
-                self._device_page_maps[device].update(
-                    zip(
-                        failover_tags[sub].tolist(),
-                        marginals[sub].tolist(),
-                        strict=True,
-                    )
-                )
+        local_pages[mask] = pages[mask] + FAILOVER_TAG_OFFSET
         return device_ids, local_pages, mask, chunk
 
     def _account_failover(
@@ -1062,12 +988,13 @@ class CxlFabric:
     ) -> FabricRunResult:
         """Replay a prepared workload over the fleet.
 
-        Binds the strategy (the page-score map feeds the combined
-        strategy and the ``score`` placement's cuts), places the full
-        stream, and replays each device's sub-stream through the
-        pipeline's Simulate stage in one lane round, with the warm-up
-        cut applied *per sub-stream* -- which is exactly what a
-        single-shot offline run on that sub-stream does, so
+        Binds the strategy (the page-score map feeds the ``score``
+        placement's cuts), places the full stream, and replays each
+        device's sub-stream with the strategy's two score streams
+        (:meth:`~repro.core.pipeline.StagedPipeline.strategy_scores`)
+        through the pipeline's Simulate stage in one lane round, with
+        the warm-up cut applied *per sub-stream* -- which is exactly
+        what a single-shot offline run on that sub-stream does, so
         per-device counters match it bit for bit (the fabric parity
         suite asserts this for every placement and strategy).
 
@@ -1087,16 +1014,12 @@ class CxlFabric:
         if chunk_requests < 1:
             raise ValueError("chunk_requests must be >= 1")
         chunked = self.injector is not None or self.monitor is not None
-        combined = strategy == "gmm-caching-eviction"
-        by_score = self.topology.placement == "score"
         pages = prepared.page_indices
         marginals = prepared.page_frequency_scores
         with self.pipeline.stage_scope("score"):
-            page_score_map = (
-                prepared.page_score_map() if combined or by_score else None
-            )
             score_cuts = None
-            if by_score:
+            if self.topology.placement == "score":
+                page_score_map = prepared.page_score_map()
                 score_cuts = self._cuts_from_marginals(
                     np.fromiter(
                         page_score_map.values(),
@@ -1107,10 +1030,11 @@ class CxlFabric:
             self.bind(
                 strategy,
                 prepared.engine.admission_threshold,
-                page_score_map=page_score_map if combined else None,
                 score_cuts=score_cuts,
             )
-            scores = self.pipeline.strategy_scores(prepared, strategy)
+            scores, fill_scores = self.pipeline.strategy_scores(
+                prepared, strategy
+            )
             if not chunked:
                 device_ids, local_pages = self.place(pages, marginals)
         # The whole replay is timed as one Simulate section (the
@@ -1125,11 +1049,7 @@ class CxlFabric:
                         scores=(
                             scores[sl] if scores is not None else None
                         ),
-                        page_marginals=(
-                            marginals[sl]
-                            if marginals is not None
-                            else None
-                        ),
+                        page_marginals=marginals[sl],
                     )
             else:
                 for device, _, result in self._executor.replay_lanes(
@@ -1140,6 +1060,7 @@ class CxlFabric:
                     local_pages,
                     prepared.is_write,
                     scores,
+                    fill_scores,
                     profiler=self.pipeline.profiler,
                     warmup_fraction=(
                         self.config.warmup_fraction

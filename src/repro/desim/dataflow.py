@@ -109,7 +109,7 @@ class IcgmmDataflow:
         (latencies then include queueing delay); the default is the
         closed-loop mode matching the average-access-time measurement.
         """
-        pages, is_write, scores, _ = _validate_stream(
+        pages, is_write, scores, _, _ = _validate_stream(
             pages, is_write, scores, 0.0
         )
         is_write = is_write.astype(bool)

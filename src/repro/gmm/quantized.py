@@ -74,6 +74,24 @@ class FixedPointFormat:
         return np.clip(quantized, self.min_value, self.max_value)
 
 
+def _fitting_format(*constants: np.ndarray) -> FixedPointFormat:
+    """The default 32-bit word, with its binary point moved left just
+    far enough that the largest finite constant does not saturate.
+
+    A mixture whose constants fit Q12.20 keeps it.  A narrow
+    component needs more integer bits: a page-axis std of 0.002 in
+    scaled units gives inverse-covariance entries near 250,000, far
+    past Q12.20's 2,048, and saturating them would flatten every
+    nearby score to one value.
+    """
+    values = np.abs(np.concatenate([np.ravel(c) for c in constants]))
+    largest = values[np.isfinite(values)].max(initial=0.0)
+    fmt = FixedPointFormat()
+    while fmt.frac_bits > 0 and largest > fmt.max_value:
+        fmt = FixedPointFormat(fmt.total_bits, fmt.frac_bits - 1)
+    return fmt
+
+
 class _ExpTable:
     """Lookup-table exponential: the pipeline's exp unit.
 
@@ -123,7 +141,9 @@ class QuantizedGmm:
         paper does -- training happens offline, only inference runs on
         the FPGA).
     fmt:
-        Fixed-point format used for parameters and the accumulator.
+        Fixed-point format used for parameters and the accumulator;
+        by default 32-bit words with as many of the Q12.20 fraction
+        bits as the model's largest finite constant leaves room for.
     exp_table:
         The exp unit; defaults to a 4K-entry table over ``[-40, 0]``.
 
@@ -145,24 +165,28 @@ class QuantizedGmm:
                 "QuantizedGmm supports 2-D mixtures only,"
                 f" got n_features={model.n_features}"
             )
-        self.fmt = fmt if fmt is not None else FixedPointFormat()
         self.exp_table = exp_table if exp_table is not None else _ExpTable()
         self._n_components = model.n_components
         covariances = model.covariances
         inverses = np.linalg.inv(covariances)
         dets = np.linalg.det(covariances)
-        # Per-component constants, all quantized once at load time (the
-        # "one-time loading from HBM before kernel starts" of Fig. 5).
-        self._means = self.fmt.quantize(model.means)  # (K, 2)
-        self._inv_a = self.fmt.quantize(inverses[:, 0, 0])
-        self._inv_b = self.fmt.quantize(inverses[:, 0, 1])
-        self._inv_c = self.fmt.quantize(inverses[:, 1, 1])
         # log(pi_k / (2 pi sqrt(det))) folded into a single additive
         # constant per component, so the exponent needs one add.
         with np.errstate(divide="ignore"):
             log_norm = np.log(model.weights) - np.log(
                 2.0 * np.pi * np.sqrt(dets)
             )
+        self.fmt = (
+            fmt
+            if fmt is not None
+            else _fitting_format(model.means, inverses, log_norm)
+        )
+        # Per-component constants, all quantized once at load time (the
+        # "one-time loading from HBM before kernel starts" of Fig. 5).
+        self._means = self.fmt.quantize(model.means)  # (K, 2)
+        self._inv_a = self.fmt.quantize(inverses[:, 0, 0])
+        self._inv_b = self.fmt.quantize(inverses[:, 0, 1])
+        self._inv_c = self.fmt.quantize(inverses[:, 1, 1])
         self._log_norm = self.fmt.quantize(log_norm)
 
     @property

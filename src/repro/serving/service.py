@@ -53,7 +53,7 @@ from repro.core.config import ChaosConfig, IcgmmConfig, ServingConfig
 from repro.core.engine import GmmPolicyEngine
 from repro.core.parallel import ParallelExecutor
 from repro.core.pipeline import StagedPipeline, StageProfiler
-from repro.core.policy import build_policy, strategy_score_view
+from repro.core.policy import build_policy, strategy_views
 from repro.serving.drift import DriftDetector, DriftReport
 from repro.serving.metrics import RollingMetrics
 from repro.serving.refresh import (
@@ -78,10 +78,8 @@ class _PageScoreCache:
     One instance per engine generation: the marginal is a pure
     function of the page under a fixed mixture, so values are
     computed once per *new* page and reused for every later chunk --
-    the working analogue of the on-board score table.  Vectorized
-    per-access lookups go through sorted key/value arrays; the
-    combined policy's page map is fed from the new (pages, scores)
-    pairs :meth:`ensure` returns.
+    the working analogue of the on-board score table.  Keys and
+    values are sorted arrays, so lookups are vectorized.
     """
 
     def __init__(self, engine: GmmPolicyEngine) -> None:
@@ -89,10 +87,8 @@ class _PageScoreCache:
         self._keys = np.empty(0, dtype=np.int64)
         self._values = np.empty(0, dtype=np.float64)
 
-    def ensure(
-        self, unique: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Score pages not yet cached; returns the new (pages, scores).
+    def ensure(self, unique: np.ndarray) -> None:
+        """Score the pages not yet cached.
 
         ``unique`` holds distinct pages in ascending order.
         """
@@ -103,17 +99,16 @@ class _PageScoreCache:
         else:
             new = unique
         if new.size == 0:
-            return new, np.empty(0, dtype=np.float64)
+            return
         marginals = self._engine.page_scores(new)
         # Both arrays are sorted already: an O(U + k) positional
         # insert replaces a full re-sort of the merged keys.
         insert_at = np.searchsorted(self._keys, new)
         self._keys = np.insert(self._keys, insert_at, new)
         self._values = np.insert(self._values, insert_at, marginals)
-        return new, marginals
 
     def lookup(self, pages: np.ndarray) -> np.ndarray:
-        """Marginal score per access (pages must be ensured)."""
+        """Marginal score per page (pages must be ensured)."""
         pos = np.searchsorted(
             self._keys, np.asarray(pages, dtype=np.int64)
         )
@@ -244,7 +239,13 @@ class IcgmmCacheService:
         self.tenant_metrics = RollingMetrics()
         self.totals = CacheStats()
         self.swaps: list[SwapEvent] = []
-        self._score_view = strategy_score_view(self.serving.strategy)
+        self._score_view, self._fill_view = strategy_views(
+            self.serving.strategy
+        )
+        self._needs_page_cache = "page" in (
+            self._score_view,
+            self._fill_view,
+        )
         self._cursor = 0
         self._chunk_index = 0
         self._plane_cursors = [0] * len(self.planes.caches)
@@ -358,24 +359,10 @@ class IcgmmCacheService:
         """Rebuild generation-scoped state from the slot's engine."""
         engine = self.slot.engine
         self._page_cache = _PageScoreCache(engine)
-        combined = self.serving.strategy == "gmm-caching-eviction"
-        # The combined policy looks its eviction metadata up by the
-        # page the simulator sees, which is the page itself on every
-        # plane -- so all planes' policies share one map, filled as
-        # new pages are scored.  The page-view strategy
-        # ("gmm-eviction") needs only the lookup arrays in the page
-        # cache, not this dict.
-        self._page_map: dict[int, float] = {}
         self._policies = [
-            build_policy(
-                self.serving.strategy,
-                engine.admission_threshold,
-                page_scores=self._page_map if combined else None,
-            )
+            build_policy(self.serving.strategy, engine.admission_threshold)
             for _ in self.planes.caches
         ]
-        self._combined = combined
-        self._needs_page_cache = combined or self._score_view == "page"
 
     @property
     def generation(self) -> int:
@@ -439,7 +426,7 @@ class IcgmmCacheService:
             or self.serving.refresh_enabled
         )
         with self.pipeline.stage_scope("score"):
-            features = scores = None
+            features = scores = marginals = None
             if need_scores or self._needs_page_cache:
                 distinct_pages, page_rank = np.unique(
                     pages, return_inverse=True
@@ -450,23 +437,13 @@ class IcgmmCacheService:
                 )
                 scores = score_distinct_rows(engine, features, page_rank)
             if self._needs_page_cache:
-                new_pages, new_marginals = self._page_cache.ensure(
-                    distinct_pages
-                )
-                if self._combined and new_pages.size:
-                    self._page_map.update(
-                        zip(
-                            new_pages.tolist(),
-                            new_marginals.tolist(),
-                            strict=True,
-                        )
-                    )
-            if self._score_view == "request":
-                sim_scores = scores
-            elif self._score_view == "page":
-                sim_scores = self._page_cache.lookup(pages)
-            else:
-                sim_scores = None
+                self._page_cache.ensure(distinct_pages)
+                marginals = self._page_cache.lookup(distinct_pages)[
+                    page_rank
+                ]
+            streams = {"request": scores, "page": marginals, None: None}
+            sim_scores = streams[self._score_view]
+            sim_fills = streams[self._fill_view]
 
         # --- simulation: one task per plane (resumable, exact) -------
         # The executor's lane loop replays each plane's accesses at
@@ -521,6 +498,7 @@ class IcgmmCacheService:
             pages,
             is_write,
             sim_scores,
+            sim_fills,
             profiler=self.pipeline.profiler,
             record_outcome=True,
         ):

@@ -8,7 +8,7 @@ from repro.cache.simulate_fast import simulate_fast
 
 
 def _replay(runner, geometry, make, pages, is_write, scores, warmup,
-            step=None):
+            step=None, fill_scores=None):
     """One run, or with ``step`` a chunked resumable replay through
     ``index_offset``, recording per-access outcome codes."""
     cache = SetAssociativeCache(geometry)
@@ -19,6 +19,7 @@ def _replay(runner, geometry, make, pages, is_write, scores, warmup,
         stats = runner(
             cache, policy, pages, is_write,
             scores=scores, warmup_fraction=warmup, outcome=outcome,
+            fill_scores=fill_scores,
         )
         return stats, cache, outcome
     assert warmup == 0.0  # index_offset replays count every access
@@ -31,6 +32,9 @@ def _replay(runner, geometry, make, pages, is_write, scores, warmup,
             scores=scores[start:stop],
             index_offset=start,
             outcome=outcome[start:stop],
+            fill_scores=(
+                None if fill_scores is None else fill_scores[start:stop]
+            ),
         )
         total = stats if total is None else total.merge(stats)
     return total, cache, outcome
@@ -59,13 +63,14 @@ def assert_fast_parity():
     Returns the reference ``(stats, cache, outcome)``."""
 
     def check(geometry, make, pages, is_write, scores, warmup,
-              context, step=None):
+              context, step=None, fill_scores=None):
         reference = _replay(
-            simulate, geometry, make, pages, is_write, scores, warmup
+            simulate, geometry, make, pages, is_write, scores, warmup,
+            fill_scores=fill_scores,
         )
         fast = _replay(
             simulate_fast, geometry, make, pages, is_write, scores,
-            warmup, step=step,
+            warmup, step=step, fill_scores=fill_scores,
         )
         _assert_identical(reference, fast, context)
         return reference

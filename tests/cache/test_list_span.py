@@ -7,9 +7,10 @@ from the same pre-warmed cache (invalid ways, dirty bits, non-zero
 meta and stamps) it leaves *bit identical* counters, outcome codes and
 cache planes to :func:`repro.cache.setassoc._scalar_span` driving the
 policy's own hooks -- for every declaring policy (LRU, the score
-policy in each admission/eviction mode, the combined policy
-with a partial page map), on tie-heavy scores that include the
-threshold itself, signed zeros, infinities and NaN.
+policy in each admission/eviction mode, with and without a separate
+fill stream, as the combined strategy replays), on tie-heavy scores
+and fills that include the threshold itself, signed zeros,
+infinities and NaN.
 """
 
 import copy
@@ -28,12 +29,11 @@ from repro.cache.setassoc import (
 )
 from repro.cache.simulate_fast import _list_span
 from repro.cache.stats import CacheStats
-from repro.core.policy import CombinedIcgmmPolicy
 
 THRESHOLDS = (0.0, 0.5)
 
-#: Scores that tie often and hit every comparison edge: both
-#: thresholds, signed zeros, infinities and NaN.
+#: Scores (and fills) that tie often and hit every comparison edge:
+#: both thresholds, signed zeros, infinities and NaN.
 SCORES = (
     0.0, -0.0, 0.5, 0.25, 1.0, -1.0,
     float("inf"), float("-inf"), float("nan"),
@@ -43,11 +43,9 @@ SCORES = (
 SCORE_MODES = ((True, True), (True, False), (False, True))
 
 
-def _policy(kind, threshold, mode, page_scores):
+def _policy(kind, threshold, mode):
     if kind == "lru":
         return LruPolicy()
-    if kind == "combined":
-        return CombinedIcgmmPolicy(threshold, page_scores)
     admission, eviction = mode
     return ScoreBasedPolicy(
         threshold=threshold, admission=admission, eviction=eviction
@@ -65,13 +63,15 @@ def span_cases(draw):
     universe = draw(st.integers(1, 3 * n_sets * ways))
     pages = st.integers(0, universe - 1)
     scores = st.sampled_from(SCORES)
+    # "combined" is a score policy replayed with a fill stream drawn
+    # apart from its scores.
     kind = draw(st.sampled_from(("lru", "score", "combined")))
-    mapped = draw(st.lists(pages, max_size=universe, unique=True))
     warm = draw(st.integers(0, 2 * n_sets * ways))
     n = draw(st.integers(1, 120))
     gaps = draw(_exactly(st.integers(1, 3), n))
     offset = warm + draw(st.integers(0, 5))
     idx = offset + np.cumsum(gaps) - gaps[0]
+    fills = kind == "combined"
     return dict(
         geometry=CacheGeometry(
             capacity_bytes=n_sets * ways,
@@ -82,14 +82,15 @@ def span_cases(draw):
             kind,
             draw(st.sampled_from(THRESHOLDS)),
             draw(st.sampled_from(SCORE_MODES)),
-            {page: draw(scores) for page in mapped},
         ),
         warm_pages=draw(_exactly(pages, warm)),
         warm_writes=draw(_exactly(st.booleans(), warm)),
         warm_scores=draw(_exactly(scores, warm)),
+        warm_fills=draw(_exactly(scores, warm)) if fills else None,
         pages=draw(_exactly(pages, n)),
         writes=draw(_exactly(st.booleans(), n)),
         scores=draw(_exactly(scores, n)),
+        fills=draw(_exactly(scores, n)) if fills else None,
         idx=idx,
         measure_from=draw(st.integers(offset, int(idx[-1]) + 1)),
         outcome_base=offset - draw(st.integers(0, 3)),
@@ -105,6 +106,7 @@ def _warmed(case):
         np.asarray(case["warm_pages"], dtype=np.int64),
         np.asarray(case["warm_writes"], dtype=bool),
         np.asarray(case["warm_scores"], dtype=np.float64),
+        fill_scores=case["warm_fills"],
     )
     return cache
 
@@ -137,6 +139,7 @@ class TestListSpanMatchesScalarSpan:
             ref_stats,
             outcome=ref_outcome,
             outcome_base=case["outcome_base"],
+            fill_list=case["fills"],
         )
 
         cache = copy.deepcopy(warmed)
@@ -154,6 +157,11 @@ class TestListSpanMatchesScalarSpan:
             pages % case["geometry"].n_sets,
             np.asarray(case["writes"], dtype=bool),
             np.asarray(case["scores"], dtype=np.float64),
+            (
+                None
+                if case["fills"] is None
+                else np.asarray(case["fills"], dtype=np.float64)
+            ),
             case["idx"],
             case["measure_from"],
             outcome,

@@ -35,25 +35,34 @@ from repro.cache.stats import (
     CacheStats,
     stats_from_outcomes,
 )
-from repro.core.policy import CombinedIcgmmPolicy
 
 POLICIES = [
     ("lru", lambda: LruPolicy()),
     ("gmm", lambda: GmmCachePolicy(threshold=0.2)),
-    # Fill metadata from the page map, not the request score.
-    (
-        "combined",
-        lambda: CombinedIcgmmPolicy(
-            threshold=0.2,
-            page_scores={
-                page: (page % 31) / 31.0 for page in range(0, 600, 3)
-            },
-        ),
-    ),
+    # Replayed with fill scores apart from the request scores
+    # (:func:`_fills`).
+    ("combined", lambda: GmmCachePolicy(threshold=0.2)),
     # Reference-loop policies must record outcomes too.
     ("clock", lambda: ClockPolicy()),
     ("random", lambda: RandomPolicy(np.random.default_rng(7))),
 ]
+
+#: Fill score of every third page under the "combined" replay; the
+#: rest store their request score.
+PAGE_FILLS = {page: (page % 31) / 31.0 for page in range(0, 600, 3)}
+
+
+def _fills(name, pages, scores):
+    """Per-access fill scores of a :data:`POLICIES` entry (``None``:
+    fills store the request score)."""
+    if name != "combined":
+        return None
+    return np.array(
+        [
+            PAGE_FILLS.get(page, score)
+            for page, score in zip(pages.tolist(), scores.tolist())
+        ]
+    )
 
 
 def _geometry(n_sets=32, ways=4):
@@ -85,6 +94,7 @@ class TestOutcomeReconstruction:
         stats = simulate_fast(
             cache, make(), pages, writes, scores=scores,
             warmup_fraction=warmup, outcome=outcome,
+            fill_scores=_fills(name, pages, scores),
         )
         measured = np.arange(pages.shape[0]) >= int(
             pages.shape[0] * warmup
@@ -96,15 +106,16 @@ class TestOutcomeReconstruction:
     )
     def test_reference_and_fast_record_identically(self, name, make):
         pages, writes, scores = _trace(n=8000)
+        fills = _fills(name, pages, scores)
         ref_out = np.empty(pages.shape[0], dtype=np.uint8)
         fast_out = np.empty(pages.shape[0], dtype=np.uint8)
         simulate(
             SetAssociativeCache(_geometry()), make(), pages, writes,
-            scores=scores, outcome=ref_out,
+            scores=scores, outcome=ref_out, fill_scores=fills,
         )
         simulate_fast(
             SetAssociativeCache(_geometry()), make(), pages, writes,
-            scores=scores, outcome=fast_out,
+            scores=scores, outcome=fast_out, fill_scores=fills,
         )
         np.testing.assert_array_equal(ref_out, fast_out)
 
@@ -171,11 +182,12 @@ class TestResumableChunks:
     )
     def test_chunked_replay_is_exact(self, name, make):
         pages, writes, scores = _trace()
+        fills = _fills(name, pages, scores)
         single_cache = SetAssociativeCache(_geometry())
         single_out = np.empty(pages.shape[0], dtype=np.uint8)
         single = simulate_fast(
             single_cache, make(), pages, writes, scores=scores,
-            outcome=single_out,
+            outcome=single_out, fill_scores=fills,
         )
         chunk_cache = SetAssociativeCache(_geometry())
         chunk_out = np.empty(pages.shape[0], dtype=np.uint8)
@@ -190,6 +202,9 @@ class TestResumableChunks:
                     scores=scores[start:stop],
                     index_offset=start,
                     outcome=chunk_out[start:stop],
+                    fill_scores=(
+                        None if fills is None else fills[start:stop]
+                    ),
                 )
             )
         assert merged == single

@@ -9,7 +9,9 @@ warm-up settings, score streams and degenerate resumable calls, on
 skewed streams (back-to-back page runs, one or two hammered sets,
 short same-set spans rotating across sets) one-shot and as chunked
 resumable replays, and pin which policies run the exact list loop
-and which run the reference loop itself.
+and which run the reference loop itself.  The ``combined`` case
+replays a score policy with fill scores apart from its request
+scores, as the combined Fig. 6 strategy does.
 """
 
 import zlib
@@ -32,13 +34,13 @@ from repro.cache.policies import (
 )
 from repro.cache.policies.kernels import ListSpan, list_span_for
 from repro.cache.setassoc import (
+    INVALID,
     CacheGeometry,
     SetAssociativeCache,
     simulate,
 )
 from repro.cache.simulate_fast import simulate_fast
 from repro.cache.stats import CacheStats
-from repro.core.policy import CombinedIcgmmPolicy
 
 #: (name, factory(pages, universe)) for every policy in the zoo.
 POLICY_FACTORIES = [
@@ -64,17 +66,32 @@ POLICY_FACTORIES = [
         "gmm-eviction",
         lambda pages, universe: GmmCachePolicy(admission=False),
     ),
-    (
-        "combined",
-        lambda pages, universe: CombinedIcgmmPolicy(
-            threshold=0.1,
-            page_scores={
-                page: (page % 31) / 31.0
-                for page in range(0, universe, 3)
-            },
-        ),
-    ),
+    # Replayed with the fill stream of :func:`_fills`.
+    ("combined", lambda pages, universe: GmmCachePolicy(threshold=0.1)),
 ]
+
+
+def _fills(name, pages, scores):
+    """Per-access fill scores of a :data:`POLICY_FACTORIES` entry, or
+    ``None`` (fills store the request score).
+
+    The ``combined`` entry stores ``(page % 31) / 31`` for every third
+    page and the request score for the rest.
+    """
+    if name != "combined":
+        return None
+    if scores is None:
+        scores = np.zeros(len(pages))
+    universe = int(pages.max()) + 1 if len(pages) else 1
+    page_fills = {
+        page: (page % 31) / 31.0 for page in range(0, universe, 3)
+    }
+    return np.array(
+        [
+            page_fills.get(page, score)
+            for page, score in zip(pages.tolist(), scores.tolist())
+        ]
+    )
 
 GEOMETRIES = [
     (2, 2),  # tiny: every access a scorching conflict
@@ -110,13 +127,14 @@ def _assert_identical(name, geometry, make, pages, is_write, scores,
     fast_cache = SetAssociativeCache(geometry)
     ref_policy = make(pages, int(pages.max()) + 1 if len(pages) else 1)
     fast_policy = make(pages, int(pages.max()) + 1 if len(pages) else 1)
+    fills = _fills(name, pages, scores)
     ref_stats = simulate(
         ref_cache, ref_policy, pages, is_write,
-        scores=scores, warmup_fraction=warmup,
+        scores=scores, warmup_fraction=warmup, fill_scores=fills,
     )
     fast_stats = simulate_fast(
         fast_cache, fast_policy, pages, is_write,
-        scores=scores, warmup_fraction=warmup,
+        scores=scores, warmup_fraction=warmup, fill_scores=fills,
     )
     assert ref_stats == fast_stats, f"{name}: counters diverge"
     np.testing.assert_array_equal(
@@ -171,11 +189,12 @@ class TestPolicyParity:
         n = len(pages)
         universe = int(pages.max()) + 1
         geometry = _geometry(32, 4)
+        fills = _fills(name, pages, scores)
         ref_cache = SetAssociativeCache(geometry)
         ref_out = np.empty(n, dtype=np.uint8)
         ref_stats = simulate(
             ref_cache, make(pages, universe), pages, is_write,
-            scores=scores, outcome=ref_out,
+            scores=scores, outcome=ref_out, fill_scores=fills,
         )
         cuts = [0, 1, 1, 2, 3, *range(20, n - 1, 17), n - 1, n]
         cache = SetAssociativeCache(geometry)
@@ -190,6 +209,9 @@ class TestPolicyParity:
                     scores=scores[start:stop],
                     index_offset=start,
                     outcome=out[start:stop],
+                    fill_scores=(
+                        None if fills is None else fills[start:stop]
+                    ),
                 )
             )
         assert total == ref_stats, f"{name}: counters diverge"
@@ -207,14 +229,17 @@ class TestPolicyParity:
     def test_without_scores(self, name, make):
         """Scores omitted entirely (defaulted to zeros) on both paths."""
         pages, is_write, _ = _trace(seed=5, n=2500, universe=400)
+        fills = _fills(name, pages, None)
         geometry = _geometry(16, 4)
         ref_cache = SetAssociativeCache(geometry)
         fast_cache = SetAssociativeCache(geometry)
         ref_stats = simulate(
-            ref_cache, make(pages, 400), pages, is_write
+            ref_cache, make(pages, 400), pages, is_write,
+            fill_scores=fills,
         )
         fast_stats = simulate_fast(
-            fast_cache, make(pages, 400), pages, is_write
+            fast_cache, make(pages, 400), pages, is_write,
+            fill_scores=fills,
         )
         assert ref_stats == fast_stats
         np.testing.assert_array_equal(ref_cache.tags, fast_cache.tags)
@@ -273,6 +298,75 @@ class TestEdgeCases:
             "lru", _geometry(8, 4), lambda p, u: LruPolicy(),
             pages, is_write, scores, 0.5,
         )
+
+
+RUNNERS = pytest.mark.parametrize(
+    "runner", [simulate, simulate_fast], ids=["simulate", "simulate_fast"]
+)
+
+
+class TestFillScores:
+    """A fill stream apart from the request scores: fills store it,
+    and only a policy evicting by stored score decides on it."""
+
+    @RUNNERS
+    def test_wrong_shape_raises(self, runner):
+        with pytest.raises(ValueError, match="fill_scores"):
+            runner(
+                SetAssociativeCache(_geometry(4, 2)),
+                GmmCachePolicy(),
+                np.array([1, 2]),
+                np.array([False, False]),
+                scores=np.zeros(2),
+                fill_scores=np.zeros(3),
+            )
+
+    @RUNNERS
+    def test_meta_holds_fills_and_stamp_victims_ignore_them(
+        self, runner
+    ):
+        """Under ``gmm-caching`` (victims by stamp) a replay with
+        fills makes every decision of one without: same counters,
+        outcome codes, tags, dirty bits and stamps; only ``meta``
+        differs, holding each resident page's fill."""
+        pages, is_write, scores = _trace(seed=8, n=3000, universe=200)
+        fills = pages + 0.5
+
+        def replay(fill_scores):
+            cache = SetAssociativeCache(_geometry(8, 4))
+            outcome = np.empty(pages.shape[0], dtype=np.uint8)
+            stats = runner(
+                cache,
+                GmmCachePolicy(threshold=0.0, eviction=False),
+                pages, is_write,
+                scores=scores, outcome=outcome, fill_scores=fill_scores,
+            )
+            return stats, outcome, cache
+
+        stats, outcome, cache = replay(fills)
+        plain_stats, plain_outcome, plain = replay(None)
+        assert stats == plain_stats
+        assert stats.bypasses > 0 and stats.evictions > 0
+        np.testing.assert_array_equal(outcome, plain_outcome)
+        for plane in ("tags", "dirty", "stamp"):
+            np.testing.assert_array_equal(
+                getattr(cache, plane), getattr(plain, plane)
+            )
+        resident = cache.tags != INVALID
+        np.testing.assert_array_equal(
+            cache.meta[resident], cache.tags[resident] + 0.5
+        )
+        assert not np.array_equal(cache.meta, plain.meta)
+
+    @RUNNERS
+    def test_lru_stores_no_fill(self, runner):
+        pages, is_write, scores = _trace(seed=9, n=500, universe=50)
+        cache = SetAssociativeCache(_geometry(4, 2))
+        runner(
+            cache, LruPolicy(), pages, is_write,
+            scores=scores, fill_scores=pages + 0.5,
+        )
+        assert not cache.meta.any()
 
 
 #: Accesses per skewed stream.
@@ -404,6 +498,7 @@ class TestSkewedStreams:
                 _geometry(n_sets, ways), make,
                 pages, is_write, scores, warmup,
                 f"{name}/{family}/{stream}/{n_sets}x{ways}",
+                fill_scores=_fills(name, pages, scores),
             )
 
     @pytest.mark.parametrize(
@@ -427,6 +522,7 @@ class TestSkewedStreams:
             pages, is_write, scores, 0.0,
             f"{name}/{family}/{stream}/{n_sets}x{ways}/chunked",
             step=step,
+            fill_scores=_fills(name, pages, scores),
         )
 
     def test_bypass_runs_replay_admission_exactly(
@@ -466,7 +562,6 @@ LIST_SPAN_POLICIES = [
     ("score-eviction", lambda: ScoreBasedPolicy(admission=False)),
     ("gmm", lambda: GmmCachePolicy(threshold=0.3)),
     ("lstm", lambda: LstmCachePolicy(threshold=0.3)),
-    ("combined", lambda: CombinedIcgmmPolicy(0.3, {7: 0.5})),
 ]
 
 #: Policies that run the reference loop itself.
@@ -485,7 +580,6 @@ REFERENCE_POLICIES = [
 DECLARING = [
     (LruPolicy, ()),
     (ScoreBasedPolicy, ()),
-    (CombinedIcgmmPolicy, (0.3, {7: 0.5})),
 ]
 HOOKS = ("on_hit", "admit", "fill_meta", "select_victim")
 
@@ -512,16 +606,13 @@ class TestListSpanRouting:
         spec = list_span_for(policy)
         assert isinstance(spec, ListSpan)
         if name == "lru":
-            assert spec == ListSpan(False, None, None)
+            assert spec == ListSpan(False, None, False)
             return
         assert spec.evict_meta == policy.eviction
         assert spec.threshold == (
             policy.threshold if policy.admission else None
         )
-        if name == "combined":
-            assert spec.fill_scores is policy._page_scores
-        else:
-            assert spec.fill_scores == {}
+        assert spec.fill_scores is True
 
     @pytest.mark.parametrize(
         "name,make",

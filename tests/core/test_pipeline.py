@@ -10,9 +10,10 @@ chunked feature stamping matches a whole-stream pass.
 import numpy as np
 import pytest
 
-from repro.cache.setassoc import SetAssociativeCache, simulate
+from repro.cache.setassoc import INVALID, SetAssociativeCache, simulate
 from repro.core.config import GmmEngineConfig, IcgmmConfig
-from repro.core.pipeline import StagedPipeline, StrategyPlan
+from repro.core.pipeline import StagedPipeline, StageProfiler
+from repro.core.policy import build_policy
 from repro.traces.preprocess import transform_timestamps
 
 
@@ -40,30 +41,59 @@ class TestPrepareStage:
 
 
 class TestScoreStage:
-    def test_strategy_score_views(self, pipeline, prepared):
-        assert pipeline.strategy_scores(prepared, "lru") is None
-        assert (
-            pipeline.strategy_scores(prepared, "gmm-caching")
-            is prepared.scores
-        )
-        assert (
-            pipeline.strategy_scores(prepared, "gmm-eviction")
-            is prepared.page_frequency_scores
-        )
-        assert (
-            pipeline.strategy_scores(prepared, "gmm-caching-eviction")
-            is prepared.scores
-        )
+    def test_strategy_streams(self, pipeline, prepared):
+        """Each strategy's (scores, fill_scores) pair."""
+        request = prepared.scores
+        page = prepared.page_frequency_scores
+        expected = {
+            "lru": (None, None),
+            "gmm-caching": (request, None),
+            "gmm-eviction": (page, None),
+            "gmm-caching-eviction": (request, page),
+        }
+        for strategy, streams in expected.items():
+            got = pipeline.strategy_scores(prepared, strategy)
+            assert len(got) == 2
+            for stream, want in zip(got, streams, strict=True):
+                assert stream is want, strategy
 
-    def test_plan_builds_policy_and_scores(self, pipeline, prepared):
-        plan = pipeline.plan_strategy(prepared, "gmm-caching-eviction")
-        assert isinstance(plan, StrategyPlan)
-        assert plan.strategy == "gmm-caching-eviction"
-        assert plan.scores is prepared.scores
-        # The combined policy carries the marginal page-score map.
-        page = int(prepared.page_indices[0])
-        expected = prepared.page_score_map()[page]
-        assert plan.policy.fill_meta(page, 0.0, 0) == expected
+    def test_combined_run_fills_page_scores(self, pipeline, prepared):
+        """``run_strategy`` admits the combined strategy on request
+        scores and stores every filled block's marginal page score:
+        it equals a direct replay of those two streams, and each
+        resident block's metadata is its page's marginal."""
+        pipeline = StagedPipeline(pipeline.config)
+        pipeline.profiler = StageProfiler()
+        outcome = pipeline.run_strategy(prepared, "gmm-caching-eviction")
+        assert pipeline.profiler.calls == {
+            "score": 1,
+            "simulate": 1,
+            "price": 1,
+        }
+
+        cache = SetAssociativeCache(pipeline.config.geometry)
+        stats = simulate(
+            cache,
+            build_policy(
+                "gmm-caching-eviction",
+                prepared.engine.admission_threshold,
+            ),
+            prepared.page_indices,
+            prepared.is_write,
+            scores=prepared.scores,
+            warmup_fraction=pipeline.config.warmup_fraction,
+            fill_scores=prepared.page_frequency_scores,
+        )
+        assert stats == outcome.stats
+        marginal = prepared.page_score_map()
+        resident = cache.tags != INVALID
+        assert resident.any()
+        for page, meta in zip(
+            cache.tags[resident].tolist(),
+            cache.meta[resident].tolist(),
+            strict=True,
+        ):
+            assert meta == marginal[page]
 
     def test_chunk_features_match_whole_stream(self, pipeline):
         config = pipeline.config
@@ -88,45 +118,47 @@ class TestScoreStage:
 class TestSimulateStage:
     def test_dispatch_paths_bit_identical(self, pipeline, prepared):
         """The Simulate stage matches the scalar reference oracle."""
-        plan = pipeline.plan_strategy(prepared, "gmm-caching")
+        threshold = prepared.engine.admission_threshold
+        scores, fills = pipeline.strategy_scores(prepared, "gmm-caching")
         cache_a = SetAssociativeCache(pipeline.config.geometry)
         cache_b = SetAssociativeCache(pipeline.config.geometry)
         stats_a = pipeline.simulate(
             cache_a,
-            plan.policy,
+            build_policy("gmm-caching", threshold),
             prepared.page_indices,
             prepared.is_write,
-            scores=plan.scores,
+            scores=scores,
+            fill_scores=fills,
         )
-        plan_b = pipeline.plan_strategy(prepared, "gmm-caching")
         stats_b = simulate(
             cache_b,
-            plan_b.policy,
+            build_policy("gmm-caching", threshold),
             prepared.page_indices,
             prepared.is_write,
-            scores=plan_b.scores,
+            scores=scores,
+            fill_scores=fills,
         )
         assert stats_a == stats_b
         assert np.array_equal(cache_a.tags, cache_b.tags)
         assert np.array_equal(cache_a.meta, cache_b.meta)
 
     def test_resumable_offsets_match_single_shot(self, pipeline, prepared):
-        plan = pipeline.plan_strategy(prepared, "lru")
         single_cache = SetAssociativeCache(pipeline.config.geometry)
         single = pipeline.simulate(
             single_cache,
-            pipeline.plan_strategy(prepared, "lru").policy,
+            build_policy("lru"),
             prepared.page_indices,
             prepared.is_write,
         )
         chunked_cache = SetAssociativeCache(pipeline.config.geometry)
+        policy = build_policy("lru")
         total = None
         n = len(prepared)
         for start in range(0, n, 4096):
             stop = min(start + 4096, n)
             part = pipeline.simulate(
                 chunked_cache,
-                plan.policy,
+                policy,
                 prepared.page_indices[start:stop],
                 prepared.is_write[start:stop],
                 index_offset=start,

@@ -72,17 +72,11 @@ class TestFabricOfflineParity:
         device_ids, local_pages = fabric.place(
             prepared.page_indices, prepared.page_frequency_scores
         )
-        scores = pipeline.strategy_scores(prepared, strategy)
+        scores, fills = pipeline.strategy_scores(prepared, strategy)
         for device in range(N_DEVICES):
             positions = np.nonzero(device_ids == device)[0]
             policy = build_policy(
-                strategy,
-                prepared.engine.admission_threshold,
-                page_scores=(
-                    dict(fabric._device_page_maps[device])
-                    if strategy == "gmm-caching-eviction"
-                    else None
-                ),
+                strategy, prepared.engine.admission_threshold
             )
             stats = pipeline.simulate(
                 SetAssociativeCache(config.geometry),
@@ -93,6 +87,9 @@ class TestFabricOfflineParity:
                     scores[positions] if scores is not None else None
                 ),
                 warmup_fraction=WARMUP,
+                fill_scores=(
+                    fills[positions] if fills is not None else None
+                ),
             )
             assert stats == result.devices[device].stats, (
                 placement,
@@ -114,14 +111,9 @@ class TestFabricOfflineParity:
         streamed.bind(
             strategy,
             prepared.engine.admission_threshold,
-            page_score_map=(
-                prepared.page_score_map()
-                if strategy == "gmm-caching-eviction"
-                else None
-            ),
             score_cuts=one_shot._score_cuts,
         )
-        scores = streamed.pipeline.strategy_scores(prepared, strategy)
+        scores, _ = streamed.pipeline.strategy_scores(prepared, strategy)
         n = len(prepared)
         for start in range(0, n, 5_000):
             stop = min(start + 5_000, n)
@@ -183,20 +175,12 @@ def _assert_matches_device_walk(config, prepared, strategy):
     fabric = CxlFabric(_topology("interleave"), config=config)
     result = fabric.run_prepared(prepared, strategy, warmup_fraction=0.0)
     device_ids, local_pages = fabric.place(prepared.page_indices)
-    scores = fabric.pipeline.strategy_scores(prepared, strategy)
+    scores, fills = fabric.pipeline.strategy_scores(prepared, strategy)
     for d in range(N_DEVICES):
         positions = np.nonzero(device_ids == d)[0]
         device = CxlMemoryDevice(
             SetAssociativeCache(config.geometry),
-            build_policy(
-                strategy,
-                prepared.engine.admission_threshold,
-                page_scores=(
-                    dict(fabric._device_page_maps[d])
-                    if strategy == "gmm-caching-eviction"
-                    else None
-                ),
-            ),
+            build_policy(strategy, prepared.engine.admission_threshold),
         )
         link_ns = fabric.links[d].request_latency_ns(CACHE_LINE_SIZE)
         total_ns = 0
@@ -209,6 +193,7 @@ def _assert_matches_device_walk(config, prepared, strategy):
                 float(scores[positions[i]])
                 if scores is not None
                 else 0.0,
+                float(fills[positions[i]]) if fills is not None else None,
             )
             total_ns += link_ns + access.latency_ns
         assert device.stats == result.devices[d].stats

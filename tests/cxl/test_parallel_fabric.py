@@ -93,7 +93,7 @@ def test_parallel_replay_is_bit_identical(
 
 
 def test_combined_strategy_parallel_parity(config, stream):
-    """The combined policy's per-device score maps, extended chunk by
+    """The combined strategy's fills, sliced per device chunk by
     chunk, drive eviction identically on worker threads."""
     pages, is_write, scores = stream
     marginals = (pages % 97).astype(np.float64) / 97.0
@@ -102,7 +102,7 @@ def test_combined_strategy_parallel_parity(config, stream):
         fabric = CxlFabric(
             _topology(), config=config, parallel=parallel
         )
-        fabric.bind("gmm-caching-eviction", 0.1, page_score_map={})
+        fabric.bind("gmm-caching-eviction", 0.1)
         try:
             for start in range(0, N, 9_000):
                 stop = start + 9_000

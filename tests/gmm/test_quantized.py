@@ -1,10 +1,14 @@
 """Tests for the fixed-point GMM emulation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import GmmEngineConfig, IcgmmConfig
+from repro.core.pipeline import StagedPipeline
 from repro.gmm.model import GaussianMixture
 from repro.gmm.quantized import FixedPointFormat, QuantizedGmm, _ExpTable
 
@@ -128,6 +132,85 @@ class TestQuantizedGmm:
     def test_single_point_1d_input(self):
         quantized = QuantizedGmm(_mixture())
         assert quantized.score_samples(np.array([0.0, 0.0])).shape == (1,)
+
+
+def _narrow_mixture():
+    """One component's first axis has a 0.002 std (the page axis of a
+    trained component on a hot key); its inverse-covariance entry is
+    250,000, far past Q12.20's 2,048."""
+    return GaussianMixture(
+        np.array([0.6, 0.4]),
+        np.array([[0.0, 0.0], [0.5, 1.0]]),
+        np.array([np.diag([0.002**2, 1.0]), np.eye(2)]),
+    )
+
+
+class TestDefaultFormat:
+    """Without ``fmt``, 32-bit words keep as many fraction bits as the
+    largest finite constant leaves room for."""
+
+    def test_model_that_fits_keeps_q12_20(self):
+        assert QuantizedGmm(_mixture()).fmt == FixedPointFormat(32, 20)
+
+    def test_narrow_axis_constants_within_one_lsb(self):
+        model = _narrow_mixture()
+        quantized = QuantizedGmm(model)
+        assert quantized.fmt == FixedPointFormat(32, 13)
+        inverses = np.linalg.inv(model.covariances)
+        for stored, exact in (
+            (quantized._inv_a, inverses[:, 0, 0]),
+            (quantized._inv_b, inverses[:, 0, 1]),
+            (quantized._inv_c, inverses[:, 1, 1]),
+        ):
+            np.testing.assert_array_less(
+                np.abs(stored - exact), quantized.fmt.scale
+            )
+
+    def test_narrow_component_scores_keep_their_spread(self):
+        """Three and five stds off the narrow mean its term differs
+        by e^8 (the score ~17x); with the inverse covariance saturated
+        at Q12.20's 2,048 both points score the same."""
+        quantized = QuantizedGmm(_narrow_mixture())
+        near, far = quantized.score_samples(
+            np.array([[0.006, 0.0], [0.010, 0.0]])
+        )
+        assert far < near / 10
+
+    def test_infinite_log_constant_is_ignored(self):
+        """A zero-weight component's log constant is -inf; it does
+        not move the binary point."""
+        model = GaussianMixture(
+            np.array([1.0, 0.0]),
+            np.zeros((2, 2)),
+            np.array([np.eye(2), np.eye(2)]),
+        )
+        assert QuantizedGmm(model).fmt == FixedPointFormat(32, 20)
+
+    def test_pipeline_matches_float_miss_rate(self):
+        """hashmap, 60,000 accesses, K = 12: the fixed-point combined
+        strategy misses within 0.05 points of float64's (saturated
+        Q12.20 constants read 0.13 points apart)."""
+        base = IcgmmConfig(
+            trace_length=60_000,
+            gmm=GmmEngineConfig(
+                n_components=12, max_iter=30, max_train_samples=15_000
+            ),
+        )
+        miss = {}
+        for quantized in (False, True):
+            config = dataclasses.replace(
+                base,
+                gmm=dataclasses.replace(
+                    base.gmm, use_quantized=quantized
+                ),
+            )
+            result = StagedPipeline(config).run_benchmark(
+                "hashmap", strategies=("lru", "gmm-caching-eviction")
+            )
+            miss[quantized] = result.outcomes[
+                "gmm-caching-eviction"
+            ].miss_rate_percent
+        assert abs(miss[True] - miss[False]) < 0.05
 
 
 class TestVectorizedScoring:

@@ -47,11 +47,7 @@ def test_streamed_engine_scoring_matches_one_shot(setup):
     )
 
     service = CxlFabric(topology, config=config)
-    service.bind(
-        strategy,
-        prepared.engine.admission_threshold,
-        page_score_map=prepared.page_score_map(),
-    )
+    service.bind(strategy, prepared.engine.admission_threshold)
     engine = prepared.engine
     pages = prepared.page_indices
     n = pages.shape[0]

@@ -41,7 +41,7 @@ from repro.core.config import (
 )
 from repro.core.engine import GmmPolicyEngine
 from repro.core.pipeline import StagedPipeline
-from repro.core.policy import build_policy, strategy_score_view
+from repro.core.policy import build_policy, strategy_views
 from repro.serving import IcgmmCacheService
 from repro.serving.service import SHARD_RETRY_LIMIT
 
@@ -82,22 +82,14 @@ def _split_layout(engine, config, serving, pages, writes, measure_from,
         associativity=geometry.associativity,
     )
     caches = [SetAssociativeCache(shard_geometry) for _ in range(n_shards)]
-    view = strategy_score_view(serving.strategy)
+    score_view, fill_view = strategy_views(serving.strategy)
     unique = np.unique(pages)
     marginals = dict(
         zip(unique.tolist(), engine.page_scores(unique).tolist())
     )
     policies = [
-        build_policy(
-            serving.strategy,
-            engine.admission_threshold,
-            page_scores={
-                page // n_shards: value
-                for page, value in marginals.items()
-                if page % n_shards == shard
-            },
-        )
-        for shard in range(n_shards)
+        build_policy(serving.strategy, engine.admission_threshold)
+        for _ in range(n_shards)
     ]
     cursors = [0] * n_shards
     pipeline = StagedPipeline(config)
@@ -109,12 +101,12 @@ def _split_layout(engine, config, serving, pages, writes, measure_from,
     for index, start in enumerate(range(0, pages.shape[0], step)):
         c_pages = pages[start : start + step]
         c_writes = writes[start : start + step]
-        if view == "request":
-            scores = engine.score(pipeline.chunk_features(c_pages, start))
-        elif view == "page":
-            scores = np.array([marginals[p] for p in c_pages.tolist()])
-        else:
-            scores = None
+        streams = {
+            "request": engine.score(pipeline.chunk_features(c_pages, start)),
+            "page": np.array([marginals[p] for p in c_pages.tolist()]),
+            None: None,
+        }
+        scores, fills = streams[score_view], streams[fill_view]
         outcome = np.full(c_pages.shape[0], OUTCOME_BYPASS, np.uint8)
         measured = np.arange(start, start + c_pages.shape[0]) >= (
             measure_from
@@ -137,6 +129,7 @@ def _split_layout(engine, config, serving, pages, writes, measure_from,
                     scores=None if scores is None else scores[pos],
                     index_offset=cursors[shard],
                     outcome=out,
+                    fill_scores=None if fills is None else fills[pos],
                 )
                 outcome[pos] = out
                 cursors[shard] += int(pos.size)

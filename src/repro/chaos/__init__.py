@@ -14,7 +14,6 @@ from repro.chaos.plan import (
     KIND_REFRESH_CORRUPT,
     KIND_REFRESH_FAIL,
     KIND_SHARD_STALL,
-    KIND_WORKER_CRASH,
     FaultEvent,
     FaultPlan,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "KIND_REFRESH_CORRUPT",
     "KIND_REFRESH_FAIL",
     "KIND_SHARD_STALL",
-    "KIND_WORKER_CRASH",
     "PREPARED_SCENARIOS",
     "SCENARIO_NAMES",
     "SERVING_SCENARIOS",

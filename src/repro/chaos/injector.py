@@ -2,13 +2,13 @@
 
 The :class:`FaultInjector` wraps a :class:`~repro.chaos.plan.FaultPlan`
 with O(1)-ish lookups the victim layers call on their logical clocks:
-the fabric asks ``device_down``/``link_factor`` per chunk, the serving
-loop asks ``shard_stall_attempts``/``refresh_fault``, and the executor
-asks ``worker_crash_attempts`` per dispatch round.  Queries are pure --
-asking twice (e.g. when a chunk is retried after an exception) returns
-the same answer -- and every *positive* answer is recorded exactly once
-(deduped by ``(kind, start, target)``), so the observed timeline and
-its digest are reproducible no matter how often a tick is replayed.
+the fabric asks ``device_down``/``link_factor`` per chunk, and the
+serving loop asks ``shard_stall_attempts``/``refresh_fault``.  Queries
+are pure -- asking twice (e.g. when a chunk is retried after an
+exception) returns the same answer -- and every *positive* answer is
+recorded exactly once (deduped by ``(kind, start, target)``), so the
+observed timeline and its digest are reproducible no matter how often
+a tick is replayed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.chaos.plan import (
     KIND_REFRESH_CORRUPT,
     KIND_REFRESH_FAIL,
     KIND_SHARD_STALL,
-    KIND_WORKER_CRASH,
     FaultEvent,
     FaultPlan,
     _digest,
@@ -91,7 +90,6 @@ class FaultInjector:
         ] = {}
         self._stalls: dict[tuple[int, int], int] = {}
         self._refresh: dict[int, str] = {}
-        self._crashes: dict[tuple[int, int], int] = {}
         for event in plan.events:
             end = event.start + event.duration
             if event.kind in (
@@ -117,10 +115,6 @@ class FaultInjector:
                 self._refresh[event.start] = "fail"
             elif event.kind == KIND_REFRESH_CORRUPT:
                 self._refresh[event.start] = "corrupt"
-            elif event.kind == KIND_WORKER_CRASH:
-                self._crashes[(event.start, event.target)] = (
-                    event.duration
-                )
         for key, windows in self._device_windows.items():
             self._device_windows[key] = _merge_windows(windows)
         # Magnitude-carrying windows (link degradation, fail-slow
@@ -145,7 +139,6 @@ class FaultInjector:
         config: Optional[ChaosConfig],
         n_devices: int = 0,
         n_shards: int = 0,
-        task_lanes: int = 0,
     ) -> Optional["FaultInjector"]:
         """Build an injector, or ``None`` when ``config`` is ``None``.
 
@@ -155,13 +148,11 @@ class FaultInjector:
         """
         if config is None:
             return None
-        plan = FaultPlan.generate(
-            config,
-            n_devices=n_devices,
-            n_shards=n_shards,
-            task_lanes=task_lanes,
+        return cls(
+            FaultPlan.generate(
+                config, n_devices=n_devices, n_shards=n_shards
+            )
         )
-        return cls(plan)
 
     # ------------------------------------------------------------------
     # Fabric queries (logical clock: fabric chunk index)
@@ -182,25 +173,6 @@ class FaultInjector:
                     self._record(kind, start, device, end - start)
                     down = True
         return down
-
-    def outage_end(self, device: int, chunk: int) -> Optional[int]:
-        """First chunk at which ``device`` is healthy again.
-
-        Windows of *both* outage kinds are coalesced for the answer:
-        an independent outage running into a correlated blast on the
-        same device is one contiguous outage, and its end is the end
-        of the combined window, not of whichever event covers
-        ``chunk``.
-        """
-        windows: list[tuple[int, int]] = []
-        for kind in (KIND_DEVICE_FAIL, KIND_DEVICE_CORRELATED):
-            windows.extend(
-                self._device_windows.get((kind, device), ())
-            )
-        for start, end in _merge_windows(windows):
-            if start <= chunk < end:
-                return end
-        return None
 
     def link_factor(self, device: int, chunk: int) -> float:
         """Link round-trip multiplier; 1.0 when healthy."""
@@ -257,19 +229,6 @@ class FaultInjector:
         elif kind == "corrupt":
             self._record(KIND_REFRESH_CORRUPT, build_index, -1)
         return kind
-
-    # ------------------------------------------------------------------
-    # Executor queries (logical clock: dispatch round)
-    # ------------------------------------------------------------------
-    def worker_crash_attempts(
-        self, dispatch_round: int, task: int
-    ) -> int:
-        attempts = self._crashes.get((dispatch_round, task), 0)
-        if attempts:
-            self._record(
-                KIND_WORKER_CRASH, dispatch_round, task, attempts
-            )
-        return attempts
 
     # ------------------------------------------------------------------
     # Observed timeline

@@ -2,14 +2,14 @@
 
 A :class:`FaultPlan` is the *schedule* of every fault a chaos run will
 inject: device outages and link-latency degradation against the CXL
-fabric, per-shard stalls and refresh-build faults against the serving
-loop, and worker crashes against the parallel executor.  The plan is
-generated once from a :class:`~repro.core.config.ChaosConfig` seed via
-independent ``numpy`` ``SeedSequence`` child streams (one per fault
-channel, one per target within a channel), and every event is pinned
-to a *logical* tick -- chunk index, build index, or dispatch round --
-never wall-clock time.  Same seed, same topology => byte-identical
-timeline, regardless of worker count or host speed.
+fabric, and per-shard stalls and refresh-build faults against the
+serving loop.  The plan is generated once from a
+:class:`~repro.core.config.ChaosConfig` seed via independent ``numpy``
+``SeedSequence`` child streams (one per fault channel, one per target
+within a channel), and every event is pinned to a *logical* tick --
+chunk index or build index -- never wall-clock time.  Same seed, same
+topology => byte-identical timeline, regardless of worker count or
+host speed.
 """
 
 from __future__ import annotations
@@ -24,14 +24,12 @@ import numpy as np
 from repro.core.config import ChaosConfig
 
 #: Fault kinds, one per channel.  ``target`` semantics per kind:
-#: device id, device id, shard id, -1, -1, task lane, device id,
-#: device id.
+#: device id, device id, shard id, -1, -1, device id, device id.
 KIND_DEVICE_FAIL = "device-fail"
 KIND_LINK_DEGRADE = "link-degrade"
 KIND_SHARD_STALL = "shard-stall"
 KIND_REFRESH_FAIL = "refresh-fail"
 KIND_REFRESH_CORRUPT = "refresh-corrupt"
-KIND_WORKER_CRASH = "worker-crash"
 KIND_DEVICE_CORRELATED = "device-correlated"
 KIND_DEVICE_FAILSLOW = "device-failslow"
 
@@ -41,7 +39,6 @@ FAULT_KINDS = (
     KIND_SHARD_STALL,
     KIND_REFRESH_FAIL,
     KIND_REFRESH_CORRUPT,
-    KIND_WORKER_CRASH,
     KIND_DEVICE_CORRELATED,
     KIND_DEVICE_FAILSLOW,
 )
@@ -52,14 +49,13 @@ class FaultEvent:
     """One scheduled fault.
 
     ``start`` is the logical tick the fault begins: the chunk index
-    for fabric/serving faults, the build index for refresh faults,
-    and the dispatch round for worker crashes.  ``duration`` is the
-    window length in the same unit for windowed faults
-    (device outages, link degradation) and the number of consecutive
-    swallowed *attempts* for retry-style faults (shard stalls, worker
-    crashes); refresh faults are always one build.  ``target`` is the
-    device/shard/task lane the fault hits, or ``-1`` when the fault
-    has no spatial target (refresh builds).  ``magnitude`` carries
+    for fabric/serving faults and the build index for refresh
+    faults.  ``duration`` is the window length in the same unit for
+    windowed faults (device outages, link degradation) and the number
+    of consecutive swallowed *attempts* for shard stalls; refresh
+    faults are always one build.  ``target`` is the device/shard the
+    fault hits, or ``-1`` when the fault has no spatial target
+    (refresh builds).  ``magnitude`` carries
     the link-degradation factor and is 0.0 for every other kind.
     """
 
@@ -166,27 +162,22 @@ class FaultPlan:
         config: ChaosConfig,
         n_devices: int = 0,
         n_shards: int = 0,
-        task_lanes: int = 0,
     ) -> "FaultPlan":
         """Sample the full timeline from ``config.seed``.
 
-        ``task_lanes`` bounds the per-round task index the worker
-        crash channel covers; it defaults to
-        ``max(n_devices, n_shards, 1)`` (the fabric passes its device
-        count, the serving loop its plane count).  Each channel (and each
-        target within a channel) draws from its own ``SeedSequence``
-        child, so enabling one channel never perturbs another
-        (appending children preserves the earlier channels' streams,
-        so pre-existing plans keep their exact timelines at equal
-        seeds).
+        Each channel (and each target within a channel) draws from its
+        own ``SeedSequence`` child, so enabling one channel never
+        perturbs another (appending children preserves the earlier
+        channels' streams, so pre-existing plans keep their exact
+        timelines at equal seeds).  Children 4 and 5 belong to no
+        channel: they are still spawned so every later channel keeps
+        its stream.
 
         Raises a :class:`ValueError` up front -- before any sampling
         -- when ``correlated_fail_k`` exceeds the fleet size, rather
         than failing inside the victim-sampling draw.
         """
         horizon = config.horizon_chunks
-        if task_lanes <= 0:
-            task_lanes = max(n_devices, n_shards, 1)
         if (
             config.correlated_fail_rate > 0.0
             and n_devices > 0
@@ -273,22 +264,6 @@ class FaultPlan:
                     continue
                 events.append(
                     FaultEvent(start=build, kind=kind, target=-1)
-                )
-
-        if config.worker_crash_rate > 0.0:
-            draws = np.random.default_rng(channels[4]).random(
-                (horizon, task_lanes)
-            )
-            for round_index, lane in zip(
-                *np.nonzero(draws < config.worker_crash_rate)
-            ):
-                events.append(
-                    FaultEvent(
-                        start=int(round_index),
-                        kind=KIND_WORKER_CRASH,
-                        target=int(lane),
-                        duration=config.worker_crash_attempts,
-                    )
                 )
 
         if config.correlated_fail_rate > 0.0 and n_devices > 0:

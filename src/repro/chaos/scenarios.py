@@ -23,7 +23,6 @@ from repro.chaos.plan import (
     KIND_DEVICE_FAILSLOW,
     KIND_LINK_DEGRADE,
     KIND_SHARD_STALL,
-    KIND_WORKER_CRASH,
 )
 from repro.core.config import (
     ChaosConfig,
@@ -44,7 +43,6 @@ SCENARIO_NAMES = (
     "prepared_failure",
     "shard_stall",
     "refresh_failure",
-    "worker_crash",
 )
 
 #: Which layer each scenario drives.
@@ -54,7 +52,7 @@ FABRIC_SCENARIOS = (
     "device_correlated",
     "device_failslow",
 )
-SERVING_SCENARIOS = ("shard_stall", "refresh_failure", "worker_crash")
+SERVING_SCENARIOS = ("shard_stall", "refresh_failure")
 #: Scenarios that drive the offline one-shot entry point
 #: (``CxlFabric.run_prepared``) rather than hand-chunked ingest.
 PREPARED_SCENARIOS = ("prepared_failure",)
@@ -83,15 +81,6 @@ _SCENARIO_OVERRIDES: dict[str, dict] = {
     "refresh_failure": {
         "refresh_fail_rate": 0.3,
         "refresh_corrupt_rate": 0.2,
-    },
-    # Single-attempt crashes, always inside the retry budget: the
-    # run must be bit-identical to fault-free, with retries > 0.  The
-    # rate is per dispatch round and task, and hash-mode serving
-    # dispatches one plane task per chunk, so it is high enough that
-    # a 21-chunk horizon plans a crash at every chaos seed 0-7.
-    "worker_crash": {
-        "worker_crash_rate": 0.2,
-        "worker_crash_attempts": 1,
     },
     # Correlated blasts: k devices drop together (shared enclosure /
     # switch), so failover re-homes a multi-device traffic share at
@@ -153,9 +142,8 @@ def last_fault_end(timeline: list[dict]) -> int:
     return end
 
 
-#: Fault kinds whose ``start``/``duration`` tick is the chunk index
-#: (or the dispatch round, which advances one per chunk).  Refresh
-#: faults tick on the *build* index and are located via the
+#: Fault kinds whose ``start``/``duration`` tick is the chunk index.
+#: Refresh faults tick on the *build* index and are located via the
 #: chunk-stamped failure events instead.
 _CHUNK_CLOCKED = (
     KIND_DEVICE_FAIL,
@@ -163,7 +151,6 @@ _CHUNK_CLOCKED = (
     KIND_DEVICE_FAILSLOW,
     KIND_LINK_DEGRADE,
     KIND_SHARD_STALL,
-    KIND_WORKER_CRASH,
 )
 
 
@@ -313,7 +300,6 @@ def run_fabric_scenario(
             "degraded_time_ns": sum(
                 d.degraded_time_ns for d in result.devices
             ),
-            "worker_retries": fabric._executor.retries_performed,
             "chunk_counters": chunk_counters,
             "chunk_times_ns": chunk_times_ns,
             "events": [
@@ -408,7 +394,6 @@ def run_prepared_scenario(
             "degraded_time_ns": sum(
                 d.degraded_time_ns for d in result.devices
             ),
-            "worker_retries": fabric._executor.retries_performed,
             "events": [
                 event.as_dict() for event in fabric.metrics.events()
             ],
@@ -480,7 +465,6 @@ def run_serving_scenario(
             "timeline_digest": "",
             "events": [],
             "stall_retries": 0,
-            "worker_retries": 0,
             "refresh_attempts": 0,
             "refresh_failures": 0,
             "recovery_latency_chunks": [],
@@ -499,7 +483,6 @@ def run_serving_scenario(
         "timeline_digest": chaos_section["timeline_digest"],
         "events": chaos_section["events"],
         "stall_retries": chaos_section["stall_retries"],
-        "worker_retries": chaos_section["worker_retries"],
         "refresh_attempts": chaos_section["refresh_attempts"],
         "refresh_failures": chaos_section["refresh_failures"],
         "breaker_recovery_chunks": chaos_section[

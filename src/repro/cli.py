@@ -8,7 +8,7 @@ Python::
     python -m repro.cli suite --workloads memtier stream
     python -m repro.cli serve --workloads memtier stream --drift
     python -m repro.cli fabric memtier --devices 4 --placement score
-    python -m repro.cli chaos --scenarios device_failure worker_crash
+    python -m repro.cli chaos --scenarios device_failure shard_stall
     python -m repro.cli metrics telemetry.json --format prom
     python -m repro.cli top telemetry.json
     python -m repro.cli hardware-report
@@ -75,7 +75,6 @@ from repro.traces.io import (
     stream_trace_chunks,
 )
 from repro.traces.mixing import multi_tenant_trace, relocate
-from repro.traces.preprocess import transform_timestamps
 from repro.traces.record import CACHE_LINE_SIZE, PAGE_SHIFT
 from repro.traces.workloads import WORKLOAD_NAMES, get_workload
 
@@ -176,8 +175,11 @@ def _add_serve(subparsers) -> None:
     )
     parser.add_argument("--components", type=int, default=None)
     parser.add_argument(
-        "--train-fraction", type=float, default=0.3,
-        help="leading stream fraction the offline engine trains on",
+        "--train-fraction", type=_open_unit_fraction, default=0.3,
+        help=(
+            "leading stream fraction the offline engine trains on,"
+            " in (0, 1)"
+        ),
     )
     parser.add_argument(
         "--drift",
@@ -321,27 +323,36 @@ def _print_profile(pipeline) -> None:
     )
 
 
+def _open_unit_fraction(text: str) -> float:
+    """argparse type: a float strictly between 0 and 1."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be in (0, 1), got {text}"
+        )
+    return value
+
+
+def _worker_count(text: str) -> int:
+    """argparse type: a worker count, ``0`` or more."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be >= 0 (0 = CPU count), got {text}"
+        )
+    return value
+
+
 def _add_parallel_arguments(parser, what: str) -> None:
     """The shared ``--workers`` flag."""
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_worker_count,
         default=1,
         help=(
             f"concurrent worker threads driving the {what}"
             " (0 = CPU count; 1 = sequential)"
         ),
-    )
-
-
-def _parallel_from_args(
-    args, chaos: ChaosConfig | None = None
-) -> ParallelConfig:
-    # A chaos run injects worker crashes; without a retry budget the
-    # first one aborts the replay instead of being absorbed.
-    return ParallelConfig(
-        workers=args.workers,
-        max_retries=2 if chaos is not None else 0,
     )
 
 
@@ -601,7 +612,7 @@ def _cmd_serve(args) -> int:
             sharding=args.sharding,
             strategy=args.strategy,
             refresh_enabled=not args.no_refresh,
-            parallel=_parallel_from_args(args, chaos),
+            parallel=ParallelConfig(workers=args.workers),
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -712,18 +723,7 @@ def _cmd_serve(args) -> int:
         )
     else:
         train_pages = pages[:n_train]
-    timestamps = transform_timestamps(
-        n_train,
-        config.len_window,
-        config.len_access_shot,
-        config.timestamp_mode,
-    )
-    features = np.column_stack(
-        [
-            train_pages.astype(np.float64),
-            timestamps.astype(np.float64),
-        ]
-    )
+    features = StagedPipeline(config).chunk_features(train_pages, 0)
     emit(
         f"training offline engine on {n_train:,} requests"
         + (
@@ -838,7 +838,6 @@ def _cmd_serve(args) -> int:
             f" [{chaos['timeline_digest'][:12]}],"
             f" {len(chaos['events'])} event(s),"
             f" {chaos['stall_retries']} stall retries,"
-            f" {chaos['worker_retries']} worker retries,"
             f" {chaos['refresh_failures']}/{chaos['refresh_attempts']}"
             " refresh failures"
         )
@@ -889,7 +888,7 @@ def _cmd_fabric(args) -> int:
     fabric = CxlFabric(
         topology,
         config=config,
-        parallel=_parallel_from_args(args, chaos),
+        parallel=ParallelConfig(workers=args.workers),
         chaos=chaos,
         telemetry=telemetry,
     )
@@ -1020,9 +1019,7 @@ def _cmd_chaos(args) -> int:
         [head.addresses >> PAGE_SHIFT, tail.addresses >> PAGE_SHIFT]
     )
     is_write = np.concatenate([head.is_write, tail.is_write])
-    # Crash retries must cover the scenario's injected attempts, or
-    # the run aborts instead of recovering.
-    retrying = ParallelConfig(workers=args.workers, max_retries=2)
+    parallel = ParallelConfig(workers=args.workers)
     topology = FabricTopology(n_devices=args.devices)
     try:
         serving = ServingConfig(
@@ -1039,7 +1036,7 @@ def _cmd_chaos(args) -> int:
             refresh_backoff_chunks=1,
             refresh_breaker_threshold=4,
             quarantine_chunks=8,
-            parallel=retrying,
+            parallel=parallel,
         )
     except ValueError as exc:  # e.g. --chunk below 1
         print(f"error: {exc}", file=sys.stderr)
@@ -1050,17 +1047,8 @@ def _cmd_chaos(args) -> int:
         n_train = max(
             config.gmm.n_components + 1, int(len(pages) * 0.3)
         )
-        timestamps = transform_timestamps(
-            n_train,
-            config.len_window,
-            config.len_access_shot,
-            config.timestamp_mode,
-        )
-        features = np.column_stack(
-            [
-                pages[:n_train].astype(np.float64),
-                timestamps.astype(np.float64),
-            ]
+        features = StagedPipeline(config).chunk_features(
+            pages[:n_train], 0
         )
         emit(f"training engine on {n_train:,} requests...")
         engine = GmmPolicyEngine.train(features, config.gmm, rng)
@@ -1076,13 +1064,13 @@ def _cmd_chaos(args) -> int:
             return run_prepared_scenario(
                 chaos, pages, is_write,
                 topology=topology, config=config,
-                chunk_requests=args.chunk, parallel=retrying,
+                chunk_requests=args.chunk, parallel=parallel,
                 monitor=args.monitor, telemetry=telemetry,
             )
         return run_fabric_scenario(
             chaos, pages, is_write,
             topology=topology, config=config,
-            chunk_requests=args.chunk, parallel=retrying,
+            chunk_requests=args.chunk, parallel=parallel,
             monitor=args.monitor, telemetry=telemetry,
         )
 
@@ -1136,7 +1124,6 @@ def _cmd_chaos(args) -> int:
                 100 * base["miss_rate"],
                 100 * tail,
                 100 * base_tail,
-                out["worker_retries"],
                 monitor.get("quarantines", 0),
             ]
         )
@@ -1151,7 +1138,6 @@ def _cmd_chaos(args) -> int:
                 "baseline_miss_rate": float(base["miss_rate"]),
                 "tail_miss_rate": float(tail),
                 "baseline_tail_miss_rate": float(base_tail),
-                "worker_retries": int(out["worker_retries"]),
                 "quarantines": int(monitor.get("quarantines", 0)),
                 "reinstatements": int(
                     monitor.get("reinstatements", 0)
@@ -1173,7 +1159,6 @@ def _cmd_chaos(args) -> int:
                 "base %",
                 "tail %",
                 "base tail %",
-                "retries",
                 "quarantines",
             ],
             rows,

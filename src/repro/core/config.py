@@ -51,23 +51,13 @@ class ParallelConfig:
     workers:
         Concurrent worker threads.  ``1`` (default) executes inline
         with zero overhead; ``0`` resolves to the host's CPU count.
-    max_retries:
-        Per-task budget of injected chaos crashes
-        (:class:`repro.chaos.FaultInjector` wired through
-        :attr:`repro.core.parallel.ParallelExecutor.fault_hook`) a
-        replay round absorbs before it raises.  Real exceptions are
-        never retried: a half-executed replay cannot be safely
-        repeated.
     """
 
     workers: int = 1
-    max_retries: int = 0
 
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ValueError("workers must be >= 0 (0 = CPU count)")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -123,9 +113,9 @@ class ChaosConfig:
 
     The chaos harness schedules faults on a *logical* clock -- chunk
     indices for the fabric and serving loops, build indices for model
-    refreshes, dispatch rounds for the executor -- never wall-clock
-    time, so one seed produces one byte-identical fault timeline
-    regardless of worker count or host speed.  All ``*_rate`` knobs
+    refreshes -- never wall-clock time, so one seed produces one
+    byte-identical fault timeline regardless of worker count or host
+    speed.  All ``*_rate`` knobs
     are per-target, per-logical-tick Bernoulli probabilities sampled
     once when the plan is generated.
 
@@ -162,10 +152,6 @@ class ChaosConfig:
         or silently produces a corrupted engine (non-finite
         parameters); a failed build must leave the serving generation
         untouched, a corrupted one must be rejected by validation.
-    worker_crash_rate / worker_crash_attempts:
-        Per-(dispatch round, task) crash probability and the number
-        of consecutive attempts that crash
-        (:attr:`ParallelConfig.max_retries` bounds the recovery).
     correlated_fail_rate / correlated_fail_chunks / correlated_fail_k:
         Fleet-level correlated-outage windows: one per-chunk Bernoulli
         stream (a shared ``SeedSequence`` child, not per-device) picks
@@ -207,8 +193,6 @@ class ChaosConfig:
     shard_stall_attempts: int = 1
     refresh_fail_rate: float = 0.0
     refresh_corrupt_rate: float = 0.0
-    worker_crash_rate: float = 0.0
-    worker_crash_attempts: int = 1
     correlated_fail_rate: float = 0.0
     correlated_fail_chunks: int = 6
     correlated_fail_k: int = 2
@@ -227,7 +211,6 @@ class ChaosConfig:
             "shard_stall_rate",
             "refresh_fail_rate",
             "refresh_corrupt_rate",
-            "worker_crash_rate",
             "correlated_fail_rate",
             "failslow_rate",
         ):
@@ -240,7 +223,6 @@ class ChaosConfig:
             "device_fail_chunks",
             "link_degrade_chunks",
             "shard_stall_attempts",
-            "worker_crash_attempts",
             "correlated_fail_chunks",
             "failslow_chunks",
         ):
@@ -289,7 +271,6 @@ class ChaosConfig:
             link_degrade_rate=0.01,
             shard_stall_rate=0.02,
             refresh_fail_rate=0.25,
-            worker_crash_rate=0.005,
         )
         defaults.update(overrides)
         return cls(**defaults)

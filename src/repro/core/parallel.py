@@ -39,17 +39,6 @@ from repro.cache.stats import CacheStats
 from repro.core.config import ParallelConfig
 
 
-class WorkerCrashError(RuntimeError):
-    """A task's retry budget was exhausted by (injected) crashes.
-
-    Raised parent-side when the chaos fault hook reports more
-    consecutive crashed attempts for a task than
-    :attr:`ParallelExecutor.max_retries` allows.  The pool itself is
-    shut down first (and re-created lazily on the next fan-out), so
-    the executor stays usable after propagation.
-    """
-
-
 def resolve_workers(workers: int) -> int:
     """Effective worker count (``0`` means the host's CPU count)."""
     if workers < 0:
@@ -150,26 +139,16 @@ class ParallelExecutor:
     workers:
         Concurrent workers; ``0`` resolves to the CPU count, ``1``
         executes inline (no pool, no overhead).
-    max_retries:
-        Per-task retry budget (see :class:`ParallelConfig`).
 
     The pool is created lazily on first real fan-out and reused until
     :meth:`shutdown` (the executor is also a context manager), so a
     streaming caller pays pool start-up once, not per chunk.
     """
 
-    def __init__(self, workers: int = 1, *, max_retries: int = 0) -> None:
+    def __init__(self, workers: int = 1) -> None:
         self.workers = resolve_workers(workers)
-        self.max_retries = max_retries
-        #: Optional chaos hook ``(dispatch_round, task_index) -> int``
-        #: returning the number of consecutive attempts that crash for
-        #: that task.  Consulted parent-side *before* any submission,
-        #: so an injected crash never mutates task state and a retried
-        #: attempt is bit-identical to an uninterrupted one.
-        self.fault_hook = None
         self._pool: ThreadPoolExecutor | None = None
         self._dispatch_round = 0
-        self._retries_performed = 0
         self._tasks_dispatched = 0
 
     @classmethod
@@ -179,12 +158,7 @@ class ParallelExecutor:
         """Executor matching a :class:`ParallelConfig` (None = inline)."""
         if config is None:
             return cls()
-        return cls(config.workers, max_retries=config.max_retries)
-
-    @property
-    def retries_performed(self) -> int:
-        """Injected crashes absorbed so far by the retry budget."""
-        return self._retries_performed
+        return cls(config.workers)
 
     @property
     def dispatch_rounds(self) -> int:
@@ -217,35 +191,6 @@ class ParallelExecutor:
     def __exit__(self, *exc) -> None:
         self.shutdown()
 
-    # -- retry plumbing -------------------------------------------------
-    def _consume_injected_crashes(
-        self, dispatch_round: int, n_tasks: int
-    ) -> None:
-        """Absorb chaos-injected crashes before submitting anything.
-
-        Crashes are simulated parent-side and pre-execution: a task
-        whose crashes fit inside the retry budget simply runs once,
-        normally, afterwards -- bit-identical to a fault-free run.  A
-        task whose crash count exceeds :attr:`max_retries` exhausts
-        the budget and raises :class:`WorkerCrashError` (pool shut
-        down first so it cannot wedge).
-        """
-        hook = self.fault_hook
-        if hook is None:
-            return
-        for task_index in range(n_tasks):
-            crashes = hook(dispatch_round, task_index)
-            if crashes <= 0:
-                continue
-            if crashes > self.max_retries:
-                self.shutdown()
-                raise WorkerCrashError(
-                    f"task {task_index} of dispatch round"
-                    f" {dispatch_round} crashed {crashes} time(s);"
-                    f" retry budget is {self.max_retries}"
-                )
-            self._retries_performed += crashes
-
     # -- simulate fan-out ----------------------------------------------
     def replay(
         self,
@@ -266,16 +211,13 @@ class ParallelExecutor:
         profile's section names and call counts are identical at
         workers=1 and workers=N.
 
-        A *real* exception is never retried: replay tasks mutate
-        resumable cache/policy state, so a re-run after a partial
-        mutation would not be bit-exact.  Injected (pre-execution)
-        crashes draw from the retry budget, and the pool is shut down
-        before any error propagates so the executor stays usable.
+        An exception is never retried: replay tasks mutate resumable
+        cache/policy state, so a re-run after a partial mutation would
+        not be bit-exact.  The pool is shut down before the error
+        propagates, so the executor stays usable.
         """
-        dispatch_round = self._dispatch_round
         self._dispatch_round += 1
         self._tasks_dispatched += len(tasks)
-        self._consume_injected_crashes(dispatch_round, len(tasks))
         try:
             if self.workers <= 1 or len(tasks) <= 1:
                 results = [_run_replay(task) for task in tasks]
@@ -380,6 +322,5 @@ __all__ = [
     "ParallelExecutor",
     "ReplayResult",
     "ReplayTask",
-    "WorkerCrashError",
     "resolve_workers",
 ]

@@ -263,14 +263,8 @@ class CxlFabric:
         # an ``is not None`` check and a fault-free run executes the
         # exact pre-chaos code path (tests/chaos parity).
         self.injector = FaultInjector.from_config(
-            chaos,
-            n_devices=self.topology.n_devices,
-            task_lanes=self.topology.n_devices,
+            chaos, n_devices=self.topology.n_devices
         )
-        if self.injector is not None:
-            self._executor.fault_hook = (
-                self.injector.worker_crash_attempts
-            )
         # Fleet health monitoring follows the same contract: None
         # when disabled, so a monitor-free run executes the exact
         # pre-monitor code path.  A one-device fleet gets none: there
@@ -1003,10 +997,10 @@ class CxlFabric:
         timeline (faults tick on chunk indices), so the stream goes
         through :meth:`ingest` in ``chunk_requests`` slices instead:
         every fault channel (outages, correlated blasts, link
-        windows, fail-slow ramps, worker crashes) and the fleet
-        monitor fire exactly as on a streamed run, with zero access
-        loss.  That path measures every access (steady-state
-        serving; ``warmup_fraction`` is not applied).  With chaos and
+        windows, fail-slow ramps) and the fleet monitor fire exactly
+        as on a streamed run, with zero access loss.  That path
+        measures every access (steady-state serving;
+        ``warmup_fraction`` is not applied).  With chaos and
         monitoring disabled this method executes the exact pre-chaos
         one-shot path, byte for byte -- the parity suite asserts it.
         Raises :class:`ValueError` when ``chunk_requests < 1``.

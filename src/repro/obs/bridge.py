@@ -147,9 +147,9 @@ def register_stage_profiler(
 def register_executor(
     registry: MetricsRegistry, executor, component: str
 ) -> None:
-    """Export a ``ParallelExecutor``'s dispatch/retry counters.
+    """Export a ``ParallelExecutor``'s dispatch counters.
 
-    Dispatch rounds and retries are parent-side logical counters
+    Dispatch rounds and tasks are parent-side logical counters
     (identical at every worker count); the worker count itself is a
     run parameter, flagged non-deterministic so workers=1 and
     workers=4 runs still digest identically.
@@ -157,11 +157,6 @@ def register_executor(
     rounds = registry.counter(
         "executor_dispatch_rounds_total",
         help="Fan-out calls issued by the executor.",
-        labels=("component",),
-    )
-    retries = registry.counter(
-        "executor_retries_total",
-        help="Attempts recovered (injected crashes + real retries).",
         labels=("component",),
     )
     tasks = registry.counter(
@@ -179,9 +174,6 @@ def register_executor(
     def collect() -> None:
         rounds.labels(component=component).set(
             executor.dispatch_rounds
-        )
-        retries.labels(component=component).set(
-            executor.retries_performed
         )
         tasks.labels(component=component).set(
             executor.tasks_dispatched

@@ -19,7 +19,6 @@ _HEADLINE_ORDER = (
     "fabric_accesses_total",
     "fabric_failover_accesses_total",
     "executor_dispatch_rounds_total",
-    "executor_retries_total",
     "chaos_faults_total",
     "tracer_spans_total",
 )

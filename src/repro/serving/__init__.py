@@ -13,9 +13,7 @@ from repro.serving.drift import DriftDetector, DriftReport, ks_statistic
 from repro.serving.health import FleetHealthMonitor
 from repro.serving.metrics import FailureEvent, RollingMetrics
 from repro.serving.refresh import (
-    EngineSlot,
     ModelRefresher,
-    StaleSwapError,
     validate_engine,
 )
 from repro.serving.service import (
@@ -29,14 +27,12 @@ __all__ = [
     "ChunkReport",
     "DriftDetector",
     "DriftReport",
-    "EngineSlot",
     "FailureEvent",
     "FleetHealthMonitor",
     "IcgmmCacheService",
     "ModelRefresher",
     "RollingMetrics",
     "ShardedCachePlanes",
-    "StaleSwapError",
     "SwapEvent",
     "ks_statistic",
     "validate_engine",

@@ -11,10 +11,10 @@ reproduces that split in software:
   currently-serving mixture by warm-started EM, then re-derives the
   admission threshold at the configured quantile of the refreshed
   scores.
-* :class:`EngineSlot` is the *weight buffer*: the serving loop reads
-  ``slot.engine`` at the top of every chunk, and a refresh replaces
-  the whole engine reference in one assignment -- a chunk is scored
-  entirely under one generation, never a mix.
+* The service's ``engine`` attribute is the *weight buffer*: the
+  serving loop reads it at the top of every chunk, and a refresh
+  replaces the whole engine reference in one assignment -- a chunk is
+  scored entirely under one generation, never a mix.
 
 The feature scaler is deliberately carried over from the deployed
 engine: it is the fixed input-transform stage of the pipeline (the
@@ -24,7 +24,6 @@ makes scores comparable across generations for the drift detector.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 
 import numpy as np
@@ -50,89 +49,11 @@ WARM_TOL = 1e-3
 BUFFER_CHUNKS = 6
 
 
-class StaleSwapError(RuntimeError):
-    """A swap was attempted against an outdated generation.
-
-    Raised when :meth:`EngineSlot.swap` is given an
-    ``expected_generation`` that no longer matches -- i.e. another
-    refresh committed between this builder's read and its swap.  The
-    slot keeps the newer engine; the stale builder must re-read and
-    rebuild.
-    """
-
-
-class EngineSlot:
-    """Atomic holder of the serving engine (weight-buffer analogue).
-
-    Reads and swaps are serialised by a lock, so a reader on another
-    thread can never see a torn (engine, generation) pair, and the
-    generation counter is strictly monotonic: a swap may pass
-    the generation it built against (``expected_generation``) and the
-    slot refuses the install -- :class:`StaleSwapError` -- if a newer
-    engine landed in between, instead of silently rolling the
-    service back onto an older mixture.
-    """
-
-    def __init__(self, engine: GmmPolicyEngine) -> None:
-        self._engine = engine
-        self._generation = 0
-        self._lock = threading.Lock()
-
-    @property
-    def engine(self) -> GmmPolicyEngine:
-        """The currently-loaded engine."""
-        with self._lock:
-            return self._engine
-
-    @property
-    def generation(self) -> int:
-        """Number of swaps since service start."""
-        with self._lock:
-            return self._generation
-
-    def read(self) -> tuple[GmmPolicyEngine, int]:
-        """One consistent (engine, generation) pair."""
-        with self._lock:
-            return self._engine, self._generation
-
-    def swap(
-        self,
-        engine: GmmPolicyEngine,
-        expected_generation: int | None = None,
-    ) -> int:
-        """Install a new engine; returns the new generation.
-
-        ``expected_generation`` is the generation the refresh was
-        built against; passing it turns the swap into a
-        compare-and-swap that fails (:class:`StaleSwapError`) rather
-        than regress past an engine someone else installed first.
-        """
-        with self._lock:
-            if (
-                expected_generation is not None
-                and expected_generation != self._generation
-            ):
-                raise StaleSwapError(
-                    f"swap built against generation"
-                    f" {expected_generation} but the slot is at"
-                    f" {self._generation}"
-                )
-            self._engine = engine
-            self._generation += 1
-            return self._generation
-
-    def __repr__(self) -> str:
-        return (
-            f"EngineSlot(generation={self._generation},"
-            f" engine={self._engine!r})"
-        )
-
-
 def validate_engine(engine: GmmPolicyEngine) -> None:
     """Reject an engine with non-finite parameters.
 
     A corrupted refresh (chaos-injected or a genuinely diverged EM
-    fold) must never reach the slot: every admission decision would
+    fold) must never be swapped in: every admission decision would
     compare against NaN and silently admit nothing (or everything).
     Raises :class:`ValueError` naming the first bad field.
     """

@@ -24,8 +24,8 @@ on an access stream consumed in chunks:
    mixture by warm-started EM and atomically swap the refreshed
    engine in (:mod:`repro.serving.refresh` -- the software analogue
    of the FPGA weight-buffer reload).  The build runs inline, at the
-   chunk whose drift verdict asked for it, and lands through one
-   validate-and-CAS-commit path.
+   chunk whose drift verdict asked for it, and is validated before
+   it swaps in.
 
 Exactness contract: with ``hash`` sharding and refresh disabled, the
 service's totals are *bit-identical* to a single-shot
@@ -56,12 +56,7 @@ from repro.core.pipeline import StagedPipeline, StageProfiler
 from repro.core.policy import build_policy, strategy_views
 from repro.serving.drift import DriftDetector, DriftReport
 from repro.serving.metrics import RollingMetrics
-from repro.serving.refresh import (
-    EngineSlot,
-    ModelRefresher,
-    StaleSwapError,
-    validate_engine,
-)
+from repro.serving.refresh import ModelRefresher, validate_engine
 from repro.serving.sharding import ShardedCachePlanes
 
 #: Bounded retry of a stalled shard replay within one chunk (total
@@ -201,7 +196,10 @@ class IcgmmCacheService:
         self.config = self.pipeline.config
         self.serving = serving if serving is not None else ServingConfig()
         self.measure_from = int(measure_from)
-        self.slot = EngineSlot(engine)
+        #: The engine currently serving and its generation (the
+        #: number of swaps since service start).
+        self.engine = engine
+        self.generation = 0
         self._executor = ParallelExecutor.from_config(
             self.serving.parallel
         )
@@ -214,16 +212,9 @@ class IcgmmCacheService:
         # Chaos wiring: None when disabled, so every hot-path gate is
         # an ``is not None`` check and the fault-free run executes the
         # exact pre-chaos code path (asserted by tests/chaos parity).
-        # Worker crashes target the per-plane replay tasks.
         self.injector = FaultInjector.from_config(
-            chaos,
-            n_shards=self.serving.n_shards,
-            task_lanes=len(self.planes.caches),
+            chaos, n_shards=self.serving.n_shards
         )
-        if self.injector is not None:
-            self._executor.fault_hook = (
-                self.injector.worker_crash_attempts
-            )
         # The quantile the deployed engine's threshold was trained at:
         # refreshes re-cut at it, so the drift detector's expected
         # below-threshold fraction matches reality at every generation.
@@ -324,7 +315,7 @@ class IcgmmCacheService:
 
         def collect() -> None:
             stalls.set(self._stall_retries)
-            generation.set(self.slot.generation)
+            generation.set(self.generation)
 
         registry.register_collector(collect)
         # Telemetry implies stage accounting: attach a profiler when
@@ -356,18 +347,13 @@ class IcgmmCacheService:
     # Engine (re)load
     # ------------------------------------------------------------------
     def _load_generation(self) -> None:
-        """Rebuild generation-scoped state from the slot's engine."""
-        engine = self.slot.engine
+        """Rebuild generation-scoped state from the serving engine."""
+        engine = self.engine
         self._page_cache = _PageScoreCache(engine)
         self._policies = [
             build_policy(self.serving.strategy, engine.admission_threshold)
             for _ in self.planes.caches
         ]
-
-    @property
-    def generation(self) -> int:
-        """Engine generation currently serving."""
-        return self.slot.generation
 
     @property
     def access_cursor(self) -> int:
@@ -406,7 +392,7 @@ class IcgmmCacheService:
         self, pages: np.ndarray, is_write: np.ndarray
     ) -> ChunkReport:
         n = pages.shape[0]
-        engine, generation = self.slot.read()
+        engine = self.engine
         span = None
         if self.telemetry is not None:
             span = self.telemetry.tracer.begin(
@@ -582,22 +568,7 @@ class IcgmmCacheService:
             and self._chunk_index >= self._refresh_block_until
         )
         if refresh_due:
-            build = self._next_build()
-            if build is not None:
-                # The build blocks the request path here; its own
-                # profiler section keeps `serve --profile` honest
-                # about that on-path cost.
-                refreshed = error = None
-                with self.pipeline.profile_stage("refresh"):
-                    try:
-                        refreshed = self.refresher.build(engine)
-                    except Exception as exc:  # noqa: BLE001
-                        # A failed fold backs off like an invalid one.
-                        error = exc
-                swapped = self._land_refresh(
-                    build, generation, refreshed, error,
-                    self._cursor + n,
-                )
+            swapped = self._refresh(engine, self._cursor + n)
 
         self._cursor += n
         if self.telemetry is not None:
@@ -613,7 +584,7 @@ class IcgmmCacheService:
             stats=chunk_stats,
             drift=drift,
             swapped=swapped,
-            generation=self.slot.generation,
+            generation=self.generation,
         )
         self._chunk_index += 1
         return report
@@ -662,13 +633,17 @@ class IcgmmCacheService:
                 until=self._quarantine_until,
             )
 
-    def _next_build(self) -> tuple[int, str | None] | None:
-        """Number the next build and resolve its injected fault.
+    def _refresh(
+        self, engine: GmmPolicyEngine, access_cursor: int
+    ) -> bool:
+        """Build a refreshed engine inline and swap it in if valid.
 
-        Returns ``(build_index, fault)``, or ``None`` when an injected
-        ``"fail"`` already failed the build (recorded here, before any
-        fold runs).  ``"corrupt"`` rides along to
-        :meth:`_land_refresh`, where validation must catch it.
+        The build is numbered and its injected fault resolved first:
+        ``"fail"`` fails it before any fold runs, and ``"corrupt"``
+        hands back a NaN threshold that validation must catch.  A
+        failed or invalid build backs off
+        (:meth:`_record_refresh_failure`); a good one is swapped in
+        and every consumer rebases.  True if the engine swapped in.
         """
         build_index = self._refresh_attempts
         self._refresh_attempts += 1
@@ -677,36 +652,16 @@ class IcgmmCacheService:
             if self.injector is not None
             else None
         )
-        if fault == "fail":
-            self._record_refresh_failure(
-                build_index,
-                InjectedFaultError(
+        try:
+            if fault == "fail":
+                raise InjectedFaultError(
                     f"injected refresh failure at build {build_index}"
-                ),
-            )
-            return None
-        return build_index, fault
-
-    def _land_refresh(
-        self,
-        build: tuple[int, str | None],
-        expected_generation: int,
-        refreshed: GmmPolicyEngine | None,
-        error: Exception | None,
-        access_cursor: int,
-    ) -> bool:
-        """Validate a finished build and CAS-swap it in.
-
-        ``build`` is :meth:`_next_build`'s ``(build_index, fault)``,
-        and ``refreshed``/``error`` are what the fold returned.  A
-        failed or invalid build backs off
-        (:meth:`_record_refresh_failure`), a stale one -- another
-        engine reached the slot after this chunk read it -- is
-        discarded without backoff, and a good one rebases every
-        consumer.  True if the engine swapped in.
-        """
-        build_index, fault = build
-        if error is None:
+                )
+            # The build blocks the request path here; its own
+            # profiler section keeps `serve --profile` honest about
+            # that on-path cost.
+            with self.pipeline.profile_stage("refresh"):
+                refreshed = self.refresher.build(engine)
             if fault == "corrupt":
                 # The build "succeeds" but hands back garbage;
                 # validation must catch it.
@@ -715,25 +670,13 @@ class IcgmmCacheService:
                     scaler=refreshed.scaler,
                     admission_threshold=float("nan"),
                 )
-            try:
-                validate_engine(refreshed)
-            except ValueError as exc:
-                error = exc
-        if error is not None:
-            self._record_refresh_failure(build_index, error)
+            validate_engine(refreshed)
+        except Exception as exc:  # noqa: BLE001
+            # A failed fold backs off like an invalid one.
+            self._record_refresh_failure(build_index, exc)
             return False
-        try:
-            self.slot.swap(
-                refreshed, expected_generation=expected_generation
-            )
-        except StaleSwapError:
-            self.shard_metrics.record_event(
-                "engine",
-                "refresh-stale",
-                self._chunk_index,
-                build=build_index,
-            )
-            return False
+        self.engine = refreshed
+        self.generation += 1
         self._load_generation()
         self.detector.rebase(
             refreshed.admission_threshold,
@@ -744,7 +687,7 @@ class IcgmmCacheService:
         self.swaps.append(
             SwapEvent(
                 chunk_index=self._chunk_index,
-                generation=self.slot.generation,
+                generation=self.generation,
                 access_cursor=access_cursor,
                 threshold=refreshed.admission_threshold,
             )
@@ -754,7 +697,7 @@ class IcgmmCacheService:
                 "engine",
                 "refresh-swap",
                 self._chunk_index,
-                generation=self.slot.generation,
+                generation=self.generation,
             )
         if self.telemetry is not None:
             self._m_swaps.inc()
@@ -799,7 +742,7 @@ class IcgmmCacheService:
         out = {
             "accesses": self.totals.accesses,
             "miss_rate": self.totals.miss_rate,
-            "generation": self.slot.generation,
+            "generation": self.generation,
             "swaps": [
                 {
                     "chunk_index": event.chunk_index,
@@ -821,7 +764,6 @@ class IcgmmCacheService:
                     for event in self.shard_metrics.events()
                 ],
                 "stall_retries": self._stall_retries,
-                "worker_retries": self._executor.retries_performed,
                 "refresh_attempts": self._refresh_attempts,
                 "refresh_failures": self._refresh_failures,
                 "recovery_latency_chunks": (
@@ -836,6 +778,6 @@ class IcgmmCacheService:
         return (
             f"IcgmmCacheService(strategy={self.serving.strategy!r},"
             f" shards={self.serving.n_shards},"
-            f" generation={self.slot.generation},"
+            f" generation={self.generation},"
             f" cursor={self._cursor})"
         )

@@ -10,7 +10,6 @@ from repro.chaos import (
     KIND_REFRESH_CORRUPT,
     KIND_REFRESH_FAIL,
     KIND_SHARD_STALL,
-    KIND_WORKER_CRASH,
     FaultEvent,
     FaultInjector,
     FaultPlan,
@@ -60,8 +59,6 @@ class TestQueries:
         assert injector.device_down(1, 4)
         assert not injector.device_down(1, 5)
         assert not injector.device_down(0, 3)
-        assert injector.outage_end(1, 3) == 5
-        assert injector.outage_end(1, 5) is None
 
     def test_link_factor(self):
         injector = _injector(
@@ -76,7 +73,7 @@ class TestQueries:
         assert injector.link_factor(0, 1) == 4.0
         assert injector.link_factor(1, 1) == 1.0
 
-    def test_stall_refresh_crash(self):
+    def test_stall_and_refresh(self):
         injector = _injector(
             [
                 FaultEvent(
@@ -87,10 +84,6 @@ class TestQueries:
                 FaultEvent(
                     start=1, kind=KIND_REFRESH_CORRUPT, target=-1
                 ),
-                FaultEvent(
-                    start=4, kind=KIND_WORKER_CRASH, target=1,
-                    duration=1,
-                ),
             ]
         )
         assert injector.shard_stall_attempts(2, 3) == 2
@@ -98,8 +91,6 @@ class TestQueries:
         assert injector.refresh_fault(0) == "fail"
         assert injector.refresh_fault(1) == "corrupt"
         assert injector.refresh_fault(2) is None
-        assert injector.worker_crash_attempts(4, 1) == 1
-        assert injector.worker_crash_attempts(4, 0) == 0
 
 
 class TestOverlappingWindows:
@@ -124,10 +115,7 @@ class TestOverlappingWindows:
         for chunk in range(2, 7):
             assert injector.device_down(1, chunk)
         assert not injector.device_down(1, 7)
-        # The merged window reports one outage ending at 7...
-        assert injector.outage_end(1, 2) == 7
-        assert injector.outage_end(1, 6) == 7
-        # ...and the observed timeline holds exactly one record.
+        # The observed timeline holds exactly one record.
         assert len(injector.records) == 1
         record = injector.records[0]
         assert record.start == 2 and record.duration == 5
@@ -167,7 +155,7 @@ class TestOverlappingWindows:
         )
         for chunk in range(2, 6):
             assert injector.device_down(1, chunk)
-        assert injector.outage_end(1, 2) == 6
+        assert not injector.device_down(1, 6)
 
 
 class TestFailslowFactor:

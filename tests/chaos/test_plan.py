@@ -11,7 +11,6 @@ from repro.chaos import (
     KIND_REFRESH_CORRUPT,
     KIND_REFRESH_FAIL,
     KIND_SHARD_STALL,
-    KIND_WORKER_CRASH,
     FaultEvent,
     FaultPlan,
     SCENARIO_NAMES,
@@ -35,17 +34,13 @@ def _config(**overrides):
         shard_stall_attempts=2,
         refresh_fail_rate=0.2,
         refresh_corrupt_rate=0.1,
-        worker_crash_rate=0.02,
-        worker_crash_attempts=1,
     )
     base.update(overrides)
     return ChaosConfig(**base)
 
 
 def _generate(config):
-    return FaultPlan.generate(
-        config, n_devices=4, n_shards=4, task_lanes=4
-    )
+    return FaultPlan.generate(config, n_devices=4, n_shards=4)
 
 
 class TestDeterminism:
@@ -67,10 +62,29 @@ class TestDeterminism:
         assert full.by_kind(KIND_DEVICE_FAIL) == no_link.by_kind(
             KIND_DEVICE_FAIL
         )
-        assert full.by_kind(KIND_WORKER_CRASH) == no_link.by_kind(
-            KIND_WORKER_CRASH
+        assert full.by_kind(KIND_SHARD_STALL) == no_link.by_kind(
+            KIND_SHARD_STALL
         )
         assert not no_link.by_kind(KIND_LINK_DEGRADE)
+
+    def test_channel_streams_are_pinned(self):
+        """Each channel draws from a fixed ``SeedSequence`` child
+        (children 4 and 5 belong to no channel); renumbering any
+        channel moves its events and this digest."""
+        plan = _generate(
+            _config(
+                correlated_fail_rate=0.1,
+                correlated_fail_k=2,
+                failslow_rate=0.05,
+                failslow_chunks=16,
+                failslow_max_factor=4.0,
+            )
+        )
+        assert len(plan) == 68
+        assert plan.digest() == (
+            "9c4281c1adfb4dc9acf42c51dd9cf526"
+            "5f8fb33062063a5434edde18aabd0837"
+        )
 
 
 class TestShape:
@@ -140,7 +154,7 @@ class TestCorrelatedChannel:
 
     def test_enabling_new_channels_preserves_old_streams(self):
         """The new channels append SeedSequence children; the first
-        six channels' streams -- and therefore every pre-existing
+        four channels' streams -- and therefore every pre-existing
         plan -- must be byte-identical at equal seeds."""
         old = _generate(_config())
         extended = _generate(
@@ -158,7 +172,6 @@ class TestCorrelatedChannel:
             KIND_SHARD_STALL,
             KIND_REFRESH_FAIL,
             KIND_REFRESH_CORRUPT,
-            KIND_WORKER_CRASH,
         ):
             assert old.by_kind(kind) == extended.by_kind(kind)
 
@@ -261,12 +274,7 @@ class TestCliDefaultShape:
         )
         chaos = scenario_chaos(name, args.chaos_seed, horizon)
         if name in SERVING_SCENARIOS:
-            # Hash-mode serving dispatches one plane task per chunk.
-            plan = FaultPlan.generate(
-                chaos, n_shards=args.shards, task_lanes=1
-            )
+            plan = FaultPlan.generate(chaos, n_shards=args.shards)
         else:
-            plan = FaultPlan.generate(
-                chaos, n_devices=args.devices, task_lanes=args.devices
-            )
+            plan = FaultPlan.generate(chaos, n_devices=args.devices)
         assert len(plan) >= 1

@@ -3,15 +3,13 @@
 Targeted, hand-written fault plans (not sampled ones) drive each
 degradation path deterministically: fabric failover and degraded-link
 pricing, serving stall retry/degrade, refresh backoff + circuit
-breaker, executor crash retries -- plus the cross-cutting guarantee
-that a chaotic run is bit-identical at every worker count.
+breaker -- plus the cross-cutting guarantee that a chaotic run is
+bit-identical at every worker count.
 """
 
 import numpy as np
 import pytest
 
-from repro.cache.policies import LruPolicy
-from repro.cache.setassoc import CacheGeometry, SetAssociativeCache
 from repro.chaos import (
     KIND_DEVICE_CORRELATED,
     KIND_DEVICE_FAIL,
@@ -20,7 +18,6 @@ from repro.chaos import (
     KIND_REFRESH_CORRUPT,
     KIND_REFRESH_FAIL,
     KIND_SHARD_STALL,
-    KIND_WORKER_CRASH,
     FaultEvent,
     FaultInjector,
     FaultPlan,
@@ -31,11 +28,6 @@ from repro.core.config import (
     FabricTopology,
     ParallelConfig,
     ServingConfig,
-)
-from repro.core.parallel import (
-    ParallelExecutor,
-    ReplayTask,
-    WorkerCrashError,
 )
 from repro.cxl.fabric import CxlFabric
 from repro.serving import IcgmmCacheService
@@ -48,7 +40,6 @@ def _inject(victim, events):
         FaultPlan(ChaosConfig(seed=0), events)
     )
     victim.injector = injector
-    victim._executor.fault_hook = injector.worker_crash_attempts
     return injector
 
 
@@ -586,56 +577,6 @@ class TestRefreshFaults:
         assert service.totals.accesses == pages.shape[0]
 
 
-def _replay_tasks(n):
-    """``n`` small independent LRU replay tasks."""
-    rng = np.random.default_rng(3)
-    pages = rng.integers(0, 400, 300)
-    writes = rng.random(300) < 0.3
-    return [
-        ReplayTask(
-            cache=SetAssociativeCache(
-                CacheGeometry(
-                    capacity_bytes=8 * 4096 * 4,
-                    block_bytes=4096,
-                    associativity=4,
-                )
-            ),
-            policy=LruPolicy(),
-            pages=pages,
-            is_write=writes,
-        )
-        for _ in range(n)
-    ]
-
-
-class TestExecutorCrashes:
-    def test_crashes_within_budget_are_transparent(self):
-        def hook(dispatch_round, task):
-            return 1 if (dispatch_round, task) == (0, 1) else 0
-
-        executor = ParallelExecutor(workers=2, max_retries=2)
-        executor.fault_hook = hook
-        try:
-            results = executor.replay(_replay_tasks(3))
-            assert executor.retries_performed == 1
-        finally:
-            executor.shutdown()
-        clean = ParallelExecutor().replay(_replay_tasks(3))
-        assert [r.stats for r in results] == [r.stats for r in clean]
-
-    def test_budget_exhaustion_raises_worker_crash_error(self):
-        executor = ParallelExecutor(workers=2, max_retries=1)
-        executor.fault_hook = lambda r, t: 2
-        tasks = _replay_tasks(1)
-        try:
-            with pytest.raises(WorkerCrashError, match="retry budget"):
-                executor.replay(tasks)
-        finally:
-            executor.shutdown()
-        # The crash is injected before dispatch: the task never ran.
-        assert tasks[0].cache.occupancy() == 0
-
-
 class TestWorkerCountInvariance:
     # Hash sharding replays one plane per chunk; tenant sharding
     # (three tenants per phase of the stream at this stride) gives
@@ -655,15 +596,13 @@ class TestWorkerCountInvariance:
             shard_stall_rate=0.2,
             shard_stall_attempts=3,
             refresh_fail_rate=0.5,
-            worker_crash_rate=0.1,
-            worker_crash_attempts=1,
         )
 
         def run(n_workers):
             serving = _serving_config(
                 sharding=sharding,
                 partition_pages=300,
-                parallel=ParallelConfig(workers=n_workers, max_retries=2),
+                parallel=ParallelConfig(workers=n_workers),
             )
             service = _service(config, engine, serving, chaos=chaos)
             try:

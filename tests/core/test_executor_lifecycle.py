@@ -72,31 +72,6 @@ class TestExecutorShutdown:
         executor.shutdown()
         assert _live_pool_threads() == 0
 
-    def test_crash_then_reuse_leaks_nothing(self):
-        """Budget exhaustion must tear the pool down, not wedge it."""
-        from repro.core.parallel import WorkerCrashError
-
-        baseline = _live_pool_threads()
-        executor = ParallelExecutor(workers=2, max_retries=1)
-        try:
-            executor.replay(_tasks(2))
-            assert _live_pool_threads() > baseline
-            executor.fault_hook = lambda round_, task: 5  # always fatal
-            with pytest.raises(WorkerCrashError):
-                executor.replay(_tasks(3))
-            # The failed fan-out shut its own pool down.
-            assert _live_pool_threads() == baseline
-            # Clearing the hook makes the same executor usable again
-            # via lazy re-pooling.
-            executor.fault_hook = None
-            results = executor.replay(_tasks(3))
-            assert [r.stats for r in results] == [
-                r.stats for r in ParallelExecutor().replay(_tasks(3))
-            ]
-        finally:
-            executor.shutdown()
-        assert _live_pool_threads() == baseline
-
     def test_real_exception_closes_pool_before_raising(self):
         baseline = _live_pool_threads()
         executor = ParallelExecutor(workers=2)
@@ -104,6 +79,26 @@ class TestExecutorShutdown:
             with pytest.raises(ValueError, match="warmup_fraction"):
                 executor.replay(_tasks(2, failing=1))
             assert _live_pool_threads() == baseline
+        finally:
+            executor.shutdown()
+        assert _live_pool_threads() == baseline
+
+    def test_failed_round_then_reuse_leaks_nothing(self):
+        """A round that raises tears its pool down; the same executor
+        then re-pools lazily and replays as if nothing had failed."""
+        baseline = _live_pool_threads()
+        executor = ParallelExecutor(workers=2)
+        try:
+            executor.replay(_tasks(2))
+            assert _live_pool_threads() > baseline
+            with pytest.raises(ValueError, match="warmup_fraction"):
+                executor.replay(_tasks(3, failing=2))
+            assert _live_pool_threads() == baseline
+            results = executor.replay(_tasks(3))
+            assert _live_pool_threads() > baseline
+            assert [r.stats for r in results] == [
+                r.stats for r in ParallelExecutor().replay(_tasks(3))
+            ]
         finally:
             executor.shutdown()
         assert _live_pool_threads() == baseline

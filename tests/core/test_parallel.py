@@ -49,13 +49,10 @@ class TestConfig:
     def test_defaults_inline(self):
         config = ParallelConfig()
         assert config.workers == 1
-        assert config.max_retries == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ParallelConfig(workers=-1)
-        with pytest.raises(ValueError):
-            ParallelConfig(max_retries=-1)
 
     def test_resolve_workers(self):
         assert resolve_workers(3) == 3
@@ -67,10 +64,9 @@ class TestConfig:
         executor = ParallelExecutor.from_config(None)
         assert executor.workers == 1
         executor = ParallelExecutor.from_config(
-            ParallelConfig(workers=3, max_retries=2)
+            ParallelConfig(workers=3)
         )
         assert executor.workers == 3
-        assert executor.max_retries == 2
 
 
 class TestReplay:

@@ -3,7 +3,9 @@
 Two layers of enforcement: a static sweep over the instrument
 registrations in the source tree (catches names on paths no test
 exercises), and a dynamic check over the registries of fully wired
-fabric and serving runs (catches names built at runtime).
+fabric and serving runs (catches names built at runtime).  The same
+static sweep keeps ``repro top``'s headline list to families the
+source still registers.
 """
 
 import pathlib
@@ -15,6 +17,7 @@ from repro.core.config import (
 )
 from repro.cxl.fabric import CxlFabric
 from repro.obs import Telemetry
+from repro.obs.dashboard import _HEADLINE_ORDER
 from repro.obs.registry import validate_metric_name
 from repro.serving import IcgmmCacheService
 
@@ -26,13 +29,24 @@ _REGISTRATION = re.compile(
 )
 
 
-def test_source_registrations_pass_the_lint():
+def _source_registrations() -> set[str]:
     found = set()
     for path in sorted(SRC.rglob("*.py")):
         found.update(_REGISTRATION.findall(path.read_text()))
+    return found
+
+
+def test_source_registrations_pass_the_lint():
+    found = _source_registrations()
     assert found, "static sweep must discover registrations"
     for name in sorted(found):
         validate_metric_name(name)
+
+
+def test_top_headlines_name_registered_families():
+    """``repro top`` lists only families the source still registers."""
+    missing = set(_HEADLINE_ORDER) - _source_registrations()
+    assert not missing
 
 
 def test_fabric_registry_names_pass_the_lint(obs_workload):

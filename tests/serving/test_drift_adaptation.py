@@ -77,7 +77,10 @@ def drift_scenario():
     return pages, writes, engine, config
 
 
-def _replay(pages, writes, engine, config, refresh):
+def _replay(pages, writes, engine, config, refresh, on_build=None):
+    """Stream through a fresh service; ``on_build`` sees every
+    refreshed engine its refresher builds.  Returns the service and
+    its chunk reports."""
     serving = ServingConfig(
         chunk_requests=4_096,
         n_shards=4,
@@ -91,15 +94,24 @@ def _replay(pages, writes, engine, config, refresh):
     service = IcgmmCacheService(
         engine, config=config, serving=serving, measure_from=measure_from
     )
-    service.ingest(pages, writes)
-    return service
+    if on_build is not None:
+        build = service.refresher.build
+
+        def recording_build(current):
+            refreshed = build(current)
+            on_build(refreshed)
+            return refreshed
+
+        service.refresher.build = recording_build
+    reports = service.ingest(pages, writes)
+    return service, reports
 
 
 class TestDriftAdaptation:
     def test_online_beats_frozen_after_drift(self, drift_scenario):
         pages, writes, engine, config = drift_scenario
-        frozen = _replay(pages, writes, engine, config, refresh=False)
-        online = _replay(pages, writes, engine, config, refresh=True)
+        frozen, _ = _replay(pages, writes, engine, config, refresh=False)
+        online, _ = _replay(pages, writes, engine, config, refresh=True)
 
         # The frozen engine admits almost nothing post-drift.
         assert frozen.totals.miss_rate > 0.8
@@ -112,9 +124,37 @@ class TestDriftAdaptation:
 
     def test_refresh_actually_happened(self, drift_scenario):
         pages, writes, engine, config = drift_scenario
-        online = _replay(pages, writes, engine, config, refresh=True)
+        built = []
+        online, reports = _replay(
+            pages, writes, engine, config, refresh=True,
+            on_build=built.append,
+        )
         assert len(online.swaps) >= 1
         assert online.generation == len(online.swaps)
+        # Every build lands: generations count the swaps 1, 2, ...,
+        # and the last built engine is the one serving.
+        assert len(built) == len(online.swaps)
+        assert online.engine is built[-1]
+        assert [event.generation for event in online.swaps] == list(
+            range(1, len(online.swaps) + 1)
+        )
+        assert [event.threshold for event in online.swaps] == [
+            refreshed.admission_threshold for refreshed in built
+        ]
+        # The swapping chunk reports the new generation; every other
+        # chunk the generation it was scored under.
+        assert [
+            (report.chunk_index, report.generation)
+            for report in reports
+            if report.swapped
+        ] == [
+            (event.chunk_index, event.generation)
+            for event in online.swaps
+        ]
+        generation = 0
+        for report in reports:
+            generation += report.swapped
+            assert report.generation == generation
         first = online.swaps[0]
         # The swap fired after the drift point, not before it.
         assert first.access_cursor > N_PHASE
@@ -123,7 +163,7 @@ class TestDriftAdaptation:
 
     def test_frozen_service_never_swaps(self, drift_scenario):
         pages, writes, engine, config = drift_scenario
-        frozen = _replay(pages, writes, engine, config, refresh=False)
+        frozen, _ = _replay(pages, writes, engine, config, refresh=False)
         assert frozen.swaps == []
         assert frozen.generation == 0
 

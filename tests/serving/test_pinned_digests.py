@@ -51,68 +51,71 @@ LAYOUTS = {
     "tenant2-stalls": ("tenant", 2, 0.3),
 }
 
-#: sha256 of each (layout, chunk size) replay, recorded at commit
-#: 717c2e5, before distinct-row scoring and one-pass counting.
+#: sha256 of each (layout, chunk size) replay.  First recorded at
+#: commit 717c2e5, before distinct-row scoring and one-pass counting;
+#: re-recorded at commit 64ffec5 with the chaos summary's
+#: ``worker_retries`` entry (always 0 here, and gone with the
+#: worker-crash channel) removed before hashing.
 PINNED = {
     ("hash1", 1): (
-        "0e0b3817beca8d605a5535a7d3c320d7abd8b6f544c61ff27b1abd81e2352f73"
+        "06b27f6fab618fdbc031f13d2ce4254ebab55fde0ec623653099239076cac03c"
     ),
     ("hash1", 31): (
-        "202dd42a36c55222a803c51f5ca2c70a423b0a09a908b558accd14895ed5ea18"
+        "c4b844575ef1978f1c818ac4f4d70b00ce2bf20fec18a95bdb7ab6d247274bbe"
     ),
     ("hash1", 4096): (
-        "3928e8db6d29024440b3cee6392f4a2f6f73bb93a2fbc138b7f919350f060ca7"
+        "a54437ff006c177bda0c908af428cb4050ae12dfd853814e7d838d95d22277c3"
     ),
     ("hash1", 12000): (
-        "e43255434bc9c23072c4774e5d3f9645d32a85e4205a9a914811575ebd2c1296"
+        "831a044833d39cad55b134cb2dbb3de3113458aae056d385fe1a4f9355b63e5f"
     ),
     ("hash2", 1): (
-        "22f3d1a46daf0fbc62c20973520b9f4762006022135c0ae309b8e4c7b9eb23f5"
+        "96a0981c762c967998e947a553e364ce8749a1414ff78cdbba1b68e5cebb9e69"
     ),
     ("hash2", 31): (
-        "397c9b53d584598de30cfc1947c8e32ea0ffa7b7eaaa9127374c80a71f0a8c4b"
+        "88617ff84752995dea0e9e31f49d6b577000b360914ff06cebcac9543a48dc76"
     ),
     ("hash2", 4096): (
-        "e91c12bb4c2b0db8a8bfcd8cf9415c42e49154e7dc2e7322fde8928d2271df30"
+        "f5cfdeff0c5cb72ef77888cb97a7d29b0ba7353d0324b593f21624f28e516ab1"
     ),
     ("hash2", 12000): (
-        "81e3a763f6c423a2054eff7684557fc0771e8c8b1726ad17ad7d69af1e49bd9d"
+        "ffd3d6b0bc58550fc893df73d3048852671055f565be22b134da24d0f86bf708"
     ),
     ("hash4", 1): (
-        "ffc9702944efbd7cdc11c72e8d25650ab5e3c7addd2b4bd410e307e706e7f4c7"
+        "f6d0fa9e26ac8c52d013805d17c134bb3d9661bf6bf4901c6cce20f113d3791a"
     ),
     ("hash4", 31): (
-        "056ea8082601e173fd4e00a6d667ac853cdca6c21579861b8ab97b55b90e96b5"
+        "c9e93937052a4bfc03e6d8ef5eda9eae8f66a5e22db3b55bae1c1111240b183a"
     ),
     ("hash4", 4096): (
-        "b63087ef3467297bed63a44fd93725f86e31012903cfc39ea109dfd2157334e8"
+        "9f706e68ed6f46f903a9e18cd93eda39322ab65bd939aeda1a0aa9a63332b9b5"
     ),
     ("hash4", 12000): (
-        "fde91b208238217cc7404f96e39780aa3189d750a9d7e1ace5aba0c3c32d0e89"
+        "cf2cd0b4d5a2c2e30e8cafcfca1b5c2f86fa8a161a2141f1245646dd3e43ce29"
     ),
     ("hash8", 1): (
-        "2d4cdb716fbf2f11b6425a44518fe08274ce9381c4a55de2f3eb399d238a4f3d"
+        "dba70e1fced6fa9fb3906cc51ba51b1cb59052ea6f18a74e8eb867a62f59aa7d"
     ),
     ("hash8", 31): (
-        "f308e592c1ebf8a475b67511380f6096ce11007273475729ac48be7c0a3d74bc"
+        "e525ba9af23799c2ded5850ea3f66ba23a4e1706cebcb5e77c7a01a82c91c40d"
     ),
     ("hash8", 4096): (
-        "044c59cdfb6742d34e820a83b36d93b856211ff21ac3031e5e799b554a3a1073"
+        "0323d972ace66e95689461e198c3c4e6cde6493f295440d417957591e93a9ab0"
     ),
     ("hash8", 12000): (
-        "adb0927eb871e15c7cfb04468ac63c33415a95b673e76371316a9593304a76cb"
+        "f204405177ff662f59490add97f06f5f97e69717f5518df1bc913b0f363f2768"
     ),
     ("tenant2-stalls", 1): (
-        "9de965645926cf01c779cdb76c6e254903fab3cf86565513f29a21681f78e9af"
+        "9966a11e35ad8b9ecf6bcbb90883c53b8d7cdf8c6fbbfe1b02542d5bcc597fd5"
     ),
     ("tenant2-stalls", 31): (
-        "d0e9ce5e19de8ab9c348814a68e3f72dfd788bd9f258978c455840a453aaf96f"
+        "af9253e8ec20c83bd2d6a82236d3b58489d90e70a5570a06c7ce62a25db642d5"
     ),
     ("tenant2-stalls", 4096): (
-        "3c057129bf52523d146aa4c6861cc03359deb73f7b20f4a3be2f3601d93ff5d9"
+        "08fa9fcdd9569d2c9afafeceb715a8b2739511b5a54a075d5b117404d330ddda"
     ),
     ("tenant2-stalls", 12000): (
-        "c6741211d038ff6ff6f1cb9651a069479e87b5b9b288cabd09021d69209d1514"
+        "b2e2cc5f4473daa1bb7f186a8ec03516886bdb8a8a803cfe709749036c4fa3f8"
     ),
 }
 

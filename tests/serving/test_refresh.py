@@ -1,6 +1,4 @@
-"""Tests for the engine slot and the warm-EM model refresher."""
-
-import threading
+"""Tests for engine validation and the warm-EM model refresher."""
 
 import numpy as np
 import pytest
@@ -11,9 +9,7 @@ from repro.gmm.em import EMTrainer
 from repro.serving import refresh
 from repro.serving.refresh import (
     MAX_FIT_SAMPLES,
-    EngineSlot,
     ModelRefresher,
-    StaleSwapError,
     validate_engine,
 )
 from repro.traces.preprocess import transform_timestamps
@@ -50,64 +46,6 @@ def _engine(features, seed=0):
         ),
         np.random.default_rng(seed),
     )
-
-
-class TestEngineSlot:
-    def test_swap_bumps_generation(self):
-        rng = np.random.default_rng(0)
-        engine = _engine(_features(0, 4000, rng))
-        slot = EngineSlot(engine)
-        assert slot.generation == 0
-        assert slot.engine is engine
-        other = _engine(_features(0, 4000, rng), seed=1)
-        assert slot.swap(other) == 1
-        assert slot.engine is other
-        assert slot.generation == 1
-
-    def test_stale_swap_is_refused(self):
-        rng = np.random.default_rng(5)
-        slot = EngineSlot(_engine(_features(0, 4000, rng)))
-        engine, generation = slot.read()
-        newer = _engine(_features(0, 4000, rng), seed=1)
-        slot.swap(newer, expected_generation=generation)
-        # A second builder that also read generation 0 must not roll
-        # the slot back past `newer`.
-        stale = _engine(_features(0, 4000, rng), seed=2)
-        with pytest.raises(StaleSwapError, match="generation 0"):
-            slot.swap(stale, expected_generation=generation)
-        assert slot.engine is newer
-        assert slot.generation == 1
-
-    def test_concurrent_cas_admits_exactly_one(self):
-        rng = np.random.default_rng(6)
-        slot = EngineSlot(_engine(_features(0, 4000, rng)))
-        candidates = [
-            _engine(_features(0, 4000, rng), seed=s) for s in range(8)
-        ]
-        _, generation = slot.read()
-        outcomes = []
-        barrier = threading.Barrier(len(candidates))
-
-        def contend(engine):
-            barrier.wait()
-            try:
-                slot.swap(engine, expected_generation=generation)
-                outcomes.append("won")
-            except StaleSwapError:
-                outcomes.append("stale")
-
-        threads = [
-            threading.Thread(target=contend, args=(c,))
-            for c in candidates
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert outcomes.count("won") == 1
-        assert outcomes.count("stale") == len(candidates) - 1
-        assert slot.generation == 1
-        assert slot.engine in candidates
 
 
 class TestValidateEngine:

@@ -7,6 +7,8 @@ serving loop produces *bit-identical* counters to a single-shot
 Fig. 6 strategy.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.core.config import (
     ServingConfig,
 )
 from repro.core.pipeline import StagedPipeline
+from repro.obs import Telemetry
 from repro.serving import IcgmmCacheService
 
 
@@ -41,6 +44,25 @@ def prepared_system():
     return config, pipeline, prepared
 
 
+def _served_totals(config, prepared, strategy):
+    """Totals of 4 hash shards and 3,000-access chunks, refresh off."""
+    serving = ServingConfig(
+        chunk_requests=3_000,
+        n_shards=4,
+        sharding="hash",
+        strategy=strategy,
+        refresh_enabled=False,
+    )
+    service = IcgmmCacheService(
+        prepared.engine,
+        config=config,
+        serving=serving,
+        measure_from=int(len(prepared) * config.warmup_fraction),
+    )
+    service.ingest(prepared.page_indices, prepared.is_write)
+    return service.totals
+
+
 class TestSingleShotEquivalence:
     @pytest.mark.parametrize(
         "strategy",
@@ -51,21 +73,32 @@ class TestSingleShotEquivalence:
     ):
         config, pipeline, prepared = prepared_system
         expected = pipeline.run_strategy(prepared, strategy).stats
-        serving = ServingConfig(
-            chunk_requests=3_000,
-            n_shards=4,
-            sharding="hash",
-            strategy=strategy,
-            refresh_enabled=False,
+        assert _served_totals(config, prepared, strategy) == expected
+
+    @pytest.mark.parametrize(
+        "strategy",
+        ["lru", "gmm-caching", "gmm-eviction", "gmm-caching-eviction"],
+    )
+    def test_evicting_plane_matches_system(
+        self, prepared_system, strategy
+    ):
+        """The default 64-set plane never evicts on this stream, so
+        the blocks' stored scores cannot move its counters; 16 sets
+        evict, and a fill stored with the wrong score shows."""
+        config, _, prepared = prepared_system
+        config = dataclasses.replace(
+            config,
+            geometry=CacheGeometry(
+                capacity_bytes=16 * 8 * 4096,
+                block_bytes=4096,
+                associativity=8,
+            ),
         )
-        service = IcgmmCacheService(
-            prepared.engine,
-            config=config,
-            serving=serving,
-            measure_from=int(len(prepared) * config.warmup_fraction),
-        )
-        service.ingest(prepared.page_indices, prepared.is_write)
-        assert service.totals == expected
+        expected = StagedPipeline(config).run_strategy(
+            prepared, strategy
+        ).stats
+        assert expected.evictions > 0
+        assert _served_totals(config, prepared, strategy) == expected
 
     def test_shard_and_chunk_geometry_is_irrelevant(
         self, prepared_system
@@ -332,7 +365,7 @@ class TestRefreshFaults:
             service.ingest(pages, writes)
         assert service.swaps == []
         assert service.generation == 0
-        assert service.slot.engine is prepared.engine
+        assert service.engine is prepared.engine
         events = service.shard_metrics.events("engine")
         failed = [e for e in events if e.kind == "refresh-failed"]
         assert all(reason in event.info["reason"] for event in failed)
@@ -382,12 +415,106 @@ class TestRefreshFailureCount:
         assert chaos["refresh_attempts"] == len(failed) + len(swaps)
 
 
-class TestStaleRefresh:
-    def test_outside_swap_discards_the_build_without_backoff(
+class TestRefreshSwaps:
+    """What one inline refresh leaves behind, build by build."""
+
+    @pytest.fixture(scope="class")
+    def half_failing(self, prepared_system, drifted_stream):
+        """A drifted run whose builds fail injected half the time,
+        with telemetry on and every built engine recorded."""
+        config, _, prepared = prepared_system
+        pages, writes = drifted_stream
+        telemetry = Telemetry(seed=0)
+        built = []
+        with IcgmmCacheService(
+            prepared.engine,
+            config=config,
+            serving=ServingConfig(chunk_requests=2_000, n_shards=4),
+            chaos=ChaosConfig(seed=4, refresh_fail_rate=0.5),
+            telemetry=telemetry,
+        ) as service:
+            build = service.refresher.build
+
+            def recording_build(engine):
+                refreshed = build(engine)
+                built.append(refreshed)
+                return refreshed
+
+            service.refresher.build = recording_build
+            service.ingest(pages, writes)
+        return service, built, telemetry
+
+    def test_build_runs_once_per_uninjected_attempt(self, half_failing):
+        """An injected failure never starts the fold; every other
+        attempt builds exactly once and, valid, swaps in."""
+        service, built, _ = half_failing
+        failed = [
+            event
+            for event in service.shard_metrics.events("engine")
+            if event.kind == "refresh-failed"
+        ]
+        assert failed and service.swaps
+        assert all("injected" in e.info["reason"] for e in failed)
+        chaos = service.summary()["chaos"]
+        assert len(built) == chaos["refresh_attempts"] - len(failed)
+        assert service.refresher.refreshes_built == len(built)
+        assert [event.threshold for event in service.swaps] == [
+            refreshed.admission_threshold for refreshed in built
+        ]
+        assert service.engine is built[-1]
+
+    def test_telemetry_counts_every_outcome(self, half_failing):
+        service, _, telemetry = half_failing
+        families = {
+            family["name"]: family["samples"]
+            for family in telemetry.registry.as_dicts()
+        }
+
+        def value(name, **labels):
+            (sample,) = [
+                s for s in families[name] if s["labels"] == labels
+            ]
+            return sample["value"]
+
+        n_swaps = len(service.swaps)
+        chaos = service.summary()["chaos"]
+        assert value("serving_engine_swaps_total") == n_swaps
+        assert (
+            value("serving_refresh_builds_total", outcome="swapped")
+            == n_swaps
+        )
+        assert (
+            value("serving_refresh_builds_total", outcome="failed")
+            == chaos["refresh_failures"]
+        )
+        assert value("serving_engine_generation_count") == n_swaps
+        assert service.generation == n_swaps
+
+    def test_trace_instants_follow_the_engine_events(self, half_failing):
+        """One ``refresh_build`` instant per attempt, numbered in
+        order, with the outcome its engine event recorded."""
+        service, _, telemetry = half_failing
+        instants = [
+            span["attrs"]
+            for span in telemetry.tracer.as_dicts()
+            if span["name"] == "refresh_build"
+        ]
+        outcomes = {"refresh-failed": "failed", "refresh-swap": "swapped"}
+        expected = [
+            outcomes[event.kind]
+            for event in service.shard_metrics.events("engine")
+            if event.kind in outcomes
+        ]
+        assert [attrs["outcome"] for attrs in instants] == expected
+        assert [attrs["build"] for attrs in instants] == list(
+            range(len(expected))
+        )
+
+    def test_swap_rebases_detector_and_policies(
         self, prepared_system, drifted_stream
     ):
-        """A build that lands after another engine reached the slot
-        is stale: recorded, never swapped in, and not a failure."""
+        """Each landed build re-anchors the drift detector and every
+        plane's admission policy on its own threshold."""
         config, _, prepared = prepared_system
         pages, writes = drifted_stream
         with IcgmmCacheService(
@@ -395,26 +522,25 @@ class TestStaleRefresh:
             config=config,
             serving=ServingConfig(chunk_requests=2_000, n_shards=4),
         ) as service:
-            build = service.refresher.build
-            outside_swaps = []
+            rebase = service.detector.rebase
+            rebases = []
 
-            def racing_build(engine):
-                refreshed = build(engine)
-                # Another writer swaps the slot while the build runs.
-                service.slot.swap(engine)
-                outside_swaps.append(service.slot.generation)
-                return refreshed
+            def recording_rebase(threshold, quantile):
+                rebases.append((threshold, quantile))
+                rebase(threshold, quantile)
 
-            service.refresher.build = racing_build
+            service.detector.rebase = recording_rebase
             service.ingest(pages, writes)
-        assert outside_swaps, "the drifted stream must trigger a build"
-        kinds = [e.kind for e in service.shard_metrics.events("engine")]
-        assert kinds.count("refresh-stale") == len(outside_swaps)
-        assert "refresh-failed" not in kinds
-        assert service.swaps == []
-        assert service.generation == len(outside_swaps)
-        assert service._refresh_failures == 0
-        assert service._refresh_block_until < 0
+        assert service.swaps, "the drifted stream must land a build"
+        assert rebases == [
+            (event.threshold, service.threshold_quantile)
+            for event in service.swaps
+        ]
+        threshold = service.engine.admission_threshold
+        assert service.detector.threshold == threshold
+        assert [policy.threshold for policy in service._policies] == [
+            threshold
+        ] * len(service._policies)
 
 
 class TestValidation:

@@ -287,6 +287,51 @@ class TestChunkValidation:
         assert "chunk_requests must be >= 1" in capsys.readouterr().err
 
 
+class TestArgumentRanges:
+    """Out-of-range numeric flags are argparse usage errors (exit 2)
+    on every command that takes them, never a traceback or a run
+    that measures nothing."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["serve", "--length", "5000"],
+            ["fabric", "memtier", "--trace-length", "3000"],
+            ["chaos", "--scenarios", "device_failure"],
+        ],
+        ids=["serve", "fabric", "chaos"],
+    )
+    def test_negative_workers_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([*command, "--workers", "-1"])
+        assert exited.value.code == 2
+        assert "--workers: must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fraction", ["1.0", "1.5", "0", "-0.2", "nan"])
+    def test_serve_train_fraction_outside_open_unit_rejected(
+        self, fraction, capsys
+    ):
+        # 1.0 trained on the whole stream and measured 0 accesses; a
+        # value <= 0 silently trained on K+1 requests.
+        with pytest.raises(SystemExit) as exited:
+            main(
+                [
+                    "serve",
+                    "--length",
+                    "20000",
+                    "--components",
+                    "4",
+                    "--no-refresh",
+                    "--train-fraction",
+                    fraction,
+                ]
+            )
+        assert exited.value.code == 2
+        assert "--train-fraction: must be in (0, 1)" in (
+            capsys.readouterr().err
+        )
+
+
 class TestHardwareReport:
     def test_report_contains_table2(self, capsys):
         assert main(["hardware-report"]) == 0

@@ -260,10 +260,13 @@ class ChaosConfig:
     def demo(cls, seed: int = 0, **overrides) -> "ChaosConfig":
         """A moderately hostile profile for CLI/demo runs.
 
-        Every fault channel is active at a rate that produces a
-        handful of events over the default horizon -- enough to watch
-        failover, retry, and refresh backoff actually fire without
-        drowning the run.
+        Four of the seven fault channels are active -- device
+        failures, link degradation, shard stalls and refresh
+        failures -- at rates that produce a handful of events over
+        the default horizon: enough to watch failover, shard retries
+        and refresh backoff actually fire without drowning the run.
+        Correlated blasts, fail-slow ramps and corrupt refreshes stay
+        off unless ``overrides`` arm them.
         """
         defaults = dict(
             seed=seed,

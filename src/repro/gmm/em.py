@@ -51,33 +51,48 @@ _EXP_ZERO_BELOW = -750.0
 
 
 def _stacked_softmax(
-    stacked: np.ndarray,
+    stacked: np.ndarray, segments: list[tuple[slice, tuple | None]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Masked softmax over the last axis of a ``(rows, R, K)`` slab.
+    """Masked softmax over each restart's columns of a ``(rows, M)`` slab.
 
-    Consumes ``stacked`` (C-contiguous): it is overwritten with the
-    responsibilities.  Returns ``(responsibilities, log_norm,
-    safe_peak, totals)`` -- the slab itself, the ``(rows, R)``
-    log-normalisers, and the ``(rows, R)`` peak shift and row sums
-    each responsibility is ``exp(w - safe_peak) / totals`` against.
-    Rows that are ``-inf`` under every component yield ``-inf``
-    normalisers (and NaN responsibilities).
+    ``segments`` holds one ``(column slice, sum plan)`` per restart:
+    None when the slice holds all ``K`` of the restart's components
+    (the row-major GEMM output), or a
+    :func:`~repro.gmm.linalg.pairwise_plan` when it holds only the
+    live ones (weight not 0), in component order, each column
+    contiguous.  A dead component's term is exactly 0.0 (its
+    log-weight is -inf), so leaving it out of the plan's sum changes
+    no bit.
 
-    Every value is bit-identical to the plain ``np.exp(stacked -
-    safe_peak)`` softmax.  When most peak-shifted exponents lie below
-    :data:`_EXP_ZERO_BELOW` (a warm refresh fold, whose collapsed and
-    dead components sit hundreds of nats below each row's peak),
-    ``np.exp`` runs only on the other lanes -- the fast normal-range
-    ones and the rare subnormal band just below -700 -- gathered into
-    one contiguous array, and the rest are written as 0.0.  Otherwise
-    gathering would cost more than it saves, and ``np.exp`` runs over
-    the whole slab.
+    Consumes ``stacked``, which must be contiguous in memory: it is
+    overwritten with the responsibilities.  Returns
+    ``(responsibilities, log_norm, safe_peak, totals)`` -- the slab
+    itself, the ``(rows, R)`` log-normalisers, and the ``(rows, R)``
+    peak shift and row sums each responsibility is ``exp(w -
+    safe_peak) / totals`` against.  Rows that are ``-inf`` under
+    every component yield ``-inf`` normalisers (and NaN
+    responsibilities).
+
+    Every value is bit-identical to the plain ``np.exp(w -
+    safe_peak)`` softmax over all ``K`` components.  When most
+    peak-shifted exponents lie below :data:`_EXP_ZERO_BELOW` (a warm
+    refresh fold, whose collapsed components sit hundreds of nats
+    below each row's peak), ``np.exp`` runs only on the other lanes --
+    the fast normal-range ones and the rare subnormal band just below
+    -700 -- gathered into one contiguous array, and the rest are
+    written as 0.0.  Otherwise gathering would cost more than it
+    saves, and ``np.exp`` runs over the whole slab.
     """
-    peak = stacked.max(axis=2)
+    shape = (stacked.shape[0], len(segments))
+    peak = np.empty(shape)
+    for r, (cols, _) in enumerate(segments):
+        peak[:, r] = stacked[:, cols].max(axis=1)
     finite = np.isfinite(peak)
     safe_peak = np.where(finite, peak, 0.0)
-    np.subtract(stacked, safe_peak[:, :, None], out=stacked)
-    flat = stacked.reshape(-1)
+    for r, (cols, _) in enumerate(segments):
+        part = stacked[:, cols]
+        np.subtract(part, safe_peak[:, r, None], out=part)
+    flat = stacked.ravel(order="K")
     far = flat < _EXP_ZERO_BELOW
     if 2 * np.count_nonzero(far) > flat.size:
         # NaN lanes compare False, so they are gathered (exp keeps NaN).
@@ -87,9 +102,16 @@ def _stacked_softmax(
         flat[lanes] = shifted
     else:
         np.exp(flat, out=flat)
-    totals = stacked.sum(axis=2)
+    totals = np.empty(shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(stacked, totals[:, :, None], out=stacked)
+        for r, (cols, plan) in enumerate(segments):
+            part = stacked[:, cols]
+            totals[:, r] = (
+                part.sum(axis=1)
+                if plan is None
+                else linalg.pairwise_lane_sum(part.T, plan)
+            )
+            np.divide(part, totals[:, r, None], out=part)
         log_norm = np.log(totals) + safe_peak
     log_norm = np.where(finite, log_norm, -np.inf)
     return stacked, log_norm, safe_peak, totals
@@ -334,15 +356,19 @@ class EMTrainer:
         factors: np.ndarray,
         log_det: np.ndarray,
         log_weights: np.ndarray,
+        lanes: np.ndarray | None,
     ) -> np.ndarray:
         """One block's weighted log-densities ``(rows, M)``.
 
         Quadratic-form GEMM per restart block of ``n_components``
-        columns (one GEMM of identical shape whether the pass is
-        stacked or single-restart -- BLAS may pick different kernels
-        for different output widths, so a single wide GEMM would
-        break the stacked/single-restart identity), with suspect columns
-        rescored through the exact triangular solve.
+        columns, every column (one GEMM of identical shape whether
+        the pass is stacked or single-restart, or components are
+        dead -- BLAS may pick different kernels for different output
+        widths, so a wider or narrower GEMM would break those
+        identities), with suspect columns rescored through the exact
+        triangular solve.  With ``lanes`` (sorted column indices) the
+        result holds only those columns, ``(rows, len(lanes))``, each
+        contiguous in memory.
         """
         k = self.n_components
         m = coef.shape[0]
@@ -351,15 +377,25 @@ class EMTrainer:
         for r in range(m // k):
             cols = slice(r * k, (r + 1) * k)
             np.matmul(features, coef[cols].T, out=weighted[:, cols])
-        weighted += const
+        if lanes is None:
+            weighted += const
+        else:
+            weighted = weighted.T[lanes].T
+            weighted += const[lanes]
         if suspect_cols.size:
-            weighted[:, suspect_cols] = linalg.exact_log_weighted(
+            exact = linalg.exact_log_weighted(
                 points[lo:hi],
                 means[suspect_cols],
                 factors[suspect_cols],
                 log_det[suspect_cols],
                 log_weights[suspect_cols],
             )
+            if lanes is None:
+                weighted[:, suspect_cols] = exact
+            else:
+                kept = np.isin(suspect_cols, lanes)
+                position = np.searchsorted(lanes, suspect_cols[kept])
+                weighted[:, position] = exact[:, kept]
         return weighted
 
     def _em_pass(
@@ -378,7 +414,10 @@ class EMTrainer:
         per-restart softmax (responsibilities never materialise
         beyond the block), and accumulation of the M-step sufficient
         statistics -- so each block's slab stays cache-hot across all
-        passes.  Each block keeps its softmax normalisers ``(safe_peak,
+        passes.  The softmax runs only on live components (weight not
+        0) when some are dead: a dead one's responsibility is exactly
+        0.0, which its row of the statistics GEMM gets as a stored
+        zero.  Each block keeps its softmax normalisers ``(safe_peak,
         totals)``; when the M-step's covariance guard flags suspect
         components, one extra sweep recomputes the block GEMMs and
         exponentiates only the suspects' columns against them.
@@ -403,6 +442,34 @@ class EMTrainer:
         suspect_cols = np.nonzero(
             linalg.needs_exact_rescore(quad.span, p_max, mu_span)
         )[0]
+        live = np.flatnonzero(weights)
+        if live.size == m or not weights[suspect_cols].all():
+            # Every lane: none is dead, or a dead one is rescored
+            # (its exact value may be NaN, which voids its rows).
+            live = None
+            segments = [
+                (slice(r * k, (r + 1) * k), None)
+                for r in range(n_restarts)
+            ]
+        else:
+            bounds = np.searchsorted(live, np.arange(n_restarts + 1) * k)
+            restart_live = [
+                live[bounds[r] : bounds[r + 1]] - r * k
+                for r in range(n_restarts)
+            ]
+            restart_dead = [
+                np.setdiff1d(np.arange(k), lanes) for lanes in restart_live
+            ]
+            segments = [
+                (
+                    slice(bounds[r], bounds[r + 1]),
+                    linalg.pairwise_plan(lanes, k),
+                )
+                for r, lanes in enumerate(restart_live)
+            ]
+            # Per restart and block height: (K, rows) responsibilities
+            # whose dead rows stay 0.0 from block to block.
+            zero_filled = {}
         stat_matrix = quad.stat_matrix(points, moments[1])
         stat_sums = np.zeros(
             (m, stat_matrix.shape[1]), dtype=np.float64
@@ -416,23 +483,38 @@ class EMTrainer:
         for lo, hi in blocks:
             weighted = self._block_weighted(
                 quad, points, lo, hi, coef, const, suspect_cols,
-                means, factors, log_det, log_weights,
+                means, factors, log_det, log_weights, live,
             )
             resp, norm, safe_peak, totals = _stacked_softmax(
-                weighted.reshape(hi - lo, n_restarts, k)
+                weighted, segments
             )
             normalisers.append((safe_peak, totals))
             # Per-restart accumulation with mode-independent shapes:
             # contiguous column sums (a strided axis-0 reduction
             # changes numpy's accumulation path with the restart
             # count) and one (K, rows) @ (rows, stats) GEMM per
-            # restart (identical shape stacked or alone) keep the
-            # stacked pass bit-identical to single-restart passes.
-            for r in range(n_restarts):
+            # restart (identical shape stacked or alone, all K rows
+            # whichever are dead) keep the stacked pass bit-identical
+            # to single-restart passes.
+            for r, (cols, _) in enumerate(segments):
                 ll_sums[r] += np.ascontiguousarray(norm[:, r]).sum()
-                block = np.ascontiguousarray(resp[:, r, :])
-                cols = slice(r * k, (r + 1) * k)
-                stat_sums[cols] += block.T @ stat_matrix[lo:hi]
+                components = slice(r * k, (r + 1) * k)
+                if live is None:
+                    block = np.ascontiguousarray(resp[:, cols])
+                    stat_sums[components] += block.T @ stat_matrix[lo:hi]
+                    continue
+                block = zero_filled.get((r, hi - lo))
+                if block is None:
+                    block = zero_filled[r, hi - lo] = np.zeros((k, hi - lo))
+                block[restart_live[r]] = resp[:, cols].T
+                # A dead responsibility is 0.0 / totals: NaN where the
+                # row sum is 0 or NaN.
+                bad = np.flatnonzero(~(totals[:, r] > 0.0))
+                grid = np.ix_(restart_dead[r], bad)
+                with np.errstate(invalid="ignore"):
+                    block[grid] = 0.0 / totals[bad, r]
+                stat_sums[components] += block @ stat_matrix[lo:hi]
+                block[grid] = 0.0
         nk = stat_sums[:, -1]
         sum_points = stat_sums[:, :d]
         sum_moments = stat_sums[:, d : d + d * d]
@@ -457,11 +539,9 @@ class EMTrainer:
                         quad, points, lo, hi,
                         coef[cols], const[cols], r_suspects,
                         means[cols], factors[cols], log_det[cols],
-                        log_weights[cols],
+                        log_weights[cols], local,
                     )
-                    shifted = np.exp(
-                        weighted[:, local] - safe_peak[:, r, None]
-                    )
+                    shifted = np.exp(weighted - safe_peak[:, r, None])
                     with np.errstate(divide="ignore", invalid="ignore"):
                         resp = shifted / totals[:, r, None]
                     for column, s in zip(resp.T, mine):

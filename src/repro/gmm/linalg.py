@@ -284,3 +284,79 @@ def logsumexp(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.where(
         np.isfinite(np.squeeze(peak, axis=axis)), result, -np.inf
     )
+
+
+def pairwise_plan(live: np.ndarray, n_lanes: int) -> tuple:
+    """The order ``np.sum`` adds ``n_lanes`` lanes in, over ``live`` only.
+
+    numpy sums a contiguous axis pairwise: fewer than 8 lanes in
+    sequence; up to 128 into eight interleaved partials (lane ``j``
+    into partial ``j mod 8``, in order), combined as
+    ``((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7))``, then the
+    ``n mod 8`` leftover lanes in sequence; more lanes split at the
+    multiple of 8 below half and add the two sums.  The plan is that
+    tree with every lane outside ``live`` (sorted lane indices)
+    dropped, each kept lane named by its position in ``live``;
+    :func:`pairwise_lane_sum` evaluates it.
+    """
+    position = {int(lane): i for i, lane in enumerate(live)}
+
+    def chain(lanes) -> tuple:
+        return tuple(position[j] for j in lanes if j in position)
+
+    def build(lo: int, n: int) -> tuple:
+        if n < 8:
+            return ("chain", chain(range(lo, lo + n)))
+        if n <= 128:
+            body = lo + n - n % 8
+            partials = tuple(chain(range(lo + p, body, 8)) for p in range(8))
+            return ("partials", partials, chain(range(body, lo + n)))
+        half = n // 2
+        half -= half % 8
+        return ("split", build(lo, half), build(lo + half, n - half))
+
+    return build(0, n_lanes)
+
+
+def _chain_sum(lanes: np.ndarray, positions, total=None):
+    for p in positions:
+        if total is None:
+            total = lanes[p].copy()
+        else:
+            total += lanes[p]
+    return total
+
+
+def _add(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a + b
+
+
+def _plan_sum(lanes: np.ndarray, plan: tuple):
+    if plan[0] == "chain":
+        return _chain_sum(lanes, plan[1])
+    if plan[0] == "partials":
+        p = [_chain_sum(lanes, partial) for partial in plan[1]]
+        total = _add(
+            _add(_add(p[0], p[1]), _add(p[2], p[3])),
+            _add(_add(p[4], p[5]), _add(p[6], p[7])),
+        )
+        return _chain_sum(lanes, plan[2], total)
+    return _add(_plan_sum(lanes, plan[1]), _plan_sum(lanes, plan[2]))
+
+
+def pairwise_lane_sum(lanes: np.ndarray, plan: tuple) -> np.ndarray:
+    """Per-row ``np.sum(..., axis=-1)`` over all lanes, from the live ones.
+
+    ``lanes`` is ``(L, rows)``, row ``i`` the lane at position ``i`` of
+    the :func:`pairwise_plan`'s ``live``.  The result is a new array
+    with the bits ``np.sum`` gives a row-major ``(rows, n_lanes)``
+    array holding these lanes and +0.0 in every other lane, for lanes
+    that are non-negative or NaN (``x + 0.0`` is ``x`` for them, so an
+    absent lane changes no partial).
+    """
+    total = _plan_sum(lanes, plan)
+    return np.zeros(lanes.shape[1]) if total is None else total

@@ -97,6 +97,13 @@ class GaussianMixture:
                 self._log_weights, means, self._log_det, covariances
             )
         )
+        # Scoring skips the components of weight exactly 0 (see
+        # log_score_samples); None when every component is live.
+        live = np.flatnonzero(weights)
+        self._live = self._sum_plan = None
+        if live.size < k:
+            self._live = live
+            self._sum_plan = linalg.pairwise_plan(live, k)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -157,21 +164,25 @@ class GaussianMixture:
             )
         return points
 
-    def _weighted_block(self, points: np.ndarray) -> np.ndarray:
+    def _weighted_block(
+        self, points: np.ndarray, live: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """``log pi_k + log N(x_n | mu_k, Sigma_k)`` for one row block.
 
-        The quadratic-form GEMM, row-major so that each output row
-        depends only on its input row (a one-row block is padded to
-        two: numpy hands a single row to gemv, whose rounding differs
-        from gemm's).  The (row, component) pairs that
+        Returns ``(weighted, live)``: column ``i`` of ``weighted``
+        holds component ``live[i]`` (sorted), each column contiguous
+        in memory, or every component when the returned ``live`` is
+        None.  The quadratic-form GEMM covers every component and is
+        row-major, so each output row depends only on its input row
+        (a one-row block is padded to two: numpy hands a single row
+        to gemv, whose rounding differs from gemm's).  The (row,
+        component) pairs that
         :func:`~repro.gmm.linalg.needs_exact_rescore` flags from the
-        row's own span are rescored through the exact solve.
+        row's own span are rescored through the exact solve.  When a
+        dead component is flagged, every component is kept: its exact
+        value is -inf or NaN, and a NaN voids its row's peak.
         """
         rows = points.shape[0]
-        padded = points if rows > 1 else np.repeat(points, 2, axis=0)
-        weighted = linalg.quadratic_features(padded) @ self._coef.T
-        weighted = weighted[:rows]
-        weighted += self._const
         magnitude = np.abs(points)
         # fmax skips NaN, so a NaN row cannot mask another row's span.
         cols = np.nonzero(
@@ -181,6 +192,16 @@ class GaussianMixture:
                 self._mu_span,
             )
         )[0]
+        if live is not None and not self._weights[cols].all():
+            live = None
+        padded = points if rows > 1 else np.repeat(points, 2, axis=0)
+        weighted = linalg.quadratic_features(padded) @ self._coef.T
+        if live is None:
+            weighted = weighted[:rows]
+            weighted += self._const
+        else:
+            weighted = weighted[:rows].T[live].T
+            weighted += self._const[live]
         if cols.size:
             flagged = linalg.needs_exact_rescore(
                 magnitude.max(axis=1)[:, None],
@@ -195,11 +216,13 @@ class GaussianMixture:
                 self._log_det[cols],
                 self._log_weights[cols],
             )
+            if live is not None:
+                cols = np.searchsorted(live, cols)
             grid = np.ix_(hit, cols)
             weighted[grid] = np.where(
                 flagged[hit], exact, weighted[grid]
             )
-        return weighted
+        return weighted, live
 
     def log_weighted_densities(self, points: np.ndarray) -> np.ndarray:
         """``log pi_k + log N(x_n | mu_k, Sigma_k)``, shape ``(N, K)``."""
@@ -207,7 +230,7 @@ class GaussianMixture:
         out = np.empty((points.shape[0], self.n_components))
         for lo in range(0, points.shape[0], _SCORE_BLOCK_ROWS):
             hi = lo + _SCORE_BLOCK_ROWS
-            out[lo:hi] = self._weighted_block(points[lo:hi])
+            out[lo:hi] = self._weighted_block(points[lo:hi], None)[0]
         return out
 
     def log_score_samples(self, points: np.ndarray) -> np.ndarray:
@@ -216,22 +239,32 @@ class GaussianMixture:
         A blocked logsumexp over :meth:`_weighted_block` whose
         peak-shifted exponents are floored at :data:`_EXP_FLOOR`;
         rows with no finite peak (``-inf`` or NaN under every
-        component) score ``-inf``.
+        component) score ``-inf``.  A component of weight exactly 0
+        (warm refresh folds leave most of them dead) is skipped: its
+        log-density is -inf, its floored term ``e^-700`` sits far
+        below the last bit of a row sum that holds ``exp(0) = 1``
+        from the peak, and :func:`~repro.gmm.linalg.pairwise_lane_sum`
+        adds the live terms in the order ``np.sum`` adds all ``K``.
         """
         points = self._validate_points(points)
         out = np.empty(points.shape[0])
         for lo in range(0, points.shape[0], _SCORE_BLOCK_ROWS):
             hi = lo + _SCORE_BLOCK_ROWS
-            weighted = self._weighted_block(points[lo:hi])
+            weighted, live = self._weighted_block(
+                points[lo:hi], self._live
+            )
             peak = weighted.max(axis=1)
             finite = np.isfinite(peak)
             shift = np.where(finite, peak, 0.0)
             weighted -= shift[:, None]
             np.maximum(weighted, _EXP_FLOOR, out=weighted)
             np.exp(weighted, out=weighted)
-            out[lo:hi] = np.where(
-                finite, np.log(weighted.sum(axis=1)) + shift, -np.inf
+            total = (
+                weighted.sum(axis=1)
+                if live is None
+                else linalg.pairwise_lane_sum(weighted.T, self._sum_plan)
             )
+            out[lo:hi] = np.where(finite, np.log(total) + shift, -np.inf)
         return out
 
     def score_samples(self, points: np.ndarray) -> np.ndarray:

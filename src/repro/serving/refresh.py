@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.core.engine import EM_REG_COVAR, GmmPolicyEngine
 from repro.gmm.em import EMTrainer
+from repro.gmm.quantized import QuantizedGmm
 
 #: Sample budget of the warm fold-in's EM fit.  Refresh adapts an
 #: already-trained mixture; a deterministic even-stride subsample of
@@ -122,8 +123,10 @@ class ModelRefresher:
         """Fold the buffered traffic into ``current``'s mixture.
 
         Returns a fresh engine sharing the deployed scaler, with the
-        warm-started EM mixture and a threshold re-cut at the
-        configured quantile of the buffered traffic's new scores.
+        warm-started EM mixture (loaded into a new fixed-point scorer
+        when ``current`` serves one) and a threshold re-cut at the
+        configured quantile of the scores it gives the buffered
+        traffic.
         Counts the attempt first, then raises :class:`ValueError`
         when the buffer is empty.
         """
@@ -147,11 +150,17 @@ class ModelRefresher:
             reg_covar=EM_REG_COVAR,
         )
         model = trainer.fit(fit_points, warm_start=current.model).model
+        # A fixed-point deployment stays fixed-point: the new mixture
+        # is loaded into a fresh weight buffer.
+        quantized = (
+            QuantizedGmm(model) if current.quantized is not None else None
+        )
         # Cut on exactly the scores the refreshed engine will serve:
-        # ``model.score_samples(scaled)`` is its ``score(features)``.
+        # ``scorer.score_samples(scaled)`` is its ``score(features)``.
+        scorer = model if quantized is None else quantized
         threshold = float(
             np.quantile(
-                model.score_samples(scaled), self.threshold_quantile
+                scorer.score_samples(scaled), self.threshold_quantile
             )
         )
         self.refreshes_built += 1
@@ -159,4 +168,5 @@ class ModelRefresher:
             model=model,
             scaler=current.scaler,
             admission_threshold=threshold,
+            quantized=quantized,
         )

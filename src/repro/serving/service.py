@@ -312,10 +312,17 @@ class IcgmmCacheService:
             "serving_engine_generation_count",
             help="Engine generation currently serving.",
         )
+        live_components = registry.gauge(
+            "serving_engine_live_components_count",
+            help="Serving mixture components of weight > 0.",
+        )
 
         def collect() -> None:
             stalls.set(self._stall_retries)
             generation.set(self.generation)
+            live_components.set(
+                int(np.count_nonzero(self.engine.model.weights))
+            )
 
         registry.register_collector(collect)
         # Telemetry implies stage accounting: attach a profiler when

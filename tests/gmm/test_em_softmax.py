@@ -7,7 +7,8 @@ the whole slab.  Either way it works in place on the slab it consumes,
 and every responsibility, log-normaliser, peak shift and row sum must
 keep the bits of the plain ``np.exp(stacked - safe_peak)`` softmax,
 which holds only while ``np.exp`` really is exactly 0.0 below the cut
-on this host.
+on this host.  The same holds when each restart's slice holds only
+its live components (weight not 0; a dead one's lane is -inf).
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gmm import em
+from repro.gmm import em, linalg
 
 #: Boundary lanes: the cut and the fast-lane edge from both sides,
 #: the last subnormal exponent, the subnormal edge, and specials.
@@ -40,6 +41,19 @@ def _plain_softmax(stacked):
         log_norm = np.log(totals) + safe_peak
     log_norm = np.where(np.isfinite(peak), log_norm, -np.inf)
     return responsibilities, log_norm, safe_peak, totals
+
+
+def _every_lane_softmax(slab):
+    """``em._stacked_softmax`` on a ``(rows, R, K)`` slab as the pass
+    hands it a block with every component live, with its results in
+    the slab's shapes."""
+    rows, restarts, k = slab.shape
+    segments = [(slice(r * k, (r + 1) * k), None) for r in range(restarts)]
+    resp, *rest = em._stacked_softmax(
+        slab.reshape(rows, restarts * k), segments
+    )
+    assert np.shares_memory(resp, slab)
+    return (resp.reshape(slab.shape), *rest)
 
 
 def _same_bits(a, b) -> bool:
@@ -86,9 +100,7 @@ class TestStackedSoftmax:
     @given(_slabs())
     def test_bit_identical_to_plain_exp(self, slab):
         expected = _plain_softmax(slab.copy())
-        consumed = slab.copy()
-        got = em._stacked_softmax(consumed)
-        assert got[0] is consumed
+        got = _every_lane_softmax(slab.copy())
         for name, a, b in zip(
             ("responsibilities", "log_norm", "safe_peak", "totals"),
             got,
@@ -102,7 +114,7 @@ class TestStackedSoftmax:
         slab = np.stack([np.zeros_like(finite), finite], axis=1)
         slab = slab.reshape(-1, 1, 2)
         expected = _plain_softmax(slab.copy())
-        for a, b in zip(em._stacked_softmax(slab.copy()), expected):
+        for a, b in zip(_every_lane_softmax(slab.copy()), expected):
             assert _same_bits(a, b)
 
     def test_degenerate_rows(self):
@@ -114,9 +126,8 @@ class TestStackedSoftmax:
                 [[-np.inf, -np.inf, np.nan]],
             ]
         )
-        responsibilities, log_norm, safe_peak, totals = (
-            em._stacked_softmax(slab.copy())
-        )
+        got = _every_lane_softmax(slab.copy())
+        responsibilities, log_norm, safe_peak, totals = got
         assert np.isnan(responsibilities[[0, 2, 3]]).all()
         assert np.isneginf(log_norm[[0, 2, 3]]).all()
         assert (safe_peak == 0.0).all()
@@ -125,6 +136,42 @@ class TestStackedSoftmax:
         for a, b in zip(
             (responsibilities, log_norm, safe_peak, totals), expected
         ):
+            assert _same_bits(a, b)
+
+
+class TestLiveColumns:
+    """Each restart's slice holding only its live components, in
+    component order and column-contiguous, as the pass hands them
+    over when some are dead: the plain softmax's bits over all ``K``,
+    with the dead lanes at -inf."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_slabs(), st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_plain_exp(self, slab, seed):
+        rows, restarts, k = slab.shape
+        rng = np.random.default_rng(seed)
+        live = rng.random((restarts, k)) < rng.random((restarts, 1))
+        live[np.arange(restarts), rng.integers(k, size=restarts)] = True
+        slab[:, ~live] = -np.inf
+        responsibilities, *normalisers = _plain_softmax(slab.copy())
+        lanes = np.concatenate(
+            [slab[:, r, live[r]].T for r in range(restarts)]
+        )
+        bounds = np.cumsum([0, *live.sum(axis=1)])
+        segments = [
+            (
+                slice(bounds[r], bounds[r + 1]),
+                linalg.pairwise_plan(np.flatnonzero(live[r]), k),
+            )
+            for r in range(restarts)
+        ]
+        got = em._stacked_softmax(lanes.T, segments)
+        assert np.shares_memory(got[0], lanes)
+        for r, (cols, _) in enumerate(segments):
+            assert _same_bits(
+                got[0][:, cols], responsibilities[:, r, live[r]]
+            )
+        for a, b in zip(got[1:], normalisers):
             assert _same_bits(a, b)
 
 

@@ -175,3 +175,38 @@ class TestLogSumExp:
         result = float(linalg.logsumexp(values, axis=1)[0])
         assert result >= np.max(row) - 1e-9
         assert result <= np.max(row) + np.log(len(row)) + 1e-9
+
+
+class TestPairwiseLaneSum:
+    """The live-lane sum against ``np.sum`` over every lane, dead ones
+    stored as 0.0, for every lane count around numpy's pairwise edges
+    (sequential below 8, eight partials up to 128, split above)."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 37])
+    def test_matches_np_sum_for_every_lane_count(self, rows):
+        rng = np.random.default_rng(rows)
+        for n_lanes in range(1, 301):
+            for share in (0.0, 0.1, 0.5, 0.9, 1.0):
+                live = np.flatnonzero(rng.random(n_lanes) < share)
+                values = rng.random((rows, n_lanes)) * np.exp(
+                    rng.uniform(-700.0, 0.0, size=(rows, n_lanes))
+                )
+                values[:, rng.random(n_lanes) < 0.05] = 0.0
+                stored = np.zeros((rows, n_lanes))
+                stored[:, live] = values[:, live]
+                lanes = np.ascontiguousarray(values[:, live].T)
+                got = linalg.pairwise_lane_sum(
+                    lanes, linalg.pairwise_plan(live, n_lanes)
+                )
+                expected = stored.sum(axis=-1)
+                assert np.array_equal(
+                    got.view(np.uint64), expected.view(np.uint64)
+                ), (n_lanes, live)
+
+    def test_result_is_a_new_array(self):
+        lanes = np.ones((1, 4))
+        total = linalg.pairwise_lane_sum(
+            lanes, linalg.pairwise_plan(np.array([3]), 64)
+        )
+        total += 1.0
+        assert (lanes == 1.0).all()

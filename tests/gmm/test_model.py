@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.gmm import linalg
 from repro.gmm import model as model_module
-from repro.gmm.model import GaussianMixture
+from repro.gmm.model import _EXP_FLOOR, _SCORE_BLOCK_ROWS, GaussianMixture
 
 
 def _simple_mixture():
@@ -157,6 +157,80 @@ def _random_mixture(rng, k, zero_weight=False):
     return GaussianMixture(weights, means, covariances)
 
 
+class _EveryLaneKernel(GaussianMixture):
+    """The scoring kernel before dead components were skipped, with
+    ``_weighted_block`` and ``log_score_samples`` verbatim (the
+    oracle): every component is a lane of a row-major block."""
+
+    def _weighted_block(self, points: np.ndarray) -> np.ndarray:
+        """``log pi_k + log N(x_n | mu_k, Sigma_k)`` for one row block.
+
+        The quadratic-form GEMM, row-major so that each output row
+        depends only on its input row (a one-row block is padded to
+        two: numpy hands a single row to gemv, whose rounding differs
+        from gemm's).  The (row, component) pairs that
+        :func:`~repro.gmm.linalg.needs_exact_rescore` flags from the
+        row's own span are rescored through the exact solve.
+        """
+        rows = points.shape[0]
+        padded = points if rows > 1 else np.repeat(points, 2, axis=0)
+        weighted = linalg.quadratic_features(padded) @ self._coef.T
+        weighted = weighted[:rows]
+        weighted += self._const
+        magnitude = np.abs(points)
+        # fmax skips NaN, so a NaN row cannot mask another row's span.
+        cols = np.nonzero(
+            linalg.needs_exact_rescore(
+                np.fmax.reduce(magnitude, axis=None),
+                self._p_max,
+                self._mu_span,
+            )
+        )[0]
+        if cols.size:
+            flagged = linalg.needs_exact_rescore(
+                magnitude.max(axis=1)[:, None],
+                self._p_max[cols],
+                self._mu_span[cols],
+            )
+            hit = np.nonzero(flagged.any(axis=1))[0]
+            exact = linalg.exact_log_weighted(
+                points[hit],
+                self._means[cols],
+                self._cholesky[cols],
+                self._log_det[cols],
+                self._log_weights[cols],
+            )
+            grid = np.ix_(hit, cols)
+            weighted[grid] = np.where(
+                flagged[hit], exact, weighted[grid]
+            )
+        return weighted
+
+    def log_score_samples(self, points: np.ndarray) -> np.ndarray:
+        """Log of the mixture density ``log G(x)`` per point (Eq. 3).
+
+        A blocked logsumexp over :meth:`_weighted_block` whose
+        peak-shifted exponents are floored at :data:`_EXP_FLOOR`;
+        rows with no finite peak (``-inf`` or NaN under every
+        component) score ``-inf``.
+        """
+        points = self._validate_points(points)
+        out = np.empty(points.shape[0])
+        for lo in range(0, points.shape[0], _SCORE_BLOCK_ROWS):
+            hi = lo + _SCORE_BLOCK_ROWS
+            weighted = self._weighted_block(points[lo:hi])
+            peak = weighted.max(axis=1)
+            finite = np.isfinite(peak)
+            shift = np.where(finite, peak, 0.0)
+            weighted -= shift[:, None]
+            np.maximum(weighted, _EXP_FLOOR, out=weighted)
+            np.exp(weighted, out=weighted)
+            out[lo:hi] = np.where(
+                finite, np.log(weighted.sum(axis=1)) + shift, -np.inf
+            )
+        return out
+
+
 class TestScoringKernel:
     """Properties of the one quadratic-form scoring kernel."""
 
@@ -251,6 +325,113 @@ class TestScoringKernel:
         np.testing.assert_allclose(
             got, _solve_log_score(model, points), rtol=1e-9
         )
+
+
+#: Component counts around numpy's pairwise-sum edges: sequential
+#: below 8 lanes, eight partials up to 128, a split above.
+_ORACLE_KS = (1, 2, 3, 7, 8, 9, 63, 64, 65, 128, 129, 256)
+
+#: Which components keep a weight.
+_LIVE_MASKS = ("all", "one dead", "one live", "two live", "random")
+
+
+def _live_mask(rng, k, pattern):
+    live = np.ones(k, dtype=bool)
+    if pattern == "one dead":
+        live[rng.integers(k)] = k == 1
+    elif pattern in ("one live", "two live"):
+        live[:] = False
+        keep = 1 if pattern == "one live" else min(k, 2)
+        live[rng.choice(k, keep, replace=False)] = True
+    elif pattern == "random":
+        live = rng.random(k) < rng.random()
+        live[rng.integers(k)] = True
+    return live
+
+
+@st.composite
+def _oracle_mixtures(draw):
+    """A mixture with weights exactly 0 where the live mask says so.
+
+    Dead components sit at the origin with the ridge covariance a
+    warm fold leaves them (``EM_REG_COVAR`` plus the final
+    positive-definite repair), or anywhere; a drawn share of the
+    components is raw-scale (means near 1e7)."""
+    k = draw(st.sampled_from(_ORACLE_KS))
+    pattern = draw(st.sampled_from(_LIVE_MASKS))
+    folded = draw(st.booleans())
+    raw_share = draw(st.sampled_from((0.0, 0.25, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    live = _live_mask(rng, k, pattern)
+    base = _random_mixture(rng, k)
+    weights = np.where(live, rng.dirichlet(np.ones(k)), 0.0)
+    weights /= weights.sum()
+    means = base.means
+    covariances = base.covariances
+    raw = rng.random(k) < raw_share
+    means[raw] = rng.normal(1e7, 1e3, size=(int(raw.sum()), 2))
+    covariances[raw] *= rng.uniform(1.0, 1e6)
+    if folded:
+        means[~live] = 0.0
+        covariances[~live] = 2e-6 * np.eye(2)
+    return GaussianMixture(weights, means, covariances)
+
+
+@st.composite
+def _oracle_rows(draw):
+    """Call sizes at the block edges; standardised rows mixed with
+    NaN, +-inf, magnitudes from 1e154 to 2e305, far tails and
+    raw-scale rows."""
+    n = draw(st.sampled_from((1, 2, 2047, 2048, 2049, 5000)))
+    special = draw(st.sampled_from((0.0, 0.05, 0.5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.standard_normal((n, 2)) * rng.uniform(0.5, 3.0)
+    kinds = np.where(rng.random(n) < special, rng.integers(1, 6, n), 0)
+    for kind, rows in ((k, np.flatnonzero(kinds == k)) for k in range(1, 6)):
+        size = (rows.size, 2)
+        if kind == 1:
+            values = rng.choice([np.nan, np.inf, -np.inf, 0.5], size=size)
+        elif kind == 2:
+            values = 10.0 ** rng.uniform(154.0, 305.0, size=size)
+            values = np.minimum(values, 2e305) * rng.choice([-1, 1], size)
+        elif kind == 3:
+            values = rng.standard_normal(size) * 10.0 ** rng.uniform(2, 4)
+        elif kind == 4:
+            values = rng.normal(1e7, 1e4, size=size)
+        else:
+            values = rng.normal(1e7, 1e4, size=size)
+            values[:, 0] = 0.0
+        points[rows] = values
+    return points
+
+
+class TestLiveLanes:
+    """Scores with zero weights skipped equal the every-lane kernel."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(model=_oracle_mixtures(), points=_oracle_rows())
+    def test_bit_identical_to_every_lane_kernel(self, model, points):
+        oracle = _EveryLaneKernel(
+            model.weights, model.means, model.covariances
+        )
+        with np.errstate(all="ignore"):
+            got = model.log_score_samples(points)
+            expected = oracle.log_score_samples(points)
+        assert np.array_equal(
+            got.view(np.uint64), expected.view(np.uint64)
+        )
+
+    def test_dead_components_get_no_column(self):
+        """The oracle above compares the live-lane path, not a
+        fallback: only the live components get a column."""
+        weights = np.zeros(64)
+        weights[[5, 40]] = 0.5
+        model = GaussianMixture(
+            weights, np.zeros((64, 2)), np.tile(np.eye(2), (64, 1, 1))
+        )
+        points = np.random.default_rng(3).standard_normal((9, 2))
+        weighted, live = model._weighted_block(points, model._live)
+        assert weighted.shape == (9, 2) and list(live) == [5, 40]
 
 
 class TestResponsibilities:

@@ -25,7 +25,9 @@ from repro.core.config import (
     IcgmmConfig,
     ServingConfig,
 )
+from repro.core.engine import GmmPolicyEngine
 from repro.core.pipeline import StagedPipeline
+from repro.gmm.quantized import QuantizedGmm
 from repro.obs import Telemetry
 from repro.serving import IcgmmCacheService
 
@@ -510,6 +512,46 @@ class TestRefreshSwaps:
             range(len(expected))
         )
 
+    def test_live_components_gauge_follows_each_swap(
+        self, prepared_system, drifted_stream
+    ):
+        """The gauge counts the serving mixture's components of weight
+        > 0: all of them before any swap, then each swapped-in
+        engine's."""
+        config, _, prepared = prepared_system
+        pages, writes = drifted_stream
+        telemetry = Telemetry(seed=0)
+
+        def gauge():
+            (family,) = [
+                family
+                for family in telemetry.registry.as_dicts()
+                if family["name"] == "serving_engine_live_components_count"
+            ]
+            (sample,) = family["samples"]
+            return sample["value"]
+
+        with IcgmmCacheService(
+            prepared.engine,
+            config=config,
+            serving=ServingConfig(chunk_requests=2_000, n_shards=4),
+            telemetry=telemetry,
+        ) as service:
+            before = gauge()
+            readings = []
+            rebase = service.detector.rebase
+
+            def reading_rebase(threshold, quantile):
+                rebase(threshold, quantile)
+                live = np.count_nonzero(service.engine.model.weights)
+                readings.append((gauge(), live))
+
+            service.detector.rebase = reading_rebase
+            service.ingest(pages, writes)
+        assert before == prepared.engine.model.n_components
+        assert service.swaps and len(readings) == len(service.swaps)
+        assert all(value == live for value, live in readings)
+
     def test_swap_rebases_detector_and_policies(
         self, prepared_system, drifted_stream
     ):
@@ -541,6 +583,49 @@ class TestRefreshSwaps:
         assert [policy.threshold for policy in service._policies] == [
             threshold
         ] * len(service._policies)
+
+
+class TestQuantizedRefresh:
+    def test_swaps_keep_the_fixed_point_scorer(
+        self, prepared_system, drifted_stream
+    ):
+        """A fixed-point deployment serves fixed-point scores after
+        every swap, and each threshold is cut on those scores."""
+        config, _, prepared = prepared_system
+        pages, writes = drifted_stream
+        trained = prepared.engine
+        engine = GmmPolicyEngine(
+            model=trained.model,
+            scaler=trained.scaler,
+            admission_threshold=trained.admission_threshold,
+            quantized=QuantizedGmm(trained.model),
+        )
+        builds = []
+        with IcgmmCacheService(
+            engine,
+            config=config,
+            serving=ServingConfig(chunk_requests=2_000, n_shards=4),
+        ) as service:
+            build = service.refresher.build
+
+            def recording_build(current):
+                buffer = service.refresher.snapshot_features()
+                refreshed = build(current)
+                builds.append((refreshed, buffer))
+                return refreshed
+
+            service.refresher.build = recording_build
+            service.ingest(pages, writes)
+        assert service.swaps
+        assert [event.threshold for event in service.swaps] == [
+            refreshed.admission_threshold for refreshed, _ in builds
+        ]
+        quantile = service.refresher.threshold_quantile
+        for refreshed, buffer in builds:
+            assert refreshed.quantized is not None
+            assert refreshed.admission_threshold == np.quantile(
+                refreshed.score(buffer), quantile
+            )
 
 
 class TestValidation:

@@ -21,10 +21,13 @@ perfbench-test:
 # The paper-figure and ablation benches (benchmarks/bench_*.py, run
 # on demand) must at least import and collect; the Table 2 bench
 # (~2 s) also runs, so a missing pytest-benchmark `benchmark` fixture
-# fails here rather than only when a bench runs.
+# fails here rather than only when a bench runs, and so does the
+# temporal-dimension ablation (~4 s), the one caller that fits with
+# more than one EM restart (n_init=3).
 bench-collect:
 	$(PYTHON) -m pytest benchmarks/bench_*.py --collect-only -q
-	$(PYTHON) -m pytest benchmarks/bench_table2_resources.py -q
+	$(PYTHON) -m pytest benchmarks/bench_table2_resources.py \
+		benchmarks/bench_ablation_temporal_dimension.py -q
 
 # Tier-1 tests, the benchmark's tests, the paper benches' collection,
 # the telemetry-overhead smoke validator, plus the validator over its

@@ -121,8 +121,8 @@ def temporal_information_gain(
     Both fits run ``n_init`` restarts (best likelihood wins) so the
     measured gap reflects the data, not one seeding's luck -- a
     single lucky init on the shuffled baseline can otherwise flip
-    the sign of a small gain.  The batched fast path makes the
-    restarts nearly free.
+    the sign of a small gain.  The restarts run one after another,
+    so each costs about one more single-restart fit.
     """
     rng = np.random.default_rng(seed)
     features = np.asarray(features, dtype=np.float64)

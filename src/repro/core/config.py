@@ -41,10 +41,13 @@ class ParallelConfig:
     The fabric's per-device replay and the serving loop's per-plane
     replay are embarrassingly parallel: every device/plane owns
     independent state, so their
-    :meth:`~repro.core.pipeline.StagedPipeline.simulate` calls can run
-    concurrently on a thread pool and merge deterministically (results
-    are always combined in device/plane order, never completion
-    order -- parallel runs are *bit-identical* to ``workers=1``).
+    :meth:`~repro.core.pipeline.StagedPipeline.simulate` calls can be
+    handed to a thread pool and merge deterministically (results are
+    always combined in device/plane order, never completion order --
+    parallel runs are *bit-identical* to ``workers=1``).  The threads
+    take turns: Simulate holds the GIL on every access (only the
+    small numpy steps around its loop release it), so more workers
+    do not speed a round up.
 
     Attributes
     ----------

@@ -7,20 +7,22 @@ are *embarrassingly parallel* -- every CXL fabric device and every
 serving plane is a cache *lane* that owns fully independent state
 (cache planes, policy, resumable cursor).
 
-:class:`ParallelExecutor` drives the lanes concurrently under one
-contract: **determinism**.  Tasks are dispatched in lane order,
-results are merged in lane order (never completion order), no
-randomness enters scheduling, and each task touches only its own
-state -- so a parallel run is *bit-identical* to ``workers=1``, which
-the parity suites in ``tests/cxl`` and ``tests/serving`` assert.
+:class:`ParallelExecutor` drives the lanes under one contract:
+**determinism**.  Tasks are dispatched in lane order, results are
+merged in lane order (never completion order), no randomness enters
+scheduling, and each task touches only its own state -- so a
+parallel run is *bit-identical* to ``workers=1``, which the parity
+suites in ``tests/cxl`` and ``tests/serving`` assert.
 :meth:`ParallelExecutor.replay_lanes` is the one lane-replay loop the
 serving planes and the fabric devices share.
 
 ``workers=1`` runs every task inline; more workers use a plain
-thread pool.  The fast-path simulator spends its time in numpy
-whole-array operations, which release the GIL, and worker threads
-mutate the caller's own cache planes and policy objects in place, so
-the caller reads each round's state straight from its own objects.
+thread pool whose threads mutate the caller's own cache planes and
+policy objects in place, so the caller reads each round's state
+straight from its own objects.  The pool buys no speed: Simulate is
+a Python loop that holds the GIL on every access (only the small
+numpy steps around the loop release it), so the lanes of a round
+take turns rather than run side by side (``docs/parallel.md``).
 """
 
 from __future__ import annotations

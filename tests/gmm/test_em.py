@@ -167,7 +167,6 @@ class TestZeroMassComponent:
             responsibilities.T @ moments[1],
             points.shape[0],
             moments,
-            1,
             exact_covs,
         )
         np.testing.assert_allclose(

@@ -1,12 +1,13 @@
-"""Warm folds and stacked passes with dead components, against the
-E+M pass that runs every component (the oracle).
+"""Warm folds with dead components, against the E+M pass that runs
+every component (the oracle).
 
-``_stacked_softmax``, ``_block_weighted`` and ``_em_pass`` below are
-the fused pass before dead components (weight exactly 0) were
-skipped, verbatim.  A warm fold from a mixture with zero weights must
-give the same ``FitResult`` bit for bit, and a stacked pass whose
-restarts hold zeros at different components must give each restart
-what its single-restart pass gives.
+``_softmax``, ``_block_weighted`` and ``_em_pass`` below are the
+fused pass before dead components (weight exactly 0) were skipped,
+verbatim but for the restart axis it has since lost.  A warm fold from
+a mixture with zero weights must give the same ``FitResult`` bit for
+bit, one pass from a mixture with zeros or without must give the
+oracle's pass, and a pass over rows that are NaN must poison the
+statistics alike.
 """
 
 import numpy as np
@@ -22,20 +23,20 @@ from repro.gmm.em import (
 )
 
 
-def _stacked_softmax(
-    stacked: np.ndarray,
+def _softmax(
+    weighted: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Masked softmax over the last axis of a ``(rows, R, K)`` slab.
+    """Masked softmax over the columns of a ``(rows, K)`` slab.
 
-    Consumes ``stacked`` (C-contiguous): it is overwritten with the
+    Consumes ``weighted`` (C-contiguous): it is overwritten with the
     responsibilities.  Returns ``(responsibilities, log_norm,
-    safe_peak, totals)`` -- the slab itself, the ``(rows, R)``
-    log-normalisers, and the ``(rows, R)`` peak shift and row sums
-    each responsibility is ``exp(w - safe_peak) / totals`` against.
-    Rows that are ``-inf`` under every component yield ``-inf``
+    safe_peak, totals)`` -- the slab itself, the per-row
+    log-normalisers, and the per-row peak shift and row sums each
+    responsibility is ``exp(w - safe_peak) / totals`` against.  Rows
+    that are ``-inf`` under every component yield ``-inf``
     normalisers (and NaN responsibilities).
 
-    Every value is bit-identical to the plain ``np.exp(stacked -
+    Every value is bit-identical to the plain ``np.exp(weighted -
     safe_peak)`` softmax.  When most peak-shifted exponents lie below
     :data:`_EXP_ZERO_BELOW` (a warm refresh fold, whose collapsed and
     dead components sit hundreds of nats below each row's peak),
@@ -45,11 +46,11 @@ def _stacked_softmax(
     gathering would cost more than it saves, and ``np.exp`` runs over
     the whole slab.
     """
-    peak = stacked.max(axis=2)
+    peak = weighted.max(axis=1)
     finite = np.isfinite(peak)
     safe_peak = np.where(finite, peak, 0.0)
-    np.subtract(stacked, safe_peak[:, :, None], out=stacked)
-    flat = stacked.reshape(-1)
+    np.subtract(weighted, safe_peak[:, None], out=weighted)
+    flat = weighted.reshape(-1)
     far = flat < _EXP_ZERO_BELOW
     if 2 * np.count_nonzero(far) > flat.size:
         # NaN lanes compare False, so they are gathered (exp keeps NaN).
@@ -59,12 +60,12 @@ def _stacked_softmax(
         flat[lanes] = shifted
     else:
         np.exp(flat, out=flat)
-    totals = stacked.sum(axis=2)
+    totals = weighted.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(stacked, totals[:, :, None], out=stacked)
+        np.divide(weighted, totals[:, None], out=weighted)
         log_norm = np.log(totals) + safe_peak
     log_norm = np.where(finite, log_norm, -np.inf)
-    return stacked, log_norm, safe_peak, totals
+    return weighted, log_norm, safe_peak, totals
 
 
 class _EveryLanePass(EMTrainer):
@@ -84,22 +85,10 @@ class _EveryLanePass(EMTrainer):
         log_det: np.ndarray,
         log_weights: np.ndarray,
     ) -> np.ndarray:
-        """One block's weighted log-densities ``(rows, M)``.
-
-        Quadratic-form GEMM per restart block of ``n_components``
-        columns (one GEMM of identical shape whether the pass is
-        stacked or single-restart -- BLAS may pick different kernels
-        for different output widths, so a single wide GEMM would
-        break the stacked/single-restart identity), with suspect columns
-        rescored through the exact triangular solve.
-        """
-        k = self.n_components
-        m = coef.shape[0]
-        features = quad.features[lo:hi]
-        weighted = np.empty((hi - lo, m), dtype=np.float64)
-        for r in range(m // k):
-            cols = slice(r * k, (r + 1) * k)
-            np.matmul(features, coef[cols].T, out=weighted[:, cols])
+        """One block's weighted log-densities ``(rows, K)``: the
+        quadratic-form GEMM, with suspect columns rescored through the
+        exact triangular solve."""
+        weighted = quad.features[lo:hi] @ coef.T
         weighted += const
         if suspect_cols.size:
             weighted[:, suspect_cols] = linalg.exact_log_weighted(
@@ -119,28 +108,20 @@ class _EveryLanePass(EMTrainer):
         weights: np.ndarray,
         means: np.ndarray,
         covariances: np.ndarray,
-        n_restarts: int,
     ):
-        """One fused E+M sweep over ``n_restarts`` stacked restarts.
+        """One fused E+M sweep.
 
         Blocks of rows go through: quadratic-GEMM weighted densities,
-        per-restart softmax (responsibilities never materialise
-        beyond the block), and accumulation of the M-step sufficient
-        statistics -- so each block's slab stays cache-hot across all
-        passes.  Each block keeps its softmax normalisers ``(safe_peak,
+        softmax (responsibilities never materialise beyond the
+        block), and accumulation of the M-step sufficient statistics
+        -- so each block's slab stays cache-hot across all passes.
+        Each block keeps its softmax normalisers ``(safe_peak,
         totals)``; when the M-step's covariance guard flags suspect
         components, one extra sweep recomputes the block GEMMs and
         exponentiates only the suspects' columns against them.
-        Returns per-restart mean log-likelihoods and the updated
-        parameters.
-
-        Block boundaries depend only on ``N``, every per-element
-        operation only on its own restart's columns, and statistic
-        accumulation only on block order -- which is why a stacked
-        pass is bit-identical to running each restart alone.
+        Returns the mean log-likelihood and the updated parameters.
         """
         n, d = points.shape
-        m = weights.shape[0]
         k = self.n_components
         factors = linalg.cholesky_batch(covariances)
         log_det = linalg.log_det_from_cholesky(factors)
@@ -153,10 +134,8 @@ class _EveryLanePass(EMTrainer):
             linalg.needs_exact_rescore(quad.span, p_max, mu_span)
         )[0]
         stat_matrix = quad.stat_matrix(points, moments[1])
-        stat_sums = np.zeros(
-            (m, stat_matrix.shape[1]), dtype=np.float64
-        )
-        ll_sums = np.zeros(n_restarts, dtype=np.float64)
+        stat_sums = np.zeros((k, stat_matrix.shape[1]), dtype=np.float64)
+        ll_sum = 0.0
         blocks = [
             (lo, min(lo + _EM_BLOCK_ROWS, n))
             for lo in range(0, n, _EM_BLOCK_ROWS)
@@ -167,62 +146,37 @@ class _EveryLanePass(EMTrainer):
                 quad, points, lo, hi, coef, const, suspect_cols,
                 means, factors, log_det, log_weights,
             )
-            resp, norm, safe_peak, totals = _stacked_softmax(
-                weighted.reshape(hi - lo, n_restarts, k)
-            )
+            resp, norm, safe_peak, totals = _softmax(weighted)
             normalisers.append((safe_peak, totals))
-            # Per-restart accumulation with mode-independent shapes:
-            # contiguous column sums (a strided axis-0 reduction
-            # changes numpy's accumulation path with the restart
-            # count) and one (K, rows) @ (rows, stats) GEMM per
-            # restart (identical shape stacked or alone) keep the
-            # stacked pass bit-identical to single-restart passes.
-            for r in range(n_restarts):
-                ll_sums[r] += np.ascontiguousarray(norm[:, r]).sum()
-                block = np.ascontiguousarray(resp[:, r, :])
-                cols = slice(r * k, (r + 1) * k)
-                stat_sums[cols] += block.T @ stat_matrix[lo:hi]
+            ll_sum += norm.sum()
+            stat_sums += resp.T @ stat_matrix[lo:hi]
         nk = stat_sums[:, -1]
         sum_points = stat_sums[:, :d]
         sum_moments = stat_sums[:, d : d + d * d]
 
         def exact_covs(suspects, suspect_means, suspect_nk):
             """Exact centered covariances of the suspect components
-            from one sweep: per block, each affected restart's GEMM,
-            then only the suspects' columns exponentiated against the
-            normalisers the block's softmax cached."""
+            from one sweep: per block, the GEMM, then only the
+            suspects' columns exponentiated against the normalisers
+            the block's softmax cached."""
             covs = np.zeros((suspects.size, d, d), dtype=np.float64)
-            restarts = []
-            for r in np.unique(suspects // k):
-                mine = np.flatnonzero(suspects // k == r)
-                r_suspects = suspect_cols[
-                    (suspect_cols >= r * k) & (suspect_cols < (r + 1) * k)
-                ] - r * k
-                restarts.append((r, mine, suspects[mine] - r * k, r_suspects))
             for (lo, hi), (safe_peak, totals) in zip(blocks, normalisers):
-                for r, mine, local, r_suspects in restarts:
-                    cols = slice(r * k, (r + 1) * k)
-                    weighted = self._block_weighted(
-                        quad, points, lo, hi,
-                        coef[cols], const[cols], r_suspects,
-                        means[cols], factors[cols], log_det[cols],
-                        log_weights[cols],
-                    )
-                    shifted = np.exp(
-                        weighted[:, local] - safe_peak[:, r, None]
-                    )
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        resp = shifted / totals[:, r, None]
-                    for column, s in zip(resp.T, mine):
-                        centered = points[lo:hi] - suspect_means[s]
-                        covs[s] += (column[:, None] * centered).T @ centered
+                weighted = self._block_weighted(
+                    quad, points, lo, hi, coef, const, suspect_cols,
+                    means, factors, log_det, log_weights,
+                )
+                shifted = np.exp(weighted[:, suspects] - safe_peak[:, None])
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    resp = shifted / totals[:, None]
+                for s, column in enumerate(resp.T):
+                    centered = points[lo:hi] - suspect_means[s]
+                    covs[s] += (column[:, None] * centered).T @ centered
             return covs / suspect_nk[:, None, None]
 
         new_params = self._stats_to_params(
-            nk, sum_points, sum_moments, n, moments, n_restarts,
-            exact_covs,
+            nk, sum_points, sum_moments, n, moments, exact_covs
         )
-        return ll_sums / n, new_params
+        return ll_sum / n, new_params
 
 
 #: The ridge a warm fold leaves on a dead component, as the serving
@@ -290,15 +244,13 @@ def suspect_sweeps(monkeypatch):
     sweeps = []
     stats_to_params = EMTrainer._stats_to_params
 
-    def spy(self, nk, sum_points, sum_moments, n, moments, n_restarts,
-            exact_covs):
+    def spy(self, nk, sum_points, sum_moments, n, moments, exact_covs):
         def counted(suspects, suspect_means, suspect_nk):
             sweeps.append(suspects.size)
             return exact_covs(suspects, suspect_means, suspect_nk)
 
         return stats_to_params(
-            self, nk, sum_points, sum_moments, n, moments, n_restarts,
-            counted,
+            self, nk, sum_points, sum_moments, n, moments, counted
         )
 
     monkeypatch.setattr(EMTrainer, "_stats_to_params", spy)
@@ -326,44 +278,6 @@ class TestWarmFolds:
         )
         assert any(suspect_sweeps)
 
-
-class TestStackedRestarts:
-    """Restarts holding zeros at different components, one holding
-    none, stacked in one pass: each restart's outputs equal its
-    single-restart pass, and the every-lane pass."""
-
-    @pytest.mark.parametrize("k", [8, 64, 256])
-    @pytest.mark.parametrize("n_restarts", [2, 3])
-    def test_each_restart_equals_its_own_pass(self, k, n_restarts):
-        rng = np.random.default_rng([k, n_restarts])
-        points = _fold_points(rng, 4_500)
-        full = rng.integers(n_restarts)
-        starts = [
-            _warm_start(rng, points, k, 0.0 if r == full else 0.6)
-            for r in range(n_restarts)
-        ]
-        stacked = [np.concatenate(part) for part in zip(*starts)]
-        trainer = EMTrainer(n_components=k)
-        moments = trainer._moment_features(points)
-
-        def run(trainer, params, restarts):
-            return trainer._em_pass(
-                points, _QuadScorer(points), moments, *params, restarts
-            )
-
-        got = run(trainer, stacked, n_restarts)
-        assert _same_bits_pass(
-            got, run(_EveryLanePass(n_components=k), stacked, n_restarts)
-        )
-        lls, (weights, means, covariances) = got
-        for r, start in enumerate(starts):
-            alone_lls, (w, m, c) = run(trainer, start, 1)
-            cols = slice(r * k, (r + 1) * k)
-            assert _same_bits(lls[r : r + 1], alone_lls)
-            assert _same_bits(weights[cols], w)
-            assert _same_bits(means[cols], m)
-            assert _same_bits(covariances[cols], c)
-
     def test_nan_rows_poison_dead_statistics_alike(self):
         """A NaN row has no finite peak: every responsibility in it is
         NaN, a dead component's too (0.0 over a NaN row sum), so the
@@ -378,7 +292,7 @@ class TestStackedRestarts:
 
         def run(trainer):
             return trainer._em_pass(
-                points, _QuadScorer(points), moments, *start, 1
+                points, _QuadScorer(points), moments, *start
             )
 
         with np.errstate(invalid="ignore"):
@@ -386,6 +300,39 @@ class TestStackedRestarts:
             expected = run(_EveryLanePass(n_components=k))
         assert _same_bits_pass(got, expected)
         assert np.isnan(got[1][1]).all()
+
+
+class TestSinglePass:
+    """One E+M pass from a mixture holding zeros, or none, equals the
+    every-lane pass: the live-lane path and the path a mixture with
+    no zero weight takes."""
+
+    @pytest.mark.parametrize("k", [8, 64, 256])
+    @pytest.mark.parametrize("dead_share", [0.0, 0.6])
+    def test_equals_every_lane_pass(self, k, dead_share, monkeypatch):
+        rng = np.random.default_rng([k, round(dead_share * 10)])
+        points = _fold_points(rng, 4_500)
+        start = _warm_start(rng, points, k, dead_share)
+        moments = EMTrainer(n_components=k)._moment_features(points)
+        plans = []
+        pairwise_plan = linalg.pairwise_plan
+
+        def spy(live, n_components):
+            plans.append(live.size)
+            return pairwise_plan(live, n_components)
+
+        monkeypatch.setattr(linalg, "pairwise_plan", spy)
+
+        def run(trainer):
+            return trainer._em_pass(
+                points, _QuadScorer(points), moments, *start
+            )
+
+        got = run(EMTrainer(n_components=k))
+        assert _same_bits_pass(got, run(_EveryLanePass(n_components=k)))
+        # The pass skipped the dead lanes exactly when there were any.
+        dead = np.count_nonzero(start[0] == 0.0)
+        assert plans == ([k - dead] if dead_share else [])
 
 
 def _same_bits_pass(a, b) -> bool:

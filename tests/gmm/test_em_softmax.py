@@ -1,14 +1,14 @@
 """The fused E+M pass's softmax against the plain-``exp`` softmax.
 
 When most of a slab's peak-shifted exponents lie below
-``em._EXP_ZERO_BELOW``, ``em._stacked_softmax`` runs ``np.exp`` only on
-the other lanes and writes 0.0 on the rest; otherwise it exponentiates
+``em._EXP_ZERO_BELOW``, ``em._softmax`` runs ``np.exp`` only on the
+other lanes and writes 0.0 on the rest; otherwise it exponentiates
 the whole slab.  Either way it works in place on the slab it consumes,
 and every responsibility, log-normaliser, peak shift and row sum must
-keep the bits of the plain ``np.exp(stacked - safe_peak)`` softmax,
+keep the bits of the plain ``np.exp(weighted - safe_peak)`` softmax,
 which holds only while ``np.exp`` really is exactly 0.0 below the cut
-on this host.  The same holds when each restart's slice holds only
-its live components (weight not 0; a dead one's lane is -inf).
+on this host.  The same holds when the slab holds only the live
+components (weight not 0; a dead one's lane is -inf).
 """
 
 import numpy as np
@@ -29,31 +29,26 @@ _SPECIAL = np.array(
 )
 
 
-def _plain_softmax(stacked):
+def _plain_softmax(weighted):
     """The softmax before lane gating, verbatim, plus its peak shift
     and row sums (the oracle)."""
-    peak = stacked.max(axis=2)
+    peak = weighted.max(axis=1)
     safe_peak = np.where(np.isfinite(peak), peak, 0.0)
-    shifted = np.exp(stacked - safe_peak[:, :, None])
-    totals = shifted.sum(axis=2)
+    shifted = np.exp(weighted - safe_peak[:, None])
+    totals = shifted.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        responsibilities = shifted / totals[:, :, None]
+        responsibilities = shifted / totals[:, None]
         log_norm = np.log(totals) + safe_peak
     log_norm = np.where(np.isfinite(peak), log_norm, -np.inf)
     return responsibilities, log_norm, safe_peak, totals
 
 
 def _every_lane_softmax(slab):
-    """``em._stacked_softmax`` on a ``(rows, R, K)`` slab as the pass
-    hands it a block with every component live, with its results in
-    the slab's shapes."""
-    rows, restarts, k = slab.shape
-    segments = [(slice(r * k, (r + 1) * k), None) for r in range(restarts)]
-    resp, *rest = em._stacked_softmax(
-        slab.reshape(rows, restarts * k), segments
-    )
-    assert np.shares_memory(resp, slab)
-    return (resp.reshape(slab.shape), *rest)
+    """``em._softmax`` on a ``(rows, K)`` slab as the pass hands it a
+    block with every component live."""
+    got = em._softmax(slab, None)
+    assert np.shares_memory(got[0], slab)
+    return got
 
 
 def _same_bits(a, b) -> bool:
@@ -64,38 +59,37 @@ def _same_bits(a, b) -> bool:
 
 @st.composite
 def _slabs(draw):
-    """``(rows, R, K)`` slabs mixing uniform lanes with boundary and
+    """``(rows, K)`` slabs mixing uniform lanes with boundary and
     special lanes, and rows that are all ``-inf``, peak at exactly 0
     (so exponents land on the boundaries), or peak at +inf or NaN.
     A drawn share of lanes sinks far below any peak, so both the
     gathering and the whole-slab branch run."""
-    restarts = draw(st.sampled_from((1, 2, 3)))
     k = draw(st.sampled_from((1, 2, 8, 64)))
     rows = draw(st.integers(1, 40))
     special = draw(st.floats(0.0, 1.0))
     deep = draw(st.sampled_from((0.0, 0.3, 0.6, 0.9)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = (rows, restarts, k)
+    shape = (rows, k)
     slab = rng.uniform(-800.0, 5.0, size=shape)
     sink = rng.random(shape) < deep
     slab[sink] = rng.uniform(-1e4, -800.0, size=int(sink.sum()))
     pick = rng.random(shape) < special
     slab[pick] = rng.choice(_SPECIAL, size=int(pick.sum()))
-    kinds = rng.integers(0, 5, size=(rows, restarts))
-    for row, r in zip(*np.nonzero(kinds)):
+    kinds = rng.integers(0, 5, size=rows)
+    for row in np.flatnonzero(kinds):
         lane = rng.integers(k)
-        if kinds[row, r] == 1:
-            slab[row, r] = -np.inf
-        elif kinds[row, r] == 2:
-            lanes = slab[row, r]
+        if kinds[row] == 1:
+            slab[row] = -np.inf
+        elif kinds[row] == 2:
+            lanes = slab[row]
             lanes[~(lanes <= 0.0)] = -np.inf
             lanes[lane] = 0.0
         else:
-            slab[row, r, lane] = np.inf if kinds[row, r] == 3 else np.nan
+            slab[row, lane] = np.inf if kinds[row] == 3 else np.nan
     return slab
 
 
-class TestStackedSoftmax:
+class TestSoftmax:
     @settings(max_examples=300, deadline=None)
     @given(_slabs())
     def test_bit_identical_to_plain_exp(self, slab):
@@ -112,7 +106,6 @@ class TestStackedSoftmax:
         """Each boundary lane as its own exponent, next to the peak."""
         finite = _SPECIAL[np.isfinite(_SPECIAL)]
         slab = np.stack([np.zeros_like(finite), finite], axis=1)
-        slab = slab.reshape(-1, 1, 2)
         expected = _plain_softmax(slab.copy())
         for a, b in zip(_every_lane_softmax(slab.copy()), expected):
             assert _same_bits(a, b)
@@ -120,10 +113,10 @@ class TestStackedSoftmax:
     def test_degenerate_rows(self):
         slab = np.array(
             [
-                [[-np.inf, -np.inf, -np.inf]],
-                [[np.inf, 0.0, np.inf]],
-                [[np.nan, -1.0, 0.0]],
-                [[-np.inf, -np.inf, np.nan]],
+                [-np.inf, -np.inf, -np.inf],
+                [np.inf, 0.0, np.inf],
+                [np.nan, -1.0, 0.0],
+                [-np.inf, -np.inf, np.nan],
             ]
         )
         got = _every_lane_softmax(slab.copy())
@@ -131,7 +124,7 @@ class TestStackedSoftmax:
         assert np.isnan(responsibilities[[0, 2, 3]]).all()
         assert np.isneginf(log_norm[[0, 2, 3]]).all()
         assert (safe_peak == 0.0).all()
-        assert totals[0, 0] == 0.0 and totals[1, 0] == np.inf
+        assert totals[0] == 0.0 and totals[1] == np.inf
         expected = _plain_softmax(slab.copy())
         for a, b in zip(
             (responsibilities, log_norm, safe_peak, totals), expected
@@ -140,37 +133,25 @@ class TestStackedSoftmax:
 
 
 class TestLiveColumns:
-    """Each restart's slice holding only its live components, in
-    component order and column-contiguous, as the pass hands them
-    over when some are dead: the plain softmax's bits over all ``K``,
-    with the dead lanes at -inf."""
+    """A slab holding only the live components, in component order
+    and column-contiguous, as the pass hands it over when some are
+    dead: the plain softmax's bits over all ``K``, with the dead
+    lanes at -inf."""
 
     @settings(max_examples=300, deadline=None)
     @given(_slabs(), st.integers(0, 2**32 - 1))
     def test_bit_identical_to_plain_exp(self, slab, seed):
-        rows, restarts, k = slab.shape
+        k = slab.shape[1]
         rng = np.random.default_rng(seed)
-        live = rng.random((restarts, k)) < rng.random((restarts, 1))
-        live[np.arange(restarts), rng.integers(k, size=restarts)] = True
+        live = rng.random(k) < rng.random()
+        live[rng.integers(k)] = True
         slab[:, ~live] = -np.inf
         responsibilities, *normalisers = _plain_softmax(slab.copy())
-        lanes = np.concatenate(
-            [slab[:, r, live[r]].T for r in range(restarts)]
-        )
-        bounds = np.cumsum([0, *live.sum(axis=1)])
-        segments = [
-            (
-                slice(bounds[r], bounds[r + 1]),
-                linalg.pairwise_plan(np.flatnonzero(live[r]), k),
-            )
-            for r in range(restarts)
-        ]
-        got = em._stacked_softmax(lanes.T, segments)
+        lanes = np.ascontiguousarray(slab[:, live].T)
+        plan = linalg.pairwise_plan(np.flatnonzero(live), k)
+        got = em._softmax(lanes.T, plan)
         assert np.shares_memory(got[0], lanes)
-        for r, (cols, _) in enumerate(segments):
-            assert _same_bits(
-                got[0][:, cols], responsibilities[:, r, live[r]]
-            )
+        assert _same_bits(got[0], responsibilities[:, live])
         for a, b in zip(got[1:], normalisers):
             assert _same_bits(a, b)
 

@@ -18,14 +18,11 @@ from repro.chaos.plan import (
     FaultPlan,
 )
 from repro.chaos.scenarios import (
-    FABRIC_SCENARIOS,
-    PREPARED_SCENARIOS,
     SCENARIO_NAMES,
     SERVING_SCENARIOS,
     last_fault_end,
     recovery_chunk,
     run_fabric_scenario,
-    run_prepared_scenario,
     run_serving_scenario,
     scenario_chaos,
     tail_latency_us,
@@ -33,7 +30,6 @@ from repro.chaos.scenarios import (
 )
 
 __all__ = [
-    "FABRIC_SCENARIOS",
     "FAULT_KINDS",
     "FaultEvent",
     "FaultInjector",
@@ -46,13 +42,11 @@ __all__ = [
     "KIND_REFRESH_CORRUPT",
     "KIND_REFRESH_FAIL",
     "KIND_SHARD_STALL",
-    "PREPARED_SCENARIOS",
     "SCENARIO_NAMES",
     "SERVING_SCENARIOS",
     "last_fault_end",
     "recovery_chunk",
     "run_fabric_scenario",
-    "run_prepared_scenario",
     "run_serving_scenario",
     "scenario_chaos",
     "tail_latency_us",

@@ -3,7 +3,7 @@
 The :class:`FaultInjector` wraps a :class:`~repro.chaos.plan.FaultPlan`
 with O(1)-ish lookups the victim layers call on their logical clocks:
 the fabric asks ``device_down``/``link_factor`` per chunk, and the
-serving loop asks ``shard_stall_attempts``/``refresh_fault``.  Queries
+serving loop asks ``shard_stalled``/``refresh_fault``.  Queries
 are pure -- asking twice (e.g. when a chunk is retried after an
 exception) returns the same answer -- and every *positive* answer is
 recorded exactly once (deduped by ``(kind, start, target)``), so the
@@ -88,7 +88,7 @@ class FaultInjector:
         self._failslow_windows: dict[
             int, list[tuple[int, int, float]]
         ] = {}
-        self._stalls: dict[tuple[int, int], int] = {}
+        self._stalls: set[tuple[int, int]] = set()
         self._refresh: dict[int, str] = {}
         for event in plan.events:
             end = event.start + event.duration
@@ -108,9 +108,7 @@ class FaultInjector:
                     event.target, []
                 ).append((event.start, end, event.magnitude))
             elif event.kind == KIND_SHARD_STALL:
-                self._stalls[(event.start, event.target)] = (
-                    event.duration
-                )
+                self._stalls.add((event.start, event.target))
             elif event.kind == KIND_REFRESH_FAIL:
                 self._refresh[event.start] = "fail"
             elif event.kind == KIND_REFRESH_CORRUPT:
@@ -215,11 +213,12 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Serving queries (logical clocks: chunk index, build index)
     # ------------------------------------------------------------------
-    def shard_stall_attempts(self, chunk: int, shard: int) -> int:
-        attempts = self._stalls.get((chunk, shard), 0)
-        if attempts:
-            self._record(KIND_SHARD_STALL, chunk, shard, attempts)
-        return attempts
+    def shard_stalled(self, chunk: int, shard: int) -> bool:
+        """Is ``shard`` stalled for ``chunk`` (served SSD-direct)?"""
+        stalled = (chunk, shard) in self._stalls
+        if stalled:
+            self._record(KIND_SHARD_STALL, chunk, shard)
+        return stalled
 
     def refresh_fault(self, build_index: int) -> Optional[str]:
         """``"fail"``, ``"corrupt"``, or ``None`` for this build."""

@@ -23,6 +23,22 @@ import numpy as np
 
 from repro.core.config import ChaosConfig
 
+#: Link round-trip multiplier inside a ``link-degrade`` window.
+LINK_DEGRADE_FACTOR = 4.0
+#: Devices one correlated blast takes down together, and for how many
+#: chunks.
+CORRELATED_FAIL_K = 2
+CORRELATED_FAIL_CHUNKS = 4
+#: Fail-slow ramp length (clamped to the horizon, so a sick device
+#: stays sick until the run ends) and the peak multiplier it reaches
+#: at the window's last chunk.
+FAILSLOW_CHUNKS = 4096
+FAILSLOW_MAX_FACTOR = 8.0
+#: A ramp past this multiplier trips the device's watchdog: one
+#: one-chunk outage blip every ``FAILSLOW_RESET_PERIOD`` chunks.
+FAILSLOW_RESET_FACTOR = 4.0
+FAILSLOW_RESET_PERIOD = 2
+
 #: Fault kinds, one per channel.  ``target`` semantics per kind:
 #: device id, device id, shard id, -1, -1, device id, device id.
 KIND_DEVICE_FAIL = "device-fail"
@@ -51,12 +67,12 @@ class FaultEvent:
     ``start`` is the logical tick the fault begins: the chunk index
     for fabric/serving faults and the build index for refresh
     faults.  ``duration`` is the window length in the same unit for
-    windowed faults (device outages, link degradation) and the number
-    of consecutive swallowed *attempts* for shard stalls; refresh
-    faults are always one build.  ``target`` is the device/shard the
-    fault hits, or ``-1`` when the fault has no spatial target
-    (refresh builds).  ``magnitude`` carries
-    the link-degradation factor and is 0.0 for every other kind.
+    windowed faults (device outages, link degradation, fail-slow
+    ramps); shard stalls last one chunk and refresh faults one
+    build.  ``target`` is the device/shard the fault hits, or ``-1``
+    when the fault has no spatial target (refresh builds).
+    ``magnitude`` carries the link-degradation factor and the
+    fail-slow peak multiplier, and is 0.0 for every other kind.
     """
 
     start: int
@@ -104,7 +120,7 @@ def _window_starts(
 
 
 def _failslow_resets(
-    config: ChaosConfig, device: int, start: int, duration: int
+    device: int, start: int, duration: int
 ) -> list[FaultEvent]:
     """Watchdog-reset blips of one fail-slow ramp window.
 
@@ -114,18 +130,18 @@ def _failslow_resets(
     one-chunk outages.  The blips are a pure function of the window
     geometry (no extra randomness): the first lands on the chunk
     where the interpolated multiplier reaches
-    ``failslow_reset_factor``, then one every
-    ``failslow_reset_period`` chunks to the window's end.  They are
-    scheduled as ordinary ``device-fail`` events, so the existing
+    :data:`FAILSLOW_RESET_FACTOR`, then one every
+    :data:`FAILSLOW_RESET_PERIOD` chunks to the window's end.  They
+    are scheduled as ordinary ``device-fail`` events, so the existing
     outage/failover machinery serves them with zero access loss.
     """
-    reset = config.failslow_reset_factor
-    peak = config.failslow_max_factor
-    if reset == 0.0 or peak <= 1.0 or reset > peak:
-        return []
     # factor(c) = 1 + (peak - 1) * (c - start + 1) / duration
     offset = int(
-        np.ceil(duration * (reset - 1.0) / (peak - 1.0))
+        np.ceil(
+            duration
+            * (FAILSLOW_RESET_FACTOR - 1.0)
+            / (FAILSLOW_MAX_FACTOR - 1.0)
+        )
     )
     first = start + max(offset, 1) - 1
     return [
@@ -136,7 +152,7 @@ def _failslow_resets(
             duration=1,
         )
         for chunk in range(
-            first, start + duration, config.failslow_reset_period
+            first, start + duration, FAILSLOW_RESET_PERIOD
         )
     ]
 
@@ -174,17 +190,18 @@ class FaultPlan:
         its stream.
 
         Raises a :class:`ValueError` up front -- before any sampling
-        -- when ``correlated_fail_k`` exceeds the fleet size, rather
-        than failing inside the victim-sampling draw.
+        -- when :data:`CORRELATED_FAIL_K` exceeds the fleet size of
+        an armed correlated channel, rather than failing inside the
+        victim-sampling draw.
         """
         horizon = config.horizon_chunks
         if (
             config.correlated_fail_rate > 0.0
             and n_devices > 0
-            and config.correlated_fail_k > n_devices
+            and CORRELATED_FAIL_K > n_devices
         ):
             raise ValueError(
-                f"correlated_fail_k ({config.correlated_fail_k})"
+                f"CORRELATED_FAIL_K ({CORRELATED_FAIL_K})"
                 f" exceeds the fleet size ({n_devices} devices);"
                 " a correlated blast cannot take down more devices"
                 " than the fabric has"
@@ -231,7 +248,7 @@ class FaultPlan:
                                 config.link_degrade_chunks,
                                 horizon - start,
                             ),
-                            magnitude=config.link_degrade_factor,
+                            magnitude=LINK_DEGRADE_FACTOR,
                         )
                     )
 
@@ -246,7 +263,6 @@ class FaultPlan:
                             start=int(chunk),
                             kind=KIND_SHARD_STALL,
                             target=shard,
-                            duration=config.shard_stall_attempts,
                         )
                     )
 
@@ -273,19 +289,18 @@ class FaultPlan:
             # devices go down together -- is a pure function of the
             # seed, stable under fleet-size-preserving config edits.
             rng = np.random.default_rng(channels[6])
-            k = min(config.correlated_fail_k, n_devices)
             for start in _window_starts(
                 rng,
                 horizon,
                 config.correlated_fail_rate,
-                config.correlated_fail_chunks,
+                CORRELATED_FAIL_CHUNKS,
             ):
                 victims = np.sort(
-                    rng.choice(n_devices, size=k, replace=False)
+                    rng.choice(
+                        n_devices, size=CORRELATED_FAIL_K, replace=False
+                    )
                 )
-                duration = min(
-                    config.correlated_fail_chunks, horizon - start
-                )
+                duration = min(CORRELATED_FAIL_CHUNKS, horizon - start)
                 for device in victims.tolist():
                     events.append(
                         FaultEvent(
@@ -304,27 +319,20 @@ class FaultPlan:
             for device, seq in enumerate(channels[7].spawn(n_devices)):
                 rng = np.random.default_rng(seq)
                 for start in _window_starts(
-                    rng,
-                    horizon,
-                    config.failslow_rate,
-                    config.failslow_chunks,
+                    rng, horizon, config.failslow_rate, FAILSLOW_CHUNKS
                 ):
-                    duration = min(
-                        config.failslow_chunks, horizon - start
-                    )
+                    duration = min(FAILSLOW_CHUNKS, horizon - start)
                     events.append(
                         FaultEvent(
                             start=start,
                             kind=KIND_DEVICE_FAILSLOW,
                             target=device,
                             duration=duration,
-                            magnitude=config.failslow_max_factor,
+                            magnitude=FAILSLOW_MAX_FACTOR,
                         )
                     )
                     events.extend(
-                        _failslow_resets(
-                            config, device, start, duration
-                        )
+                        _failslow_resets(device, start, duration)
                     )
 
         return cls(config, events)

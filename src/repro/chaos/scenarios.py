@@ -6,7 +6,7 @@ handful of events over a typical run, and a runner drives the victim
 layer chunk by chunk, collecting everything the scorecard needs: the
 observed fault timeline (and its digest), per-chunk miss counters (so
 post-recovery windows can be priced against a no-fault baseline over
-the *same* chunk range), degraded/failover traffic, and retry
+the *same* chunk range), degraded/failover traffic, and refresh
 counters.  Everything is deterministic in the chaos seed;
 ``tests/chaos/test_scorecard.py`` asserts identical rows across
 worker counts.
@@ -40,22 +40,13 @@ SCENARIO_NAMES = (
     "link_degrade",
     "device_correlated",
     "device_failslow",
-    "prepared_failure",
     "shard_stall",
     "refresh_failure",
 )
 
-#: Which layer each scenario drives.
-FABRIC_SCENARIOS = (
-    "device_failure",
-    "link_degrade",
-    "device_correlated",
-    "device_failslow",
-)
+#: The scenarios that drive the serving loop; the rest drive the
+#: fabric.
 SERVING_SCENARIOS = ("shard_stall", "refresh_failure")
-#: Scenarios that drive the offline one-shot entry point
-#: (``CxlFabric.run_prepared``) rather than hand-chunked ingest.
-PREPARED_SCENARIOS = ("prepared_failure",)
 
 _SCENARIO_OVERRIDES: dict[str, dict] = {
     # Outages of a few chunks; failover must serve every access.
@@ -63,17 +54,15 @@ _SCENARIO_OVERRIDES: dict[str, dict] = {
         "device_fail_rate": 0.08,
         "device_fail_chunks": 4,
     },
-    # Link round-trips priced at 4x inside degradation windows.
+    # Link round-trips priced at LINK_DEGRADE_FACTOR (4x) inside
+    # degradation windows.
     "link_degrade": {
         "link_degrade_rate": 0.10,
         "link_degrade_chunks": 4,
-        "link_degrade_factor": 4.0,
     },
-    # Stalls swallow more attempts than the retry budget allows, so
-    # the affected shard-chunks degrade to SSD-direct service.
+    # A stalled shard's accesses go SSD-direct for that chunk.
     "shard_stall": {
         "shard_stall_rate": 0.08,
-        "shard_stall_attempts": 3,
     },
     # Roughly half the builds refuse (raise or corrupt); backoff
     # keeps the deployed generation serving until a build lands, so
@@ -82,34 +71,22 @@ _SCENARIO_OVERRIDES: dict[str, dict] = {
         "refresh_fail_rate": 0.3,
         "refresh_corrupt_rate": 0.2,
     },
-    # Correlated blasts: k devices drop together (shared enclosure /
-    # switch), so failover re-homes a multi-device traffic share at
-    # once and must still serve every access.
+    # Correlated blasts: CORRELATED_FAIL_K devices drop together
+    # (shared enclosure / switch), so failover re-homes a
+    # multi-device traffic share at once and must still serve every
+    # access.
     "device_correlated": {
         "correlated_fail_rate": 0.12,
-        "correlated_fail_chunks": 4,
-        "correlated_fail_k": 2,
     },
     # Fail-slow: the window length clamps to the horizon end, so a
-    # sick device keeps ramping (up to the max factor) until the run
-    # ends -- the regime where health-driven quarantine pays and
-    # recovery-by-waiting does not.  The rate is per device per
-    # chunk; it is tuned low so a typical run sickens a strict
-    # minority of the fleet and the median stays a healthy
-    # reference.
+    # sick device keeps ramping (up to the max factor, with watchdog
+    # reset blips) until the run ends -- the regime where
+    # health-driven quarantine pays and recovery-by-waiting does
+    # not.  The rate is per device per chunk; it is tuned low so a
+    # typical run sickens a strict minority of the fleet and the
+    # median stays a healthy reference.
     "device_failslow": {
         "failslow_rate": 0.02,
-        "failslow_chunks": 4096,
-        "failslow_max_factor": 8.0,
-        "failslow_reset_factor": 4.0,
-        "failslow_reset_period": 2,
-    },
-    # The device_failure channel driven through the offline one-shot
-    # entry point: run_prepared must degrade to chunked ingest and
-    # lose nothing.
-    "prepared_failure": {
-        "device_fail_rate": 0.08,
-        "device_fail_chunks": 4,
     },
 }
 
@@ -327,105 +304,6 @@ def run_fabric_scenario(
     return out
 
 
-def run_prepared_scenario(
-    chaos: ChaosConfig | None,
-    pages: np.ndarray,
-    is_write: np.ndarray,
-    *,
-    topology: FabricTopology | None = None,
-    config: IcgmmConfig | None = None,
-    strategy: str = "lru",
-    admission_threshold: float = 0.0,
-    chunk_requests: int = 4096,
-    parallel: ParallelConfig | None = None,
-    monitor: bool = False,
-    telemetry=None,
-) -> dict:
-    """Drive ``CxlFabric.run_prepared`` under a (possibly faulty) plan.
-
-    The one-shot offline entry point must survive chaos too: with an
-    injector (or monitor) wired it degrades to the chunked ingest
-    path, so every fault channel fires and zero accesses are lost.
-    ``chaos=None`` with ``monitor=False`` exercises the untouched
-    one-shot path -- the scorecard tests assert that a disabled-chaos
-    prepared run equals the streamed no-fault fabric run (warm-up
-    cut disabled so counters match the streamed baseline access for
-    access).
-    """
-    from repro.core.pipeline import PreparedWorkload
-
-    pages = np.asarray(pages, dtype=np.int64)
-    is_write = np.asarray(is_write, dtype=bool)
-    prepared = PreparedWorkload(
-        name="chaos-prepared",
-        page_indices=pages,
-        is_write=is_write,
-        scores=np.zeros(pages.shape[0], dtype=np.float64),
-        page_frequency_scores=np.zeros(
-            pages.shape[0], dtype=np.float64
-        ),
-        engine=_PreparedStubEngine(admission_threshold),
-    )
-    fabric = CxlFabric(
-        topology=topology,
-        config=config,
-        parallel=parallel,
-        chaos=chaos,
-        monitor=monitor,
-        telemetry=telemetry,
-    )
-    try:
-        result = fabric.run_prepared(
-            prepared,
-            strategy,
-            warmup_fraction=0.0,
-            chunk_requests=chunk_requests,
-        )
-        report = _injector_report(fabric.injector)
-        out = {
-            "accesses": result.accesses,
-            "miss_rate": result.totals.miss_rate,
-            "total_time_ns": result.total_time_ns,
-            "failover_accesses": sum(
-                d.failover_stats.accesses
-                for d in result.devices
-                if d.failover_stats is not None
-            ),
-            "degraded_time_ns": sum(
-                d.degraded_time_ns for d in result.devices
-            ),
-            "events": [
-                event.as_dict() for event in fabric.metrics.events()
-            ],
-            "device_recovery_chunks": (
-                fabric.metrics.recovery_latencies(
-                    "device-down", "device-restored"
-                )
-            ),
-            "monitor": (
-                fabric.monitor.summary()
-                if fabric.monitor is not None
-                else None
-            ),
-            **report,
-        }
-    finally:
-        fabric.close()
-    return out
-
-
-class _PreparedStubEngine:
-    """Minimal engine stand-in for strategy-less prepared replays.
-
-    ``run_prepared`` only reads ``engine.admission_threshold`` when
-    binding; the chaos prepared scenario replays under ``lru`` (no
-    score stream), so a full GMM engine would be dead weight.
-    """
-
-    def __init__(self, admission_threshold: float = 0.0) -> None:
-        self.admission_threshold = float(admission_threshold)
-
-
 def run_serving_scenario(
     chaos: ChaosConfig | None,
     engine,
@@ -464,7 +342,6 @@ def run_serving_scenario(
             "timeline": [],
             "timeline_digest": "",
             "events": [],
-            "stall_retries": 0,
             "refresh_attempts": 0,
             "refresh_failures": 0,
             "recovery_latency_chunks": [],
@@ -482,7 +359,6 @@ def run_serving_scenario(
         "timeline": chaos_section["timeline"],
         "timeline_digest": chaos_section["timeline_digest"],
         "events": chaos_section["events"],
-        "stall_retries": chaos_section["stall_retries"],
         "refresh_attempts": chaos_section["refresh_attempts"],
         "refresh_failures": chaos_section["refresh_failures"],
         "breaker_recovery_chunks": chaos_section[

@@ -33,12 +33,10 @@ import numpy as np
 
 from repro.analysis import render_dict_table, render_table
 from repro.chaos import (
-    PREPARED_SCENARIOS,
     SCENARIO_NAMES,
     SERVING_SCENARIOS,
     recovery_chunk,
     run_fabric_scenario,
-    run_prepared_scenario,
     run_serving_scenario,
     scenario_chaos,
     tail_miss_rate,
@@ -837,7 +835,6 @@ def _cmd_serve(args) -> int:
             f"chaos: {len(chaos['timeline'])} fault(s)"
             f" [{chaos['timeline_digest'][:12]}],"
             f" {len(chaos['events'])} event(s),"
-            f" {chaos['stall_retries']} stall retries,"
             f" {chaos['refresh_failures']}/{chaos['refresh_attempts']}"
             " refresh failures"
         )
@@ -1060,13 +1057,6 @@ def _cmd_chaos(args) -> int:
                 config=config, serving=serving,
                 telemetry=telemetry,
             )
-        if name in PREPARED_SCENARIOS:
-            return run_prepared_scenario(
-                chaos, pages, is_write,
-                topology=topology, config=config,
-                chunk_requests=args.chunk, parallel=parallel,
-                monitor=args.monitor, telemetry=telemetry,
-            )
         return run_fabric_scenario(
             chaos, pages, is_write,
             topology=topology, config=config,
@@ -1078,12 +1068,7 @@ def _cmd_chaos(args) -> int:
     rows = []
     scorecard = []
     for name in args.scenarios:
-        if name in SERVING_SCENARIOS:
-            layer = "serving"
-        elif name in PREPARED_SCENARIOS:
-            layer = "prepared"
-        else:
-            layer = "fabric"
+        layer = "serving" if name in SERVING_SCENARIOS else "fabric"
         if layer not in baselines:
             baselines[layer] = run(name, None)
         base = baselines[layer]
@@ -1104,15 +1089,8 @@ def _cmd_chaos(args) -> int:
             telemetry=telemetry,
         )
         recover_at = recovery_chunk(out["timeline"], out["events"])
-        if "chunk_counters" in out:
-            tail = tail_miss_rate(out["chunk_counters"], recover_at)
-            base_tail = tail_miss_rate(
-                base["chunk_counters"], recover_at
-            )
-        else:
-            # The prepared runner aggregates counters only.
-            tail = out["miss_rate"]
-            base_tail = base["miss_rate"]
+        tail = tail_miss_rate(out["chunk_counters"], recover_at)
+        base_tail = tail_miss_rate(base["chunk_counters"], recover_at)
         monitor = out.get("monitor") or {}
         rows.append(
             [

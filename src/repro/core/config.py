@@ -120,7 +120,9 @@ class ChaosConfig:
     byte-identical fault timeline regardless of worker count or host
     speed.  All ``*_rate`` knobs
     are per-target, per-logical-tick Bernoulli probabilities sampled
-    once when the plan is generated.
+    once when the plan is generated.  The shape of each fault (link
+    slowdown, blast size and length, fail-slow ramp and watchdog
+    resets) is a constant of :mod:`repro.chaos.plan`.
 
     Passing a config arms the injector; passing ``None`` instead
     means no injector is constructed at all and every victim layer
@@ -140,49 +142,43 @@ class ChaosConfig:
         Per-device outage start probability per chunk, and outage
         length in chunks (failover + reinstatement in
         :class:`repro.cxl.fabric.CxlFabric`).
-    link_degrade_rate / link_degrade_chunks / link_degrade_factor:
+    link_degrade_rate / link_degrade_chunks:
         Per-device link-latency degradation windows; during a window
-        the device's link round-trip is priced at ``factor`` times
-        its healthy value.
-    shard_stall_rate / shard_stall_attempts:
-        Per-shard per-chunk stall probability and the number of
-        consecutive attempts the stall swallows (the serving loop
-        retries up to
-        :data:`repro.serving.service.SHARD_RETRY_LIMIT` times, then
-        degrades the chunk to SSD-direct service).
+        the device's link round-trip is priced at
+        :data:`~repro.chaos.plan.LINK_DEGRADE_FACTOR` times its
+        healthy value.
+    shard_stall_rate:
+        Per-shard per-chunk stall probability; a stalled shard's
+        accesses are served SSD-direct for that chunk (counted as
+        bypassed misses) and never reach its plane.
     refresh_fail_rate / refresh_corrupt_rate:
         Per-build probabilities that a model refresh raises mid-build
         or silently produces a corrupted engine (non-finite
         parameters); a failed build must leave the serving generation
         untouched, a corrupted one must be rejected by validation.
-    correlated_fail_rate / correlated_fail_chunks / correlated_fail_k:
+    correlated_fail_rate:
         Fleet-level correlated-outage windows: one per-chunk Bernoulli
         stream (a shared ``SeedSequence`` child, not per-device) picks
-        blast starts, and each blast takes ``correlated_fail_k``
-        devices down together for ``correlated_fail_chunks`` chunks --
-        the shared-rack / shared-switch failure mode the per-device
-        channel cannot express.  ``correlated_fail_k`` is validated
-        against the fleet size when the plan is generated.
-    failslow_rate / failslow_chunks / failslow_max_factor:
+        blast starts, and each blast takes
+        :data:`~repro.chaos.plan.CORRELATED_FAIL_K` devices down
+        together for :data:`~repro.chaos.plan.CORRELATED_FAIL_CHUNKS`
+        chunks -- the shared-rack / shared-switch failure mode the
+        per-device channel cannot express.
+    failslow_rate:
         Per-device *fail-slow* ramps: instead of a binary outage, the
         whole device path is priced at a latency multiplier that
         grows linearly per chunk from healthy (1.0) up to
-        ``failslow_max_factor`` at the end of the
-        ``failslow_chunks``-long window.  The device keeps serving
-        (cache bits are unaffected) -- only detection layers such as
-        :class:`repro.serving.health.FleetHealthMonitor` can respond,
-        because ``device_down`` never fires.
-    failslow_reset_factor / failslow_reset_period:
-        Watchdog resets of a fail-slow device: once a ramp's
-        multiplier reaches ``failslow_reset_factor``, the sick
-        controller starts tripping its watchdog and the plan emits a
-        one-chunk outage blip every ``failslow_reset_period`` chunks
-        for the rest of the window (the fleet-scale fail-slow
-        signature: gradually degrading latency punctuated by
-        transient unavailability).  Without a health monitor the
-        fabric bounces traffic off and back onto the sick device at
-        every blip; with one, quarantine re-homes it once.  ``0.0``
-        (the default) disables resets -- pure pricing ramps.
+        :data:`~repro.chaos.plan.FAILSLOW_MAX_FACTOR` at the end of
+        the window, which clamps to the horizon.  The device keeps
+        serving (cache bits are unaffected); once the multiplier
+        reaches :data:`~repro.chaos.plan.FAILSLOW_RESET_FACTOR`, the
+        sick controller trips its watchdog and the plan adds a
+        one-chunk outage blip every
+        :data:`~repro.chaos.plan.FAILSLOW_RESET_PERIOD` chunks.
+        Without a health monitor the fabric bounces traffic off and
+        back onto the sick device at every blip; with one
+        (:class:`repro.serving.health.FleetHealthMonitor`),
+        quarantine re-homes it once.
     """
 
     seed: int = 0
@@ -191,19 +187,11 @@ class ChaosConfig:
     device_fail_chunks: int = 8
     link_degrade_rate: float = 0.0
     link_degrade_chunks: int = 8
-    link_degrade_factor: float = 4.0
     shard_stall_rate: float = 0.0
-    shard_stall_attempts: int = 1
     refresh_fail_rate: float = 0.0
     refresh_corrupt_rate: float = 0.0
     correlated_fail_rate: float = 0.0
-    correlated_fail_chunks: int = 6
-    correlated_fail_k: int = 2
     failslow_rate: float = 0.0
-    failslow_chunks: int = 16
-    failslow_max_factor: float = 8.0
-    failslow_reset_factor: float = 0.0
-    failslow_reset_period: int = 2
 
     def __post_init__(self) -> None:
         if self.horizon_chunks < 1:
@@ -222,60 +210,29 @@ class ChaosConfig:
                 raise ValueError(
                     f"{name} must be in [0, 1], got {value!r}"
                 )
-        for name in (
-            "device_fail_chunks",
-            "link_degrade_chunks",
-            "shard_stall_attempts",
-            "correlated_fail_chunks",
-            "failslow_chunks",
-        ):
+        for name in ("device_fail_chunks", "link_degrade_chunks"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(
                     f"{name} must be >= 1, got {value!r}"
                 )
-        if self.link_degrade_factor < 1.0:
-            raise ValueError("link_degrade_factor must be >= 1")
-        if self.correlated_fail_k < 1:
-            raise ValueError(
-                "correlated_fail_k must be >= 1, got"
-                f" {self.correlated_fail_k!r}"
-            )
-        if self.failslow_max_factor < 1.0:
-            raise ValueError(
-                "failslow_max_factor must be >= 1, got"
-                f" {self.failslow_max_factor!r}"
-            )
-        if self.failslow_reset_factor != 0.0 and (
-            self.failslow_reset_factor < 1.0
-        ):
-            raise ValueError(
-                "failslow_reset_factor must be 0 (resets disabled)"
-                f" or >= 1, got {self.failslow_reset_factor!r}"
-            )
-        if self.failslow_reset_period < 1:
-            raise ValueError(
-                "failslow_reset_period must be >= 1, got"
-                f" {self.failslow_reset_period!r}"
-            )
 
     @classmethod
     def demo(cls, seed: int = 0, **overrides) -> "ChaosConfig":
         """A moderately hostile profile for CLI/demo runs.
 
-        Four of the seven fault channels are active -- device
-        failures, link degradation, shard stalls and refresh
-        failures -- at rates that produce a handful of events over
-        the default horizon: enough to watch failover, shard retries
-        and refresh backoff actually fire without drowning the run.
-        Correlated blasts, fail-slow ramps and corrupt refreshes stay
-        off unless ``overrides`` arm them.
+        Three of the seven fault channels are active -- device
+        failures, link degradation and refresh failures -- at rates
+        that produce a handful of events over the default horizon:
+        enough to watch failover, degraded-link pricing and refresh
+        backoff actually fire without drowning the run.  Shard
+        stalls, correlated blasts, fail-slow ramps and corrupt
+        refreshes stay off unless ``overrides`` arm them.
         """
         defaults = dict(
             seed=seed,
             device_fail_rate=0.01,
             link_degrade_rate=0.01,
-            shard_stall_rate=0.02,
             refresh_fail_rate=0.25,
         )
         defaults.update(overrides)

@@ -460,13 +460,28 @@ class CxlFabric:
             for _ in range(self.topology.n_devices)
         ]
 
-    def _cuts_from_marginals(self, marginals: np.ndarray) -> np.ndarray:
-        """Equal-population score-bucket boundaries for placement."""
-        n = self.topology.n_devices
-        if n == 1 or marginals.size == 0:
+    def _cuts_from_marginals(
+        self, marginals: np.ndarray, k: int | None = None
+    ) -> np.ndarray:
+        """Boundaries of ``k`` equal-population score buckets.
+
+        ``k`` is the fleet size for the ``score`` placement (the
+        default) and the healthy device count for failover.
+        """
+        if k is None:
+            k = self.topology.n_devices
+        if k == 1 or marginals.size == 0:
             return np.empty(0, dtype=np.float64)
-        quantiles = np.arange(1, n) / n
-        return np.quantile(np.unique(marginals), quantiles)
+        return np.quantile(np.unique(marginals), np.arange(1, k) / k)
+
+    @staticmethod
+    def _hot_to_fast(
+        cuts: np.ndarray, marginals: np.ndarray, rank: np.ndarray
+    ) -> np.ndarray:
+        """Device per access: the hottest bucket (highest marginal)
+        lands on ``rank[0]``, the fastest link of ``rank``."""
+        buckets = np.searchsorted(cuts, marginals, side="right")
+        return rank[rank.size - 1 - buckets]
 
     # ------------------------------------------------------------------
     # Stage: Place
@@ -500,11 +515,9 @@ class CxlFabric:
                 "score placement needs bind() (or score_cuts) first"
             )
         marginals = np.asarray(page_marginals, dtype=np.float64)
-        buckets = np.searchsorted(
-            self._score_cuts, marginals, side="right"
+        device_ids = self._hot_to_fast(
+            self._score_cuts, marginals, self._device_rank
         )
-        # Hottest bucket (highest marginal) -> fastest link.
-        device_ids = self._device_rank[n - 1 - buckets]
         return device_ids, pages
 
     # ------------------------------------------------------------------
@@ -806,30 +819,18 @@ class CxlFabric:
         """Healthy device per failed-over access (deterministic).
 
         Score-aware when per-access marginals are available: the
-        chunk's failed-over traffic is bucketed into
-        ``len(healthy)`` equal-population score bands and the hottest
-        band lands on the fastest healthy link -- the same policy the
-        ``score`` placement applies fleet-wide.  Without marginals it
-        falls back to page-modulo spreading.
+        chunk's failed-over traffic is cut into ``len(healthy)``
+        equal-population score buckets and the hottest lands on the
+        fastest healthy link -- the ``score`` placement's rule
+        (:meth:`_cuts_from_marginals`, :meth:`_hot_to_fast`) over the
+        healthy devices.  Without marginals it falls back to
+        page-modulo spreading.
         """
-        k = int(healthy.size)
-        if k == 1 or marginals is None:
-            return healthy[pages % k]
-        marginals = np.asarray(marginals, dtype=np.float64)
-        cuts = np.quantile(
-            np.unique(marginals), np.arange(1, k) / k
-        )
-        buckets = np.searchsorted(cuts, marginals, side="right")
-        healthy_set = set(healthy.tolist())
-        rank = np.asarray(
-            [
-                d
-                for d in self._device_rank.tolist()
-                if d in healthy_set
-            ],
-            dtype=np.int64,
-        )
-        return rank[k - 1 - buckets]
+        if marginals is None:
+            return healthy[pages % healthy.size]
+        rank = self._device_rank[np.isin(self._device_rank, healthy)]
+        cuts = self._cuts_from_marginals(marginals, int(healthy.size))
+        return self._hot_to_fast(cuts, marginals, rank)
 
     def _apply_failover(
         self,

@@ -53,11 +53,15 @@ class KMeansResult:
 def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, shape ``(N, K)``."""
     # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2, computed without the NxKxD
-    # intermediate that a broadcast subtraction would allocate.
+    # intermediate that a broadcast subtraction would allocate, and in
+    # place on the one (N, K) product: -2 x.c + ||x||^2 rounds exactly
+    # as ||x||^2 - 2 x.c does.
     x_sq = np.sum(points * points, axis=1)[:, None]
     c_sq = np.sum(centers * centers, axis=1)[None, :]
-    cross = points @ centers.T
-    distances = x_sq - 2.0 * cross + c_sq
+    distances = points @ centers.T
+    distances *= -2.0
+    distances += x_sq
+    distances += c_sq
     np.maximum(distances, 0.0, out=distances)
     return distances
 

@@ -18,12 +18,12 @@ import json
 SNAPSHOT_SCHEMA = "repro.telemetry/v1"
 
 #: Event kinds that open/close a fault window (rendered as one
-#: duration slice in the Chrome trace); all other kinds render as
+#: duration slice in the Chrome trace); all other kinds -- a shard
+#: stall's one-chunk ``stall-degraded`` among them -- render as
 #: instant events.
 EVENT_PAIRS = {
     "device-down": "device-restored",
     "breaker-open": "breaker-close",
-    "stall-degraded": "stall-recovered",
     "device-quarantined": "device-reinstated",
     "failslow-onset": "failslow-cleared",
 }

@@ -8,8 +8,8 @@ operator watches: the rolling miss rate and the rolling average
 access time under the Table 1 :class:`~repro.hardware.latency.LatencyModel`.
 
 The chaos harness (``repro.chaos``) adds a second lens: deltas served
-in *degraded mode* (failover, SSD-direct after stall-retry exhaustion,
-link degradation) are recorded with ``degraded=True`` and aggregated
+in *degraded mode* (failover, SSD-direct during a shard stall, link
+degradation) are recorded with ``degraded=True`` and aggregated
 separately, and discrete failure/recovery events
 (:class:`FailureEvent`) land on the same per-key timeline so
 time-to-detect / time-to-recover fall straight out of the record.
@@ -72,7 +72,7 @@ class RollingMetrics:
         """Append one chunk's counter delta for ``key``.
 
         ``degraded=True`` marks the delta as served in degraded mode
-        (failover target, SSD-direct after retry exhaustion, degraded
+        (failover target, SSD-direct during a shard stall, degraded
         link); it still lands in the rolling window and totals, and
         is *additionally* aggregated under the degraded lens.
         """

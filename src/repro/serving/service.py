@@ -59,14 +59,6 @@ from repro.serving.metrics import RollingMetrics
 from repro.serving.refresh import ModelRefresher, validate_engine
 from repro.serving.sharding import ShardedCachePlanes
 
-#: Bounded retry of a stalled shard replay within one chunk (total
-#: attempts = 1 + limit).  A stall that outlasts the budget degrades
-#: the chunk: that shard's accesses are served SSD-direct (counted as
-#: bypassed misses) and left out of its plane's replay, and the
-#: degradation is recorded in the rolling metrics.
-SHARD_RETRY_LIMIT = 2
-
-
 class _PageScoreCache:
     """Lazily-extended map of page -> time-marginalised score.
 
@@ -251,7 +243,6 @@ class IcgmmCacheService:
         self._refresh_block_until = -(10**9)
         self._quarantine_until = -(10**9)
         self._quarantined = False
-        self._stall_retries = 0
         # Telemetry wiring mirrors chaos: None when disabled, so every
         # hot-path gate is an ``is not None`` check and the untraced
         # run executes the exact pre-telemetry code path.
@@ -304,10 +295,6 @@ class IcgmmCacheService:
             edges=RATIO_EDGES,
         )
 
-        stalls = registry.counter(
-            "serving_stall_retries_total",
-            help="Shard-stall attempts absorbed by the retry budget.",
-        )
         generation = registry.gauge(
             "serving_engine_generation_count",
             help="Engine generation currently serving.",
@@ -318,7 +305,6 @@ class IcgmmCacheService:
         )
 
         def collect() -> None:
-            stalls.set(self._stall_retries)
             generation.set(self.generation)
             live_components.set(
                 int(np.count_nonzero(self.engine.model.weights))
@@ -452,32 +438,22 @@ class IcgmmCacheService:
         outcome = np.empty(n, dtype=np.uint8)
         degraded_shards: set[int] = set()
         for shard, positions in enumerate(shard_positions):
-            if self.injector is None or positions.size == 0:
+            if (
+                self.injector is None
+                or positions.size == 0
+                or not self.injector.shard_stalled(
+                    self._chunk_index, shard
+                )
+            ):
                 continue
-            attempts = self.injector.shard_stall_attempts(
-                self._chunk_index, shard
-            )
-            if not attempts:
-                continue
-            if attempts > SHARD_RETRY_LIMIT:
-                # Retry budget exhausted: the shard's accesses are
-                # served SSD-direct for the chunk and left out of its
-                # plane's task -- the plane never sees them, which is
-                # exactly what a stalled shard looks like from the
-                # data's point of view.
-                outcome[positions] = OUTCOME_BYPASS
-                degraded_shards.add(shard)
-                kind = "stall-degraded"
-            else:
-                # Cleared within the retry budget: bit-identical to
-                # no stall at all.
-                self._stall_retries += attempts
-                kind = "stall-recovered"
+            # A stalled shard's accesses are served SSD-direct for the
+            # chunk and left out of its plane's task -- the plane
+            # never sees them, which is exactly what a stalled shard
+            # looks like from the data's point of view.
+            outcome[positions] = OUTCOME_BYPASS
+            degraded_shards.add(shard)
             self.shard_metrics.record_event(
-                f"shard:{shard}",
-                kind,
-                self._chunk_index,
-                attempts=attempts,
+                f"shard:{shard}", "stall-degraded", self._chunk_index
             )
         if degraded_shards:
             plane_ids = np.where(
@@ -742,9 +718,8 @@ class IcgmmCacheService:
 
         Under chaos (an injector is wired) a ``"chaos"`` section is
         appended: the observed fault timeline and its digest, the
-        failure/recovery event log, and the retry/degradation
-        counters.  Without chaos the summary is byte-identical to the
-        pre-chaos format.
+        failure/recovery event log, and the refresh counters.  Without
+        chaos the summary is byte-identical to the pre-chaos format.
         """
         out = {
             "accesses": self.totals.accesses,
@@ -770,7 +745,6 @@ class IcgmmCacheService:
                     event.as_dict()
                     for event in self.shard_metrics.events()
                 ],
-                "stall_retries": self._stall_retries,
                 "refresh_attempts": self._refresh_attempts,
                 "refresh_failures": self._refresh_failures,
                 "recovery_latency_chunks": (

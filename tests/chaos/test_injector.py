@@ -86,11 +86,17 @@ class TestQueries:
                 ),
             ]
         )
-        assert injector.shard_stall_attempts(2, 3) == 2
-        assert injector.shard_stall_attempts(2, 0) == 0
+        assert injector.shard_stalled(2, 3) is True
+        assert injector.shard_stalled(2, 0) is False
         assert injector.refresh_fault(0) == "fail"
         assert injector.refresh_fault(1) == "corrupt"
         assert injector.refresh_fault(2) is None
+        # A stall lasts one chunk, whatever duration its plan event
+        # was written with.
+        (stall,) = [
+            e for e in injector.records if e.kind == KIND_SHARD_STALL
+        ]
+        assert (stall.start, stall.target, stall.duration) == (2, 3, 1)
 
 
 class TestOverlappingWindows:

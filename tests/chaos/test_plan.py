@@ -17,6 +17,15 @@ from repro.chaos import (
     SERVING_SCENARIOS,
     scenario_chaos,
 )
+from repro.chaos.plan import (
+    CORRELATED_FAIL_CHUNKS,
+    CORRELATED_FAIL_K,
+    FAILSLOW_MAX_FACTOR,
+    FAILSLOW_RESET_FACTOR,
+    FAILSLOW_RESET_PERIOD,
+    LINK_DEGRADE_FACTOR,
+    _failslow_resets,
+)
 from repro.cli import build_parser
 from repro.core.config import ChaosConfig
 
@@ -29,9 +38,7 @@ def _config(**overrides):
         device_fail_chunks=4,
         link_degrade_rate=0.05,
         link_degrade_chunks=4,
-        link_degrade_factor=3.0,
         shard_stall_rate=0.05,
-        shard_stall_attempts=2,
         refresh_fail_rate=0.2,
         refresh_corrupt_rate=0.1,
     )
@@ -72,19 +79,27 @@ class TestDeterminism:
         (children 4 and 5 belong to no channel); renumbering any
         channel moves its events and this digest."""
         plan = _generate(
-            _config(
-                correlated_fail_rate=0.1,
-                correlated_fail_k=2,
-                failslow_rate=0.05,
-                failslow_chunks=16,
-                failslow_max_factor=4.0,
-            )
+            _config(correlated_fail_rate=0.1, failslow_rate=0.05)
         )
-        assert len(plan) == 68
+        assert len(plan) == 119
         assert plan.digest() == (
-            "9c4281c1adfb4dc9acf42c51dd9cf526"
-            "5f8fb33062063a5434edde18aabd0837"
+            "cbb3e0ebe73b206e2a40a596b5fc666f"
+            "da426ece577c769c133e26c152b89fdc"
         )
+
+
+class TestFixedShapes:
+    """The shape of each fault is a module constant of the plan."""
+
+    def test_link_windows_carry_the_degrade_factor(self):
+        windows = _generate(_config()).by_kind(KIND_LINK_DEGRADE)
+        assert windows
+        assert {e.magnitude for e in windows} == {LINK_DEGRADE_FACTOR}
+
+    def test_stalls_last_one_chunk(self):
+        stalls = _generate(_config()).by_kind(KIND_SHARD_STALL)
+        assert stalls
+        assert {(e.duration, e.magnitude) for e in stalls} == {(1, 0.0)}
 
 
 class TestShape:
@@ -125,13 +140,7 @@ class TestShape:
 
 class TestCorrelatedChannel:
     def test_blasts_hit_k_devices_together(self):
-        plan = _generate(
-            _config(
-                correlated_fail_rate=0.1,
-                correlated_fail_chunks=4,
-                correlated_fail_k=2,
-            )
-        )
+        plan = _generate(_config(correlated_fail_rate=0.1))
         blasts = plan.by_kind(KIND_DEVICE_CORRELATED)
         assert blasts
         by_start: dict[int, list] = {}
@@ -139,35 +148,42 @@ class TestCorrelatedChannel:
             by_start.setdefault(event.start, []).append(event)
         for start, group in by_start.items():
             targets = [e.target for e in group]
-            assert len(targets) == 2
-            assert len(set(targets)) == 2
+            assert len(targets) == CORRELATED_FAIL_K
+            assert len(set(targets)) == CORRELATED_FAIL_K
             assert targets == sorted(targets)
+            assert {e.duration for e in group} <= set(
+                range(1, CORRELATED_FAIL_CHUNKS + 1)
+            )
             assert len({e.duration for e in group}) == 1
 
     def test_k_exceeding_fleet_rejected_up_front(self):
         with pytest.raises(ValueError, match="exceeds the fleet"):
-            _generate(
-                _config(
-                    correlated_fail_rate=0.1, correlated_fail_k=5
-                )
+            FaultPlan.generate(
+                _config(correlated_fail_rate=0.1),
+                n_devices=CORRELATED_FAIL_K - 1,
             )
 
     def test_enabling_new_channels_preserves_old_streams(self):
         """The new channels append SeedSequence children; the first
         four channels' streams -- and therefore every pre-existing
-        plan -- must be byte-identical at equal seeds."""
+        plan -- must be byte-identical at equal seeds.  Fail-slow
+        ramps add only their watchdog-reset blips to the outages."""
         old = _generate(_config())
         extended = _generate(
-            _config(
-                correlated_fail_rate=0.1,
-                correlated_fail_k=2,
-                failslow_rate=0.05,
-                failslow_chunks=16,
-                failslow_max_factor=4.0,
+            _config(correlated_fail_rate=0.1, failslow_rate=0.05)
+        )
+        blips = tuple(
+            blip
+            for ramp in extended.by_kind(KIND_DEVICE_FAILSLOW)
+            for blip in _failslow_resets(
+                ramp.target, ramp.start, ramp.duration
             )
         )
+        assert blips
+        assert extended.by_kind(KIND_DEVICE_FAIL) == tuple(
+            sorted(old.by_kind(KIND_DEVICE_FAIL) + blips)
+        )
         for kind in (
-            KIND_DEVICE_FAIL,
             KIND_LINK_DEGRADE,
             KIND_SHARD_STALL,
             KIND_REFRESH_FAIL,
@@ -179,13 +195,7 @@ class TestCorrelatedChannel:
 class TestFailslowChannel:
     @staticmethod
     def _failslow_only(**overrides):
-        base = dict(
-            seed=3,
-            horizon_chunks=64,
-            failslow_rate=0.05,
-            failslow_chunks=4096,
-            failslow_max_factor=6.0,
-        )
+        base = dict(seed=3, horizon_chunks=64, failslow_rate=0.05)
         base.update(overrides)
         return ChaosConfig(**base)
 
@@ -194,23 +204,14 @@ class TestFailslowChannel:
         ramps = plan.by_kind(KIND_DEVICE_FAILSLOW)
         assert ramps
         for event in ramps:
-            assert event.magnitude == 6.0
+            assert event.magnitude == FAILSLOW_MAX_FACTOR
             # Windows clamp to the horizon end: a fail-slow device
             # stays sick until the run ends.
             assert event.start + event.duration == 64
 
-    def test_reset_blips_disabled_by_default(self):
-        plan = _generate(self._failslow_only())
-        assert not plan.by_kind(KIND_DEVICE_FAIL)
-
     def test_reset_blips_follow_window_geometry(self):
-        plan = _generate(
-            self._failslow_only(
-                failslow_max_factor=8.0,
-                failslow_reset_factor=4.0,
-                failslow_reset_period=3,
-            )
-        )
+        peak, reset = FAILSLOW_MAX_FACTOR, FAILSLOW_RESET_FACTOR
+        plan = _generate(self._failslow_only())
         ramps = plan.by_kind(KIND_DEVICE_FAILSLOW)
         blips = plan.by_kind(KIND_DEVICE_FAIL)
         assert ramps and blips
@@ -219,16 +220,17 @@ class TestFailslowChannel:
                 e.start for e in blips if e.target == ramp.target
             )
             assert mine, "every ramp past the reset factor blips"
-            # factor(c) = 1 + 7 * (c - start + 1) / duration: the
-            # first blip lands where the interpolation crosses 4.0.
+            # factor(c) = 1 + (peak - 1) * (c - start + 1) / duration:
+            # the first blip lands where the interpolation crosses
+            # the reset factor.
             first = mine[0]
             duration = ramp.duration
-            reached = 1.0 + 7.0 * (first - ramp.start + 1) / duration
-            assert reached >= 4.0
-            before = 1.0 + 7.0 * (first - ramp.start) / duration
-            assert before < 4.0 or first == ramp.start
+            slope = (peak - 1.0) / duration
+            assert 1.0 + slope * (first - ramp.start + 1) >= reset
+            before = 1.0 + slope * (first - ramp.start)
+            assert before < reset or first == ramp.start
             for a, b in zip(mine, mine[1:]):
-                assert b - a == 3
+                assert b - a == FAILSLOW_RESET_PERIOD
             for blip in mine:
                 assert ramp.start <= blip < ramp.start + duration
         for event in blips:

@@ -2,7 +2,7 @@
 
 Targeted, hand-written fault plans (not sampled ones) drive each
 degradation path deterministically: fabric failover and degraded-link
-pricing, serving stall retry/degrade, refresh backoff + circuit
+pricing, serving stall degradation, refresh backoff + circuit
 breaker -- plus the cross-cutting guarantee that a chaotic run is
 bit-identical at every worker count.
 """
@@ -18,10 +18,13 @@ from repro.chaos import (
     KIND_REFRESH_CORRUPT,
     KIND_REFRESH_FAIL,
     KIND_SHARD_STALL,
+    SCENARIO_NAMES,
+    SERVING_SCENARIOS,
     FaultEvent,
     FaultInjector,
     FaultPlan,
     run_fabric_scenario,
+    scenario_chaos,
 )
 from repro.core.config import (
     ChaosConfig,
@@ -31,7 +34,6 @@ from repro.core.config import (
 )
 from repro.cxl.fabric import CxlFabric
 from repro.serving import IcgmmCacheService
-from repro.serving.service import SHARD_RETRY_LIMIT
 
 
 def _inject(victim, events):
@@ -57,11 +59,13 @@ def _fabric(config, chaos=ARMED, monitor=False):
     )
 
 
-def _stream(fabric, pages, writes, chunk=2_000):
+def _stream(fabric, pages, writes, chunk=2_000, marginals=None):
     for start in range(0, pages.shape[0], chunk):
+        sl = slice(start, start + chunk)
         fabric.ingest(
-            pages[start : start + chunk],
-            writes[start : start + chunk],
+            pages[sl],
+            writes[sl],
+            page_marginals=None if marginals is None else marginals[sl],
         )
     return fabric.results()
 
@@ -407,6 +411,52 @@ class TestPreparedChaos:
         assert candidate.totals == reference.totals
         assert candidate.total_time_ns == reference.total_time_ns
 
+    @pytest.mark.parametrize("monitor", [False, True], ids=["off", "on"])
+    @pytest.mark.parametrize(
+        "name", [n for n in SCENARIO_NAMES if n not in SERVING_SCENARIOS]
+    )
+    def test_prepared_scenario_matches_streamed(
+        self, chaos_workload, name, monitor
+    ):
+        """Under every fabric scenario's sampled plan, with the
+        monitor off and on, run_prepared's chunked path replays what
+        hand-chunked ingest of the same marginals does: the same
+        counters, priced and degraded time, failover traffic, fault
+        timeline and events."""
+        config, _, pages, writes = chaos_workload
+        chunk = 500
+        chaos = scenario_chaos(
+            name, seed=0, horizon_chunks=-(-pages.shape[0] // chunk)
+        )
+        workload = _prepared(pages, writes)
+        streamed = _fabric(config, chaos=chaos, monitor=monitor)
+        prepared = _fabric(config, chaos=chaos, monitor=monitor)
+        try:
+            streamed.bind("lru", 0.0)
+            reference = _stream(
+                streamed, pages, writes, chunk=chunk,
+                marginals=workload.page_frequency_scores,
+            )
+            candidate = prepared.run_prepared(
+                workload, "lru", chunk_requests=chunk
+            )
+        finally:
+            streamed.close()
+            prepared.close()
+        assert streamed.injector.records, "the plan must fire a fault"
+        assert candidate.totals == reference.totals
+        assert candidate.total_time_ns == reference.total_time_ns
+        for ours, theirs in zip(candidate.devices, reference.devices):
+            assert ours.failover_stats == theirs.failover_stats
+            assert ours.degraded_time_ns == theirs.degraded_time_ns
+        assert (
+            prepared.injector.timeline_digest()
+            == streamed.injector.timeline_digest()
+        )
+        assert [e.as_dict() for e in prepared.metrics.events()] == [
+            e.as_dict() for e in streamed.metrics.events()
+        ]
+
     @pytest.mark.parametrize("chunk", [0, -5])
     def test_nonpositive_chunk_is_rejected(self, chaos_workload, chunk):
         """A chunk size below 1 is refused up front: a negative step
@@ -447,7 +497,7 @@ def _serving_config(**overrides):
 
 
 class TestServingStalls:
-    def test_stall_within_budget_is_transparent(self, chaos_workload):
+    def test_stall_degrades_shard_chunk(self, chaos_workload):
         config, engine, pages, writes = chaos_workload
         serving = _serving_config()
         clean = _service(config, engine, serving, chaos=None)
@@ -456,36 +506,7 @@ class TestServingStalls:
         stalled = _service(config, engine, serving)
         _inject(
             stalled,
-            [
-                FaultEvent(
-                    start=1, kind=KIND_SHARD_STALL, target=2,
-                    duration=SHARD_RETRY_LIMIT,
-                )
-            ],
-        )
-        stalled.ingest(pages, writes)
-        assert stalled.totals == clean.totals
-        assert stalled._stall_retries == SHARD_RETRY_LIMIT
-        events = stalled.shard_metrics.events("shard:2")
-        assert [e.kind for e in events] == ["stall-recovered"]
-
-    def test_stall_beyond_budget_degrades_shard_chunk(
-        self, chaos_workload
-    ):
-        config, engine, pages, writes = chaos_workload
-        serving = _serving_config()
-        clean = _service(config, engine, serving, chaos=None)
-        clean.ingest(pages, writes)
-
-        stalled = _service(config, engine, serving)
-        _inject(
-            stalled,
-            [
-                FaultEvent(
-                    start=1, kind=KIND_SHARD_STALL, target=2,
-                    duration=SHARD_RETRY_LIMIT + 1,
-                )
-            ],
+            [FaultEvent(start=1, kind=KIND_SHARD_STALL, target=2)],
         )
         stalled.ingest(pages, writes)
         # Degraded to SSD-direct for one shard-chunk: every access
@@ -493,10 +514,15 @@ class TestServingStalls:
         assert stalled.totals.accesses == clean.totals.accesses
         assert stalled.totals.misses > clean.totals.misses
         events = stalled.shard_metrics.events("shard:2")
-        assert [e.kind for e in events] == ["stall-degraded"]
-        assert stalled.shard_metrics.degraded_total(
-            "shard:2"
-        ).accesses > 0
+        assert [(e.kind, e.chunk_index, e.info) for e in events] == [
+            ("stall-degraded", 1, {})
+        ]
+        # Exactly shard 2's accesses of chunk 1 were served degraded.
+        step = serving.chunk_requests
+        shard_ids, _ = stalled.planes.route(pages[step : 2 * step])
+        degraded = stalled.shard_metrics.degraded_total("shard:2")
+        assert degraded.accesses == int(np.count_nonzero(shard_ids == 2))
+        assert degraded.misses == degraded.accesses
 
 
 class TestRefreshFaults:
@@ -594,7 +620,6 @@ class TestWorkerCountInvariance:
             seed=13,
             horizon_chunks=8,
             shard_stall_rate=0.2,
-            shard_stall_attempts=3,
             refresh_fail_rate=0.5,
         )
 

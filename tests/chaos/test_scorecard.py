@@ -6,14 +6,13 @@ each scenario of :data:`repro.chaos.SCENARIO_NAMES` with chaos seed
 50, the seed whose plans land faults of every channel inside the
 stream and ramp a single device on fail-slow (a sick *majority* would
 contaminate the fleet median the health monitor judges against).
-Fabric and prepared scenarios run with the fleet health monitor off
-and on (the constants ``repro chaos --monitor`` ships), every cell at
-workers 1 and 4, each against a no-fault
-baseline on the same path.  Faults are planned over the leading 70 %
-of the stream so the trailing chunks form a post-recovery window,
-except fail-slow, whose ramp runs to the end of the stream: a sick
-device never recovers by waiting, so its "tail" is the whole run and
-only quarantine can improve it.
+Fabric scenarios run with the fleet health monitor off and on (the
+constants ``repro chaos --monitor`` ships), every cell at workers 1
+and 4, each against a no-fault baseline on the same path.  Faults are
+planned over the leading 70 % of the stream so the trailing chunks
+form a post-recovery window, except fail-slow, whose ramp runs to the
+end of the stream: a sick device never recovers by waiting, so its
+"tail" is the whole run and only quarantine can improve it.
 """
 
 import numpy as np
@@ -21,12 +20,10 @@ import pytest
 
 from repro.cache.setassoc import CacheGeometry
 from repro.chaos import (
-    PREPARED_SCENARIOS,
     SCENARIO_NAMES,
     SERVING_SCENARIOS,
     recovery_chunk,
     run_fabric_scenario,
-    run_prepared_scenario,
     run_serving_scenario,
     scenario_chaos,
     tail_latency_us,
@@ -57,7 +54,6 @@ HEALTHY_LATENCY_SCENARIOS = (
     "device_failure",
     "link_degrade",
     "device_correlated",
-    "prepared_failure",
 )
 
 
@@ -69,22 +65,17 @@ def _row(out, base, recover_at):
     """One scorecard row: what the gates below read."""
     monitor = out.get("monitor") or {}
     fabric = "chunk_times_ns" in out
-    chunked = "chunk_counters" in out
     return {
         "faults": len(out["timeline"]),
         "timeline_digest": out["timeline_digest"],
         "accesses": int(out["accesses"]),
         "miss_rate": out["miss_rate"],
         "baseline_miss_rate": base["miss_rate"],
-        "tail_miss_rate": (
-            tail_miss_rate(out["chunk_counters"], recover_at)
-            if chunked
-            else out["miss_rate"]
+        "tail_miss_rate": tail_miss_rate(
+            out["chunk_counters"], recover_at
         ),
-        "baseline_tail_miss_rate": (
-            tail_miss_rate(base["chunk_counters"], recover_at)
-            if chunked
-            else base["miss_rate"]
+        "baseline_tail_miss_rate": tail_miss_rate(
+            base["chunk_counters"], recover_at
         ),
         "tail_latency_us": (
             tail_latency_us(
@@ -93,8 +84,8 @@ def _row(out, base, recover_at):
             if fabric
             else 0.0
         ),
-        "chunk_counters": out.get("chunk_counters"),
-        "baseline_chunk_counters": base.get("chunk_counters"),
+        "chunk_counters": out["chunk_counters"],
+        "baseline_chunk_counters": base["chunk_counters"],
         "failover_accesses": int(out.get("failover_accesses", 0)),
         "degraded_time_ns": int(out.get("degraded_time_ns", 0)),
         "quarantines": int(monitor.get("quarantines", 0)),
@@ -105,8 +96,8 @@ def _row(out, base, recover_at):
 
 @pytest.fixture(scope="module")
 def scorecard(two_tenant_drift_stream):
-    """``(n_accesses, rows, prepared_parity)``; ``rows`` is keyed by
-    ``(scenario, monitor arm, workers)``."""
+    """``(n_accesses, rows)``; ``rows`` is keyed by ``(scenario,
+    monitor arm, workers)``."""
     pages, writes, _ = two_tenant_drift_stream(24_000, 1_200, seed=7)
     gmm = GmmEngineConfig(
         n_components=8, max_iter=20, max_train_samples=8_000
@@ -155,12 +146,7 @@ def scorecard(two_tenant_drift_stream):
                 chaos, engine, pages, writes,
                 config=config, serving=serving,
             )
-        runner = (
-            run_prepared_scenario
-            if name in PREPARED_SCENARIOS
-            else run_fabric_scenario
-        )
-        return runner(
+        return run_fabric_scenario(
             chaos, pages, writes,
             topology=topology, config=config, chunk_requests=CHUNK,
             parallel=parallel, monitor=monitor,
@@ -189,21 +175,7 @@ def scorecard(two_tenant_drift_stream):
             )
             for arm, out in outs.items():
                 rows[name, arm, workers] = _row(out, base, recover_at)
-
-    fields = ("accesses", "miss_rate", "total_time_ns")
-    streamed, prepared = (
-        runner(
-            None, pages, writes,
-            topology=topology, config=config, chunk_requests=CHUNK,
-            parallel=ParallelConfig(workers=1),
-        )
-        for runner in (run_fabric_scenario, run_prepared_scenario)
-    )
-    parity = (
-        {f: streamed[f] for f in fields},
-        {f: prepared[f] for f in fields},
-    )
-    return pages.shape[0], rows, parity
+    return pages.shape[0], rows
 
 
 #: Every ``(scenario, monitor arm, workers)`` row of the scorecard.
@@ -222,30 +194,30 @@ def _cell_id(cell):
 
 @pytest.mark.parametrize("cell", CELLS, ids=_cell_id)
 def test_every_scenario_observes_a_fault(scorecard, cell):
-    _, rows, _ = scorecard
+    _, rows = scorecard
     assert rows[cell]["faults"] >= 1
 
 
 @pytest.mark.parametrize("cell", CELLS, ids=_cell_id)
 def test_every_access_is_served(scorecard, cell):
-    n_accesses, rows, _ = scorecard
+    n_accesses, rows = scorecard
     assert rows[cell]["accesses"] == n_accesses
 
 
 @pytest.mark.parametrize("cell", CELLS, ids=_cell_id)
 def test_post_recovery_miss_rate_is_bounded(scorecard, cell):
-    _, rows, _ = scorecard
+    _, rows = scorecard
     row = rows[cell]
     base = row["baseline_tail_miss_rate"]
     bound = max(RECOVERY_FACTOR * base, base + RECOVERY_SLACK)
     assert row["tail_miss_rate"] <= bound
 
 
-@pytest.mark.parametrize("name", ["device_failure", "prepared_failure"])
+@pytest.mark.parametrize("name", ["device_failure", "device_correlated"])
 @pytest.mark.parametrize("arm", ["off", "on"])
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_failed_device_traffic_fails_over(scorecard, name, arm, workers):
-    _, rows, _ = scorecard
+    _, rows = scorecard
     assert rows[name, arm, workers]["failover_accesses"] > 0
 
 
@@ -253,13 +225,13 @@ def test_failed_device_traffic_fails_over(scorecard, name, arm, workers):
     "cell", [cell for cell in CELLS if cell[1] == "on"], ids=_cell_id
 )
 def test_monitor_rows_carry_a_decision_digest(scorecard, cell):
-    _, rows, _ = scorecard
+    _, rows = scorecard
     assert rows[cell]["monitor_digest"]
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_failslow_quarantine_beats_waiting(scorecard, workers):
-    _, rows, _ = scorecard
+    _, rows = scorecard
     off = rows["device_failslow", "off", workers]
     on = rows["device_failslow", "on", workers]
     assert on["quarantines"] >= 1
@@ -272,7 +244,7 @@ def test_failslow_quarantine_beats_waiting(scorecard, workers):
 def test_monitor_makes_no_false_quarantines(scorecard, name, workers):
     """Off the fail-slow scenario the armed monitor changes nothing
     (a correlated blast may still log suspect/cleared transitions)."""
-    _, rows, _ = scorecard
+    _, rows = scorecard
     off = rows[name, "off", workers]
     on = rows[name, "on", workers]
     assert on["quarantines"] == 0
@@ -289,13 +261,9 @@ def test_monitor_makes_no_false_quarantines(scorecard, name, workers):
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_rows_are_identical_across_worker_counts(scorecard, name):
-    _, rows, _ = scorecard
+    _, rows = scorecard
     for arm in _arms(name):
         one, *others = (rows[name, arm, w] for w in WORKER_COUNTS)
         for other in others:
             assert other == one, arm
 
-
-def test_disabled_chaos_prepared_run_equals_streamed(scorecard):
-    _, _, (streamed, prepared) = scorecard
-    assert prepared == streamed

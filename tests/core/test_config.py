@@ -6,6 +6,7 @@ from repro.cache.setassoc import CacheGeometry
 from repro.core.config import (
     SIMULATION_SCALE,
     STRATEGIES,
+    ChaosConfig,
     GmmEngineConfig,
     IcgmmConfig,
 )
@@ -28,6 +29,46 @@ class TestGmmEngineConfig:
     def test_rejects_too_few_train_samples(self):
         with pytest.raises(ValueError, match="max_train_samples"):
             GmmEngineConfig(n_components=64, max_train_samples=32)
+
+
+#: The per-tick fault probabilities of :class:`ChaosConfig`.
+CHAOS_RATES = (
+    "device_fail_rate",
+    "link_degrade_rate",
+    "shard_stall_rate",
+    "refresh_fail_rate",
+    "refresh_corrupt_rate",
+    "correlated_fail_rate",
+    "failslow_rate",
+)
+
+
+class TestChaosConfig:
+    @pytest.mark.parametrize("name", CHAOS_RATES)
+    def test_rates_are_probabilities(self, name):
+        assert getattr(ChaosConfig(**{name: 1.0}), name) == 1.0
+        for bad in (-0.01, 1.01):
+            with pytest.raises(ValueError, match=name):
+                ChaosConfig(**{name: bad})
+
+    @pytest.mark.parametrize(
+        "name", ["horizon_chunks", "device_fail_chunks", "link_degrade_chunks"]
+    )
+    def test_lengths_are_positive(self, name):
+        assert getattr(ChaosConfig(**{name: 1}), name) == 1
+        with pytest.raises(ValueError, match=name):
+            ChaosConfig(**{name: 0})
+
+    def test_demo_arms_three_channels(self):
+        demo = ChaosConfig.demo()
+        armed = {name for name in CHAOS_RATES if getattr(demo, name) > 0}
+        assert armed == {
+            "device_fail_rate",
+            "link_degrade_rate",
+            "refresh_fail_rate",
+        }
+        demo = ChaosConfig.demo(seed=4, shard_stall_rate=0.1)
+        assert (demo.seed, demo.shard_stall_rate) == (4, 0.1)
 
 
 class TestIcgmmConfig:

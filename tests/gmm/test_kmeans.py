@@ -1,11 +1,17 @@
 """Tests for the k-means initialiser (greedy k-means++ and Lloyd)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gmm.kmeans import kmeans_fast, kmeans_plus_plus_fast
+from repro.gmm.kmeans import (
+    _squared_distances,
+    kmeans_fast,
+    kmeans_plus_plus_fast,
+)
 
 
 def _three_blobs(rng, n_per=50, spread=0.2):
@@ -98,3 +104,39 @@ class TestKMeans:
         assert result.inertia >= 0.0
         assert result.centers.shape == (4, 2)
         assert len(result.labels) == 30
+
+
+class TestSquaredDistances:
+    def test_in_place_equals_three_term_formula(self):
+        """The in-place accumulation rounds exactly as
+        ``||x||^2 - 2 x.c + ||c||^2`` evaluated term by term."""
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            n, k, d = (int(rng.integers(1, hi)) for hi in (120, 24, 6))
+            scale = 10.0 ** rng.uniform(-3.0, 6.0)
+            points = scale * rng.standard_normal((n, d))
+            centers = scale * rng.standard_normal((k, d))
+            x_sq = np.sum(points * points, axis=1)[:, None]
+            c_sq = np.sum(centers * centers, axis=1)[None, :]
+            expected = np.maximum(
+                x_sq - 2.0 * (points @ centers.T) + c_sq, 0.0
+            )
+            got = _squared_distances(points, centers)
+            assert np.array_equal(
+                got.view(np.uint64), expected.view(np.uint64)
+            )
+
+    def test_peak_memory_is_one_distance_matrix(self):
+        """At 40,000 x 2 points and 64 centres one ``(N, K)`` float64
+        array is 19.5 MiB; the three-term formula held three at once."""
+        rng = np.random.default_rng(1)
+        points = rng.standard_normal((40_000, 2))
+        centers = rng.standard_normal((64, 2))
+        one_matrix = points.shape[0] * centers.shape[0] * 8
+        tracemalloc.start()
+        try:
+            _squared_distances(points, centers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * one_matrix

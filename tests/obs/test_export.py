@@ -2,14 +2,20 @@
 
 Includes the chaos-bridge satellite: fault windows recorded on a
 ``RollingMetrics`` timeline during a real chaos scenario must render
-as duration slices in the trace-event export.
+as duration slices in the trace-event export, and one-chunk shard
+stalls as instants.
 """
 
 import json
 
 import pytest
 
-from repro.chaos.scenarios import run_fabric_scenario, scenario_chaos
+from repro.chaos.scenarios import (
+    run_fabric_scenario,
+    run_serving_scenario,
+    scenario_chaos,
+)
+from repro.core.config import ServingConfig
 from repro.obs import Telemetry
 from repro.obs.export import (
     EVENT_PAIRS,
@@ -219,6 +225,28 @@ class TestChromeTrace:
         names = [e["name"] for e in trace["traceEvents"]]
         assert "device-down:device:0 (unclosed)" in names
 
+    def test_stalls_render_as_instants(self):
+        """A shard stall lasts one chunk: each ``stall-degraded``
+        event is its own instant, never one end of a window."""
+        trace = chrome_trace(
+            [],
+            [
+                _event("stall-degraded", "shard:0", 3),
+                _event("stall-degraded", "shard:1", 7),
+                _event("stall-degraded", "shard:0", 10),
+            ],
+        )
+        faults = [
+            (e["name"], e["ph"], e["ts"])
+            for e in trace["traceEvents"]
+            if e.get("cat") == "fault"
+        ]
+        assert faults == [
+            ("stall-degraded:shard:0", "i", 3),
+            ("stall-degraded:shard:1", "i", 7),
+            ("stall-degraded:shard:0", "i", 10),
+        ]
+
     def test_windows_pair_per_key(self):
         trace = chrome_trace(
             [],
@@ -289,3 +317,46 @@ class TestChaosScenarioExport:
         assert chunks and rounds
         chunk_ids = {s["id"] for s in chunks}
         assert all(r["parent_id"] in chunk_ids for r in rounds)
+
+
+class TestStallScenarioExport:
+    """Every stall a serving scenario observed reaches the trace as an
+    instant at its chunk, on its shard."""
+
+    @pytest.fixture(scope="class")
+    def stall_run(self, obs_workload):
+        config, engine, pages, writes = obs_workload
+        telemetry = Telemetry(seed=0)
+        out = run_serving_scenario(
+            scenario_chaos("shard_stall", seed=1, horizon_chunks=5),
+            engine,
+            pages,
+            writes,
+            config=config,
+            serving=ServingConfig(chunk_requests=2_000, n_shards=4),
+            telemetry=telemetry,
+        )
+        return out, telemetry.snapshot()
+
+    def test_stall_instants_match_the_timeline(self, stall_run):
+        out, snapshot = stall_run
+        stalls = sorted(
+            (e["start"], f"shard:{e['target']}")
+            for e in out["timeline"]
+            if e["kind"] == "shard-stall"
+        )
+        assert stalls, "scenario must stall at least one shard"
+        assert {e["duration"] for e in out["timeline"]} == {1}
+        trace = chrome_trace(snapshot["spans"], snapshot["events"])
+        instants = sorted(
+            (e["ts"], e["name"].removeprefix("stall-degraded:"))
+            for e in trace["traceEvents"]
+            if e.get("cat") == "fault"
+            and e["name"].startswith("stall-degraded")
+        )
+        assert instants == stalls
+        assert all(
+            e["ph"] == "i"
+            for e in trace["traceEvents"]
+            if e.get("cat") == "fault"
+        )

@@ -8,9 +8,8 @@ split layout instead -- one ``1/n_shards`` plane per shard, tags
 scalar reference :func:`~repro.cache.setassoc.simulate`.  Totals,
 per-chunk reports and per-shard and per-tenant metrics must agree bit
 for bit, for every strategy and shard count, on odd chunk sizes, and
-under an injected shard stall: a stall within the retry budget changes
-nothing, and a degraded shard-chunk is bypassed without touching its
-sets of the plane.
+under an injected shard stall: the stalled shard-chunk is bypassed
+without touching its sets of the plane.
 """
 
 from collections import defaultdict
@@ -43,7 +42,6 @@ from repro.core.engine import GmmPolicyEngine
 from repro.core.pipeline import StagedPipeline
 from repro.core.policy import build_policy, strategy_views
 from repro.serving import IcgmmCacheService
-from repro.serving.service import SHARD_RETRY_LIMIT
 
 PARTITION_PAGES = 1 << 14
 
@@ -116,9 +114,7 @@ def _split_layout(engine, config, serving, pages, writes, measure_from,
             pos = np.flatnonzero(shard_of == shard)
             if pos.size == 0:
                 continue
-            down = stall is not None and stall[:2] == (index, shard) and (
-                stall[2] > SHARD_RETRY_LIMIT
-            )
+            down = stall == (index, shard)
             if not down:
                 out = np.empty(pos.size, dtype=np.uint8)
                 simulate(
@@ -170,12 +166,7 @@ def _rows(cache: SetAssociativeCache, sets: np.ndarray):
     length=st.integers(1_500, 5_000),
     measure_share=st.floats(0.0, 0.5),
     stall=st.one_of(
-        st.none(),
-        st.tuples(
-            st.integers(0, 3),
-            st.integers(0, 7),
-            st.sampled_from([1, SHARD_RETRY_LIMIT + 1]),
-        ),
+        st.none(), st.tuples(st.integers(0, 3), st.integers(0, 7))
     ),
     seed=st.integers(0, 2**16),
 )
@@ -197,7 +188,7 @@ def test_one_plane_replays_the_split_layout(
         refresh_enabled=False,
     )
     if stall is not None:
-        stall = (stall[0], stall[1] % n_shards, stall[2])
+        stall = (stall[0], stall[1] % n_shards)
     pages, writes = _stream(seed, length, geometry.n_blocks)
     measure_from = int(length * measure_share)
     service = IcgmmCacheService(
@@ -210,12 +201,7 @@ def test_one_plane_replays_the_split_layout(
     events = []
     if stall is not None:
         events.append(
-            FaultEvent(
-                start=stall[0],
-                kind=KIND_SHARD_STALL,
-                target=stall[1],
-                duration=stall[2],
-            )
+            FaultEvent(start=stall[0], kind=KIND_SHARD_STALL, target=stall[1])
         )
     service.injector = FaultInjector(
         FaultPlan(ChaosConfig(seed=0), events)
@@ -228,7 +214,6 @@ def test_one_plane_replays_the_split_layout(
         degrading = (
             stall is not None
             and stall[0] == index
-            and stall[2] > SHARD_RETRY_LIMIT
             and bool((c_pages % n_shards == stall[1]).any())
         )
         if degrading:

@@ -119,18 +119,15 @@ def _replay_fabric(config, pages, writes, chunk, telemetry):
         telemetry=telemetry,
     )
     seconds = 0.0
-    try:
-        fabric.bind("lru", 0.0)
-        for start in range(0, pages.shape[0], chunk):
-            started = time.perf_counter()
-            fabric.ingest(
-                pages[start : start + chunk],
-                writes[start : start + chunk],
-            )
-            seconds += time.perf_counter() - started
-        return seconds, fabric.results().as_dict()
-    finally:
-        fabric.close()
+    fabric.bind("lru", 0.0)
+    for start in range(0, pages.shape[0], chunk):
+        started = time.perf_counter()
+        fabric.ingest(
+            pages[start : start + chunk],
+            writes[start : start + chunk],
+        )
+        seconds += time.perf_counter() - started
+    return seconds, fabric.results().as_dict()
 
 
 def _replay_serving(config, engine, pages, writes, chunk, telemetry):
@@ -148,19 +145,16 @@ def _replay_serving(config, engine, pages, writes, chunk, telemetry):
         telemetry=telemetry,
     )
     seconds = 0.0
-    try:
-        # Feed the stream chunk-aligned so each timed ingest call
-        # processes exactly one serving chunk.
-        for start in range(0, pages.shape[0], chunk):
-            started = time.perf_counter()
-            service.ingest(
-                pages[start : start + chunk],
-                writes[start : start + chunk],
-            )
-            seconds += time.perf_counter() - started
-        return seconds, service.summary()
-    finally:
-        service.close()
+    # Feed the stream chunk-aligned so each timed ingest call
+    # processes exactly one serving chunk.
+    for start in range(0, pages.shape[0], chunk):
+        started = time.perf_counter()
+        service.ingest(
+            pages[start : start + chunk],
+            writes[start : start + chunk],
+        )
+        seconds += time.perf_counter() - started
+    return seconds, service.summary()
 
 
 def run(smoke: bool, seed: int = 7) -> dict:

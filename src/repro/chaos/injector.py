@@ -66,9 +66,9 @@ class InjectedFaultError(RuntimeError):
 class FaultInjector:
     """Deterministic fault oracle over a generated plan.
 
-    All queries run on the parent (single-threaded) side of each
-    victim layer, so the record order -- and therefore
-    :meth:`timeline_digest` -- is identical across worker counts.
+    All queries run in each victim layer's chunk loop, in logical
+    clock order, so the record order -- and therefore
+    :meth:`timeline_digest` -- is identical run for run.
     """
 
     def __init__(self, plan: FaultPlan) -> None:

@@ -8,8 +8,7 @@ serving loop.  The plan is generated once from a
 ``SeedSequence`` child streams (one per fault channel, one per target
 within a channel), and every event is pinned to a *logical* tick --
 chunk index or build index -- never wall-clock time.  Same seed, same
-topology => byte-identical timeline, regardless of worker count or
-host speed.
+topology => byte-identical timeline, regardless of host speed.
 """
 
 from __future__ import annotations

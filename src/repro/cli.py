@@ -48,7 +48,6 @@ from repro.core.config import (
     FabricTopology,
     GmmEngineConfig,
     IcgmmConfig,
-    ParallelConfig,
     ServingConfig,
 )
 from repro.core.engine import GmmPolicyEngine
@@ -77,6 +76,29 @@ from repro.traces.record import CACHE_LINE_SIZE, PAGE_SHIFT
 from repro.traces.workloads import WORKLOAD_NAMES, get_workload
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {low}, got {text}"
+            )
+        return value
+
+    # argparse names the type in its "invalid int value" message.
+    parse.__name__ = "int"
+    return parse
+
+
+#: numpy seeds are non-negative; the GMM needs a component; the
+#: pipeline's floor on trace length (``IcgmmConfig``).
+_SEED = _int_at_least(0)
+_COMPONENTS = _int_at_least(1)
+_TRACE_LENGTH = _int_at_least(10)
+
+
 def _add_generate_trace(subparsers) -> None:
     parser = subparsers.add_parser(
         "generate-trace",
@@ -100,7 +122,7 @@ def _add_generate_trace(subparsers) -> None:
             " (serve/fabric --trace) can memory-map them zero-copy"
         ),
     )
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=_SEED, default=42)
 
 
 def _add_trace_argument(parser) -> None:
@@ -122,11 +144,11 @@ def _add_run(subparsers) -> None:
         "run", help="run the ICGMM pipeline on one workload"
     )
     parser.add_argument("workload", choices=WORKLOAD_NAMES)
-    parser.add_argument("--trace-length", type=int, default=None)
-    parser.add_argument("--components", type=int, default=None)
+    parser.add_argument("--trace-length", type=_TRACE_LENGTH, default=None)
+    parser.add_argument("--components", type=_COMPONENTS, default=None)
     _add_profile_argument(parser)
     _add_telemetry_arguments(parser, json_flag=False)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=_SEED, default=42)
 
 
 def _add_suite(subparsers) -> None:
@@ -139,8 +161,8 @@ def _add_suite(subparsers) -> None:
         choices=WORKLOAD_NAMES,
         default=list(WORKLOAD_NAMES),
     )
-    parser.add_argument("--trace-length", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--trace-length", type=_TRACE_LENGTH, default=None)
+    parser.add_argument("--seed", type=_SEED, default=42)
 
 
 def _add_serve(subparsers) -> None:
@@ -171,7 +193,7 @@ def _add_serve(subparsers) -> None:
         default="gmm-caching-eviction",
         help="Fig. 6 strategy driving the cache planes",
     )
-    parser.add_argument("--components", type=int, default=None)
+    parser.add_argument("--components", type=_COMPONENTS, default=None)
     parser.add_argument(
         "--train-fraction", type=_open_unit_fraction, default=0.3,
         help=(
@@ -196,17 +218,16 @@ def _add_serve(subparsers) -> None:
         "--report-every", type=int, default=8,
         help="chunks between progress lines",
     )
-    _add_parallel_arguments(parser, "plane replays")
     _add_chaos_seed_argument(parser)
     _add_profile_argument(parser)
     _add_telemetry_arguments(parser)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=_SEED, default=42)
 
 
 def _add_chaos_seed_argument(parser) -> None:
     parser.add_argument(
         "--chaos-seed",
-        type=int,
+        type=_SEED,
         default=None,
         help=(
             "run under the deterministic chaos demo plan seeded here"
@@ -331,29 +352,6 @@ def _open_unit_fraction(text: str) -> float:
     return value
 
 
-def _worker_count(text: str) -> int:
-    """argparse type: a worker count, ``0`` or more."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 0 (0 = CPU count), got {text}"
-        )
-    return value
-
-
-def _add_parallel_arguments(parser, what: str) -> None:
-    """The shared ``--workers`` flag."""
-    parser.add_argument(
-        "--workers",
-        type=_worker_count,
-        default=1,
-        help=(
-            f"concurrent worker threads driving the {what}"
-            " (0 = CPU count; 1 = sequential)"
-        ),
-    )
-
-
 def _add_fabric(subparsers) -> None:
     parser = subparsers.add_parser(
         "fabric",
@@ -364,8 +362,8 @@ def _add_fabric(subparsers) -> None:
     )
     parser.add_argument("workload", choices=WORKLOAD_NAMES)
     _add_trace_argument(parser)
-    parser.add_argument("--trace-length", type=int, default=None)
-    parser.add_argument("--components", type=int, default=None)
+    parser.add_argument("--trace-length", type=_TRACE_LENGTH, default=None)
+    parser.add_argument("--components", type=_COMPONENTS, default=None)
     parser.add_argument("--devices", type=int, default=4)
     parser.add_argument(
         "--placement", choices=PLACEMENTS, default="interleave"
@@ -395,11 +393,10 @@ def _add_fabric(subparsers) -> None:
             " through the streaming path)"
         ),
     )
-    _add_parallel_arguments(parser, "per-device replays")
     _add_chaos_seed_argument(parser)
     _add_profile_argument(parser)
     _add_telemetry_arguments(parser)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=_SEED, default=42)
 
 
 def _add_chaos(subparsers) -> None:
@@ -422,13 +419,16 @@ def _add_chaos(subparsers) -> None:
         choices=WORKLOAD_NAMES,
         default="memtier",
     )
-    parser.add_argument("--length", type=int, default=60_000)
+    parser.add_argument(
+        "--length", type=_int_at_least(2), default=60_000,
+        help="requests; the stream's hot region moves at the midpoint",
+    )
     parser.add_argument("--chunk", type=int, default=2048)
     parser.add_argument("--devices", type=int, default=4)
     parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--components", type=int, default=None)
+    parser.add_argument("--components", type=_COMPONENTS, default=None)
     parser.add_argument(
-        "--chaos-seed", type=int, default=0,
+        "--chaos-seed", type=_SEED, default=0,
         help="seed of the deterministic fault plans",
     )
     parser.add_argument(
@@ -443,9 +443,8 @@ def _add_chaos(subparsers) -> None:
             " alone)"
         ),
     )
-    _add_parallel_arguments(parser, "scenario replays")
     _add_telemetry_arguments(parser)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=_SEED, default=42)
 
 
 def _add_metrics(subparsers) -> None:
@@ -610,7 +609,6 @@ def _cmd_serve(args) -> int:
             sharding=args.sharding,
             strategy=args.strategy,
             refresh_enabled=not args.no_refresh,
-            parallel=ParallelConfig(workers=args.workers),
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -771,28 +769,23 @@ def _cmd_serve(args) -> int:
                     is_write[start : start + step],
                 )
 
-    try:
-        for window_pages, window_writes in _windows():
-            reports = service.ingest(window_pages, window_writes)
-            window_hits = sum(r.stats.hits for r in reports)
-            window_total = sum(r.stats.accesses for r in reports)
-            window_miss = (
-                100.0 * (1.0 - window_hits / window_total)
-                if window_total
-                else 0.0
-            )
-            swapped = any(r.swapped for r in reports)
-            emit(
-                f"  cursor {service.access_cursor:>9,d}"
-                f"  window miss {window_miss:6.2f}%"
-                f"  generation {service.generation}"
-                f"{'  [engine swapped]' if swapped else ''}"
-            )
-        summary = service.summary()
-    finally:
-        # Deterministic teardown even on a failed ingest: the
-        # executor pool must not leak.
-        service.close()
+    for window_pages, window_writes in _windows():
+        reports = service.ingest(window_pages, window_writes)
+        window_hits = sum(r.stats.hits for r in reports)
+        window_total = sum(r.stats.accesses for r in reports)
+        window_miss = (
+            100.0 * (1.0 - window_hits / window_total)
+            if window_total
+            else 0.0
+        )
+        swapped = any(r.swapped for r in reports)
+        emit(
+            f"  cursor {service.access_cursor:>9,d}"
+            f"  window miss {window_miss:6.2f}%"
+            f"  generation {service.generation}"
+            f"{'  [engine swapped]' if swapped else ''}"
+        )
+    summary = service.summary()
     emit()
     emit(
         render_table(
@@ -885,7 +878,6 @@ def _cmd_fabric(args) -> int:
     fabric = CxlFabric(
         topology,
         config=config,
-        parallel=ParallelConfig(workers=args.workers),
         chaos=chaos,
         telemetry=telemetry,
     )
@@ -895,28 +887,20 @@ def _cmd_fabric(args) -> int:
         fabric.pipeline.profiler = StageProfiler()
     emit(
         f"preparing {args.workload} through the staged pipeline"
-        f" ({args.devices} devices, {args.placement} placement,"
-        f" {fabric.parallel.workers} worker(s)"
+        f" ({args.devices} devices, {args.placement} placement"
         f"{f', trace {args.trace}' if args.trace else ''}"
         f"{', chaos on' if chaos is not None else ''})..."
     )
+    prepared = fabric.pipeline.prepare(args.workload, trace=trace)
+    # Under chaos, run_prepared replays chunk by chunk through
+    # ingest, where the faults hook in.
     try:
-        prepared = fabric.pipeline.prepare(
-            args.workload, trace=trace
+        result = fabric.run_prepared(
+            prepared, args.strategy, chunk_requests=args.chunk
         )
-        # Under chaos, run_prepared replays chunk by chunk through
-        # ingest, where the faults hook in.
-        try:
-            result = fabric.run_prepared(
-                prepared, args.strategy, chunk_requests=args.chunk
-            )
-        except ValueError as exc:  # e.g. --chunk below 1
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    finally:
-        # Deterministic teardown: the executor pool must not outlive
-        # the command, even when preparation or replay raises.
-        fabric.close()
+    except ValueError as exc:  # e.g. --chunk below 1
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     emit()
     emit(
         render_table(
@@ -1016,9 +1000,8 @@ def _cmd_chaos(args) -> int:
         [head.addresses >> PAGE_SHIFT, tail.addresses >> PAGE_SHIFT]
     )
     is_write = np.concatenate([head.is_write, tail.is_write])
-    parallel = ParallelConfig(workers=args.workers)
-    topology = FabricTopology(n_devices=args.devices)
     try:
+        topology = FabricTopology(n_devices=args.devices)
         serving = ServingConfig(
             chunk_requests=args.chunk,
             n_shards=args.shards,
@@ -1033,9 +1016,8 @@ def _cmd_chaos(args) -> int:
             refresh_backoff_chunks=1,
             refresh_breaker_threshold=4,
             quarantine_chunks=8,
-            parallel=parallel,
         )
-    except ValueError as exc:  # e.g. --chunk below 1
+    except ValueError as exc:  # e.g. --chunk or --devices below 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -1044,6 +1026,15 @@ def _cmd_chaos(args) -> int:
         n_train = max(
             config.gmm.n_components + 1, int(len(pages) * 0.3)
         )
+        if n_train > len(pages):
+            print(
+                f"error: --length {args.length} is too short to train"
+                f" K={config.gmm.n_components} components (the serving"
+                f" scenarios need more than K requests); raise --length"
+                f" or lower --components",
+                file=sys.stderr,
+            )
+            return 2
         features = StagedPipeline(config).chunk_features(
             pages[:n_train], 0
         )
@@ -1060,7 +1051,7 @@ def _cmd_chaos(args) -> int:
         return run_fabric_scenario(
             chaos, pages, is_write,
             topology=topology, config=config,
-            chunk_requests=args.chunk, parallel=parallel,
+            chunk_requests=args.chunk,
             monitor=args.monitor, telemetry=telemetry,
         )
 
@@ -1069,9 +1060,6 @@ def _cmd_chaos(args) -> int:
     scorecard = []
     for name in args.scenarios:
         layer = "serving" if name in SERVING_SCENARIOS else "fabric"
-        if layer not in baselines:
-            baselines[layer] = run(name, None)
-        base = baselines[layer]
         # Faults are planned over the leading 70% of the stream so
         # the trailing chunks form a clean post-recovery window --
         # except fail-slow ramps, which clamp to the stream's end: a
@@ -1081,13 +1069,22 @@ def _cmd_chaos(args) -> int:
         horizon = max(1, (7 * n_chunks) // 10)
         if name == "device_failslow":
             horizon = n_chunks
-        out = run(
-            name,
-            scenario_chaos(
-                name, args.chaos_seed, horizon_chunks=horizon
-            ),
-            telemetry=telemetry,
-        )
+        try:
+            if layer not in baselines:
+                baselines[layer] = run(name, None)
+            out = run(
+                name,
+                scenario_chaos(
+                    name, args.chaos_seed, horizon_chunks=horizon
+                ),
+                telemetry=telemetry,
+            )
+        except ValueError as exc:
+            # e.g. --shards not dividing the sets, or a fleet smaller
+            # than a correlated blast (CORRELATED_FAIL_K devices)
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        base = baselines[layer]
         recover_at = recovery_chunk(out["timeline"], out["events"])
         tail = tail_miss_rate(out["chunk_counters"], recover_at)
         base_tail = tail_miss_rate(base["chunk_counters"], recover_at)

@@ -35,32 +35,29 @@ PLACEMENTS = ("interleave", "range", "score")
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """Multicore execution knobs
-    (:class:`repro.core.parallel.ParallelExecutor`).
+    """Replay concurrency, which is always one lane at a time.
 
-    The fabric's per-device replay and the serving loop's per-plane
-    replay are embarrassingly parallel: every device/plane owns
-    independent state, so their
-    :meth:`~repro.core.pipeline.StagedPipeline.simulate` calls can be
-    handed to a thread pool and merge deterministically (results are
-    always combined in device/plane order, never completion order --
-    parallel runs are *bit-identical* to ``workers=1``).  The threads
-    take turns: Simulate holds the GIL on every access (only the
-    small numpy steps around its loop release it), so more workers
-    do not speed a round up.
+    Every replay runs inline, in lane order
+    (:class:`repro.core.parallel.ParallelExecutor`), and nothing reads
+    this config.  It stays only because the repository benchmark
+    (``perfbench/``) builds ``ParallelConfig(workers=1)`` and passes it
+    as :attr:`IcgmmConfig.parallel` and :attr:`ServingConfig.parallel`;
+    ROADMAP direction 3 deletes it with the next benchmark change.
 
     Attributes
     ----------
     workers:
-        Concurrent worker threads.  ``1`` (default) executes inline
-        with zero overhead; ``0`` resolves to the host's CPU count.
+        Must be ``1``.
     """
 
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0 (0 = CPU count)")
+        if self.workers != 1:
+            raise ValueError(
+                "workers must be 1: replays run inline, there is no"
+                " thread pool"
+            )
 
 
 @dataclass(frozen=True)
@@ -117,12 +114,12 @@ class ChaosConfig:
     The chaos harness schedules faults on a *logical* clock -- chunk
     indices for the fabric and serving loops, build indices for model
     refreshes -- never wall-clock time, so one seed produces one
-    byte-identical fault timeline regardless of worker count or host
-    speed.  All ``*_rate`` knobs
-    are per-target, per-logical-tick Bernoulli probabilities sampled
-    once when the plan is generated.  The shape of each fault (link
-    slowdown, blast size and length, fail-slow ramp and watchdog
-    resets) is a constant of :mod:`repro.chaos.plan`.
+    byte-identical fault timeline regardless of host speed.  All
+    ``*_rate`` knobs are per-target, per-logical-tick Bernoulli
+    probabilities sampled once when the plan is generated.  The shape
+    of each fault (link slowdown, blast size and length, fail-slow
+    ramp and watchdog resets) is a constant of
+    :mod:`repro.chaos.plan`.
 
     Passing a config arms the injector; passing ``None`` instead
     means no injector is constructed at all and every victim layer
@@ -288,8 +285,7 @@ class IcgmmConfig:
         Leading fraction of the simulated trace excluded from cache
         counters (the cache is filling during it).
     parallel:
-        Multicore execution knobs; the multi-device fabric's default
-        (:class:`repro.cxl.fabric.CxlFabric`).
+        Unread (see :class:`ParallelConfig`).
     seed:
         Root seed for trace generation and EM initialisation.
     """
@@ -339,9 +335,7 @@ class FabricTopology:
     ``n_devices`` expansion devices, replays every device's
     sub-stream through the shared staged pipeline
     (:mod:`repro.core.pipeline`), and prices each device through its
-    own CXL link model.  How many workers replay the devices is not
-    part of the layout: it comes from ``CxlFabric(parallel=...)`` or
-    :attr:`IcgmmConfig.parallel`.
+    own CXL link model.
 
     Attributes
     ----------
@@ -441,9 +435,7 @@ class ServingConfig:
     refresh_cooldown_chunks:
         Minimum chunks between consecutive engine swaps.
     parallel:
-        Multicore knobs of the per-plane chunk replay (``tenant``
-        mode's planes are dispatched concurrently and merged in plane
-        order -- bit-identical to ``workers=1``).
+        Unread (see :class:`ParallelConfig`).
     refresh_backoff_chunks:
         Base of the exponential refresh backoff: after ``f``
         consecutive failed/rejected refresh builds the next build is

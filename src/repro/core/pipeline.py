@@ -123,10 +123,7 @@ class StageProfiler:
     entry point records its elapsed time under its stage name --
     Prepare / Score / Simulate / Price -- so a perf investigation
     starts from measured stage shares instead of guesses.  Nested
-    stage sections of the same profiler accumulate independently;
-    the profiler is not thread-safe *within* one stage name, which
-    is fine because fan-out callers time the whole dispatch, not the
-    per-worker bodies.
+    stage sections of the same profiler accumulate independently.
     """
 
     #: Canonical display order.
@@ -146,21 +143,6 @@ class StageProfiler:
             elapsed = time.perf_counter() - started
             self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
             self.calls[name] = self.calls.get(name, 0) + 1
-
-    def add(
-        self, name: str, seconds: float, calls: int = 1
-    ) -> None:
-        """Fold an externally-timed section into the accumulator.
-
-        Used by :meth:`repro.core.parallel.ParallelExecutor.replay`
-        to merge per-task worker timings in dispatch order, so the
-        section *structure* (names and call counts) is identical at
-        every worker count even though the seconds are wall-clock.
-        """
-        self.seconds[name] = self.seconds.get(name, 0.0) + float(
-            seconds
-        )
-        self.calls[name] = self.calls.get(name, 0) + int(calls)
 
     def rows(self) -> list[tuple[str, int, float, float]]:
         """(stage, calls, seconds, share) rows in canonical order."""
@@ -203,8 +185,8 @@ class StagedPipeline:
             timestamp_mode=self.config.timestamp_mode,
         )
         #: Optional :class:`StageProfiler`; when set, every stage
-        #: entry point (and the fabric's fan-out sections) records
-        #: its wall-clock here.
+        #: entry point (and each lane replay, as ``simulate.task``)
+        #: records its wall-clock here.
         self.profiler: StageProfiler | None = None
         #: Optional :class:`repro.obs.Telemetry`; when set, every
         #: stage section additionally opens a logical-clock span and

@@ -10,16 +10,12 @@ request stream across them at fast-path speed:
    score-aware placement; see that class's docstring).
 2. **Replay.**  Every device's sub-stream runs through
    :func:`~repro.cache.simulate_fast.simulate_fast` with a resumable
-   per-device ``index_offset`` cursor, in the lane loop the serving
-   planes share
+   per-device ``index_offset`` cursor, inline and in device order, in
+   the lane loop the serving planes share
    (:meth:`repro.core.parallel.ParallelExecutor.replay_lanes`) -- so
    chunked streaming ingestion and a one-shot offline run are
    *bit-identical*, and each device's counters equal a single-shot
-   offline run on its sub-stream.  Devices own fully independent
-   planes/policies/cursors, so each round of per-device replays is
-   dispatched concurrently (``workers`` per
-   :class:`~repro.core.config.ParallelConfig`) and merged in device
-   order -- parallel replay is bit-identical to ``workers=1``.
+   offline run on its sub-stream.
 3. **Price.**  Per-device counters are priced through that device's
    own link model
    (:class:`~repro.hardware.latency.DevicePathLatencyModel`), which
@@ -49,7 +45,6 @@ from repro.core.config import (
     ChaosConfig,
     FabricTopology,
     IcgmmConfig,
-    ParallelConfig,
 )
 from repro.core.parallel import ParallelExecutor
 from repro.core.pipeline import (
@@ -224,14 +219,6 @@ class CxlFabric:
         System profile shared by all devices (geometry, warm-up
         cut); the fabric replays through this config's staged
         pipeline.
-    parallel:
-        Multicore replay knobs; ``None`` inherits
-        :attr:`IcgmmConfig.parallel`.  Each round of per-device
-        simulate calls is dispatched through one persistent
-        :class:`~repro.core.parallel.ParallelExecutor` and merged in
-        device order, so any worker count is bit-identical to
-        sequential replay.  Call :meth:`close` when done with a
-        multi-worker fabric (it holds a thread pool).
     monitor:
         Arm the :class:`~repro.serving.health.FleetHealthMonitor`
         (fleets of two or more devices only).
@@ -245,7 +232,6 @@ class CxlFabric:
         self,
         topology: FabricTopology | None = None,
         config: IcgmmConfig | None = None,
-        parallel: ParallelConfig | None = None,
         chaos: ChaosConfig | None = None,
         monitor: bool = False,
         telemetry=None,
@@ -255,10 +241,7 @@ class CxlFabric:
         )
         self.pipeline = StagedPipeline(config)
         self.config = self.pipeline.config
-        self.parallel = (
-            parallel if parallel is not None else self.config.parallel
-        )
-        self._executor = ParallelExecutor.from_config(self.parallel)
+        self._executor = ParallelExecutor()
         # Chaos wiring: None when disabled so every hot-path gate is
         # an ``is not None`` check and a fault-free run executes the
         # exact pre-chaos code path (tests/chaos parity).
@@ -421,8 +404,12 @@ class CxlFabric:
         self._chunk_foreign = [CacheStats() for _ in range(n)]
 
     def close(self) -> None:
-        """Release the worker pool."""
-        self._executor.shutdown()
+        """Do nothing: the fabric holds no resources.
+
+        This no-op and the context manager stay only because the
+        repository benchmark (``perfbench/``) calls them; ROADMAP
+        direction 3 deletes them with the next benchmark change.
+        """
 
     def __enter__(self) -> "CxlFabric":
         return self
@@ -521,7 +508,7 @@ class CxlFabric:
         return device_ids, pages
 
     # ------------------------------------------------------------------
-    # Stage: Replay (resumable, parallel)
+    # Stage: Replay (resumable)
     # ------------------------------------------------------------------
     def ingest(
         self,
@@ -546,7 +533,7 @@ class CxlFabric:
         left -- are served SSD-direct on the failed device's path;
         degraded link windows inflate the affected device's link
         component.  All of it is deterministic in the chunk index, so
-        any worker count observes the identical timeline.
+        every run observes the identical timeline.
         """
         if self._policies is None:
             raise ValueError("bind() a strategy before ingesting")
@@ -590,7 +577,7 @@ class CxlFabric:
             # Quarantined devices leave placement exactly like failed
             # ones: their home traffic re-homes score-aware onto the
             # remaining fleet (decisions from the previous chunk's
-            # ``step``, so the cut is causal and worker-invariant).
+            # ``step``, so the cut is causal and deterministic).
             self._chunk_premium = [0] * self.topology.n_devices
             self._chunk_foreign = [
                 CacheStats() for _ in range(self.topology.n_devices)
@@ -615,8 +602,6 @@ class CxlFabric:
         need_outcome = (
             failover_mask is not None and bool(failover_mask.any())
         )
-        # One concurrent round of per-device simulate calls, merged
-        # in device order.
         replayed = self._executor.replay_lanes(
             self.caches,
             self._policies,
@@ -823,10 +808,12 @@ class CxlFabric:
         equal-population score buckets and the hottest lands on the
         fastest healthy link -- the ``score`` placement's rule
         (:meth:`_cuts_from_marginals`, :meth:`_hot_to_fast`) over the
-        healthy devices.  Without marginals it falls back to
-        page-modulo spreading.
+        healthy devices.  Without marginals, or when they hold fewer
+        distinct values than there are healthy devices (the buckets
+        are cut over distinct values, so ties would leave a healthy
+        device idle), it falls back to page-modulo spreading.
         """
-        if marginals is None:
+        if marginals is None or np.unique(marginals).size < healthy.size:
             return healthy[pages % healthy.size]
         rank = self._device_rank[np.isin(self._device_rank, healthy)]
         cuts = self._cuts_from_marginals(marginals, int(healthy.size))
@@ -1032,8 +1019,6 @@ class CxlFabric:
             )
             if not chunked:
                 device_ids, local_pages = self.place(pages, marginals)
-        # The whole replay is timed as one Simulate section (the
-        # profiler accounts stages, not workers).
         with self.pipeline.stage_scope("simulate"):
             if chunked:
                 for start in range(0, pages.shape[0], chunk_requests):

@@ -11,7 +11,7 @@ one.  It bundles:
 * a :class:`~repro.obs.trace.Tracer` producing a logical-clock span
   tree (pipeline stages, fabric chunks and device rounds, serving
   chunks and shards, refresh builds) with seed-derived span IDs --
-  bit-reproducible across runs and worker counts;
+  bit-reproducible across runs;
 * *event sources* -- callables yielding failure/recovery timelines
   (``RollingMetrics.events``) that the exporters render alongside the
   spans, so chaos fault windows appear as slices in the trace view.

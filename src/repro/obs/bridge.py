@@ -147,13 +147,8 @@ def register_stage_profiler(
 def register_executor(
     registry: MetricsRegistry, executor, component: str
 ) -> None:
-    """Export a ``ParallelExecutor``'s dispatch counters.
-
-    Dispatch rounds and tasks are parent-side logical counters
-    (identical at every worker count); the worker count itself is a
-    run parameter, flagged non-deterministic so workers=1 and
-    workers=4 runs still digest identically.
-    """
+    """Export a ``ParallelExecutor``'s replay rounds and tasks
+    (logical counters, identical run for run)."""
     rounds = registry.counter(
         "executor_dispatch_rounds_total",
         help="Fan-out calls issued by the executor.",
@@ -164,12 +159,6 @@ def register_executor(
         help="Tasks/items submitted across all fan-out calls.",
         labels=("component",),
     )
-    workers = registry.gauge(
-        "executor_workers_count",
-        help="Configured concurrent workers.",
-        labels=("component",),
-        deterministic=False,
-    )
 
     def collect() -> None:
         rounds.labels(component=component).set(
@@ -178,7 +167,6 @@ def register_executor(
         tasks.labels(component=component).set(
             executor.tasks_dispatched
         )
-        workers.labels(component=component).set(executor.workers)
 
     registry.register_collector(collect)
 
@@ -210,9 +198,9 @@ def register_health_monitor(
     """Export a ``FleetHealthMonitor``'s counters and fleet states.
 
     Quarantine/reinstatement/suspect counts are logical decisions
-    (bit-identical across worker counts, which the chaos scorecard
-    tests assert via the monitor's own decision digest); the per-state
-    device counts give an operator the live fleet shape.
+    (bit-identical run for run, as the monitor's own decision digest
+    records); the per-state device counts give an operator the live
+    fleet shape.
     """
     quarantines = registry.counter(
         "health_quarantines_total",

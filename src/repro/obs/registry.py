@@ -4,7 +4,7 @@ The registry is the single sink every subsystem's quantitative state
 lands in -- the serving loop's :class:`~repro.serving.metrics.
 RollingMetrics`, the pipeline's :class:`~repro.core.pipeline.
 StageProfiler`, the fabric's failover/pricing accumulators, the
-executor's dispatch/retry counters, and the refresher's build
+executor's replay-round counters, and the refresher's build
 outcomes.  Two registration styles coexist:
 
 * **push** -- hot-path call sites hold an instrument handle and call
@@ -22,7 +22,7 @@ functions of the run (counters over logical events, ratios over
 counters) or wall-clock measurements (stage seconds).  The canonical
 snapshot digest (:mod:`repro.obs.export`) covers only the
 deterministic subset, so one seed produces one digest regardless of
-worker count or host speed.
+host speed.
 
 Every metric name must be ``snake_case`` and end in a unit suffix
 (:data:`UNIT_SUFFIXES`) -- enforced at registration and re-checked by

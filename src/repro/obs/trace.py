@@ -6,17 +6,16 @@ span begin/end.  Because every traced event in this codebase already
 happens at a deterministic point in the replay order (chunk index,
 dispatch round, build index), the resulting span tree -- IDs, order,
 nesting, durations in ticks -- is a pure function of (seed, workload,
-config) and identical across repeated runs and worker counts.
+config) and identical across repeated runs.
 
 Span IDs are ``sha256(f"{seed}|{component}|{name}|{clock}")[:16]``,
 so two runs at the same seed produce byte-identical trace exports
 (the reproducibility acceptance gate), while different seeds never
 collide on IDs.
 
-Spans are created **parent-side only**: the dispatching thread opens
-and closes spans around executor calls and records per-task instants
-in merge (dispatch) order; worker threads never touch the tracer.
-That keeps the tracer single-threaded by construction -- it is not
+Spans are opened and closed around lane-replay rounds and per-task
+instants are recorded in lane order; every replay runs inline, so
+the tracer is single-threaded by construction -- it is not
 thread-safe and does not need to be.
 """
 
@@ -91,7 +90,7 @@ class Tracer:
     ``max_spans`` bounds memory on long runs; spans past the cap are
     counted in :attr:`dropped` (surfaced as
     ``tracer_dropped_spans_total``) rather than recorded, and the cap
-    applies identically at every worker count so capped traces stay
+    applies identically on every run so capped traces stay
     reproducible too.
     """
 

@@ -11,13 +11,10 @@ on an access stream consumed in chunks:
 3. simulate the chunk with one resumable, bit-exact
    :func:`~repro.cache.simulate_fast.simulate_fast` call per cache
    plane (:mod:`repro.serving.sharding`: ``hash`` mode has one,
-   ``tenant`` mode one per tenant group), replayed through
+   ``tenant`` mode one per tenant group), replayed inline and in
+   plane order through
    :meth:`repro.core.parallel.ParallelExecutor.replay_lanes` -- the
-   same lane loop the CXL fabric runs; planes are fully independent,
-   so the calls are dispatched concurrently
-   (:attr:`~repro.core.config.ServingConfig.parallel`) and merged
-   in plane order -- any worker count is bit-identical to
-   sequential replay,
+   same lane loop the CXL fabric runs,
 4. account per-shard and per-tenant rolling miss rate and Table 1
    latency from the recorded per-access outcomes, and
 5. when drift is confirmed, fold the recent traffic into the
@@ -192,9 +189,7 @@ class IcgmmCacheService:
         #: number of swaps since service start).
         self.engine = engine
         self.generation = 0
-        self._executor = ParallelExecutor.from_config(
-            self.serving.parallel
-        )
+        self._executor = ParallelExecutor()
         self.planes = ShardedCachePlanes(
             self.config.geometry,
             self.serving.n_shards,
@@ -697,18 +692,12 @@ class IcgmmCacheService:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the worker pool.
+        """Do nothing: the service holds no resources.
 
-        Only needed for parallel deployments (inline execution holds
-        no pool); safe to call repeatedly.
+        This no-op stays only because the repository benchmark
+        (``perfbench/``) calls it; ROADMAP direction 3 deletes it with
+        the next benchmark change.
         """
-        self._executor.shutdown()
-
-    def __enter__(self) -> "IcgmmCacheService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Introspection

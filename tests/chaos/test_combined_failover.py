@@ -6,9 +6,10 @@ its accesses replay on healthy devices under failover tags, and their
 fills must still be their pages' marginals.  These cases replay
 memtier's prepared stream (24,000 accesses, K = 8) through the chaos
 ``device_failure`` scenario under the interleave and score
-placements, two chaos seeds and one and two workers, and compare a
-digest of the priced fleet result and the fault and event timelines
-with the digest recorded before the fills became a per-access stream.
+placements and two chaos seeds, bare and under a telemetry bundle
+(whose stage profiler times every lane replay), and compare a digest
+of the priced fleet result and the fault and event timelines with
+the digest recorded before the fills became a per-access stream.
 Every case fails over at least one access.
 
 memtier never fills the default 512-block device caches, so there
@@ -28,10 +29,10 @@ from repro.core.config import (
     FabricTopology,
     GmmEngineConfig,
     IcgmmConfig,
-    ParallelConfig,
 )
 from repro.core.pipeline import StagedPipeline
 from repro.cxl.fabric import CxlFabric
+from repro.obs import Telemetry
 
 CHUNK = 2_048
 #: Chunks in the 24,000-access stream: the fault plan's horizon.
@@ -45,8 +46,8 @@ GEOMETRIES = {
     ),
 }
 
-#: sha256 of each (geometry, placement, chaos seed) run, the same at
-#: every worker count; recorded when the combined strategy's fills
+#: sha256 of each (geometry, placement, chaos seed) run, the same
+#: bare and observed; recorded when the combined strategy's fills
 #: came from per-device page -> score dicts.
 PINNED = {
     ("default", "interleave", 0): (
@@ -86,7 +87,7 @@ def setup():
 
 
 def run_digest(setup, geometry: str, placement: str, seed: int,
-               workers: int):
+               observed: bool = False):
     """(digest, failover accesses, evictions) of one chaotic combined
     run."""
     config, prepared = setup
@@ -95,15 +96,17 @@ def run_digest(setup, geometry: str, placement: str, seed: int,
     fabric = CxlFabric(
         FabricTopology(n_devices=4, placement=placement),
         config=config,
-        parallel=ParallelConfig(workers=workers),
         chaos=scenario_chaos("device_failure", seed, horizon_chunks=HORIZON),
+        telemetry=Telemetry(seed=0) if observed else None,
     )
-    try:
-        result = fabric.run_prepared(
-            prepared, "gmm-caching-eviction", chunk_requests=CHUNK
-        )
-    finally:
-        fabric.close()
+    result = fabric.run_prepared(
+        prepared, "gmm-caching-eviction", chunk_requests=CHUNK
+    )
+    if observed:
+        # Every lane replay went through the timed branch.
+        calls = fabric.pipeline.profiler.calls
+        assert calls["simulate.task"] == fabric._executor.tasks_dispatched
+        assert fabric._executor.tasks_dispatched > 0
     payload = {
         "result": result.as_dict(),
         "timeline": fabric.injector.timeline(),
@@ -116,12 +119,12 @@ def run_digest(setup, geometry: str, placement: str, seed: int,
     return digest, failover, result.totals.evictions
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("observed", [False, True], ids=["bare", "observed"])
 @pytest.mark.parametrize("geometry,placement,seed", sorted(PINNED))
 def test_combined_failover_digest(setup, geometry, placement, seed,
-                                  workers):
+                                  observed):
     digest, failover, evictions = run_digest(
-        setup, geometry, placement, seed, workers
+        setup, geometry, placement, seed, observed
     )
     assert failover > 0
     assert (evictions > 0) == (geometry == "evicting")

@@ -34,11 +34,8 @@ def _serve(config, engine, pages, writes, chaos):
     service = IcgmmCacheService(
         engine, config=config, serving=serving, **kwargs
     )
-    try:
-        service.ingest(pages, writes)
-        return service.summary()
-    finally:
-        service.close()
+    service.ingest(pages, writes)
+    return service.summary()
 
 
 def _stream_fabric(config, pages, writes, chaos):
@@ -46,16 +43,13 @@ def _stream_fabric(config, pages, writes, chaos):
     fabric = CxlFabric(
         FabricTopology(n_devices=4), config=config, **kwargs
     )
-    try:
-        fabric.bind("lru", 0.0)
-        for start in range(0, pages.shape[0], 2_000):
-            fabric.ingest(
-                pages[start : start + 2_000],
-                writes[start : start + 2_000],
-            )
-        return fabric.results().as_dict()
-    finally:
-        fabric.close()
+    fabric.bind("lru", 0.0)
+    for start in range(0, pages.shape[0], 2_000):
+        fabric.ingest(
+            pages[start : start + 2_000],
+            writes[start : start + 2_000],
+        )
+    return fabric.results().as_dict()
 
 
 class TestServingParity:
@@ -133,12 +127,9 @@ def _run_prepared(config, pages, writes, chaos="omitted", monitor="omitted"):
     fabric = CxlFabric(
         FabricTopology(n_devices=4), config=config, **kwargs
     )
-    try:
-        return fabric.run_prepared(
-            _prepared_workload(pages, writes), "lru"
-        ).as_dict()
-    finally:
-        fabric.close()
+    return fabric.run_prepared(
+        _prepared_workload(pages, writes), "lru"
+    ).as_dict()
 
 
 class TestPreparedParity:
@@ -177,11 +168,8 @@ class TestPreparedParity:
             config=config,
             monitor=True,
         )
-        try:
-            assert fabric.monitor is None
-            result = fabric.run_prepared(
-                _prepared_workload(pages, writes), "lru"
-            )
-            assert result.accesses > 0
-        finally:
-            fabric.close()
+        assert fabric.monitor is None
+        result = fabric.run_prepared(
+            _prepared_workload(pages, writes), "lru"
+        )
+        assert result.accesses > 0

@@ -29,7 +29,6 @@ from repro.chaos import (
 from repro.core.config import (
     ChaosConfig,
     FabricTopology,
-    ParallelConfig,
     ServingConfig,
 )
 from repro.cxl.fabric import CxlFabric
@@ -83,11 +82,8 @@ class TestFabricFailover:
                 )
             ],
         )
-        try:
-            fabric.bind("lru", 0.0)
-            result = _stream(fabric, pages, writes)
-        finally:
-            fabric.close()
+        fabric.bind("lru", 0.0)
+        result = _stream(fabric, pages, writes)
         assert result.accesses == pages.shape[0]
         # The outage traffic was re-homed onto healthy devices and
         # billed the failover link premium.
@@ -118,11 +114,8 @@ class TestFabricFailover:
                 for d in range(4)
             ],
         )
-        try:
-            fabric.bind("lru", 0.0)
-            result = _stream(fabric, pages, writes)
-        finally:
-            fabric.close()
+        fabric.bind("lru", 0.0)
+        result = _stream(fabric, pages, writes)
         # Bypass-priced, not dropped: the totals still cover the
         # whole stream and every failed device's slice shows up in
         # its own failover (degraded) counters, all SSD-direct.
@@ -142,11 +135,8 @@ class TestFabricFailover:
         def run(events):
             fabric = _fabric(config)
             _inject(fabric, events)
-            try:
-                fabric.bind("lru", 0.0)
-                return _stream(fabric, pages, writes)
-            finally:
-                fabric.close()
+            fabric.bind("lru", 0.0)
+            return _stream(fabric, pages, writes)
 
         clean = run([])
         degraded = run(
@@ -169,16 +159,13 @@ class TestFailslowDegradation:
     def _run(self, config, pages, writes, events):
         fabric = _fabric(config)
         _inject(fabric, events)
-        try:
-            fabric.bind("lru", 0.0)
-            result = _stream(fabric, pages, writes)
-            events_out = [
-                (e.key, e.kind, e.chunk_index)
-                for e in fabric.metrics.events()
-            ]
-            return result, events_out
-        finally:
-            fabric.close()
+        fabric.bind("lru", 0.0)
+        result = _stream(fabric, pages, writes)
+        events_out = [
+            (e.key, e.kind, e.chunk_index)
+            for e in fabric.metrics.events()
+        ]
+        return result, events_out
 
     def test_ramp_prices_only_the_target(self, chaos_workload):
         config, _, pages, writes = chaos_workload
@@ -251,15 +238,12 @@ class TestCorrelatedBlast:
                 for d in (1, 2)
             ],
         )
-        try:
-            fabric.bind("lru", 0.0)
-            result = _stream(fabric, pages, writes)
-            kinds = [e.kind for e in fabric.metrics.events()]
-            recovery = fabric.metrics.recovery_latencies(
-                "device-down", "device-restored"
-            )
-        finally:
-            fabric.close()
+        fabric.bind("lru", 0.0)
+        result = _stream(fabric, pages, writes)
+        kinds = [e.kind for e in fabric.metrics.events()]
+        recovery = fabric.metrics.recovery_latencies(
+            "device-down", "device-restored"
+        )
         # Half the fleet down together: everything still served, the
         # blast traffic re-homed onto the two survivors.
         assert result.accesses == pages.shape[0]
@@ -287,21 +271,18 @@ class TestHealthMonitorRecovery:
                 )
             ],
         )
-        try:
-            fabric.bind("lru", 0.0)
-            result = _stream(fabric, pages, writes, chunk=1_000)
-            monitor = fabric.monitor
-            kinds = [
-                e.kind
-                for e in fabric.metrics.events("device:1")
-            ]
-            failover = sum(
-                d.failover_stats.accesses
-                for d in result.devices
-                if d.failover_stats is not None
-            )
-        finally:
-            fabric.close()
+        fabric.bind("lru", 0.0)
+        result = _stream(fabric, pages, writes, chunk=1_000)
+        monitor = fabric.monitor
+        kinds = [
+            e.kind
+            for e in fabric.metrics.events("device:1")
+        ]
+        failover = sum(
+            d.failover_stats.accesses
+            for d in result.devices
+            if d.failover_stats is not None
+        )
         assert result.accesses == pages.shape[0]
         assert monitor.quarantines == 1
         assert monitor.reinstatements == 1
@@ -328,15 +309,11 @@ class TestHealthMonitorRecovery:
         config, _, pages, writes = chaos_workload
         plain = _fabric(config, chaos=None)
         watched = _fabric(config, chaos=None, monitor=True)
-        try:
-            plain.bind("lru", 0.0)
-            watched.bind("lru", 0.0)
-            reference = _stream(plain, pages, writes)
-            candidate = _stream(watched, pages, writes)
-            monitor = watched.monitor
-        finally:
-            plain.close()
-            watched.close()
+        plain.bind("lru", 0.0)
+        watched.bind("lru", 0.0)
+        reference = _stream(plain, pages, writes)
+        candidate = _stream(watched, pages, writes)
+        monitor = watched.monitor
         assert monitor.quarantines == 0
         assert candidate.totals == reference.totals
         for ours, theirs in zip(
@@ -380,13 +357,10 @@ class TestPreparedChaos:
                 )
             ],
         )
-        try:
-            result = fabric.run_prepared(
-                _prepared(pages, writes), "lru", chunk_requests=2_000
-            )
-            kinds = [e.kind for e in fabric.metrics.events()]
-        finally:
-            fabric.close()
+        result = fabric.run_prepared(
+            _prepared(pages, writes), "lru", chunk_requests=2_000
+        )
+        kinds = [e.kind for e in fabric.metrics.events()]
         assert result.accesses == pages.shape[0]
         assert result.devices[2].failover_stats.accesses > 0
         assert kinds.count("device-down") == 1
@@ -399,15 +373,11 @@ class TestPreparedChaos:
         config, _, pages, writes = chaos_workload
         streamed = _fabric(config, chaos=None, monitor=True)
         prepared = _fabric(config, chaos=None, monitor=True)
-        try:
-            streamed.bind("lru", 0.0)
-            reference = _stream(streamed, pages, writes)
-            candidate = prepared.run_prepared(
-                _prepared(pages, writes), "lru", chunk_requests=2_000
-            )
-        finally:
-            streamed.close()
-            prepared.close()
+        streamed.bind("lru", 0.0)
+        reference = _stream(streamed, pages, writes)
+        candidate = prepared.run_prepared(
+            _prepared(pages, writes), "lru", chunk_requests=2_000
+        )
         assert candidate.totals == reference.totals
         assert candidate.total_time_ns == reference.total_time_ns
 
@@ -431,18 +401,14 @@ class TestPreparedChaos:
         workload = _prepared(pages, writes)
         streamed = _fabric(config, chaos=chaos, monitor=monitor)
         prepared = _fabric(config, chaos=chaos, monitor=monitor)
-        try:
-            streamed.bind("lru", 0.0)
-            reference = _stream(
-                streamed, pages, writes, chunk=chunk,
-                marginals=workload.page_frequency_scores,
-            )
-            candidate = prepared.run_prepared(
-                workload, "lru", chunk_requests=chunk
-            )
-        finally:
-            streamed.close()
-            prepared.close()
+        streamed.bind("lru", 0.0)
+        reference = _stream(
+            streamed, pages, writes, chunk=chunk,
+            marginals=workload.page_frequency_scores,
+        )
+        candidate = prepared.run_prepared(
+            workload, "lru", chunk_requests=chunk
+        )
         assert streamed.injector.records, "the plan must fire a fault"
         assert candidate.totals == reference.totals
         assert candidate.total_time_ns == reference.total_time_ns
@@ -464,13 +430,10 @@ class TestPreparedChaos:
         nothing."""
         config, _, pages, writes = chaos_workload
         fabric = _fabric(config)
-        try:
-            with pytest.raises(ValueError, match="chunk_requests"):
-                fabric.run_prepared(
-                    _prepared(pages, writes), "lru", chunk_requests=chunk
-                )
-        finally:
-            fabric.close()
+        with pytest.raises(ValueError, match="chunk_requests"):
+            fabric.run_prepared(
+                _prepared(pages, writes), "lru", chunk_requests=chunk
+            )
         with pytest.raises(ValueError, match="chunk_requests"):
             run_fabric_scenario(
                 ARMED, pages, writes, config=config, chunk_requests=chunk
@@ -601,47 +564,3 @@ class TestRefreshFaults:
         assert latencies and latencies[0] >= serving.quarantine_chunks
         # The breaker never took generation 0 out of service.
         assert service.totals.accesses == pages.shape[0]
-
-
-class TestWorkerCountInvariance:
-    # Hash sharding replays one plane per chunk; tenant sharding
-    # (three tenants per phase of the stream at this stride) gives
-    # the workers independent planes to fan out over.
-    @pytest.mark.parametrize(
-        "workers,sharding",
-        [(2, "hash"), (4, "hash"), (2, "tenant"), (4, "tenant")],
-        ids=["2", "4", "2-tenant", "4-tenant"],
-    )
-    def test_chaotic_run_is_bit_identical_across_workers(
-        self, chaos_workload, workers, sharding
-    ):
-        config, engine, pages, writes = chaos_workload
-        chaos = ChaosConfig(
-            seed=13,
-            horizon_chunks=8,
-            shard_stall_rate=0.2,
-            refresh_fail_rate=0.5,
-        )
-
-        def run(n_workers):
-            serving = _serving_config(
-                sharding=sharding,
-                partition_pages=300,
-                parallel=ParallelConfig(workers=n_workers),
-            )
-            service = _service(config, engine, serving, chaos=chaos)
-            try:
-                service.ingest(pages, writes)
-                return (
-                    service.totals,
-                    service.generation,
-                    service.injector.timeline_digest(),
-                    [
-                        e.as_dict()
-                        for e in service.shard_metrics.events()
-                    ],
-                )
-            finally:
-                service.close()
-
-        assert run(1) == run(workers)

@@ -7,8 +7,11 @@ each scenario of :data:`repro.chaos.SCENARIO_NAMES` with chaos seed
 stream and ramp a single device on fail-slow (a sick *majority* would
 contaminate the fleet median the health monitor judges against).
 Fabric scenarios run with the fleet health monitor off and on (the
-constants ``repro chaos --monitor`` ships), every cell at workers 1
-and 4, each against a no-fault baseline on the same path.  Faults are
+constants ``repro chaos --monitor`` ships), every cell bare and
+observed, each against a no-fault baseline on the same path.  An
+observed run carries a :class:`~repro.obs.Telemetry` bundle, which
+attaches a stage profiler, so its lanes replay through the lane
+loop's timed branch; its rows must equal the bare rows.  Faults are
 planned over the leading 70 % of the stream so the trailing chunks
 form a post-recovery window, except fail-slow, whose ramp runs to the
 end of the stream: a sick device never recovers by waiting, so its
@@ -33,15 +36,15 @@ from repro.core.config import (
     FabricTopology,
     GmmEngineConfig,
     IcgmmConfig,
-    ParallelConfig,
     ServingConfig,
 )
 from repro.core.engine import GmmPolicyEngine
+from repro.obs import Telemetry
 from repro.traces.preprocess import transform_timestamps
 
 CHUNK = 2_048
 CHAOS_SEED = 50
-WORKER_COUNTS = (1, 4)
+OBSERVED = (False, True)
 
 #: Post-recovery miss rate must stay within this factor (plus a small
 #: absolute slack) of the no-fault baseline over the same chunks.
@@ -97,7 +100,7 @@ def _row(out, base, recover_at):
 @pytest.fixture(scope="module")
 def scorecard(two_tenant_drift_stream):
     """``(n_accesses, rows)``; ``rows`` is keyed by ``(scenario,
-    monitor arm, workers)``."""
+    monitor arm, observed)``."""
     pages, writes, _ = two_tenant_drift_stream(24_000, 1_200, seed=7)
     gmm = GmmEngineConfig(
         n_components=8, max_iter=20, max_train_samples=8_000
@@ -126,8 +129,8 @@ def scorecard(two_tenant_drift_stream):
     n_chunks = -(-pages.shape[0] // CHUNK)
     horizon = max(1, (7 * n_chunks) // 10)
 
-    def run(name, chaos, workers, monitor=False):
-        parallel = ParallelConfig(workers=workers)
+    def run(name, chaos, observed, monitor=False):
+        telemetry = Telemetry(seed=0) if observed else None
         if name in SERVING_SCENARIOS:
             # Quick backoff, late breaker: the refresh-failure
             # scenario must land a good build inside the stream.
@@ -140,16 +143,16 @@ def scorecard(two_tenant_drift_stream):
                 refresh_backoff_chunks=1,
                 refresh_breaker_threshold=4,
                 quarantine_chunks=8,
-                parallel=parallel,
             )
             return run_serving_scenario(
                 chaos, engine, pages, writes,
                 config=config, serving=serving,
+                telemetry=telemetry,
             )
         return run_fabric_scenario(
             chaos, pages, writes,
             topology=topology, config=config, chunk_requests=CHUNK,
-            parallel=parallel, monitor=monitor,
+            monitor=monitor, telemetry=telemetry,
         )
 
     rows = {}
@@ -161,10 +164,10 @@ def scorecard(two_tenant_drift_stream):
                 n_chunks if name == "device_failslow" else horizon
             ),
         )
-        for workers in WORKER_COUNTS:
-            base = run(name, None, workers)
+        for observed in OBSERVED:
+            base = run(name, None, observed)
             outs = {
-                arm: run(name, chaos, workers, monitor=arm == "on")
+                arm: run(name, chaos, observed, monitor=arm == "on")
                 for arm in _arms(name)
             }
             # One recovery window per cell, anchored on the
@@ -174,22 +177,22 @@ def scorecard(two_tenant_drift_stream):
                 anchor["timeline"], anchor["events"]
             )
             for arm, out in outs.items():
-                rows[name, arm, workers] = _row(out, base, recover_at)
+                rows[name, arm, observed] = _row(out, base, recover_at)
     return pages.shape[0], rows
 
 
-#: Every ``(scenario, monitor arm, workers)`` row of the scorecard.
+#: Every ``(scenario, monitor arm, observed)`` row of the scorecard.
 CELLS = [
-    (name, arm, workers)
+    (name, arm, observed)
     for name in SCENARIO_NAMES
     for arm in _arms(name)
-    for workers in WORKER_COUNTS
+    for observed in OBSERVED
 ]
 
 
 def _cell_id(cell):
-    name, arm, workers = cell
-    return f"{name}-{arm}-w{workers}"
+    name, arm, observed = cell
+    return f"{name}-{arm}-{'observed' if observed else 'bare'}"
 
 
 @pytest.mark.parametrize("cell", CELLS, ids=_cell_id)
@@ -215,10 +218,10 @@ def test_post_recovery_miss_rate_is_bounded(scorecard, cell):
 
 @pytest.mark.parametrize("name", ["device_failure", "device_correlated"])
 @pytest.mark.parametrize("arm", ["off", "on"])
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_failed_device_traffic_fails_over(scorecard, name, arm, workers):
+@pytest.mark.parametrize("observed", OBSERVED, ids=["bare", "observed"])
+def test_failed_device_traffic_fails_over(scorecard, name, arm, observed):
     _, rows = scorecard
-    assert rows[name, arm, workers]["failover_accesses"] > 0
+    assert rows[name, arm, observed]["failover_accesses"] > 0
 
 
 @pytest.mark.parametrize(
@@ -229,24 +232,24 @@ def test_monitor_rows_carry_a_decision_digest(scorecard, cell):
     assert rows[cell]["monitor_digest"]
 
 
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_failslow_quarantine_beats_waiting(scorecard, workers):
+@pytest.mark.parametrize("observed", OBSERVED, ids=["bare", "observed"])
+def test_failslow_quarantine_beats_waiting(scorecard, observed):
     _, rows = scorecard
-    off = rows["device_failslow", "off", workers]
-    on = rows["device_failslow", "on", workers]
+    off = rows["device_failslow", "off", observed]
+    on = rows["device_failslow", "on", observed]
     assert on["quarantines"] >= 1
     assert on["tail_miss_rate"] < off["tail_miss_rate"]
     assert on["tail_latency_us"] < off["tail_latency_us"]
 
 
 @pytest.mark.parametrize("name", HEALTHY_LATENCY_SCENARIOS)
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_monitor_makes_no_false_quarantines(scorecard, name, workers):
+@pytest.mark.parametrize("observed", OBSERVED, ids=["bare", "observed"])
+def test_monitor_makes_no_false_quarantines(scorecard, name, observed):
     """Off the fail-slow scenario the armed monitor changes nothing
     (a correlated blast may still log suspect/cleared transitions)."""
     _, rows = scorecard
-    off = rows[name, "off", workers]
-    on = rows[name, "on", workers]
+    off = rows[name, "off", observed]
+    on = rows[name, "on", observed]
     assert on["quarantines"] == 0
     for field in (
         "accesses",
@@ -260,10 +263,9 @@ def test_monitor_makes_no_false_quarantines(scorecard, name, workers):
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
-def test_rows_are_identical_across_worker_counts(scorecard, name):
+def test_observed_rows_equal_bare_rows(scorecard, name):
+    """Telemetry observes without perturbing: every row, counters and
+    digests included, is the same with the bundle attached."""
     _, rows = scorecard
     for arm in _arms(name):
-        one, *others = (rows[name, arm, w] for w in WORKER_COUNTS)
-        for other in others:
-            assert other == one, arm
-
+        assert rows[name, arm, True] == rows[name, arm, False], arm

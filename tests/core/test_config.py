@@ -9,6 +9,7 @@ from repro.core.config import (
     ChaosConfig,
     GmmEngineConfig,
     IcgmmConfig,
+    ParallelConfig,
 )
 
 
@@ -69,6 +70,19 @@ class TestChaosConfig:
         }
         demo = ChaosConfig.demo(seed=4, shard_stall_rate=0.1)
         assert (demo.seed, demo.shard_stall_rate) == (4, 0.1)
+
+
+class TestParallelConfig:
+    """Replays run inline: one worker is the only value."""
+
+    def test_default_is_one_worker(self):
+        assert ParallelConfig().workers == 1
+        assert ParallelConfig(workers=1) == ParallelConfig()
+
+    @pytest.mark.parametrize("workers", [-1, 0, 2])
+    def test_rejects_any_other_worker_count(self, workers):
+        with pytest.raises(ValueError, match="workers must be 1"):
+            ParallelConfig(workers=workers)
 
 
 class TestIcgmmConfig:

@@ -1,12 +1,10 @@
-"""Unit tests of the multicore execution engine.
+"""Unit tests of the lane loop.
 
-Covers the determinism contract (results in task order) inline and on
-the thread pool, a failure inside a replay task, the lane-replay loop
-(:meth:`ParallelExecutor.replay_lanes`) and the
-:class:`~repro.core.config.ParallelConfig` wiring.
+Covers inline replay (results in task order, each equal to a direct
+``simulate_fast`` call) bare and with a stage profiler timing each
+task, a failure inside a replay task and the lane-replay loop
+(:meth:`ParallelExecutor.replay_lanes`).
 """
-
-import threading
 
 import numpy as np
 import pytest
@@ -17,12 +15,8 @@ from repro.cache.setassoc import (
     SetAssociativeCache,
 )
 from repro.cache.simulate_fast import simulate_fast
-from repro.core.config import ParallelConfig
-from repro.core.parallel import (
-    ParallelExecutor,
-    ReplayTask,
-    resolve_workers,
-)
+from repro.core.parallel import ParallelExecutor, ReplayTask
+from repro.core.pipeline import StageProfiler
 
 GEOMETRY = CacheGeometry(
     capacity_bytes=32 * 4096 * 4, block_bytes=4096, associativity=4
@@ -38,78 +32,49 @@ def _trace(n=20_000, seed=0):
     )
 
 
-def _live_pool_threads():
-    return sum(
-        thread.name.startswith("repro-parallel")
-        for thread in threading.enumerate()
-    )
-
-
-class TestConfig:
-    def test_defaults_inline(self):
-        config = ParallelConfig()
-        assert config.workers == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ParallelConfig(workers=-1)
-
-    def test_resolve_workers(self):
-        assert resolve_workers(3) == 3
-        assert resolve_workers(0) >= 1
-        with pytest.raises(ValueError):
-            resolve_workers(-2)
-
-    def test_from_config(self):
-        executor = ParallelExecutor.from_config(None)
-        assert executor.workers == 1
-        executor = ParallelExecutor.from_config(
-            ParallelConfig(workers=3)
-        )
-        assert executor.workers == 3
+#: ``replay``'s two branches: bare, and timing each task.
+PROFILED = pytest.mark.parametrize(
+    "profiled", [False, True], ids=["bare", "profiled"]
+)
 
 
 class TestReplay:
-    @pytest.mark.parametrize(
-        "workers", [1, 4], ids=["1-thread", "4-thread"]
-    )
-    def test_bit_identical_to_direct_call(self, workers):
+    @PROFILED
+    def test_bit_identical_to_direct_call(self, profiled):
         pages, is_write, scores = _trace()
         reference = SetAssociativeCache(GEOMETRY)
         ref_stats = simulate_fast(
             reference, LruPolicy(), pages, is_write, scores=scores
         )
-        with ParallelExecutor(workers) as executor:
-            caches = [SetAssociativeCache(GEOMETRY) for _ in range(3)]
-            tasks = [
-                ReplayTask(
-                    cache=cache,
-                    policy=LruPolicy(),
-                    pages=pages,
-                    is_write=is_write,
-                    scores=scores,
-                    record_outcome=True,
-                )
-                for cache in caches
-            ]
-            results = executor.replay(tasks)
-            for cache, result in zip(caches, results):
-                assert result.stats == ref_stats
-                assert result.outcome is not None
-                np.testing.assert_array_equal(
-                    cache.tags, reference.tags
-                )
-                np.testing.assert_array_equal(
-                    cache.stamp, reference.stamp
-                )
+        caches = [SetAssociativeCache(GEOMETRY) for _ in range(3)]
+        tasks = [
+            ReplayTask(
+                cache=cache,
+                policy=LruPolicy(),
+                pages=pages,
+                is_write=is_write,
+                scores=scores,
+                record_outcome=True,
+            )
+            for cache in caches
+        ]
+        profiler = StageProfiler() if profiled else None
+        results = ParallelExecutor().replay(tasks, profiler)
+        if profiled:
+            assert profiler.calls == {"simulate.task": len(tasks)}
+        for cache, result in zip(caches, results):
+            assert result.stats == ref_stats
+            assert result.outcome is not None
+            np.testing.assert_array_equal(cache.tags, reference.tags)
+            np.testing.assert_array_equal(cache.stamp, reference.stamp)
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_crash_inside_worker_propagates(self, workers):
-        """A task failing inside the replay body (not at dispatch)
-        re-raises in the caller, and no pool thread survives it."""
+    @PROFILED
+    def test_crash_inside_a_task_propagates(self, profiled):
+        """A task failing inside the replay body re-raises in the
+        caller; the task before it has already replayed, and a
+        profiler still closes the failing task's section."""
         pages, is_write, _ = _trace(500)
-        baseline = _live_pool_threads()
-        executor = ParallelExecutor(workers)
+        executor = ParallelExecutor()
         tasks = [
             ReplayTask(
                 cache=SetAssociativeCache(GEOMETRY),
@@ -122,9 +87,13 @@ class TestReplay:
             )
             for i in range(2)
         ]
+        profiler = StageProfiler() if profiled else None
         with pytest.raises(ValueError, match="warmup_fraction"):
-            executor.replay(tasks)
-        assert _live_pool_threads() == baseline
+            executor.replay(tasks, profiler)
+        if profiled:
+            assert profiler.calls == {"simulate.task": 2}
+        assert tasks[0].cache.occupancy() > 0
+        assert tasks[1].cache.occupancy() == 0
 
 
 def _lane_stream(n=6_000, n_lanes=3, seed=1):
@@ -185,25 +154,21 @@ class TestReplayLanes:
         for cache in caches:
             assert not np.any(cache.tags >= 1_000_000)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_cursors_advance_and_outcomes_land_at_positions(
-        self, workers
-    ):
+    def test_cursors_advance_and_outcomes_land_at_positions(self):
         lane_ids, pages, is_write, scores = _lane_stream()
         caches, policies = _lanes()
         start = [5, 0, 17]
         cursors = list(start)
-        with ParallelExecutor(workers) as executor:
-            replayed = executor.replay_lanes(
-                caches,
-                policies,
-                cursors,
-                lane_ids,
-                pages,
-                is_write,
-                scores,
-                record_outcome=True,
-            )
+        replayed = ParallelExecutor().replay_lanes(
+            caches,
+            policies,
+            cursors,
+            lane_ids,
+            pages,
+            is_write,
+            scores,
+            record_outcome=True,
+        )
         for lane, positions, result in replayed:
             np.testing.assert_array_equal(
                 positions, np.flatnonzero(lane_ids == lane)

@@ -55,12 +55,9 @@ def test_fabric_registry_names_pass_the_lint(obs_workload):
     fabric = CxlFabric(
         FabricTopology(n_devices=2), config=config, telemetry=telemetry
     )
-    try:
-        fabric.bind("lru", 0.0)
-        fabric.ingest(pages[:2_000], writes[:2_000])
-        fabric.results()
-    finally:
-        fabric.close()
+    fabric.bind("lru", 0.0)
+    fabric.ingest(pages[:2_000], writes[:2_000])
+    fabric.results()
     families = telemetry.registry.as_dicts()
     assert families
     for family in families:
@@ -81,10 +78,7 @@ def test_serving_registry_names_pass_the_lint(obs_workload):
         ),
         telemetry=telemetry,
     )
-    try:
-        service.ingest(pages, writes)
-    finally:
-        service.close()
+    service.ingest(pages, writes)
     families = telemetry.registry.as_dicts()
     assert families
     for family in families:

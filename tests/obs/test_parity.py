@@ -50,11 +50,8 @@ def _serve(config, engine, pages, writes, telemetry):
     service = IcgmmCacheService(
         engine, config=config, serving=_serving_config(), **kwargs
     )
-    try:
-        service.ingest(pages, writes)
-        return service.summary()
-    finally:
-        service.close()
+    service.ingest(pages, writes)
+    return service.summary()
 
 
 def _stream_fabric(config, pages, writes, telemetry):
@@ -64,16 +61,13 @@ def _stream_fabric(config, pages, writes, telemetry):
     fabric = CxlFabric(
         FabricTopology(n_devices=4), config=config, **kwargs
     )
-    try:
-        fabric.bind("lru", 0.0)
-        for start in range(0, pages.shape[0], 2_000):
-            fabric.ingest(
-                pages[start : start + 2_000],
-                writes[start : start + 2_000],
-            )
-        return fabric.results().as_dict()
-    finally:
-        fabric.close()
+    fabric.bind("lru", 0.0)
+    for start in range(0, pages.shape[0], 2_000):
+        fabric.ingest(
+            pages[start : start + 2_000],
+            writes[start : start + 2_000],
+        )
+    return fabric.results().as_dict()
 
 
 class TestServingParity:

@@ -225,10 +225,7 @@ class TestTwoTenantGapRecovery:
                 serving=serving,
                 measure_from=measure_from,
             )
-            try:
-                reports = service.ingest(pages, writes)
-            finally:
-                service.close()
+            reports = service.ingest(pages, writes)
             runs[name] = (service, reports)
         return pages.shape[0], runs
 

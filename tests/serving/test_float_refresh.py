@@ -95,21 +95,21 @@ def _serve(pages, writes):
         features, config.gmm, np.random.default_rng(1)
     )
     built = []
-    with IcgmmCacheService(
+    service = IcgmmCacheService(
         engine,
         config=config,
         serving=ServingConfig(chunk_requests=CHUNK),
         measure_from=n_train,
-    ) as service:
-        build = service.refresher.build
+    )
+    build = service.refresher.build
 
-        def recording_build(current):
-            refreshed = build(current)
-            built.append(refreshed)
-            return refreshed
+    def recording_build(current):
+        refreshed = build(current)
+        built.append(refreshed)
+        return refreshed
 
-        service.refresher.build = recording_build
-        reports = service.ingest(pages, writes)
+    service.refresher.build = recording_build
+    reports = service.ingest(pages, writes)
     return reports, service.swaps, built, service.engine
 
 

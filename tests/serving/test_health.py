@@ -67,7 +67,6 @@ class TestArming:
         fabric = CxlFabric(
             FabricTopology(n_devices=n_devices), monitor=monitor
         )
-        fabric.close()
         return fabric.monitor
 
     def test_none_when_disabled(self):

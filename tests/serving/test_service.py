@@ -358,13 +358,13 @@ class TestRefreshFaults:
         config, _, prepared = prepared_system
         pages, writes = drifted_stream
         chaos = ChaosConfig(seed=0, **{f"refresh_{fault}_rate": 1.0})
-        with IcgmmCacheService(
+        service = IcgmmCacheService(
             prepared.engine,
             config=config,
             serving=ServingConfig(chunk_requests=2_000, n_shards=4),
             chaos=chaos,
-        ) as service:
-            service.ingest(pages, writes)
+        )
+        service.ingest(pages, writes)
         assert service.swaps == []
         assert service.generation == 0
         assert service.engine is prepared.engine
@@ -395,13 +395,13 @@ class TestRefreshFailureCount:
         streak that each swap resets."""
         config, _, prepared = prepared_system
         pages, writes = drifted_stream
-        with IcgmmCacheService(
+        service = IcgmmCacheService(
             prepared.engine,
             config=config,
             serving=ServingConfig(chunk_requests=2_000, n_shards=4),
             chaos=ChaosConfig(seed=4, refresh_fail_rate=0.5),
-        ) as service:
-            service.ingest(pages, writes)
+        )
+        service.ingest(pages, writes)
         kinds = [e.kind for e in service.shard_metrics.events("engine")]
         failed = [
             i for i, kind in enumerate(kinds) if kind == "refresh-failed"
@@ -428,22 +428,22 @@ class TestRefreshSwaps:
         pages, writes = drifted_stream
         telemetry = Telemetry(seed=0)
         built = []
-        with IcgmmCacheService(
+        service = IcgmmCacheService(
             prepared.engine,
             config=config,
             serving=ServingConfig(chunk_requests=2_000, n_shards=4),
             chaos=ChaosConfig(seed=4, refresh_fail_rate=0.5),
             telemetry=telemetry,
-        ) as service:
-            build = service.refresher.build
+        )
+        build = service.refresher.build
 
-            def recording_build(engine):
-                refreshed = build(engine)
-                built.append(refreshed)
-                return refreshed
+        def recording_build(engine):
+            refreshed = build(engine)
+            built.append(refreshed)
+            return refreshed
 
-            service.refresher.build = recording_build
-            service.ingest(pages, writes)
+        service.refresher.build = recording_build
+        service.ingest(pages, writes)
         return service, built, telemetry
 
     def test_build_runs_once_per_uninjected_attempt(self, half_failing):
@@ -531,23 +531,23 @@ class TestRefreshSwaps:
             (sample,) = family["samples"]
             return sample["value"]
 
-        with IcgmmCacheService(
+        service = IcgmmCacheService(
             prepared.engine,
             config=config,
             serving=ServingConfig(chunk_requests=2_000, n_shards=4),
             telemetry=telemetry,
-        ) as service:
-            before = gauge()
-            readings = []
-            rebase = service.detector.rebase
+        )
+        before = gauge()
+        readings = []
+        rebase = service.detector.rebase
 
-            def reading_rebase(threshold, quantile):
-                rebase(threshold, quantile)
-                live = np.count_nonzero(service.engine.model.weights)
-                readings.append((gauge(), live))
+        def reading_rebase(threshold, quantile):
+            rebase(threshold, quantile)
+            live = np.count_nonzero(service.engine.model.weights)
+            readings.append((gauge(), live))
 
-            service.detector.rebase = reading_rebase
-            service.ingest(pages, writes)
+        service.detector.rebase = reading_rebase
+        service.ingest(pages, writes)
         assert before == prepared.engine.model.n_components
         assert service.swaps and len(readings) == len(service.swaps)
         assert all(value == live for value, live in readings)
@@ -559,20 +559,20 @@ class TestRefreshSwaps:
         plane's admission policy on its own threshold."""
         config, _, prepared = prepared_system
         pages, writes = drifted_stream
-        with IcgmmCacheService(
+        service = IcgmmCacheService(
             prepared.engine,
             config=config,
             serving=ServingConfig(chunk_requests=2_000, n_shards=4),
-        ) as service:
-            rebase = service.detector.rebase
-            rebases = []
+        )
+        rebase = service.detector.rebase
+        rebases = []
 
-            def recording_rebase(threshold, quantile):
-                rebases.append((threshold, quantile))
-                rebase(threshold, quantile)
+        def recording_rebase(threshold, quantile):
+            rebases.append((threshold, quantile))
+            rebase(threshold, quantile)
 
-            service.detector.rebase = recording_rebase
-            service.ingest(pages, writes)
+        service.detector.rebase = recording_rebase
+        service.ingest(pages, writes)
         assert service.swaps, "the drifted stream must land a build"
         assert rebases == [
             (event.threshold, service.threshold_quantile)
@@ -601,21 +601,21 @@ class TestQuantizedRefresh:
             quantized=QuantizedGmm(trained.model),
         )
         builds = []
-        with IcgmmCacheService(
+        service = IcgmmCacheService(
             engine,
             config=config,
             serving=ServingConfig(chunk_requests=2_000, n_shards=4),
-        ) as service:
-            build = service.refresher.build
+        )
+        build = service.refresher.build
 
-            def recording_build(current):
-                buffer = service.refresher.snapshot_features()
-                refreshed = build(current)
-                builds.append((refreshed, buffer))
-                return refreshed
+        def recording_build(current):
+            buffer = service.refresher.snapshot_features()
+            refreshed = build(current)
+            builds.append((refreshed, buffer))
+            return refreshed
 
-            service.refresher.build = recording_build
-            service.ingest(pages, writes)
+        service.refresher.build = recording_build
+        service.ingest(pages, writes)
         assert service.swaps
         assert [event.threshold for event in service.swaps] == [
             refreshed.admission_threshold for refreshed, _ in builds

@@ -20,6 +20,31 @@ class TestParser:
                 ["generate-trace", "quake", "-o", "x.csv"]
             )
 
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            (["serve"], ["--pipeline", "throughput"]),
+            (["serve"], ["--parallel-backend", "thread"]),
+            (["serve"], ["--refresh-async"]),
+            (["serve"], ["--workers", "1"]),
+            (["fabric", "memtier"], ["--workers", "1"]),
+            (["chaos"], ["--workers", "1"]),
+        ],
+        ids=[
+            "pipeline",
+            "parallel-backend",
+            "refresh-async",
+            "serve-workers",
+            "fabric-workers",
+            "chaos-workers",
+        ],
+    )
+    def test_deleted_flag_rejected(self, command, flag):
+        # Deleted options: argparse's usage error, exit code 2.
+        with pytest.raises(SystemExit) as exited:
+            main([*command, *flag])
+        assert exited.value.code == 2
+
 
 class TestGenerateTrace:
     def test_writes_npz(self, tmp_path, capsys):
@@ -175,21 +200,6 @@ class TestServe:
         assert "engine swapped" in out
         assert "generation" in out
 
-    @pytest.mark.parametrize(
-        "flag",
-        [
-            ["--pipeline", "throughput"],
-            ["--parallel-backend", "thread"],
-            ["--refresh-async"],
-        ],
-        ids=["pipeline", "parallel-backend", "refresh-async"],
-    )
-    def test_serve_rejects_pipeline_flag(self, flag):
-        # Deleted options: argparse's usage error, exit code 2.
-        with pytest.raises(SystemExit) as exited:
-            main(["serve", "--length", "5000", *flag])
-        assert exited.value.code == 2
-
     def test_serve_rejects_unknown_strategy(self):
         with pytest.raises(SystemExit):
             main(
@@ -287,25 +297,122 @@ class TestChunkValidation:
         assert "chunk_requests must be >= 1" in capsys.readouterr().err
 
 
+class TestChaosFleetValidation:
+    """Fleet and shard sizes the chaos victims cannot take are usage
+    errors: one ``error:`` line and exit code 2, as on ``serve`` and
+    ``fabric``, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--devices", "0"], "n_devices must be >= 1"),
+            (
+                ["--shards", "3", "--scenarios", "shard_stall"],
+                "must divide the set count",
+            ),
+            (
+                ["--devices", "1", "--scenarios", "device_correlated"],
+                "exceeds the fleet size",
+            ),
+            (
+                ["--length", "5", "--components", "8"],
+                "too short to train K=8",
+            ),
+        ],
+        ids=[
+            "no-devices",
+            "indivisible-shards",
+            "correlated-one-device",
+            "stream-shorter-than-k",
+        ],
+    )
+    def test_chaos_rejects_bad_sizes(self, flags, message, capsys):
+        code = main(
+            [
+                "chaos",
+                "--length",
+                "8000",
+                "--components",
+                "4",
+                *flags,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ")
+        assert message in err[0]
+
+
+#: A valid invocation of each command that takes ``--seed``.
+SEEDED_COMMANDS = {
+    "generate-trace": ["generate-trace", "memtier", "-o", "unused.npz"],
+    "run": ["run", "memtier", "--trace-length", "2000"],
+    "suite": ["suite", "--workloads", "memtier"],
+    "serve": ["serve", "--length", "20000"],
+    "fabric": ["fabric", "memtier", "--trace-length", "2000"],
+    "chaos": ["chaos", "--length", "8000"],
+}
+
+
 class TestArgumentRanges:
     """Out-of-range numeric flags are argparse usage errors (exit 2)
     on every command that takes them, never a traceback or a run
     that measures nothing."""
 
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ["serve", "--length", "5000"],
-            ["fabric", "memtier", "--trace-length", "3000"],
-            ["chaos", "--scenarios", "device_failure"],
-        ],
-        ids=["serve", "fabric", "chaos"],
-    )
-    def test_negative_workers_rejected(self, command, capsys):
+    @staticmethod
+    def _usage_error(argv, message, capsys):
         with pytest.raises(SystemExit) as exited:
-            main([*command, "--workers", "-1"])
+            main(argv)
         assert exited.value.code == 2
-        assert "--workers: must be >= 0" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(SEEDED_COMMANDS))
+    def test_negative_seed_rejected(self, command, capsys):
+        # numpy refused it with a traceback once the run had started.
+        self._usage_error(
+            [*SEEDED_COMMANDS[command], "--seed", "-1"],
+            "--seed: must be >= 0, got -1",
+            capsys,
+        )
+
+    @pytest.mark.parametrize("command", ["serve", "fabric", "chaos"])
+    def test_negative_chaos_seed_rejected(self, command, capsys):
+        # fabric raised numpy's traceback; serve and chaos caught it
+        # after the stream and the engine were built.
+        self._usage_error(
+            [*SEEDED_COMMANDS[command], "--chaos-seed", "-1"],
+            "--chaos-seed: must be >= 0, got -1",
+            capsys,
+        )
+
+    @pytest.mark.parametrize("command", ["run", "serve", "fabric", "chaos"])
+    def test_componentless_gmm_rejected(self, command, capsys):
+        self._usage_error(
+            [*SEEDED_COMMANDS[command], "--components", "0"],
+            "--components: must be >= 1, got 0",
+            capsys,
+        )
+
+    @pytest.mark.parametrize("command", ["run", "suite", "fabric"])
+    def test_trace_length_below_config_floor_rejected(
+        self, command, capsys
+    ):
+        self._usage_error(
+            [*SEEDED_COMMANDS[command], "--trace-length", "9"],
+            "--trace-length: must be >= 10, got 9",
+            capsys,
+        )
+
+    @pytest.mark.parametrize("length", ["0", "1"])
+    def test_chaos_stream_needs_both_phases(self, length, capsys):
+        # The workload generator had no phase to draw the empty half
+        # from and raised.
+        self._usage_error(
+            ["chaos", "--length", length],
+            f"--length: must be >= 2, got {length}",
+            capsys,
+        )
 
     @pytest.mark.parametrize("fraction", ["1.0", "1.5", "0", "-0.2", "nan"])
     def test_serve_train_fraction_outside_open_unit_rejected(
